@@ -12,7 +12,7 @@ Run:  python examples/custom_workload.py
 
 from repro.core import CpiModel, SuiteMeasurement, SystemConfig
 from repro.sched import TranslationFile, analyze_load_slack
-from repro.sched.branch_schedule import fill_statistics
+from repro.sched.branch_schedule import fill_statistics, schedule_ctis
 from repro.trace import execute_program
 from repro.workload import BenchmarkSpec, Category, MemoryShape, SynthesisShape, synthesize_program
 
@@ -57,7 +57,7 @@ def main() -> None:
 
     # Delay-slot behaviour of this code (Section 3.1 analysis).
     translation = TranslationFile(trace.compiled, slots=2)
-    fills = fill_statistics(translation.schedules, slots=2)
+    fills = fill_statistics(schedule_ctis(trace.compiled, 2), slots=2)
     print(
         f"two-slot schedule: {translation.expansion_pct:.1f}% code growth, "
         f"{100 * fills['first_slot_filled']:.0f}% of first slots filled "

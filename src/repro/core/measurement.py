@@ -12,15 +12,17 @@ A full experiment run touches the same streams dozens of times, so every
 derived artifact flows through a content-addressed
 :class:`~repro.engine.store.ArtifactStore`: reference streams, miss
 counts, and branch statistics live in the store's memory tier; execution
-traces — the most expensive artifact of a session — are additionally
-persisted to its disk tier, which is also what lets parallel sweep
-workers rehydrate a session without re-synthesizing it.  When the
+traces and compiled programs — the expensive artifacts of a session — are
+additionally persisted to its disk tier, so a warm start maps both back
+without synthesizing a program, and parallel sweep workers rehydrate a
+session the same way.  When the
 session's :class:`~repro.engine.executor.SweepExecutor` is parallel,
 per-benchmark trace synthesis is fanned out across worker processes.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -61,7 +63,11 @@ from repro.cache.misscube import (
 )
 from repro.cache.stackdist import MissPlane
 from repro.trace.executor import ExecutionTrace, TraceExecutor
-from repro.trace.compiled import CompiledProgram
+from repro.trace.compiled import (
+    LOWERING_VERSION,
+    CompiledProgram,
+    compiled_arrays_valid,
+)
 from repro.trace.multiprogram import (
     address_space_offset,
     interleave_chunks,
@@ -110,6 +116,13 @@ def _as_dtype(array: np.ndarray, dtype) -> np.ndarray:
     maps and shared-memory views zero-copy), a converted copy otherwise
     (legacy bundles written with wider dtypes)."""
     return array if array.dtype == np.dtype(dtype) else array.astype(dtype)
+
+
+def _spec_digest(spec: BenchmarkSpec) -> str:
+    """Content identity of a benchmark spec (every published figure and
+    synthesis knob), so same-name specs of different shapes never share
+    a cached program or trace."""
+    return hashlib.sha256(repr(spec).encode()).hexdigest()[:24]
 
 
 def _trace_arrays_valid(arrays: Mapping[str, np.ndarray]) -> bool:
@@ -271,15 +284,60 @@ class SuiteMeasurement:
     # -- construction --------------------------------------------------------
 
     def _trace_params(self, spec: BenchmarkSpec, budget: int) -> Dict[str, object]:
-        return dict(bench=spec.name, budget=budget, seed=self.seed)
+        return dict(
+            bench=spec.name, spec=_spec_digest(spec), budget=budget, seed=self.seed
+        )
 
     def _trace_key(self, spec: BenchmarkSpec, budget: int) -> ArtifactKey:
         return ArtifactKey.make(
             "trace", GENERATOR_VERSION, **self._trace_params(spec, budget)
         )
 
-    def _load_or_run_trace(self, spec: BenchmarkSpec, budget: int) -> ExecutionTrace:
-        compiled = CompiledProgram(synthesize_program(spec, seed=self.seed))
+    def _compiled_params(self, spec: BenchmarkSpec) -> Dict[str, object]:
+        return dict(
+            bench=spec.name,
+            spec=_spec_digest(spec),
+            seed=self.seed,
+            generator=GENERATOR_VERSION,
+        )
+
+    def _compiled_key(self, spec: BenchmarkSpec) -> ArtifactKey:
+        return ArtifactKey.make(
+            "compiled", LOWERING_VERSION, **self._compiled_params(spec)
+        )
+
+    def _load_or_compile(self, spec: BenchmarkSpec) -> CompiledProgram:
+        """The benchmark's lowered program, synthesized only on a miss.
+
+        The compiled-program bundle is persisted like a trace, so a warm
+        session maps it back from disk: no synthesis, no lowering, and no
+        instruction lists (the session never needs them).  A bundle a
+        priming parent exported to shared memory comes first, as for
+        traces.
+        """
+
+        def lower() -> Dict[str, np.ndarray]:
+            with self.tracer.span("program.synthesize", bench=spec.name) as span:
+                span.count("programs")
+                program = synthesize_program(spec, seed=self.seed)
+                return CompiledProgram(program).as_arrays()
+
+        key = self._compiled_key(spec)
+        arrays = SHARED_BUNDLES.lookup(self.spec().digest(), key.digest)
+        if arrays is None or not compiled_arrays_valid(arrays):
+            arrays = self.store.get_or_create(
+                "compiled",
+                LOWERING_VERSION,
+                lower,
+                persist=True,
+                validate=compiled_arrays_valid,
+                **self._compiled_params(spec),
+            )
+        return CompiledProgram.from_arrays(arrays)
+
+    def _load_or_run_trace(
+        self, spec: BenchmarkSpec, budget: int, compiled: CompiledProgram
+    ) -> ExecutionTrace:
         key = self._trace_key(spec, budget)
 
         def stream_trace(writer) -> None:
@@ -320,13 +378,14 @@ class SuiteMeasurement:
     def _prefetch_traces(self) -> None:
         """Fan missing trace synthesis out across the sweep executor.
 
-        With the disk tier on, workers stream each trace straight into
-        the shared cache directory — only a key digest crosses the
-        process boundary, never the arrays — and the per-benchmark build
-        below turns into memory-mapped disk hits.  With the disk tier
-        off, workers fall back to returning (pickled) bundles that the
-        parent stores in memory.  Requires the parallel backend and more
-        than one missing benchmark to be worth a pool.
+        With the disk tier on, workers write each compiled program and
+        stream each trace straight into the shared cache directory —
+        only key digests cross the process boundary, never the arrays —
+        and the per-benchmark build below turns into memory-mapped disk
+        hits for both.  With the disk tier off, workers fall back to
+        returning (pickled) bundles that the parent stores in memory.
+        Requires the parallel backend and more than one missing
+        benchmark to be worth a pool.
         """
         missing = [
             (spec, budget)
@@ -351,6 +410,7 @@ class SuiteMeasurement:
                     [
                         (
                             self._trace_key(spec, budget).digest,
+                            self._compiled_key(spec).digest,
                             cache_dir,
                             spec,
                             budget,
@@ -364,11 +424,18 @@ class SuiteMeasurement:
                 synthesize_trace_arrays,
                 [(spec, budget, self.seed) for spec, budget in missing],
             )
-        for (spec, budget), arrays in zip(missing, bundles):
+        for (spec, budget), (compiled, trace) in zip(missing, bundles):
+            self.store.put(
+                "compiled",
+                LOWERING_VERSION,
+                compiled,
+                persist=self._use_disk_cache,
+                **self._compiled_params(spec),
+            )
             self.store.put(
                 "trace",
                 GENERATOR_VERSION,
-                arrays,
+                trace,
                 persist=self._use_disk_cache,
                 **self._trace_params(spec, budget),
             )
@@ -382,10 +449,12 @@ class SuiteMeasurement:
         heap pages or per-task pickles.  Memory-mapped traces are
         skipped: the disk tier's mapped bundles already share physical
         pages between processes through the page cache, so re-exporting
-        them would only duplicate memory.  After a (new) export the
-        session's own trace arrays are re-pointed at the shared views,
-        making the parent a reader of the same segments.  Returns the
-        number of newly exported bundles.
+        them would only duplicate memory.  Each exported trace takes its
+        compiled-program bundle along, so a worker rebuilding the session
+        needs neither the store nor program synthesis.  After a (new)
+        export the session's own trace arrays are re-pointed at the
+        shared views, making the parent a reader of the same segments.
+        Returns the number of benchmarks newly exported.
         """
         group = self.spec().digest()
         exported = 0
@@ -393,6 +462,11 @@ class SuiteMeasurement:
             trace = bench.trace
             if isinstance(trace.block_ids, np.memmap):
                 continue
+            SHARED_BUNDLES.export(
+                group,
+                self._compiled_key(bench.spec).digest,
+                bench.compiled.as_arrays(),
+            )
             key = self._trace_key(bench.spec, budget)
             if SHARED_BUNDLES.export(
                 group,
@@ -420,12 +494,13 @@ class SuiteMeasurement:
                     self._prefetch_traces()
                 built = []
                 for index, (spec, budget) in enumerate(zip(self.specs, self._budgets)):
-                    trace = self._load_or_run_trace(spec, budget)
+                    compiled = self._load_or_compile(spec)
+                    trace = self._load_or_run_trace(spec, budget, compiled)
                     built.append(
                         _Benchmark(
                             index=index,
                             spec=spec,
-                            compiled=trace.compiled,
+                            compiled=compiled,
                             trace=trace,
                             translations={},
                         )

@@ -372,39 +372,56 @@ def evaluate_design_point(item: Tuple[Any, Any, Any, Any]) -> Any:
     return optimizer.evaluate(config)
 
 
-def synthesize_trace_arrays(item: Tuple[Any, int, int]) -> Dict[str, np.ndarray]:
-    """Worker task: synthesize + execute one benchmark, returning the
-    trace's array bundle (the persistent-artifact representation)."""
+def synthesize_trace_arrays(
+    item: Tuple[Any, int, int]
+) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
+    """Worker task: synthesize, lower and walk one benchmark, returning
+    its compiled-program bundle and its trace bundle (the persistent
+    artifact representations)."""
     spec, budget, seed = item
-    from repro.trace import execute_program
     from repro.trace.compiled import CompiledProgram
+    from repro.trace.executor import TraceExecutor
     from repro.workload import synthesize_program
 
     compiled = CompiledProgram(synthesize_program(spec, seed=seed))
-    trace = execute_program(compiled.program, budget, seed=seed)
-    return {
+    trace = TraceExecutor(compiled, seed=seed).run(budget)
+    return compiled.as_arrays(), {
         "block_ids": trace.block_ids,
         "went_taken": trace.went_taken,
         "restarts": np.array([trace.restarts]),
     }
 
 
-def synthesize_trace_to_cache(item: Tuple[str, Any, Any, int, int]) -> str:
+def synthesize_trace_to_cache(item: Tuple[str, str, Any, Any, int, int]) -> str:
     """Worker task: stream one benchmark's trace into the shared disk cache.
 
-    The chunks go straight from the executor to a
-    :class:`~repro.trace.io.StreamingBundleWriter` under the given cache
-    key, so the worker's peak memory is O(chunk) and nothing but the key
-    digest is pickled back to the parent — which then reads the bundle as
-    a memory-mapped disk hit.
+    The program's compiled-program bundle is written under
+    ``compiled_digest`` as well (or mapped, when a valid one is already
+    there), so the parent's session build maps both bundles instead of
+    re-synthesizing the program.  The trace chunks go straight from the
+    executor to a :class:`~repro.trace.io.StreamingBundleWriter` under
+    the trace key, so the worker's peak memory is O(chunk) and nothing
+    but the key digest is pickled back to the parent.
     """
-    digest, cache_dir, spec, budget, seed = item
+    digest, compiled_digest, cache_dir, spec, budget, seed = item
+    from repro.trace.compiled import CompiledProgram, compiled_arrays_valid
     from repro.trace.executor import TraceExecutor
-    from repro.trace.io import StreamingBundleWriter, default_cache_dir
+    from repro.trace.io import (
+        StreamingBundleWriter,
+        default_cache_dir,
+        load_arrays,
+        save_arrays,
+    )
     from repro.workload import synthesize_program
 
-    executor = TraceExecutor(synthesize_program(spec, seed=seed), seed=seed)
     directory = cache_dir if cache_dir is not None else default_cache_dir()
+    arrays = load_arrays(compiled_digest, cache_dir=directory)
+    if arrays is not None and compiled_arrays_valid(arrays):
+        compiled = CompiledProgram.from_arrays(arrays)
+    else:
+        compiled = CompiledProgram(synthesize_program(spec, seed=seed))
+        save_arrays(compiled_digest, compiled.as_arrays(), cache_dir=directory)
+    executor = TraceExecutor(compiled, seed=seed)
     writer = StreamingBundleWriter(digest, cache_dir=directory)
     try:
         restarts = 0

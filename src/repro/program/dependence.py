@@ -28,12 +28,18 @@ from repro.isa.opcodes import OpcodeKind
 from repro.isa.registers import Register
 
 __all__ = [
+    "EPSILON_CAP",
     "flow_dependences",
     "cti_hoist_distance",
     "independent_prefix_length",
+    "load_epsilons",
     "memory_conflict",
     "use_distance",
 ]
+
+#: Slack beyond this many cycles never matters (the paper studies at most
+#: three load delay slots); epsilon values are capped here for histograms.
+EPSILON_CAP = 8
 
 
 def memory_conflict(a: Instruction, b: Instruction) -> bool:
@@ -148,3 +154,44 @@ def use_distance(
             # Result dead before use within the window: no consumer.
             return horizon
     return horizon
+
+
+def _writer_distance(instructions: Sequence[Instruction], position: int) -> int:
+    """Instructions between the last writer of a load's base register and it.
+
+    Returns :data:`EPSILON_CAP` when the register is written in an earlier
+    block (or never): far away, as far as load slack is concerned.
+    """
+    base = instructions[position].address_register
+    if base is None:
+        return EPSILON_CAP
+    for back in range(1, position + 1):
+        if base in instructions[position - back].defs:
+            return back - 1
+    return EPSILON_CAP
+
+
+def load_epsilons(instructions: Sequence[Instruction], position: int) -> Tuple[int, int]:
+    """The (static, dynamic) slack ``epsilon = c + d`` of one load.
+
+    Static: ``c`` and ``d`` truncated at the block boundary (what
+    within-block compile-time scheduling can use).  Dynamic: ``c`` is the
+    true distance to the address-register writer, where stable bases
+    (``$gp``/``$sp``/``$fp``), written at program or procedure entry, are
+    effectively infinitely far away.  Both are capped at
+    :data:`EPSILON_CAP`.
+    """
+    c_static = independent_prefix_length(instructions, position)
+    remaining = len(instructions) - 1 - position
+    d_static = use_distance(instructions, position, horizon=remaining)
+
+    base = instructions[position].address_register
+    if base is not None and base.is_stable_base:
+        c_dynamic = EPSILON_CAP
+    else:
+        c_dynamic = _writer_distance(instructions, position)
+    d_dynamic = use_distance(instructions, position, horizon=EPSILON_CAP)
+    return (
+        min(EPSILON_CAP, c_static + d_static),
+        min(EPSILON_CAP, c_dynamic + d_dynamic),
+    )

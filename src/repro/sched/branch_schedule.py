@@ -14,9 +14,12 @@ For an architecture with ``b`` branch delay slots, each CTI gets:
    in place (no growth); for register-indirect jumps they hold noops
    (growth ``s``, and nothing can be skipped at the target) — step 4.
 
-The output is one :class:`CtiSchedule` per block, the raw material for
-:class:`~repro.sched.translation.TranslationFile` and for the static
-code-size measurements of Table 2.
+:func:`schedule_ctis` runs the procedure block by block over the
+instruction lists and returns one :class:`CtiSchedule` per CTI.  It is the
+reference definition: :class:`~repro.sched.translation.TranslationFile`
+computes the same split for every slot count from the slot-independent
+facts :class:`~repro.trace.compiled.CompiledProgram` lowers once (hoist
+limit, prediction, indirect flag), and is tested against this function.
 """
 
 from __future__ import annotations
@@ -28,26 +31,9 @@ import numpy as np
 
 from repro.errors import ScheduleError
 from repro.program.dependence import cti_hoist_distance
-from repro.trace.compiled import BlockKind, CompiledProgram
+from repro.trace.compiled import BlockKind, CompiledProgram, unfillable_jumps
 
 __all__ = ["CtiSchedule", "schedule_ctis", "code_expansion_pct", "fill_statistics"]
-
-# Step 1 of the paper's procedure: when the original MIPS compiler left a
-# noop after a CTI, the post-processor sets r = 0 (the slot is unfillable
-# from before).  Our simplified dependence model cannot see the alignment
-# and liveness constraints that made ~46 % of real first slots unfillable —
-# it would hoist almost every direct jump — so the same effect is modelled
-# by declaring this fraction of direct jumps/calls unfillable, chosen
-# deterministically per block.  Calibrated against the paper's measured
-# 54 % overall / 52 % predicted-taken first-slot fill rates.
-JUMP_UNFILLABLE_FRAC = 0.45
-
-_HASH_MULTIPLIER = 2654435761  # Knuth multiplicative hash
-
-
-def _jump_is_unfillable(block_id: int) -> bool:
-    """Deterministic pseudo-random choice, stable across runs."""
-    return ((block_id * _HASH_MULTIPLIER) & 0xFFFFFFFF) / 2**32 < JUMP_UNFILLABLE_FRAC
 
 
 @dataclass(frozen=True)
@@ -88,7 +74,9 @@ def schedule_ctis(compiled: CompiledProgram, slots: int) -> Dict[int, CtiSchedul
     """Schedule every terminating CTI for ``slots`` branch delay slots.
 
     Returns a mapping from block id to its schedule; blocks without a
-    terminating CTI are absent.
+    terminating CTI are absent.  Needs the instruction lists (a
+    :class:`~repro.trace.compiled.CompiledProgram` built from its
+    program).
     """
     if slots < 0:
         raise ScheduleError(f"number of delay slots must be >= 0, got {slots}")
@@ -106,10 +94,13 @@ def schedule_ctis(compiled: CompiledProgram, slots: int) -> Dict[int, CtiSchedul
                 )
         return schedules
 
+    # Step 1: a calibrated share of direct jumps/calls cannot fill their
+    # first slot from before (see repro.trace.compiled.JUMP_UNFILLABLE_FRAC).
+    unfillable = unfillable_jumps(np.arange(len(compiled)))
     for block_id, kind in enumerate(compiled.kinds):
         if kind == BlockKind.FALLTHROUGH:
             continue
-        if kind in (BlockKind.JUMP, BlockKind.CALL) and _jump_is_unfillable(block_id):
+        if kind in (BlockKind.JUMP, BlockKind.CALL) and unfillable[block_id]:
             hoist = 0
         else:
             instructions = compiled.block_instructions(block_id)

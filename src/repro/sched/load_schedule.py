@@ -16,7 +16,11 @@ Table 5 converts both into delay cycles per load and CPI increase.
 
 The analysis here is static per load site — using the same dependence
 queries as the scheduler — and weighted by each block's dynamic execution
-count, which is exactly how a trace-driven measurement aggregates.
+count, which is exactly how a trace-driven measurement aggregates.  Each
+static load's two epsilons are lowered once per program
+(:func:`~repro.program.dependence.load_epsilons`, stored on
+:class:`~repro.trace.compiled.CompiledProgram`), so weighting them by a
+trace is two bincounts.
 """
 
 from __future__ import annotations
@@ -27,14 +31,10 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.errors import ScheduleError
-from repro.program.dependence import independent_prefix_length, use_distance
+from repro.program.dependence import EPSILON_CAP
 from repro.trace.compiled import CompiledProgram
 
 __all__ = ["EPSILON_CAP", "LoadSlackAnalysis", "analyze_load_slack"]
-
-#: Slack beyond this many cycles never matters (the paper studies at most
-#: three load delay slots); epsilon values are capped here for histograms.
-EPSILON_CAP = 8
 
 
 @dataclass
@@ -113,66 +113,40 @@ def analyze_load_slack(
             When omitted, every block is weighted equally (purely static
             view) — fine for tests, but experiments should always pass the
             trace weights.
+
+    Histogram keys appear in the order their first load occurs (block,
+    then instruction order; unexecuted blocks skipped), the order a walk
+    over the instructions would insert them.
     """
     if block_counts is None:
         block_counts = np.ones(len(compiled), dtype=np.int64)
+    block_counts = np.asarray(block_counts)
     if len(block_counts) != len(compiled):
         raise ScheduleError("block_counts must have one entry per block")
 
-    dynamic_histogram: Dict[int, int] = {}
-    static_histogram: Dict[int, int] = {}
-    total_loads = 0
-    total_instructions = 0
-
-    for block_id in range(len(compiled)):
-        weight = int(block_counts[block_id])
-        if weight == 0:
-            continue
-        instructions = compiled.block_instructions(block_id)
-        total_instructions += weight * len(instructions)
-        for position, inst in enumerate(instructions):
-            if not inst.is_load:
-                continue
-            total_loads += weight
-
-            # Static view: c and d truncated at the block boundary.
-            c_static = independent_prefix_length(instructions, position)
-            remaining = len(instructions) - 1 - position
-            d_static = use_distance(instructions, position, horizon=remaining)
-            eps_static = min(EPSILON_CAP, c_static + d_static)
-
-            # Dynamic view: c is the true distance to the address-register
-            # writer.  Stable bases ($gp/$sp/$fp) are written at program or
-            # procedure entry, effectively infinitely far away.
-            base = inst.address_register
-            if base is not None and base.is_stable_base:
-                c_dynamic = EPSILON_CAP
-            else:
-                c_dynamic = _distance_to_writer(instructions, position)
-            d_dynamic = use_distance(instructions, position, horizon=EPSILON_CAP)
-            eps_dynamic = min(EPSILON_CAP, c_dynamic + d_dynamic)
-
-            static_histogram[eps_static] = (
-                static_histogram.get(eps_static, 0) + weight
-            )
-            dynamic_histogram[eps_dynamic] = (
-                dynamic_histogram.get(eps_dynamic, 0) + weight
-            )
-
+    weights = block_counts[compiled.load_blocks]
+    total_loads = int(weights.sum())
+    total_instructions = int(block_counts @ compiled.lengths.astype(np.int64))
+    live = weights != 0
     loads_per_instruction = total_loads / total_instructions if total_instructions else 0.0
     return LoadSlackAnalysis(
-        dynamic_histogram=dynamic_histogram,
-        static_histogram=static_histogram,
+        dynamic_histogram=_weighted_histogram(
+            compiled.load_eps_dynamic[live], weights[live]
+        ),
+        static_histogram=_weighted_histogram(
+            compiled.load_eps_static[live], weights[live]
+        ),
         loads_per_instruction=loads_per_instruction,
     )
 
 
-def _distance_to_writer(instructions, position: int) -> int:
-    """Instructions between the last writer of the base register and the load."""
-    base = instructions[position].address_register
-    if base is None:
-        return EPSILON_CAP
-    for back in range(1, position + 1):
-        if base in instructions[position - back].defs:
-            return back - 1
-    return EPSILON_CAP  # written in an earlier block (or never): far away
+def _weighted_histogram(epsilons: np.ndarray, weights: np.ndarray) -> Dict[int, int]:
+    """epsilon -> summed weight, keyed in order of first occurrence.
+
+    The float64 sums of integer weights are exact below 2**53.
+    """
+    if len(epsilons) == 0:
+        return {}
+    sums = np.bincount(epsilons, weights=weights)
+    values, first = np.unique(epsilons, return_index=True)
+    return {int(eps): int(sums[eps]) for eps in values[np.argsort(first)]}

@@ -6,16 +6,20 @@ addresses of the canonical object code onto those of an architecture with
 replays canonical traces through that mapping.  :class:`TranslationFile`
 is the same artifact in array form: for every block, its translated start
 address and length, the ``s`` value, and the prediction flag.
+
+Every input of the delay-slot procedure that does not depend on ``b`` —
+each CTI's hoist limit, static prediction and indirect flag — is lowered
+once per program by :class:`~repro.trace.compiled.CompiledProgram`, so a
+translation file is a handful of O(blocks) array expressions per slot
+count.  :func:`~repro.sched.branch_schedule.schedule_ctis` is the
+per-block reference it is tested against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 import numpy as np
 
 from repro.errors import ScheduleError
-from repro.sched.branch_schedule import CtiSchedule, schedule_ctis
 from repro.trace.compiled import BlockKind, CompiledProgram
 from repro.utils.units import WORD_BYTES
 
@@ -44,25 +48,22 @@ class TranslationFile:
             raise ScheduleError("slots must be >= 0")
         self.compiled = compiled
         self.slots = slots
-        self.schedules: Dict[int, CtiSchedule] = schedule_ctis(compiled, slots)
-        n = len(compiled)
-        self.s_values = np.zeros(n, dtype=np.int32)
-        self.r_values = np.zeros(n, dtype=np.int32)
-        self.skip_words = np.zeros(n, dtype=np.int32)
-        self.predicted_taken = np.zeros(n, dtype=bool)
-        self.indirect = np.zeros(n, dtype=bool)
-        growth = np.zeros(n, dtype=np.int32)
-        for block_id, schedule in self.schedules.items():
-            self.s_values[block_id] = schedule.s
-            self.r_values[block_id] = schedule.r
-            self.skip_words[block_id] = schedule.skip
-            self.predicted_taken[block_id] = schedule.predicted_taken
-            self.indirect[block_id] = schedule.indirect
-            growth[block_id] = schedule.growth
-        self.new_lengths = compiled.lengths + growth
+        is_cti = compiled.kinds != BlockKind.FALLTHROUGH
+        # Steps 1+2: r slots filled from before the CTI; s = b - r remain.
+        self.r_values = np.minimum(compiled.hoist_limits, slots).astype(np.int32)
+        self.s_values = np.where(is_cti, slots - self.r_values, 0).astype(np.int32)
+        self.predicted_taken = compiled.predicted_taken
+        self.indirect = compiled.indirect
+        # Step 4: predicted-taken and indirect CTIs grow by s (replicas or
+        # noops); only direct predicted-taken CTIs skip into their target.
+        growth = np.where(self.predicted_taken | self.indirect, self.s_values, 0)
+        self.skip_words = np.where(
+            self.predicted_taken & ~self.indirect, self.s_values, 0
+        ).astype(np.int32)
+        self.new_lengths = (compiled.lengths + growth).astype(np.int32)
         starts = np.concatenate(([0], np.cumsum(self.new_lengths)[:-1]))
         self.new_addresses = (
-            compiled.program.text_base + starts * WORD_BYTES
+            compiled.text_base + starts * WORD_BYTES
         ).astype(np.int64)
 
     @property

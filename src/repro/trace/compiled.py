@@ -2,15 +2,28 @@
 
 The trace executor takes millions of steps; doing so over dataclass objects
 would dominate every experiment's run time.  :class:`CompiledProgram`
-lowers the CFG once into parallel lists indexed by *block id* (the block's
-position in layout order), which both the executor's inner loop and the
-vectorized reference-stream expansion consume directly.
+lowers the CFG once into parallel arrays indexed by *block id* (the block's
+position in layout order), which the executor's inner loop, the
+vectorized reference-stream expansion, the delay-slot translation and the
+load-slack analysis all consume directly.
+
+The lowering is the complete runtime form of a benchmark.  Besides the
+control-flow arrays it carries every fact of the delay-slot schedulers
+that does not depend on the number of slots: each CTI's hoist limit,
+static prediction and indirect flag, and each static load's static and
+dynamic epsilon.  :meth:`CompiledProgram.as_arrays` and
+:meth:`CompiledProgram.from_arrays` round-trip it through a flat array
+bundle, which a measurement session persists per program, so a warm start
+neither synthesizes nor re-lowers a program.  Only
+:meth:`CompiledProgram.block_instructions` (and the instruction-level
+analyses built on it) needs the original :class:`~repro.program.cfg.Program`.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, Sequence
+from functools import cached_property
+from typing import Dict, List, Mapping
 
 import numpy as np
 
@@ -18,8 +31,42 @@ from repro.errors import TraceError
 from repro.isa.opcodes import OpcodeKind
 from repro.isa.registers import RA
 from repro.program.cfg import Program
+from repro.program.dependence import cti_hoist_distance, load_epsilons
 
-__all__ = ["BlockKind", "CompiledProgram"]
+__all__ = [
+    "BlockKind",
+    "CompiledProgram",
+    "JUMP_UNFILLABLE_FRAC",
+    "LOWERING_VERSION",
+    "compiled_arrays_valid",
+    "unfillable_jumps",
+]
+
+#: Bump when the lowering changes what any array of a
+#: :class:`CompiledProgram` holds; it versions every persisted bundle.
+LOWERING_VERSION = 1
+
+# Step 1 of the paper's procedure: when the original MIPS compiler left a
+# noop after a CTI, the post-processor sets r = 0 (the slot is unfillable
+# from before).  Our simplified dependence model cannot see the alignment
+# and liveness constraints that made ~46 % of real first slots unfillable —
+# it would hoist almost every direct jump — so the same effect is modelled
+# by declaring this fraction of direct jumps/calls unfillable, chosen
+# deterministically per block.  Calibrated against the paper's measured
+# 54 % overall / 52 % predicted-taken first-slot fill rates.
+JUMP_UNFILLABLE_FRAC = 0.45
+
+_HASH_MULTIPLIER = 2654435761  # Knuth multiplicative hash
+
+
+def unfillable_jumps(block_ids: np.ndarray) -> np.ndarray:
+    """Step 1's deterministic pseudo-random choice, per block id (a mask).
+
+    The product is formed in int64: ``block_id * 2654435761`` overflows
+    int32 from block id 1 on.
+    """
+    hashed = (np.asarray(block_ids, dtype=np.int64) * _HASH_MULTIPLIER) & 0xFFFFFFFF
+    return hashed / 2**32 < JUMP_UNFILLABLE_FRAC
 
 
 class BlockKind(enum.IntEnum):
@@ -34,10 +81,74 @@ class BlockKind(enum.IntEnum):
     INDIRECT_CALL = 6  # jalr
 
 
+#: Every numeric array of a lowering, with its dtype (the bundle adds
+#: the unicode ``names``/``name`` and the one-element ``entry_id`` and
+#: ``text_base``).
+_ARRAY_DTYPES: Dict[str, np.dtype] = {
+    name: np.dtype(dtype)
+    for name, dtype in (
+        ("lengths", np.int32),
+        ("kinds", np.int8),
+        ("taken_ids", np.int32),
+        ("fall_ids", np.int32),
+        ("biases", np.float64),
+        ("indirect_offsets", np.int64),
+        ("indirect_flat", np.int32),
+        ("load_counts", np.int32),
+        ("store_counts", np.int32),
+        ("cti_counts", np.int32),
+        ("syscall_counts", np.int32),
+        ("hoist_limits", np.int32),
+        ("predicted_taken", np.bool_),
+        ("indirect", np.bool_),
+        ("load_blocks", np.int32),
+        ("load_eps_static", np.int8),
+        ("load_eps_dynamic", np.int8),
+    )
+}
+
+#: Arrays with one entry per block (the rest are CSR/per-load/scalars).
+_PER_BLOCK = (
+    "lengths", "kinds", "taken_ids", "fall_ids", "biases", "load_counts",
+    "store_counts", "cti_counts", "syscall_counts", "hoist_limits",
+    "predicted_taken", "indirect", "names",
+)
+
+
+def compiled_arrays_valid(arrays: Mapping[str, np.ndarray]) -> bool:
+    """Whether a bundle is a complete :meth:`CompiledProgram.as_arrays` output.
+
+    Checks every name, dtype and length relation, so a truncated or stale
+    bundle is rejected (and rebuilt by the store) rather than loaded.
+    """
+    try:
+        n = len(arrays["lengths"])
+        return (
+            n > 0
+            and all(arrays[name].dtype == dtype for name, dtype in _ARRAY_DTYPES.items())
+            and arrays["names"].dtype.kind == "U"
+            and arrays["name"].dtype.kind == "U"
+            and all(len(arrays[name]) == n for name in _PER_BLOCK)
+            and len(arrays["indirect_offsets"]) == n + 1
+            and int(arrays["indirect_offsets"][-1]) == len(arrays["indirect_flat"])
+            and len(arrays["load_blocks"]) == int(arrays["load_counts"].sum())
+            and len(arrays["load_eps_static"]) == len(arrays["load_blocks"])
+            and len(arrays["load_eps_dynamic"]) == len(arrays["load_blocks"])
+            and len(arrays["name"]) == 1
+            and len(arrays["entry_id"]) == 1
+            and 0 <= int(arrays["entry_id"][0]) < n
+            and len(arrays["text_base"]) == 1
+        )
+    except (KeyError, TypeError, IndexError, AttributeError, ValueError):
+        return False
+
+
 class CompiledProgram:
     """Array form of a program, indexed by block id (layout order).
 
-    Attributes (all parallel, one entry per block):
+    Attributes (per-block arrays are parallel, one entry per block):
+        name: the program's name (it seeds the trace executor's stream).
+        text_base: byte address of the canonical code.
         names: block names.
         lengths: canonical instruction counts.
         kinds: :class:`BlockKind` values.
@@ -51,6 +162,20 @@ class CompiledProgram:
             the compiled trace kernel.
         load_counts / store_counts / cti_counts / syscall_counts: static
             per-block instruction category counts.
+        hoist_limits: how far each block's CTI can be hoisted
+            (:func:`~repro.program.dependence.cti_hoist_distance`), or 0
+            for blocks without a CTI and for step 1's unfillable direct
+            jumps/calls; a CTI's ``r`` at ``b`` slots is
+            ``min(b, hoist_limit)``.
+        predicted_taken: step 3's static prediction (backward branches
+            and every unconditional CTI; False for blocks without a CTI).
+        indirect: register-indirect CTI (its remaining slots are noops).
+        load_blocks: block id of every static load, in block and then
+            instruction order.
+        load_eps_static / load_eps_dynamic: each static load's slack
+            (:func:`~repro.program.dependence.load_epsilons`).
+        program: the lowered :class:`~repro.program.cfg.Program`, or None
+            for a program rebuilt by :meth:`from_arrays`.
     """
 
     def __init__(self, program: Program) -> None:
@@ -58,6 +183,8 @@ class CompiledProgram:
         blocks = list(program.blocks())
         if not blocks:
             raise TraceError(f"program {program.name!r} has no blocks")
+        self.name: str = program.name
+        self.text_base: int = int(program.text_base)
         self.index: Dict[str, int] = {b.name: i for i, b in enumerate(blocks)}
         self.names: List[str] = [b.name for b in blocks]
         n = len(blocks)
@@ -66,34 +193,49 @@ class CompiledProgram:
         self.taken_ids = np.full(n, -1, dtype=np.int32)
         self.fall_ids = np.full(n, -1, dtype=np.int32)
         self.biases = np.zeros(n, dtype=np.float64)
-        self.indirect_ids: List[List[int]] = [[] for _ in range(n)]
+        indirect_ids: List[List[int]] = [[] for _ in range(n)]
         self.load_counts = np.zeros(n, dtype=np.int32)
         self.store_counts = np.zeros(n, dtype=np.int32)
         self.cti_counts = np.zeros(n, dtype=np.int32)
         self.syscall_counts = np.zeros(n, dtype=np.int32)
+        self.hoist_limits = np.zeros(n, dtype=np.int32)
+        unfillable = unfillable_jumps(np.arange(n))
+        load_blocks: List[int] = []
+        eps_static: List[int] = []
+        eps_dynamic: List[int] = []
 
         for i, block in enumerate(blocks):
+            instructions = block.instructions
             self.lengths[i] = len(block)
             self.biases[i] = block.taken_bias
-            for inst in block.instructions:
+            for position, inst in enumerate(instructions):
                 if inst.is_load:
                     self.load_counts[i] += 1
+                    load_blocks.append(i)
+                    static, dynamic = load_epsilons(instructions, position)
+                    eps_static.append(static)
+                    eps_dynamic.append(dynamic)
                 elif inst.is_store:
                     self.store_counts[i] += 1
                 elif inst.is_cti:
                     self.cti_counts[i] += 1
                 elif inst.kind is OpcodeKind.SYSCALL:
                     self.syscall_counts[i] += 1
-            self.kinds[i] = self._classify(block)
+            kind = self._classify(block)
+            self.kinds[i] = kind
+            if kind != BlockKind.FALLTHROUGH and not (
+                kind in (BlockKind.JUMP, BlockKind.CALL) and unfillable[i]
+            ):
+                self.hoist_limits[i] = cti_hoist_distance(instructions)
             if block.taken_target is not None:
                 self.taken_ids[i] = self.index[block.taken_target]
             if block.fallthrough is not None:
                 self.fall_ids[i] = self.index[block.fallthrough]
             if block.indirect_targets:
-                self.indirect_ids[i] = [self.index[t] for t in block.indirect_targets]
+                indirect_ids[i] = [self.index[t] for t in block.indirect_targets]
             if (
-                self.kinds[i] in (BlockKind.COMPUTED_GOTO, BlockKind.INDIRECT_CALL)
-                and not self.indirect_ids[i]
+                kind in (BlockKind.COMPUTED_GOTO, BlockKind.INDIRECT_CALL)
+                and not indirect_ids[i]
             ):
                 raise TraceError(
                     f"block {block.name!r}: register-indirect CTI needs "
@@ -101,21 +243,39 @@ class CompiledProgram:
                 )
 
         self.entry_id = self.index[program.entry]
+        self.indirect_ids = indirect_ids
 
         # CSR form of indirect_ids for flat-array consumers (the compiled
         # trace kernel): block i's candidates are
         # indirect_flat[indirect_offsets[i]:indirect_offsets[i + 1]].
         counts = np.fromiter(
-            (len(t) for t in self.indirect_ids), dtype=np.int64, count=n
+            (len(t) for t in indirect_ids), dtype=np.int64, count=n
         )
         self.indirect_offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=self.indirect_offsets[1:])
         self.indirect_flat = np.fromiter(
-            (t for targets in self.indirect_ids for t in targets),
+            (t for targets in indirect_ids for t in targets),
             dtype=np.int32,
             count=int(self.indirect_offsets[-1]),
         )
 
+        # Step 3: backward conditionals (target at or before the branch in
+        # layout order) and every unconditional CTI are predicted taken.
+        is_cti = self.kinds != BlockKind.FALLTHROUGH
+        backward = (self.taken_ids >= 0) & (self.taken_ids <= np.arange(n))
+        self.predicted_taken = is_cti & (
+            (self.kinds != BlockKind.CONDITIONAL) | backward
+        )
+        self.indirect = np.isin(
+            self.kinds,
+            (BlockKind.RETURN, BlockKind.COMPUTED_GOTO, BlockKind.INDIRECT_CALL),
+        )
+        self.load_blocks = np.array(load_blocks, dtype=np.int32)
+        self.load_eps_static = np.array(eps_static, dtype=np.int8)
+        self.load_eps_dynamic = np.array(eps_dynamic, dtype=np.int8)
+        self._init_walk_caches()
+
+    def _init_walk_caches(self) -> None:
         # Walk memoization, filled lazily by TraceExecutor: superblock
         # chains and per-outcome decision edges are pure functions of the
         # compiled arrays, so every executor over this program (whatever
@@ -141,6 +301,49 @@ class CompiledProgram:
             return BlockKind.CALL
         return BlockKind.JUMP
 
+    # -- the flat bundle ---------------------------------------------------------
+
+    def as_arrays(self) -> Dict[str, np.ndarray]:
+        """The whole lowering as named 1-D arrays (a persistable bundle)."""
+        arrays = {name: getattr(self, name) for name in _ARRAY_DTYPES}
+        arrays["names"] = np.array(self.names, dtype=str)
+        arrays["name"] = np.array([self.name], dtype=str)
+        arrays["entry_id"] = np.array([self.entry_id], dtype=np.int64)
+        arrays["text_base"] = np.array([self.text_base], dtype=np.int64)
+        return arrays
+
+    @classmethod
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "CompiledProgram":
+        """Rebuild a lowering from :meth:`as_arrays` output, without the
+        program: no synthesis, no instruction lists, no re-lowering.
+
+        Memory-mapped inputs stay zero-copy (and read-only).
+        """
+        if not compiled_arrays_valid(arrays):
+            raise TraceError("not a complete compiled-program bundle")
+        self = cls.__new__(cls)
+        self.program = None
+        self.name = str(arrays["name"][0])
+        self.text_base = int(arrays["text_base"][0])
+        self.entry_id = int(arrays["entry_id"][0])
+        self.names = arrays["names"].tolist()
+        for name in _ARRAY_DTYPES:
+            setattr(self, name, np.asarray(arrays[name]))
+        self._init_walk_caches()
+        return self
+
+    @cached_property
+    def index(self) -> Dict[str, int]:
+        """Block name -> block id."""
+        return {name: i for i, name in enumerate(self.names)}
+
+    @cached_property
+    def indirect_ids(self) -> List[List[int]]:
+        """Per-block indirect candidates, decoded from the CSR arrays."""
+        offsets = self.indirect_offsets.tolist()
+        flat = self.indirect_flat.tolist()
+        return [flat[offsets[i]:offsets[i + 1]] for i in range(len(self))]
+
     def __len__(self) -> int:
         return len(self.names)
 
@@ -155,10 +358,19 @@ class CompiledProgram:
         if not hasattr(self, "_canonical_addresses"):
             starts = np.concatenate(([0], np.cumsum(self.lengths)[:-1]))
             self._canonical_addresses = (
-                self.program.text_base + starts * 4
+                self.text_base + starts * 4
             ).astype(np.int64)
         return self._canonical_addresses
 
     def block_instructions(self, block_id: int):
-        """The instruction list of a block (for analyses, not hot paths)."""
+        """The instruction list of a block (for analyses, not hot paths).
+
+        Needs the program: a lowering rebuilt by :meth:`from_arrays`
+        carries no instructions.
+        """
+        if self.program is None:
+            raise TraceError(
+                f"program {self.name!r} was loaded from its lowered arrays; "
+                "instruction lists need CompiledProgram(program)"
+            )
         return self.program.block(self.names[block_id]).instructions

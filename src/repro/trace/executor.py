@@ -210,7 +210,7 @@ class TraceExecutor:
         self.compiled = (
             program if isinstance(program, CompiledProgram) else CompiledProgram(program)
         )
-        self._rng = spawn_rng(seed, self.compiled.program.name, "control")
+        self._rng = spawn_rng(seed, self.compiled.name, "control")
         self._uniforms = np.empty(0)
         self._cursor = 0
         # Chains and decision edges depend only on the compiled program,

@@ -15,6 +15,7 @@ from repro.core import DesignOptimizer, SuiteMeasurement, SystemConfig
 from repro.engine import executor as executor_module
 from repro.engine.executor import SweepExecutor, retire_inherited
 from repro.errors import ConfigurationError
+from repro.obs.tracer import Tracer
 from repro.workload import benchmark_by_name
 
 
@@ -331,6 +332,58 @@ class TestSweepEquivalence:
             assert np.array_equal(theirs.trace.block_ids, ours.trace.block_ids)
             assert np.array_equal(theirs.trace.went_taken, ours.trace.went_taken)
             assert theirs.trace.restarts == ours.trace.restarts
+
+    def test_parallel_cold_start_synthesizes_in_workers_only(
+        self, monkeypatch, tmp_path
+    ):
+        # Workers persist each compiled program next to its trace, so the
+        # parent's build maps both bundles instead of re-synthesizing.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        tracer = Tracer()
+        parallel = _tiny_measurement(executor=SweepExecutor(jobs=2))
+        parallel.attach_tracer(tracer)
+        try:
+            benchmarks = parallel.benchmarks
+        finally:
+            parallel.executor.shutdown()
+        names = _span_names(tracer.roots)
+        assert "session.prefetch_traces" in names
+        assert "program.synthesize" not in names
+        stats = parallel.store.stats()
+        assert stats.misses == 0
+        assert stats.disk_hits == 2 * len(benchmarks)
+
+    def test_memory_only_parallel_start_keeps_worker_programs(self):
+        def session(executor=None):
+            return SuiteMeasurement(
+                specs=[benchmark_by_name(name) for name in ("small", "yacc")],
+                total_instructions=60_000,
+                min_benchmark_instructions=30_000,
+                use_disk_cache=False,
+                executor=executor,
+            )
+
+        tracer = Tracer()
+        parallel = session(SweepExecutor(jobs=2))
+        parallel.attach_tracer(tracer)
+        try:
+            benchmarks = parallel.benchmarks
+        finally:
+            parallel.executor.shutdown()
+        assert "program.synthesize" not in _span_names(tracer.roots)
+        for theirs, ours in zip(benchmarks, session().benchmarks):
+            assert theirs.compiled.as_arrays().keys() == ours.compiled.as_arrays().keys()
+            for name, array in ours.compiled.as_arrays().items():
+                assert np.array_equal(theirs.compiled.as_arrays()[name], array)
+            assert np.array_equal(theirs.trace.block_ids, ours.trace.block_ids)
+
+
+def _span_names(spans):
+    names = set()
+    for span in spans:
+        names.add(span.name)
+        names |= _span_names(span.children)
+    return names
 
 
 class TestTeardownAccounting:
