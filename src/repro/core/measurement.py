@@ -319,8 +319,15 @@ class SuiteMeasurement:
         def lower() -> Dict[str, np.ndarray]:
             with self.tracer.span("program.synthesize", bench=spec.name) as span:
                 span.count("programs")
-                program = synthesize_program(spec, seed=self.seed)
-                return CompiledProgram(program).as_arrays()
+                with self.tracer.span("program.generate", bench=spec.name) as step:
+                    program = synthesize_program(spec, seed=self.seed)
+                    step.count("blocks", sum(len(p.blocks) for p in program.procedures))
+                    step.count("instructions", program.static_instruction_count)
+                with self.tracer.span("program.lower", bench=spec.name) as step:
+                    compiled = CompiledProgram(program)
+                    step.count("blocks", len(compiled))
+                    step.count("instructions", compiled.static_words)
+                return compiled.as_arrays()
 
         key = self._compiled_key(spec)
         arrays = SHARED_BUNDLES.lookup(self.spec().digest(), key.digest)

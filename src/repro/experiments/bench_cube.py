@@ -32,11 +32,13 @@ committed at the repo root is one quick-scale run of this tool).
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import resource
 import shutil
 import sys
 import tempfile
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -268,10 +270,25 @@ def run_benchmark(
 
 
 def _peak_rss_mb() -> float:
-    """Lifetime peak resident set (this process or any child), in MB."""
-    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    """Peak resident set of this process or of any child it has waited
+    for (its cube workers), in MB.
+
+    The process's own peak is its address space's high-water mark
+    (``VmHWM``) where Linux reports it: the ``ru_maxrss`` of a process
+    started by fork and exec also covers the memory its parent held when
+    it forked, which would charge the parent's peak to a row measured in
+    a fresh child.
+    """
+    own_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    own_kb = int(line.split()[1])
+    except OSError:
+        pass
     children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    return max(own, children) / 1024.0  # Linux reports KB
+    return max(own_kb, children) / 1024.0  # Linux reports KB
 
 
 def _grid_set_counts(
@@ -301,6 +318,88 @@ def _cubes_identical(a: MissCube, b: MissCube) -> bool:
     return True
 
 
+def _scale_row(
+    total: int,
+    repeats: int,
+    cube_jobs: int,
+    partitions: int,
+    serial_limit: int,
+    root: Path,
+    specs,
+) -> Dict[str, object]:
+    """Measure one budget of the scale axis, in a process of its own.
+
+    ``run_scale_benchmark`` runs this in a fresh spawned process per
+    budget, so the peak RSS it reports (this process and its cube
+    workers) is the row's own rather than the largest of every earlier
+    row.  Returns raw (unrounded) measurements.
+    """
+    from repro.core.measurement import SuiteMeasurement
+
+    blocks = tuple(BLOCK_SIZES)
+    ways = tuple(ASSOCIATIVITIES)
+    set_counts = _grid_set_counts(blocks, tuple(CAPACITIES_KW), ways)
+
+    started = time.perf_counter()
+    measurement = SuiteMeasurement(
+        specs=specs,
+        total_instructions=total,
+        store=ArtifactStore(cache_dir=root),
+    )
+    measurement.benchmarks  # the session build: programs and their traces
+    front_end_s = time.perf_counter() - started
+    started = time.perf_counter()
+    addresses = measurement.dstream_address_bundle()
+    stream_s = time.perf_counter() - started
+
+    serial_s: Optional[float] = None
+    serial_cube: Optional[MissCube] = None
+    if total <= serial_limit:
+        serial_s = float("inf")
+        for _ in range(repeats):
+            started = time.perf_counter()
+            serial_cube = miss_cube_from_addresses(
+                addresses, blocks, set_counts, max(ways)
+            )
+            serial_s = min(serial_s, time.perf_counter() - started)
+
+    executor = SweepExecutor(jobs=cube_jobs)
+    part_s = float("inf")
+    try:
+        for _ in range(repeats):
+            started = time.perf_counter()
+            part_cube = partitioned_miss_cube_from_addresses(
+                addresses,
+                blocks,
+                set_counts,
+                max(ways),
+                partitions=partitions,
+                executor=executor,
+                cross_check=True,
+            )
+            part_s = min(part_s, time.perf_counter() - started)
+    finally:
+        executor.shutdown()
+
+    identical: Optional[bool] = None
+    if serial_cube is not None:
+        identical = _cubes_identical(serial_cube, part_cube)
+        if not identical:
+            raise ConfigurationError(
+                f"partitioned cube disagrees with the serial engine "
+                f"at {total} instructions"
+            )
+    return {
+        "references": len(addresses),
+        "front_end_s": front_end_s,
+        "stream_s": stream_s,
+        "serial_s": serial_s,
+        "partitioned_s": part_s,
+        "identical": identical,
+        "peak_rss_mb": _peak_rss_mb(),
+    }
+
+
 def run_scale_benchmark(
     instructions: Sequence[int],
     repeats: int = 1,
@@ -309,94 +408,56 @@ def run_scale_benchmark(
     serial_limit: int = DEFAULT_SERIAL_LIMIT,
     cache_dir: Optional[Path] = None,
     stream=sys.stdout,
+    specs=None,
 ) -> RunLedger:
     """The paper-surface cube along a scale axis, up to full Table 1 size.
 
-    For each instruction budget: synthesize the multiprogrammed data
-    stream as a disk-backed bundle
+    For each instruction budget: build the session (synthesize or map
+    the programs and walk their traces: ``front_end_s``), then stream the
+    multiprogrammed data stream into a disk-backed bundle
     (:meth:`~repro.core.measurement.SuiteMeasurement.
     dstream_address_bundle` — the memory-mapped view is what both
-    engines consume), then time the whole paper block-size surface
-    through the set-partitioned out-of-core engine.  Budgets up to
+    engines consume: ``stream_s``), then time the whole paper block-size
+    surface through the set-partitioned out-of-core engine.  Budgets up to
     ``serial_limit`` also run the serial one-shot engine and the two
     cubes are asserted **bit-identical** (fatal otherwise); above the
     limit the serial pass is skipped and the partitioned build keeps its
     per-partition ``A = 1`` cross-check against the independent
-    direct-mapped sweep.  Peak RSS (self and children) is recorded per
-    budget, so the ledger shows full-scale memory staying bounded by the
-    partition size rather than the trace length.
+    direct-mapped sweep.  Each budget runs in a fresh spawned process
+    whose peak RSS (itself and its cube workers) is recorded, so the
+    ledger shows each budget's own memory rather than the largest
+    earlier one.  The budgets share ``cache_dir``, so only the first one
+    synthesizes the programs.  ``specs`` narrows the suite (default:
+    Table 1).
     """
     if repeats < 1:
         raise ConfigurationError(f"repeats must be at least 1, got {repeats}")
     if not instructions:
         raise ConfigurationError("need at least one instruction budget")
-    blocks = tuple(BLOCK_SIZES)
-    capacities_kw = tuple(CAPACITIES_KW)
-    ways = tuple(ASSOCIATIVITIES)
-    set_counts = _grid_set_counts(blocks, capacities_kw, ways)
     own_cache = cache_dir is None
     root = (
         Path(tempfile.mkdtemp(prefix="repro-bench-cube-"))
         if own_cache
         else Path(cache_dir)
     )
+    context = multiprocessing.get_context("spawn")
     ledger = RunLedger()
     per_scale: List[Dict[str, object]] = []
     try:
         for total in sorted(int(n) for n in instructions):
-            synth_started = time.perf_counter()
-            from repro.core.measurement import SuiteMeasurement
-
-            measurement = SuiteMeasurement(
-                total_instructions=total,
-                store=ArtifactStore(cache_dir=root),
-            )
-            addresses = measurement.dstream_address_bundle()
-            synth_s = time.perf_counter() - synth_started
-            refs = len(addresses)
-
-            serial_s: Optional[float] = None
-            serial_cube: Optional[MissCube] = None
-            if total <= serial_limit:
-                serial_s = float("inf")
-                for _ in range(repeats):
-                    started = time.perf_counter()
-                    serial_cube = miss_cube_from_addresses(
-                        addresses, blocks, set_counts, max(ways)
-                    )
-                    serial_s = min(serial_s, time.perf_counter() - started)
-
-            executor = SweepExecutor(jobs=cube_jobs)
-            part_s = float("inf")
-            try:
-                for _ in range(repeats):
-                    started = time.perf_counter()
-                    part_cube = partitioned_miss_cube_from_addresses(
-                        addresses,
-                        blocks,
-                        set_counts,
-                        max(ways),
-                        partitions=partitions,
-                        executor=executor,
-                        cross_check=True,
-                    )
-                    part_s = min(part_s, time.perf_counter() - started)
-            finally:
-                executor.shutdown()
-
-            identical: Optional[bool] = None
-            if serial_cube is not None:
-                identical = _cubes_identical(serial_cube, part_cube)
-                if not identical:
-                    raise ConfigurationError(
-                        f"partitioned cube disagrees with the serial engine "
-                        f"at {total} instructions"
-                    )
-            rss_mb = _peak_rss_mb()
+            with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+                row = pool.submit(
+                    _scale_row,
+                    total, repeats, cube_jobs, partitions, serial_limit, root, specs,
+                ).result()
+            serial_s = row["serial_s"]
+            part_s = row["partitioned_s"]
+            identical = row["identical"]
             entry = {
                 "instructions": total,
-                "references": refs,
-                "synth_wall_s": round(synth_s, 3),
+                "references": row["references"],
+                "front_end_s": round(row["front_end_s"], 3),
+                "stream_s": round(row["stream_s"], 3),
                 "serial_wall_s": (
                     round(serial_s, 3) if serial_s is not None else None
                 ),
@@ -406,7 +467,7 @@ def run_scale_benchmark(
                 ),
                 "partitioned_instr_per_s": round(total / part_s, 1),
                 "bit_identical_to_serial": identical,
-                "peak_rss_mb": round(rss_mb, 1),
+                "peak_rss_mb": round(row["peak_rss_mb"], 1),
             }
             per_scale.append(entry)
             if serial_s is not None:
@@ -417,12 +478,12 @@ def run_scale_benchmark(
                 "identical " if identical else ("" if identical is None else "DIFFER ")
             )
             print(
-                f"[scale {total}] refs={refs} synth={synth_s:.3f}s "
+                f"[scale {total}] refs={row['references']} "
+                f"front_end={row['front_end_s']:.3f}s stream={row['stream_s']:.3f}s "
                 f"{serial_txt}partitioned={part_s:.3f}s {ident_txt}"
-                f"({total / part_s:,.0f} instr/s, peak_rss={rss_mb:.0f}MB)",
+                f"({total / part_s:,.0f} instr/s, peak_rss={row['peak_rss_mb']:.0f}MB)",
                 file=stream,
             )
-            del addresses, serial_cube, part_cube, measurement
     finally:
         if own_cache:
             shutil.rmtree(root, ignore_errors=True)

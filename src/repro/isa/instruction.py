@@ -10,10 +10,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import FrozenSet, Optional, Tuple
 
-from repro.isa.opcodes import Opcode, OpcodeKind, OpcodeInfo, opcode_info
+from repro.isa.opcodes import INFO_BY_VALUE, Opcode, OpcodeKind, OpcodeInfo
 from repro.isa.registers import Register, RA, ZERO
 
-__all__ = ["Instruction", "nop"]
+__all__ = ["Instruction", "nop", "CTI_KINDS"]
+
+# Each opcode's kind, keyed by mnemonic (``opcode._value_``; see
+# :data:`~repro.isa.opcodes.INFO_BY_VALUE` for why not the enum).
+_KIND = {value: info.kind for value, info in INFO_BY_VALUE.items()}
+
+#: The kinds of control-transfer instructions (the paper's CTIs).  A tuple:
+#: membership is identity tests, where a set would hash the enum.
+CTI_KINDS = (OpcodeKind.BRANCH, OpcodeKind.JUMP, OpcodeKind.JUMP_REGISTER)
+
+_LOAD = OpcodeKind.LOAD
+_STORE = OpcodeKind.STORE
+_BRANCH = OpcodeKind.BRANCH
+_JUMP = OpcodeKind.JUMP
+_JUMP_REGISTER = OpcodeKind.JUMP_REGISTER
+_NOP = OpcodeKind.NOP
 
 
 @dataclass(frozen=True)
@@ -43,39 +58,36 @@ class Instruction:
     @property
     def info(self) -> OpcodeInfo:
         """Static opcode properties."""
-        return opcode_info(self.opcode)
+        return INFO_BY_VALUE[self.opcode._value_]
 
     @property
     def kind(self) -> OpcodeKind:
-        return self.info.kind
+        return _KIND[self.opcode._value_]
 
     # -- category predicates -------------------------------------------------
 
     @property
     def is_load(self) -> bool:
-        return self.kind is OpcodeKind.LOAD
+        return _KIND[self.opcode._value_] is _LOAD
 
     @property
     def is_store(self) -> bool:
-        return self.kind is OpcodeKind.STORE
+        return _KIND[self.opcode._value_] is _STORE
 
     @property
     def is_memory(self) -> bool:
         """True for any instruction that issues a data reference."""
-        return self.is_load or self.is_store
+        kind = _KIND[self.opcode._value_]
+        return kind is _LOAD or kind is _STORE
 
     @property
     def is_cti(self) -> bool:
         """True for any control-transfer instruction (the paper's CTI)."""
-        return self.kind in (
-            OpcodeKind.BRANCH,
-            OpcodeKind.JUMP,
-            OpcodeKind.JUMP_REGISTER,
-        )
+        return _KIND[self.opcode._value_] in CTI_KINDS
 
     @property
     def is_conditional_branch(self) -> bool:
-        return self.kind is OpcodeKind.BRANCH
+        return _KIND[self.opcode._value_] is _BRANCH
 
     @property
     def is_register_indirect(self) -> bool:
@@ -84,16 +96,17 @@ class Instruction:
         Delay slots of these CTIs can only be filled from before the CTI or
         with noops (Section 3.1, step 4 of the insertion procedure).
         """
-        return self.kind is OpcodeKind.JUMP_REGISTER
+        return _KIND[self.opcode._value_] is _JUMP_REGISTER
 
     @property
     def is_unconditional(self) -> bool:
         """True for CTIs that always transfer control."""
-        return self.kind in (OpcodeKind.JUMP, OpcodeKind.JUMP_REGISTER)
+        kind = _KIND[self.opcode._value_]
+        return kind is _JUMP or kind is _JUMP_REGISTER
 
     @property
     def is_nop(self) -> bool:
-        return self.kind is OpcodeKind.NOP
+        return _KIND[self.opcode._value_] is _NOP
 
     # -- def/use -------------------------------------------------------------
 

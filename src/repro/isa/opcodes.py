@@ -14,7 +14,15 @@ import enum
 from dataclasses import dataclass
 from typing import Dict
 
-__all__ = ["Opcode", "OpcodeKind", "OperandFormat", "OpcodeInfo", "OPCODE_TABLE", "opcode_info"]
+__all__ = [
+    "Opcode",
+    "OpcodeKind",
+    "OperandFormat",
+    "OpcodeInfo",
+    "OPCODE_TABLE",
+    "INFO_BY_VALUE",
+    "opcode_info",
+]
 
 
 class OpcodeKind(enum.Enum):
@@ -190,6 +198,14 @@ OPCODE_TABLE: Dict[Opcode, OpcodeInfo] = {
 }
 
 _BY_MNEMONIC: Dict[str, Opcode] = {op.value: op for op in Opcode}
+
+#: :data:`OPCODE_TABLE` keyed by mnemonic, for lookups on hot paths with
+#: ``opcode._value_``: an :class:`Opcode` key runs ``Enum.__hash__`` (Python
+#: code) on every lookup and ``Enum.value`` is a Python-level descriptor,
+#: while ``_value_`` is the plain attribute holding the mnemonic.
+INFO_BY_VALUE: Dict[str, OpcodeInfo] = {
+    op.value: info for op, info in OPCODE_TABLE.items()
+}
 
 
 def opcode_info(opcode: Opcode) -> OpcodeInfo:

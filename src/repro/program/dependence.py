@@ -17,17 +17,26 @@ offset) pairs symbolically — identical pairs conflict, anything else is
 assumed disjoint.  Output dependences through registers are ignored for the
 CTI hoist (the CTI writes at most the link register) and respected where
 they matter in the load analysis.
+
+The hoist and slack scans run over :class:`BlockFacts`: each
+instruction's kind, registers and symbolic address, computed once per
+block, with register sets as bitmasks (bit ``n`` is register ``n``), so a
+dependence test is an integer AND.  The lowering builds one per block and
+asks it for the CTI hoist distance and every load's slack; the
+per-instruction functions below answer single queries through the same
+scans.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.isa.instruction import Instruction
-from repro.isa.opcodes import OpcodeKind
-from repro.isa.registers import Register
+from repro.isa.instruction import CTI_KINDS, Instruction
+from repro.isa.opcodes import INFO_BY_VALUE, OpcodeKind
+from repro.isa.registers import RA, Register
 
 __all__ = [
+    "BlockFacts",
     "EPSILON_CAP",
     "flow_dependences",
     "cti_hoist_distance",
@@ -41,6 +50,140 @@ __all__ = [
 #: three load delay slots); epsilon values are capped here for histograms.
 EPSILON_CAP = 8
 
+_LOAD = OpcodeKind.LOAD
+_STORE = OpcodeKind.STORE
+#: Instructions no other instruction moves across: CTIs and syscalls.
+_BARRIERS = CTI_KINDS + (OpcodeKind.SYSCALL,)
+#: ``$gp``/``$sp``/``$fp`` (:attr:`Register.is_stable_base`) as a bitmask.
+_STABLE_BASES = (1 << 28) | (1 << 29) | (1 << 30)
+
+
+class BlockFacts:
+    """The dependence facts of a block's instructions, computed once.
+
+    Parallel lists, one entry per instruction:
+
+    * ``kinds``: its :class:`~repro.isa.opcodes.OpcodeKind`;
+    * ``defs`` / ``uses``: :attr:`Instruction.defs` / :attr:`Instruction.uses`
+      as register bitmasks;
+    * ``addresses``: the symbolic address ``(base, offset)`` of a memory
+      instruction (base -1 when it has none), None for the rest.
+    """
+
+    __slots__ = ("kinds", "defs", "uses", "addresses")
+
+    def __init__(self, instructions: Sequence[Instruction]) -> None:
+        kinds: List[OpcodeKind] = []
+        defs: List[int] = []
+        uses: List[int] = []
+        addresses: List[Optional[Tuple[int, int]]] = []
+        for inst in instructions:
+            info = INFO_BY_VALUE[inst.opcode._value_]
+            kind = info.kind
+            dest = inst.dest
+            base = inst.base
+            written = 0 if dest is None or dest.number == 0 else 1 << dest.number
+            if info.links:
+                written |= 1 << (RA.number if dest is None else dest.number)
+            read = 0 if base is None else 1 << base.number
+            for source in inst.sources:
+                read |= 1 << source.number
+            kinds.append(kind)
+            defs.append(written)
+            uses.append(read & ~1)  # reads of $zero are no dependence
+            addresses.append(
+                (-1 if base is None else base.number, inst.offset)
+                if kind is _LOAD or kind is _STORE
+                else None
+            )
+        self.kinds = kinds
+        self.defs = defs
+        self.uses = uses
+        self.addresses = addresses
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def conflict(self, i: int, j: int) -> bool:
+        """:func:`memory_conflict` of instructions ``i`` and ``j``."""
+        address = self.addresses[i]
+        return (
+            address is not None
+            and address == self.addresses[j]
+            and not (self.kinds[i] is _LOAD and self.kinds[j] is _LOAD)
+        )
+
+    def hoist_distance(self) -> int:
+        """:func:`cti_hoist_distance` of the block."""
+        kinds = self.kinds
+        if not kinds or kinds[-1] not in CTI_KINDS:
+            return 0
+        needed = self.uses[-1]
+        defs = self.defs
+        distance = 0
+        for i in range(len(kinds) - 2, -1, -1):
+            if kinds[i] in _BARRIERS or defs[i] & needed:
+                break
+            distance += 1
+        return distance
+
+    def independent_prefix(self, position: int) -> int:
+        """:func:`independent_prefix_length` of instruction ``position``."""
+        kinds = self.kinds
+        defs = self.defs
+        needed = self.uses[position]
+        count = 0
+        for i in range(position - 1, -1, -1):
+            if kinds[i] in _BARRIERS or defs[i] & needed or self.conflict(i, position):
+                break
+            count += 1
+        return count
+
+    def use_distance(self, position: int, horizon: int) -> int:
+        """:func:`use_distance` of instruction ``position``."""
+        produced = self.defs[position]
+        if not produced:
+            return horizon
+        defs = self.defs
+        uses = self.uses
+        for index in range(position + 1, min(position + horizon, len(defs) - 1) + 1):
+            if uses[index] & produced:
+                return index - position - 1
+            if defs[index] & produced:
+                # Result dead before use within the window: no consumer.
+                return horizon
+        return horizon
+
+    def writer_distance(self, position: int) -> int:
+        """Instructions between the last writer of a load's base register
+        and the load: the dynamic ``c``.
+
+        :data:`EPSILON_CAP` when the base is a stable register
+        (``$gp``/``$sp``/``$fp``, written at program or procedure entry) or
+        is written in an earlier block (or never): far away, as far as load
+        slack is concerned.
+        """
+        address = self.addresses[position]
+        if address is None or address[0] < 0 or _STABLE_BASES >> address[0] & 1:
+            return EPSILON_CAP
+        base = 1 << address[0]
+        defs = self.defs
+        for back in range(1, position + 1):
+            if defs[position - back] & base:
+                return back - 1
+        return EPSILON_CAP
+
+    def load_epsilons(self, position: int) -> Tuple[int, int]:
+        """:func:`load_epsilons` of instruction ``position``."""
+        c_static = self.independent_prefix(position)
+        d_static = self.use_distance(position, len(self.kinds) - 1 - position)
+        c_dynamic = self.writer_distance(position)
+        d_dynamic = self.use_distance(position, EPSILON_CAP)
+        return (
+            min(EPSILON_CAP, c_static + d_static),
+            min(EPSILON_CAP, c_dynamic + d_dynamic),
+        )
+
 
 def memory_conflict(a: Instruction, b: Instruction) -> bool:
     """True if two memory instructions may touch the same word.
@@ -49,11 +192,7 @@ def memory_conflict(a: Instruction, b: Instruction) -> bool:
     operations, at least one is a store, and the symbolic addresses (base
     register + offset) are identical.
     """
-    if not (a.is_memory and b.is_memory):
-        return False
-    if a.is_load and b.is_load:
-        return False
-    return a.base == b.base and a.offset == b.offset
+    return BlockFacts((a, b)).conflict(0, 1)
 
 
 def flow_dependences(instructions: Sequence[Instruction]) -> List[Tuple[int, int]]:
@@ -92,18 +231,7 @@ def cti_hoist_distance(instructions: Sequence[Instruction]) -> int:
 
     Returns 0 when the block does not end in a CTI.
     """
-    if not instructions or not instructions[-1].is_cti:
-        return 0
-    cti = instructions[-1]
-    needed: Set[Register] = set(cti.uses)
-    distance = 0
-    for inst in reversed(instructions[:-1]):
-        if inst.is_cti or inst.kind is OpcodeKind.SYSCALL:
-            break
-        if inst.defs & needed:
-            break
-        distance += 1
-    return distance
+    return BlockFacts(instructions).hoist_distance()
 
 
 def independent_prefix_length(
@@ -116,18 +244,7 @@ def independent_prefix_length(
     depend on (registers or memory).  This is the within-block scheduling
     headroom ``c`` available for moving a load earlier.
     """
-    target = instructions[position]
-    needed: Set[Register] = set(target.uses)
-    count = 0
-    for inst in reversed(instructions[:position]):
-        if inst.is_cti or inst.kind is OpcodeKind.SYSCALL:
-            break
-        if inst.defs & needed:
-            break
-        if memory_conflict(inst, target):
-            break
-        count += 1
-    return count
+    return BlockFacts(instructions).independent_prefix(position)
 
 
 def use_distance(
@@ -140,35 +257,7 @@ def use_distance(
     paper's ``d``); returns ``horizon`` when no consumer (or overwrite of
     the produced register) is found within the window.
     """
-    produced = instructions[position].defs
-    if not produced:
-        return horizon
-    for ahead in range(1, horizon + 1):
-        index = position + ahead
-        if index >= len(instructions):
-            return horizon
-        inst = instructions[index]
-        if inst.uses & produced:
-            return ahead - 1
-        if inst.defs & produced:
-            # Result dead before use within the window: no consumer.
-            return horizon
-    return horizon
-
-
-def _writer_distance(instructions: Sequence[Instruction], position: int) -> int:
-    """Instructions between the last writer of a load's base register and it.
-
-    Returns :data:`EPSILON_CAP` when the register is written in an earlier
-    block (or never): far away, as far as load slack is concerned.
-    """
-    base = instructions[position].address_register
-    if base is None:
-        return EPSILON_CAP
-    for back in range(1, position + 1):
-        if base in instructions[position - back].defs:
-            return back - 1
-    return EPSILON_CAP
+    return BlockFacts(instructions).use_distance(position, horizon)
 
 
 def load_epsilons(instructions: Sequence[Instruction], position: int) -> Tuple[int, int]:
@@ -181,17 +270,4 @@ def load_epsilons(instructions: Sequence[Instruction], position: int) -> Tuple[i
     effectively infinitely far away.  Both are capped at
     :data:`EPSILON_CAP`.
     """
-    c_static = independent_prefix_length(instructions, position)
-    remaining = len(instructions) - 1 - position
-    d_static = use_distance(instructions, position, horizon=remaining)
-
-    base = instructions[position].address_register
-    if base is not None and base.is_stable_base:
-        c_dynamic = EPSILON_CAP
-    else:
-        c_dynamic = _writer_distance(instructions, position)
-    d_dynamic = use_distance(instructions, position, horizon=EPSILON_CAP)
-    return (
-        min(EPSILON_CAP, c_static + d_static),
-        min(EPSILON_CAP, c_dynamic + d_dynamic),
-    )
+    return BlockFacts(instructions).load_epsilons(position)

@@ -22,16 +22,18 @@ analyses built on it) needs the original :class:`~repro.program.cfg.Program`.
 from __future__ import annotations
 
 import enum
+from array import array
 from functools import cached_property
 from typing import Dict, List, Mapping
 
 import numpy as np
 
 from repro.errors import TraceError
+from repro.isa.instruction import CTI_KINDS
 from repro.isa.opcodes import OpcodeKind
 from repro.isa.registers import RA
 from repro.program.cfg import Program
-from repro.program.dependence import cti_hoist_distance, load_epsilons
+from repro.program.dependence import BlockFacts
 
 __all__ = [
     "BlockKind",
@@ -106,6 +108,16 @@ _ARRAY_DTYPES: Dict[str, np.dtype] = {
         ("load_eps_dynamic", np.int8),
     )
 }
+
+#: The integer arrays the lowering loop fills: one row per block, one
+#: per static load.
+_BLOCK_COLUMNS = (
+    "lengths", "kinds", "taken_ids", "fall_ids", "load_counts",
+    "store_counts", "cti_counts", "syscall_counts", "hoist_limits",
+)
+_LOAD_COLUMNS = ("load_blocks", "load_eps_static", "load_eps_dynamic")
+
+_LOAD = OpcodeKind.LOAD
 
 #: Arrays with one entry per block (the rest are CSR/per-load/scalars).
 _PER_BLOCK = (
@@ -187,62 +199,62 @@ class CompiledProgram:
         self.text_base: int = int(program.text_base)
         self.index: Dict[str, int] = {b.name: i for i, b in enumerate(blocks)}
         self.names: List[str] = [b.name for b in blocks]
+        index = self.index
         n = len(blocks)
-        self.lengths = np.zeros(n, dtype=np.int32)
-        self.kinds = np.zeros(n, dtype=np.int8)
-        self.taken_ids = np.full(n, -1, dtype=np.int32)
-        self.fall_ids = np.full(n, -1, dtype=np.int32)
-        self.biases = np.zeros(n, dtype=np.float64)
-        indirect_ids: List[List[int]] = [[] for _ in range(n)]
-        self.load_counts = np.zeros(n, dtype=np.int32)
-        self.store_counts = np.zeros(n, dtype=np.int32)
-        self.cti_counts = np.zeros(n, dtype=np.int32)
-        self.syscall_counts = np.zeros(n, dtype=np.int32)
-        self.hoist_limits = np.zeros(n, dtype=np.int32)
-        unfillable = unfillable_jumps(np.arange(n))
-        load_blocks: List[int] = []
-        eps_static: List[int] = []
-        eps_dynamic: List[int] = []
-
+        unfillable = unfillable_jumps(np.arange(n)).tolist()
+        # Each block's integer facts go into one flat typed buffer, row by
+        # row in _BLOCK_COLUMNS order (no Python object per value), its
+        # bias into another, and each static load's (block, static epsilon,
+        # dynamic epsilon) into a third; the columns become arrays once.
+        block_table = array("q")
+        biases = array("d")
+        load_table = array("q")
+        indirect_ids: List[List[int]] = []
         for i, block in enumerate(blocks):
-            instructions = block.instructions
-            self.lengths[i] = len(block)
-            self.biases[i] = block.taken_bias
-            for position, inst in enumerate(instructions):
-                if inst.is_load:
-                    self.load_counts[i] += 1
-                    load_blocks.append(i)
-                    static, dynamic = load_epsilons(instructions, position)
-                    eps_static.append(static)
-                    eps_dynamic.append(dynamic)
-                elif inst.is_store:
-                    self.store_counts[i] += 1
-                elif inst.is_cti:
-                    self.cti_counts[i] += 1
-                elif inst.kind is OpcodeKind.SYSCALL:
-                    self.syscall_counts[i] += 1
+            facts = BlockFacts(block.instructions)
+            opcode_kinds = facts.kinds
+            for position, opcode_kind in enumerate(opcode_kinds):
+                if opcode_kind is _LOAD:
+                    load_table.append(i)
+                    load_table.extend(facts.load_epsilons(position))
             kind = self._classify(block)
-            self.kinds[i] = kind
-            if kind != BlockKind.FALLTHROUGH and not (
+            if kind == BlockKind.FALLTHROUGH or (
                 kind in (BlockKind.JUMP, BlockKind.CALL) and unfillable[i]
             ):
-                self.hoist_limits[i] = cti_hoist_distance(instructions)
-            if block.taken_target is not None:
-                self.taken_ids[i] = self.index[block.taken_target]
-            if block.fallthrough is not None:
-                self.fall_ids[i] = self.index[block.fallthrough]
-            if block.indirect_targets:
-                indirect_ids[i] = [self.index[t] for t in block.indirect_targets]
+                hoist = 0
+            else:
+                hoist = facts.hoist_distance()
+            block_table.extend(
+                (
+                    len(opcode_kinds),
+                    kind,
+                    -1 if block.taken_target is None else index[block.taken_target],
+                    -1 if block.fallthrough is None else index[block.fallthrough],
+                    opcode_kinds.count(OpcodeKind.LOAD),
+                    opcode_kinds.count(OpcodeKind.STORE),
+                    sum(opcode_kinds.count(cti) for cti in CTI_KINDS),
+                    opcode_kinds.count(OpcodeKind.SYSCALL),
+                    hoist,
+                )
+            )
+            biases.append(block.taken_bias)
+            targets = [index[t] for t in block.indirect_targets]
             if (
                 kind in (BlockKind.COMPUTED_GOTO, BlockKind.INDIRECT_CALL)
-                and not indirect_ids[i]
+                and not targets
             ):
                 raise TraceError(
                     f"block {block.name!r}: register-indirect CTI needs "
                     "indirect_targets (or $ra for a return)"
                 )
+            indirect_ids.append(targets)
 
-        self.entry_id = self.index[program.entry]
+        for names, table in ((_BLOCK_COLUMNS, block_table), (_LOAD_COLUMNS, load_table)):
+            rows = np.frombuffer(table, dtype=np.int64).reshape(-1, len(names))
+            for column, name in enumerate(names):
+                setattr(self, name, rows[:, column].astype(_ARRAY_DTYPES[name]))
+        self.biases = np.array(biases, dtype=np.float64)
+        self.entry_id = index[program.entry]
         self.indirect_ids = indirect_ids
 
         # CSR form of indirect_ids for flat-array consumers (the compiled
@@ -270,9 +282,6 @@ class CompiledProgram:
             self.kinds,
             (BlockKind.RETURN, BlockKind.COMPUTED_GOTO, BlockKind.INDIRECT_CALL),
         )
-        self.load_blocks = np.array(load_blocks, dtype=np.int32)
-        self.load_eps_static = np.array(eps_static, dtype=np.int8)
-        self.load_eps_dynamic = np.array(eps_dynamic, dtype=np.int8)
         self._init_walk_caches()
 
     def _init_walk_caches(self) -> None:

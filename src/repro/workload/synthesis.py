@@ -18,11 +18,17 @@ Register discipline (which makes the dependence analysis meaningful):
   knob, which drives the delay-slot fill statistics of Section 3.1);
 * everything else uses the scratch pool ``$t8/$t9/$a0–$a3/$v0``, so random
   filler never perturbs a planned dependence.
+
+Two draws emulate ``numpy.random.Generator.choice`` in plain Python
+(:func:`choice_cdf`, :func:`choice_without_replacement`): they consume the
+very same uniforms and pick the very same indices, without numpy's
+per-call overhead on arrays of a handful of entries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -37,6 +43,82 @@ from repro.utils.rng import DEFAULT_SEED, spawn_rng
 from repro.workload.spec import BenchmarkSpec, Category
 
 __all__ = ["synthesize_program"]
+
+
+def pairwise_sum(values: Sequence[float]) -> float:
+    """``np.sum`` of ``values`` as a float64 array, bit for bit.
+
+    numpy reduces float64 arrays by pairwise summation: runs shorter than
+    8 are added in order, runs of up to 128 in eight interleaved lanes
+    combined as a tree and followed by the leftover tail, and longer runs
+    are split at a multiple of 8 near the middle.  The reduction starts
+    from ``-0.0``.
+    """
+    return _pairwise(values, 0, len(values))
+
+
+def _pairwise(values: Sequence[float], start: int, n: int) -> float:
+    if n < 8:
+        total = -0.0
+        for value in values[start:start + n]:
+            total += value
+        return total
+    if n <= 128:
+        stop = start + n - n % 8
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[start:start + 8]
+        for i in range(start + 8, stop, 8):
+            r0 += values[i]
+            r1 += values[i + 1]
+            r2 += values[i + 2]
+            r3 += values[i + 3]
+            r4 += values[i + 4]
+            r5 += values[i + 5]
+            r6 += values[i + 6]
+            r7 += values[i + 7]
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for value in values[stop:start + n]:
+            total += value
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise(values, start, half) + _pairwise(values, start + half, n - half)
+
+
+def choice_cdf(p: Sequence[float]) -> List[float]:
+    """The table ``Generator.choice(len(p), p=p)`` searches.
+
+    numpy accumulates ``p`` in order, divides by the last sum, and returns
+    the ``bisect_right`` position of one ``rng.random()`` draw in it.
+    """
+    cdf = list(accumulate(p))
+    last = cdf[-1]
+    return [c / last for c in cdf]
+
+
+def choice_without_replacement(
+    rng: np.random.Generator, weights: Sequence[float], count: int
+) -> List[int]:
+    """``rng.choice(n, min(count, n), replace=False, p=w / w.sum())`` for
+    ``w = np.array(weights)`` and positive weights, in plain Python.
+
+    Returns the same indices in the same order and leaves ``rng`` in the
+    same state.  numpy samples in rounds: each draws one uniform per index
+    still missing (``rng.random(k)``), zeroes the probabilities of the
+    indices already taken, looks the draws up in :func:`choice_cdf` of the
+    rest and keeps each new index at its first occurrence.
+    """
+    total = pairwise_sum(weights)
+    p = [w / total for w in weights]
+    size = min(count, len(p))
+    found: List[int] = []
+    while len(found) < size:
+        draws = rng.random(size - len(found)).tolist()
+        for taken in found:
+            p[taken] = 0.0
+        cdf = choice_cdf(p)
+        found.extend(dict.fromkeys([bisect_right(cdf, u) for u in draws]))
+    return found
+
 
 # Register pools (see module docstring).
 _LOAD_DESTS = [Register(n) for n in range(8, 16)]  # $t0-$t7
@@ -68,7 +150,12 @@ _CONSTRUCT_WEIGHTS = {
 _LOAD_EARLY_WEIGHT = 1.5  # relative weight at block start, decaying to 0.5
 _STORE_LATE_WEIGHT = 0.5  # relative weight at block start, growing to 1.5
 
-
+_CONSTRUCT_KINDS = list(_CONSTRUCT_WEIGHTS)
+_CONSTRUCT_TOTAL = pairwise_sum(list(_CONSTRUCT_WEIGHTS.values()))
+#: ``Generator.choice`` over the construct kinds, as a table to bisect.
+_CONSTRUCT_CDF = choice_cdf(
+    [_CONSTRUCT_WEIGHTS[kind] / _CONSTRUCT_TOTAL for kind in _CONSTRUCT_KINDS]
+)
 
 
 class _Synthesizer:
@@ -178,13 +265,11 @@ class _Synthesizer:
             return []
         span = max(1, length - 1)
         if early:
-            weights = np.array([_LOAD_EARLY_WEIGHT - i / span for i in free])
+            weights = [max(_LOAD_EARLY_WEIGHT - i / span, 0.05) for i in free]
         else:
-            weights = np.array([_STORE_LATE_WEIGHT + i / span for i in free])
-        weights = np.maximum(weights, 0.05)
-        weights /= weights.sum()
-        chosen = self.rng.choice(len(free), size=min(count, len(free)), replace=False, p=weights)
-        return sorted(free[int(c)] for c in chosen)
+            weights = [max(_STORE_LATE_WEIGHT + i / span, 0.05) for i in free]
+        chosen = choice_without_replacement(self.rng, weights, count)
+        return sorted(free[c] for c in chosen)
 
     # -- block body construction ---------------------------------------------
 
@@ -330,11 +415,8 @@ class _Synthesizer:
     ) -> int:
         """Append constructs to ``blocks`` until ``budget`` words are used."""
         used = 0
-        names = list(_CONSTRUCT_WEIGHTS)
-        weights = np.array([_CONSTRUCT_WEIGHTS[n] for n in names])
-        weights /= weights.sum()
         while used < budget:
-            kind = names[int(self.rng.choice(len(names), p=weights))]
+            kind = _CONSTRUCT_KINDS[bisect_right(_CONSTRUCT_CDF, self.rng.random())]
             if kind == "loop" and depth < 1:
                 used += self._loop(proc_index, min(budget - used, budget // 2 + 8), depth, blocks)
             elif kind == "diamond":

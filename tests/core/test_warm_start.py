@@ -131,6 +131,14 @@ def test_cold_session_attributes_synthesis(cold):
     assert sum(span.counters["programs"] for span in spans) == len(SPECS)
     (build,) = spans_named(tracer, "session.build")
     assert all(span in build.children for span in spans)
+    for span in spans:
+        # Generation and lowering are timed apart, with their sizes.
+        generate, lower = span.children
+        assert (generate.name, lower.name) == ("program.generate", "program.lower")
+        assert generate.attrs == lower.attrs == span.attrs
+        assert generate.counters == lower.counters
+        assert generate.counters["blocks"] > 0
+        assert generate.counters["instructions"] > generate.counters["blocks"]
 
 
 def test_warm_session_is_identical_without_synthesis(cold, no_synthesis):

@@ -2,14 +2,21 @@
 
 import io
 
+import numpy as np
 import pytest
 
 from repro.engine.session import SessionRegistry
 from repro.errors import ConfigurationError
-from repro.experiments.bench_cube import grid_cases, main, run_benchmark
+from repro.experiments.bench_cube import (
+    grid_cases,
+    main,
+    run_benchmark,
+    run_scale_benchmark,
+)
 from repro.experiments.ext_associativity import ASSOCIATIVITIES, CAPACITIES_KW
 from repro.experiments.ext_blocksize import BLOCK_SIZES
 from repro.obs.ledger import validate_metrics
+from repro.workload import benchmark_by_name
 
 
 @pytest.fixture
@@ -49,6 +56,27 @@ class TestRunBenchmark:
     def test_rejects_bad_repeats(self, registry):
         with pytest.raises(ConfigurationError, match="repeats"):
             run_benchmark(scale="quick", repeats=0, registry=registry)
+
+
+class TestScaleRows:
+    def test_each_row_reports_its_own_peak(self, tmp_path):
+        # ~300 MB resident in this process: a row measured here, or in a
+        # child charged with its parent's peak, would report at least that.
+        ballast = np.ones(300 * 2**20 // 8)
+        ledger = run_scale_benchmark(
+            [20_000],
+            cache_dir=tmp_path,
+            stream=io.StringIO(),
+            specs=[benchmark_by_name("linpack"), benchmark_by_name("integral")],
+        )
+        assert ballast[-1] == 1.0
+        (row,) = ledger.run_info["scales"]
+        assert row["peak_rss_mb"] < 150
+        # The fixed front end and the per-scale stream are timed apart.
+        assert row["front_end_s"] > 0
+        assert row["stream_s"] > 0
+        assert "synth_wall_s" not in row
+        assert row["bit_identical_to_serial"] is True
 
 
 class TestCli:

@@ -2,18 +2,21 @@
 
 The runtime computes delay-slot translations and load-slack histograms
 from arrays lowered once per program (:class:`~repro.trace.compiled.
-CompiledProgram`).  These are the per-block and per-instruction loops
-those arrays replaced, kept verbatim as oracles: each walks the program's
-instruction lists, so it needs a ``CompiledProgram`` built from its
-program.
+CompiledProgram`), and the lowering runs its dependence scans over
+register bitmasks (:class:`~repro.program.dependence.BlockFacts`).  These
+are the per-block and per-instruction loops those replaced, kept verbatim
+as oracles: they walk instruction lists and ask each instruction for its
+``defs``/``uses`` sets, so the program-level ones need a
+``CompiledProgram`` built from its program.
 """
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.errors import ScheduleError
-from repro.program.dependence import independent_prefix_length, use_distance
+from repro.isa.opcodes import OpcodeKind
+from repro.isa.registers import Register
 from repro.sched.branch_schedule import schedule_ctis
 from repro.sched.load_schedule import EPSILON_CAP, LoadSlackAnalysis
 from repro.trace.compiled import JUMP_UNFILLABLE_FRAC, CompiledProgram
@@ -88,23 +91,7 @@ def load_slack_reference(
                 continue
             total_loads += weight
 
-            # Static view: c and d truncated at the block boundary.
-            c_static = independent_prefix_length(instructions, position)
-            remaining = len(instructions) - 1 - position
-            d_static = use_distance(instructions, position, horizon=remaining)
-            eps_static = min(EPSILON_CAP, c_static + d_static)
-
-            # Dynamic view: c is the true distance to the address-register
-            # writer.  Stable bases ($gp/$sp/$fp) are written at program or
-            # procedure entry, effectively infinitely far away.
-            base = inst.address_register
-            if base is not None and base.is_stable_base:
-                c_dynamic = EPSILON_CAP
-            else:
-                c_dynamic = _distance_to_writer(instructions, position)
-            d_dynamic = use_distance(instructions, position, horizon=EPSILON_CAP)
-            eps_dynamic = min(EPSILON_CAP, c_dynamic + d_dynamic)
-
+            eps_static, eps_dynamic = load_epsilons_reference(instructions, position)
             static_histogram[eps_static] = (
                 static_histogram.get(eps_static, 0) + weight
             )
@@ -134,6 +121,87 @@ def suite_load_slack_reference(compiled_programs, block_counts, loads, instructi
         dynamic_histogram=dynamic,
         static_histogram=static,
         loads_per_instruction=loads / instructions,
+    )
+
+
+def memory_conflict_reference(a, b) -> bool:
+    """Both memory operations, not both loads, same (base, offset)."""
+    if not (a.is_memory and b.is_memory):
+        return False
+    if a.is_load and b.is_load:
+        return False
+    return a.base == b.base and a.offset == b.offset
+
+
+def cti_hoist_distance_reference(instructions) -> int:
+    """The CTI hoist distance ``r``, over per-instruction def/use sets."""
+    if not instructions or not instructions[-1].is_cti:
+        return 0
+    cti = instructions[-1]
+    needed: Set[Register] = set(cti.uses)
+    distance = 0
+    for inst in reversed(instructions[:-1]):
+        if inst.is_cti or inst.kind is OpcodeKind.SYSCALL:
+            break
+        if inst.defs & needed:
+            break
+        distance += 1
+    return distance
+
+
+def independent_prefix_length_reference(instructions, position: int) -> int:
+    """Instructions immediately before ``position`` that it does not depend on."""
+    target = instructions[position]
+    needed: Set[Register] = set(target.uses)
+    count = 0
+    for inst in reversed(instructions[:position]):
+        if inst.is_cti or inst.kind is OpcodeKind.SYSCALL:
+            break
+        if inst.defs & needed:
+            break
+        if memory_conflict_reference(inst, target):
+            break
+        count += 1
+    return count
+
+
+def use_distance_reference(instructions, position: int, horizon: int) -> int:
+    """Instructions strictly between ``position`` and its first consumer."""
+    produced = instructions[position].defs
+    if not produced:
+        return horizon
+    for ahead in range(1, horizon + 1):
+        index = position + ahead
+        if index >= len(instructions):
+            return horizon
+        inst = instructions[index]
+        if inst.uses & produced:
+            return ahead - 1
+        if inst.defs & produced:
+            # Result dead before use within the window: no consumer.
+            return horizon
+    return horizon
+
+
+def load_epsilons_reference(instructions, position: int) -> Tuple[int, int]:
+    """The (static, dynamic) slack of one load, instruction by instruction."""
+    # Static view: c and d truncated at the block boundary.
+    c_static = independent_prefix_length_reference(instructions, position)
+    remaining = len(instructions) - 1 - position
+    d_static = use_distance_reference(instructions, position, horizon=remaining)
+
+    # Dynamic view: c is the true distance to the address-register
+    # writer.  Stable bases ($gp/$sp/$fp) are written at program or
+    # procedure entry, effectively infinitely far away.
+    base = instructions[position].address_register
+    if base is not None and base.is_stable_base:
+        c_dynamic = EPSILON_CAP
+    else:
+        c_dynamic = _distance_to_writer(instructions, position)
+    d_dynamic = use_distance_reference(instructions, position, horizon=EPSILON_CAP)
+    return (
+        min(EPSILON_CAP, c_static + d_static),
+        min(EPSILON_CAP, c_dynamic + d_dynamic),
     )
 
 
