@@ -1,28 +1,23 @@
 """Cache simulation: the reproduction's ``cacheSIM``.
 
-Two complementary simulators:
-
 * :class:`~repro.cache.cache.Cache` — a general set-associative cache with
-  pluggable replacement, used by the API, the examples, and as the oracle
-  for the fast path's correctness tests;
-* :mod:`~repro.cache.fastsim` — an exact, vectorized miss counter for
-  direct-mapped caches (the organization the paper's L1 uses throughout),
-  fast enough to sweep full multiprogrammed traces over every cache size
-  in pure Python;
-* :mod:`~repro.cache.stackdist` — a vectorized single-pass
-  all-associativity LRU simulator (Mattson stack distances): one pass
-  yields exact miss counts for every (set count, ways) point of a
-  :class:`~repro.cache.stackdist.MissPlane` at once;
-* :mod:`~repro.cache.misscube` — the unified engine over both: one pass
-  over a byte-address stream answers the whole
+  pluggable replacement, used by the API, the examples, and as the
+  step-by-step oracle for the vectorized paths' correctness tests;
+* :mod:`~repro.cache.misscube` — the engine behind every miss query: one
+  pass over a byte-address stream answers the whole
   (block size x set count x ways) cube as a
-  :class:`~repro.cache.misscube.MissCube`, sharing a single rank count
-  across every block size and set count;
+  :class:`~repro.cache.misscube.MissCube`, from Mattson stack distances
+  (:mod:`~repro.cache.stackdist`) sharing a single rank count across
+  every block size and set count;
 * :mod:`~repro.cache.cubepart` — the set-partitioned out-of-core and
   parallel driver over the same engine: partitions a byte-address
   stream by coarse set index, reduces partitions independently (in
   worker processes when an executor is supplied), and merges counts
-  bit-identical to the serial one-shot cube.
+  bit-identical to the serial one-shot cube;
+* :mod:`~repro.cache.fastsim` — an exact, vectorized miss counter for
+  direct-mapped caches: the per-reference miss mask an L2 study filters
+  through, and the independent single-pass size sweep every cube build
+  cross-checks its direct-mapped base against.
 
 :mod:`~repro.cache.refill` models the paper's miss penalties (a 2-cycle
 startup plus the block transfer at the memory system's refill rate), and
@@ -38,16 +33,9 @@ from repro.cache.fastsim import (
     direct_mapped_miss_mask,
     direct_mapped_misses,
     direct_mapped_miss_sweep,
-    direct_mapped_miss_sweep_masks,
     addresses_to_blocks,
 )
-from repro.cache.assoc_sim import associative_miss_sweep, set_associative_misses
-from repro.cache.stackdist import (
-    MissPlane,
-    all_associativity_misses,
-    capacity_associativity_misses,
-    stack_distance_hits,
-)
+from repro.cache.stackdist import MissPlane
 from repro.cache.misscube import (
     MISS_CUBE_VERSION,
     MissCube,
@@ -74,14 +62,8 @@ __all__ = [
     "direct_mapped_miss_mask",
     "direct_mapped_misses",
     "direct_mapped_miss_sweep",
-    "direct_mapped_miss_sweep_masks",
     "addresses_to_blocks",
-    "set_associative_misses",
-    "associative_miss_sweep",
     "MissPlane",
-    "stack_distance_hits",
-    "all_associativity_misses",
-    "capacity_associativity_misses",
     "MISS_CUBE_VERSION",
     "MissCube",
     "ShiftedStreams",

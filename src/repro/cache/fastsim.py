@@ -5,22 +5,24 @@ closed-form miss count: a reference misses exactly when the previous
 reference that mapped to the same set carried a different tag (or there was
 none).  Stable-sorting the reference sequence by set index brings each
 set's references together in time order, after which the comparison is a
-single vectorized pass.  This is the workhorse behind every cache sweep in
-the experiments; its equivalence to the step-by-step
-:class:`~repro.cache.cache.Cache` is enforced by property-based tests.
+single vectorized pass.  The per-reference mask lets ``ext_l2`` simulate a
+second-level cache on exactly the stream the L1 filters through; its
+equivalence to the step-by-step :class:`~repro.cache.cache.Cache` is
+enforced by property-based tests.
 
 For whole size-axis sweeps, the power-of-two set counts *nest*: the set
 index of a ``2^k``-set cache is the low ``k`` bits of the block index, so
 every swept geometry shares one grouping refined bit by bit.
 :func:`direct_mapped_miss_sweep` exploits this to produce exact miss
-counts for every size in a single pass over the reference stream instead
-of one independent simulation per size (see the function docstring for
-the argument).
+counts for every size in a single pass over the reference stream.  The
+miss cube (:mod:`~repro.cache.misscube`) answers every production query;
+this sweep is the independent algorithm every cube build checks its
+``A = 1`` base against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -33,7 +35,6 @@ __all__ = [
     "direct_mapped_miss_mask",
     "direct_mapped_misses",
     "direct_mapped_miss_sweep",
-    "direct_mapped_miss_sweep_masks",
 ]
 
 
@@ -100,9 +101,7 @@ def direct_mapped_misses(block_sequence: np.ndarray, num_sets: int) -> int:
     return int(direct_mapped_miss_mask(blocks, num_sets).sum())
 
 
-def _stable_split(
-    cur: np.ndarray, idx: Optional[np.ndarray], level: int
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+def _stable_split(cur: np.ndarray, level: int) -> np.ndarray:
     """Stably partition every level-``level`` segment by one index bit.
 
     ``cur`` holds block indices grouped into contiguous per-set segments
@@ -142,78 +141,39 @@ def _stable_split(
     )
     out_cur = np.empty_like(cur)
     out_cur[new_pos] = cur
-    out_idx = None
-    if idx is not None:
-        out_idx = np.empty_like(idx)
-        out_idx[new_pos] = idx
-    return out_cur, out_idx
+    return out_cur
 
 
-def _coarse_grouping(
-    blocks: np.ndarray, level: int, want_index: bool
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Group the stream by the ``2**level``-set index, time order within.
-
-    Level 0 (a single set) is the stream itself; deeper levels cost one
-    stable argsort keyed by the low ``level`` index bits.
-    """
-    n = len(blocks)
-    if level == 0:
-        idx = np.arange(n, dtype=np.int64) if want_index else None
-        return blocks.copy(), idx
-    order = np.argsort(blocks & ((1 << level) - 1), kind="stable")
-    return blocks[order], (order if want_index else None)
-
-
-def _sweep_levels(
-    blocks: np.ndarray, levels: Sequence[int], want_masks: bool
-) -> Tuple[Dict[int, int], Dict[int, np.ndarray]]:
-    """Single-pass hit harvest at every requested ``log2(num_sets)`` level.
+def _sweep_levels(blocks: np.ndarray, levels: Sequence[int]) -> Dict[int, int]:
+    """Single-pass miss harvest at every requested ``log2(num_sets)`` level.
 
     The nesting argument: a ``2^k``-set cache indexes with the low ``k``
     bits of the block index, so the set partition at level ``k+1`` refines
     the one at level ``k`` by exactly one bit.  Starting from one stable
-    grouping at the coarsest swept level (conceptually, a stable argsort
-    keyed by the largest swept cache's set index, peeled one bit at a
-    time), each refinement is a stable in-segment split that keeps every
-    set's reference substream in time order.  Within such a substream a
-    reference hits iff its immediate predecessor is the *same block*
-    (same set and same tag together are just block equality), so every
-    level's exact miss count — and, scattered back through the carried
-    time indices, its per-reference miss mask — falls out of one
-    vectorized adjacent comparison per level.
+    grouping at the coarsest swept level (level 0, a single set, is the
+    stream itself; deeper levels cost one stable argsort keyed by the low
+    index bits), each refinement is a stable in-segment split that keeps
+    every set's reference substream in time order.  Within such a
+    substream a reference hits iff its immediate predecessor is the
+    *same block* (same set and same tag together are just block
+    equality), so every level's exact miss count falls out of one
+    vectorized adjacent comparison per level.  Segment boundaries need
+    no special casing: adjacent elements in different segments live in
+    different sets, so their blocks differ.
     """
-    n = len(blocks)
-    counts: Dict[int, int] = {}
-    masks: Dict[int, np.ndarray] = {}
     wanted = set(levels)
     lo, hi = min(wanted), max(wanted)
-    cur, idx = _coarse_grouping(blocks, lo, want_masks)
-
-    def harvest(level: int) -> None:
-        same = np.empty(n, dtype=bool)
-        same[0] = False
-        np.equal(cur[1:], cur[:-1], out=same[1:])
-        # Segment boundaries need no special casing: adjacent elements in
-        # different segments live in different sets, so their blocks differ.
-        counts[level] = n - int(np.count_nonzero(same))
-        if want_masks:
-            miss = np.empty(n, dtype=bool)
-            miss[idx] = ~same
-            masks[level] = miss
-
-    if lo in wanted:
-        harvest(lo)
-    for level in range(lo + 1, hi + 1):
-        cur, idx = _stable_split(cur, idx, level - 1)
+    if lo == 0:
+        cur = blocks
+    else:
+        cur = blocks[np.argsort(blocks & ((1 << lo) - 1), kind="stable")]
+    counts: Dict[int, int] = {}
+    for level in range(lo, hi + 1):
+        if level > lo:
+            cur = _stable_split(cur, level - 1)
         if level in wanted:
-            harvest(level)
-    return counts, masks
-
-
-# Kept under the historical name: the shared validator now lives in
-# :mod:`repro.cache.geometry` (one rulebook for every miss-counting layer).
-_checked_levels = checked_levels
+            counts[level] = len(cur) - int(np.count_nonzero(cur[1:] == cur[:-1]))
+    return counts
 
 
 def direct_mapped_miss_sweep(
@@ -229,28 +189,11 @@ def direct_mapped_miss_sweep(
     per-size path and the step-by-step :class:`~repro.cache.cache.Cache`).
     """
     blocks = np.asarray(block_sequence, dtype=np.int64)
-    by_sets = _checked_levels(set_counts)
+    by_sets = checked_levels(set_counts)
     if not by_sets:
         return {}
     if len(blocks) == 0:
         return {num_sets: 0 for num_sets in by_sets}
-    counts, _ = _sweep_levels(blocks, list(by_sets.values()), want_masks=False)
+    counts = _sweep_levels(blocks, list(by_sets.values()))
     return {num_sets: counts[level] for num_sets, level in by_sets.items()}
 
-
-def direct_mapped_miss_sweep_masks(
-    block_sequence: np.ndarray, set_counts: Sequence[int]
-) -> Dict[int, np.ndarray]:
-    """Per-reference miss masks for several cache sizes in one pass.
-
-    Returns ``{num_sets: mask}`` with each mask in original reference
-    order, equal to :func:`direct_mapped_miss_mask` of that size.
-    """
-    blocks = np.asarray(block_sequence, dtype=np.int64)
-    by_sets = _checked_levels(set_counts)
-    if not by_sets:
-        return {}
-    if len(blocks) == 0:
-        return {num_sets: np.empty(0, dtype=bool) for num_sets in by_sets}
-    _, masks = _sweep_levels(blocks, list(by_sets.values()), want_masks=True)
-    return {num_sets: masks[level] for num_sets, level in by_sets.items()}

@@ -4,7 +4,7 @@ Every miss-counting layer sweeps the same kinds of axes — set counts,
 associativities, block sizes, capacities — and each axis has the same
 power-of-two well-formedness rules.  This module is the single place
 those rules live; :mod:`~repro.cache.fastsim`,
-:mod:`~repro.cache.stackdist`, :mod:`~repro.cache.misscube`, and the
+:mod:`~repro.cache.misscube`, :mod:`~repro.cache.cubepart`, and the
 session-level geometry checks in
 :class:`~repro.core.measurement.SuiteMeasurement` all delegate here.
 

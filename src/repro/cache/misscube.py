@@ -30,13 +30,11 @@ How the block axis folds into the existing machinery:
   level.  Instruction streams shrink multi-x; the per-level harvest then
   only compresses the repeats that become adjacent after grouping.
 
-Exactness is enforced three ways: property-based tests against the
-dict-LRU oracle (:func:`~repro.cache.assoc_sim.set_associative_misses`)
-and the step-by-step :class:`~repro.cache.cache.Cache`; guard tests
-pinning each block size's plane to the retired per-``B`` stack-distance
-path bit for bit; and a fatal cross-check of every ``A = 1`` base
-against the independent :func:`~repro.cache.fastsim.
-direct_mapped_miss_sweep` when a cube artifact is built
+Exactness is enforced two ways: tests against a dict-LRU oracle and the
+step-by-step :class:`~repro.cache.cache.Cache`, on random streams and on
+the real suite stream over the whole paper grid; and a fatal cross-check
+of every ``A = 1`` base against the independent :func:`~repro.cache.
+fastsim.direct_mapped_miss_sweep` when a cube artifact is built
 (:meth:`~repro.core.measurement.SuiteMeasurement.icache_miss_cube`).
 """
 
@@ -117,8 +115,8 @@ class MissCube:
             references at larger blocks).
         max_ways: Largest associativity the cube answers.
         hits: ``{block_words: {num_sets: hits}}`` cumulative hit counts
-            by ways (:func:`~repro.cache.stackdist.stack_distance_hits`
-            layout per block size).
+            by ways (the :class:`~repro.cache.stackdist.MissPlane` layout
+            per block size).
     """
 
     references: Mapping[int, int]

@@ -51,10 +51,12 @@ grouped substreams are produced by an LSD radix pass — one O(n) stable
 partition per level — with no sort at all.  (A global bit partition keeps
 every set contiguous and in time order; it permutes the *order of sets*
 relative to :func:`~repro.cache.fastsim._stable_split`, which no miss
-count depends on.)  Exactness against
-:func:`~repro.cache.assoc_sim.set_associative_misses` and the
-step-by-step :class:`~repro.cache.cache.Cache` is enforced by
-property-based tests; the ``A = 1`` column is additionally pinned to
+count depends on.)
+
+These are the miss cube's internals (:mod:`~repro.cache.misscube` is
+the only caller); property-based tests pin the cube to a dict-LRU oracle
+and the step-by-step :class:`~repro.cache.cache.Cache`, and every cube
+build checks its ``A = 1`` base against the independent
 :func:`~repro.cache.fastsim.direct_mapped_miss_sweep`.
 """
 
@@ -65,25 +67,14 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import kernels
-from repro.cache.geometry import checked_levels, checked_ways
 from repro.errors import ConfigurationError
 from repro.utils.units import is_power_of_two
 
-__all__ = [
-    "MissPlane",
-    "stack_distance_hits",
-    "all_associativity_misses",
-    "capacity_associativity_misses",
-]
+__all__ = ["MissPlane"]
 
 # Packed-merge base width: nodes up to this width are seeded by shifted
 # whole-array comparisons (contiguous, no sort) before merging starts.
 _SHIFT_BASE_WIDTH = 16
-
-# Fallback-tree node width below which the scatter merge switches to one
-# broadcast all-pairs comparison.
-_BASE_WIDTH = 32
 
 
 def _dense_ids_and_prev(blocks: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
@@ -153,13 +144,6 @@ def _rank_counts(rank: np.ndarray) -> np.ndarray:
     n = len(rank)
     if n < 2:
         return np.zeros(n, dtype=np.int64)
-    compiled = kernels.active_rank_kernel()
-    if compiled is not None:
-        # Compiled Fenwick pass (numba, when importable): exact integer
-        # counts, bit-identical to the merge trees below.
-        out = np.empty(n, dtype=np.int64)
-        tree = np.zeros(n + 1, dtype=np.int64)
-        return compiled(np.ascontiguousarray(rank, dtype=np.int64), out, tree)
     nbits = int(n - 1).bit_length()
     if 3 * nbits > 63:
         return _rank_counts_split(rank)
@@ -206,63 +190,6 @@ def _rank_counts(rank: np.ndarray) -> np.ndarray:
     return out[:n]
 
 
-def _rank_counts_scatter(rank: np.ndarray) -> np.ndarray:
-    """Scatter-tree fallback for streams too long to pack three fields.
-
-    A top-down merge tree over positions: the root's by-rank order is the
-    permutation's inverse (an O(n) scatter, no sort), and each node's
-    order splits into its children's by one stable partition on a single
-    position bit, counting left-half elements that precede each
-    right-half element in rank order.  Nodes of width <= ``_BASE_WIDTH``
-    finish with one broadcast all-pairs count instead of more levels.
-    Scratch buffers are allocated once and reused across levels.
-    """
-    n = len(rank)
-    nbits = int(n - 1).bit_length()
-    padded = 1 << nbits
-    dtype = np.int32 if padded <= (1 << 30) else np.int64
-    by_rank = np.empty(padded, dtype=dtype)
-    by_rank[rank] = np.arange(n, dtype=dtype)
-    if padded > n:
-        by_rank[n:] = np.arange(n, padded, dtype=dtype)
-    counts = np.zeros(padded, dtype=dtype)
-    cols = np.arange(padded, dtype=dtype)
-    bit = np.empty(padded, dtype=bool)
-    ones = np.empty(padded, dtype=dtype)
-    scratch = np.empty(padded, dtype=dtype)
-    other = np.empty(padded, dtype=dtype)
-    level = nbits
-    while (1 << level) > _BASE_WIDTH:
-        width = 1 << level
-        shape = (padded >> level, width)
-        rows = by_rank.reshape(shape)
-        bit2 = bit.reshape(shape)
-        ones2 = ones.reshape(shape)
-        pos2 = scratch.reshape(shape)
-        np.bitwise_and(np.right_shift(rows, level - 1, out=ones2), 1, out=ones2)
-        np.not_equal(ones2, 0, out=bit2)
-        np.cumsum(bit2, axis=1, out=ones2)
-        ones2 -= bit2  # ones strictly before, per row
-        np.subtract(cols[:width], ones2, out=pos2)  # zeros strictly before
-        # Right-half elements: left-half elements before them in rank
-        # order are exactly their smaller-rank, smaller-position pairs.
-        # Positions are unique, so fancy-index accumulation is safe.
-        counts[by_rank] += (pos2 * bit2).ravel()
-        zeros_total = width - ones2[:, -1:] - bit2[:, -1:]
-        np.add(ones2, zeros_total, out=ones2)
-        np.copyto(pos2, ones2, where=bit2)  # pos2 is now the new position
-        split2 = other.reshape(shape)
-        np.put_along_axis(split2, pos2, rows, axis=1)
-        by_rank, other = other, by_rank
-        level -= 1
-    width = 1 << level
-    rows = by_rank.reshape(padded >> level, width)
-    pairs = rows[:, :, None] > rows[:, None, :]
-    pairs &= np.tril(np.ones((width, width), dtype=bool), -1)
-    counts[by_rank] += pairs.sum(axis=2, dtype=dtype).ravel()
-    return counts[:n].astype(np.int64, copy=False)
-
-
 def _rank_counts_split(rank: np.ndarray) -> np.ndarray:
     """Rank counts for streams too long to pack three int64 fields.
 
@@ -275,8 +202,8 @@ def _rank_counts_split(rank: np.ndarray) -> np.ndarray:
     halves the value span and every piece reaches the packed merge tree
     of :func:`_rank_counts` within ``log2(n) - 21`` cuts, keeping the
     whole computation on the no-scatter fast path: O(n) work per cut
-    plus the packed tree per piece, against the scatter tree's
-    ``log2(n)`` full-stream scatter levels.
+    plus the packed tree per piece, against the ``log2(n)`` full-stream
+    scatter levels of a position-bit tree.
     """
     n = len(rank)
     out = np.zeros(n, dtype=np.int64)
@@ -478,35 +405,6 @@ def _stream_slices(
     return slices
 
 
-def stack_distance_hits(
-    block_sequence: np.ndarray, set_counts: Sequence[int], max_ways: int
-) -> Dict[int, np.ndarray]:
-    """Per-set-count cumulative LRU hit counts, capped at ``max_ways``.
-
-    Returns ``{num_sets: hits}`` where ``hits[a]`` is the number of
-    references whose set-relative stack distance is at most ``a``
-    (``a = 0..max_ways``), i.e. the exact hit count of an
-    ``a``-way LRU cache with ``num_sets`` sets.  One radix pass groups
-    all set counts; one shared rank count covers every level.
-    """
-    if max_ways < 1:
-        raise ConfigurationError(f"max_ways must be at least 1, got {max_ways}")
-    max_ways = int(max_ways)
-    blocks = np.asarray(block_sequence, dtype=np.int64)
-    by_sets = checked_levels(set_counts)
-    if not by_sets:
-        return {}
-    if len(blocks) == 0:
-        return {
-            num_sets: np.zeros(max_ways + 1, dtype=np.int64) for num_sets in by_sets
-        }
-    wanted = sorted(set(by_sets.values()))
-    slices = _stream_slices(blocks, wanted)
-    hits_list = _concatenated_hits([slices[level] for level in wanted], max_ways)
-    hits_by_level = dict(zip(wanted, hits_list))
-    return {num_sets: hits_by_level[level] for num_sets, level in by_sets.items()}
-
-
 #: Largest concatenation the packed merge tree of :func:`_rank_counts`
 #: accepts (three ``ceil(log2 n)``-bit fields in one int64).  Beyond it
 #: the concatenation is chunked at slice — and, within oversized
@@ -681,8 +579,10 @@ class MissPlane:
     Attributes:
         references: Stream length (the miss count denominator).
         max_ways: Largest associativity the plane answers.
-        hits: ``{num_sets: hits}`` cumulative hit counts by ways
-            (:func:`stack_distance_hits` output).
+        hits: ``{num_sets: hits}`` where ``hits[a]`` counts the
+            references whose set-relative stack distance is at most
+            ``a`` (``a = 0..max_ways``): the hit count of an ``a``-way
+            LRU cache with ``num_sets`` sets.
     """
 
     references: int
@@ -719,68 +619,3 @@ class MissPlane:
                 "power-of-two set count"
             )
         return self.misses(num_sets, ways)
-
-
-# Kept under the historical name: the shared validator now lives in
-# :mod:`repro.cache.geometry`.
-_checked_ways = checked_ways
-
-
-def all_associativity_misses(
-    block_sequence: np.ndarray,
-    set_counts: Sequence[int],
-    ways: Sequence[int],
-) -> Dict[Tuple[int, int], int]:
-    """Exact miss counts for every ``(num_sets, ways)`` point at once.
-
-    Returns ``{(num_sets, ways): misses}`` over the full cross product,
-    bit-identical to one :func:`~repro.cache.assoc_sim.
-    set_associative_misses` call per point, from a single stack-distance
-    pass per set count.
-    """
-    ways = _checked_ways(ways)
-    blocks = np.asarray(block_sequence, dtype=np.int64)
-    hits = stack_distance_hits(blocks, set_counts, max(ways))
-    n = len(blocks)
-    return {
-        (num_sets, way): n - int(level_hits[way])
-        for num_sets, level_hits in hits.items()
-        for way in ways
-    }
-
-
-def capacity_associativity_misses(
-    block_sequence: np.ndarray,
-    capacities_blocks: Sequence[int],
-    ways: Sequence[int],
-) -> Dict[Tuple[int, int], int]:
-    """Fixed-capacity plane: ``{(size_blocks, ways): misses}``.
-
-    Each capacity ``c`` at associativity ``a`` is a ``c / a``-set cache,
-    so the plane isolates the conflict-miss effect of associativity the
-    paper's Section 6 conjecture is about.  All distinct set counts are
-    swept in one pass.
-    """
-    ways = _checked_ways(ways)
-    set_counts = set()
-    pairs: Dict[Tuple[int, int], int] = {}
-    for capacity in capacities_blocks:
-        if not is_power_of_two(capacity):
-            raise ConfigurationError(
-                f"capacity must be a power of two: {capacity}"
-            )
-        for way in ways:
-            if capacity % way != 0 or not is_power_of_two(capacity // way):
-                raise ConfigurationError(
-                    f"associativity {way} does not divide {capacity} blocks "
-                    "into a power-of-two set count"
-                )
-            pairs[(int(capacity), way)] = capacity // way
-            set_counts.add(capacity // way)
-    blocks = np.asarray(block_sequence, dtype=np.int64)
-    hits = stack_distance_hits(blocks, sorted(set_counts), max(ways))
-    n = len(blocks)
-    return {
-        (capacity, way): n - int(hits[num_sets][way])
-        for (capacity, way), num_sets in pairs.items()
-    }

@@ -62,15 +62,15 @@ class CpiModel:
 
     def icache_cpi(self, config: SystemConfig, cycle_time_ns: float = 0.0) -> float:
         """L1-I stall cycles per instruction."""
-        misses = self.measurement.icache_misses(
-            config.branch_slots, config.block_words, config.icache_kw
+        misses = self.measurement.misses(
+            "I", config.block_words, config.icache_kw, slots=config.branch_slots
         )
         penalty = self._penalty_cycles(config, cycle_time_ns)
         return misses * penalty / self.measurement.canonical_instructions
 
     def dcache_cpi(self, config: SystemConfig, cycle_time_ns: float = 0.0) -> float:
         """L1-D stall cycles per instruction."""
-        misses = self.measurement.dcache_misses(config.block_words, config.dcache_kw)
+        misses = self.measurement.misses("D", config.block_words, config.dcache_kw)
         penalty = self._penalty_cycles(config, cycle_time_ns)
         return misses * penalty / self.measurement.canonical_instructions
 

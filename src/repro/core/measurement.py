@@ -53,7 +53,12 @@ from repro.cache.cubepart import (
     partitioned_miss_cube_from_addresses,
 )
 from repro.cache.fastsim import addresses_to_blocks, direct_mapped_miss_sweep
-from repro.cache.geometry import checked_block_words, checked_ways, derived_sets
+from repro.cache.geometry import (
+    checked_block_words,
+    checked_ways,
+    derived_sets,
+    geometry_error,
+)
 from repro.cache.misscube import (
     MISS_CUBE_VERSION,
     MissCube,
@@ -61,7 +66,6 @@ from repro.cache.misscube import (
     capacity_set_counts,
     miss_cube,
 )
-from repro.cache.stackdist import MissPlane
 from repro.trace.executor import ExecutionTrace, TraceExecutor
 from repro.trace.compiled import (
     LOWERING_VERSION,
@@ -720,10 +724,6 @@ class SuiteMeasurement:
 
     # -- miss counts -------------------------------------------------------------
 
-    def _derived_sets(self, side: str, block_words: int, size_kw: float) -> int:
-        """Set count of a direct-mapped side, validated before simulation."""
-        return derived_sets(size_kw, block_words, context=f"L1-{side}")
-
     def _cube_capacity(
         self, side: str, blocks: Tuple[int, ...], capacity_words: Optional[int]
     ) -> int:
@@ -842,40 +842,6 @@ class SuiteMeasurement:
                     "max_ways": max_ways,
                 }
 
-    def _cube_view(
-        self,
-        side: str,
-        slots: Optional[int],
-        block_words: int,
-        min_sets: int,
-        min_ways: int,
-    ) -> MissCube:
-        """The cube artifact answering one (block, sets, ways) request.
-
-        Routed through the session's cube index, so a single-block
-        request lands on an already-built multi-block cube that covers
-        it (a store hit) instead of building a narrower artifact.
-        """
-        entry = self._cube_index.get((side, slots, block_words))
-        if (
-            entry is not None
-            and entry["capacity_words"] >= min_sets * block_words
-            and entry["max_ways"] >= min_ways
-        ):
-            blocks = entry["blocks"]
-            capacity: Optional[int] = entry["capacity_words"]
-            ways: Optional[int] = entry["max_ways"]
-        else:
-            blocks = (block_words,)
-            capacity = min_sets * block_words
-            ways = min_ways
-        if side == "I":
-            assert slots is not None
-            return self.icache_miss_cube(
-                slots, blocks, capacity_words=capacity, max_ways=ways
-            )
-        return self.dcache_miss_cube(blocks, capacity_words=capacity, max_ways=ways)
-
     def icache_miss_cube(
         self,
         slots: int,
@@ -893,7 +859,8 @@ class SuiteMeasurement:
         (:func:`~repro.cache.misscube.miss_cube`) over the per-block
         instruction streams.  The bounds are canonicalized (at least the
         paper's 32 KW capacity and 8 ways — the pass costs the same), so
-        axis, plane, and sweep views all resolve to the same artifact.
+        every :meth:`misses` query on the paper grid resolves to the same
+        artifact.
         Every block size's ``A = 1`` base is cross-checked against the
         independent :func:`~repro.cache.fastsim.direct_mapped_miss_sweep`
         before the cube is stored.
@@ -991,129 +958,55 @@ class SuiteMeasurement:
         self._register_cube("D", None, blocks, capacity, ways)
         return cube
 
-    def icache_miss_axis(
-        self, slots: int, block_words: int, max_sets: int
-    ) -> Dict[int, int]:
-        """L1-I misses for every power-of-two set count up to ``max_sets``.
-
-        A view of the shared miss cube (one artifact per stream family).
-        """
-        cube = self._cube_view("I", slots, block_words, max_sets, 1)
-        return cube.axis(block_words, max_sets=max_sets)
-
-    def dcache_miss_axis(self, block_words: int, max_sets: int) -> Dict[int, int]:
-        """L1-D misses for every power-of-two set count up to ``max_sets``."""
-        cube = self._cube_view("D", None, block_words, max_sets, 1)
-        return cube.axis(block_words, max_sets=max_sets)
-
-    def icache_miss_plane(
-        self, slots: int, block_words: int, max_sets: int, max_ways: int
-    ) -> MissPlane:
-        """L1-I LRU misses over one block size's (set count x ways) plane.
-
-        A trimmed view of the shared miss cube, shaped exactly like the
-        retired per-block plane artifacts (bit for bit).
-        """
-        cube = self._cube_view("I", slots, block_words, max_sets, max_ways)
-        return cube.plane(block_words, max_sets=max_sets, max_ways=max_ways)
-
-    def dcache_miss_plane(
-        self, block_words: int, max_sets: int, max_ways: int
-    ) -> MissPlane:
-        """L1-D LRU misses over one block size's (set count x ways) plane."""
-        cube = self._cube_view("D", None, block_words, max_sets, max_ways)
-        return cube.plane(block_words, max_sets=max_sets, max_ways=max_ways)
-
-    def icache_assoc_sweep(
+    def misses(
         self,
-        slots: int,
+        side: str,
         block_words: int,
-        sizes_kw: Sequence[float],
-        ways: Sequence[int],
-    ) -> Dict[Tuple[float, int], int]:
-        """L1-I misses over a (capacity x ways) grid from the shared cube.
+        size_kw: float,
+        ways: int = 1,
+        slots: Optional[int] = None,
+    ) -> int:
+        """Exact LRU misses of one L1 geometry over the whole session.
 
-        Each ``(size_kw, a)`` point is a ``size/a``-set, ``a``-way LRU
-        cache, so the grid isolates the conflict-miss effect of
-        associativity at fixed capacity.
+        ``side`` is ``"I"`` — whose stream depends on the branch delay
+        ``slots`` — or ``"D"``, which takes none.  A ``size_kw`` cache of
+        ``block_words``-word blocks at ``ways`` ways has ``size / (block
+        * ways)`` sets; the geometry is validated (errors name ``L1-I``
+        or ``L1-D``) before any stream is built.  The count comes from
+        the side's miss cube, routed through the session's cube index so
+        that a request an already-built cube covers is a store hit on it
+        rather than a narrower build.
         """
-        ways = checked_ways(ways, context="L1-I")
-        caps = {
-            size_kw: self._derived_sets("I", block_words, size_kw)
-            for size_kw in sizes_kw
-        }
-        if not caps:
-            return {}
-        cube = self._cube_view("I", slots, block_words, max(caps.values()), max(ways))
-        return {
-            (size_kw, way): cube.capacity_misses(block_words, capacity, way)
-            for size_kw, capacity in caps.items()
-            for way in ways
-        }
-
-    def dcache_assoc_sweep(
-        self, block_words: int, sizes_kw: Sequence[float], ways: Sequence[int]
-    ) -> Dict[Tuple[float, int], int]:
-        """L1-D misses over a (capacity x ways) grid from the shared cube."""
-        ways = checked_ways(ways, context="L1-D")
-        caps = {
-            size_kw: self._derived_sets("D", block_words, size_kw)
-            for size_kw in sizes_kw
-        }
-        if not caps:
-            return {}
-        cube = self._cube_view("D", None, block_words, max(caps.values()), max(ways))
-        return {
-            (size_kw, way): cube.capacity_misses(block_words, capacity, way)
-            for size_kw, capacity in caps.items()
-            for way in ways
-        }
-
-    def icache_miss_sweep(
-        self, slots: int, block_words: int, sizes_kw: Sequence[float]
-    ) -> Dict[float, int]:
-        """L1-I misses for many cache sizes at once (one shared cube)."""
-        sets_by_size = {
-            size_kw: self._derived_sets("I", block_words, size_kw)
-            for size_kw in sizes_kw
-        }
-        if not sets_by_size:
-            return {}
-        cube = self._cube_view(
-            "I", slots, block_words, max(sets_by_size.values()), 1
-        )
-        return {
-            size_kw: cube.misses(block_words, sets, 1)
-            for size_kw, sets in sets_by_size.items()
-        }
-
-    def dcache_miss_sweep(
-        self, block_words: int, sizes_kw: Sequence[float]
-    ) -> Dict[float, int]:
-        """L1-D misses for many cache sizes at once (one shared cube)."""
-        sets_by_size = {
-            size_kw: self._derived_sets("D", block_words, size_kw)
-            for size_kw in sizes_kw
-        }
-        if not sets_by_size:
-            return {}
-        cube = self._cube_view("D", None, block_words, max(sets_by_size.values()), 1)
-        return {
-            size_kw: cube.misses(block_words, sets, 1)
-            for size_kw, sets in sets_by_size.items()
-        }
-
-    def icache_misses(self, slots: int, block_words: int, size_kw: float) -> int:
-        """L1-I misses for one configuration over the whole session."""
-        sets = self._derived_sets("I", block_words, size_kw)
-        cube = self._cube_view("I", slots, block_words, sets, 1)
-        return cube.misses(block_words, sets, 1)
-
-    def dcache_misses(self, block_words: int, size_kw: float) -> int:
-        """L1-D misses for one configuration over the whole session."""
-        sets = self._derived_sets("D", block_words, size_kw)
-        cube = self._cube_view("D", None, block_words, sets, 1)
-        return cube.misses(block_words, sets, 1)
+        if side not in ("I", "D") or (slots is None) != (side == "D"):
+            raise ConfigurationError(
+                f"misses need side 'I' with slots or side 'D' without, "
+                f"got side={side!r}, slots={slots!r}"
+            )
+        context = f"L1-{side}"
+        size_blocks = derived_sets(size_kw, block_words, context=context)
+        (ways,) = checked_ways((ways,), context=context)
+        if size_blocks % ways:
+            raise geometry_error(
+                f"{ways} ways do not divide {size_blocks} blocks", context
+            )
+        entry = self._cube_index.get((side, slots, block_words))
+        if (
+            entry is not None
+            and entry["capacity_words"] >= size_blocks * block_words
+            and entry["max_ways"] >= ways
+        ):
+            blocks = entry["blocks"]
+            capacity = entry["capacity_words"]
+            max_ways = entry["max_ways"]
+        else:
+            blocks = (block_words,)
+            capacity = size_blocks * block_words
+            max_ways = ways
+        if side == "I":
+            cube = self.icache_miss_cube(slots, blocks, capacity, max_ways)
+        else:
+            cube = self.dcache_miss_cube(blocks, capacity, max_ways)
+        return cube.capacity_misses(block_words, size_blocks, ways)
 
     # -- reporting ---------------------------------------------------------------
 

@@ -141,12 +141,6 @@ class DesignOptimizer:
         tech: Technology parameters for the cycle-time model.
         executor: Sweep backend (default: the session's executor, so a
             ``--jobs N`` CLI flag propagates here without plumbing).
-        assoc_ways: Associativities an accompanying study will query (e.g.
-            the ``ext_associativity`` surface).  :meth:`sweep` always
-            pre-warms the whole-cube ``imiss_cube`` / ``dmiss_cube``
-            artifacts — one per stream family — and a cube covers every
-            associativity up to its canonical depth anyway, so this only
-            widens the cube when a study asks for more ways than that.
     """
 
     def __init__(
@@ -154,7 +148,6 @@ class DesignOptimizer:
         measurement: SuiteMeasurement,
         tech: Technology = DEFAULT_TECHNOLOGY,
         executor: "SweepExecutor | None" = None,
-        assoc_ways: Sequence[int] = (),
         phys: PhysicalTechnology = DEFAULT_PHYSICAL,
     ) -> None:
         self.measurement = measurement
@@ -163,7 +156,6 @@ class DesignOptimizer:
         self.phys = phys
         self.physical = PhysicalModel(measurement, tech=tech, phys=phys)
         self.executor = executor if executor is not None else measurement.executor
-        self.assoc_ways = tuple(assoc_ways)
         self.tracer = measurement.tracer
         # Both parameter sets key the point cache: a different energy
         # coefficient is a different design point, same as a different
@@ -208,7 +200,6 @@ class DesignOptimizer:
         store hit, and surfaces the engine cost as its own spans instead
         of hiding it inside the first evaluated point.
         """
-        max_ways = max(self.assoc_ways, default=1)
         icache_grid: Dict[int, Dict[str, set]] = {}
         dcache_grid: Dict[str, set] = {"blocks": set(), "words": set()}
         for config in configs:
@@ -224,13 +215,11 @@ class DesignOptimizer:
                 slots,
                 sorted(side["blocks"]),
                 capacity_words=max(side["words"]),
-                max_ways=max_ways,
             )
         if dcache_grid["blocks"]:
             self.measurement.dcache_miss_cube(
                 sorted(dcache_grid["blocks"]),
                 capacity_words=max(dcache_grid["words"]),
-                max_ways=max_ways,
             )
 
     def _prefill_parallel(self, configs: Sequence[SystemConfig]) -> bool:
@@ -294,9 +283,9 @@ class DesignOptimizer:
     def sweep(self, configs: Iterable[SystemConfig]) -> List[DesignPoint]:
         """Evaluate many configurations (in input order).
 
-        Misses for the whole grid come from the single-pass multi-size
-        sweep: each distinct (stream, block) pair is swept once, then the
-        per-point evaluations consume the shared axis artifacts.
+        Misses for the whole grid come from one miss cube per stream
+        family, built before evaluation; every per-point miss lookup is
+        then a read of that shared artifact.
         """
         configs = list(configs)
         with self.tracer.span(

@@ -42,6 +42,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.kernels import kernel_backend
 from repro.obs import RunLedger
 from repro.trace.compiled import CompiledProgram
 from repro.trace.executor import TraceExecutor
@@ -187,7 +188,7 @@ def run_benchmark(
         seed=seed,
         budgets=",".join(str(b) for b in budgets),
         repeats=repeats,
-        kernel_backend=_backend_name(),
+        kernel_backend=kernel_backend(),
         eager_wall_s=total_eager,
         streaming_wall_s=total_streaming,
         speedup=last_speedup,
@@ -199,15 +200,6 @@ def run_benchmark(
         file=stream,
     )
     return ledger
-
-
-def _backend_name() -> str:
-    from repro import kernels
-
-    try:
-        return kernels.kernel_backend()
-    except ConfigurationError:
-        return "unavailable"
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

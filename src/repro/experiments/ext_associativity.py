@@ -4,8 +4,8 @@ The paper closes with: "If t_CPU is less dependent on the access time of
 pipelined L1 caches, then increasing the associativity of the cache to
 lower the miss ratio will have a larger performance benefit for pipelined
 caches."  This experiment runs that study over a full capacity x ways
-surface at full stream length (one single-pass stack-distance plane per
-session — see :mod:`repro.cache.stackdist`):
+surface at full stream length (every point read from the session's one
+data-side miss cube — see :mod:`repro.cache.misscube`):
 
 * L1-D misses for every paper capacity (1-32 KW) at 1-, 2-, 4-, and
   8-way LRU organizations (exact simulation over the same
@@ -45,9 +45,13 @@ DCACHE_KW = 8  # headline capacity for the Section 6 table
 def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
     measurement = measurement or get_measurement()
     model = CpiModel(measurement)
-    misses = measurement.dcache_assoc_sweep(
-        DEFAULT_BLOCK_WORDS, CAPACITIES_KW, ASSOCIATIVITIES
-    )
+    misses = {
+        (size_kw, ways): measurement.misses(
+            "D", DEFAULT_BLOCK_WORDS, size_kw, ways=ways
+        )
+        for size_kw in CAPACITIES_KW
+        for ways in ASSOCIATIVITIES
+    }
 
     # Non-D-cache CPI depends on the pipeline depth but not on the
     # D-side geometry being swept, so compute it once per depth.

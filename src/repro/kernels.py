@@ -1,251 +1,17 @@
-"""Optional compiled kernels for the two hot loops (``REPRO_KERNEL``).
+"""The kernel backend every hot loop runs on.
 
-Two inner loops dominate paper-scale runs: the trace executor's
-block-stepping walk (:mod:`repro.trace.executor`) and the stack-distance
-rank count behind every miss cube (:mod:`repro.cache.stackdist`).  Both
-have pure-Python/numpy implementations that are the *tested reference*;
-this module optionally swaps in numba-compiled versions of the same
-algorithms.
-
-Backend selection is governed by the ``REPRO_KERNEL`` environment
-variable:
-
-* ``numpy`` — always use the pure numpy/Python paths (the default
-  fallback; every result in the repo is defined by these).
-* ``numba`` — require numba; raise
-  :class:`~repro.errors.ConfigurationError` if it is not installed.
-  Useful in CI to guarantee the compiled path actually ran.
-* ``auto`` (the default) — use numba when importable, numpy otherwise.
-
-The kernel functions here are deliberately written in the
-nopython-compatible subset of Python (scalar loops over flat arrays, no
-Python objects), so the *same source* runs under the interpreter — which
-is how the equality tests exercise the kernel logic on machines without
-numba — and under ``numba.njit``.  Both backends are bit-identical by
-construction: the trace kernel consumes the uniform stream in exactly
-the reference order, and the rank kernel computes exact integer counts.
+The trace executor's walk (:mod:`repro.trace.executor`) and the
+stack-distance rank count behind every miss cube
+(:mod:`repro.cache.stackdist`) are pure Python/numpy; there is no
+compiled alternative.  Run ledgers and benchmark host facts still record
+the backend, so a figure always says what produced it.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Optional
-
-import numpy as np
-
-from repro.errors import ConfigurationError
-
-__all__ = [
-    "kernel_backend",
-    "numba_available",
-    "active_trace_kernel",
-    "active_rank_kernel",
-    "trace_step_kernel",
-    "rank_counts_fenwick",
-    "refresh",
-]
-
-_ENV_VAR = "REPRO_KERNEL"
-_MODES = ("auto", "numpy", "numba")
-
-# Resolved lazily; None = not yet probed.
-_NUMBA_OK: Optional[bool] = None
-_JITTED: dict = {}
-
-
-def numba_available() -> bool:
-    """Whether the numba backend can be used at all (import probe, cached)."""
-    global _NUMBA_OK
-    if _NUMBA_OK is None:
-        try:
-            import numba  # noqa: F401
-
-            _NUMBA_OK = True
-        except Exception:
-            _NUMBA_OK = False
-    return _NUMBA_OK
+__all__ = ["kernel_backend"]
 
 
 def kernel_backend() -> str:
-    """The active kernel backend: ``"numpy"`` or ``"numba"``."""
-    mode = os.environ.get(_ENV_VAR, "auto").strip().lower() or "auto"
-    if mode not in _MODES:
-        raise ConfigurationError(
-            f"{_ENV_VAR} must be one of {_MODES}, got {mode!r}"
-        )
-    if mode == "numpy":
-        return "numpy"
-    if mode == "numba":
-        if not numba_available():
-            raise ConfigurationError(
-                f"{_ENV_VAR}=numba but numba is not importable; install "
-                f"numba or use {_ENV_VAR}=numpy"
-            )
-        return "numba"
-    return "numba" if numba_available() else "numpy"
-
-
-def refresh() -> None:
-    """Forget cached probe/jit state (tests flip ``REPRO_KERNEL``/numba)."""
-    global _NUMBA_OK
-    _NUMBA_OK = None
-    _JITTED.clear()
-
-
-def _jitted(func: Callable) -> Callable:
-    """The ``numba.njit``-compiled twin of a kernel function (cached)."""
-    compiled = _JITTED.get(func)
-    if compiled is None:
-        import numba
-
-        compiled = numba.njit(cache=False, nogil=True)(func)
-        _JITTED[func] = compiled
-    return compiled
-
-
-# -- trace executor kernel ----------------------------------------------------
-
-# State vector slots shared between the executor and the kernel.
-STATE_CURRENT = 0
-STATE_EXECUTED = 1
-STATE_RESTARTS = 2
-STATE_DEPTH = 3
-STATE_CURSOR = 4
-STATE_SIZE = 5
-
-
-def trace_step_kernel(
-    lengths,
-    kinds,
-    taken_ids,
-    fall_ids,
-    biases,
-    indirect_offsets,
-    indirect_flat,
-    uniforms,
-    out_ids,
-    out_taken,
-    call_stack,
-    state,
-    budget,
-    entry_id,
-):
-    """Step the block walk; returns the number of steps written.
-
-    Mirrors ``TraceExecutor.run_reference`` exactly — same uniform
-    consumption order, same call-depth guard, same restart semantics —
-    over flat arrays only, so it compiles under ``numba.njit`` unchanged.
-    Stops when the instruction ``budget`` is met, the output chunk
-    (``out_ids``/``out_taken``) is full, or the ``uniforms`` batch runs
-    dry *before* a block needing a draw is emitted (the caller refills
-    and re-enters; the walk state lives in ``state``/``call_stack``).
-    BlockKind values are inlined as integers: 0 fallthrough,
-    1 conditional, 2 jump, 3 call, 4 return, 5 computed goto,
-    6 indirect call.
-    """
-    current = state[0]
-    executed = state[1]
-    restarts = state[2]
-    depth = state[3]
-    cursor = state[4]
-    max_depth = len(call_stack)
-    num_uniforms = len(uniforms)
-    capacity = len(out_ids)
-    steps = 0
-    while executed < budget and steps < capacity:
-        kind = kinds[current]
-        if kind == 1 or kind == 5 or kind == 6:
-            if cursor >= num_uniforms:
-                break
-        out_ids[steps] = current
-        executed += lengths[current]
-        taken = 1
-        if kind == 0:
-            nxt = fall_ids[current]
-            taken = 0
-        elif kind == 1:
-            value = uniforms[cursor]
-            cursor += 1
-            if value < biases[current]:
-                nxt = taken_ids[current]
-            else:
-                nxt = fall_ids[current]
-                taken = 0
-        elif kind == 2:
-            nxt = taken_ids[current]
-        elif kind == 3:
-            if depth < max_depth:
-                call_stack[depth] = fall_ids[current]
-                depth += 1
-            nxt = taken_ids[current]
-        elif kind == 4:
-            if depth > 0:
-                depth -= 1
-                nxt = call_stack[depth]
-            else:
-                nxt = -1
-        else:
-            lo = indirect_offsets[current]
-            count = indirect_offsets[current + 1] - lo
-            if kind == 6 and depth < max_depth:
-                call_stack[depth] = fall_ids[current]
-                depth += 1
-            value = uniforms[cursor]
-            cursor += 1
-            nxt = indirect_flat[lo + int(value * count)]
-        out_taken[steps] = taken
-        steps += 1
-        if nxt < 0:
-            restarts += 1
-            depth = 0
-            nxt = entry_id
-        current = nxt
-    state[0] = current
-    state[1] = executed
-    state[2] = restarts
-    state[3] = depth
-    state[4] = cursor
-    return steps
-
-
-# -- stack-distance rank kernel -----------------------------------------------
-
-
-def rank_counts_fenwick(rank, out, tree):
-    """``out[i] = #{j < i : rank[j] < rank[i]}`` via a Fenwick tree.
-
-    ``rank`` is a permutation of ``0..n-1`` (the caller guarantees
-    uniqueness); ``tree`` is a zeroed int64 scratch array of length
-    ``n + 1``.  One pass in position order: query the prefix count of
-    inserted values below ``rank[i]``, then insert ``rank[i]``.  Exact
-    integer arithmetic — identical to the numpy merge tree's output —
-    and O(n log n) with tiny constants once compiled.
-    """
-    n = len(rank)
-    for i in range(n):
-        r = rank[i]
-        total = 0
-        j = r
-        while j > 0:
-            total += tree[j]
-            j -= j & (-j)
-        out[i] = total
-        j = r + 1
-        while j <= n:
-            tree[j] += 1
-            j += j & (-j)
-    return out
-
-
-def active_trace_kernel() -> Optional[Callable]:
-    """The compiled trace kernel, or None when the numpy backend is active."""
-    if kernel_backend() == "numba":
-        return _jitted(trace_step_kernel)
-    return None
-
-
-def active_rank_kernel() -> Optional[Callable]:
-    """The compiled rank kernel, or None when the numpy backend is active."""
-    if kernel_backend() == "numba":
-        return _jitted(rank_counts_fenwick)
-    return None
+    """The kernel backend: always ``"numpy"``."""
+    return "numpy"

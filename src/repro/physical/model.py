@@ -111,9 +111,9 @@ class PhysicalModel:
         ):
             instructions = m.canonical_instructions
             refs_per_instr = m.data_reference_count / instructions
-            misses = m.icache_misses(
-                config.branch_slots, config.block_words, config.icache_kw
-            ) + m.dcache_misses(config.block_words, config.dcache_kw)
+            misses = m.misses(
+                "I", config.block_words, config.icache_kw, slots=config.branch_slots
+            ) + m.misses("D", config.block_words, config.dcache_kw)
             fetch = read_energy_nj(config.icache_kw, tech=self.tech, phys=self.phys)
             data = (
                 read_energy_nj(config.dcache_kw, tech=self.tech, phys=self.phys)

@@ -13,20 +13,18 @@ trace from which everything else is expanded:
   epsilon distributions of Figures 6/7;
 * the dynamic CTI stream consumed by the branch-target buffer.
 
-Three execution paths produce bit-identical traces:
+Two execution paths produce bit-identical traces:
 
 * :meth:`TraceExecutor.run_reference` — the original block-at-a-time
   Python loop, kept verbatim as the oracle every other path is tested
   (and benchmarked) against;
 * :meth:`TraceExecutor.iter_chunks` / :meth:`TraceExecutor.run` — the
   production path: a streaming generator of fixed-size chunks, so peak
-  memory is O(chunk) regardless of trace length.  Under the default
-  numpy backend it walks *decision edges* — for every (decision block,
-  outcome) pair, the block plus the maximal deterministic chain that
-  outcome selects, memoized on the compiled program — so the
-  interpreted loop advances one whole edge per random draw; with
-  ``REPRO_KERNEL=numba`` it instead drives the compiled flat-array
-  kernel (:func:`repro.kernels.trace_step_kernel`).
+  memory is O(chunk) regardless of trace length.  It walks *decision
+  edges* — for every (decision block, outcome) pair, the block plus the
+  maximal deterministic chain that outcome selects, memoized on the
+  compiled program — so the interpreted loop advances one whole edge
+  per random draw.
 
 Chunking never changes a result: the walk state (current block, call
 stack, restart count, and the position *within* the batched uniform
@@ -43,7 +41,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro import kernels
 from repro.errors import TraceError
 from repro.program.cfg import Program
 from repro.trace.compiled import BlockKind, CompiledProgram
@@ -236,10 +233,9 @@ class TraceExecutor:
     def run_reference(self, instruction_budget: int) -> ExecutionTrace:
         """The original block-at-a-time loop, kept as the oracle.
 
-        Every optimized path (:meth:`run`, :meth:`iter_chunks`, the
-        compiled kernel) is defined by — and property-tested against —
-        this loop's exact output, including its uniform consumption
-        order.
+        The optimized path (:meth:`run`, :meth:`iter_chunks`) is defined
+        by — and property-tested against — this loop's exact output,
+        including its uniform consumption order.
         """
         if instruction_budget <= 0:
             raise TraceError("instruction budget must be positive")
@@ -453,22 +449,11 @@ class TraceExecutor:
             raise TraceError("instruction budget must be positive")
         if chunk_blocks <= 0:
             raise TraceError("chunk size must be positive")
-        if kernels.active_trace_kernel() is not None:
-            yield from self._iter_chunks_kernel(instruction_budget, chunk_blocks)
-            return
-        yield from self._iter_chunks_python(instruction_budget, chunk_blocks)
-
-    def _iter_chunks_python(
-        self, instruction_budget: int, chunk_blocks: int
-    ) -> Iterator[TraceChunk]:
-        """Decision-edge interpreter loop (the default numpy backend).
-
-        Each iteration resolves one control-flow *decision* and appends
-        the whole precomputed edge — the decision block plus the
-        deterministic chain its outcome selects — so the interpreted
-        work per iteration is one dict probe and one extend, not one
-        step per block.
-        """
+        # Each iteration resolves one control-flow *decision* and appends
+        # the whole precomputed edge — the decision block plus the
+        # deterministic chain its outcome selects — so the interpreted
+        # work per iteration is one dict probe and one extend, not one
+        # step per block.
         compiled = self.compiled
         lengths = compiled.lengths.tolist()
         kinds = compiled.kinds.tolist()
@@ -570,55 +555,6 @@ class TraceExecutor:
                 block_ids=np.array(block_ids, dtype=np.int32),
                 went_taken=np.array(went_taken, dtype=np.int8),
                 restarts=restarts,
-            )
-
-    def _iter_chunks_kernel(
-        self, instruction_budget: int, chunk_blocks: int
-    ) -> Iterator[TraceChunk]:
-        """Compiled flat-array walk (``REPRO_KERNEL=numba``)."""
-        compiled = self.compiled
-        kernel = kernels.active_trace_kernel()
-        state = np.zeros(kernels.STATE_SIZE, dtype=np.int64)
-        state[kernels.STATE_CURRENT] = compiled.entry_id
-        state[kernels.STATE_CURSOR] = self._cursor
-        call_stack = np.zeros(_MAX_CALL_DEPTH, dtype=np.int32)
-        out_ids = np.empty(chunk_blocks, dtype=np.int32)
-        out_taken = np.empty(chunk_blocks, dtype=np.int8)
-        while state[kernels.STATE_EXECUTED] < instruction_budget:
-            filled = 0
-            while (
-                filled < chunk_blocks
-                and state[kernels.STATE_EXECUTED] < instruction_budget
-            ):
-                steps = kernel(
-                    compiled.lengths,
-                    compiled.kinds,
-                    compiled.taken_ids,
-                    compiled.fall_ids,
-                    compiled.biases,
-                    compiled.indirect_offsets,
-                    compiled.indirect_flat,
-                    self._uniforms,
-                    out_ids[filled:],
-                    out_taken[filled:],
-                    call_stack,
-                    state,
-                    instruction_budget,
-                    compiled.entry_id,
-                )
-                filled += steps
-                if (
-                    filled < chunk_blocks
-                    and state[kernels.STATE_EXECUTED] < instruction_budget
-                ):
-                    # Kernel stopped for a fresh uniform batch.
-                    self._uniforms = self._rng.random(_UNIFORM_BATCH)
-                    state[kernels.STATE_CURSOR] = 0
-            self._cursor = int(state[kernels.STATE_CURSOR])
-            yield TraceChunk(
-                block_ids=out_ids[:filled].copy(),
-                went_taken=out_taken[:filled].copy(),
-                restarts=int(state[kernels.STATE_RESTARTS]),
             )
 
     def run(

@@ -1,13 +1,15 @@
-"""Set-associative fast simulator tests, including oracle equivalence."""
+"""Dict-LRU oracle tests: the oracle itself against the reference Cache."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import Cache, associative_miss_sweep, set_associative_misses
-from repro.cache import assoc_sim
+from repro.cache import Cache
 from repro.errors import ConfigurationError
+
+from tests.cache import oracles
+from tests.cache.oracles import set_associative_misses
 
 
 class TestSetAssociativeMisses:
@@ -93,7 +95,7 @@ class TestSetAssociativeMisses:
         expected_sa = set_associative_misses(blocks, 16, 4)
         expected_fa = set_associative_misses(blocks, 1, 64)
         # Force many tiny chunks; the counts must not change.
-        monkeypatch.setattr(assoc_sim, "_CHUNK_REFERENCES", 7)
+        monkeypatch.setattr(oracles, "_CHUNK_REFERENCES", 7)
         assert set_associative_misses(blocks, 16, 4) == expected_sa
         assert set_associative_misses(blocks, 1, 64) == expected_fa
 
@@ -105,18 +107,3 @@ class TestSetAssociativeMisses:
         # other policies), but holds for this skewed reuse stream.
         assert misses[0] >= misses[1] >= misses[2]
 
-
-class TestAssociativeMissSweep:
-    def test_fixed_capacity(self):
-        blocks = np.array([0, 16, 0, 16, 0])
-        sweep = associative_miss_sweep(blocks, 16, (1, 2))
-        assert sweep[1] == 5
-        assert sweep[2] == set_associative_misses(blocks, 8, 2)
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ConfigurationError):
-            associative_miss_sweep(np.array([0]), 12, (1,))
-
-    def test_non_dividing_associativity(self):
-        with pytest.raises(ConfigurationError):
-            associative_miss_sweep(np.array([0]), 16, (3,))

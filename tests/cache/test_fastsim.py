@@ -9,10 +9,8 @@ from repro.cache import (
     Cache,
     addresses_to_blocks,
     direct_mapped_miss_sweep,
-    direct_mapped_miss_sweep_masks,
     direct_mapped_misses,
 )
-from repro.cache.fastsim import direct_mapped_miss_mask
 from repro.errors import ConfigurationError
 
 
@@ -87,12 +85,9 @@ class TestSinglePassSweep:
     def test_empty_stream(self):
         empty = np.array([], dtype=np.int64)
         assert direct_mapped_miss_sweep(empty, [1, 8, 64]) == {1: 0, 8: 0, 64: 0}
-        masks = direct_mapped_miss_sweep_masks(empty, [1, 8])
-        assert all(mask.tolist() == [] for mask in masks.values())
 
     def test_empty_sweep(self):
         assert direct_mapped_miss_sweep(np.array([1, 2, 3]), []) == {}
-        assert direct_mapped_miss_sweep_masks(np.array([1, 2, 3]), []) == {}
 
     def test_single_set_cache(self):
         # One set: a reference hits iff it repeats the immediately
@@ -114,7 +109,7 @@ class TestSinglePassSweep:
         with pytest.raises(ConfigurationError):
             direct_mapped_miss_sweep(np.array([0]), [16, 12])
         with pytest.raises(ConfigurationError):
-            direct_mapped_miss_sweep_masks(np.array([0]), [0])
+            direct_mapped_miss_sweep(np.array([0]), [0])
 
     def test_duplicate_and_unsorted_sizes(self):
         blocks = np.array([0, 9, 0, 17, 9, 0])
@@ -152,19 +147,6 @@ class TestSinglePassSweep:
             for block in blocks:
                 oracle.access(block * block_words * 4)
             assert misses == oracle.stats.misses
-
-    @given(
-        blocks=st.lists(st.integers(min_value=0, max_value=600), max_size=250),
-        levels=st.sets(st.integers(min_value=0, max_value=10), min_size=1, max_size=4),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_masks_match_per_size_oracle(self, blocks, levels):
-        """Sweep miss masks == per-size masks, in reference order."""
-        stream = np.array(blocks, dtype=np.int64)
-        set_counts = [1 << level for level in levels]
-        masks = direct_mapped_miss_sweep_masks(stream, set_counts)
-        for sets in set_counts:
-            assert np.array_equal(masks[sets], direct_mapped_miss_mask(stream, sets))
 
     def test_skewed_reuse_large_stream(self):
         rng = np.random.default_rng(23)

@@ -3,8 +3,8 @@
 The single-pass cube must be *bit-identical* to the per-config dict-LRU
 oracle (:func:`set_associative_misses`) and to the step-by-step
 reference :class:`Cache` at every (block size, set count, ways) point,
-and each of its block-size planes must match the per-``B``
-stack-distance path exactly.
+and each of its block-size planes must match a cube over that block
+size's stream alone exactly.
 """
 
 import numpy as np
@@ -21,11 +21,11 @@ from repro.cache import (
     direct_mapped_miss_sweep,
     miss_cube,
     miss_cube_from_addresses,
-    set_associative_misses,
-    stack_distance_hits,
 )
 from repro.errors import ConfigurationError
 from repro.utils.units import WORD_BYTES
+
+from tests.cache.oracles import set_associative_misses
 
 addresses = st.lists(st.integers(min_value=0, max_value=1023), max_size=300)
 
@@ -87,21 +87,22 @@ class TestCubeEquivalence:
 
     @given(addrs=addresses)
     @settings(max_examples=40, deadline=None)
-    def test_planes_match_per_block_stack_path(self, addrs):
-        # Each block size's plane of the cube must be bit-identical to
-        # the retired per-B single-stream stack-distance path.
+    def test_planes_match_single_block_cubes(self, addrs):
+        # Sharing one rank count across block sizes must not change any
+        # block size's plane: each is bit-identical to a cube over that
+        # block size's stream alone.
         stream = np.array(addrs, dtype=np.int64)
         set_counts = [1, 4, 16]
         cube = miss_cube_from_addresses(stream, (4, 16), set_counts, 4)
         for block in (4, 16):
-            expected = stack_distance_hits(
-                addresses_to_blocks(stream, block), set_counts, 4
-            )
+            alone = miss_cube(
+                {block: addresses_to_blocks(stream, block)}, set_counts, 4
+            ).plane(block)
             plane = cube.plane(block)
             assert plane.references == len(stream)
             for num_sets in set_counts:
                 assert plane.hits[num_sets].tolist() == (
-                    expected[num_sets].tolist()
+                    alone.hits[num_sets].tolist()
                 ), (block, num_sets)
 
     @given(addrs=addresses)

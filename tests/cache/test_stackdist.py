@@ -1,9 +1,13 @@
-"""Stack-distance plane tests: oracle equivalence and degenerate cases.
+"""Stack-distance tests: the cube over one block stream, and the rank count.
 
-The single-pass simulator must be *bit-identical* to the dict-LRU oracle
-(:func:`set_associative_misses`) and to the step-by-step reference
-:class:`Cache` at every (set count, ways) point, and its ``A = 1`` column
-must match the direct-mapped single-pass sweep.
+Every cube case runs :func:`miss_cube` over a single per-block stream
+(``{B: stream}``, the form the instruction side feeds it).  The cube must
+be *bit-identical* to the dict-LRU oracle and to the step-by-step
+reference :class:`Cache` at every (set count, ways) point, and its
+``A = 1`` column must match the direct-mapped single-pass sweep.  The
+rank count under the whole engine is pinned to brute force and to the
+scatter-tree oracle, including the value-splitting path past the packed
+limit.
 """
 
 import numpy as np
@@ -11,51 +15,60 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import (
-    Cache,
-    MissPlane,
-    all_associativity_misses,
-    capacity_associativity_misses,
-    direct_mapped_miss_sweep,
-    set_associative_misses,
-    stack_distance_hits,
-)
+from repro.cache import Cache, MissPlane, direct_mapped_miss_sweep, miss_cube
+from repro.cache.stackdist import _PACKED_LIMIT, _rank_counts, _rank_counts_split
 from repro.errors import ConfigurationError
 
+from tests.cache.oracles import rank_counts_scatter, set_associative_misses
+
 streams = st.lists(st.integers(min_value=0, max_value=255), max_size=300)
+
+#: The one block size every single-stream cube here covers.
+B = 4
+
+
+def single_stream_cube(blocks, set_counts, max_ways):
+    return miss_cube(
+        {B: np.asarray(blocks, dtype=np.int64)}, list(set_counts), max_ways
+    )
+
+
+def hits(blocks, set_counts, max_ways):
+    """``{num_sets: cumulative hits by ways}`` of one block stream."""
+    return single_stream_cube(blocks, set_counts, max_ways).plane(B).hits
 
 
 class TestStackDistanceHits:
     def test_empty_stream_is_all_zero(self):
-        hits = stack_distance_hits(np.array([], dtype=np.int64), [1, 4, 16], 8)
-        assert set(hits) == {1, 4, 16}
-        for level_hits in hits.values():
+        got = hits([], [1, 4, 16], 8)
+        assert set(got) == {1, 4, 16}
+        for level_hits in got.values():
             assert level_hits.tolist() == [0] * 9
 
     def test_no_set_counts(self):
-        assert stack_distance_hits(np.array([0, 1, 2]), [], 4) == {}
+        assert hits([0, 1, 2], [], 4) == {}
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
-            stack_distance_hits(np.array([0]), [3], 2)
+            hits([0], [3], 2)
         with pytest.raises(ConfigurationError):
-            stack_distance_hits(np.array([0]), [4], 0)
+            hits([0], [4], 0)
 
     def test_single_set_repeats(self):
         # Five refs to one block in one set: 4 hits at every ways >= 1.
-        hits = stack_distance_hits(np.array([7, 7, 7, 7, 7]), [1, 2], 2)
-        assert hits[1].tolist() == [0, 4, 4]
-        assert hits[2].tolist() == [0, 4, 4]
+        got = hits([7, 7, 7, 7, 7], [1, 2], 2)
+        assert got[1].tolist() == [0, 4, 4]
+        assert got[2].tolist() == [0, 4, 4]
 
     def test_all_distinct_never_hits(self):
-        hits = stack_distance_hits(np.arange(64), [1, 8], 4)
-        assert hits[1].tolist() == [0] * 5
-        assert hits[8].tolist() == [0] * 5
+        got = hits(np.arange(64), [1, 8], 4)
+        assert got[1].tolist() == [0] * 5
+        assert got[8].tolist() == [0] * 5
 
     def test_hits_monotone_in_ways(self):
         rng = np.random.default_rng(11)
         blocks = (rng.random(5000) ** 2 * 512).astype(np.int64)
-        for level_hits in stack_distance_hits(blocks, [1, 4, 32], 8).values():
+        for level_hits in hits(blocks, [1, 4, 32], 8).values():
             diffs = np.diff(level_hits)
             assert (diffs >= 0).all()
 
@@ -64,11 +77,10 @@ class TestStackDistanceHits:
     def test_ways_beyond_distinct_blocks_saturate(self, blocks):
         # Once ways >= distinct blocks no set can ever evict, so every
         # miss is cold and extra ways cannot add hits.
-        stream = np.array(blocks, dtype=np.int64)
         distinct = len(set(blocks))
-        hits = stack_distance_hits(stream, [4], distinct + 1)
-        assert int(hits[4][-1]) == len(blocks) - distinct
-        saturated = hits[4][distinct:]
+        got = hits(blocks, [4], distinct + 1)
+        assert int(got[4][-1]) == len(blocks) - distinct
+        saturated = got[4][distinct:]
         assert (saturated == saturated[-1]).all()
 
 
@@ -82,11 +94,10 @@ class TestPlaneEquivalence:
     def test_matches_dict_lru_everywhere(self, blocks, levels, max_ways):
         stream = np.array(blocks, dtype=np.int64)
         set_counts = [1 << k for k in levels]
-        ways = list(range(1, max_ways + 1))
-        plane = all_associativity_misses(stream, set_counts, ways)
+        cube = single_stream_cube(stream, set_counts, max_ways)
         for num_sets in set_counts:
-            for way in ways:
-                assert plane[(num_sets, way)] == set_associative_misses(
+            for way in range(1, max_ways + 1):
+                assert cube.misses(B, num_sets, way) == set_associative_misses(
                     stream, num_sets, way
                 ), (num_sets, way)
 
@@ -102,27 +113,22 @@ class TestPlaneEquivalence:
         # equivalence test covers non-power-of-two ways).
         num_sets = 1 << sets_log2
         assoc = 1 << assoc_log2
-        block_words = 4
-        plane = all_associativity_misses(
-            np.array(blocks, dtype=np.int64), [num_sets], [assoc]
-        )
+        cube = single_stream_cube(blocks, [num_sets], assoc)
         oracle = Cache(
-            size_words=num_sets * assoc * block_words,
-            block_words=block_words,
-            associativity=assoc,
+            size_words=num_sets * assoc * B, block_words=B, associativity=assoc
         )
         for block in blocks:
-            oracle.access(block * block_words * 4)
-        assert plane[(num_sets, assoc)] == oracle.stats.misses
+            oracle.access(block * B * 4)
+        assert cube.misses(B, num_sets, assoc) == oracle.stats.misses
 
     @given(blocks=streams)
     @settings(max_examples=40, deadline=None)
     def test_direct_mapped_column_matches_sweep(self, blocks):
-        stream = np.array(blocks, dtype=np.int64)
         set_counts = [1, 2, 8, 64]
-        plane = all_associativity_misses(stream, set_counts, [1])
-        sweep = direct_mapped_miss_sweep(stream, set_counts)
-        assert {s: plane[(s, 1)] for s in set_counts} == sweep
+        cube = single_stream_cube(blocks, set_counts, 1)
+        assert cube.axis(B) == direct_mapped_miss_sweep(
+            np.array(blocks, dtype=np.int64), set_counts
+        )
 
     @given(
         blocks=streams,
@@ -132,26 +138,29 @@ class TestPlaneEquivalence:
     def test_capacity_plane_matches_per_point_oracle(self, blocks, cap_log2):
         stream = np.array(blocks, dtype=np.int64)
         capacity = 1 << cap_log2
-        plane = capacity_associativity_misses(stream, [capacity], (1, 2, 4, 8))
-        for way in (1, 2, 4, 8):
-            assert plane[(capacity, way)] == set_associative_misses(
-                stream, capacity // way, way
+        ways = (1, 2, 4, 8)
+        cube = single_stream_cube(stream, [capacity // w for w in ways], 8)
+        for way in ways:
+            assert cube.capacity_misses(B, capacity, way) == (
+                set_associative_misses(stream, capacity // way, way)
             )
 
     def test_capacity_validation(self):
+        cube = single_stream_cube([0], [16], 2)
         with pytest.raises(ConfigurationError):
-            capacity_associativity_misses(np.array([0]), [12], (1,))
+            cube.capacity_misses(B, 12, 1)  # 12 sets: not a power of two
         with pytest.raises(ConfigurationError):
-            capacity_associativity_misses(np.array([0]), [16], (3,))
+            cube.capacity_misses(B, 16, 3)  # 3 ways do not divide 16 blocks
         with pytest.raises(ConfigurationError):
-            capacity_associativity_misses(np.array([0]), [16], ())
+            cube.capacity_misses(B, 16, 0)
 
 
 class TestMissPlane:
     def plane(self):
         blocks = np.array([0, 8, 0, 16, 0, 8, 24, 0], dtype=np.int64)
-        hits = stack_distance_hits(blocks, [1, 2, 4, 8], 4)
-        return blocks, MissPlane(references=len(blocks), max_ways=4, hits=hits)
+        plane = single_stream_cube(blocks, [1, 2, 4, 8], 4).plane(B)
+        assert isinstance(plane, MissPlane)
+        return blocks, plane
 
     def test_misses_lookup(self):
         blocks, plane = self.plane()
@@ -178,3 +187,28 @@ class TestMissPlane:
             plane.capacity_misses(4, 3)  # 3 does not divide 4 blocks
         with pytest.raises(ConfigurationError):
             plane.capacity_misses(48, 3)  # 16 sets: not covered by the plane
+
+
+def _bruteforce(rank):
+    return np.array(
+        [int(np.sum(rank[:i] < rank[i])) for i in range(len(rank))],
+        dtype=np.int64,
+    )
+
+
+class TestRankCounts:
+    def test_matches_bruteforce_and_scatter_oracle(self):
+        rng = np.random.default_rng(42)
+        for n in (1, 2, 3, 17, 100, 1000):
+            rank = rng.permutation(n).astype(np.int64)
+            brute = _bruteforce(rank)
+            assert np.array_equal(_rank_counts(rank.astype(np.int32)), brute)
+            assert np.array_equal(rank_counts_scatter(rank), brute)
+
+    def test_split_path_matches_scatter_oracle(self):
+        # One past the packed merge tree's limit: three ceil(log2 n)-bit
+        # fields no longer fit one int64, so the value splitter cuts the
+        # permutation into packable pieces.
+        n = _PACKED_LIMIT + 1
+        rank = np.random.default_rng(21).permutation(n)
+        assert np.array_equal(_rank_counts_split(rank), rank_counts_scatter(rank))

@@ -5,7 +5,10 @@ import pytest
 
 from repro.core import SuiteMeasurement
 from repro.errors import ConfigurationError
+from repro.utils.units import kw_to_words
 from repro.workload import benchmark_by_name
+
+from tests.cache.oracles import set_associative_misses
 
 
 class TestConstruction:
@@ -80,85 +83,95 @@ class TestStreamsAndMisses:
         assert len(blocks) == measurement.data_reference_count
 
     def test_icache_misses_decrease_with_size(self, measurement):
-        misses = [measurement.icache_misses(0, 4, s) for s in (1, 4, 16)]
+        misses = [measurement.misses("I", 4, s, slots=0) for s in (1, 4, 16)]
         assert misses == sorted(misses, reverse=True)
 
     def test_icache_misses_increase_with_slots(self, measurement):
         # Code expansion from delay slots can only add misses at a small size.
-        assert measurement.icache_misses(3, 4, 1) >= measurement.icache_misses(0, 4, 1)
+        assert measurement.misses("I", 4, 1, slots=3) >= measurement.misses(
+            "I", 4, 1, slots=0
+        )
 
     def test_dcache_misses_decrease_with_size(self, measurement):
-        misses = [measurement.dcache_misses(4, s) for s in (1, 4, 16)]
+        misses = [measurement.misses("D", 4, s) for s in (1, 4, 16)]
         assert misses == sorted(misses, reverse=True)
 
     def test_icache_rejects_zero_sets(self, measurement):
         # 0.001 KW with 4-word blocks derives 0 sets; must not silently
         # simulate a degenerate cache.
         with pytest.raises(ConfigurationError, match="L1-I"):
-            measurement.icache_misses(0, 4, 0.001)
+            measurement.misses("I", 4, 0.001, slots=0)
 
     def test_icache_rejects_non_power_of_two_sets(self, measurement):
         # 1.5 KW / 4-word blocks = 384 sets: not a power of two.
         with pytest.raises(ConfigurationError, match="384 sets"):
-            measurement.icache_misses(0, 4, 1.5)
+            measurement.misses("I", 4, 1.5, slots=0)
 
     def test_icache_rejects_non_dividing_block(self, measurement):
         with pytest.raises(ConfigurationError, match="L1-I"):
-            measurement.icache_misses(0, 3, 1)
+            measurement.misses("I", 3, 1, slots=0)
 
     def test_dcache_rejects_bad_geometry(self, measurement):
         with pytest.raises(ConfigurationError, match="L1-D"):
-            measurement.dcache_misses(4, 0.001)
+            measurement.misses("D", 4, 0.001)
         with pytest.raises(ConfigurationError, match="L1-D"):
-            measurement.dcache_misses(4, 1.5)
+            measurement.misses("D", 4, 1.5)
+        with pytest.raises(ConfigurationError, match="L1-D"):
+            measurement.misses("D", 4, 1, ways=3)  # 256 blocks
+        with pytest.raises(ConfigurationError, match="L1-D"):
+            measurement.misses("D", 4, 1, ways=0)
+
+    def test_side_and_slots_must_agree(self, measurement):
+        with pytest.raises(ConfigurationError, match="slots"):
+            measurement.misses("I", 4, 1)
+        with pytest.raises(ConfigurationError, match="slots"):
+            measurement.misses("D", 4, 1, slots=0)
+        with pytest.raises(ConfigurationError, match="side"):
+            measurement.misses("L2", 4, 1)
 
     def test_miss_sweep_matches_single_size_lookups(self, measurement):
-        sizes = (1, 4, 16)
-        isweep = measurement.icache_miss_sweep(0, 4, sizes)
-        dsweep = measurement.dcache_miss_sweep(4, sizes)
-        for size in sizes:
-            assert isweep[size] == measurement.icache_misses(0, 4, size)
-            assert dsweep[size] == measurement.dcache_misses(4, size)
+        # The cube's direct-mapped axis is the whole size sweep; every
+        # single-size lookup must read the same counts.
+        iaxis = measurement.icache_miss_cube(0, (4,)).axis(4)
+        daxis = measurement.dcache_miss_cube((4,)).axis(4)
+        for size in (1, 4, 16):
+            sets = kw_to_words(size) // 4
+            assert iaxis[sets] == measurement.misses("I", 4, size, slots=0)
+            assert daxis[sets] == measurement.misses("D", 4, size)
 
     def test_miss_sweep_matches_per_size_simulation(self, measurement):
         from repro.cache.fastsim import direct_mapped_misses
-        from repro.utils.units import kw_to_words
 
         for size in (1, 4, 16):
             sets = kw_to_words(size) // 4
-            assert measurement.icache_misses(0, 4, size) == direct_mapped_misses(
-                measurement.istream_blocks(0, 4), sets
+            assert measurement.misses("I", 4, size, slots=0) == (
+                direct_mapped_misses(measurement.istream_blocks(0, 4), sets)
             )
-            assert measurement.dcache_misses(4, size) == direct_mapped_misses(
+            assert measurement.misses("D", 4, size) == direct_mapped_misses(
                 measurement.dstream_blocks(4), sets
             )
 
     def test_miss_axis_is_one_artifact_per_stream_block_pair(self, measurement):
         # Every paper-grid size for one (stream, block) pair must resolve
-        # to the same whole-axis artifact: after the first lookup, the
-        # remaining sizes are pure store hits (no new sweep runs).
-        measurement.icache_misses(1, 4, 1)
+        # to the same whole-cube artifact: after the first lookup, the
+        # remaining sizes are pure store hits (no new build runs).
+        measurement.misses("I", 4, 1, slots=1)
         before = measurement.store.stats().misses
         for size in (2, 4, 8, 16, 32):
-            measurement.icache_misses(1, 4, size)
+            measurement.misses("I", 4, size, slots=1)
         assert measurement.store.stats().misses == before
-
-    def test_empty_miss_sweep(self, measurement):
-        assert measurement.icache_miss_sweep(0, 4, ()) == {}
-        assert measurement.dcache_miss_sweep(4, ()) == {}
 
 
 class TestMissPlanes:
     def test_direct_mapped_column_matches_axis(self, measurement):
-        plane = measurement.dcache_miss_plane(4, 256, 4)
-        axis = measurement.dcache_miss_axis(4, 256)
+        cube = measurement.dcache_miss_cube((4,))
+        plane = cube.plane(4, max_sets=256, max_ways=4)
+        axis = cube.axis(4, max_sets=256)
         for num_sets in plane.set_counts:
             assert plane.misses(num_sets, 1) == axis[num_sets]
 
     def test_plane_matches_dict_lru_oracle(self, measurement):
-        from repro.cache.assoc_sim import set_associative_misses
-
-        plane = measurement.dcache_miss_plane(4, 256, 4)
+        plane = measurement.dcache_miss_cube((4,)).plane(4, 256, 4)
         blocks = measurement.dstream_blocks(4)
         for num_sets in (1, 16, 256):
             for ways in (2, 4):
@@ -167,29 +180,17 @@ class TestMissPlanes:
                 )
 
     def test_iplane_matches_dict_lru_oracle(self, measurement):
-        from repro.cache.assoc_sim import set_associative_misses
-
-        plane = measurement.icache_miss_plane(0, 4, 64, 2)
+        plane = measurement.icache_miss_cube(0, (4,)).plane(4, 64, 2)
         blocks = measurement.istream_blocks(0, 4)
         assert plane.misses(64, 2) == set_associative_misses(blocks, 64, 2)
 
     def test_plane_is_one_artifact_per_stream_block_ways(self, measurement):
-        measurement.dcache_assoc_sweep(4, (1,), (1, 2, 4))
+        measurement.misses("D", 4, 1, ways=2)
         before = measurement.store.stats().misses
-        sweep = measurement.dcache_assoc_sweep(4, (1, 2, 4, 8, 16, 32), (1, 2, 4))
+        for size in (1, 2, 4, 8, 16, 32):
+            for ways in (1, 2, 4):
+                measurement.misses("D", 4, size, ways=ways)
         assert measurement.store.stats().misses == before
-        assert len(sweep) == 18
-
-    def test_assoc_sweep_ways1_matches_miss_sweep(self, measurement):
-        sizes = (1, 4, 16)
-        assoc = measurement.dcache_assoc_sweep(4, sizes, (1, 2))
-        plain = measurement.dcache_miss_sweep(4, sizes)
-        for size in sizes:
-            assert assoc[(size, 1)] == plain[size]
-
-    def test_empty_assoc_sweep(self, measurement):
-        assert measurement.dcache_assoc_sweep(4, (), (1, 2)) == {}
-        assert measurement.icache_assoc_sweep(0, 4, (), (1, 2)) == {}
 
     def test_benchmark_rows_regenerate_table1(self, measurement):
         rows = measurement.benchmark_rows()
@@ -201,28 +202,31 @@ class TestMissPlanes:
 
 
 class TestMissCubeGuards:
-    """Cross-consistency: cube views vs. the retired per-path algorithms.
+    """The cube on the real suite streams vs. independent algorithms."""
 
-    The cube subsumed the per-block plane artifacts and the per-axis
-    direct-mapped sweeps; these guards pin its slices to both retired
-    paths bit for bit on the real suite streams.
-    """
+    def test_cube_matches_dict_lru_oracle_on_the_paper_grid(self, measurement):
+        # Every point of the block-size study surface (3 blocks x 6
+        # capacities x 4 way counts), read through the session accessor
+        # from one multi-block cube, against the per-config dict LRU.
+        from repro.experiments.ext_associativity import (
+            ASSOCIATIVITIES,
+            CAPACITIES_KW,
+        )
+        from repro.experiments.ext_blocksize import BLOCK_SIZES
 
-    def test_cube_plane_matches_retired_stack_path(self, measurement):
-        from repro.cache.stackdist import stack_distance_hits
-
-        cube = measurement.dcache_miss_cube((4, 8), capacity_words=1024)
-        for block in (4, 8):
+        measurement.dcache_miss_cube(BLOCK_SIZES)
+        checked = 0
+        for block in BLOCK_SIZES:
             stream = measurement.dstream_blocks(block)
-            plane = cube.plane(block)
-            expected = stack_distance_hits(
-                stream, list(plane.set_counts), plane.max_ways
-            )
-            assert plane.references == len(stream)
-            for num_sets in plane.set_counts:
-                assert plane.hits[num_sets].tolist() == (
-                    expected[num_sets].tolist()
-                ), (block, num_sets)
+            for size_kw in CAPACITIES_KW:
+                size_blocks = kw_to_words(size_kw) // block
+                for ways in ASSOCIATIVITIES:
+                    got = measurement.misses("D", block, size_kw, ways=ways)
+                    assert got == set_associative_misses(
+                        stream, size_blocks // ways, ways
+                    ), (block, size_kw, ways)
+                    checked += 1
+        assert checked == 72
 
     def test_cube_axis_matches_retired_direct_mapped_path(self, measurement):
         from repro.cache.fastsim import direct_mapped_miss_sweep
@@ -243,15 +247,16 @@ class TestMissCubeGuards:
             )
 
     def test_cube_is_one_artifact_per_stream_family(self, measurement):
-        # One multi-block cube build must answer every later axis,
-        # plane, sweep, and single-point request without another store
+        # One multi-block cube build must answer every later request at
+        # any of its block sizes, sizes and ways without another store
         # build (the cube index routes single-block requests to it).
         measurement.dcache_miss_cube((4, 8, 16))
         before = measurement.store.stats().misses
-        measurement.dcache_miss_axis(8, 256)
-        measurement.dcache_miss_plane(16, 64, 4)
-        measurement.dcache_assoc_sweep(4, (1, 8, 32), (1, 2, 4, 8))
-        measurement.dcache_misses(4, 8)
+        measurement.misses("D", 8, 1)
+        measurement.misses("D", 16, 4, ways=4)
+        for size in (1, 8, 32):
+            for ways in (1, 2, 4, 8):
+                measurement.misses("D", 4, size, ways=ways)
         assert measurement.store.stats().misses == before
 
     def test_single_then_multi_block_views_agree(self, measurement):
@@ -262,6 +267,7 @@ class TestMissCubeGuards:
                 assert lone.misses(8, num_sets, way) == multi.misses(
                     8, num_sets, way
                 )
+
 
 class TestDiskCache:
     def test_roundtrip(self, tmp_path, monkeypatch):

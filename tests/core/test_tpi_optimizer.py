@@ -123,10 +123,10 @@ class TestOptimizer:
         best18 = optimizer.optimize_symmetric(SystemConfig(penalty=18))
         assert best18.config.combined_l1_kw >= best6.config.combined_l1_kw
 
-    def test_assoc_ways_prewarms_the_cubes(self, measurement):
+    def test_sweep_prewarms_the_cubes(self, measurement):
         from repro.core.measurement import MISS_CUBE_VERSION
 
-        optimizer = DesignOptimizer(measurement, assoc_ways=(1, 2, 4))
+        optimizer = DesignOptimizer(measurement)
         base = SystemConfig(penalty=10)
         configs = [
             dataclasses.replace(base, icache_kw=kw, dcache_kw=kw) for kw in (4, 8)

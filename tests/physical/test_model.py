@@ -42,9 +42,9 @@ class TestBreakdown:
 
     def test_refill_follows_measured_misses(self, model, measurement):
         breakdown = model.breakdown(CONFIG, tpi_ns=5.0)
-        misses = measurement.icache_misses(
-            CONFIG.branch_slots, CONFIG.block_words, CONFIG.icache_kw
-        ) + measurement.dcache_misses(CONFIG.block_words, CONFIG.dcache_kw)
+        misses = measurement.misses(
+            "I", CONFIG.block_words, CONFIG.icache_kw, slots=CONFIG.branch_slots
+        ) + measurement.misses("D", CONFIG.block_words, CONFIG.dcache_kw)
         expected = (
             refill_energy_nj(CONFIG.block_words)
             * misses
