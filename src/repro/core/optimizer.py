@@ -99,7 +99,7 @@ def point_order_key(point: DesignPoint) -> Tuple:
     then smaller, wins), then combined L1 capacity, slot counts (fewer
     branch, then fewer load slots), and the I-side split.  The order is
     a pure function of the point, so :meth:`DesignOptimizer.best` and
-    :meth:`DesignOptimizer.frontier` report the same result for resumed
+    :meth:`DesignOptimizer.select` report the same result for resumed
     runs and reordered grids alike.
     """
     config = point.config
@@ -346,11 +346,11 @@ class DesignOptimizer:
     def _scored_sweep(self, configs: Sequence[SystemConfig]) -> Tuple[DesignPoint, ...]:
         """One scored pass per config set, shared across selections.
 
-        ``best(grid)`` followed by ``frontier(grid)`` (or any
-        :meth:`select` with a different objective over the same grid)
-        reuses the scored points instead of re-entering :meth:`sweep` —
-        the per-point store hits are cheap but not free, and a second
-        ``optimizer.sweep`` span would misreport the work done.
+        ``best(grid)`` followed by ``select(grid, objective="frontier")``
+        (or any other objective over the same grid) reuses the scored
+        points instead of re-entering :meth:`sweep` — the per-point store
+        hits are cheap but not free, and a second ``optimizer.sweep`` span
+        would misreport the work done.
         """
         key = tuple(configs)
         if self._scored is None or self._scored[0] != key:
@@ -407,14 +407,6 @@ class DesignOptimizer:
             frontier=frontier,
             best=best,
         )
-
-    def frontier(self, configs: Iterable[SystemConfig]) -> List[DesignPoint]:
-        """The exact Pareto-non-dominated set over (TPI, EPI, area).
-
-        Shares its scored pass with :meth:`best` via :meth:`select`, in
-        deterministic :func:`point_order_key` order.
-        """
-        return list(self.select(configs, objective="frontier").frontier)
 
     def best(self, configs: Iterable[SystemConfig]) -> DesignPoint:
         """The minimum-TPI point of a set.

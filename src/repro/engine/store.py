@@ -11,13 +11,13 @@ store keeps artifacts in two tiers:
   count, which replaces the per-object memo dicts the measurement layer
   used to hand-roll;
 * an optional on-disk tier (raw ``.npy`` segment bundles via
-  :mod:`repro.trace.io`, with legacy ``.npz`` read compatibility) for
-  artifacts declared *persistent* — array bundles whose recomputation is
-  expensive enough to survive process boundaries (traces).  Disk hits
-  come back as read-only memory maps, so loading a cached trace is
-  zero-copy and many processes mapping the same bundle share one set of
-  physical pages.  The disk tier is what lets parallel sweep workers
-  rehydrate a session without re-synthesizing it.
+  :mod:`repro.trace.io`) for artifacts declared *persistent* — array
+  bundles whose recomputation is expensive enough to survive process
+  boundaries (traces).  Disk hits come back as read-only memory maps, so
+  loading a cached trace is zero-copy and many processes mapping the
+  same bundle share one set of physical pages.  The disk tier is what
+  lets parallel sweep workers rehydrate a session without
+  re-synthesizing it.
 
 Persistent artifacts whose *production* would not fit in memory go
 through :meth:`ArtifactStore.get_or_stream`, which hands the factory a
@@ -47,7 +47,6 @@ from repro.trace.io import (
     cache_key,
     default_cache_dir,
     delete_entry,
-    entry_path,
     load_arrays,
     save_arrays,
 )
@@ -469,22 +468,16 @@ class ArtifactStore:
     # -- disk budget -----------------------------------------------------------
 
     def _entry_nbytes(self, digest: str) -> int:
-        """On-disk footprint of one entry (both layouts), best effort."""
-        total = 0
+        """On-disk footprint of one entry, best effort."""
         directory = bundle_dir(digest, self.disk_dir)
         try:
-            if directory.is_dir():
-                total += sum(
-                    item.stat().st_size
-                    for item in directory.iterdir()
-                    if item.is_file()
-                )
-            path = entry_path(digest, self.disk_dir)
-            if path.is_file():
-                total += path.stat().st_size
-        except OSError:  # pragma: no cover - entry racing a deleter
-            pass
-        return total
+            return sum(
+                item.stat().st_size
+                for item in directory.iterdir()
+                if item.is_file()
+            )
+        except OSError:  # missing, or racing a deleter
+            return 0
 
     def _touch_disk(self, digest: str) -> None:
         """Mark a disk entry recently used (adopting unknown entries)."""
@@ -541,15 +534,13 @@ class ArtifactStore:
         directory = self.disk_dir
         if not directory.is_dir():
             return 0
-        digests = set()
-        for item in sorted(directory.iterdir()):
-            name = item.name
-            if name.endswith(".npy.d") and item.is_dir():
-                digests.add(name[: -len(".npy.d")])
-            elif name.endswith(".npz") and item.is_file():
-                digests.add(name[: -len(".npz")])
+        digests = sorted(
+            item.name[: -len(".npy.d")]
+            for item in directory.iterdir()
+            if item.name.endswith(".npy.d") and item.is_dir()
+        )
         adopted = 0
-        for digest in sorted(digests):
+        for digest in digests:
             with self._lock:
                 known = digest in self._disk_lru
             if known:

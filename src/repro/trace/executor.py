@@ -13,18 +13,16 @@ trace from which everything else is expanded:
   epsilon distributions of Figures 6/7;
 * the dynamic CTI stream consumed by the branch-target buffer.
 
-Two execution paths produce bit-identical traces:
-
-* :meth:`TraceExecutor.run_reference` — the original block-at-a-time
-  Python loop, kept verbatim as the oracle every other path is tested
-  (and benchmarked) against;
-* :meth:`TraceExecutor.iter_chunks` / :meth:`TraceExecutor.run` — the
-  production path: a streaming generator of fixed-size chunks, so peak
-  memory is O(chunk) regardless of trace length.  It walks *decision
-  edges* — for every (decision block, outcome) pair, the block plus the
-  maximal deterministic chain that outcome selects, memoized on the
-  compiled program — so the interpreted loop advances one whole edge
-  per random draw.
+:meth:`TraceExecutor.iter_chunks` / :meth:`TraceExecutor.run` stream
+the trace in fixed-size chunks, so peak memory is O(chunk) regardless of
+trace length.  The walk follows *decision edges* — for every (decision
+block, outcome) pair, the block plus the maximal deterministic chain
+that outcome selects, memoized on the compiled program — so the
+interpreted loop advances one whole edge per random draw.  Its output is
+property-tested against a block-at-a-time oracle under ``tests/trace``
+that shares only the seeding contract: uniforms come from one
+``spawn_rng(seed, name, "control")`` stream, read in order, one per
+conditional branch or indirect transfer.
 
 Chunking never changes a result: the walk state (current block, call
 stack, restart count, and the position *within* the batched uniform
@@ -34,7 +32,6 @@ one chunk covering the whole budget — consumes the RNG identically.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -220,84 +217,6 @@ class TraceExecutor:
             self.compiled.indirect_edge_cache
         )
 
-    def _uniform(self) -> float:
-        if self._cursor >= len(self._uniforms):
-            self._uniforms = self._rng.random(_UNIFORM_BATCH)
-            self._cursor = 0
-        value = self._uniforms[self._cursor]
-        self._cursor += 1
-        return value
-
-    # -- reference path --------------------------------------------------------
-
-    def run_reference(self, instruction_budget: int) -> ExecutionTrace:
-        """The original block-at-a-time loop, kept as the oracle.
-
-        The optimized path (:meth:`run`, :meth:`iter_chunks`) is defined
-        by — and property-tested against — this loop's exact output,
-        including its uniform consumption order.
-        """
-        if instruction_budget <= 0:
-            raise TraceError("instruction budget must be positive")
-        compiled = self.compiled
-        lengths = compiled.lengths.tolist()
-        kinds = compiled.kinds.tolist()
-        taken_ids = compiled.taken_ids.tolist()
-        fall_ids = compiled.fall_ids.tolist()
-        biases = compiled.biases.tolist()
-        indirect_ids = compiled.indirect_ids
-
-        block_ids = array("i")
-        went_taken = array("b")
-        call_stack: list = []
-        restarts = 0
-        current = compiled.entry_id
-        executed = 0
-
-        while executed < instruction_budget:
-            block_ids.append(current)
-            executed += lengths[current]
-            kind = kinds[current]
-            taken = 1
-            if kind == BlockKind.FALLTHROUGH:
-                nxt = fall_ids[current]
-                taken = 0
-            elif kind == BlockKind.CONDITIONAL:
-                if self._uniform() < biases[current]:
-                    nxt = taken_ids[current]
-                else:
-                    nxt = fall_ids[current]
-                    taken = 0
-            elif kind == BlockKind.JUMP:
-                nxt = taken_ids[current]
-            elif kind == BlockKind.CALL:
-                if len(call_stack) < _MAX_CALL_DEPTH:
-                    call_stack.append(fall_ids[current])
-                nxt = taken_ids[current]
-            elif kind == BlockKind.RETURN:
-                nxt = call_stack.pop() if call_stack else -1
-            elif kind == BlockKind.COMPUTED_GOTO:
-                candidates = indirect_ids[current]
-                nxt = candidates[int(self._uniform() * len(candidates))]
-            else:  # BlockKind.INDIRECT_CALL
-                candidates = indirect_ids[current]
-                if len(call_stack) < _MAX_CALL_DEPTH:
-                    call_stack.append(fall_ids[current])
-                nxt = candidates[int(self._uniform() * len(candidates))]
-            went_taken.append(taken)
-            if nxt < 0:
-                restarts += 1
-                call_stack.clear()
-                nxt = compiled.entry_id
-            current = nxt
-
-        return ExecutionTrace(
-            compiled=compiled,
-            block_ids=np.frombuffer(block_ids, dtype=np.int32).copy(),
-            went_taken=np.frombuffer(went_taken, dtype=np.int8).copy(),
-            restarts=restarts,
-        )
-
     # -- chain construction ----------------------------------------------------
 
     def _chain_for(self, block_id: int) -> Optional[_Chain]:
@@ -440,10 +359,9 @@ class TraceExecutor:
     ) -> Iterator[TraceChunk]:
         """Stream the trace in chunks of about ``chunk_blocks`` blocks.
 
-        The concatenation of the yielded chunks is bit-identical to
-        :meth:`run_reference` of the same budget for *every* chunk size
-        (chunks may overrun ``chunk_blocks`` by at most one chain).  Peak
-        memory is one chunk.
+        The concatenation of the yielded chunks is the same trace for
+        *every* chunk size (chunks may overrun ``chunk_blocks`` by at most
+        one chain).  Peak memory is one chunk.
         """
         if instruction_budget <= 0:
             raise TraceError("instruction budget must be positive")
@@ -567,8 +485,7 @@ class TraceExecutor:
 
         The walk restarts at the entry block whenever execution falls off
         the end of a procedure chain, so any budget can be satisfied.
-        Implemented over :meth:`iter_chunks`; bit-identical to
-        :meth:`run_reference`.
+        Implemented over :meth:`iter_chunks`.
         """
         id_chunks: List[np.ndarray] = []
         taken_chunks: List[np.ndarray] = []

@@ -1,27 +1,23 @@
 """Deterministic on-disk caching of trace arrays.
 
-Generating the full multiprogrammed traces takes tens of seconds; the
-benchmark harness regenerates many tables from the same traces, so traces
-are cached on disk keyed by a content hash of the generating parameters.
-The cache is purely an optimization: deleting it only costs regeneration
-time, never changes a result.
+Generating the full multiprogrammed traces takes tens of seconds, and
+every experiment of a run reads the same traces, so traces are cached on
+disk keyed by a content hash of the generating parameters.  The cache is
+purely an optimization: deleting it only costs regeneration time, never
+changes a result.
 
-Two layouts coexist:
+Each entry is a ``{key}.npy.d/`` directory holding one raw ``.npy``
+segment per array plus a ``manifest.json``.  Raw segments open with
+``np.load(mmap_mode="r")``, so loads are zero-copy views of the page
+cache: many processes mapping the same trace share one set of physical
+pages, and nothing is decompressed.  :class:`StreamingBundleWriter`
+appends fixed-size chunks to the segments as they are produced, so
+writing a trace needs O(chunk) memory, not O(trace).  Any other file in
+the cache directory is ignored, so an entry in an older format is a
+miss and gets rebuilt.
 
-* ``npy`` (the default since PR 7) — a ``{key}.npy.d/`` directory holding
-  one raw ``.npy`` segment per array plus a ``manifest.json``.  Raw
-  segments are openable with ``np.load(mmap_mode="r")``, so loads are
-  zero-copy views of the page cache: many processes mapping the same
-  trace share one set of physical pages, and nothing is decompressed.
-  :class:`StreamingBundleWriter` appends fixed-size chunks to the
-  segments as they are produced, so writing a trace needs O(chunk)
-  memory, not O(trace).
-* ``npz`` (the pre-PR 7 format) — a single compressed ``{key}.npz``
-  bundle.  Still written on request (``layout="npz"``) and always
-  readable, so existing caches keep working.
-
-Both layouts are written atomically (temp file/directory + rename) with
-the temporary pinned *inside the cache directory*: a rename within one
+Entries are written atomically (temp directory + rename) with the
+temporary pinned *inside the cache directory*: a rename within one
 directory can never cross filesystems, so ``os.replace`` can never fail
 with ``EXDEV`` even when the cache lives on its own mount.
 """
@@ -35,7 +31,6 @@ import os
 import shutil
 import struct
 import tempfile
-import zipfile
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Union
 
@@ -45,7 +40,6 @@ from repro.errors import TraceError
 
 __all__ = [
     "cache_key",
-    "entry_path",
     "bundle_dir",
     "save_arrays",
     "load_arrays",
@@ -54,8 +48,6 @@ __all__ = [
     "StreamingBundleWriter",
     "MemoryBundleWriter",
 ]
-
-LAYOUTS = ("npy", "npz")
 
 #: Reserved byte length of every segment's ``.npy`` header.  The header
 #: is written once with a placeholder shape and rewritten in place at
@@ -112,30 +104,18 @@ def cache_key(**params: Union[str, int, float, bool, None]) -> str:
     return hashlib.sha256(blob).hexdigest()[:24]
 
 
-def entry_path(key: str, cache_dir: Optional[Path] = None) -> Path:
-    """The legacy ``.npz`` path a key maps to (may or may not exist)."""
-    return (cache_dir or default_cache_dir()) / f"{key}.npz"
-
-
 def bundle_dir(key: str, cache_dir: Optional[Path] = None) -> Path:
     """The ``.npy``-segment directory a key maps to (may or may not exist)."""
     return (cache_dir or default_cache_dir()) / f"{key}.npy.d"
 
 
 def delete_entry(key: str, cache_dir: Optional[Path] = None) -> bool:
-    """Remove one cached entry (both layouts); True if something was deleted."""
-    deleted = False
+    """Remove one cached entry; True if something was deleted."""
     directory = bundle_dir(key, cache_dir)
-    if directory.is_dir():
-        shutil.rmtree(directory, ignore_errors=True)
-        deleted = not directory.exists()
-    path = entry_path(key, cache_dir)
-    try:
-        path.unlink()
-        deleted = True
-    except OSError:
-        pass
-    return deleted
+    if not directory.is_dir():
+        return False
+    shutil.rmtree(directory, ignore_errors=True)
+    return not directory.exists()
 
 
 # -- raw .npy segment helpers -------------------------------------------------
@@ -208,7 +188,7 @@ class _Segment:
 
 
 class StreamingBundleWriter:
-    """Chunked writer for the ``npy`` bundle layout.
+    """Chunked writer for one ``.npy.d`` bundle.
 
     Chunks appended under one name are concatenated on disk; the bundle
     appears atomically (temp directory renamed into place) only when
@@ -273,12 +253,6 @@ class StreamingBundleWriter:
         if final.exists():
             shutil.rmtree(final, ignore_errors=True)
         os.replace(self._tmp, final)
-        # A stale npz twin would shadow nothing (the directory is checked
-        # first) but would waste space and confuse deletion accounting.
-        try:
-            entry_path(self.key, self.cache_dir).unlink()
-        except OSError:
-            pass
         self._done = True
         return final
 
@@ -326,95 +300,46 @@ def save_arrays(
     key: str,
     arrays: Mapping[str, np.ndarray],
     cache_dir: Optional[Path] = None,
-    layout: str = "npy",
 ) -> Path:
-    """Persist named arrays under ``key``; returns the entry path.
+    """Persist named arrays under ``key``; returns the bundle directory.
 
-    The default ``npy`` layout writes one raw segment per array (loadable
-    as zero-copy memory maps); ``layout="npz"`` writes the legacy
-    compressed bundle.  Either way the write is atomic — temp file or
-    directory created *in the cache directory itself* and renamed into
-    place — so a crashed run never leaves a truncated entry behind and
-    the rename can never cross a filesystem boundary (EXDEV).
+    One raw segment per array (loadable as zero-copy memory maps).  The
+    write is atomic — the bundle is built in a temp directory *in the
+    cache directory itself* and renamed into place — so a crashed run
+    never leaves a truncated entry behind and the rename can never cross
+    a filesystem boundary (EXDEV).
     """
-    if layout not in LAYOUTS:
-        raise TraceError(f"unknown cache layout {layout!r}; choose from {LAYOUTS}")
-    directory = cache_dir or default_cache_dir()
-    directory.mkdir(parents=True, exist_ok=True)
-    if layout == "npy":
-        writer = StreamingBundleWriter(key, directory)
-        try:
-            for name, value in arrays.items():
-                writer.append(name, value)
-            return writer.finalize()
-        except BaseException:
-            writer.abort()
-            raise
-    path = entry_path(key, directory)
-    fd, tmp_name = tempfile.mkstemp(dir=str(directory), suffix=".tmp")
+    writer = StreamingBundleWriter(key, cache_dir)
     try:
-        with os.fdopen(fd, "wb") as handle:
-            np.savez_compressed(handle, **dict(arrays))
-        os.replace(tmp_name, path)
+        for name, value in arrays.items():
+            writer.append(name, value)
+        return writer.finalize()
     except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
+        writer.abort()
         raise
-    # A bundle directory left by an earlier npy-layout save would shadow
-    # this entry on load; the fresh write wins in both layouts.
-    stale = bundle_dir(key, directory)
-    if stale.is_dir():
-        shutil.rmtree(stale, ignore_errors=True)
-    return path
 
 
-def _load_bundle_dir(
-    directory: Path, mmap: bool
+def load_arrays(
+    key: str, cache_dir: Optional[Path] = None
 ) -> Optional[Dict[str, np.ndarray]]:
-    """Load one ``npy``-layout entry; None (after cleanup) when corrupt."""
+    """Load the arrays cached under ``key``, or None if absent/corrupt.
+
+    Arrays come back as read-only memory maps.  A corrupt entry is
+    treated as a miss (and removed) rather than an error: the cache must
+    never be able to fail an experiment.
+    """
+    directory = bundle_dir(key, cache_dir)
+    if not directory.is_dir():
+        return None
     try:
         manifest = json.loads((directory / _MANIFEST_NAME).read_text())
         names = manifest["names"]
         if not isinstance(names, list):
             raise ValueError("manifest names must be a list")
-        mode = "r" if mmap else None
         return {
-            name: np.load(directory / f"{_check_segment_name(name)}.npy", mmap_mode=mode)
+            name: np.load(directory / f"{_check_segment_name(name)}.npy", mmap_mode="r")
             for name in names
         }
     except (OSError, ValueError, KeyError, TypeError, TraceError):
         shutil.rmtree(directory, ignore_errors=True)
-        return None
-
-
-def load_arrays(
-    key: str, cache_dir: Optional[Path] = None, mmap: bool = True
-) -> Optional[Dict[str, np.ndarray]]:
-    """Load the arrays cached under ``key``, or None if absent/corrupt.
-
-    ``npy``-layout entries are returned as read-only memory maps by
-    default (``mmap=False`` forces eager reads); legacy ``.npz`` entries
-    are always read eagerly (a compressed archive cannot be mapped).  A
-    corrupt entry in either layout is treated as a miss (and removed)
-    rather than an error: the cache must never be able to fail an
-    experiment.
-    """
-    directory = bundle_dir(key, cache_dir)
-    if directory.is_dir():
-        arrays = _load_bundle_dir(directory, mmap)
-        if arrays is not None:
-            return arrays
-    path = entry_path(key, cache_dir)
-    if not path.exists():
-        return None
-    try:
-        with np.load(path) as bundle:
-            return {name: bundle[name] for name in bundle.files}
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile):
-        # BadZipFile/EOFError: a truncated or corrupt archive that passes
-        # the zip magic check; neither derives from OSError or ValueError.
-        try:
-            path.unlink()
-        except OSError:
-            pass
         return None

@@ -158,6 +158,7 @@ class TestSinglePassSweep:
         # Nesting property: a hit in a smaller cache is a hit in a larger.
         ordered = [sweep[sets] for sets in sorted(set_counts)]
         assert all(a >= b for a, b in zip(ordered, ordered[1:]))
+        assert ordered[0] > ordered[-1] > 0
 
 
 class TestMissMask:

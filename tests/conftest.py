@@ -1,8 +1,8 @@
 """Shared fixtures: one small measurement session for all core tests.
 
 The session uses a reduced instruction budget and a benchmark subset so
-the whole core test module stays fast; experiment-scale runs live in the
-benchmark harness.
+the whole core test module stays fast; the full-suite paper-shape checks
+live in ``tests/experiments/test_paper_shape.py``.
 """
 
 import pytest

@@ -296,9 +296,6 @@ class TestDiskCache:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         reference = self._session().benchmarks[0].trace
         corrupted = 0
-        for path in tmp_path.glob("*.npz"):
-            path.write_bytes(b"truncated garbage")
-            corrupted += 1
         for path in tmp_path.glob("*.npy.d/manifest.json"):
             path.write_text("not json")
             corrupted += 1
@@ -339,7 +336,7 @@ class TestDiskCache:
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         def entries():
-            return set(tmp_path.glob("*.npz")) | set(tmp_path.glob("*.npy.d"))
+            return set(tmp_path.glob("*.npy.d"))
 
         reference = self._session().benchmarks[0].trace
         stale_files = entries()

@@ -13,6 +13,7 @@ from repro.core import (
     tpi_ns,
 )
 from repro.core.config import LoadScheme
+from repro.core.frontier import objective_value, pareto_frontier
 from repro.core.optimizer import DesignPoint, point_order_key
 from repro.core.tcpu import side_cycle_times_ns
 from repro.core.tpi import required_tcpu_reduction
@@ -224,7 +225,7 @@ class TestSharedScoredPass:
             optimizer = DesignOptimizer(measurement)
             grid = optimizer.symmetric_grid(SystemConfig(penalty=10))
             best = optimizer.best(grid)
-            frontier = optimizer.frontier(grid)
+            frontier = optimizer.select(grid, objective="frontier").frontier
             selection = optimizer.select(grid, objective="epi")
         finally:
             measurement.attach_tracer(previous)
@@ -238,8 +239,31 @@ class TestSharedScoredPass:
         optimizer = DesignOptimizer(measurement)
         grid = optimizer.symmetric_grid(SystemConfig(penalty=10))
         best = optimizer.best(grid)
-        frontier_keys = {point_order_key(p) for p in optimizer.frontier(grid)}
+        frontier = optimizer.select(grid, objective="frontier").frontier
+        frontier_keys = {point_order_key(p) for p in frontier}
         assert point_order_key(best) in frontier_keys
+
+    @pytest.fixture(scope="class")
+    def asymmetric(self, measurement):
+        """An optimizer, its asymmetric grid, and a fresh optimizer's sweep."""
+        optimizer = DesignOptimizer(measurement)
+        grid = optimizer.asymmetric_grid(SystemConfig())
+        fresh = DesignOptimizer(measurement).sweep(grid)
+        return optimizer, grid, fresh
+
+    @pytest.mark.parametrize("objective", ["tpi", "epi", "edp"])
+    def test_shared_pass_best_equals_a_fresh_sweep(self, asymmetric, objective):
+        optimizer, grid, fresh = asymmetric
+        winner = min(
+            fresh,
+            key=lambda p: (objective_value(p, objective), point_order_key(p)),
+        )
+        assert optimizer.select(grid, objective=objective).best == winner
+
+    def test_shared_pass_frontier_equals_a_fresh_sweep(self, asymmetric):
+        optimizer, grid, fresh = asymmetric
+        frontier = optimizer.select(grid, objective="frontier").frontier
+        assert list(frontier) == pareto_frontier(fresh)
 
 
 class TestParallelParity:
@@ -268,9 +292,10 @@ class TestParallelParity:
         assert fingerprint(serial.sweep(grid)) == fingerprint(
             parallel.sweep(list(grid))
         )
-        assert [point_order_key(p) for p in serial.frontier(grid)] == [
-            point_order_key(p) for p in parallel.frontier(list(grid))
-        ]
+        assert (
+            serial.select(grid, objective="frontier").frontier
+            == parallel.select(list(grid), objective="frontier").frontier
+        )
 
 
 class _BrokenPoolExecutor(SweepExecutor):

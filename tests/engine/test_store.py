@@ -105,8 +105,8 @@ class TestMemoryTier:
 
 
 def _disk_entries(tmp_path):
-    """Cache entries on disk, in either layout (npy bundle dir or npz)."""
-    return sorted(tmp_path.glob("*.npz")) + sorted(tmp_path.glob("*.npy.d"))
+    """Cache entries on disk (one ``.npy.d`` bundle directory each)."""
+    return sorted(tmp_path.glob("*.npy.d"))
 
 
 class TestDiskTier:

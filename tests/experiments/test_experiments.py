@@ -2,8 +2,8 @@
 
 Each experiment is run against the shared (subset) measurement session
 and checked for structure and for the paper's qualitative shape claims.
-The full-suite quantitative comparison lives in EXPERIMENTS.md and the
-benchmark harness.
+The full-suite shape anchors live in ``test_paper_shape.py`` and the
+full-scale quantitative comparison in EXPERIMENTS.md.
 """
 
 import pytest

@@ -1,13 +1,16 @@
 """End-to-end HTTP tests: a real server over a miniature real session.
 
 One module-scoped server (tiny instruction budget, loopback, ephemeral
-port) backs every test; the first sweep warms the session, later tests
-ride the memo and artifact tiers.
+port) backs most tests; the first sweep warms the session, later tests
+ride the memo and artifact tiers.  The concurrent-load test starts its
+own server under a small disk budget.
 """
 
 import asyncio
+import contextlib
 import http.client
 import json
+import os
 import threading
 
 import pytest
@@ -20,11 +23,9 @@ TINY = {"tiny": 1500}
 GRID = {"base": {"penalty": 8}, "axes": {"icache_kw": [1, 2]}}
 
 
-@pytest.fixture(scope="module")
-def server(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("service")
-    import os
-
+@contextlib.contextmanager
+def _serving(tmp, **scheduler_options):
+    """A started service on an ephemeral port, with its caches under ``tmp``."""
     previous = os.environ.get("REPRO_CACHE_DIR")
     os.environ["REPRO_CACHE_DIR"] = str(tmp / "cache")
     scheduler = SweepScheduler(
@@ -32,6 +33,7 @@ def server(tmp_path_factory):
         store=ArtifactStore(cache_dir=tmp / "svc", namespace="service"),
         workers=2,
         spool_dir=tmp / "spool",
+        **scheduler_options,
     )
     service = SweepService(scheduler, port=0)
     loop = asyncio.new_event_loop()
@@ -56,6 +58,12 @@ def server(tmp_path_factory):
             os.environ.pop("REPRO_CACHE_DIR", None)
         else:
             os.environ["REPRO_CACHE_DIR"] = previous
+
+
+@pytest.fixture(scope="module")
+def server(tmp_path_factory):
+    with _serving(tmp_path_factory.mktemp("service")) as service:
+        yield service
 
 
 @pytest.fixture(scope="module")
@@ -202,3 +210,76 @@ class TestSweeps:
     def test_responses_are_strict_json(self, server, client):
         stats = client.stats()
         json.dumps(stats, allow_nan=False)
+
+
+#: Overlapping query pool: four small grids sharing design points.
+LOAD_GRIDS = [
+    {"base": {"penalty": 8}, "axes": {"icache_kw": [1, 2], "dcache_kw": [1, 2]}},
+    {"base": {"penalty": 8}, "axes": {"icache_kw": [2, 4]}},
+    {"base": {"penalty": 12}, "axes": {"dcache_kw": [1, 2]}},
+    {"base": {"penalty": 8, "block_words": 8}, "axes": {"icache_kw": [1, 2]}},
+]
+
+
+def _respell(grid):
+    """The same grid as an explicit reversed list with float-spelled values."""
+    entries = [dict(grid["base"])]
+    for name in sorted(grid["axes"]):
+        entries = [
+            {**entry, name: float(value)}
+            for entry in entries
+            for value in grid["axes"][name]
+        ]
+    return entries[::-1]
+
+
+class TestConcurrentLoad:
+    CLIENTS = 8
+    REQUESTS = 8
+
+    def test_clients_memoise_and_evict_under_a_disk_budget(self, tmp_path):
+        # Every client asks every grid; odd clients re-spell them, so
+        # canonicalization and the memo, not client cooperation, are
+        # what de-duplicate the work.
+        states, errors = [], []
+        barrier = threading.Barrier(self.CLIENTS, timeout=60)
+
+        def client_loop(index, port):
+            client = ServiceClient(port=port, timeout=240)
+            barrier.wait()
+            for request in range(self.REQUESTS):
+                grid = LOAD_GRIDS[request % len(LOAD_GRIDS)]
+                if index % 2:
+                    grid = _respell(grid)
+                try:
+                    resp = client.submit(
+                        grid, scale="tiny", tenant=f"tenant-{index}", wait=True
+                    )
+                except Exception as exc:  # noqa: BLE001 - asserted below
+                    errors.append(f"client {index}: {exc}")
+                    return
+                states.append(resp["state"])
+
+        with _serving(tmp_path, max_disk_bytes=64 << 10) as service:
+            threads = [
+                threading.Thread(target=client_loop, args=(index, service.port))
+                for index in range(self.CLIENTS)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=600)
+            assert not any(thread.is_alive() for thread in threads)
+            stats = service.scheduler.stats()
+
+        assert errors == []
+        assert states == ["done"] * (self.CLIENTS * self.REQUESTS)
+        assert stats["failed"] == 0
+        assert stats["submitted"] == self.CLIENTS * self.REQUESTS
+        memoised = stats["memo_hits"] + stats["coalesced"]
+        assert memoised / stats["submitted"] > 0.5
+        evictions = sum(
+            tier["disk_evictions"]
+            for tier in [stats["store"], *stats["sessions"].values()]
+        )
+        assert evictions >= 1

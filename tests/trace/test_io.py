@@ -17,7 +17,6 @@ from repro.trace.io import (
     cache_key,
     default_cache_dir,
     delete_entry,
-    entry_path,
     load_arrays,
     save_arrays,
 )
@@ -89,73 +88,31 @@ class TestSaveLoad:
         key = cache_key(test="npy-layout")
         save_arrays(key, {"x": np.arange(64, dtype=np.int32)}, cache_dir=tmp_path)
         assert bundle_dir(key, tmp_path).is_dir()
-        assert not entry_path(key, tmp_path).exists()
         loaded = load_arrays(key, cache_dir=tmp_path)
         assert isinstance(loaded["x"], np.memmap)
         assert loaded["x"].dtype == np.int32
-
-    def test_mmap_equals_eager(self, tmp_path):
-        # Satellite 5 (part 2): mmap-loaded arrays compare equal to
-        # eagerly loaded ones, dtype and values both.
-        key = cache_key(test="mmap-eager")
-        arrays = {
-            "ids": np.arange(1000, dtype=np.int32),
-            "kinds": (np.arange(1000) % 7).astype(np.int8),
-            "bias": np.linspace(0.0, 1.0, 1000),
-        }
-        save_arrays(key, arrays, cache_dir=tmp_path)
-        mapped = load_arrays(key, cache_dir=tmp_path, mmap=True)
-        eager = load_arrays(key, cache_dir=tmp_path, mmap=False)
-        for name in arrays:
-            assert mapped[name].dtype == eager[name].dtype == arrays[name].dtype
-            assert np.array_equal(mapped[name], eager[name])
-            assert np.array_equal(mapped[name], arrays[name])
-        assert isinstance(mapped["ids"], np.memmap)
-        assert not isinstance(eager["ids"], np.memmap)
-
-    def test_npz_layout_still_written_and_read(self, tmp_path):
-        key = cache_key(test="npz-layout")
-        save_arrays(
-            key, {"x": np.arange(5)}, cache_dir=tmp_path, layout="npz"
-        )
-        assert entry_path(key, tmp_path).exists()
-        loaded = load_arrays(key, cache_dir=tmp_path)
-        assert loaded["x"].tolist() == list(range(5))
-
-    def test_unknown_layout_rejected(self, tmp_path):
-        with pytest.raises(TraceError):
-            save_arrays("k", {"x": np.arange(3)}, cache_dir=tmp_path, layout="hdf5")
 
     def test_missing_returns_none(self, tmp_path):
         assert load_arrays("nope", cache_dir=tmp_path) is None
 
     def test_corrupt_entry_is_miss_and_removed(self, tmp_path):
         key = cache_key(test="corrupt")
-        path = tmp_path / f"{key}.npz"
-        path.write_bytes(b"not an npz file")
+        save_arrays(key, {"x": np.arange(10)}, cache_dir=tmp_path)
+        (bundle_dir(key, tmp_path) / "x.npy").write_bytes(b"not an npy file")
         assert load_arrays(key, cache_dir=tmp_path) is None
-        assert not path.exists()
-
-    def test_truncated_zip_entry_is_miss_and_removed(self, tmp_path):
-        # A file with a valid zip magic but garbage after it makes np.load
-        # raise zipfile.BadZipFile — a plain Exception subclass, not an
-        # OSError/ValueError — which must still count as a cache miss.
-        key = cache_key(test="truncated")
-        path = tmp_path / f"{key}.npz"
-        path.write_bytes(b"PK\x03\x04" + b"\x00" * 64)
-        assert load_arrays(key, cache_dir=tmp_path) is None
-        assert not path.exists()
+        assert not bundle_dir(key, tmp_path).exists()
 
     def test_truncated_real_entry_is_miss_and_removed(self, tmp_path):
-        # Truncating a genuine bundle mid-archive must also degrade to a
-        # miss: the cache can never be allowed to fail an experiment.
+        # Cutting a genuine segment inside its magic, inside its 128-byte
+        # header, or inside its data must degrade to a miss: the cache
+        # can never be allowed to fail an experiment.
         key = cache_key(test="truncated-real")
-        save_arrays(key, {"x": np.arange(1000)}, cache_dir=tmp_path, layout="npz")
-        path = tmp_path / f"{key}.npz"
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) // 2])
-        assert load_arrays(key, cache_dir=tmp_path) is None
-        assert not path.exists()
+        for length in (10, 100, 130, 200):
+            save_arrays(key, {"x": np.arange(1000)}, cache_dir=tmp_path)
+            segment = bundle_dir(key, tmp_path) / "x.npy"
+            segment.write_bytes(segment.read_bytes()[:length])
+            assert load_arrays(key, cache_dir=tmp_path) is None, length
+            assert not bundle_dir(key, tmp_path).exists(), length
 
     def test_corrupt_bundle_dir_is_miss_and_removed(self, tmp_path):
         key = cache_key(test="corrupt-dir")
@@ -182,27 +139,11 @@ class TestSaveLoad:
         loaded = load_arrays(key, cache_dir=tmp_path)
         assert loaded["x"].tolist() == [2]
 
-    def test_npy_save_replaces_stale_npz(self, tmp_path):
-        key = cache_key(test="upgrade")
-        save_arrays(key, {"x": np.array([1])}, cache_dir=tmp_path, layout="npz")
-        save_arrays(key, {"x": np.array([2])}, cache_dir=tmp_path, layout="npy")
-        assert not entry_path(key, tmp_path).exists()
-        assert load_arrays(key, cache_dir=tmp_path)["x"].tolist() == [2]
-
-    def test_npz_save_replaces_stale_bundle_dir(self, tmp_path):
-        key = cache_key(test="downgrade")
-        save_arrays(key, {"x": np.array([1])}, cache_dir=tmp_path, layout="npy")
-        save_arrays(key, {"x": np.array([2])}, cache_dir=tmp_path, layout="npz")
-        assert not bundle_dir(key, tmp_path).exists()
-        assert load_arrays(key, cache_dir=tmp_path)["x"].tolist() == [2]
-
-    def test_delete_entry_removes_both_layouts(self, tmp_path):
+    def test_delete_entry_removes_the_bundle(self, tmp_path):
         key = cache_key(test="delete")
-        save_arrays(key, {"x": np.array([1])}, cache_dir=tmp_path, layout="npy")
+        save_arrays(key, {"x": np.array([1])}, cache_dir=tmp_path)
         assert delete_entry(key, tmp_path)
-        assert load_arrays(key, cache_dir=tmp_path) is None
-        save_arrays(key, {"x": np.array([1])}, cache_dir=tmp_path, layout="npz")
-        assert delete_entry(key, tmp_path)
+        assert not bundle_dir(key, tmp_path).exists()
         assert load_arrays(key, cache_dir=tmp_path) is None
         assert not delete_entry(key, tmp_path)
 
@@ -211,8 +152,8 @@ class TestRenameNeverCrossesFilesystems:
     """Satellite 1: temp files are pinned to the cache directory.
 
     os.replace raises EXDEV when source and destination sit on different
-    filesystems.  Both save paths create their temporary inside the
-    cache directory itself, so the final rename is same-directory by
+    filesystems.  Every save creates its temporary inside the cache
+    directory itself, so the final rename is same-directory by
     construction.  The monkeypatched os.replace below enforces exactly
     that invariant: any rename whose source is *outside* the cache
     directory (e.g. a tempfile.gettempdir() default) fails with EXDEV,
@@ -231,14 +172,9 @@ class TestRenameNeverCrossesFilesystems:
         monkeypatch.setattr(os, "replace", guarded_replace)
         return tmp_path
 
-    def test_npz_save_survives_cross_device_cache(self, exdev_outside):
-        key = cache_key(test="exdev-npz")
-        save_arrays(key, {"x": np.arange(4)}, cache_dir=exdev_outside, layout="npz")
-        assert load_arrays(key, cache_dir=exdev_outside)["x"].tolist() == [0, 1, 2, 3]
-
     def test_npy_save_survives_cross_device_cache(self, exdev_outside):
         key = cache_key(test="exdev-npy")
-        save_arrays(key, {"x": np.arange(4)}, cache_dir=exdev_outside, layout="npy")
+        save_arrays(key, {"x": np.arange(4)}, cache_dir=exdev_outside)
         assert load_arrays(key, cache_dir=exdev_outside)["x"].tolist() == [0, 1, 2, 3]
 
     def test_streaming_writer_survives_cross_device_cache(self, exdev_outside):

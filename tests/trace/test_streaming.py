@@ -3,9 +3,9 @@
 The contract under test is the one every cached trace depends on: the
 production path (:meth:`TraceExecutor.run` / :meth:`iter_chunks`, chain
 walking, any chunk size) produces *exactly* the arrays the original
-block-at-a-time loop (:meth:`TraceExecutor.run_reference`) produces —
-same block ids, same taken flags, same restart count, same RNG
-consumption.
+block-at-a-time loop (:func:`tests.trace.oracles.run_reference`)
+produces — same block ids, same taken flags, same restart count, same
+RNG consumption.
 """
 
 import numpy as np
@@ -14,6 +14,7 @@ import pytest
 from repro.trace.executor import DEFAULT_CHUNK_BLOCKS, TraceExecutor
 from repro.workload import TABLE1_SUITE, synthesize_program
 
+from tests.trace.oracles import run_reference
 from tests.trace.test_executor import call_program, loop_program
 
 
@@ -31,15 +32,11 @@ PROGRAMS = {
 }
 
 
-def _reference(program, budget, seed):
-    return TraceExecutor(program, seed=seed).run_reference(budget)
-
-
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 class TestRunMatchesReference:
     def test_run_is_bit_identical(self, name):
         program = PROGRAMS[name]()
-        ref = _reference(program, 30_000, seed=11)
+        ref = run_reference(program, 30_000, seed=11)
         got = TraceExecutor(program, seed=11).run(30_000)
         assert np.array_equal(got.block_ids, ref.block_ids)
         assert np.array_equal(got.went_taken, ref.went_taken)
@@ -49,7 +46,7 @@ class TestRunMatchesReference:
 
     def test_chunked_concatenation_is_bit_identical(self, name):
         program = PROGRAMS[name]()
-        ref = _reference(program, 20_000, seed=23)
+        ref = run_reference(program, 20_000, seed=23)
         # Chunk sizes deliberately include 1, non-divisors of the step
         # count, and one chunk covering everything.
         for chunk_blocks in (1, 7, 127, 1024, DEFAULT_CHUNK_BLOCKS):
