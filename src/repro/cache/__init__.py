@@ -11,9 +11,10 @@
   every block size and set count;
 * :mod:`~repro.cache.cubepart` — the set-partitioned out-of-core and
   parallel driver over the same engine: partitions a byte-address
-  stream by coarse set index, reduces partitions independently (in
-  worker processes when an executor is supplied), and merges counts
-  bit-identical to the serial one-shot cube;
+  stream by coarse set index, runs the partitions, the whole-stream
+  slices too coarse to partition and the A=1 cross-check as one task
+  list (on worker processes when an executor is supplied), and merges
+  counts bit-identical to the serial one-shot cube;
 * :mod:`~repro.cache.fastsim` — an exact, vectorized miss counter for
   direct-mapped caches: the per-reference miss mask an L2 study filters
   through, and the independent single-pass size sweep every cube build

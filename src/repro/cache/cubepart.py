@@ -4,8 +4,8 @@ The single-pass engine (:mod:`repro.cache.misscube`) answers the whole
 ``(block size × sets × ways)`` cube exactly, but it is one serial pass
 holding one process's worth of derived arrays — at the paper's
 2.4G-instruction scale that is hours of one core and tens of gigabytes
-of rank-count state.  This module splits the same computation across
-*set partitions*:
+of rank-count state.  This module splits the same computation into
+independent tasks and runs all of them on one worker pool:
 
 **Why partitioning is exact.**  Power-of-two set indices nest: the set
 index of a ``2^k``-set cache is the low ``k`` bits of the block index.
@@ -29,32 +29,38 @@ decomposes iff that window sits inside its set-index window:
 1–32 KW capacities) satisfies this for ``p = 3`` at every geometry.
 Set counts *below* the closure threshold (the production cubes cover
 every level down to one set) are inherently global — a single LRU stack
-over the whole stream cannot be split — so they are computed by the
-serial engine in the parent, over exactly the levels the partitions
-cannot answer (the *coarse residue*).
+over the whole stream cannot be split — so each such ``(block size,
+set count)`` slice of the *coarse residue* is a task of its own over
+the whole stream.
 
-**Out-of-core.**  :func:`partitioned_miss_cube_from_addresses` consumes
-its address stream in O(chunk) memory — an ndarray (typically a
-memory-mapped trace bundle from :meth:`~repro.engine.store.
-ArtifactStore.get_or_stream`) or any iterable of address chunks —
-scattering references into per-partition spill segments via
-:class:`~repro.trace.io.StreamingBundleWriter`.  The finalized spill is
-memory-mapped back, so reduce workers (parallel or serial) read
-partition buffers through the page cache: nothing larger than a file
-locator is ever pickled, and every process mapping a partition shares
-one set of physical pages.  The in-memory form
-(:func:`partitioned_miss_cube`) instead exports partition buffers
-through the :class:`~repro.engine.shm.SharedBundleRegistry`, so forked
-sweep workers attach named shared-memory segments rather than receiving
-pickled arrays.
+**One task list per build.**  A build maps one list through one
+executor call, heaviest first: the coarse residue slices, then (with
+``cross_check``) one whole-stream
+:func:`~repro.cache.fastsim.direct_mapped_miss_sweep` per block size,
+then the fine set partitions.  The parent only scatters the stream,
+merges the integer counts and compares every block size's ``A = 1``
+base with its sweep (a disagreement is a fatal ``RuntimeError``).  Each
+task returns its worker wall seconds with its counts; the
+``cube.reduce`` span sums them per kind as ``coarse_s``, ``check_s``
+and ``fine_s``.
 
-**Failure containment.**  Reduces are dispatched through a
-:class:`~repro.engine.executor.SweepExecutor` in jobs-sized waves (each
-wave closes a ``cube.progress`` span, so long builds stay visible on
-service event streams).  A worker pool that dies (``BrokenProcessPool``
-twice without progress) or a worker that cannot see the shared buffers
-(spawn start method, stale pool) degrades to the parent recomputing the
-affected partitions serially — same substreams, same engine, identical
+**Out-of-core, shared not pickled.**  Both forms first write their
+input into one spill bundle (:class:`~repro.trace.io.
+StreamingBundleWriter`): one segment per partition, plus the whole
+stream when a whole-stream task reads it.
+:func:`partitioned_miss_cube_from_addresses` consumes its address
+stream in O(chunk) memory — an ndarray (typically a memory-mapped trace
+bundle from :meth:`~repro.engine.store.ArtifactStore.get_or_stream`) or
+any iterable of address chunks.  A task carries only the spill locator
+and memory-maps its segment, so nothing larger than a file locator is
+ever pickled, every process reading a segment shares one set of
+page-cache pages, and any worker — spawned, or forked for an earlier
+build — sees the arrays.
+
+**Failure containment.**  A worker pool that dies (``BrokenProcessPool``
+twice without progress: the executor's ``ConfigurationError``) degrades
+to the parent running the task list itself under a
+``cube.serial_fallback`` span — same segments, same engine, identical
 counts.
 """
 
@@ -63,13 +69,26 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
+import time
 import uuid
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
-from repro.cache.fastsim import addresses_to_blocks, direct_mapped_miss_sweep
+from repro.cache.fastsim import direct_mapped_miss_sweep
 from repro.cache.geometry import checked_block_words, checked_levels
 from repro.cache.misscube import (
     MissCube,
@@ -79,7 +98,6 @@ from repro.cache.misscube import (
     miss_cube,
 )
 from repro.engine.executor import SweepExecutor
-from repro.engine.shm import SHARED_BUNDLES
 from repro.errors import ConfigurationError
 from repro.obs.tracer import NULL_TRACER
 from repro.trace.io import StreamingBundleWriter, delete_entry, load_arrays
@@ -95,7 +113,7 @@ __all__ = [
 #: Default set-partition count.  Eight partitions (three index bits)
 #: keep the whole paper grid fine-decomposable when the shared address
 #: stream is partitioned at the 16-word block size, and bound each
-#: reduce worker's memory to roughly an eighth of the serial pass.
+#: partition task's memory to roughly an eighth of the serial pass.
 DEFAULT_PARTITIONS = 8
 
 #: Default partition-pass chunk length (references).  4M int64
@@ -103,14 +121,8 @@ DEFAULT_PARTITIONS = 8
 #: small enough that the pass stays O(chunk) in any reasonable budget.
 DEFAULT_CHUNK_REFS = 1 << 22
 
-#: Shared-memory group prefix for in-memory partition buffers.
-_SHM_PREFIX = "cubepart"
-
-#: Parent-side partition stash for in-process reduces: serial executors
-#: (and forked workers, via copy-on-write) resolve partition buffers
-#: here when the shared-memory registry misses.  Keyed by
-#: ``(token, partition)``; entries never outlive their build.
-_LOCAL_PARTS: Dict[Tuple[str, int], Mapping[int, np.ndarray]] = {}
+#: Task kinds, in the order a build lists them.
+TASK_KINDS = ("coarse", "check", "fine")
 
 #: Test-only fault hook: ``(parent_pid, {partition indices})``.  A
 #: *forked worker* (pid differs from the recorded parent) asked to
@@ -118,6 +130,14 @@ _LOCAL_PARTS: Dict[Tuple[str, int], Mapping[int, np.ndarray]] = {}
 #: kill mid-reduce; the parent itself never faults, so the serial
 #: fallback path stays exact.  See tests/cache/test_cubepart.py.
 _FAULT_PARTS: Optional[Tuple[int, frozenset]] = None
+
+#: ``(kind, spill segment, {block_words: set counts})``.
+_Task = Tuple[str, str, Dict[int, Tuple[int, ...]]]
+
+#: Where a task finds its streams: ``(spill digest, spill directory,
+#: shifted)``, ``shifted`` for one address stream shared by every block
+#: size.
+_Locator = Tuple[str, str, bool]
 
 
 def _maybe_fault(partition: int) -> None:
@@ -149,8 +169,8 @@ def _split_fine_coarse(
     A set count is *fine* when its set-index bit window contains every
     partition bit (``log2(S) >= p + extra_bits[B]``, trivially true for
     ``p == 0``): those geometries decompose exactly across partitions.
-    Everything below the threshold is *coarse residue* for the serial
-    in-parent pass.
+    Everything below the threshold is *coarse residue*, answered one
+    whole-stream slice at a time.
     """
     fine: Dict[int, List[int]] = {}
     coarse: Dict[int, List[int]] = {}
@@ -168,159 +188,173 @@ def _split_fine_coarse(
     return fine, coarse
 
 
-def _partition_hits(
-    streams: Mapping[int, np.ndarray],
-    set_counts: Mapping[int, Sequence[int]],
-    max_ways: int,
-    cross_check: bool,
-) -> Dict[int, Dict[int, np.ndarray]]:
-    """One partition's cube: the unmodified serial engine on its substreams.
+def _task_list(
+    fine: Mapping[int, Sequence[int]],
+    coarse: Mapping[int, Sequence[int]],
+    checked: Mapping[int, Sequence[int]],
+    partitions: int,
+) -> List[_Task]:
+    """One build's tasks, heaviest first.
 
-    With ``cross_check``, every block size's ``A = 1`` base is verified
-    against the independent adjacent-tag sweep
-    (:func:`~repro.cache.fastsim.direct_mapped_miss_sweep`) on the same
-    substream — the per-partition equivalent of the fatal whole-cube
-    check the measurement layer runs on serial builds.
+    Coarse residue slices and ``A = 1`` checks each walk the whole
+    stream (segment ``full``); a fine task walks one partition's
+    substream (segment ``pNNN``) at every fine level of every block size.
     """
-    covered = {B: counts for B, counts in set_counts.items() if counts}
-    cube = miss_cube({B: streams[B] for B in covered}, covered, max_ways)
-    if cross_check:
-        for B in cube.block_words:
-            wanted = cube.set_counts(B)
-            if not wanted:
-                continue
-            axis = direct_mapped_miss_sweep(streams[B], wanted)
-            for num_sets, expected in axis.items():
-                got = cube.misses(B, num_sets, 1)
-                if got != expected:
-                    raise RuntimeError(
-                        f"partitioned cube A=1 base disagrees with the "
-                        f"direct-mapped sweep at B={B}, {num_sets} sets "
-                        f"({got} != {expected})"
-                    )
-    return {B: dict(cube.hits[B]) for B in cube.block_words}
+    tasks: List[_Task] = [
+        ("coarse", "full", {B: (S,)})
+        for B, counts in coarse.items()
+        for S in counts
+    ]
+    tasks += [
+        ("check", "full", {B: tuple(counts)})
+        for B, counts in checked.items()
+        if counts
+    ]
+    fine_counts = {B: tuple(counts) for B, counts in fine.items() if counts}
+    if fine_counts:
+        tasks += [
+            ("fine", f"p{index:03d}", fine_counts) for index in range(partitions)
+        ]
+    return tasks
 
 
-# -- reduce workers (module-level for pickling) --------------------------------
+# -- tasks (module-level for pickling) -----------------------------------------
 
 
-def _reduce_shared(item: Tuple[Any, ...]) -> Optional[Dict[int, Dict[int, np.ndarray]]]:
-    """Worker task: reduce one in-memory partition.
+def _task_streams(
+    locator: _Locator, segment: str, blocks: Sequence[int]
+) -> Mapping[int, np.ndarray]:
+    """A task's streams, memory-mapped from the spill bundle.
 
-    Buffers resolve through the shared-memory registry first (forked
-    workers attach the parent's segments zero-copy), then the parent's
-    local stash (serial executors; copy-on-write forks).  A miss — a
-    spawned worker, or a pool forked before the export — returns None
-    and the parent recomputes the partition itself.
+    Address-stream spills hold one address segment per name, shifted per
+    block size on access; per-block-stream spills hold one segment per
+    block size (``<segment>b<B>``).
     """
-    token, group, partition, fine_counts, max_ways, cross_check = item
-    _maybe_fault(partition)
-    arrays = SHARED_BUNDLES.lookup(group, f"p{partition:03d}")
-    if arrays is not None:
-        streams: Optional[Mapping[int, np.ndarray]] = {
-            int(name[1:]): array for name, array in arrays.items()
-        }
-    else:
-        streams = _LOCAL_PARTS.get((token, partition))
-    if streams is None:
-        return None
-    return _partition_hits(streams, fine_counts, max_ways, cross_check)
-
-
-def _reduce_spilled(item: Tuple[Any, ...]) -> Dict[int, Dict[int, np.ndarray]]:
-    """Worker task: reduce one spilled partition from the mmap'd bundle.
-
-    Only the spill locator crosses the process boundary; the partition's
-    addresses are memory-mapped from the finalized spill segment, so
-    every worker (and the parent) shares one set of page-cache pages.
-    """
-    digest, spill_dir, partition, blocks, fine_counts, max_ways, cross_check = item
-    _maybe_fault(partition)
+    digest, spill_dir, shifted = locator
     arrays = load_arrays(digest, cache_dir=Path(spill_dir))
     if arrays is None:
-        raise ConfigurationError(
-            f"cube spill bundle {digest} vanished mid-reduce"
-        )
-    addresses = arrays[f"p{partition:03d}"]
-    streams = ShiftedStreams(addresses, blocks)
-    return _partition_hits(streams, fine_counts, max_ways, cross_check)
+        raise ConfigurationError(f"cube spill bundle {digest} vanished mid-reduce")
+    if shifted:
+        return ShiftedStreams(arrays[segment], blocks)
+    return {B: arrays[f"{segment}b{B}"] for B in blocks}
 
 
-# -- wave-dispatched reduce with serial fallback -------------------------------
+def _run_task(item: Tuple[Any, ...]) -> Tuple[Dict[int, Any], float]:
+    """Worker task: one coarse slice, ``A = 1`` check or fine partition.
+
+    Returns ``({block_words: counts}, wall seconds)``: hit curves by set
+    count for cube tasks, the direct-mapped miss axis for checks.
+    """
+    locator, kind, segment, counts, max_ways = item
+    started = time.perf_counter()
+    if kind == "fine":
+        _maybe_fault(int(segment[1:]))
+    streams = _task_streams(locator, segment, tuple(counts))
+    if kind == "check":
+        value: Dict[int, Any] = {
+            B: direct_mapped_miss_sweep(streams[B], wanted)
+            for B, wanted in counts.items()
+        }
+    else:
+        cube = miss_cube(streams, counts, max_ways)
+        value = {B: dict(cube.hits[B]) for B in cube.block_words}
+    return value, time.perf_counter() - started
 
 
-def _reduce_partitions(
-    items: Sequence[Any],
-    reducer,
-    fallback,
+# -- one build: spill, map, merge, check ---------------------------------------
+
+
+@contextmanager
+def _spill_bundle(
+    spill_dir: Optional[Path], shifted: bool
+) -> Iterator[Tuple[StreamingBundleWriter, _Locator]]:
+    """A fresh spill bundle writer and its locator; the bundle (and an
+    own directory) is removed on exit."""
+    own = spill_dir is None
+    root = (
+        Path(tempfile.mkdtemp(prefix="repro-cubepart-")) if own else Path(spill_dir)
+    )
+    digest = f"cubepart-{uuid.uuid4().hex[:16]}"
+    writer = StreamingBundleWriter(digest, cache_dir=root)
+    try:
+        yield writer, (digest, str(root), shifted)
+    finally:
+        writer.abort()  # drops an unfinished bundle; harmless once finalized
+        delete_entry(digest, cache_dir=root)
+        if own:
+            shutil.rmtree(root, ignore_errors=True)
+
+
+def _run_build(
+    locator: _Locator,
+    tasks: Sequence[_Task],
+    per_block: Mapping[int, Sequence[int]],
+    references: Mapping[int, int],
+    max_ways: int,
+    partitions: int,
     executor: SweepExecutor,
     tracer,
-) -> List[Dict[int, Dict[int, np.ndarray]]]:
-    """Map partition tasks in jobs-sized waves, degrading to the parent.
+) -> MissCube:
+    """Map the task list on the executor, merge, and check ``A = 1``.
 
-    Waves keep long reduces observable (one ``cube.progress`` heartbeat
-    per wave) and bound how much work an executor failure can lose.  A
-    pool that breaks twice without progress (the executor's
-    ``ConfigurationError``) — or a worker that cannot see its buffers —
-    drops to an in-parent serial recompute of the affected partitions,
+    One ``chunk_size=1`` map lets idle workers take the next task in
+    list order.  A pool that breaks for good (the executor's
+    ``ConfigurationError``) drops to the parent running the whole list,
     which produces identical counts by construction.
     """
-    results: List[Optional[Dict[int, Dict[int, np.ndarray]]]] = [None] * len(items)
-    wave = max(1, executor.jobs)
+    items = [
+        (locator, kind, segment, counts, max_ways) for kind, segment, counts in tasks
+    ]
+    seconds = dict.fromkeys(TASK_KINDS, 0.0)
     with tracer.span(
         "cube.reduce",
-        partitions=len(items),
+        tasks=len(items),
+        partitions=partitions,
         backend=executor.backend,
         jobs=executor.jobs,
     ) as span:
-        reduced = 0
-        for start in range(0, len(items), wave):
-            batch = list(items[start : start + wave])
-            try:
-                mapped = executor.map(reducer, batch)
-            except ConfigurationError:
-                # The worker pool is unrecoverable; finish serially.
-                remaining = len(items) - start
-                span.count("fallback_partitions", remaining)
-                with tracer.span(
-                    "cube.serial_fallback", partitions=remaining
-                ):
-                    for index in range(start, len(items)):
-                        results[index] = fallback(index)
-                        reduced += 1
-                with tracer.span("cube.progress", stage="reduce") as beat:
-                    beat.count("partitions_reduced", reduced)
-                break
-            for offset, value in enumerate(mapped):
-                index = start + offset
-                if value is None:
-                    # The worker could not see the shared buffers
-                    # (spawned pool, pre-export fork) — recompute here.
-                    span.count("fallback_partitions")
-                    value = fallback(index)
-                results[index] = value
-                reduced += 1
-            with tracer.span("cube.progress", stage="reduce") as beat:
-                beat.count("partitions_reduced", reduced)
-    return [result for result in results if result is not None]
+        span.count("fallback_tasks", 0)
+        try:
+            outcomes = executor.map(_run_task, items, chunk_size=1)
+        except ConfigurationError:
+            span.count("fallback_tasks", len(items))
+            with tracer.span("cube.serial_fallback", tasks=len(items)):
+                outcomes = [_run_task(item) for item in items]
+        for (kind, _, _), (_, wall) in zip(tasks, outcomes):
+            seconds[kind] += wall
+        for kind, wall in seconds.items():
+            span.count(f"{kind}_s", wall)
+        with tracer.span("cube.progress", stage="reduce") as beat:
+            beat.count(
+                "partitions_reduced", sum(kind == "fine" for kind, _, _ in tasks)
+            )
+        coarse = [B for kind, _, counts in tasks if kind == "coarse" for B in counts]
+        if coarse:
+            with tracer.span(
+                "cube.coarse",
+                blocks=",".join(str(B) for B in sorted(set(coarse))),
+                levels=len(coarse),
+            ) as residue:
+                residue.count("worker_s", seconds["coarse"])
 
-
-def _merge_partition_hits(
-    fine: Mapping[int, Sequence[int]],
-    max_ways: int,
-    partition_hits: Iterable[Mapping[int, Mapping[int, np.ndarray]]],
-) -> Dict[int, Dict[int, np.ndarray]]:
-    """Exact merge: per-geometry integer hit curves sum across partitions."""
-    merged: Dict[int, Dict[int, np.ndarray]] = {}
-    for B, counts in fine.items():
-        merged[B] = {
-            S: np.zeros(max_ways + 1, dtype=np.int64) for S in counts
-        }
-    for hits in partition_hits:
-        for B, per_sets in hits.items():
+    merged: Dict[int, Dict[int, np.ndarray]] = {B: {} for B in references}
+    axes: Dict[int, Dict[int, int]] = {}
+    for (kind, _, _), (value, _) in zip(tasks, outcomes):
+        if kind == "check":
+            axes.update(value)
+            continue
+        for B, per_sets in value.items():
             for S, curve in per_sets.items():
-                merged[B][S] += np.asarray(curve, dtype=np.int64)
-    return merged
+                total = merged[B].get(S)
+                merged[B][S] = curve if total is None else total + curve
+    hits = {
+        B: {S: merged[B][S] for S in checked_levels(per_block[B])}
+        for B in references
+    }
+    cube = MissCube(references=dict(references), max_ways=max_ways, hits=hits)
+    for B, axis in axes.items():
+        cube.check_base(B, axis, "cubepart")
+    return cube
 
 
 # -- in-memory form ------------------------------------------------------------
@@ -340,92 +374,54 @@ def partitioned_miss_cube(
 
     Bit-identical to the serial engine on the same inputs.  Each block
     size's stream is scattered by the low ``log2(partitions)`` block
-    bits; set counts ``S >= partitions`` are reduced per partition (in
-    parallel when ``executor`` is) and summed, the rest — inherently
-    global — run through the serial engine in the parent.  Partition
-    buffers reach forked workers through the shared-memory registry
-    (:data:`~repro.engine.shm.SHARED_BUNDLES`), never by pickling.
+    bits into a spill bundle; set counts ``S >= partitions`` are
+    reduced per partition and summed, the rest — inherently global —
+    are whole-stream slices.  Every task runs on ``executor`` (in the
+    parent when it is serial).  With ``cross_check``, every block size's
+    ``A = 1`` base is also checked against a whole-stream
+    :func:`~repro.cache.fastsim.direct_mapped_miss_sweep`, one more task
+    per block size.
     """
     blocks = checked_block_words(list(streams))
     per_block = _normalized_set_counts(blocks, set_counts)
     partitions = _checked_partitions(partitions)
-    if partitions == 1:
-        return miss_cube(streams, set_counts, max_ways)
     executor = executor if executor is not None else SweepExecutor()
     tracer = tracer if tracer is not None else NULL_TRACER
-    partition_bits = log2_int(partitions)
     fine, coarse = _split_fine_coarse(
-        per_block, partition_bits, {B: 0 for B in blocks}
+        per_block, log2_int(partitions), {B: 0 for B in blocks}
     )
-    fine_blocks = tuple(B for B in blocks if fine[B])
+    tasks = _task_list(fine, coarse, per_block if cross_check else {}, partitions)
+    whole = {B for _, segment, counts in tasks if segment == "full" for B in counts}
     references = {B: len(streams[B]) for B in blocks}
 
-    token = f"{_SHM_PREFIX}-{uuid.uuid4().hex[:16]}"
-    parts: List[Dict[int, np.ndarray]] = [dict() for _ in range(partitions)]
-    with tracer.span(
-        "cube.partition", partitions=partitions, backend="memory"
-    ) as span:
-        for B in fine_blocks:
-            stream = np.asarray(streams[B], dtype=np.int64)
-            span.count("references", len(stream))
-            key = stream & (partitions - 1)
-            for index in range(partitions):
-                parts[index][B] = stream[key == index]
-            del stream, key
-
-    exported = False
-    try:
-        for index in range(partitions):
-            _LOCAL_PARTS[(token, index)] = parts[index]
-        if executor.is_parallel and fine_blocks:
-            for index in range(partitions):
-                SHARED_BUNDLES.export(
-                    token,
-                    f"p{index:03d}",
-                    {f"b{B}": array for B, array in parts[index].items()},
-                )
-            exported = True
-        fine_counts = {B: tuple(fine[B]) for B in fine_blocks}
-        items = [
-            (token, token, index, fine_counts, int(max_ways), cross_check)
-            for index in range(partitions)
-        ]
-        if fine_blocks:
-            partition_hits = _reduce_partitions(
-                items,
-                _reduce_shared,
-                lambda index: _partition_hits(
-                    parts[index], fine_counts, int(max_ways), cross_check
-                ),
-                executor,
-                tracer,
-            )
-        else:
-            partition_hits = []
-    finally:
-        for index in range(partitions):
-            _LOCAL_PARTS.pop((token, index), None)
-        if exported:
-            SHARED_BUNDLES.retire(token)
-
-    hits = _merge_partition_hits(fine, max_ways, partition_hits)
-    if any(coarse.values()):
-        coarse_blocks = [B for B in blocks if coarse[B]]
+    with _spill_bundle(None, shifted=False) as (writer, locator):
         with tracer.span(
-            "cube.coarse",
-            blocks=",".join(str(B) for B in coarse_blocks),
-            levels=sum(len(coarse[B]) for B in coarse_blocks),
-        ):
-            residue = miss_cube(
-                {B: streams[B] for B in coarse_blocks},
-                {B: coarse[B] for B in coarse_blocks},
-                max_ways,
-            )
-        for B in coarse_blocks:
-            hits.setdefault(B, {}).update(residue.hits[B])
-    for B in blocks:
-        hits.setdefault(B, {})
-    return MissCube(references=references, max_ways=int(max_ways), hits=hits)
+            "cube.partition", partitions=partitions, form="streams"
+        ) as span:
+            for B in blocks:
+                if B not in whole and not fine[B]:
+                    continue
+                stream = np.asarray(streams[B], dtype=np.int64)
+                if B in whole:
+                    writer.append(f"fullb{B}", stream)
+                if fine[B]:
+                    span.count("references", len(stream))
+                    key = stream & (partitions - 1)
+                    for index in range(partitions):
+                        writer.append(f"p{index:03d}b{B}", stream[key == index])
+                del stream
+        if tasks:
+            writer.finalize()
+        return _run_build(
+            locator,
+            tasks,
+            per_block,
+            references,
+            int(max_ways),
+            partitions,
+            executor,
+            tracer,
+        )
 
 
 # -- out-of-core form ----------------------------------------------------------
@@ -466,14 +462,12 @@ def partitioned_miss_cube_from_addresses(
     chunks; the partition pass consumes it in O(``chunk_refs``) memory,
     scattering by the coarsest block size's low partition bits into
     per-partition spill segments (:class:`~repro.trace.io.
-    StreamingBundleWriter`).  Reduce workers memory-map the finalized
-    spill — locators are pickled, buffers never are — and run the
-    unmodified serial engine per partition (each one also cross-checked
-    against the independent ``A = 1`` sweep unless ``cross_check`` is
-    off).  Set counts below the closure threshold are the coarse
-    residue: the serial engine answers them in the parent, from the
-    original array when it is addressable or from a full spill segment
-    written during the same single pass otherwise.
+    StreamingBundleWriter`), and writes the whole stream alongside when
+    a coarse residue slice or the cross-check reads it.  Every task
+    memory-maps its segment — locators are pickled, buffers never are —
+    and runs the unmodified serial engine, or (``cross_check``, on by
+    default) the independent whole-stream ``A = 1`` sweep per block
+    size.
     """
     blocks = checked_block_words(block_words)
     per_block = _normalized_set_counts(blocks, set_counts)
@@ -484,119 +478,52 @@ def partitioned_miss_cube_from_addresses(
         raise ConfigurationError(
             f"chunk_refs must be at least 1, got {chunk_refs}"
         )
-    partition_bits = log2_int(partitions)
     largest = blocks[-1]
     extra_bits = {B: log2_int(largest // B) for B in blocks}
-    fine, coarse = _split_fine_coarse(per_block, partition_bits, extra_bits)
-    fine_blocks = tuple(B for B in blocks if fine[B])
-    fine_counts = {B: tuple(fine[B]) for B in fine_blocks}
-    random_access = isinstance(addresses, np.ndarray)
-    need_full_spill = any(coarse.values()) and not random_access
+    fine, coarse = _split_fine_coarse(per_block, log2_int(partitions), extra_bits)
+    tasks = _task_list(fine, coarse, per_block if cross_check else {}, partitions)
+    need_full = any(segment == "full" for _, segment, _ in tasks)
+    need_parts = any(kind == "fine" for kind, _, _ in tasks)
     if progress_refs is None:
         progress_refs = 8 * chunk_refs
 
-    own_spill = spill_dir is None
-    spill_root = (
-        Path(tempfile.mkdtemp(prefix="repro-cubepart-"))
-        if own_spill
-        else Path(spill_dir)
-    )
-    digest = f"{_SHM_PREFIX}-{uuid.uuid4().hex[:16]}"
     shift = log2_int(largest * WORD_BYTES)
     consumed = 0
-    try:
-        writer = StreamingBundleWriter(digest, cache_dir=spill_root)
-        try:
-            with tracer.span(
-                "cube.partition", partitions=partitions, backend="spill"
-            ) as span:
-                since_beat = 0
-                for chunk in _iter_address_chunks(addresses, chunk_refs):
-                    chunk = np.asarray(chunk, dtype=np.int64)
-                    if not len(chunk):
-                        continue
-                    if need_full_spill:
-                        writer.append("full", chunk)
+    with _spill_bundle(spill_dir, shifted=True) as (writer, locator):
+        with tracer.span(
+            "cube.partition", partitions=partitions, form="addresses"
+        ) as span:
+            since_beat = 0
+            for chunk in _iter_address_chunks(addresses, chunk_refs):
+                chunk = np.asarray(chunk, dtype=np.int64)
+                if not len(chunk):
+                    continue
+                if need_full:
+                    writer.append("full", chunk)
+                if need_parts:
                     key = (chunk >> shift) & (partitions - 1)
                     for index in range(partitions):
                         writer.append(f"p{index:03d}", chunk[key == index])
-                    consumed += len(chunk)
-                    since_beat += len(chunk)
-                    span.count("references", len(chunk))
-                    span.count("chunks")
-                    if since_beat >= progress_refs:
-                        with tracer.span(
-                            "cube.progress", stage="partition"
-                        ) as beat:
-                            beat.count("references_consumed", consumed)
-                        since_beat = 0
-            if consumed == 0:
-                empty = np.empty(0, dtype=np.int64)
-                writer.abort()
-                return miss_cube(
-                    {B: empty for B in blocks}, per_block, max_ways
-                )
+                consumed += len(chunk)
+                since_beat += len(chunk)
+                span.count("references", len(chunk))
+                span.count("chunks")
+                if since_beat >= progress_refs:
+                    with tracer.span("cube.progress", stage="partition") as beat:
+                        beat.count("references_consumed", consumed)
+                    since_beat = 0
+        if consumed == 0:
+            empty = np.empty(0, dtype=np.int64)
+            return miss_cube({B: empty for B in blocks}, per_block, max_ways)
+        if tasks:
             writer.finalize()
-        except BaseException:
-            writer.abort()
-            raise
-
-        spilled = load_arrays(digest, cache_dir=spill_root)
-        if spilled is None:
-            raise ConfigurationError(
-                f"cube spill bundle {digest} vanished before the reduce"
-            )
-        items = [
-            (
-                digest,
-                str(spill_root),
-                index,
-                fine_blocks,
-                fine_counts,
-                int(max_ways),
-                cross_check,
-            )
-            for index in range(partitions)
-        ]
-        if fine_blocks:
-            partition_hits = _reduce_partitions(
-                items,
-                _reduce_spilled,
-                lambda index: _partition_hits(
-                    ShiftedStreams(spilled[f"p{index:03d}"], fine_blocks),
-                    fine_counts,
-                    int(max_ways),
-                    cross_check,
-                ),
-                executor,
-                tracer,
-            )
-        else:
-            partition_hits = []
-
-        hits = _merge_partition_hits(fine, max_ways, partition_hits)
-        if any(coarse.values()):
-            coarse_blocks = [B for B in blocks if coarse[B]]
-            full = addresses if random_access else spilled["full"]
-            with tracer.span(
-                "cube.coarse",
-                blocks=",".join(str(B) for B in coarse_blocks),
-                levels=sum(len(coarse[B]) for B in coarse_blocks),
-            ):
-                residue = miss_cube(
-                    ShiftedStreams(full, coarse_blocks),
-                    {B: coarse[B] for B in coarse_blocks},
-                    max_ways,
-                )
-            for B in coarse_blocks:
-                hits.setdefault(B, {}).update(residue.hits[B])
-        for B in blocks:
-            hits.setdefault(B, {})
-        references = {B: consumed for B in blocks}
-        return MissCube(
-            references=references, max_ways=int(max_ways), hits=hits
+        return _run_build(
+            locator,
+            tasks,
+            per_block,
+            {B: consumed for B in blocks},
+            int(max_ways),
+            partitions,
+            executor,
+            tracer,
         )
-    finally:
-        delete_entry(digest, cache_dir=spill_root)
-        if own_spill:
-            shutil.rmtree(spill_root, ignore_errors=True)

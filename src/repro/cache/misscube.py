@@ -186,6 +186,26 @@ class MissCube:
         """Miss count at fixed capacity: ``size_blocks / ways`` sets."""
         return self.plane(block_words).capacity_misses(size_blocks, ways)
 
+    def check_base(
+        self, block_words: int, axis: Mapping[int, int], label: str
+    ) -> None:
+        """Fail unless the ``A = 1`` base equals a direct-mapped sweep.
+
+        ``axis`` is :func:`~repro.cache.fastsim.direct_mapped_miss_sweep`
+        over the same stream.  Both claim to be exact, by two unrelated
+        algorithms (stack distances vs. adjacent-tag comparison), so a
+        disagreement means one of them is wrong: a fatal ``RuntimeError``
+        naming ``label``, never a warning.
+        """
+        for num_sets, expected in axis.items():
+            got = self.misses(block_words, num_sets, 1)
+            if got != expected:
+                raise RuntimeError(
+                    f"{label}: cube A=1 base disagrees with the "
+                    f"direct-mapped sweep at B={block_words}, "
+                    f"{num_sets} sets ({got} != {expected})"
+                )
+
 
 class ShiftedStreams(Mapping):
     """Lazy ``{block_words: block index stream}`` views of one address stream.

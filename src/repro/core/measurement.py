@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,7 +62,6 @@ from repro.cache.geometry import (
 from repro.cache.misscube import (
     MISS_CUBE_VERSION,
     MissCube,
-    ShiftedStreams,
     capacity_set_counts,
     miss_cube,
 )
@@ -743,53 +742,19 @@ class SuiteMeasurement:
             )
         return capacity
 
-    def _cube_executor(self) -> SweepExecutor:
+    def _partitioned(self, build: Callable[..., MissCube], *args: Any) -> MissCube:
+        """One set-partitioned cube build on a fresh worker pool.
+
+        ``build`` is a :mod:`repro.cache.cubepart` form.  Its
+        ``cross_check`` task list includes the whole-stream ``A = 1``
+        sweep per block size, so the build comes back already checked
+        (the serial path runs :meth:`_check_cube_base` instead).
+        """
         executor = SweepExecutor(jobs=self.cube_jobs, backend="process")
         executor.tracer = self.tracer
-        return executor
-
-    def _build_cube(
-        self,
-        streams: Mapping[int, np.ndarray],
-        set_counts: Mapping[int, Sequence[int]],
-        ways: int,
-    ) -> MissCube:
-        """One cube build: serial engine, or set-partitioned at cube_jobs > 1.
-
-        Both paths produce bit-identical counts (the partitioned merge
-        is an exact integer sum), so the choice never shows in a stored
-        artifact — only in wall-clock and peak memory.
-        """
-        if self.cube_jobs <= 1:
-            return miss_cube(streams, set_counts, ways)
-        executor = self._cube_executor()
         try:
-            return partitioned_miss_cube(
-                streams, set_counts, ways, executor=executor, tracer=self.tracer
-            )
-        finally:
-            executor.shutdown()
-
-    def _build_cube_from_addresses(
-        self,
-        addresses: np.ndarray,
-        blocks: Tuple[int, ...],
-        set_counts: Mapping[int, Sequence[int]],
-        ways: int,
-    ) -> MissCube:
-        """Address-stream cube build, out-of-core at cube_jobs > 1."""
-        if self.cube_jobs <= 1:
-            return miss_cube(ShiftedStreams(addresses, blocks), set_counts, ways)
-        executor = self._cube_executor()
-        try:
-            return partitioned_miss_cube_from_addresses(
-                addresses,
-                blocks,
-                set_counts,
-                ways,
-                executor=executor,
-                tracer=self.tracer,
-                cross_check=False,  # _check_cube_base covers the whole stream
+            return build(
+                *args, executor=executor, tracer=self.tracer, cross_check=True
             )
         finally:
             executor.shutdown()
@@ -797,25 +762,15 @@ class SuiteMeasurement:
     def _check_cube_base(
         self, kind: str, cube: MissCube, streams: Mapping[int, np.ndarray]
     ) -> None:
-        """Every A=1 base of the cube must match the direct-mapped sweep.
+        """Every A=1 base of a serially built cube must match the
+        direct-mapped sweep (:meth:`MissCube.check_base`).
 
-        Both claim to be exact over the same streams, by two unrelated
-        algorithms (stack distances vs. adjacent-tag comparison) — a
-        disagreement means one of them is wrong, so it is fatal rather
-        than a warning.  This is also what pins every cube-backed
-        experiment output to the retired per-axis simulation bit for
-        bit.
+        This is also what pins every cube-backed experiment output to
+        the retired per-axis simulation bit for bit.
         """
         for block_words, stream in streams.items():
             axis = direct_mapped_miss_sweep(stream, cube.set_counts(block_words))
-            for num_sets, expected in axis.items():
-                got = cube.misses(block_words, num_sets, 1)
-                if got != expected:
-                    raise RuntimeError(
-                        f"{kind}: cube A=1 base disagrees with the "
-                        f"direct-mapped sweep at B={block_words}, "
-                        f"{num_sets} sets ({got} != {expected})"
-                    )
+            cube.check_base(block_words, axis, kind)
 
     def _register_cube(
         self,
@@ -882,7 +837,11 @@ class SuiteMeasurement:
             ) as span:
                 span.count("block_sizes", len(blocks))
                 span.count("references", sum(len(s) for s in streams.values()))
-                cube = self._build_cube(streams, set_counts, ways)
+                if self.cube_jobs > 1:
+                    return self._partitioned(
+                        partitioned_miss_cube, streams, set_counts, ways
+                    )
+                cube = miss_cube(streams, set_counts, ways)
             self._check_cube_base("imiss_cube", cube, streams)
             return cube
 
@@ -932,18 +891,16 @@ class SuiteMeasurement:
                     # block stream per block size.
                     addresses = self.dstream_address_bundle()
                     span.count("references", len(blocks) * len(addresses))
-                    streams: Mapping[int, np.ndarray] = ShiftedStreams(
-                        addresses, blocks
+                    return self._partitioned(
+                        partitioned_miss_cube_from_addresses,
+                        addresses,
+                        blocks,
+                        set_counts,
+                        ways,
                     )
-                    cube = self._build_cube_from_addresses(
-                        addresses, blocks, set_counts, ways
-                    )
-                else:
-                    streams = {B: self.dstream_blocks(B) for B in blocks}
-                    span.count(
-                        "references", sum(len(s) for s in streams.values())
-                    )
-                    cube = miss_cube(streams, set_counts, ways)
+                streams = {B: self.dstream_blocks(B) for B in blocks}
+                span.count("references", sum(len(s) for s in streams.values()))
+                cube = miss_cube(streams, set_counts, ways)
             self._check_cube_base("dmiss_cube", cube, streams)
             return cube
 
@@ -989,12 +946,10 @@ class SuiteMeasurement:
             raise geometry_error(
                 f"{ways} ways do not divide {size_blocks} blocks", context
             )
-        entry = self._cube_index.get((side, slots, block_words))
-        if (
-            entry is not None
-            and entry["capacity_words"] >= size_blocks * block_words
-            and entry["max_ways"] >= ways
-        ):
+        entry = self._covering_cube(
+            side, slots, block_words, size_blocks * block_words, ways
+        )
+        if entry is not None:
             blocks = entry["blocks"]
             capacity = entry["capacity_words"]
             max_ways = entry["max_ways"]
@@ -1002,11 +957,61 @@ class SuiteMeasurement:
             blocks = (block_words,)
             capacity = size_blocks * block_words
             max_ways = ways
-        if side == "I":
-            cube = self.icache_miss_cube(slots, blocks, capacity, max_ways)
-        else:
-            cube = self.dcache_miss_cube(blocks, capacity, max_ways)
+        cube = self._side_cube(side, slots, blocks, capacity, max_ways)
         return cube.capacity_misses(block_words, size_blocks, ways)
+
+    def warm_miss_cube(
+        self,
+        side: str,
+        block_words: Sequence[int],
+        capacity_words: int,
+        slots: Optional[int] = None,
+    ) -> None:
+        """Build one stream family's cube ahead of a grid's queries.
+
+        Skipped when built cubes already cover every block size up to
+        ``capacity_words``: the grid's :meth:`misses` queries then hit
+        those cubes, and a narrower cube under its own artifact key
+        would only repeat their work.
+        """
+        blocks = tuple(block_words)
+        if all(
+            self._covering_cube(side, slots, B, capacity_words, 1) is not None
+            for B in blocks
+        ):
+            return
+        self._side_cube(side, slots, blocks, capacity_words, None)
+
+    def _covering_cube(
+        self,
+        side: str,
+        slots: Optional[int],
+        block_words: int,
+        capacity_words: int,
+        ways: int,
+    ) -> Optional[Dict[str, int]]:
+        """The index entry of a built cube that answers one block size up
+        to ``capacity_words`` and ``ways``, or None."""
+        entry = self._cube_index.get((side, slots, block_words))
+        if (
+            entry is not None
+            and entry["capacity_words"] >= capacity_words
+            and entry["max_ways"] >= ways
+        ):
+            return entry
+        return None
+
+    def _side_cube(
+        self,
+        side: str,
+        slots: Optional[int],
+        blocks: Sequence[int],
+        capacity_words: Optional[int],
+        max_ways: Optional[int],
+    ) -> MissCube:
+        if side == "I":
+            return self.icache_miss_cube(slots, blocks, capacity_words, max_ways)
+        return self.dcache_miss_cube(blocks, capacity_words, max_ways)
 
     # -- reporting ---------------------------------------------------------------
 

@@ -198,7 +198,8 @@ class DesignOptimizer:
         cube up front — every block size of the grid in one engine pass
         — turns every per-point miss lookup during evaluation into a
         store hit, and surfaces the engine cost as its own spans instead
-        of hiding it inside the first evaluated point.
+        of hiding it inside the first evaluated point.  A family that
+        cubes built earlier already cover is skipped.
         """
         icache_grid: Dict[int, Dict[str, set]] = {}
         dcache_grid: Dict[str, set] = {"blocks": set(), "words": set()}
@@ -211,15 +212,12 @@ class DesignOptimizer:
             dcache_grid["blocks"].add(config.block_words)
             dcache_grid["words"].add(kw_to_words(config.dcache_kw))
         for slots, side in sorted(icache_grid.items()):
-            self.measurement.icache_miss_cube(
-                slots,
-                sorted(side["blocks"]),
-                capacity_words=max(side["words"]),
+            self.measurement.warm_miss_cube(
+                "I", sorted(side["blocks"]), max(side["words"]), slots=slots
             )
         if dcache_grid["blocks"]:
-            self.measurement.dcache_miss_cube(
-                sorted(dcache_grid["blocks"]),
-                capacity_words=max(dcache_grid["words"]),
+            self.measurement.warm_miss_cube(
+                "D", sorted(dcache_grid["blocks"]), max(dcache_grid["words"])
             )
 
     def _prefill_parallel(self, configs: Sequence[SystemConfig]) -> bool:

@@ -62,7 +62,8 @@ DEFAULT_SCALE_AXIS = (
 #: serial engine and asserts the partitioned cube bit-identical to it.
 #: Past this the serial pass is skipped (that is the point of the
 #: partitioned engine) and the partitioned build carries its
-#: per-partition A=1 cross-check instead.
+#: whole-stream A=1 cross-check instead: one direct-mapped sweep per
+#: block size, run as tasks on the same worker pool.
 DEFAULT_SERIAL_LIMIT = 400_000_000
 
 
@@ -219,11 +220,11 @@ def run_scale_benchmark(
     ``serial_limit`` also run the serial one-shot engine and the two
     cubes are asserted **bit-identical** (fatal otherwise); above the
     limit the serial pass is skipped and the partitioned build keeps its
-    per-partition ``A = 1`` cross-check against the independent
-    direct-mapped sweep.  Each budget runs in a fresh spawned process
-    whose peak RSS (itself and its cube workers) is recorded, so the
-    ledger shows each budget's own memory rather than the largest
-    earlier one.  The budgets share ``cache_dir``, so only the first one
+    whole-stream ``A = 1`` cross-check against the independent
+    direct-mapped sweep (one more task per block size on its pool).
+    Each budget runs in a fresh spawned process whose peak RSS (itself
+    and its cube workers) is recorded, so the ledger shows each
+    budget's own memory rather than the largest earlier one.  The budgets share ``cache_dir``, so only the first one
     synthesizes the programs.  ``specs`` narrows the suite (default:
     Table 1).
     """

@@ -18,6 +18,7 @@ from repro.cache.cubepart import (
     partitioned_miss_cube,
     partitioned_miss_cube_from_addresses,
 )
+from repro.cache.fastsim import addresses_to_blocks
 from repro.cache.misscube import (
     capacity_set_counts,
     miss_cube,
@@ -42,14 +43,30 @@ def assert_cubes_identical(expected, got):
             assert np.array_equal(expected.hits[B][S], got.hits[B][S]), (B, S)
 
 
-def _span_names(roots):
-    names = set()
+def _spans(roots, name=None):
+    found = []
     stack = list(roots)
     while stack:
         span = stack.pop()
-        names.add(span.name)
+        if name is None or span.name == name:
+            found.append(span)
         stack.extend(span.children)
-    return names
+    return found
+
+
+def span_names(roots):
+    return {span.name for span in _spans(roots)}
+
+
+def off_by_one(sweep):
+    """A direct-mapped sweep that counts one miss too many at one size."""
+
+    def wrong(stream, set_counts):
+        axis = sweep(stream, set_counts)
+        axis[max(axis)] += 1
+        return axis
+
+    return wrong
 
 
 class TestPartitionedEqualsSerial:
@@ -130,7 +147,7 @@ class TestPartitionedEqualsSerial:
     def test_coarse_residue_full_capacity_grid(self):
         # capacity_set_counts covers every level down to one set, so
         # partitioning leaves a coarse residue at every block size; the
-        # residue must come back from the serial in-parent pass exactly.
+        # residue must come back from its whole-stream slices exactly.
         rng = np.random.default_rng(3)
         addrs = rng.integers(0, 1 << 15, size=20000).astype(np.int64)
         counts = capacity_set_counts(BLOCKS, 8192)
@@ -200,7 +217,7 @@ class TestParallelWorkers:
         finally:
             executor.shutdown()
         assert_cubes_identical(serial, got)
-        assert "cube.serial_fallback" in _span_names(tracer.roots)
+        assert "cube.serial_fallback" in span_names(tracer.roots)
 
     def test_every_partition_faulting_still_identical(self, monkeypatch):
         rng = np.random.default_rng(13)
@@ -225,7 +242,7 @@ class TestParallelWorkers:
             is_serial = False
             is_parallel = True
 
-            def map(self, fn, items):
+            def map(self, fn, items, chunk_size=None):
                 raise ConfigurationError("sweep worker pool crashed twice")
 
         rng = np.random.default_rng(14)
@@ -236,6 +253,104 @@ class TestParallelWorkers:
             addrs, BLOCKS, counts, 4, partitions=4, executor=_DeadExecutor()
         )
         assert_cubes_identical(serial, got)
+
+    def test_pool_runs_every_task_even_when_an_earlier_build_forked_it(
+        self, monkeypatch
+    ):
+        # Production capacity grids have a coarse residue, and the
+        # cross-check walks the whole stream: every one of those tasks,
+        # like every fine partition, must run in a worker -- also on a
+        # pool that an earlier build forked before this build's arrays
+        # existed (bench_cube's repeats reuse one executor that way).
+        rng = np.random.default_rng(17)
+        addrs = rng.integers(0, 1 << 14, size=20000).astype(np.int64)
+        counts = capacity_set_counts(BLOCKS, 4096)
+        streams = {B: addresses_to_blocks(addrs, B) for B in BLOCKS}
+        expected = miss_cube_from_addresses(addrs, BLOCKS, counts, 8)
+        in_parent = []
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                in_parent.append(name)  # a worker appends to its own copy
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(cubepart, "miss_cube", spy("miss_cube", miss_cube))
+        monkeypatch.setattr(
+            cubepart,
+            "direct_mapped_miss_sweep",
+            spy("sweep", cubepart.direct_mapped_miss_sweep),
+        )
+        executor = SweepExecutor(jobs=2)
+        tracer = Tracer()
+        try:
+            builds = [
+                partitioned_miss_cube_from_addresses(
+                    addrs, BLOCKS, counts, 8, executor=executor, tracer=tracer
+                ),
+                partitioned_miss_cube_from_addresses(
+                    addrs, BLOCKS, counts, 8, executor=executor, tracer=tracer
+                ),
+                partitioned_miss_cube(
+                    streams,
+                    counts,
+                    8,
+                    executor=executor,
+                    tracer=tracer,
+                    cross_check=True,
+                ),
+            ]
+        finally:
+            executor.shutdown()
+        for got in builds:
+            assert_cubes_identical(expected, got)
+        assert in_parent == []
+        reduces = _spans(tracer.roots, "cube.reduce")
+        assert len(reduces) == 3
+        for span in reduces:
+            assert span.counters["fallback_tasks"] == 0
+        assert "cube.serial_fallback" not in span_names(tracer.roots)
+
+
+class TestCrossCheck:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_disagreeing_sweep_is_fatal_in_both_forms(self, monkeypatch, jobs):
+        monkeypatch.setattr(
+            cubepart,
+            "direct_mapped_miss_sweep",
+            off_by_one(cubepart.direct_mapped_miss_sweep),
+        )
+        rng = np.random.default_rng(18)
+        addrs = rng.integers(0, 1 << 12, size=6000).astype(np.int64)
+        counts = capacity_set_counts(BLOCKS, 1024)
+        streams = {B: addresses_to_blocks(addrs, B) for B in BLOCKS}
+        executor = SweepExecutor(jobs=jobs)
+        try:
+            with pytest.raises(RuntimeError, match="A=1 base disagrees"):
+                partitioned_miss_cube_from_addresses(
+                    addrs, BLOCKS, counts, 4, executor=executor, cross_check=True
+                )
+            with pytest.raises(RuntimeError, match="A=1 base disagrees"):
+                partitioned_miss_cube(
+                    streams, counts, 4, executor=executor, cross_check=True
+                )
+        finally:
+            executor.shutdown()
+
+    def test_no_cross_check_runs_no_sweep(self, monkeypatch):
+        def forbidden(stream, set_counts):
+            raise AssertionError("cross_check=False ran the A=1 sweep")
+
+        monkeypatch.setattr(cubepart, "direct_mapped_miss_sweep", forbidden)
+        rng = np.random.default_rng(19)
+        addrs = rng.integers(0, 1 << 12, size=3000).astype(np.int64)
+        counts = capacity_set_counts(BLOCKS, 1024)
+        expected = miss_cube_from_addresses(addrs, BLOCKS, counts, 4)
+        got = partitioned_miss_cube_from_addresses(
+            addrs, BLOCKS, counts, 4, cross_check=False
+        )
+        assert_cubes_identical(expected, got)
 
 
 class TestObservability:
@@ -253,11 +368,34 @@ class TestObservability:
             tracer=tracer,
             progress_refs=1000,
         )
-        names = _span_names(tracer.roots)
+        names = span_names(tracer.roots)
         assert "cube.partition" in names
         assert "cube.reduce" in names
         assert "cube.progress" in names  # heartbeat for liveness
         assert "cube.coarse" in names  # capacity grid has sub-threshold levels
+
+    def test_reduce_attributes_worker_seconds_by_kind(self):
+        rng = np.random.default_rng(20)
+        addrs = rng.integers(0, 1 << 12, size=5000).astype(np.int64)
+        counts = capacity_set_counts(BLOCKS, 1024)
+        tracer = Tracer()
+        partitioned_miss_cube_from_addresses(
+            addrs, BLOCKS, counts, 4, partitions=8, tracer=tracer
+        )
+        (reduce,) = _spans(tracer.roots, "cube.reduce")
+        # 12 coarse slices (levels below 32/16/8 sets at B = 4/8/16),
+        # one A=1 sweep per block size, 8 partitions.
+        assert reduce.attrs["tasks"] == 12 + 3 + 8
+        for kind in ("coarse_s", "check_s", "fine_s"):
+            assert reduce.counters[kind] > 0
+        (coarse,) = _spans(tracer.roots, "cube.coarse")
+        assert coarse.attrs == {"blocks": "4,8,16", "levels": 12}
+        assert coarse.counters["worker_s"] == reduce.counters["coarse_s"]
+        (beat,) = [
+            s for s in _spans(tracer.roots, "cube.progress")
+            if "partitions_reduced" in s.counters
+        ]
+        assert beat.counters["partitions_reduced"] == 8
 
     def test_progress_counters_accumulate(self):
         rng = np.random.default_rng(16)

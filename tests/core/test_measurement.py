@@ -447,6 +447,31 @@ class TestPartitionedCubePath:
             session.dstream_address_bundle(), session.dstream_addresses()
         )
 
+    @pytest.mark.parametrize("cube_jobs", [1, 2])
+    @pytest.mark.parametrize("side", ["I", "D"])
+    def test_disagreeing_sweep_fails_the_build(
+        self, monkeypatch, side, cube_jobs
+    ):
+        # Serial builds check after the engine pass, partitioned builds
+        # inside their task list: a sweep one miss off is fatal in both.
+        import repro.cache.cubepart as cubepart
+        import repro.core.measurement as measurement_module
+
+        from tests.cache.test_cubepart import off_by_one
+
+        for module in (measurement_module, cubepart):
+            monkeypatch.setattr(
+                module,
+                "direct_mapped_miss_sweep",
+                off_by_one(module.direct_mapped_miss_sweep),
+            )
+        session = self._session(cube_jobs=cube_jobs)
+        with pytest.raises(RuntimeError, match="A=1 base disagrees"):
+            if side == "I":
+                session.icache_miss_cube(1, (4, 8), 4096, 4)
+            else:
+                session.dcache_miss_cube((4, 8), 4096, 4)
+
     def test_parallel_cubes_bit_identical_to_serial(self):
         serial = self._session()
         parallel = self._session(cube_jobs=2)

@@ -21,6 +21,7 @@ from repro.engine.executor import SweepExecutor
 from repro.errors import ConfigurationError
 from repro.obs import Tracer
 from repro.workload import benchmark_by_name
+from tests.cache.test_cubepart import span_names
 
 
 class TestTpi:
@@ -156,6 +157,25 @@ class TestOptimizer:
             )
             is not None
         )
+
+    def test_sweep_reuses_a_cube_that_covers_its_blocks(self):
+        # A wider D cube built first (blocks 4/8/16) answers a B = 4
+        # grid; the warm-up must not build a narrower duplicate of it.
+        session = SuiteMeasurement(
+            specs=[benchmark_by_name("small")],
+            total_instructions=60_000,
+            min_benchmark_instructions=30_000,
+            use_disk_cache=False,
+        )
+        session.dcache_miss_cube((4, 8, 16))
+        tracer = Tracer()
+        session.attach_tracer(tracer)
+        DesignOptimizer(session).sweep(
+            [SystemConfig(penalty=10, dcache_kw=kw) for kw in (1, 8, 32)]
+        )
+        names = span_names(tracer.roots)
+        assert "imiss.cube" in names
+        assert "dmiss.cube" not in names
 
     def test_best_independent_of_grid_order(self, optimizer):
         grid = optimizer.symmetric_grid(SystemConfig(penalty=10))
