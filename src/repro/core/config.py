@@ -8,12 +8,19 @@ penalty, and the branch/load delay hiding schemes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Any, Dict
 
 from repro.errors import ConfigurationError
 from repro.utils.units import is_power_of_two
 
-__all__ = ["BranchScheme", "LoadScheme", "PenaltyMode", "SystemConfig"]
+__all__ = [
+    "BranchScheme",
+    "LoadScheme",
+    "PenaltyMode",
+    "SystemConfig",
+    "config_to_params",
+]
 
 #: The paper studies depths 0..3.
 MAX_DELAY_SLOTS = 3
@@ -101,3 +108,21 @@ class SystemConfig:
         if cycle_time_ns <= 0:
             raise ConfigurationError("cycle time must be positive")
         return max(1, int(-(-self.penalty // cycle_time_ns)))  # ceil
+
+
+_FIELD_NAMES = tuple(field.name for field in fields(SystemConfig))
+
+
+def config_to_params(config: SystemConfig) -> Dict[str, Any]:
+    """A SystemConfig as plain JSON scalars (enums to their values).
+
+    The one rendering behind design-point artifact keys, journal records
+    and service query digests.  It equals ``dataclasses.asdict`` with
+    enums replaced by their values, key for key (same order, same
+    types), but reads the fields shallowly instead of deep-copying them.
+    """
+    params: Dict[str, Any] = {}
+    for name in _FIELD_NAMES:
+        value = getattr(config, name)
+        params[name] = value.value if isinstance(value, enum.Enum) else value
+    return params

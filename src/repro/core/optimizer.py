@@ -18,11 +18,10 @@ serial backend, in the same order.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.core.config import SystemConfig
+from repro.core.config import SystemConfig, config_to_params
 from repro.core.cpi_model import CpiModel
 from repro.core.frontier import (
     objective_value,
@@ -41,7 +40,13 @@ from repro.timing.technology import DEFAULT_TECHNOLOGY, Technology
 from repro.trace.io import cache_key
 from repro.utils.units import kw_to_words
 
-__all__ = ["DesignPoint", "DesignOptimizer", "Selection", "point_order_key"]
+__all__ = [
+    "DesignPoint",
+    "DesignOptimizer",
+    "Selection",
+    "point_order_key",
+    "tech_digest",
+]
 
 #: Per-side cache sizes the paper sweeps (KW).
 PAPER_SIDE_SIZES_KW = (1, 2, 4, 8, 16, 32)
@@ -51,12 +56,17 @@ PAPER_SIDE_SIZES_KW = (1, 2, 4, 8, 16, 32)
 DESIGN_POINT_VERSION = 2
 
 
-def _config_params(config: SystemConfig) -> Dict[str, object]:
-    """A SystemConfig as scalar artifact-key parameters (enums to values)."""
-    return {
-        name: value.value if isinstance(value, enum.Enum) else value
-        for name, value in asdict(config).items()
-    }
+def tech_digest(tech: Technology, phys: PhysicalTechnology) -> str:
+    """The technology half of every design-point key.
+
+    Both parameter sets key the point cache: a different energy
+    coefficient is a different design point, same as a different SRAM
+    speed.  ``phys_*`` prefixes keep the two namespaces disjoint.
+    """
+    return cache_key(
+        **asdict(tech),
+        **{f"phys_{name}": value for name, value in asdict(phys).items()},
+    )
 
 
 @dataclass(frozen=True)
@@ -157,13 +167,7 @@ class DesignOptimizer:
         self.physical = PhysicalModel(measurement, tech=tech, phys=phys)
         self.executor = executor if executor is not None else measurement.executor
         self.tracer = measurement.tracer
-        # Both parameter sets key the point cache: a different energy
-        # coefficient is a different design point, same as a different
-        # SRAM speed.  phys_* prefixes keep the namespaces disjoint.
-        self._tech_digest = cache_key(
-            **asdict(tech),
-            **{f"phys_{name}": value for name, value in asdict(phys).items()},
-        )
+        self._tech_digest = tech_digest(tech, phys)
         self._scored: "Tuple[Tuple, Tuple[DesignPoint, ...]] | None" = None
 
     def _evaluate_uncached(self, config: SystemConfig) -> DesignPoint:
@@ -187,7 +191,7 @@ class DesignOptimizer:
             DESIGN_POINT_VERSION,
             lambda: self._evaluate_uncached(config),
             tech=self._tech_digest,
-            **_config_params(config),
+            **config_to_params(config),
         )
 
     def _warm_miss_cubes(self, configs: Sequence[SystemConfig]) -> None:
@@ -239,7 +243,7 @@ class DesignOptimizer:
                 "design_point",
                 DESIGN_POINT_VERSION,
                 tech=self._tech_digest,
-                **_config_params(config),
+                **config_to_params(config),
             )
             if cached is None:
                 missing.append(config)
@@ -274,7 +278,7 @@ class DesignOptimizer:
                 DESIGN_POINT_VERSION,
                 point,
                 tech=self._tech_digest,
-                **_config_params(config),
+                **config_to_params(config),
             )
         return True
 

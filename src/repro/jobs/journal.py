@@ -20,9 +20,12 @@ Crash-safety rules on load:
   under; resuming with a different session or plan is refused.
 
 The journal is append-only by construction: records are written with
-one ``write`` + ``flush`` + ``fsync`` per append (appends happen once
-per shard, so durability costs nothing measurable next to shard
-evaluation).
+one ``write`` + ``flush`` + ``fsync`` per append.  Durability has a
+measurable price on small sweeps: a one-shard, 8-point service job makes
+four appends (header, dispatch, completion, run end), and the service
+persists its answer as one more fsync'd segment.  On a 2-vCPU host
+those five fsyncs took a median 1.5 ms of a 10 ms novel job.  Every
+fsync stays: a record that is not on disk is work a crash would lose.
 """
 
 from __future__ import annotations

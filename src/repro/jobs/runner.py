@@ -34,7 +34,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.core.config import BranchScheme, LoadScheme, PenaltyMode, SystemConfig
+from repro.core.config import (
+    BranchScheme,
+    LoadScheme,
+    PenaltyMode,
+    SystemConfig,
+    config_to_params,
+)
 from repro.errors import ConfigurationError
 from repro.jobs.faults import FaultInjector, InjectedCrash, worker_exit_evaluate
 from repro.jobs.journal import JOURNAL_VERSION, RunJournal, prepare_run_dir
@@ -111,17 +117,6 @@ class JobConfig:
 
 
 # -- DesignPoint (de)serialization ----------------------------------------
-
-
-def _enum_value(value: Any) -> Any:
-    return value.value if hasattr(value, "value") else value
-
-
-def config_to_params(config: SystemConfig) -> Dict[str, Any]:
-    """A SystemConfig as plain JSON scalars (shared with artifact keys)."""
-    from dataclasses import asdict
-
-    return {name: _enum_value(value) for name, value in asdict(config).items()}
 
 
 def config_from_params(params: Dict[str, Any]) -> SystemConfig:
@@ -259,14 +254,14 @@ class JobRunner:
             self.config.stats.points_replayed += replayed
 
     def _store_point(self, store: Any, point: Any) -> None:
-        from repro.core.optimizer import DESIGN_POINT_VERSION, _config_params
+        from repro.core.optimizer import DESIGN_POINT_VERSION
 
         store.put(
             "design_point",
             DESIGN_POINT_VERSION,
             point,
             tech=self.optimizer._tech_digest,
-            **_config_params(point.config),
+            **config_to_params(point.config),
         )
 
     def _run_shard(

@@ -20,7 +20,9 @@ as it is published — a client watching a running sweep sees shard
 completions and cube builds as they happen.  Event consumption is
 async-polled off the bus's snapshots (cheap, lock-guarded list copies)
 rather than parking a thread per subscriber, so a thousand idle
-streams cost no threads.
+streams cost no threads.  A ``"wait": true`` submission does not poll:
+the job's done-callback wakes the waiting request the moment the job
+finishes.
 """
 
 from __future__ import annotations
@@ -57,6 +59,12 @@ _STATUS_TEXT = {
     413: "Payload Too Large",
     500: "Internal Server Error",
 }
+
+
+def _resolve(future: "asyncio.Future[None]") -> None:
+    """Complete a wake future unless a timeout already cancelled it."""
+    if not future.done():
+        future.set_result(None)
 
 
 class _HttpError(Exception):
@@ -266,14 +274,29 @@ class SweepService:
         )
 
     async def _await_job(self, job: Any, timeout_s: float) -> bool:
-        """Async-wait on a threading.Event without parking a thread."""
-        deadline = asyncio.get_running_loop().time() + timeout_s
-        poll_s = 0.01
-        while not job.done.is_set():
-            if asyncio.get_running_loop().time() >= deadline:
-                return False
-            await asyncio.sleep(poll_s)
-            poll_s = min(poll_s * 2, 0.25)
+        """Wait for a job without polling or parking a thread.
+
+        The job's done-callback runs on the thread that finishes it and
+        hands the wake to this loop; False when ``timeout_s`` passes
+        first.  A wake that finds the loop closed (the server shut down
+        while the job ran) is dropped: nobody is left waiting.
+        """
+        if job.done.is_set():
+            return True
+        loop = asyncio.get_running_loop()
+        woken = loop.create_future()
+
+        def wake(_job: Any) -> None:
+            try:
+                loop.call_soon_threadsafe(_resolve, woken)
+            except RuntimeError:  # the loop is closed
+                pass
+
+        job.add_done_callback(wake)
+        try:
+            await asyncio.wait_for(woken, timeout_s)
+        except asyncio.TimeoutError:  # not the builtin TimeoutError on 3.10
+            return job.done.is_set()
         return True
 
     async def _handle_job(self, writer: asyncio.StreamWriter, job_id: str) -> None:

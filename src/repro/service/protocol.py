@@ -24,19 +24,24 @@ query.  Tenancy only affects queueing fairness and namespacing.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.config import BranchScheme, LoadScheme, PenaltyMode, SystemConfig
+from repro.core.config import (
+    BranchScheme,
+    LoadScheme,
+    PenaltyMode,
+    SystemConfig,
+    config_to_params,
+)
 from repro.core.frontier import objective_value, pareto_frontier, within_budgets
-from repro.core.optimizer import DESIGN_POINT_VERSION, point_order_key
+from repro.core.optimizer import DESIGN_POINT_VERSION, point_order_key, tech_digest
 from repro.errors import ConfigurationError
-from repro.jobs.runner import config_to_params
 from repro.physical.technology import DEFAULT_PHYSICAL
 from repro.timing.technology import DEFAULT_TECHNOLOGY
-from repro.trace.io import cache_key
 from repro.utils.jsonio import jsonable
 
 __all__ = [
@@ -106,13 +111,9 @@ _CONFIG_FIELDS = frozenset(_FLOAT_FIELDS + _INT_FIELDS) | frozenset(_ENUM_FIELDS
 
 #: Technology digest baked into every query digest (the service always
 #: evaluates against the paper's default delay + physical technologies)
-#: — computed exactly the way :class:`~repro.core.optimizer.
-#: DesignOptimizer` keys its design-point artifacts, so the memo and the
-#: point cache agree.
-_TECH_DIGEST = cache_key(
-    **asdict(DEFAULT_TECHNOLOGY),
-    **{f"phys_{name}": value for name, value in asdict(DEFAULT_PHYSICAL).items()},
-)
+#: — the same key :class:`~repro.core.optimizer.DesignOptimizer` gives
+#: its design-point artifacts, so the memo and the point cache agree.
+_TECH_DIGEST = tech_digest(DEFAULT_TECHNOLOGY, DEFAULT_PHYSICAL)
 
 
 def _coerce_float(name: str, value: Any) -> float:
@@ -230,7 +231,8 @@ class SweepQuery:
 
     ``configs`` is already canonical (deduplicated, sorted); construct
     through :func:`parse_query` rather than directly unless the grid was
-    canonicalized by hand.
+    canonicalized by hand.  The query is frozen, so its digest is
+    rendered once and cached on the instance.
     """
 
     scale: str
@@ -240,7 +242,7 @@ class SweepQuery:
     max_area_cm2: Optional[float] = None
     max_power_w: Optional[float] = None
 
-    @property
+    @functools.cached_property
     def digest(self) -> str:
         """The memoisation key: same meaning -> same digest."""
         payload = {

@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import logging
 import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Mapping, Optional
+from typing import Any, Callable, Deque, Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -78,6 +79,8 @@ PROGRESS_SPANS = frozenset(
 #: Finished jobs kept for GET /jobs/<id> before the oldest are retired.
 _MAX_FINISHED_JOBS = 512
 
+_LOG = logging.getLogger(__name__)
+
 
 def _encode_memo(payload: Mapping[str, Any]) -> Dict[str, np.ndarray]:
     """A finished answer as a one-array bundle the disk tier can hold.
@@ -118,9 +121,43 @@ class SweepJob:
     started_s: float = 0.0
     finished_s: float = 0.0
     done: threading.Event = field(default_factory=threading.Event)
+    _callbacks: List[Callable[["SweepJob"], None]] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
+    _callbacks_lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         return self.done.wait(timeout)
+
+    def add_done_callback(self, fn: Callable[["SweepJob"], None]) -> None:
+        """Call ``fn(job)`` once the job finishes, or now if it has.
+
+        ``fn`` runs exactly once, on whichever thread finishes the job
+        (or on the caller's thread for a job already done), so it must
+        be quick and thread-safe; an exception it raises is logged, not
+        propagated into the scheduler.
+        """
+        with self._callbacks_lock:
+            if not self.done.is_set():
+                self._callbacks.append(fn)
+                return
+        self._run_callback(fn)
+
+    def _set_done(self) -> None:
+        """Set :attr:`done`, then run every registered callback once."""
+        with self._callbacks_lock:
+            self.done.set()
+            callbacks, self._callbacks = self._callbacks, []
+        for fn in callbacks:
+            self._run_callback(fn)
+
+    def _run_callback(self, fn: Callable[["SweepJob"], None]) -> None:
+        try:
+            fn(self)
+        except Exception:  # noqa: BLE001 - a waiter must not fail the job
+            _LOG.exception("done-callback for job %s raised", self.id)
 
     def payload(self, include_result: bool = True) -> Dict[str, Any]:
         """JSON rendering for the HTTP layer."""
@@ -467,7 +504,7 @@ class SweepScheduler:
         self.bus.close(job.id)
         for old_id in retired:
             self.bus.forget(old_id)
-        job.done.set()
+        job._set_done()
 
     # -- reporting -------------------------------------------------------------
 

@@ -5,10 +5,16 @@ time for the size) with the datapath and the analyzer, returning the
 optimized-clocking minimum period.  ``cycle_time_table`` sweeps sizes and
 depths to regenerate Table 6 and labels whether the ALU loop or the cache
 loop is critical.
+
+Cycle times are memoised per (size, depth, technology, associativity):
+a design grid revisits the same few (size, depth) pairs per side at
+every other axis value, and each fresh answer is a full ``minTcpu``
+binary search.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -25,6 +31,10 @@ PAPER_DEPTHS = (0, 1, 2, 3)
 
 _CRITICAL_TOLERANCE_NS = 5e-3
 
+#: Distinct (size, depth, technology, associativity) cycle times kept;
+#: the paper's grid is 24 per technology.
+_CYCLE_TIME_MEMO = 1024
+
 
 @dataclass(frozen=True)
 class CycleTimeResult:
@@ -37,6 +47,7 @@ class CycleTimeResult:
     alu_critical: bool
 
 
+@functools.lru_cache(maxsize=_CYCLE_TIME_MEMO, typed=True)
 def cycle_time_ns(
     size_kw: float,
     depth: int,

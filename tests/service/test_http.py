@@ -3,39 +3,33 @@
 One module-scoped server (tiny instruction budget, loopback, ephemeral
 port) backs most tests; the first sweep warms the session, later tests
 ride the memo and artifact tiers.  The concurrent-load test starts its
-own server under a small disk budget.
+own server under a small disk budget, and the wait-path tests start
+servers whose sweeps block on a test-controlled gate.
 """
 
 import asyncio
 import contextlib
+import functools
 import http.client
 import json
 import os
 import threading
+import time
 
 import pytest
 
+import repro.service.http as http_module
 from repro.engine.session import SessionRegistry
 from repro.engine.store import ArtifactStore
 from repro.service import ServiceClient, ServiceError, SweepScheduler, SweepService
+from tests.service.fakes import stub_registry
 
 TINY = {"tiny": 1500}
 GRID = {"base": {"penalty": 8}, "axes": {"icache_kw": [1, 2]}}
 
 
-@contextlib.contextmanager
-def _serving(tmp, **scheduler_options):
-    """A started service on an ephemeral port, with its caches under ``tmp``."""
-    previous = os.environ.get("REPRO_CACHE_DIR")
-    os.environ["REPRO_CACHE_DIR"] = str(tmp / "cache")
-    scheduler = SweepScheduler(
-        registry=SessionRegistry(scales=TINY),
-        store=ArtifactStore(cache_dir=tmp / "svc", namespace="service"),
-        workers=2,
-        spool_dir=tmp / "spool",
-        **scheduler_options,
-    )
-    service = SweepService(scheduler, port=0)
+def _start_loop(service):
+    """Start ``service`` on a fresh event loop in a daemon thread."""
     loop = asyncio.new_event_loop()
     started = threading.Event()
 
@@ -48,16 +42,46 @@ def _serving(tmp, **scheduler_options):
     thread = threading.Thread(target=run, daemon=True)
     thread.start()
     assert started.wait(30)
+    return loop, thread
+
+
+def _close_loop(loop, thread):
+    loop.call_soon_threadsafe(loop.stop)
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    loop.close()
+
+
+@contextlib.contextmanager
+def _serving(tmp, registry=None, wait_timeout_s=600.0, **scheduler_options):
+    """A started service on an ephemeral port, with its caches under ``tmp``."""
+    previous = os.environ.get("REPRO_CACHE_DIR")
+    os.environ["REPRO_CACHE_DIR"] = str(tmp / "cache")
+    scheduler = SweepScheduler(
+        registry=registry if registry is not None else SessionRegistry(scales=TINY),
+        store=ArtifactStore(cache_dir=tmp / "svc", namespace="service"),
+        workers=2,
+        spool_dir=tmp / "spool",
+        **scheduler_options,
+    )
+    service = SweepService(scheduler, port=0, wait_timeout_s=wait_timeout_s)
+    loop, thread = _start_loop(service)
     try:
         yield service
     finally:
         asyncio.run_coroutine_threadsafe(service.stop(), loop).result(30)
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(timeout=10)
+        _close_loop(loop, thread)
         if previous is None:
             os.environ.pop("REPRO_CACHE_DIR", None)
         else:
             os.environ["REPRO_CACHE_DIR"] = previous
+
+
+def _until(predicate, timeout_s=30.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +234,101 @@ class TestSweeps:
     def test_responses_are_strict_json(self, server, client):
         stats = client.stats()
         json.dumps(stats, allow_nan=False)
+
+
+async def _shut_down(service):
+    """Stop the service the way ``asyncio.run`` ends a server: every
+    in-flight request is cancelled, then the service stops."""
+    current = asyncio.current_task()
+    requests = [task for task in asyncio.all_tasks() if task is not current]
+    for task in requests:
+        task.cancel()
+    await asyncio.gather(*requests, return_exceptions=True)
+    await service.stop()
+
+
+class TestWaitPath:
+    def test_wait_returns_without_polling(self, server, client, monkeypatch):
+        slept = []
+
+        async def no_sleep(delay, *args, **kwargs):
+            slept.append(delay)
+            raise AssertionError("a waiting request polled")
+
+        monkeypatch.setattr(http_module.asyncio, "sleep", no_sleep)
+        grid = {"base": {"penalty": 9}, "axes": {"icache_kw": [1, 2]}}
+        resp = client.submit(grid, scale="tiny", wait=True)
+        assert resp["_status"] == 200
+        assert resp["cache_hit"] is False  # a worker thread ran the sweep
+        assert resp["state"] == "done"
+        assert resp["result"]["point_count"] == 2
+        assert slept == []
+
+    def test_wait_timeout_is_408_and_the_job_still_finishes(
+        self, tmp_path, fake_sweeps
+    ):
+        with _serving(
+            tmp_path, registry=stub_registry(), wait_timeout_s=0.2
+        ) as service:
+            client = ServiceClient(port=service.port, timeout=60)
+            try:
+                with pytest.raises(ServiceError) as excinfo:
+                    client.submit(GRID, scale="tiny", wait=True)
+                assert excinfo.value.status == 408
+                (job_id,) = service.scheduler.jobs
+                assert f"job {job_id} still running" in str(excinfo.value)
+            finally:
+                fake_sweeps.gate.set()
+            _until(lambda: client.job(job_id)["state"] != "running")
+            job = client.job(job_id)
+            assert job["state"] == "done"
+            assert job["result"]["point_count"] == 2
+
+    def test_stop_while_a_request_waits(
+        self, tmp_path, fake_sweeps, monkeypatch, caplog
+    ):
+        scheduler = SweepScheduler(
+            registry=stub_registry(), store=ArtifactStore(use_disk=False), workers=1
+        )
+        # A short worker join lets stop() return while the gated job
+        # still runs, so the job finishes after its waiter's loop closed.
+        monkeypatch.setattr(
+            scheduler, "close", functools.partial(scheduler.close, timeout=0.1)
+        )
+        service = SweepService(scheduler, port=0)
+        loop, thread = _start_loop(service)
+        outcome = []
+
+        def submit():
+            client = ServiceClient(port=service.port, timeout=60)
+            try:
+                outcome.append(client.submit(GRID, scale="tiny", wait=True))
+            except Exception as exc:  # noqa: BLE001 - the request is cut off
+                outcome.append(exc)
+
+        waiter = threading.Thread(target=submit)
+        waiter.start()
+        try:
+            _until(lambda: fake_sweeps.calls and scheduler.jobs)
+            (job,) = scheduler.jobs.values()
+            _until(lambda: job._callbacks)  # the request is waiting on it
+            workers = list(scheduler._threads)
+            asyncio.run_coroutine_threadsafe(_shut_down(service), loop).result(30)
+            _close_loop(loop, thread)
+            assert not job.done.is_set()
+        finally:
+            fake_sweeps.gate.set()
+        assert job.wait(30)
+        for worker in [*workers, waiter]:
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+        assert len(outcome) == 1
+        stats = scheduler.stats()
+        assert stats["failed"] == 0
+        assert stats["completed"] == 1
+        assert job.state == "done"
+        # The late wake was dropped, not raised into the worker thread.
+        assert [r for r in caplog.records if r.name.startswith("repro")] == []
 
 
 #: Overlapping query pool: four small grids sharing design points.

@@ -326,3 +326,24 @@ def test_digest_is_stable_across_processes():
         configs=canonical_grid([normalize_config({"icache_kw": 2.0})]),
     ).digest
     assert len(query.digest) == 24
+
+
+def test_digest_is_pinned_and_computed_once():
+    """A digest recorded with the ``dataclasses.asdict`` renderer."""
+    query = parse_query(
+        {
+            "grid": {
+                "base": {"penalty": 12.5, "branch_slots": 1, "branch_scheme": "btb"},
+                "axes": {
+                    "icache_kw": [1, 4],
+                    "dcache_kw": [2, 8],
+                    "load_slots": [0, 3],
+                },
+            },
+            "scale": "quick",
+            "objective": "edp",
+            "max_area_cm2": 40,
+        }
+    )
+    assert query.digest == "f7783113b79c026c0b511f2c"
+    assert vars(query)["digest"] is query.digest  # cached on the instance

@@ -6,20 +6,24 @@ is not); the durable-run test and the memo zero-simulation test run the
 real optimizer over a miniature session.
 """
 
+import collections
+import itertools
+import logging
+import os
+import sys
 import threading
 import time
-import types
 
 import pytest
 
 import repro.core.optimizer as optimizer_module
-from repro.core.optimizer import DesignPoint, Selection
 from repro.engine.session import SessionRegistry
 from repro.engine.store import ArtifactStore
 from repro.errors import ConfigurationError
 from repro.obs.tracer import NULL_TRACER
 from repro.service.protocol import parse_query
-from repro.service.scheduler import SweepScheduler
+from repro.service.scheduler import SweepJob, SweepScheduler
+from tests.service.fakes import GatedOptimizer, StubSession, stub_registry
 
 TINY = {"tiny": 1500}
 
@@ -30,72 +34,17 @@ def _query(points, tenant="public", scales=TINY):
     )
 
 
-class _StubSession:
-    """The slice of SuiteMeasurement the scheduler touches."""
-
-    def __init__(self):
-        self.store = ArtifactStore(use_disk=False)
-        self.tracer = NULL_TRACER
-        self.job_config = None
-        self.executor = types.SimpleNamespace(
-            shutdown=lambda: None, tracer=None, jobs=1
-        )
-
-    def attach_tracer(self, tracer):
-        self.tracer = tracer
-        self.executor.tracer = tracer
-
-    def attach_jobs(self, job_config):
-        self.job_config = job_config
-
-
-class _GatedOptimizer:
-    """Stands in for DesignOptimizer; sweeps block until the gate opens."""
-
-    gate = threading.Event()
-    calls = []
-
-    def __init__(self, session):
-        self.session = session
-
-    def sweep(self, configs):
-        type(self).calls.append(list(configs))
-        assert type(self).gate.wait(30), "test gate never opened"
-        return [
-            DesignPoint(config=c, cpi=1.5 + 0.1 * i, cycle_time_ns=2.0)
-            for i, c in enumerate(configs)
-        ]
-
-    def select(self, configs, objective="tpi", **_budgets):
-        points = tuple(self.sweep(configs))
-        return Selection(
-            objective=objective,
-            points=points,
-            eligible=points,
-            frontier=points[:1],
-            best=None,
-        )
-
-
-@pytest.fixture
-def fake_sweeps(monkeypatch):
-    _GatedOptimizer.gate = threading.Event()
-    _GatedOptimizer.calls = []
-    monkeypatch.setattr(optimizer_module, "DesignOptimizer", _GatedOptimizer)
-    return _GatedOptimizer
-
-
 @pytest.fixture
 def scheduler(tmp_path):
     registry = SessionRegistry(scales=TINY)
-    registry.set("tiny", _StubSession())
+    registry.set("tiny", StubSession())
     sched = SweepScheduler(
         registry=registry,
         store=ArtifactStore(cache_dir=tmp_path / "svc", namespace="service"),
         workers=1,
     )
     yield sched.start()
-    _GatedOptimizer.gate.set()
+    GatedOptimizer.gate.set()
     sched.close()
 
 
@@ -142,7 +91,7 @@ class TestMemoisation:
         assert job.wait(30) and job.state == "done"
 
         registry = SessionRegistry(scales=TINY)
-        registry.set("tiny", _StubSession())
+        registry.set("tiny", StubSession())
         fresh = SweepScheduler(
             registry=registry,
             store=ArtifactStore(cache_dir=tmp_path / "svc", namespace="service"),
@@ -219,7 +168,7 @@ class TestFailure:
 
     def test_submit_after_close_is_an_error(self, tmp_path, fake_sweeps):
         registry = SessionRegistry(scales=TINY)
-        registry.set("tiny", _StubSession())
+        registry.set("tiny", StubSession())
         sched = SweepScheduler(
             registry=registry, store=ArtifactStore(use_disk=False), workers=1
         ).start()
@@ -230,7 +179,7 @@ class TestFailure:
 
     def test_close_fails_queued_jobs(self, tmp_path, fake_sweeps):
         registry = SessionRegistry(scales=TINY)
-        registry.set("tiny", _StubSession())
+        registry.set("tiny", StubSession())
         sched = SweepScheduler(
             registry=registry, store=ArtifactStore(use_disk=False), workers=1
         ).start()
@@ -277,3 +226,93 @@ class TestDurableRuns:
             assert session.job_config is None
         finally:
             sched.close()
+
+
+class TestDoneCallbacks:
+    """``SweepJob.add_done_callback`` against a racing ``_finish_job``."""
+
+    TRIALS = 30
+    PER_THREAD = 20
+
+    @staticmethod
+    def _scheduler():
+        return SweepScheduler(
+            registry=stub_registry(), store=ArtifactStore(use_disk=False)
+        )
+
+    def test_each_callback_runs_exactly_once(self):
+        sched = self._scheduler()
+        query = _query([{"icache_kw": 1}])
+        registrars = 2 * (os.cpu_count() or 1) + 2  # more threads than cores
+        tokens = itertools.count()
+        lock = threading.Lock()
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(self.TRIALS):
+                job = SweepJob(id=f"stress-{trial}", query=query, tenant="public")
+                registered, ran, early = [], collections.Counter(), []
+
+                def register():
+                    with lock:
+                        token = next(tokens)
+                        registered.append(token)
+
+                    def callback(finished):
+                        if not finished.done.is_set():
+                            early.append(token)
+                        with lock:
+                            ran[token] += 1
+
+                    job.add_done_callback(callback)
+
+                for _ in range(self.PER_THREAD):  # before completion
+                    register()
+                start = threading.Barrier(registrars + 1, timeout=30)
+
+                def registrar():
+                    start.wait()
+                    while not job.done.is_set():  # straddle the completion
+                        register()
+                    for _ in range(self.PER_THREAD):
+                        register()
+
+                def finisher():
+                    start.wait()
+                    sched._finish_job(job)
+
+                threads = [threading.Thread(target=finisher)]
+                threads += [threading.Thread(target=registrar) for _ in range(registrars)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                for _ in range(self.PER_THREAD):  # after: runs at once
+                    register()
+                assert early == []
+                assert sorted(ran) == sorted(registered)
+                assert set(ran.values()) == {1}
+                assert len(registered) >= (registrars + 2) * self.PER_THREAD
+        finally:
+            sys.setswitchinterval(previous)
+        stats = sched.stats()
+        assert stats["completed"] == self.TRIALS
+        assert stats["failed"] == 0
+
+    def test_a_raising_callback_is_logged_and_the_rest_still_run(self, caplog):
+        sched = self._scheduler()
+        job = SweepJob(id="raises", query=_query([{"icache_kw": 1}]), tenant="public")
+        ran = []
+
+        def explode(_job):
+            raise RuntimeError("waiter gone")
+
+        job.add_done_callback(explode)
+        job.add_done_callback(ran.append)
+        with caplog.at_level(logging.ERROR, logger="repro.service.scheduler"):
+            sched._finish_job(job)
+        assert ran == [job]
+        assert "waiter gone" in caplog.text
+        stats = sched.stats()
+        assert (stats["completed"], stats["failed"]) == (1, 0)

@@ -1,9 +1,12 @@
 """Datapath + cycle-time tests: the prose anchors of Table 6."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import TimingError
 from repro.timing import DEFAULT_TECHNOLOGY, build_cpu_datapath, cycle_time_ns
+from repro.timing.analyzer import TimingAnalyzer
 from repro.timing.cycle_time import (
     PAPER_DEPTHS,
     PAPER_SIZES_KW,
@@ -102,3 +105,28 @@ class TestCycleTimeAnchors:
         table = cycle_time_table()
         assert len(table) == len(PAPER_SIZES_KW) * len(PAPER_DEPTHS)
         assert all(result.cycle_ns >= 3.5 - 1e-6 for result in table.values())
+
+
+def _fresh_cycle_time(size_kw, depth, tech=DEFAULT_TECHNOLOGY):
+    """One uncached ``minTcpu`` binary search."""
+    access = cache_access_time_ns(size_kw, tech)
+    return TimingAnalyzer(build_cpu_datapath(access, depth, tech)).min_cycle_time()
+
+
+class TestCycleTimeMemo:
+    def test_memo_equals_a_fresh_analysis_over_table6(self):
+        for size in PAPER_SIZES_KW:
+            for depth in PAPER_DEPTHS:
+                fresh = _fresh_cycle_time(size, depth)
+                assert cycle_time_ns(size, depth) == fresh
+                hits = cycle_time_ns.cache_info().hits
+                assert cycle_time_ns(size, depth) == fresh
+                assert cycle_time_ns.cache_info().hits == hits + 1
+
+    def test_technology_is_part_of_the_key(self):
+        slow = replace(DEFAULT_TECHNOLOGY, sram_access_ns=10.0)
+        default = cycle_time_ns(32, 1)
+        slowed = cycle_time_ns(32, 1, slow)
+        assert slowed == _fresh_cycle_time(32, 1, slow)
+        assert slowed > default
+        assert cycle_time_ns(32, 1) == default
