@@ -7,7 +7,7 @@
   pass over a byte-address stream answers the whole
   (block size x set count x ways) cube as a
   :class:`~repro.cache.misscube.MissCube`, from Mattson stack distances
-  (:mod:`~repro.cache.stackdist`) sharing a single rank count across
+  (:mod:`~repro.cache.stackdist`) counted by a bounded backward scan at
   every block size and set count;
 * :mod:`~repro.cache.cubepart` — the set-partitioned out-of-core and
   parallel driver over the same engine: partitions a byte-address

@@ -4,7 +4,7 @@ The single-pass engine (:mod:`repro.cache.misscube`) answers the whole
 ``(block size × sets × ways)`` cube exactly, but it is one serial pass
 holding one process's worth of derived arrays — at the paper's
 2.4G-instruction scale that is hours of one core and tens of gigabytes
-of rank-count state.  This module splits the same computation into
+of radix-chain and scan state.  This module splits the same computation into
 independent tasks and runs all of them on one worker pool:
 
 **Why partitioning is exact.**  Power-of-two set indices nest: the set

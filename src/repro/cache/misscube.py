@@ -13,16 +13,24 @@ How the block axis folds into the existing machinery:
   block index shifted right by one, so the per-block-size streams are
   all views of one address stream (:func:`~repro.cache.fastsim.
   addresses_to_blocks` hoisted into the engine).
-* *Per-block radix chains, one shared rank count.*  Set-index bits live
+* *Per-block radix chains, one scan per level.*  Set-index bits live
   in a different bit window of the address for every block size
   (``[log2(B), log2(B) + log2(S))``), and windows at different offsets
   do not nest — a single refinement chain cannot serve two block sizes.
-  What *does* unify is the expensive part: the order-statistic tree.
-  :func:`~repro.cache.stackdist._concatenated_hits` only requires each
-  slice's positions to be level-local, so every ``(block size, level)``
-  slice of every stream is laid end to end and one rank count — the
-  dominant cost of the whole pass — serves the entire cube.  The cheap
-  O(n) bit partitions run once per block size.
+  So each block size runs its own O(n) chain, and each harvested
+  ``(block size, level)`` slice is histogrammed as soon as it is
+  harvested, by :mod:`~repro.cache.stackdist`'s bounded backward scan:
+  with ``b_i = i - p_i`` the window back to the previous reference of
+  the same block and ``f_j = next_j - j`` the forward gap of each
+  position, the stack distance clipped at ``W + 1`` is
+  ``min(W + 1, 1 + #{o in [1, b_i) : f_{i-o} > o})``.  Offsets ``1..K``
+  are ``K`` shifted compares over the whole level; the few windows
+  longer than ``K + 1`` that still hold fewer than ``W`` distinct blocks
+  finish in a blocked gather scan.  The queries that scan one position
+  have pairwise distinct blocks, each inside the later ones' windows,
+  and a query stops at ``W`` distinct blocks, so at most ``W`` queries
+  scan any position and a level costs ``O((K + W) n)``: the cost grows
+  with ``max_ways``, not with ``log n``.
 * *Whole-stream run compression.*  An adjacent repeat of the same block
   maps to the same set at *every* set count of that block size and its
   stack distance is exactly 1 everywhere, so it is dropped once, before
@@ -47,12 +55,7 @@ import numpy as np
 
 from repro.cache.fastsim import addresses_to_blocks
 from repro.cache.geometry import checked_block_words, checked_levels, geometry_error
-from repro.cache.stackdist import (
-    MissPlane,
-    _concatenated_hits,
-    _LevelSlice,
-    _stream_slices,
-)
+from repro.cache.stackdist import MissPlane, _stream_hits
 from repro.errors import ConfigurationError
 from repro.utils.units import is_power_of_two, log2_int
 
@@ -267,10 +270,9 @@ def miss_cube(
         max_ways: Largest associativity to answer.
 
     One engine pass: each block size runs its own O(n) radix chain (set
-    windows at different bit offsets cannot share one refinement), every
-    harvested ``(block size, level)`` slice joins a single concatenated
-    rank count — the dominant cost — and one histogram pass scatters the
-    distances back into per-geometry hit curves.
+    windows at different bit offsets cannot share one refinement), and
+    each harvested ``(block size, level)`` slice is scanned and
+    histogrammed into its hit curve before the chain moves on.
     """
     if max_ways < 1:
         raise ConfigurationError(f"max_ways must be at least 1, got {max_ways}")
@@ -279,15 +281,10 @@ def miss_cube(
     per_block = _normalized_set_counts(blocks_covered, set_counts)
     references: Dict[int, int] = {}
     hits: Dict[int, Dict[int, np.ndarray]] = {}
-    ordered: List[_LevelSlice] = []
-    keys: List[Tuple[int, int]] = []
-    removed_runs: Dict[int, int] = {}
-    by_sets_all: Dict[int, Dict[int, int]] = {}
     for B in blocks_covered:
         stream = np.asarray(streams[B], dtype=np.int64)
         references[B] = len(stream)
         by_sets = checked_levels(per_block[B])
-        by_sets_all[B] = by_sets
         hits[B] = {}
         if not by_sets:
             continue
@@ -303,24 +300,15 @@ def miss_cube(
         keep[0] = True
         np.not_equal(stream[1:], stream[:-1], out=keep[1:])
         deduped = stream[keep]
-        removed_runs[B] = len(stream) - len(deduped)
+        removed = len(stream) - len(deduped)
         # Drop the (possibly lazily shifted) source before the next
         # block size: with ShiftedStreams inputs this caps the engine at
         # one materialized full-length stream at a time.
         del stream, keep
-        wanted = sorted(set(by_sets.values()))
-        slices = _stream_slices(deduped, wanted)
-        for level in wanted:
-            ordered.append(slices[level])
-            keys.append((B, level))
-    hits_per_slice = dict(zip(keys, _concatenated_hits(ordered, max_ways)))
-    for B, by_sets in by_sets_all.items():
+        level_hits = _stream_hits(deduped, sorted(by_sets.values()), max_ways)
         for num_sets, level in by_sets.items():
-            curve = hits_per_slice.get((B, level))
-            if curve is None:
-                continue  # empty stream, already zero-filled
-            curve = curve.copy()
-            curve[1:] += removed_runs[B]
+            curve = level_hits[level]
+            curve[1:] += removed
             hits[B][num_sets] = curve
     return MissCube(references=references, max_ways=max_ways, hits=hits)
 

@@ -251,6 +251,9 @@ class DesignOptimizer:
         if len(missing) < max(2, self.executor.jobs):
             return False
         self.tracer.count("prefilled", len(missing))
+        # Build the cubes before the fork, so workers inherit them
+        # instead of each building (and discarding) its own.
+        self._warm_miss_cubes(missing)
         spec = self.measurement.spec()
         self.executor.prime(spec.digest(), self.measurement)
         try:
@@ -268,7 +271,6 @@ class DesignOptimizer:
                 "optimizer.serial_fallback", reason=str(exc)
             ) as span:
                 span.count("points", len(missing))
-                self._warm_miss_cubes(missing)
                 for config in missing:
                     self.evaluate(config)
             return True

@@ -1,7 +1,7 @@
 """The kernel backend every hot loop runs on.
 
 The trace executor's walk (:mod:`repro.trace.executor`) and the
-stack-distance rank count behind every miss cube
+stack-distance scan behind every miss cube
 (:mod:`repro.cache.stackdist`) are pure Python/numpy; there is no
 compiled alternative.  Run ledgers and benchmark host facts still record
 the backend, so a figure always says what produced it.

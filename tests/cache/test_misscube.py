@@ -88,7 +88,7 @@ class TestCubeEquivalence:
     @given(addrs=addresses)
     @settings(max_examples=40, deadline=None)
     def test_planes_match_single_block_cubes(self, addrs):
-        # Sharing one rank count across block sizes must not change any
+        # Building several block sizes in one pass must not change any
         # block size's plane: each is bit-identical to a cube over that
         # block size's stream alone.
         stream = np.array(addrs, dtype=np.int64)

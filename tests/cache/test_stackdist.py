@@ -1,13 +1,12 @@
-"""Stack-distance tests: the cube over one block stream, and the rank count.
+"""Stack-distance tests: the cube over one block stream.
 
 Every cube case runs :func:`miss_cube` over a single per-block stream
 (``{B: stream}``, the form the instruction side feeds it).  The cube must
 be *bit-identical* to the dict-LRU oracle and to the step-by-step
 reference :class:`Cache` at every (set count, ways) point, and its
-``A = 1`` column must match the direct-mapped single-pass sweep.  The
-rank count under the whole engine is pinned to brute force and to the
-scatter-tree oracle, including the value-splitting path past the packed
-limit.
+``A = 1`` column must match the direct-mapped single-pass sweep.  Long
+windows with few distinct blocks drive the scan's blocked gather rounds,
+which the short random streams rarely reach.
 """
 
 import numpy as np
@@ -16,12 +15,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import Cache, MissPlane, direct_mapped_miss_sweep, miss_cube
-from repro.cache.stackdist import _PACKED_LIMIT, _rank_counts, _rank_counts_split
+from repro.cache import stackdist
 from repro.errors import ConfigurationError
 
-from tests.cache.oracles import rank_counts_scatter, set_associative_misses
+from tests.cache.oracles import set_associative_misses
 
-streams = st.lists(st.integers(min_value=0, max_value=255), max_size=300)
+
+def _small_alphabet(seed, length, alphabet, skew):
+    """``length`` skewed draws from ``alphabet`` blocks: long windows over
+    few distinct blocks, past the scan's shifted comparisons."""
+    rng = np.random.default_rng(seed)
+    return (rng.random(length) ** skew * alphabet).astype(np.int64).tolist()
+
+
+streams = st.one_of(
+    st.lists(st.integers(min_value=0, max_value=255), max_size=300),
+    st.builds(
+        _small_alphabet,
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        length=st.integers(min_value=1000, max_value=4000),
+        alphabet=st.integers(min_value=2, max_value=40),
+        skew=st.sampled_from([1.0, 2.0, 4.0]),
+    ),
+)
 
 #: The one block size every single-stream cube here covers.
 B = 4
@@ -88,7 +104,7 @@ class TestPlaneEquivalence:
     @given(
         blocks=streams,
         levels=st.sets(st.integers(min_value=0, max_value=6), min_size=1),
-        max_ways=st.integers(min_value=1, max_value=8),
+        max_ways=st.integers(min_value=1, max_value=24),
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_dict_lru_everywhere(self, blocks, levels, max_ways):
@@ -189,26 +205,55 @@ class TestMissPlane:
             plane.capacity_misses(48, 3)  # 16 sets: not covered by the plane
 
 
-def _bruteforce(rank):
-    return np.array(
-        [int(np.sum(rank[:i] < rank[i])) for i in range(len(rank))],
-        dtype=np.int64,
-    )
+def _loops_with_returns(seed=2):
+    """300 loops of 2-7 hot blocks, each repeated 50-400 times, with a
+    return to one of 40 older blocks after every loop."""
+    rng = np.random.default_rng(seed)
+    older = np.arange(1000, 1040, dtype=np.int64)
+    parts = []
+    for k in range(300):
+        loop = rng.choice(12, size=int(rng.integers(2, 8)), replace=False)
+        parts.append(np.tile(loop, int(rng.integers(50, 401))))
+        parts.append(older[k % 40 : k % 40 + 1])
+    return np.concatenate(parts)
 
 
-class TestRankCounts:
-    def test_matches_bruteforce_and_scatter_oracle(self):
-        rng = np.random.default_rng(42)
-        for n in (1, 2, 3, 17, 100, 1000):
-            rank = rng.permutation(n).astype(np.int64)
-            brute = _bruteforce(rank)
-            assert np.array_equal(_rank_counts(rank.astype(np.int32)), brute)
-            assert np.array_equal(rank_counts_scatter(rank), brute)
+class TestLongWindows:
+    """Windows of thousands of positions over a handful of blocks: the
+    cases the shifted comparisons cannot finish, which the blocked scan
+    must carry for many doubling rounds."""
 
-    def test_split_path_matches_scatter_oracle(self):
-        # One past the packed merge tree's limit: three ceil(log2 n)-bit
-        # fields no longer fit one int64, so the value splitter cuts the
-        # permutation into packable pieces.
-        n = _PACKED_LIMIT + 1
-        rank = np.random.default_rng(21).permutation(n)
-        assert np.array_equal(_rank_counts_split(rank), rank_counts_scatter(rank))
+    STREAMS = {
+        "alternation": lambda: np.array(
+            [7] + [1, 2] * 50_000 + [7, 9, 7], dtype=np.int64
+        ),
+        "loops": _loops_with_returns,
+    }
+
+    @pytest.mark.parametrize("name", sorted(STREAMS))
+    def test_matches_dict_lru(self, name, monkeypatch):
+        stream = self.STREAMS[name]()
+        scanned = []
+        real = stackdist._scan_tail
+
+        def spy(gap, pos, window, count, max_ways):
+            scanned.append(int(window.max()))
+            return real(gap, pos, window, count, max_ways)
+
+        monkeypatch.setattr(stackdist, "_scan_tail", spy)
+        set_counts = [1, 4, 32]
+        cube = single_stream_cube(stream, set_counts, 8)
+        wide = single_stream_cube(stream, set_counts, 24)
+        # Windows this long take ten or more doubling rounds.
+        assert max(scanned) > stackdist._SCAN_WIDTH << 10
+        for num_sets in set_counts:
+            assert wide.plane(B).hits[num_sets][:9].tolist() == (
+                cube.plane(B).hits[num_sets].tolist()
+            )
+            for way in range(1, 9):
+                assert cube.misses(B, num_sets, way) == set_associative_misses(
+                    stream, num_sets, way
+                ), (num_sets, way)
+            assert wide.misses(B, num_sets, 24) == set_associative_misses(
+                stream, num_sets, 24
+            ), num_sets

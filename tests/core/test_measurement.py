@@ -1,5 +1,7 @@
 """SuiteMeasurement tests (subset session from conftest)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,18 @@ from repro.utils.units import kw_to_words
 from repro.workload import benchmark_by_name
 
 from tests.cache.oracles import set_associative_misses
+
+
+def cube_digest(cube) -> str:
+    """sha256 over a cube's every (block, sets) hit curve and its bounds."""
+    digest = hashlib.sha256()
+    for block in sorted(cube.hits):
+        digest.update(f"B{block}:{cube.references[block]};".encode())
+        for sets in sorted(cube.hits[block]):
+            digest.update(f"S{sets};".encode())
+            digest.update(cube.hits[block][sets].astype("<i8").tobytes())
+    digest.update(f"W{cube.max_ways}".encode())
+    return digest.hexdigest()
 
 
 class TestConstruction:
@@ -227,6 +241,21 @@ class TestMissCubeGuards:
                     ), (block, size_kw, ways)
                     checked += 1
         assert checked == 72
+
+    def test_production_cubes_are_pinned(self, measurement):
+        # The full production cubes (32 KW, 8 ways, every set count down
+        # to one set), hashed over every (block, sets) curve.  The dict-LRU
+        # guard above reads only the D cube and no set count below 8, and
+        # the I cube meets an oracle only at A = 1; a kernel change must
+        # leave both digests as they are.
+        cubes = {
+            "I": measurement.icache_miss_cube(0, (4,)),
+            "D": measurement.dcache_miss_cube((4, 8, 16)),
+        }
+        assert {side: cube_digest(cube) for side, cube in cubes.items()} == {
+            "I": "2a7ddf9e535f59b01a1db247b82630571a008f826313a703674e2d49f89e59ab",
+            "D": "381246f980accabcba3c4730aa3cbc8bc19b6c73065f74e99a69377e8e585a13",
+        }
 
     def test_cube_axis_matches_retired_direct_mapped_path(self, measurement):
         from repro.cache.fastsim import direct_mapped_miss_sweep

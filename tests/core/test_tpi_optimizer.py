@@ -1,6 +1,7 @@
 """TPI, cycle-time combination, and optimizer tests."""
 
 import dataclasses
+import os
 
 import pytest
 
@@ -316,6 +317,48 @@ class TestParallelParity:
             serial.select(grid, objective="frontier").frontier
             == parallel.select(list(grid), objective="frontier").frontier
         )
+
+    def test_parallel_sweeps_build_each_cube_once_in_the_parent(
+        self, monkeypatch, tmp_path
+    ):
+        # The cubes must exist before the pool forks: workers then read
+        # them instead of each building its own, and a second sweep of
+        # the same grid (every point cached) builds none.  The spy sits
+        # where the session looks the engine up, so forked workers run
+        # it too, and it logs pids to a file the parent can read.
+        import repro.core.measurement as measurement_module
+
+        log = tmp_path / "builds"
+        real = measurement_module.miss_cube
+
+        def spy(*args, **kwargs):
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()}\n")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(measurement_module, "miss_cube", spy)
+        executor = SweepExecutor(jobs=2)
+        try:
+            session = SuiteMeasurement(
+                specs=[benchmark_by_name("small")],
+                total_instructions=60_000,
+                min_benchmark_instructions=30_000,
+                use_disk_cache=False,
+                executor=executor,
+            )
+            optimizer = DesignOptimizer(session)
+            grid = optimizer.symmetric_grid(
+                SystemConfig(penalty=10),
+                slot_pairs=((0, 0), (1, 1)),
+                side_sizes_kw=(1, 2, 4),
+            )
+            first = optimizer.sweep(grid)
+            second = optimizer.sweep(grid)
+        finally:
+            executor.shutdown()
+        assert first == second
+        # One I cube per branch-slot count and one D cube, all here.
+        assert log.read_text().split() == [str(os.getpid())] * 3
 
 
 class _BrokenPoolExecutor(SweepExecutor):
