@@ -9,12 +9,12 @@
   :class:`~repro.cache.misscube.MissCube`, from Mattson stack distances
   (:mod:`~repro.cache.stackdist`) counted by a bounded backward scan at
   every block size and set count;
-* :mod:`~repro.cache.cubepart` — the set-partitioned out-of-core and
-  parallel driver over the same engine: partitions a byte-address
-  stream by coarse set index, runs the partitions, the whole-stream
-  slices too coarse to partition and the A=1 cross-check as one task
-  list (on worker processes when an executor is supplied), and merges
-  counts bit-identical to the serial one-shot cube;
+* :mod:`~repro.cache.cubepart` — the one driver every session build
+  goes through: runs the same engine over each block size's stream in
+  chunks, with each finest set's most recent blocks carried in front
+  of the next chunk (exact by LRU inclusion), plus a chunked A=1
+  cross-check per block size, as tasks on an executor (worker
+  processes when it is parallel);
 * :mod:`~repro.cache.fastsim` — an exact, vectorized miss counter for
   direct-mapped caches: the per-reference miss mask an L2 study filters
   through, and the independent single-pass size sweep every cube build

@@ -1,61 +1,51 @@
-"""Set-partitioned, out-of-core, parallel miss-cube construction.
+"""The miss cube's one driver: chunked, out-of-core, on any executor.
 
 The single-pass engine (:mod:`repro.cache.misscube`) answers the whole
-``(block size × sets × ways)`` cube exactly, but it is one serial pass
-holding one process's worth of derived arrays — at the paper's
-2.4G-instruction scale that is hours of one core and tens of gigabytes
-of radix-chain and scan state.  This module splits the same computation into
-independent tasks and runs all of them on one worker pool:
+``(block size × sets × ways)`` cube of a stream, but holds every derived
+array of the whole stream at once — at the paper's 2.4G-instruction
+scale that is tens of gigabytes.  This driver runs the same engine over
+each block size's stream in chunks of :data:`CHUNK_REFS` references, so
+a build's memory follows the chunk, not the trace, and runs each block
+size's work as independent tasks on a :class:`~repro.engine.executor.
+SweepExecutor`.
 
-**Why partitioning is exact.**  Power-of-two set indices nest: the set
-index of a ``2^k``-set cache is the low ``k`` bits of the block index.
-Partition the reference stream by the low ``p`` bits of the block index
-(the *coarsest* partitioned set index) and every geometry whose set
-index contains those ``p`` bits decomposes exactly: each cache set lives
-entirely inside one partition, the partition substream preserves each
-set's reference subsequence verbatim, and LRU stack distances are
-per-set quantities.  Each partition's miss counts can therefore be
-computed independently — by the unmodified serial engine — and summed
-(integer counts; addition is exact and order-independent, so the merged
-cube is *bit-identical* to the one-shot serial cube).
+**The LRU carry is exact.**  In front of each chunk the driver puts the
+*carry*: every finest-level set's ``W`` most recent distinct blocks, all
+ordered by last reference.  LRU inclusion makes that exact at every
+coarser set count too: a block among a coarser set's ``W`` most recent
+is among its finest set's ``W`` most recent, because the blocks above it
+in its finest set are a subset of those above it in the coarser set.  So
+the carry holds the top ``W`` of every coarser set's LRU stack, in stack
+order, and every stack distance up to ``W`` in the chunk comes out as in
+the unchunked stream; a block deeper than ``W``, carried or not, still
+finds at least ``W`` distinct blocks ahead of it.  The carried blocks are
+distinct, so each is a first occurrence in carry + chunk: they add no
+hits, and they are not counted as references.  Summing the chunks'
+integer hit curves therefore gives the unchunked cube bit for bit.
 
-**The block-size axis.**  For per-block-size streams the closure
-condition is simply ``S >= partitions``.  When every block size is a
-shift view of one shared byte-address stream, the partition key is the
-coarsest covered block size's index bits — address bits
-``[log2(Bmax*WB), log2(Bmax*WB) + p)`` — and a geometry ``(B, S)``
-decomposes iff that window sits inside its set-index window:
-``log2(S) >= p + log2(Bmax / B)``.  The paper grid (4/8/16-word blocks,
-1–32 KW capacities) satisfies this for ``p = 3`` at every geometry.
-Set counts *below* the closure threshold (the production cubes cover
-every level down to one set) are inherently global — a single LRU stack
-over the whole stream cannot be split — so each such ``(block size,
-set count)`` slice of the *coarse residue* is a task of its own over
-the whole stream.
+**Two tasks per block size.**  A cube task runs
+:func:`~repro.cache.misscube.miss_cube` on carry + chunk with
+``W = max_ways``.  A check task runs the independent
+:func:`~repro.cache.fastsim.direct_mapped_miss_sweep` on carry + chunk
+with ``W = 1`` (one resident block per set) and subtracts the carry's
+references, which all miss.  The parent compares every block size's
+``A = 1`` base with its check (:meth:`~repro.cache.misscube.MissCube.
+check_base`; a disagreement is a fatal ``RuntimeError``).  The tasks are
+mapped on the build's executor, cubes first, one at a time as workers
+free up; each returns its worker wall seconds, which the ``cube.reduce``
+span sums per kind as ``cube_s`` and ``check_s``.
 
-**One task list per build.**  A build maps one list through one
-executor call, heaviest first: the coarse residue slices, then (with
-``cross_check``) one whole-stream
-:func:`~repro.cache.fastsim.direct_mapped_miss_sweep` per block size,
-then the fine set partitions.  The parent only scatters the stream,
-merges the integer counts and compares every block size's ``A = 1``
-base with its sweep (a disagreement is a fatal ``RuntimeError``).  Each
-task returns its worker wall seconds with its counts; the
-``cube.reduce`` span sums them per kind as ``coarse_s``, ``check_s``
-and ``fine_s``.
-
-**Out-of-core, shared not pickled.**  Both forms first write their
-input into one spill bundle (:class:`~repro.trace.io.
-StreamingBundleWriter`): one segment per partition, plus the whole
-stream when a whole-stream task reads it.
-:func:`partitioned_miss_cube_from_addresses` consumes its address
-stream in O(chunk) memory — an ndarray (typically a memory-mapped trace
-bundle from :meth:`~repro.engine.store.ArtifactStore.get_or_stream`) or
-any iterable of address chunks.  A task carries only the spill locator
-and memory-maps its segment, so nothing larger than a file locator is
-ever pickled, every process reading a segment shares one set of
-page-cache pages, and any worker — spawned, or forked for an earlier
-build — sees the arrays.
+**Out-of-core, shared not pickled.**  Both forms first write their input
+into one spill bundle (:class:`~repro.trace.io.StreamingBundleWriter`):
+one segment per block size for per-block streams, one address segment
+shared by every block size (shifted per chunk) for an address stream.
+:func:`partitioned_miss_cube_from_addresses` consumes its addresses in
+O(chunk) memory — an ndarray (typically a memory-mapped bundle from
+:meth:`~repro.engine.store.ArtifactStore.get_or_stream`) or any iterable
+of address chunks.  A task carries only the spill locator and
+memory-maps its segment, so nothing larger than a file locator is
+pickled and any worker — spawned, or forked for an earlier build — sees
+the arrays.
 
 **Failure containment.**  A worker pool that dies (``BrokenProcessPool``
 twice without progress: the executor's ``ConfigurationError``) degrades
@@ -78,7 +68,6 @@ from typing import (
     Dict,
     Iterable,
     Iterator,
-    List,
     Mapping,
     Optional,
     Sequence,
@@ -88,228 +77,223 @@ from typing import (
 
 import numpy as np
 
-from repro.cache.fastsim import direct_mapped_miss_sweep
+from repro.cache.fastsim import addresses_to_blocks, direct_mapped_miss_sweep
 from repro.cache.geometry import checked_block_words, checked_levels
 from repro.cache.misscube import (
     MissCube,
     SetCounts,
-    ShiftedStreams,
     _normalized_set_counts,
     miss_cube,
 )
+from repro.cache.stackdist import _dense_ids_and_prev
 from repro.engine.executor import SweepExecutor
 from repro.errors import ConfigurationError
 from repro.obs.tracer import NULL_TRACER
-from repro.trace.io import StreamingBundleWriter, delete_entry, load_arrays
-from repro.utils.units import WORD_BYTES, is_power_of_two, log2_int
+from repro.trace.io import StreamingBundleWriter, load_arrays
 
 __all__ = [
+    "CHUNK_REFS",
     "DEFAULT_PARTITIONS",
-    "DEFAULT_CHUNK_REFS",
     "partitioned_miss_cube",
     "partitioned_miss_cube_from_addresses",
 ]
 
-#: Default set-partition count.  Eight partitions (three index bits)
-#: keep the whole paper grid fine-decomposable when the shared address
-#: stream is partitioned at the 16-word block size, and bound each
-#: partition task's memory to roughly an eighth of the serial pass.
-DEFAULT_PARTITIONS = 8
+#: References per chunk, for every task and for the spill pass.  2^20
+#: was the fastest of 2^18, 2^20 and 2^22 on a 40M-instruction data
+#: stream (DESIGN.md §18); it keeps a task's kernel state to a few
+#: hundred megabytes and the carry (at most ``sets × max_ways`` blocks)
+#: small beside a chunk.
+CHUNK_REFS = 1 << 20
 
-#: Default partition-pass chunk length (references).  4M int64
-#: addresses is 32 MB — large enough to amortize the per-chunk scatter,
-#: small enough that the pass stays O(chunk) in any reasonable budget.
-DEFAULT_CHUNK_REFS = 1 << 22
+#: Set partitions per build: one, since nothing is split by set.
+DEFAULT_PARTITIONS = 1
 
 #: Task kinds, in the order a build lists them.
-TASK_KINDS = ("coarse", "check", "fine")
+TASK_KINDS = ("cube", "check")
 
-#: Test-only fault hook: ``(parent_pid, {partition indices})``.  A
-#: *forked worker* (pid differs from the recorded parent) asked to
-#: reduce one of the listed partitions hard-exits, simulating an OOM
-#: kill mid-reduce; the parent itself never faults, so the serial
-#: fallback path stays exact.  See tests/cache/test_cubepart.py.
-_FAULT_PARTS: Optional[Tuple[int, frozenset]] = None
+#: Spill-pass chunks between two ``cube.progress`` heartbeats.
+_BEAT_CHUNKS = 32
 
-#: ``(kind, spill segment, {block_words: set counts})``.
-_Task = Tuple[str, str, Dict[int, Tuple[int, ...]]]
+#: Test-only fault hook: ``(parent_pid, {(kind, block_words)})``.  A
+#: *forked worker* (pid differs from the recorded parent) asked to run
+#: one of the listed tasks hard-exits, simulating an OOM kill mid-build;
+#: the parent itself never faults, so the serial fallback path stays
+#: exact.  See tests/cache/test_cubepart.py.
+_FAULT_TASKS: Optional[Tuple[int, frozenset]] = None
 
-#: Where a task finds its streams: ``(spill digest, spill directory,
+#: Where a task finds its stream: ``(spill digest, spill directory,
 #: shifted)``, ``shifted`` for one address stream shared by every block
 #: size.
 _Locator = Tuple[str, str, bool]
 
 
-def _maybe_fault(partition: int) -> None:
-    if _FAULT_PARTS is not None:
-        pid, parts = _FAULT_PARTS
-        if os.getpid() != pid and partition in parts:
+def _maybe_fault(kind: str, block_words: int) -> None:
+    if _FAULT_TASKS is not None:
+        pid, tasks = _FAULT_TASKS
+        if os.getpid() != pid and (kind, block_words) in tasks:
             os._exit(1)
 
 
-# -- geometry bookkeeping ------------------------------------------------------
+# -- the chunked count -----------------------------------------------------------
 
 
-def _checked_partitions(partitions: int) -> int:
-    partitions = int(partitions)
-    if partitions < 1 or not is_power_of_two(partitions):
-        raise ConfigurationError(
-            f"cube partitions must be a positive power of two, got {partitions}"
-        )
-    return partitions
+def _lru_carry(seq: np.ndarray, num_sets: int, ways: int) -> np.ndarray:
+    """Each of ``num_sets`` sets' ``ways`` most recent distinct blocks.
 
-
-def _split_fine_coarse(
-    per_block: Mapping[int, Sequence[int]],
-    partition_bits: int,
-    extra_bits: Mapping[int, int],
-) -> Tuple[Dict[int, List[int]], Dict[int, List[int]]]:
-    """Split each block size's set counts by partition closure.
-
-    A set count is *fine* when its set-index bit window contains every
-    partition bit (``log2(S) >= p + extra_bits[B]``, trivially true for
-    ``p == 0``): those geometries decompose exactly across partitions.
-    Everything below the threshold is *coarse residue*, answered one
-    whole-stream slice at a time.
+    All of them in one array, ordered by last reference in ``seq``,
+    oldest first.
     """
-    fine: Dict[int, List[int]] = {}
-    coarse: Dict[int, List[int]] = {}
-    for B, counts in per_block.items():
-        levels = checked_levels(counts)
-        threshold = partition_bits + extra_bits.get(B, 0)
-        fine[B] = [
-            S for S, level in levels.items()
-            if partition_bits == 0 or level >= threshold
-        ]
-        coarse[B] = [
-            S for S, level in levels.items()
-            if not (partition_bits == 0 or level >= threshold)
-        ]
-    return fine, coarse
+    # A reference is its block's last unless a later one points back.
+    _, previous, _ = _dense_ids_and_prev(seq)
+    last = np.ones(len(seq), dtype=bool)
+    last[previous[previous >= 0]] = False
+    newest = seq[np.flatnonzero(last)[::-1]]
+    # Each block's recency rank within its set, 0 for the newest.
+    sets = newest & (num_sets - 1)
+    by_set = np.argsort(sets, kind="stable")
+    grouped = sets[by_set]
+    starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+    rank = np.arange(len(grouped)) - np.repeat(
+        starts, np.diff(np.r_[starts, len(grouped)])
+    )
+    return newest[np.sort(by_set[rank < ways])[::-1]]
 
 
-def _task_list(
-    fine: Mapping[int, Sequence[int]],
-    coarse: Mapping[int, Sequence[int]],
-    checked: Mapping[int, Sequence[int]],
-    partitions: int,
-) -> List[_Task]:
-    """One build's tasks, heaviest first.
+def _chunked_counts(
+    kind: str,
+    chunks: Iterable[np.ndarray],
+    block_words: int,
+    set_counts: Sequence[int],
+    max_ways: int,
+) -> Dict[int, Any]:
+    """One task's counts over a block stream read in chunks.
 
-    Coarse residue slices and ``A = 1`` checks each walk the whole
-    stream (segment ``full``); a fine task walks one partition's
-    substream (segment ``pNNN``) at every fine level of every block size.
+    ``"cube"`` returns ``{num_sets: hits by ways}`` at ``max_ways``;
+    ``"check"`` returns the direct-mapped ``{num_sets: misses}``.  Each
+    chunk runs with the previous sequence's LRU carry in front of it.
     """
-    tasks: List[_Task] = [
-        ("coarse", "full", {B: (S,)})
-        for B, counts in coarse.items()
-        for S in counts
-    ]
-    tasks += [
-        ("check", "full", {B: tuple(counts)})
-        for B, counts in checked.items()
-        if counts
-    ]
-    fine_counts = {B: tuple(counts) for B, counts in fine.items() if counts}
-    if fine_counts:
-        tasks += [
-            ("fine", f"p{index:03d}", fine_counts) for index in range(partitions)
-        ]
-    return tasks
+    ways = max_ways if kind == "cube" else 1
+    finest = max(set_counts)
+    if kind == "cube":
+        totals: Dict[int, Any] = {
+            int(S): np.zeros(max_ways + 1, dtype=np.int64) for S in set_counts
+        }
+    else:
+        totals = {int(S): 0 for S in set_counts}
+    carry = np.empty(0, dtype=np.int64)
+    previous: Optional[np.ndarray] = None
+    for chunk in chunks:
+        if previous is not None:
+            carry = _lru_carry(previous, finest, ways)
+        seq = np.concatenate((carry, chunk)) if len(carry) else chunk
+        if kind == "cube":
+            hits = miss_cube({block_words: seq}, set_counts, max_ways).hits
+            for S, curve in hits[block_words].items():
+                totals[S] += curve
+        else:
+            for S, misses in direct_mapped_miss_sweep(seq, set_counts).items():
+                totals[S] += misses - len(carry)
+        previous = seq
+    return totals
 
 
 # -- tasks (module-level for pickling) -----------------------------------------
 
 
-def _task_streams(
-    locator: _Locator, segment: str, blocks: Sequence[int]
-) -> Mapping[int, np.ndarray]:
-    """A task's streams, memory-mapped from the spill bundle.
-
-    Address-stream spills hold one address segment per name, shifted per
-    block size on access; per-block-stream spills hold one segment per
-    block size (``<segment>b<B>``).
-    """
+def _task_chunks(
+    locator: _Locator, block_words: int, chunk_refs: int
+) -> Iterator[np.ndarray]:
+    """A task's block stream, memory-mapped from the spill bundle and
+    read ``chunk_refs`` references at a time."""
     digest, spill_dir, shifted = locator
     arrays = load_arrays(digest, cache_dir=Path(spill_dir))
     if arrays is None:
-        raise ConfigurationError(f"cube spill bundle {digest} vanished mid-reduce")
-    if shifted:
-        return ShiftedStreams(arrays[segment], blocks)
-    return {B: arrays[f"{segment}b{B}"] for B in blocks}
+        raise ConfigurationError(f"cube spill bundle {digest} vanished mid-build")
+    source = arrays["addresses" if shifted else f"b{block_words}"]
+    for start in range(0, len(source), chunk_refs):
+        chunk = source[start : start + chunk_refs]
+        if shifted:
+            yield addresses_to_blocks(chunk, block_words)
+        else:
+            yield np.asarray(chunk, dtype=np.int64)
 
 
 def _run_task(item: Tuple[Any, ...]) -> Tuple[Dict[int, Any], float]:
-    """Worker task: one coarse slice, ``A = 1`` check or fine partition.
+    """Worker task: one block size's cube or ``A = 1`` check.
 
-    Returns ``({block_words: counts}, wall seconds)``: hit curves by set
-    count for cube tasks, the direct-mapped miss axis for checks.
+    Returns ``(counts, wall seconds)``.
     """
-    locator, kind, segment, counts, max_ways = item
+    locator, kind, block_words, set_counts, max_ways, chunk_refs = item
     started = time.perf_counter()
-    if kind == "fine":
-        _maybe_fault(int(segment[1:]))
-    streams = _task_streams(locator, segment, tuple(counts))
-    if kind == "check":
-        value: Dict[int, Any] = {
-            B: direct_mapped_miss_sweep(streams[B], wanted)
-            for B, wanted in counts.items()
-        }
-    else:
-        cube = miss_cube(streams, counts, max_ways)
-        value = {B: dict(cube.hits[B]) for B in cube.block_words}
-    return value, time.perf_counter() - started
+    _maybe_fault(kind, block_words)
+    counts = _chunked_counts(
+        kind,
+        _task_chunks(locator, block_words, chunk_refs),
+        block_words,
+        set_counts,
+        max_ways,
+    )
+    return counts, time.perf_counter() - started
 
 
-# -- one build: spill, map, merge, check ---------------------------------------
+# -- one build: spill, map, check ----------------------------------------------
 
 
 @contextmanager
-def _spill_bundle(
-    spill_dir: Optional[Path], shifted: bool
-) -> Iterator[Tuple[StreamingBundleWriter, _Locator]]:
-    """A fresh spill bundle writer and its locator; the bundle (and an
-    own directory) is removed on exit."""
-    own = spill_dir is None
-    root = (
-        Path(tempfile.mkdtemp(prefix="repro-cubepart-")) if own else Path(spill_dir)
-    )
+def _spill_bundle(shifted: bool) -> Iterator[Tuple[StreamingBundleWriter, _Locator]]:
+    """A fresh spill bundle writer and its locator, in a temporary
+    directory removed on exit."""
+    root = Path(tempfile.mkdtemp(prefix="repro-cubepart-"))
     digest = f"cubepart-{uuid.uuid4().hex[:16]}"
     writer = StreamingBundleWriter(digest, cache_dir=root)
     try:
         yield writer, (digest, str(root), shifted)
     finally:
         writer.abort()  # drops an unfinished bundle; harmless once finalized
-        delete_entry(digest, cache_dir=root)
-        if own:
-            shutil.rmtree(root, ignore_errors=True)
+        shutil.rmtree(root, ignore_errors=True)
+
+
+def _checked_set_counts(
+    blocks: Tuple[int, ...], set_counts: SetCounts, max_ways: int
+) -> Dict[int, Tuple[int, ...]]:
+    """Validated per-block-size set counts, before any task runs."""
+    if max_ways < 1:
+        raise ConfigurationError(f"max_ways must be at least 1, got {max_ways}")
+    per_block = _normalized_set_counts(blocks, set_counts)
+    return {B: tuple(checked_levels(counts)) for B, counts in per_block.items()}
 
 
 def _run_build(
     locator: _Locator,
-    tasks: Sequence[_Task],
-    per_block: Mapping[int, Sequence[int]],
+    per_block: Mapping[int, Tuple[int, ...]],
     references: Mapping[int, int],
     max_ways: int,
-    partitions: int,
     executor: SweepExecutor,
     tracer,
 ) -> MissCube:
-    """Map the task list on the executor, merge, and check ``A = 1``.
+    """Map the task list on the executor, then check every ``A = 1`` base.
 
     One ``chunk_size=1`` map lets idle workers take the next task in
-    list order.  A pool that breaks for good (the executor's
+    list order: cube tasks before checks, each by references × set
+    counts.  A pool that breaks for good (the executor's
     ``ConfigurationError``) drops to the parent running the whole list,
     which produces identical counts by construction.
     """
+    tasks = sorted(
+        ((kind, B) for kind in TASK_KINDS for B in per_block if per_block[B]),
+        key=lambda task: (
+            TASK_KINDS.index(task[0]),
+            -references[task[1]] * len(per_block[task[1]]),
+        ),
+    )
     items = [
-        (locator, kind, segment, counts, max_ways) for kind, segment, counts in tasks
+        (locator, kind, B, per_block[B], max_ways, CHUNK_REFS) for kind, B in tasks
     ]
     seconds = dict.fromkeys(TASK_KINDS, 0.0)
     with tracer.span(
         "cube.reduce",
         tasks=len(items),
-        partitions=partitions,
+        chunk_refs=CHUNK_REFS,
         backend=executor.backend,
         jobs=executor.jobs,
     ) as span:
@@ -320,37 +304,17 @@ def _run_build(
             span.count("fallback_tasks", len(items))
             with tracer.span("cube.serial_fallback", tasks=len(items)):
                 outcomes = [_run_task(item) for item in items]
-        for (kind, _, _), (_, wall) in zip(tasks, outcomes):
+        for (kind, _), (_, wall) in zip(tasks, outcomes):
             seconds[kind] += wall
         for kind, wall in seconds.items():
             span.count(f"{kind}_s", wall)
         with tracer.span("cube.progress", stage="reduce") as beat:
-            beat.count(
-                "partitions_reduced", sum(kind == "fine" for kind, _, _ in tasks)
-            )
-        coarse = [B for kind, _, counts in tasks if kind == "coarse" for B in counts]
-        if coarse:
-            with tracer.span(
-                "cube.coarse",
-                blocks=",".join(str(B) for B in sorted(set(coarse))),
-                levels=len(coarse),
-            ) as residue:
-                residue.count("worker_s", seconds["coarse"])
+            beat.count("tasks_reduced", len(items))
 
-    merged: Dict[int, Dict[int, np.ndarray]] = {B: {} for B in references}
+    hits: Dict[int, Dict[int, np.ndarray]] = {B: {} for B in per_block}
     axes: Dict[int, Dict[int, int]] = {}
-    for (kind, _, _), (value, _) in zip(tasks, outcomes):
-        if kind == "check":
-            axes.update(value)
-            continue
-        for B, per_sets in value.items():
-            for S, curve in per_sets.items():
-                total = merged[B].get(S)
-                merged[B][S] = curve if total is None else total + curve
-    hits = {
-        B: {S: merged[B][S] for S in checked_levels(per_block[B])}
-        for B in references
-    }
+    for (kind, B), (counts, _) in zip(tasks, outcomes):
+        (hits if kind == "cube" else axes)[B] = counts
     cube = MissCube(references=dict(references), max_ways=max_ways, hits=hits)
     for B, axis in axes.items():
         cube.check_base(B, axis, "cubepart")
@@ -365,62 +329,31 @@ def partitioned_miss_cube(
     set_counts: SetCounts,
     max_ways: int,
     *,
-    partitions: int = DEFAULT_PARTITIONS,
     executor: Optional[SweepExecutor] = None,
     tracer=None,
-    cross_check: bool = False,
 ) -> MissCube:
-    """:func:`~repro.cache.misscube.miss_cube`, split across set partitions.
+    """:func:`~repro.cache.misscube.miss_cube` through the chunked driver.
 
-    Bit-identical to the serial engine on the same inputs.  Each block
-    size's stream is scattered by the low ``log2(partitions)`` block
-    bits into a spill bundle; set counts ``S >= partitions`` are
-    reduced per partition and summed, the rest — inherently global —
-    are whole-stream slices.  Every task runs on ``executor`` (in the
-    parent when it is serial).  With ``cross_check``, every block size's
-    ``A = 1`` base is also checked against a whole-stream
-    :func:`~repro.cache.fastsim.direct_mapped_miss_sweep`, one more task
-    per block size.
+    Bit-identical to the serial engine on the same inputs, and every
+    block size's ``A = 1`` base is checked against the independent
+    direct-mapped sweep.  Each stream is spilled to its own segment; the
+    tasks run on ``executor`` (in the parent when it is serial).
     """
     blocks = checked_block_words(list(streams))
-    per_block = _normalized_set_counts(blocks, set_counts)
-    partitions = _checked_partitions(partitions)
+    per_block = _checked_set_counts(blocks, set_counts, max_ways)
     executor = executor if executor is not None else SweepExecutor()
     tracer = tracer if tracer is not None else NULL_TRACER
-    fine, coarse = _split_fine_coarse(
-        per_block, log2_int(partitions), {B: 0 for B in blocks}
-    )
-    tasks = _task_list(fine, coarse, per_block if cross_check else {}, partitions)
-    whole = {B for _, segment, counts in tasks if segment == "full" for B in counts}
-    references = {B: len(streams[B]) for B in blocks}
-
-    with _spill_bundle(None, shifted=False) as (writer, locator):
-        with tracer.span(
-            "cube.partition", partitions=partitions, form="streams"
-        ) as span:
+    references: Dict[int, int] = {}
+    with _spill_bundle(shifted=False) as (writer, locator):
+        with tracer.span("cube.spill", form="streams") as span:
             for B in blocks:
-                if B not in whole and not fine[B]:
-                    continue
                 stream = np.asarray(streams[B], dtype=np.int64)
-                if B in whole:
-                    writer.append(f"fullb{B}", stream)
-                if fine[B]:
-                    span.count("references", len(stream))
-                    key = stream & (partitions - 1)
-                    for index in range(partitions):
-                        writer.append(f"p{index:03d}b{B}", stream[key == index])
-                del stream
-        if tasks:
-            writer.finalize()
+                references[B] = len(stream)
+                writer.append(f"b{B}", stream)
+                span.count("references", len(stream))
+        writer.finalize()
         return _run_build(
-            locator,
-            tasks,
-            per_block,
-            references,
-            int(max_ways),
-            partitions,
-            executor,
-            tracer,
+            locator, per_block, references, int(max_ways), executor, tracer
         )
 
 
@@ -428,11 +361,11 @@ def partitioned_miss_cube(
 
 
 def _iter_address_chunks(
-    addresses: Union[np.ndarray, Iterable[np.ndarray]], chunk_refs: int
+    addresses: Union[np.ndarray, Iterable[np.ndarray]]
 ) -> Iterable[np.ndarray]:
     if isinstance(addresses, np.ndarray):
-        for start in range(0, len(addresses), chunk_refs):
-            yield addresses[start : start + chunk_refs]
+        for start in range(0, len(addresses), CHUNK_REFS):
+            yield addresses[start : start + CHUNK_REFS]
     else:
         for chunk in addresses:
             yield np.asarray(chunk)
@@ -444,86 +377,43 @@ def partitioned_miss_cube_from_addresses(
     set_counts: SetCounts,
     max_ways: int,
     *,
-    partitions: int = DEFAULT_PARTITIONS,
     executor: Optional[SweepExecutor] = None,
     tracer=None,
-    chunk_refs: int = DEFAULT_CHUNK_REFS,
-    spill_dir: Optional[Path] = None,
-    cross_check: bool = True,
-    progress_refs: Optional[int] = None,
 ) -> MissCube:
-    """The full cube of one byte-address stream, out-of-core and parallel.
+    """The full cube of one byte-address stream, out-of-core.
 
     Bit-identical to
     :func:`~repro.cache.misscube.miss_cube_from_addresses` on the same
-    stream.  ``addresses`` may be an ndarray (a memory-mapped bundle
-    from :meth:`~repro.engine.store.ArtifactStore.get_or_stream` works
+    stream, with every block size's ``A = 1`` base checked.
+    ``addresses`` may be an ndarray (a memory-mapped bundle from
+    :meth:`~repro.engine.store.ArtifactStore.get_or_stream` works
     unchanged and is never copied whole) or any iterable of address
-    chunks; the partition pass consumes it in O(``chunk_refs``) memory,
-    scattering by the coarsest block size's low partition bits into
-    per-partition spill segments (:class:`~repro.trace.io.
-    StreamingBundleWriter`), and writes the whole stream alongside when
-    a coarse residue slice or the cross-check reads it.  Every task
-    memory-maps its segment — locators are pickled, buffers never are —
-    and runs the unmodified serial engine, or (``cross_check``, on by
-    default) the independent whole-stream ``A = 1`` sweep per block
-    size.
+    chunks; the spill pass consumes it in O(chunk) memory into one
+    address segment, which every task memory-maps and shifts to its
+    block size one chunk at a time.
     """
     blocks = checked_block_words(block_words)
-    per_block = _normalized_set_counts(blocks, set_counts)
-    partitions = _checked_partitions(partitions)
+    per_block = _checked_set_counts(blocks, set_counts, max_ways)
     executor = executor if executor is not None else SweepExecutor()
     tracer = tracer if tracer is not None else NULL_TRACER
-    if chunk_refs < 1:
-        raise ConfigurationError(
-            f"chunk_refs must be at least 1, got {chunk_refs}"
-        )
-    largest = blocks[-1]
-    extra_bits = {B: log2_int(largest // B) for B in blocks}
-    fine, coarse = _split_fine_coarse(per_block, log2_int(partitions), extra_bits)
-    tasks = _task_list(fine, coarse, per_block if cross_check else {}, partitions)
-    need_full = any(segment == "full" for _, segment, _ in tasks)
-    need_parts = any(kind == "fine" for kind, _, _ in tasks)
-    if progress_refs is None:
-        progress_refs = 8 * chunk_refs
-
-    shift = log2_int(largest * WORD_BYTES)
     consumed = 0
-    with _spill_bundle(spill_dir, shifted=True) as (writer, locator):
-        with tracer.span(
-            "cube.partition", partitions=partitions, form="addresses"
-        ) as span:
-            since_beat = 0
-            for chunk in _iter_address_chunks(addresses, chunk_refs):
-                chunk = np.asarray(chunk, dtype=np.int64)
-                if not len(chunk):
-                    continue
-                if need_full:
-                    writer.append("full", chunk)
-                if need_parts:
-                    key = (chunk >> shift) & (partitions - 1)
-                    for index in range(partitions):
-                        writer.append(f"p{index:03d}", chunk[key == index])
+    with _spill_bundle(shifted=True) as (writer, locator):
+        with tracer.span("cube.spill", form="addresses") as span:
+            writer.append("addresses", np.empty(0, dtype=np.int64))
+            for index, chunk in enumerate(_iter_address_chunks(addresses), 1):
+                writer.append("addresses", np.asarray(chunk, dtype=np.int64))
                 consumed += len(chunk)
-                since_beat += len(chunk)
                 span.count("references", len(chunk))
                 span.count("chunks")
-                if since_beat >= progress_refs:
-                    with tracer.span("cube.progress", stage="partition") as beat:
+                if index % _BEAT_CHUNKS == 0:
+                    with tracer.span("cube.progress", stage="spill") as beat:
                         beat.count("references_consumed", consumed)
-                    since_beat = 0
-        if consumed == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return miss_cube({B: empty for B in blocks}, per_block, max_ways)
-        if tasks:
-            writer.finalize()
+        writer.finalize()
         return _run_build(
             locator,
-            tasks,
             per_block,
-            {B: consumed for B in blocks},
+            dict.fromkeys(blocks, consumed),
             int(max_ways),
-            partitions,
             executor,
             tracer,
         )

@@ -52,7 +52,6 @@ from repro.cache.cubepart import (
     partitioned_miss_cube,
     partitioned_miss_cube_from_addresses,
 )
-from repro.cache.fastsim import addresses_to_blocks, direct_mapped_miss_sweep
 from repro.cache.geometry import (
     checked_block_words,
     checked_ways,
@@ -63,7 +62,6 @@ from repro.cache.misscube import (
     MISS_CUBE_VERSION,
     MissCube,
     capacity_set_counts,
-    miss_cube,
 )
 from repro.trace.executor import ExecutionTrace, TraceExecutor
 from repro.trace.compiled import (
@@ -220,11 +218,9 @@ class SuiteMeasurement:
         #: optimizer sweeps over this session journal their shards into
         #: the configured run directory and become resumable.
         self.job_config = None
-        #: Worker count for miss-cube builds (:meth:`attach_cube_jobs`).
-        #: At 1 the serial single-pass engine runs; above 1, cubes are
-        #: built by the set-partitioned parallel engine
-        #: (:mod:`repro.cache.cubepart`) — bit-identical counts, same
-        #: artifacts, bounded per-worker memory.
+        #: Worker count for miss-cube builds (:meth:`attach_cube_jobs`):
+        #: the driver's tasks (:mod:`repro.cache.cubepart`) run in this
+        #: process at 1 and on a pool of that many workers above.
         self.cube_jobs = 1
         #: Cube routing hints: ``(side, slots, block_words) -> key params``
         #: of an already-built cube covering that block size, so later
@@ -248,14 +244,12 @@ class SuiteMeasurement:
         self.executor.tracer = tracer
 
     def attach_cube_jobs(self, jobs: Optional[int]) -> None:
-        """Build miss cubes with the set-partitioned parallel engine.
+        """Run miss-cube builds on a pool of ``jobs`` worker processes.
 
-        ``jobs > 1`` routes cube builds through
-        :mod:`repro.cache.cubepart` with a process executor of that
-        width; the merged counts are bit-identical to the serial
-        single-pass engine, so the cached ``imiss_cube``/``dmiss_cube``
-        artifacts are unchanged.  ``None`` or 1 restores the serial
-        build.
+        Every build goes through :mod:`repro.cache.cubepart`; ``jobs > 1``
+        maps its tasks on a process executor of that width, ``None`` or 1
+        runs them in this process.  The counts, and so the cached
+        ``imiss_cube``/``dmiss_cube`` artifacts, are the same either way.
         """
         jobs = int(jobs) if jobs is not None else 1
         if jobs < 1:
@@ -635,49 +629,20 @@ class SuiteMeasurement:
             "istream", GENERATOR_VERSION, build, slots=slots, block_words=block_words
         )
 
-    def dstream_addresses(self) -> np.ndarray:
-        """Multiprogrammed data stream as byte addresses (block-independent).
-
-        The per-benchmark address models are expanded and interleaved
-        exactly once; every block granularity of the data stream is a
-        pure shift view of this artifact.  Reducing addresses to block
-        indices is elementwise and length-preserving, so it commutes
-        with the quantum interleave — :meth:`dstream_blocks` at any
-        block size is bit-identical to interleaving per-benchmark block
-        streams directly.
-        """
-
-        def build() -> np.ndarray:
-            with self.tracer.span("dstream.expand"):
-                sequences = []
-                for bench in self.benchmarks:
-                    refs = (
-                        bench.trace.category_counts["loads"]
-                        + bench.trace.category_counts["stores"]
-                    )
-                    model = DataReferenceModel(bench.spec, seed=self.seed)
-                    sequences.append(
-                        model.generate(refs) + address_space_offset(bench.index)
-                    )
-                quanta = multiprogram_quanta(
-                    [len(s) for s in sequences], self.switches
-                )
-                return interleave_chunks(sequences, quanta)
-
-        return self.store.get_or_create("dstream_addr", GENERATOR_VERSION, build)
-
     def dstream_address_bundle(self) -> np.ndarray:
-        """The multiprogrammed data addresses as a disk-backed bundle view.
+        """The multiprogrammed data stream as byte addresses.
 
-        Bit-identical to :meth:`dstream_addresses` — the same one-shot
-        per-benchmark expansion (chunked generation would change the
-        models' draw order) and the same quantum schedule, emitted
-        quantum by quantum through :meth:`~repro.engine.store.
+        Block-independent: every block granularity of the data stream is
+        a pure shift view (:func:`~repro.cache.fastsim.
+        addresses_to_blocks`), which commutes with the quantum interleave
+        because it is elementwise and length-preserving.  Each
+        benchmark's address model is expanded in one shot (chunked
+        generation would change its draw order), and the interleave is
+        emitted quantum by quantum through :meth:`~repro.engine.store.
         ArtifactStore.get_or_stream`.  With the disk tier on, the value
-        is a *memory-mapped* view of the finished bundle: paper-scale
-        analyses (the partitioned cube engine, the bench harness) read
-        it through the page cache instead of holding a heap copy, and
-        repeat sessions map it straight back without re-expanding.
+        is a *memory-mapped* view of the finished bundle: the cube driver
+        reads it through the page cache instead of holding a heap copy,
+        and repeat sessions map it straight back without re-expanding.
         """
 
         def produce(writer) -> None:
@@ -699,10 +664,9 @@ class SuiteMeasurement:
                 for piece in iter_interleaved(sequences, quanta):
                     writer.append("addresses", piece)
 
-        # Streamed artifacts always persist; unlike the in-memory
-        # ``dstream_addr`` (private to this session's store), the bundle
-        # must carry the session identity in its key so sessions at
-        # different scales sharing one disk tier never collide.
+        # Streamed artifacts always persist, so the bundle carries the
+        # session identity in its key: sessions at different scales
+        # sharing one disk tier never collide.
         arrays = self.store.get_or_stream(
             "dstream_addr_bundle",
             GENERATOR_VERSION,
@@ -710,16 +674,6 @@ class SuiteMeasurement:
             session=self.spec().digest(),
         )
         return arrays["addresses"]
-
-    def dstream_blocks(self, block_words: int) -> np.ndarray:
-        """Multiprogrammed data stream at cache-block granularity."""
-
-        def build() -> np.ndarray:
-            return addresses_to_blocks(self.dstream_addresses(), block_words)
-
-        return self.store.get_or_create(
-            "dstream", GENERATOR_VERSION, build, block_words=block_words
-        )
 
     # -- miss counts -------------------------------------------------------------
 
@@ -742,35 +696,21 @@ class SuiteMeasurement:
             )
         return capacity
 
-    def _partitioned(self, build: Callable[..., MissCube], *args: Any) -> MissCube:
-        """One set-partitioned cube build on a fresh worker pool.
+    def _build_cube(self, build: Callable[..., MissCube], *args: Any) -> MissCube:
+        """One cube build by a :mod:`repro.cache.cubepart` form, on a
+        fresh executor of ``cube_jobs`` workers.
 
-        ``build`` is a :mod:`repro.cache.cubepart` form.  Its
-        ``cross_check`` task list includes the whole-stream ``A = 1``
-        sweep per block size, so the build comes back already checked
-        (the serial path runs :meth:`_check_cube_base` instead).
+        The driver checks every block size's ``A = 1`` base against the
+        independent direct-mapped sweep before the cube comes back, which
+        also pins every cube-backed output to the retired per-axis
+        simulation bit for bit.
         """
-        executor = SweepExecutor(jobs=self.cube_jobs, backend="process")
+        executor = SweepExecutor(jobs=self.cube_jobs)
         executor.tracer = self.tracer
         try:
-            return build(
-                *args, executor=executor, tracer=self.tracer, cross_check=True
-            )
+            return build(*args, executor=executor, tracer=self.tracer)
         finally:
             executor.shutdown()
-
-    def _check_cube_base(
-        self, kind: str, cube: MissCube, streams: Mapping[int, np.ndarray]
-    ) -> None:
-        """Every A=1 base of a serially built cube must match the
-        direct-mapped sweep (:meth:`MissCube.check_base`).
-
-        This is also what pins every cube-backed experiment output to
-        the retired per-axis simulation bit for bit.
-        """
-        for block_words, stream in streams.items():
-            axis = direct_mapped_miss_sweep(stream, cube.set_counts(block_words))
-            cube.check_base(block_words, axis, kind)
 
     def _register_cube(
         self,
@@ -810,15 +750,14 @@ class SuiteMeasurement:
         capacity, ways) tuple holds exact miss counts for every covered
         geometry: each block size at every power-of-two set count up to
         ``capacity_words // block`` and every associativity up to
-        ``max_ways``, produced by a single engine pass
-        (:func:`~repro.cache.misscube.miss_cube`) over the per-block
-        instruction streams.  The bounds are canonicalized (at least the
-        paper's 32 KW capacity and 8 ways — the pass costs the same), so
-        every :meth:`misses` query on the paper grid resolves to the same
-        artifact.
-        Every block size's ``A = 1`` base is cross-checked against the
-        independent :func:`~repro.cache.fastsim.direct_mapped_miss_sweep`
-        before the cube is stored.
+        ``max_ways``, produced by the chunked driver
+        (:func:`~repro.cache.cubepart.partitioned_miss_cube`) over the
+        per-block instruction streams.  The bounds are canonicalized (at
+        least the paper's 32 KW capacity and 8 ways), so every
+        :meth:`misses` query on the paper grid resolves to the same
+        artifact.  Every block size's ``A = 1`` base is cross-checked
+        against the independent :func:`~repro.cache.fastsim.
+        direct_mapped_miss_sweep` before the cube is stored.
         """
         blocks = checked_block_words(block_words, context="L1-I")
         capacity = self._cube_capacity("I", blocks, capacity_words)
@@ -837,13 +776,9 @@ class SuiteMeasurement:
             ) as span:
                 span.count("block_sizes", len(blocks))
                 span.count("references", sum(len(s) for s in streams.values()))
-                if self.cube_jobs > 1:
-                    return self._partitioned(
-                        partitioned_miss_cube, streams, set_counts, ways
-                    )
-                cube = miss_cube(streams, set_counts, ways)
-            self._check_cube_base("imiss_cube", cube, streams)
-            return cube
+                return self._build_cube(
+                    partitioned_miss_cube, streams, set_counts, ways
+                )
 
         cube = self.store.get_or_create(
             "imiss_cube",
@@ -866,10 +801,10 @@ class SuiteMeasurement:
         """L1-D LRU misses over the whole (block x sets x ways) cube.
 
         The data-side cube consumes the single block-independent address
-        stream (:meth:`dstream_addresses`); block-size doubling is one
-        more shift view inside the engine
-        (:func:`~repro.cache.misscube.miss_cube_from_addresses`
-        semantics, with the shift views shared through the store).
+        bundle (:meth:`dstream_address_bundle`) out-of-core; block-size
+        doubling is one more shift inside the driver
+        (:func:`~repro.cache.cubepart.
+        partitioned_miss_cube_from_addresses`).
         """
         blocks = checked_block_words(block_words, context="L1-D")
         capacity = self._cube_capacity("D", blocks, capacity_words)
@@ -885,24 +820,15 @@ class SuiteMeasurement:
                 max_ways=ways,
             ) as span:
                 span.count("block_sizes", len(blocks))
-                if self.cube_jobs > 1:
-                    # Parallel builds consume the memory-mapped address
-                    # bundle out-of-core instead of materializing one
-                    # block stream per block size.
-                    addresses = self.dstream_address_bundle()
-                    span.count("references", len(blocks) * len(addresses))
-                    return self._partitioned(
-                        partitioned_miss_cube_from_addresses,
-                        addresses,
-                        blocks,
-                        set_counts,
-                        ways,
-                    )
-                streams = {B: self.dstream_blocks(B) for B in blocks}
-                span.count("references", sum(len(s) for s in streams.values()))
-                cube = miss_cube(streams, set_counts, ways)
-            self._check_cube_base("dmiss_cube", cube, streams)
-            return cube
+                addresses = self.dstream_address_bundle()
+                span.count("references", len(blocks) * len(addresses))
+                return self._build_cube(
+                    partitioned_miss_cube_from_addresses,
+                    addresses,
+                    blocks,
+                    set_counts,
+                    ways,
+                )
 
         cube = self.store.get_or_create(
             "dmiss_cube",

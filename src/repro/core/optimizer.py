@@ -224,6 +224,24 @@ class DesignOptimizer:
                 "D", sorted(dcache_grid["blocks"]), max(dcache_grid["words"])
             )
 
+    def _warm_and_prime(self, configs: Sequence[SystemConfig]):
+        """Build the grid's miss cubes here, then prime the pool.
+
+        Workers forked afterwards inherit the cubes instead of each
+        building (and discarding) its own.  A pool an earlier sweep
+        forked predates anything this warm builds, so it is retired
+        first: the next map forks workers that see the new cubes.
+        Returns the session's spec.
+        """
+        store = self.measurement.store
+        misses = store.stats().misses
+        self._warm_miss_cubes(configs)
+        if store.stats().misses != misses:
+            self.executor.retire_pool()
+        spec = self.measurement.spec()
+        self.executor.prime(spec.digest(), self.measurement)
+        return spec
+
     def _prefill_parallel(self, configs: Sequence[SystemConfig]) -> bool:
         """Evaluate not-yet-cached points on the worker pool.
 
@@ -251,11 +269,7 @@ class DesignOptimizer:
         if len(missing) < max(2, self.executor.jobs):
             return False
         self.tracer.count("prefilled", len(missing))
-        # Build the cubes before the fork, so workers inherit them
-        # instead of each building (and discarding) its own.
-        self._warm_miss_cubes(missing)
-        spec = self.measurement.spec()
-        self.executor.prime(spec.digest(), self.measurement)
+        spec = self._warm_and_prime(missing)
         try:
             points = self.executor.map(
                 evaluate_design_point,

@@ -141,6 +141,8 @@ class SweepExecutor:
         self.tracer = NULL_TRACER
         self._start_method = start_method
         self._pool: Optional[ProcessPoolExecutor] = None
+        #: Digest of the session this executor last primed.
+        self._primed: Optional[str] = None
 
     # -- properties ------------------------------------------------------------
 
@@ -256,6 +258,7 @@ class SweepExecutor:
         so the module-global inheritance table never grows beyond the
         one session currently being swept.
         """
+        self._primed = digest
         if _FORK_INHERITED.get(digest) is session:
             return
         retire_inherited()
@@ -292,17 +295,28 @@ class SweepExecutor:
             pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
 
+    def retire_pool(self) -> None:
+        """Shut the worker pool down but keep the primed session.
+
+        The next :meth:`map` forks fresh workers, which see everything
+        the parent has built since the retired pool forked.
+        """
+        self._shutdown_pool()
+
     def shutdown(self) -> None:
         """Release worker processes and primed state (stays usable).
 
-        Retiring the fork-inheritance table here matters: the pool is
-        gone, so nothing will ever fork against the primed session again
-        — leaving it pinned would hold the session's trace arrays (and
-        any shared-memory segments exported under its digest) for the
-        life of the process.
+        Retiring the session this executor primed matters: the pool is
+        gone, so nothing will ever fork against it again — leaving it
+        pinned would hold the session's trace arrays (and any
+        shared-memory segments exported under its digest) for the life
+        of the process.  An executor that primed nothing leaves other
+        executors' primed sessions alone.
         """
         self._shutdown_pool()
-        retire_inherited()
+        if self._primed is not None:
+            retire_inherited(self._primed)
+            self._primed = None
 
     def __del__(self) -> None:
         """Last-resort pool cleanup when an executor is garbage collected.

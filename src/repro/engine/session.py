@@ -122,9 +122,9 @@ class SessionRegistry:
         ``jobs`` configures the session's sweep executor; passing a new
         value to an existing session swaps its executor in place so a CLI
         flag applies even when the session was built earlier.
-        ``cube_jobs`` sizes the set-partitioned parallel miss-cube
-        builds the same way (1 restores the serial engine; counts are
-        bit-identical either way).
+        ``cube_jobs`` sizes the miss-cube builds' worker pool the same
+        way (1 runs them in this process; counts are bit-identical
+        either way).
         """
         scale = self.resolve_scale(scale)
         session = self._sessions.get(scale)

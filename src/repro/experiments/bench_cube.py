@@ -10,8 +10,8 @@ For each budget this builds the session, streams the multiprogrammed
 data addresses into a disk-backed bundle, and times the whole paper
 block-size study surface — every paper block size (4/8/16 words) at
 every capacity (1-32 KW) and way count (1/2/4/8) — through the
-set-partitioned out-of-core engine, asserting it bit-identical to the
-serial engine wherever both run.  Each budget runs in a fresh process
+chunked out-of-core driver (:mod:`repro.cache.cubepart`), asserting it
+bit-identical to the serial engine wherever both run.  Each budget runs in a fresh process
 that reports its own peak RSS; the rows land in a
 :class:`~repro.obs.RunLedger` (written with ``--out``).  ``--scales`` is
 required, so a bare run never starts the 2.4G-instruction row.
@@ -32,10 +32,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.cache.cubepart import (
-    DEFAULT_PARTITIONS,
-    partitioned_miss_cube_from_addresses,
-)
+from repro.cache.cubepart import partitioned_miss_cube_from_addresses
 from repro.cache.misscube import MissCube, miss_cube_from_addresses
 from repro.engine.executor import SweepExecutor
 from repro.engine.store import ArtifactStore
@@ -59,11 +56,11 @@ DEFAULT_SCALE_AXIS = (
 )
 
 #: Largest budget at which the scale benchmark also runs the one-shot
-#: serial engine and asserts the partitioned cube bit-identical to it.
+#: serial engine and asserts the driver's cube bit-identical to it.
 #: Past this the serial pass is skipped (that is the point of the
-#: partitioned engine) and the partitioned build carries its
-#: whole-stream A=1 cross-check instead: one direct-mapped sweep per
-#: block size, run as tasks on the same worker pool.
+#: chunked driver) and the build carries its chunked A=1 cross-check
+#: instead: one direct-mapped sweep per block size, run as tasks on the
+#: same worker pool.
 DEFAULT_SERIAL_LIMIT = 400_000_000
 
 
@@ -120,7 +117,6 @@ def _scale_row(
     total: int,
     repeats: int,
     cube_jobs: int,
-    partitions: int,
     serial_limit: int,
     root: Path,
     specs,
@@ -171,9 +167,7 @@ def _scale_row(
                 blocks,
                 set_counts,
                 max(ways),
-                partitions=partitions,
                 executor=executor,
-                cross_check=True,
             )
             part_s = min(part_s, time.perf_counter() - started)
     finally:
@@ -184,7 +178,7 @@ def _scale_row(
         identical = _cubes_identical(serial_cube, part_cube)
         if not identical:
             raise ConfigurationError(
-                f"partitioned cube disagrees with the serial engine "
+                f"the driver's cube disagrees with the serial engine "
                 f"at {total} instructions"
             )
     return {
@@ -202,7 +196,6 @@ def run_scale_benchmark(
     instructions: Sequence[int],
     repeats: int = 1,
     cube_jobs: int = 1,
-    partitions: int = DEFAULT_PARTITIONS,
     serial_limit: int = DEFAULT_SERIAL_LIMIT,
     cache_dir: Optional[Path] = None,
     stream=sys.stdout,
@@ -216,12 +209,12 @@ def run_scale_benchmark(
     (:meth:`~repro.core.measurement.SuiteMeasurement.
     dstream_address_bundle` — the memory-mapped view is what both
     engines consume: ``stream_s``), then time the whole paper block-size
-    surface through the set-partitioned out-of-core engine.  Budgets up to
+    surface through the chunked out-of-core driver.  Budgets up to
     ``serial_limit`` also run the serial one-shot engine and the two
     cubes are asserted **bit-identical** (fatal otherwise); above the
-    limit the serial pass is skipped and the partitioned build keeps its
-    whole-stream ``A = 1`` cross-check against the independent
-    direct-mapped sweep (one more task per block size on its pool).
+    limit the serial pass is skipped and the driver's build keeps its
+    chunked ``A = 1`` cross-check against the independent direct-mapped
+    sweep (one more task per block size on its pool).
     Each budget runs in a fresh spawned process whose peak RSS (itself
     and its cube workers) is recorded, so the ledger shows each
     budget's own memory rather than the largest earlier one.  The budgets share ``cache_dir``, so only the first one
@@ -246,7 +239,7 @@ def run_scale_benchmark(
             with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
                 row = pool.submit(
                     _scale_row,
-                    total, repeats, cube_jobs, partitions, serial_limit, root, specs,
+                    total, repeats, cube_jobs, serial_limit, root, specs,
                 ).result()
             serial_s = row["serial_s"]
             part_s = row["partitioned_s"]
@@ -288,7 +281,6 @@ def run_scale_benchmark(
     full = per_scale[-1]
     ledger.set_run_info(
         benchmark="miss-cube-scale",
-        partitions=partitions,
         cube_jobs=cube_jobs,
         repeats=repeats,
         serial_limit=serial_limit,
@@ -341,22 +333,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for the partitioned reduce (default: 1)",
-    )
-    parser.add_argument(
-        "--partitions",
-        type=int,
-        default=DEFAULT_PARTITIONS,
-        metavar="P",
-        help="set partitions for the out-of-core engine (power of two, "
-        f"default: {DEFAULT_PARTITIONS})",
+        help="worker processes for the driver's tasks (default: 1)",
     )
     parser.add_argument(
         "--cache-dir",
         type=Path,
         default=None,
         metavar="DIR",
-        help="artifact/spill directory (default: a fresh temp dir, "
+        help="artifact directory (default: a fresh temp dir, "
         "removed afterwards)",
     )
     args = parser.parse_args(argv)
@@ -376,7 +360,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             budgets,
             repeats=args.repeats,
             cube_jobs=args.cube_jobs,
-            partitions=args.partitions,
             cache_dir=args.cache_dir,
         )
     except ConfigurationError as exc:

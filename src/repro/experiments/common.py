@@ -42,7 +42,7 @@ def get_measurement(
 
     The scale defaults to the ``REPRO_SCALE`` environment variable, then
     to ``full``; ``jobs`` sizes the session's sweep executor and
-    ``cube_jobs`` its set-partitioned miss-cube builds.  Callers needing
+    ``cube_jobs`` its miss-cube builds' worker pool.  Callers needing
     isolation pass their own registry.
     """
     return (registry or DEFAULT_REGISTRY).get(scale, jobs=jobs, cube_jobs=cube_jobs)

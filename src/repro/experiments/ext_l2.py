@@ -20,7 +20,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.cache.fastsim import direct_mapped_miss_mask, direct_mapped_misses
+from repro.cache.fastsim import (
+    addresses_to_blocks,
+    direct_mapped_miss_mask,
+    direct_mapped_misses,
+)
 from repro.core import SuiteMeasurement
 from repro.experiments.common import (
     DEFAULT_BLOCK_WORDS,
@@ -44,9 +48,11 @@ def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
     measurement = measurement or get_measurement()
     rows = []
     data = {}
+    blocks = addresses_to_blocks(
+        measurement.dstream_address_bundle(), DEFAULT_BLOCK_WORDS
+    )
     for l1_kw in (1, 8, 32):
         l1_sets = kw_to_words(l1_kw) // DEFAULT_BLOCK_WORDS
-        blocks = measurement.dstream_blocks(DEFAULT_BLOCK_WORDS)
         miss_mask = direct_mapped_miss_mask(blocks, l1_sets)
         l1_miss_blocks = blocks[miss_mask]
         # Re-express the L1 miss stream at L2 block granularity.

@@ -459,8 +459,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for set-partitioned miss-cube builds "
-        "(bit-identical to the serial engine; default: 1)",
+        help="worker processes for miss-cube builds: each block size's "
+        "cube and A=1 check run as tasks (counts identical at any N; "
+        "default: 1, in this process)",
     )
     parser.add_argument(
         "--profile",

@@ -231,6 +231,16 @@ class JobRunner:
                 stats.sweeps_resumed += 1
                 span.count("shards_replayed", len(completed))
             self._replay_completed(completed, span)
+            pending = [
+                config
+                for index, shard in enumerate(shards)
+                if index not in completed
+                for config in shard
+            ]
+            if pending and self.optimizer.executor.is_parallel:
+                # Once, before the first shard forks the pool: workers
+                # then inherit the cubes instead of building their own.
+                self.optimizer._warm_and_prime(pending)
             for index, shard in enumerate(shards):
                 if index in completed:
                     stats.shards_replayed += 1

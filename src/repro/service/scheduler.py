@@ -65,10 +65,9 @@ PROGRESS_SPANS = frozenset(
         "optimizer.serial_fallback",
         "imiss.cube",
         "dmiss.cube",
-        "cube.partition",
+        "cube.spill",
         "cube.reduce",
         "cube.progress",
-        "cube.coarse",
         "cube.serial_fallback",
         "session.build",
         "session.prefetch_traces",

@@ -1,12 +1,14 @@
-"""Set-partitioned parallel cube: bit-identity, fallback, out-of-core.
+"""The chunked cube driver: bit-identity, the LRU carry, fallback, memory.
 
-The partitioned engine's only contract is that it is invisible: over
-any stream, any chunk size, any partition count, and any worker count —
-including a worker pool that dies mid-reduce — the merged cube must be
-*bit-identical* to the serial one-shot engine on the same inputs.
+The driver's only contract is that it is invisible: over any stream,
+any chunk length, any block sizes, ways and set counts, and any worker
+count — including a worker pool that dies mid-build — its cube must be
+*bit-identical* to the unchunked one-shot engine on the same inputs.
 """
 
 import os
+import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from repro.cache.cubepart import (
     partitioned_miss_cube,
     partitioned_miss_cube_from_addresses,
 )
-from repro.cache.fastsim import addresses_to_blocks
+from repro.cache.fastsim import addresses_to_blocks, direct_mapped_miss_sweep
 from repro.cache.misscube import (
     capacity_set_counts,
     miss_cube,
@@ -30,7 +32,37 @@ from repro.obs.tracer import Tracer
 
 BLOCKS = (4, 8, 16)
 
-addresses = st.lists(st.integers(min_value=0, max_value=4095), max_size=400)
+addresses = st.lists(st.integers(min_value=0, max_value=1 << 14), max_size=400)
+block_sets = st.sets(st.sampled_from((1, 2, 4, 8, 16, 32)), min_size=1)
+ways = st.integers(min_value=1, max_value=24)
+
+
+@st.composite
+def set_count_lists(draw, blocks):
+    """Full capacity grids (every level down to one set) or sparse lists."""
+    if draw(st.booleans()):
+        capacity = max(blocks) << draw(st.integers(min_value=0, max_value=7))
+        return capacity_set_counts(blocks, capacity)
+    levels = draw(st.sets(st.integers(min_value=0, max_value=8), min_size=1))
+    return [1 << k for k in levels]
+
+
+@contextmanager
+def chunked(chunk_refs):
+    """Run builds with ``chunk_refs``-reference chunks."""
+    saved = cubepart.CHUNK_REFS
+    cubepart.CHUNK_REFS = chunk_refs
+    try:
+        yield
+    finally:
+        cubepart.CHUNK_REFS = saved
+
+
+@pytest.fixture(scope="module")
+def pool():
+    executor = SweepExecutor(jobs=2)
+    yield executor
+    executor.shutdown()
 
 
 def assert_cubes_identical(expected, got):
@@ -69,103 +101,131 @@ def off_by_one(sweep):
     return wrong
 
 
+def _chunks(stream, chunk_refs):
+    return (stream[i : i + chunk_refs] for i in range(0, len(stream), chunk_refs))
+
+
 class TestPartitionedEqualsSerial:
     @given(
+        data=st.data(),
         addrs=addresses,
-        partition_log2=st.integers(min_value=0, max_value=4),
-        chunk_refs=st.integers(min_value=1, max_value=64),
-        levels=st.sets(st.integers(min_value=0, max_value=6), min_size=1),
-        max_ways=st.integers(min_value=1, max_value=5),
+        blocks=block_sets,
+        max_ways=ways,
     )
-    @settings(max_examples=40, deadline=None)
-    def test_out_of_core_any_chunking_any_partitioning(
-        self, addrs, partition_log2, chunk_refs, levels, max_ways
-    ):
+    @settings(max_examples=60, deadline=None)
+    def test_out_of_core_any_chunking(self, data, addrs, blocks, max_ways):
         stream = np.array(addrs, dtype=np.int64)
-        set_counts = [1 << k for k in levels]
-        serial = miss_cube_from_addresses(stream, BLOCKS, set_counts, max_ways)
-        got = partitioned_miss_cube_from_addresses(
-            stream,
-            BLOCKS,
-            set_counts,
-            max_ways,
-            partitions=1 << partition_log2,
-            chunk_refs=chunk_refs,
-        )
+        set_counts = data.draw(set_count_lists(tuple(sorted(blocks))))
+        chunk_refs = data.draw(st.integers(1, len(stream) + 8))
+        serial = miss_cube_from_addresses(stream, blocks, set_counts, max_ways)
+        with chunked(chunk_refs):
+            got = partitioned_miss_cube_from_addresses(
+                stream, blocks, set_counts, max_ways
+            )
         assert_cubes_identical(serial, got)
 
     @given(
+        data=st.data(),
+        seed=st.integers(min_value=0, max_value=2**16),
+        blocks=block_sets,
+        max_ways=ways,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_per_block_streams_form(self, data, seed, blocks, max_ways):
+        rng = np.random.default_rng(seed)
+        streams = {
+            B: rng.integers(0, 2048, size=int(rng.integers(0, 300))).astype(
+                np.int64
+            )
+            for B in blocks
+        }
+        set_counts = data.draw(set_count_lists(tuple(sorted(blocks))))
+        longest = max(len(stream) for stream in streams.values())
+        chunk_refs = data.draw(st.integers(1, longest + 8))
+        serial = miss_cube(streams, set_counts, max_ways)
+        with chunked(chunk_refs):
+            got = partitioned_miss_cube(streams, set_counts, max_ways)
+        assert_cubes_identical(serial, got)
+
+    @given(
+        data=st.data(),
         addrs=addresses,
-        partition_log2=st.integers(min_value=0, max_value=4),
+        blocks=block_sets,
+        max_ways=ways,
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_both_forms_on_a_two_job_pool(
+        self, pool, data, addrs, blocks, max_ways
+    ):
+        stream = np.array(addrs, dtype=np.int64)
+        set_counts = data.draw(set_count_lists(tuple(sorted(blocks))))
+        chunk_refs = data.draw(st.integers(1, len(stream) + 8))
+        streams = {B: addresses_to_blocks(stream, B) for B in blocks}
+        serial = miss_cube_from_addresses(stream, blocks, set_counts, max_ways)
+        with chunked(chunk_refs):
+            got = partitioned_miss_cube_from_addresses(
+                stream, blocks, set_counts, max_ways, executor=pool
+            )
+            got_streams = partitioned_miss_cube(
+                streams, set_counts, max_ways, executor=pool
+            )
+        assert_cubes_identical(serial, got)
+        assert_cubes_identical(serial, got_streams)
+
+    @given(
+        data=st.data(),
+        addrs=addresses,
+        block_log2=st.integers(min_value=0, max_value=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_chunked_check_matches_unchunked_sweep(self, data, addrs, block_log2):
+        # The A=1 check is the W = 1 case of the carry: one resident
+        # block per set in front of each chunk.
+        block = 1 << block_log2
+        stream = addresses_to_blocks(np.array(addrs, dtype=np.int64), block)
+        drawn = data.draw(set_count_lists((block,)))
+        set_counts = drawn[block] if isinstance(drawn, dict) else drawn
+        chunk_refs = data.draw(st.integers(1, len(stream) + 8))
+        got = cubepart._chunked_counts(
+            "check", _chunks(stream, chunk_refs), block, set_counts, 8
+        )
+        assert got == direct_mapped_miss_sweep(stream, set_counts)
+
+    @given(
+        addrs=addresses,
         chunk_refs=st.integers(min_value=1, max_value=64),
     )
     @settings(max_examples=25, deadline=None)
-    def test_chunk_iterable_input_matches_array_input(
-        self, addrs, partition_log2, chunk_refs
-    ):
+    def test_chunk_iterable_input_matches_array_input(self, addrs, chunk_refs):
         stream = np.array(addrs, dtype=np.int64)
         set_counts = capacity_set_counts(BLOCKS, 1024)
         serial = miss_cube_from_addresses(stream, BLOCKS, set_counts, 4)
-        pieces = (
-            stream[i : i + chunk_refs] for i in range(0, len(stream), chunk_refs)
-        )
         got = partitioned_miss_cube_from_addresses(
-            pieces,
-            BLOCKS,
-            set_counts,
-            4,
-            partitions=1 << partition_log2,
-            chunk_refs=chunk_refs,
+            _chunks(stream, chunk_refs), BLOCKS, set_counts, 4
         )
         assert_cubes_identical(serial, got)
 
-    @given(
-        seed=st.integers(min_value=0, max_value=2**16),
-        partition_log2=st.integers(min_value=0, max_value=5),
-        max_ways=st.integers(min_value=1, max_value=4),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_per_block_streams_form(self, seed, partition_log2, max_ways):
-        rng = np.random.default_rng(seed)
-        streams = {
-            B: rng.integers(0, 2048, size=int(rng.integers(0, 600))).astype(
-                np.int64
-            )
-            for B in BLOCKS
-        }
-        set_counts = [1, 2, 4, 8, 16, 32, 64]
-        serial = miss_cube(streams, set_counts, max_ways)
-        got = partitioned_miss_cube(
-            streams,
-            set_counts,
-            max_ways,
-            partitions=1 << partition_log2,
-            cross_check=True,
-        )
-        assert_cubes_identical(serial, got)
-
-    def test_coarse_residue_full_capacity_grid(self):
-        # capacity_set_counts covers every level down to one set, so
-        # partitioning leaves a coarse residue at every block size; the
-        # residue must come back from its whole-stream slices exactly.
+    def test_full_capacity_grid_over_many_chunks(self):
+        # Every level down to one set, over 20 chunks: the carry at the
+        # finest level must stay exact at every coarser one.
         rng = np.random.default_rng(3)
         addrs = rng.integers(0, 1 << 15, size=20000).astype(np.int64)
         counts = capacity_set_counts(BLOCKS, 8192)
         serial = miss_cube_from_addresses(addrs, BLOCKS, counts, 8)
-        got = partitioned_miss_cube_from_addresses(
-            addrs, BLOCKS, counts, 8, partitions=8
-        )
+        with chunked(1000):
+            got = partitioned_miss_cube_from_addresses(addrs, BLOCKS, counts, 8)
         assert_cubes_identical(serial, got)
 
     def test_empty_stream(self):
         counts = capacity_set_counts(BLOCKS, 256)
-        serial = miss_cube_from_addresses(
-            np.empty(0, dtype=np.int64), BLOCKS, counts, 4
+        empty = np.empty(0, dtype=np.int64)
+        serial = miss_cube_from_addresses(empty, BLOCKS, counts, 4)
+        assert_cubes_identical(
+            serial, partitioned_miss_cube_from_addresses(empty, BLOCKS, counts, 4)
         )
-        got = partitioned_miss_cube_from_addresses(
-            np.empty(0, dtype=np.int64), BLOCKS, counts, 4, partitions=8
+        assert_cubes_identical(
+            serial, partitioned_miss_cube({B: empty for B in BLOCKS}, counts, 4)
         )
-        assert_cubes_identical(serial, got)
 
 
 class TestParallelWorkers:
@@ -174,16 +234,17 @@ class TestParallelWorkers:
         addrs = rng.integers(0, 1 << 14, size=30000).astype(np.int64)
         counts = capacity_set_counts(BLOCKS, 4096)
         serial = miss_cube_from_addresses(addrs, BLOCKS, counts, 8)
+        streams = {B: rng.integers(0, 4096, size=20000) for B in BLOCKS}
+        serial_mem = miss_cube(streams, [8, 16, 32, 64], 4)
         executor = SweepExecutor(jobs=2)
         try:
-            got = partitioned_miss_cube_from_addresses(
-                addrs, BLOCKS, counts, 8, partitions=8, executor=executor
-            )
-            streams = {B: rng.integers(0, 4096, size=20000) for B in BLOCKS}
-            serial_mem = miss_cube(streams, [8, 16, 32, 64], 4)
-            got_mem = partitioned_miss_cube(
-                streams, [8, 16, 32, 64], 4, partitions=8, executor=executor
-            )
+            with chunked(7000):
+                got = partitioned_miss_cube_from_addresses(
+                    addrs, BLOCKS, counts, 8, executor=executor
+                )
+                got_mem = partitioned_miss_cube(
+                    streams, [8, 16, 32, 64], 4, executor=executor
+                )
         finally:
             executor.shutdown()
         assert_cubes_identical(serial, got)
@@ -192,45 +253,42 @@ class TestParallelWorkers:
     def test_broken_pool_mid_reduce_falls_back_to_identical_counts(
         self, monkeypatch
     ):
-        # Partition 1's reduce hard-exits inside any forked worker (a
+        # The B = 8 cube task hard-exits inside any forked worker (a
         # real BrokenProcessPool, not a mock); the parent must finish
-        # the reduce serially and still merge bit-identical counts.
+        # the build serially and still return bit-identical counts.
         rng = np.random.default_rng(12)
         addrs = rng.integers(0, 1 << 13, size=12000).astype(np.int64)
         counts = capacity_set_counts(BLOCKS, 2048)
         serial = miss_cube_from_addresses(addrs, BLOCKS, counts, 4)
         monkeypatch.setattr(
-            cubepart, "_FAULT_PARTS", (os.getpid(), frozenset({1}))
+            cubepart, "_FAULT_TASKS", (os.getpid(), frozenset({("cube", 8)}))
         )
         executor = SweepExecutor(jobs=2)
         tracer = Tracer()
         try:
             got = partitioned_miss_cube_from_addresses(
-                addrs,
-                BLOCKS,
-                counts,
-                4,
-                partitions=8,
-                executor=executor,
-                tracer=tracer,
+                addrs, BLOCKS, counts, 4, executor=executor, tracer=tracer
             )
         finally:
             executor.shutdown()
         assert_cubes_identical(serial, got)
         assert "cube.serial_fallback" in span_names(tracer.roots)
 
-    def test_every_partition_faulting_still_identical(self, monkeypatch):
+    def test_every_task_faulting_still_identical(self, monkeypatch):
         rng = np.random.default_rng(13)
         streams = {B: rng.integers(0, 1024, size=8000) for B in BLOCKS}
         serial = miss_cube(streams, [8, 16, 32], 4)
         monkeypatch.setattr(
-            cubepart, "_FAULT_PARTS", (os.getpid(), frozenset(range(8)))
+            cubepart,
+            "_FAULT_TASKS",
+            (
+                os.getpid(),
+                frozenset((kind, B) for kind in cubepart.TASK_KINDS for B in BLOCKS),
+            ),
         )
         executor = SweepExecutor(jobs=2)
         try:
-            got = partitioned_miss_cube(
-                streams, [8, 16, 32], 4, partitions=8, executor=executor
-            )
+            got = partitioned_miss_cube(streams, [8, 16, 32], 4, executor=executor)
         finally:
             executor.shutdown()
         assert_cubes_identical(serial, got)
@@ -250,18 +308,17 @@ class TestParallelWorkers:
         counts = capacity_set_counts(BLOCKS, 1024)
         serial = miss_cube_from_addresses(addrs, BLOCKS, counts, 4)
         got = partitioned_miss_cube_from_addresses(
-            addrs, BLOCKS, counts, 4, partitions=4, executor=_DeadExecutor()
+            addrs, BLOCKS, counts, 4, executor=_DeadExecutor()
         )
         assert_cubes_identical(serial, got)
 
     def test_pool_runs_every_task_even_when_an_earlier_build_forked_it(
         self, monkeypatch
     ):
-        # Production capacity grids have a coarse residue, and the
-        # cross-check walks the whole stream: every one of those tasks,
-        # like every fine partition, must run in a worker -- also on a
-        # pool that an earlier build forked before this build's arrays
-        # existed (bench_cube's repeats reuse one executor that way).
+        # Every cube task and every A=1 check must run in a worker --
+        # also on a pool that an earlier build forked before this
+        # build's spill existed (bench_cube's repeats reuse one executor
+        # that way).
         rng = np.random.default_rng(17)
         addrs = rng.integers(0, 1 << 14, size=20000).astype(np.int64)
         counts = capacity_set_counts(BLOCKS, 4096)
@@ -293,12 +350,7 @@ class TestParallelWorkers:
                     addrs, BLOCKS, counts, 8, executor=executor, tracer=tracer
                 ),
                 partitioned_miss_cube(
-                    streams,
-                    counts,
-                    8,
-                    executor=executor,
-                    tracer=tracer,
-                    cross_check=True,
+                    streams, counts, 8, executor=executor, tracer=tracer
                 ),
             ]
         finally:
@@ -329,50 +381,27 @@ class TestCrossCheck:
         try:
             with pytest.raises(RuntimeError, match="A=1 base disagrees"):
                 partitioned_miss_cube_from_addresses(
-                    addrs, BLOCKS, counts, 4, executor=executor, cross_check=True
+                    addrs, BLOCKS, counts, 4, executor=executor
                 )
             with pytest.raises(RuntimeError, match="A=1 base disagrees"):
-                partitioned_miss_cube(
-                    streams, counts, 4, executor=executor, cross_check=True
-                )
+                partitioned_miss_cube(streams, counts, 4, executor=executor)
         finally:
             executor.shutdown()
 
-    def test_no_cross_check_runs_no_sweep(self, monkeypatch):
-        def forbidden(stream, set_counts):
-            raise AssertionError("cross_check=False ran the A=1 sweep")
-
-        monkeypatch.setattr(cubepart, "direct_mapped_miss_sweep", forbidden)
-        rng = np.random.default_rng(19)
-        addrs = rng.integers(0, 1 << 12, size=3000).astype(np.int64)
-        counts = capacity_set_counts(BLOCKS, 1024)
-        expected = miss_cube_from_addresses(addrs, BLOCKS, counts, 4)
-        got = partitioned_miss_cube_from_addresses(
-            addrs, BLOCKS, counts, 4, cross_check=False
-        )
-        assert_cubes_identical(expected, got)
-
 
 class TestObservability:
-    def test_partition_reduce_and_progress_spans(self):
+    def test_spill_reduce_and_progress_spans(self):
         rng = np.random.default_rng(15)
         addrs = rng.integers(0, 1 << 12, size=5000).astype(np.int64)
         counts = capacity_set_counts(BLOCKS, 1024)
         tracer = Tracer()
         partitioned_miss_cube_from_addresses(
-            addrs,
-            BLOCKS,
-            counts,
-            4,
-            partitions=8,
-            tracer=tracer,
-            progress_refs=1000,
+            addrs, BLOCKS, counts, 4, tracer=tracer
         )
         names = span_names(tracer.roots)
-        assert "cube.partition" in names
-        assert "cube.reduce" in names
-        assert "cube.progress" in names  # heartbeat for liveness
-        assert "cube.coarse" in names  # capacity grid has sub-threshold levels
+        assert {"cube.spill", "cube.reduce", "cube.progress"} <= names
+        (spill,) = _spans(tracer.roots, "cube.spill")
+        assert spill.counters["references"] == len(addrs)
 
     def test_reduce_attributes_worker_seconds_by_kind(self):
         rng = np.random.default_rng(20)
@@ -380,88 +409,67 @@ class TestObservability:
         counts = capacity_set_counts(BLOCKS, 1024)
         tracer = Tracer()
         partitioned_miss_cube_from_addresses(
-            addrs, BLOCKS, counts, 4, partitions=8, tracer=tracer
+            addrs, BLOCKS, counts, 4, tracer=tracer
         )
         (reduce,) = _spans(tracer.roots, "cube.reduce")
-        # 12 coarse slices (levels below 32/16/8 sets at B = 4/8/16),
-        # one A=1 sweep per block size, 8 partitions.
-        assert reduce.attrs["tasks"] == 12 + 3 + 8
-        for kind in ("coarse_s", "check_s", "fine_s"):
+        # One cube task and one A=1 check per block size.
+        assert reduce.attrs["tasks"] == 2 * len(BLOCKS)
+        assert reduce.attrs["chunk_refs"] == cubepart.CHUNK_REFS
+        for kind in ("cube_s", "check_s"):
             assert reduce.counters[kind] > 0
-        (coarse,) = _spans(tracer.roots, "cube.coarse")
-        assert coarse.attrs == {"blocks": "4,8,16", "levels": 12}
-        assert coarse.counters["worker_s"] == reduce.counters["coarse_s"]
         (beat,) = [
             s for s in _spans(tracer.roots, "cube.progress")
-            if "partitions_reduced" in s.counters
+            if "tasks_reduced" in s.counters
         ]
-        assert beat.counters["partitions_reduced"] == 8
+        assert beat.counters["tasks_reduced"] == 2 * len(BLOCKS)
 
     def test_progress_counters_accumulate(self):
         rng = np.random.default_rng(16)
         addrs = rng.integers(0, 1 << 12, size=4000).astype(np.int64)
         tracer = Tracer()
-        partitioned_miss_cube_from_addresses(
-            addrs,
-            BLOCKS,
-            [32, 64],
-            2,
-            partitions=4,
-            tracer=tracer,
-            progress_refs=500,
-        )
-        beats = []
-        stack = list(tracer.roots)
-        while stack:
-            span = stack.pop()
-            if span.name == "cube.progress":
-                beats.append(span)
-            stack.extend(span.children)
-        assert beats
-        reduced = [
-            s.counters["partitions_reduced"]
-            for s in beats
-            if "partitions_reduced" in s.counters
-        ]
-        assert reduced and max(reduced) == 4
+        with chunked(10):
+            partitioned_miss_cube_from_addresses(
+                addrs, BLOCKS, [32, 64], 2, tracer=tracer
+            )
+        beats = _spans(tracer.roots, "cube.progress")
         consumed = [
             s.counters["references_consumed"]
             for s in beats
             if "references_consumed" in s.counters
         ]
-        assert consumed and max(consumed) == len(addrs)
+        # 400 spill chunks, one heartbeat every _BEAT_CHUNKS of them.
+        every = 10 * cubepart._BEAT_CHUNKS
+        assert sorted(consumed) == list(range(every, len(addrs) + 1, every))
 
 
-class TestValidationAndClosure:
-    def test_rejects_non_power_of_two_partitions(self):
+class TestValidation:
+    def test_rejects_bad_geometry_before_any_task(self):
         with pytest.raises(ConfigurationError):
-            partitioned_miss_cube({4: np.arange(4)}, [4], 2, partitions=3)
+            partitioned_miss_cube({4: np.arange(4)}, [3], 2)
         with pytest.raises(ConfigurationError):
-            partitioned_miss_cube_from_addresses(
-                np.arange(4), [4], [4], 2, partitions=0
-            )
-
-    def test_rejects_bad_chunk_refs(self):
+            partitioned_miss_cube_from_addresses(np.arange(4), [4], [4], 0)
         with pytest.raises(ConfigurationError):
-            partitioned_miss_cube_from_addresses(
-                np.arange(4), [4], [4], 2, chunk_refs=0
-            )
+            partitioned_miss_cube_from_addresses(np.arange(4), [6], [4], 2)
 
-    def test_address_form_closure_thresholds(self):
-        # Address streams are partitioned on the coarsest block size's
-        # index bits, so a finer block size needs log2(Bmax/B) extra
-        # set-index bits before the partition bits are contained: with
-        # P = 8 and blocks 4/8/16 the fine thresholds are S >= 32/16/8.
-        per_block = {4: [16, 32], 8: [8, 16], 16: [4, 8]}
-        fine, coarse = cubepart._split_fine_coarse(
-            per_block, 3, {4: 2, 8: 1, 16: 0}
-        )
-        assert fine == {4: [32], 8: [16], 16: [8]}
-        assert coarse == {4: [16], 8: [8], 16: [4]}
 
-    def test_zero_partition_bits_has_no_coarse_residue(self):
-        fine, coarse = cubepart._split_fine_coarse(
-            {4: [1, 2, 4]}, 0, {4: 0}
-        )
-        assert fine == {4: [1, 2, 4]}
-        assert coarse == {4: []}
+class TestMemory:
+    def test_peak_heap_does_not_grow_with_the_chunk_count(self):
+        # The same address-form cube over 8 chunks and over 2: each task
+        # holds one chunk plus its carry, never the whole stream, so
+        # quartering the chunk must not raise the peak -- it lowers it.
+        rng = np.random.default_rng(21)
+        addrs = rng.integers(0, 1 << 18, size=160_000).astype(np.int64)
+        counts = capacity_set_counts(BLOCKS, 4096)
+
+        def peak(chunks):
+            with chunked(len(addrs) // chunks):
+                tracemalloc.start()
+                try:
+                    partitioned_miss_cube_from_addresses(addrs, BLOCKS, counts, 8)
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        eight, two = peak(8), peak(2)
+        assert eight <= 1.25 * two
+        assert eight < two / 2

@@ -5,12 +5,14 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.cache.fastsim import addresses_to_blocks
 from repro.core import SuiteMeasurement
 from repro.errors import ConfigurationError
 from repro.utils.units import kw_to_words
 from repro.workload import benchmark_by_name
 
 from tests.cache.oracles import set_associative_misses
+from tests.core.oracles import eager_dstream_addresses
 
 
 def cube_digest(cube) -> str:
@@ -93,8 +95,8 @@ class TestStreamsAndMisses:
         assert measurement.istream_blocks(0, 4) is measurement.istream_blocks(0, 4)
 
     def test_dstream_length_matches_refs(self, measurement):
-        blocks = measurement.dstream_blocks(4)
-        assert len(blocks) == measurement.data_reference_count
+        addresses = measurement.dstream_address_bundle()
+        assert len(addresses) == measurement.data_reference_count
 
     def test_icache_misses_decrease_with_size(self, measurement):
         misses = [measurement.misses("I", 4, s, slots=0) for s in (1, 4, 16)]
@@ -162,7 +164,7 @@ class TestStreamsAndMisses:
                 direct_mapped_misses(measurement.istream_blocks(0, 4), sets)
             )
             assert measurement.misses("D", 4, size) == direct_mapped_misses(
-                measurement.dstream_blocks(4), sets
+                addresses_to_blocks(measurement.dstream_address_bundle(), 4), sets
             )
 
     def test_miss_axis_is_one_artifact_per_stream_block_pair(self, measurement):
@@ -186,7 +188,7 @@ class TestMissPlanes:
 
     def test_plane_matches_dict_lru_oracle(self, measurement):
         plane = measurement.dcache_miss_cube((4,)).plane(4, 256, 4)
-        blocks = measurement.dstream_blocks(4)
+        blocks = addresses_to_blocks(measurement.dstream_address_bundle(), 4)
         for num_sets in (1, 16, 256):
             for ways in (2, 4):
                 assert plane.misses(num_sets, ways) == set_associative_misses(
@@ -229,9 +231,10 @@ class TestMissCubeGuards:
         from repro.experiments.ext_blocksize import BLOCK_SIZES
 
         measurement.dcache_miss_cube(BLOCK_SIZES)
+        addresses = measurement.dstream_address_bundle()
         checked = 0
         for block in BLOCK_SIZES:
-            stream = measurement.dstream_blocks(block)
+            stream = addresses_to_blocks(addresses, block)
             for size_kw in CAPACITIES_KW:
                 size_blocks = kw_to_words(size_kw) // block
                 for ways in ASSOCIATIVITIES:
@@ -266,13 +269,15 @@ class TestMissCubeGuards:
         assert cube.axis(4) == sweep
 
     def test_dstream_blocks_is_shift_view_of_addresses(self, measurement):
-        from repro.cache.fastsim import addresses_to_blocks
-
-        addresses = measurement.dstream_addresses()
+        # The cube shifts the address bundle per block size; shifting
+        # commutes with the interleave, so that is the eagerly
+        # interleaved address stream at block granularity.
+        bundle = measurement.dstream_address_bundle()
+        eager = eager_dstream_addresses(measurement)
         for block in (4, 16):
             np.testing.assert_array_equal(
-                measurement.dstream_blocks(block),
-                addresses_to_blocks(addresses, block),
+                addresses_to_blocks(bundle, block),
+                addresses_to_blocks(eager, block),
             )
 
     def test_cube_is_one_artifact_per_stream_family(self, measurement):
@@ -473,7 +478,7 @@ class TestPartitionedCubePath:
     def test_address_bundle_matches_eager_stream(self):
         session = self._session()
         assert np.array_equal(
-            session.dstream_address_bundle(), session.dstream_addresses()
+            session.dstream_address_bundle(), eager_dstream_addresses(session)
         )
 
     @pytest.mark.parametrize("cube_jobs", [1, 2])
@@ -481,19 +486,18 @@ class TestPartitionedCubePath:
     def test_disagreeing_sweep_fails_the_build(
         self, monkeypatch, side, cube_jobs
     ):
-        # Serial builds check after the engine pass, partitioned builds
-        # inside their task list: a sweep one miss off is fatal in both.
+        # Every build checks its A=1 bases inside the driver's task
+        # list: a sweep one miss off is fatal in this process and on a
+        # pool alike.
         import repro.cache.cubepart as cubepart
-        import repro.core.measurement as measurement_module
 
         from tests.cache.test_cubepart import off_by_one
 
-        for module in (measurement_module, cubepart):
-            monkeypatch.setattr(
-                module,
-                "direct_mapped_miss_sweep",
-                off_by_one(module.direct_mapped_miss_sweep),
-            )
+        monkeypatch.setattr(
+            cubepart,
+            "direct_mapped_miss_sweep",
+            off_by_one(cubepart.direct_mapped_miss_sweep),
+        )
         session = self._session(cube_jobs=cube_jobs)
         with pytest.raises(RuntimeError, match="A=1 base disagrees"):
             if side == "I":
@@ -502,16 +506,32 @@ class TestPartitionedCubePath:
                 session.dcache_miss_cube((4, 8), 4096, 4)
 
     def test_parallel_cubes_bit_identical_to_serial(self):
+        # One job, two jobs and the unchunked serial engine must agree.
+        from repro.cache.misscube import miss_cube, miss_cube_from_addresses
+
         serial = self._session()
         parallel = self._session(cube_jobs=2)
+        blocks = (4, 8, 16)
         builds = [
-            lambda s: s.icache_miss_cube(1, (4, 8, 16), 4096, 4),
-            lambda s: s.dcache_miss_cube((4, 8, 16), 4096, 4),
+            (
+                lambda s: s.icache_miss_cube(1, blocks, 4096, 4),
+                lambda s, counts, ways: miss_cube(
+                    {B: s.istream_blocks(1, B) for B in blocks}, counts, ways
+                ),
+            ),
+            (
+                lambda s: s.dcache_miss_cube(blocks, 4096, 4),
+                lambda s, counts, ways: miss_cube_from_addresses(
+                    s.dstream_address_bundle(), blocks, counts, ways
+                ),
+            ),
         ]
-        for build in builds:
+        for build, engine in builds:
             a = build(serial)
             b = build(parallel)
-            assert dict(a.references) == dict(b.references)
-            for B in a.hits:
-                for S in a.hits[B]:
-                    assert np.array_equal(a.hits[B][S], b.hits[B][S]), (B, S)
+            c = engine(serial, {B: a.set_counts(B) for B in blocks}, a.max_ways)
+            for other in (b, c):
+                assert dict(a.references) == dict(other.references)
+                for B in a.hits:
+                    for S in a.hits[B]:
+                        assert np.array_equal(a.hits[B][S], other.hits[B][S]), (B, S)

@@ -323,30 +323,11 @@ class TestParallelParity:
     ):
         # The cubes must exist before the pool forks: workers then read
         # them instead of each building its own, and a second sweep of
-        # the same grid (every point cached) builds none.  The spy sits
-        # where the session looks the engine up, so forked workers run
-        # it too, and it logs pids to a file the parent can read.
-        import repro.core.measurement as measurement_module
-
-        log = tmp_path / "builds"
-        real = measurement_module.miss_cube
-
-        def spy(*args, **kwargs):
-            with open(log, "a") as out:
-                out.write(f"{os.getpid()}\n")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(measurement_module, "miss_cube", spy)
+        # the same grid (every point cached) builds none.
+        log = _log_cube_builds(monkeypatch, tmp_path)
         executor = SweepExecutor(jobs=2)
         try:
-            session = SuiteMeasurement(
-                specs=[benchmark_by_name("small")],
-                total_instructions=60_000,
-                min_benchmark_instructions=30_000,
-                use_disk_cache=False,
-                executor=executor,
-            )
-            optimizer = DesignOptimizer(session)
+            optimizer = DesignOptimizer(_small_session(executor))
             grid = optimizer.symmetric_grid(
                 SystemConfig(penalty=10),
                 slot_pairs=((0, 0), (1, 1)),
@@ -359,6 +340,90 @@ class TestParallelParity:
         assert first == second
         # One I cube per branch-slot count and one D cube, all here.
         assert log.read_text().split() == [str(os.getpid())] * 3
+
+    def test_a_pool_forked_earlier_sees_cubes_built_later(
+        self, monkeypatch, tmp_path
+    ):
+        # The first sweep forks the pool; the second adds a slot count,
+        # whose I cube is built in the parent after that fork.  The pool
+        # must be re-forked so its workers read the new cube rather than
+        # each building it again.
+        log = _log_cube_builds(monkeypatch, tmp_path)
+        executor = SweepExecutor(jobs=2)
+        try:
+            optimizer = DesignOptimizer(_small_session(executor))
+            for pairs in (((0, 0),), ((0, 0), (2, 2))):
+                optimizer.sweep(
+                    optimizer.symmetric_grid(
+                        SystemConfig(penalty=10),
+                        slot_pairs=pairs,
+                        side_sizes_kw=(1, 2, 4),
+                    )
+                )
+        finally:
+            executor.shutdown()
+        # I cubes at 0 and 2 slots and one D cube, all here.
+        assert log.read_text().split() == [str(os.getpid())] * 3
+
+    def test_durable_parallel_sweeps_build_cubes_in_the_parent(
+        self, monkeypatch, tmp_path
+    ):
+        # A journaled sweep warms the pending grid's cubes once before
+        # its first shard forks the pool.
+        from repro.jobs import JobConfig
+
+        log = _log_cube_builds(monkeypatch, tmp_path)
+        executor = SweepExecutor(jobs=2)
+        try:
+            session = _small_session(executor)
+            session.attach_jobs(JobConfig(run_dir=tmp_path / "run", shard_size=4))
+            optimizer = DesignOptimizer(session)
+            points = optimizer.sweep(
+                optimizer.symmetric_grid(
+                    SystemConfig(penalty=10),
+                    slot_pairs=((0, 0), (1, 1)),
+                    side_sizes_kw=(1, 2, 4),
+                )
+            )
+        finally:
+            executor.shutdown()
+        assert len(points) == 6
+        assert log.read_text().split() == [str(os.getpid())] * 3
+
+
+def _small_session(executor):
+    return SuiteMeasurement(
+        specs=[benchmark_by_name("small")],
+        total_instructions=60_000,
+        min_benchmark_instructions=30_000,
+        use_disk_cache=False,
+        executor=executor,
+    )
+
+
+def _log_cube_builds(monkeypatch, tmp_path):
+    """Log the pid of every cube build the session starts to a file.
+
+    The spies sit where the session looks the driver up, so forked
+    workers run them too, and the file lets the parent read their pids.
+    """
+    import repro.core.measurement as measurement_module
+
+    log = tmp_path / "builds"
+
+    def spy(real):
+        def logged(*args, **kwargs):
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()}\n")
+            return real(*args, **kwargs)
+
+        return logged
+
+    for name in ("partitioned_miss_cube", "partitioned_miss_cube_from_addresses"):
+        monkeypatch.setattr(
+            measurement_module, name, spy(getattr(measurement_module, name))
+        )
+    return log
 
 
 class _BrokenPoolExecutor(SweepExecutor):

@@ -185,6 +185,29 @@ class TestShutdownRetirement:
         finally:
             SHARED_BUNDLES.retire("digest-a")
 
+    def test_shutdown_leaves_another_executors_primed_session(
+        self, clean_fork_state
+    ):
+        # A cube build's own executor primes nothing; shutting it down
+        # must not retire the session a sweep's executor primed.
+        sweeping, building = SweepExecutor(jobs=2), SweepExecutor()
+        session = object()
+        sweeping.prime("digest-a", session)
+        building.shutdown()
+        assert clean_fork_state == {"digest-a": session}
+        sweeping.shutdown()
+        assert clean_fork_state == {}
+
+    def test_retire_pool_keeps_the_primed_session(self, clean_fork_state):
+        executor = SweepExecutor(jobs=2)
+        session = object()
+        executor.prime("digest-a", session)
+        executor._ensure_pool()
+        executor.retire_pool()
+        assert executor._pool is None
+        assert clean_fork_state == {"digest-a": session}
+        executor.shutdown()
+
     def test_prime_invokes_share_trace_buffers(self, clean_fork_state):
         class _Session:
             shared = 0
