@@ -14,8 +14,8 @@ derived artifact flows through a content-addressed
 counts, and branch statistics live in the store's memory tier; execution
 traces and compiled programs — the expensive artifacts of a session — are
 additionally persisted to its disk tier, so a warm start maps both back
-without synthesizing a program, and parallel sweep workers rehydrate a
-session the same way.  When the
+without synthesizing a program, and spawned sweep workers rehydrate a
+session the same way (forked ones inherit the parent's).  When the
 session's :class:`~repro.engine.executor.SweepExecutor` is parallel,
 per-benchmark trace synthesis is fanned out across worker processes.
 """
@@ -36,7 +36,6 @@ from repro.engine.executor import (
     synthesize_trace_to_cache,
 )
 from repro.engine.session import MeasurementSpec
-from repro.engine.shm import SHARED_BUNDLES
 from repro.engine.store import ArtifactKey, ArtifactStore
 from repro.errors import ConfigurationError
 from repro.obs.tracer import NULL_TRACER
@@ -106,16 +105,16 @@ GENERATOR_VERSION = 5
 _CUBE_MAX_KW = 32
 
 #: Largest associativity the paper studies.  Cubes are always built at
-#: least this deep: the stack-distance pass costs the same regardless of
-#: ``max_ways``, and a canonical depth lets direct-mapped lookups and
-#: associativity sweeps share one artifact.
+#: least this deep, so direct-mapped lookups and associativity sweeps
+#: share one artifact.  The depth is not free: the bounded stack-distance
+#: scan costs more as ``max_ways`` grows (DESIGN §14).
 _CUBE_MAX_WAYS = 8
 
 
 def _as_dtype(array: np.ndarray, dtype) -> np.ndarray:
     """The array itself when the dtype already matches (keeping memory
-    maps and shared-memory views zero-copy), a converted copy otherwise
-    (legacy bundles written with wider dtypes)."""
+    maps zero-copy), a converted copy otherwise (legacy bundles written
+    with wider dtypes)."""
     return array if array.dtype == np.dtype(dtype) else array.astype(dtype)
 
 
@@ -308,9 +307,7 @@ class SuiteMeasurement:
 
         The compiled-program bundle is persisted like a trace, so a warm
         session maps it back from disk: no synthesis, no lowering, and no
-        instruction lists (the session never needs them).  A bundle a
-        priming parent exported to shared memory comes first, as for
-        traces.
+        instruction lists (the session never needs them).
         """
 
         def lower() -> Dict[str, np.ndarray]:
@@ -326,24 +323,19 @@ class SuiteMeasurement:
                     step.count("instructions", compiled.static_words)
                 return compiled.as_arrays()
 
-        key = self._compiled_key(spec)
-        arrays = SHARED_BUNDLES.lookup(self.spec().digest(), key.digest)
-        if arrays is None or not compiled_arrays_valid(arrays):
-            arrays = self.store.get_or_create(
-                "compiled",
-                LOWERING_VERSION,
-                lower,
-                persist=True,
-                validate=compiled_arrays_valid,
-                **self._compiled_params(spec),
-            )
+        arrays = self.store.get_or_create(
+            "compiled",
+            LOWERING_VERSION,
+            lower,
+            persist=True,
+            validate=compiled_arrays_valid,
+            **self._compiled_params(spec),
+        )
         return CompiledProgram.from_arrays(arrays)
 
     def _load_or_run_trace(
         self, spec: BenchmarkSpec, budget: int, compiled: CompiledProgram
     ) -> ExecutionTrace:
-        key = self._trace_key(spec, budget)
-
         def stream_trace(writer) -> None:
             # Streaming synthesis: chunks go straight to the writer (the
             # disk tier's StreamingBundleWriter, normally), so the whole
@@ -360,18 +352,13 @@ class SuiteMeasurement:
                 writer.append("restarts", np.array([restarts]))
                 span.count("instructions", instructions)
 
-        # A bundle already exported to shared memory (by a priming
-        # parent) beats every other tier: forked workers attach the
-        # parent's segments instead of touching the store at all.
-        arrays = SHARED_BUNDLES.lookup(self.spec().digest(), key.digest)
-        if arrays is None or not _trace_arrays_valid(arrays):
-            arrays = self.store.get_or_stream(
-                "trace",
-                GENERATOR_VERSION,
-                stream_trace,
-                validate=_trace_arrays_valid,
-                **self._trace_params(spec, budget),
-            )
+        arrays = self.store.get_or_stream(
+            "trace",
+            GENERATOR_VERSION,
+            stream_trace,
+            validate=_trace_arrays_valid,
+            **self._trace_params(spec, budget),
+        )
         return ExecutionTrace(
             compiled=compiled,
             block_ids=_as_dtype(arrays["block_ids"], np.int32),
@@ -443,50 +430,6 @@ class SuiteMeasurement:
                 persist=self._use_disk_cache,
                 **self._trace_params(spec, budget),
             )
-
-    def share_trace_buffers(self) -> int:
-        """Export the session's trace arrays to shared memory.
-
-        Called by :meth:`~repro.engine.executor.SweepExecutor.prime` so
-        workers forked afterwards attach the parent's segments (see
-        :mod:`repro.engine.shm`) instead of relying on copy-on-write
-        heap pages or per-task pickles.  Memory-mapped traces are
-        skipped: the disk tier's mapped bundles already share physical
-        pages between processes through the page cache, so re-exporting
-        them would only duplicate memory.  Each exported trace takes its
-        compiled-program bundle along, so a worker rebuilding the session
-        needs neither the store nor program synthesis.  After a (new)
-        export the session's own trace arrays are re-pointed at the
-        shared views, making the parent a reader of the same segments.
-        Returns the number of benchmarks newly exported.
-        """
-        group = self.spec().digest()
-        exported = 0
-        for bench, budget in zip(self.benchmarks, self._budgets):
-            trace = bench.trace
-            if isinstance(trace.block_ids, np.memmap):
-                continue
-            SHARED_BUNDLES.export(
-                group,
-                self._compiled_key(bench.spec).digest,
-                bench.compiled.as_arrays(),
-            )
-            key = self._trace_key(bench.spec, budget)
-            if SHARED_BUNDLES.export(
-                group,
-                key.digest,
-                {
-                    "block_ids": trace.block_ids,
-                    "went_taken": trace.went_taken,
-                    "restarts": np.array([trace.restarts]),
-                },
-            ):
-                exported += 1
-            shared = SHARED_BUNDLES.lookup(group, key.digest)
-            if shared is not None:
-                trace.block_ids = shared["block_ids"]
-                trace.went_taken = shared["went_taken"]
-        return exported
 
     @property
     def benchmarks(self) -> List[_Benchmark]:

@@ -9,10 +9,8 @@ layers run on:
 * :mod:`repro.engine.executor` — a
   :class:`~repro.engine.executor.SweepExecutor` that fans design-space
   sweeps and per-benchmark trace synthesis out across worker processes
-  with deterministic result ordering;
-* :mod:`repro.engine.shm` — a refcounted
-  :class:`~repro.engine.shm.SharedBundleRegistry` exporting trace array
-  bundles into named shared-memory segments for zero-copy worker access;
+  with deterministic result ordering; a forked worker inherits the
+  primed session, a spawned one rebuilds it from its spec;
 * :mod:`repro.engine.session` — explicit
   :class:`~repro.engine.session.SessionRegistry` construction of shared
   measurement sessions, replacing module-global state.
@@ -20,7 +18,6 @@ layers run on:
 
 from repro.engine.store import ArtifactKey, ArtifactStore, StoreStats
 from repro.engine.executor import SweepExecutor
-from repro.engine.shm import SHARED_BUNDLES, SharedBundleRegistry
 from repro.engine.session import (
     DEFAULT_REGISTRY,
     EXPERIMENT_SCALES,
@@ -33,8 +30,6 @@ __all__ = [
     "ArtifactStore",
     "StoreStats",
     "SweepExecutor",
-    "SharedBundleRegistry",
-    "SHARED_BUNDLES",
     "MeasurementSpec",
     "SessionRegistry",
     "DEFAULT_REGISTRY",

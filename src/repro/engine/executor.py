@@ -12,18 +12,21 @@ Worker-side sessions
 
 Sweep workers need a full measurement session to evaluate a design
 point.  Shipping the session itself per task would be prohibitive, so
-workers *rehydrate*: each task carries the session's
-:class:`~repro.engine.session.MeasurementSpec`, and the worker builds the
-session once per process (module-level cache), pulling traces from the
-shared on-disk :class:`~repro.engine.store.ArtifactStore` tier instead of
-re-synthesizing them.
+each task carries only the session's
+:class:`~repro.engine.session.MeasurementSpec`, and a worker gets the
+session in one of two ways:
 
-On fork-based platforms there is a faster path: the parent *primes* the
-executor with its live (already warm) session before the pool is
-created, so forked workers inherit every memoized stream and miss count
-through copy-on-write memory instead of rebuilding anything.  On spawn
-platforms the primed object is simply not visible and workers fall back
-to rehydration — both paths produce identical results.
+* a *forked* worker inherits it: the parent *primes* the executor with
+  its live (already warm) session before the pool is created, so the
+  worker sees every memoized trace, stream and miss count through
+  copy-on-write memory and rebuilds none of them;
+* a *spawned* worker cannot see the primed object and rebuilds the
+  session from the spec, once per process (module-level cache).  A
+  disk-backed session maps its traces and compiled programs back from
+  the shared on-disk :class:`~repro.engine.store.ArtifactStore` tier; a
+  memory-only one re-synthesizes them.
+
+Both ways produce identical results.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.shm import SHARED_BUNDLES
 from repro.errors import ConfigurationError
 from repro.obs.tracer import NULL_TRACER
 
@@ -86,17 +88,13 @@ def retire_inherited(digest: Optional[str] = None) -> None:
     Called by :class:`~repro.engine.session.SessionRegistry` when it
     swaps or discards a session, and usable directly by tests.  Workers
     forked earlier keep their copy-on-write snapshot; later forks simply
-    fall back to rehydrating from the disk store, which is always
-    correct.  The session's shared-memory trace buffers (exported under
-    its digest, see :mod:`repro.engine.shm`) are retired alongside the
-    live object so neither outlives the other.
+    fall back to rebuilding the session from its spec, which is always
+    correct.
     """
     if digest is None:
         _FORK_INHERITED.clear()
-        SHARED_BUNDLES.retire()
     else:
         _FORK_INHERITED.pop(digest, None)
-        SHARED_BUNDLES.retire(digest)
 
 #: Sessions a worker process has rebuilt from their specs, so one worker
 #: rehydrates at most once per distinct session.
@@ -249,9 +247,14 @@ class SweepExecutor:
     def prime(self, digest: str, session: Any) -> None:
         """Make a live session inheritable by workers forked later.
 
-        If the pool already exists (its workers were forked before this
-        state existed) it is retired so the next :meth:`map` re-forks
-        with the session visible.  A no-op for already-primed sessions.
+        Forked workers see the session as it stands when they fork, so
+        the caller builds what they should share (the benchmarks and the
+        grid's miss cubes) first; priming itself builds nothing.
+        Spawned workers never see it and rebuild the session from its
+        spec.  If the pool already exists (its workers were forked
+        before this state existed) it is retired so the next :meth:`map`
+        re-forks with the session visible.  A no-op for already-primed
+        sessions.
 
         Any previously primed session (same digest with a different live
         object, or a different session/scale entirely) is retired first,
@@ -263,14 +266,6 @@ class SweepExecutor:
             return
         retire_inherited()
         _FORK_INHERITED[digest] = session
-        # Sessions that can export their trace buffers to shared memory
-        # (see repro.engine.shm) do so now, so workers forked from here
-        # on read the arrays from shared segments instead of relying on
-        # copy-on-write heap pages.  Duck-typed: test stand-ins without
-        # the hook are simply not shareable.
-        share = getattr(session, "share_trace_buffers", None)
-        if callable(share):
-            share()
         self._shutdown_pool()
 
     # -- pool lifecycle --------------------------------------------------------
@@ -308,9 +303,8 @@ class SweepExecutor:
 
         Retiring the session this executor primed matters: the pool is
         gone, so nothing will ever fork against it again — leaving it
-        pinned would hold the session's trace arrays (and any
-        shared-memory segments exported under its digest) for the life
-        of the process.  An executor that primed nothing leaves other
+        pinned would hold the session's trace arrays for the life of
+        the process.  An executor that primed nothing leaves other
         executors' primed sessions alone.
         """
         self._shutdown_pool()
@@ -353,7 +347,8 @@ def session_for_spec(spec: Any) -> Any:
 
     Resolution order: a fork-inherited live session (free, already
     warm), then this worker's session cache, then a fresh build that
-    rehydrates traces from the disk artifact store.
+    rehydrates traces from the disk artifact store (or, for a
+    memory-only session, re-synthesizes them).
     """
     digest = spec.digest()
     session = _FORK_INHERITED.get(digest)

@@ -4,9 +4,9 @@ Two pieces:
 
 * :class:`MeasurementSpec` — a small picklable description of a
   :class:`~repro.core.measurement.SuiteMeasurement` from which the
-  session can be rebuilt anywhere (most importantly inside sweep worker
-  processes, which rehydrate traces from the shared disk store instead
-  of re-synthesizing them);
+  session can be rebuilt anywhere (most importantly inside spawned sweep
+  workers, which rehydrate a disk-backed session's traces from the
+  shared disk store instead of re-synthesizing them);
 * :class:`SessionRegistry` — a per-instance replacement for the old
   module-global session dict in ``repro.experiments.common``.  The CLI
   and long-lived callers share one default registry; tests construct
@@ -62,7 +62,8 @@ class MeasurementSpec:
         return hashlib.sha256(repr(self).encode()).hexdigest()[:24]
 
     def build(self) -> Any:
-        """Construct the session (rehydrating traces from the disk store)."""
+        """Construct the session (rehydrating traces from the disk store,
+        or re-synthesizing them when the session is memory-only)."""
         from repro.core.measurement import SuiteMeasurement
 
         return SuiteMeasurement(

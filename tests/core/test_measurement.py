@@ -386,72 +386,6 @@ class TestDiskCache:
         assert np.array_equal(reference.block_ids, rebuilt.block_ids)
 
 
-class TestSharedTraceBuffers:
-    """share_trace_buffers(): shm export, worker pickup, mmap skip."""
-
-    def _memory_session(self):
-        return SuiteMeasurement(
-            specs=[benchmark_by_name("small")],
-            total_instructions=30_000,
-            min_benchmark_instructions=30_000,
-            use_disk_cache=False,
-        )
-
-    def test_export_and_worker_pickup(self):
-        from repro.engine.shm import SHARED_BUNDLES
-
-        parent = self._memory_session()
-        reference_ids = parent.benchmarks[0].trace.block_ids.copy()
-        group = parent.spec().digest()
-        try:
-            assert parent.share_trace_buffers() == 1
-            # The parent itself now reads from the shared segments.
-            parent_ids = parent.benchmarks[0].trace.block_ids
-            assert not parent_ids.flags.writeable
-            assert np.array_equal(parent_ids, reference_ids)
-            # A rehydrating "worker" (same spec, fresh empty store)
-            # attaches the shared bundle: no synthesis, no store lookups.
-            worker = self._memory_session()
-            trace = worker.benchmarks[0].trace
-            assert np.array_equal(trace.block_ids, reference_ids)
-            assert np.shares_memory(trace.block_ids, parent_ids)
-            assert worker.store.stats().lookups == 0
-            # Re-sharing is idempotent: the bundles already exist.
-            assert parent.share_trace_buffers() == 0
-        finally:
-            SHARED_BUNDLES.retire(group)
-
-    def test_retired_group_falls_back_to_synthesis(self):
-        from repro.engine.shm import SHARED_BUNDLES
-
-        parent = self._memory_session()
-        reference_ids = parent.benchmarks[0].trace.block_ids.copy()
-        parent.share_trace_buffers()
-        SHARED_BUNDLES.retire(parent.spec().digest())
-        rebuilt = self._memory_session().benchmarks[0].trace
-        assert np.array_equal(rebuilt.block_ids, reference_ids)
-
-    def test_memory_mapped_sessions_skip_export(self, tmp_path, monkeypatch):
-        # With the disk tier on, traces are memory-mapped bundles whose
-        # pages are already shared between processes; exporting them to
-        # shm would only duplicate the data.
-        from repro.engine.shm import SHARED_BUNDLES
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        session = SuiteMeasurement(
-            specs=[benchmark_by_name("small")],
-            total_instructions=30_000,
-            min_benchmark_instructions=30_000,
-        )
-        assert isinstance(session.benchmarks[0].trace.block_ids, np.memmap)
-        group = session.spec().digest()
-        try:
-            assert session.share_trace_buffers() == 0
-            assert group not in SHARED_BUNDLES
-        finally:
-            SHARED_BUNDLES.retire(group)
-
-
 class TestPartitionedCubePath:
     """cube_jobs plumbing: bundle identity and bit-identical cubes."""
 

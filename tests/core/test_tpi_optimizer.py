@@ -324,10 +324,11 @@ class TestParallelParity:
         # The cubes must exist before the pool forks: workers then read
         # them instead of each building its own, and a second sweep of
         # the same grid (every point cached) builds none.
-        log = _log_cube_builds(monkeypatch, tmp_path)
+        builds, loads = _log_session_work(monkeypatch, tmp_path)
         executor = SweepExecutor(jobs=2)
         try:
-            optimizer = DesignOptimizer(_small_session(executor))
+            session = _small_session(executor)
+            optimizer = DesignOptimizer(session)
             grid = optimizer.symmetric_grid(
                 SystemConfig(penalty=10),
                 slot_pairs=((0, 0), (1, 1)),
@@ -339,7 +340,10 @@ class TestParallelParity:
             executor.shutdown()
         assert first == second
         # One I cube per branch-slot count and one D cube, all here.
-        assert log.read_text().split() == [str(os.getpid())] * 3
+        assert builds.read_text().split() == [str(os.getpid())] * 3
+        # Each benchmark loaded once, here: the workers use the session
+        # they inherit rather than rebuilding this memory-only one.
+        assert loads.read_text().split() == [str(os.getpid())] * len(session.specs)
 
     def test_a_pool_forked_earlier_sees_cubes_built_later(
         self, monkeypatch, tmp_path
@@ -348,7 +352,7 @@ class TestParallelParity:
         # whose I cube is built in the parent after that fork.  The pool
         # must be re-forked so its workers read the new cube rather than
         # each building it again.
-        log = _log_cube_builds(monkeypatch, tmp_path)
+        log, _ = _log_session_work(monkeypatch, tmp_path)
         executor = SweepExecutor(jobs=2)
         try:
             optimizer = DesignOptimizer(_small_session(executor))
@@ -372,7 +376,7 @@ class TestParallelParity:
         # its first shard forks the pool.
         from repro.jobs import JobConfig
 
-        log = _log_cube_builds(monkeypatch, tmp_path)
+        log, _ = _log_session_work(monkeypatch, tmp_path)
         executor = SweepExecutor(jobs=2)
         try:
             session = _small_session(executor)
@@ -401,17 +405,18 @@ def _small_session(executor):
     )
 
 
-def _log_cube_builds(monkeypatch, tmp_path):
-    """Log the pid of every cube build the session starts to a file.
+def _log_session_work(monkeypatch, tmp_path):
+    """Log the pid of every cube build and benchmark load to two files.
 
-    The spies sit where the session looks the driver up, so forked
-    workers run them too, and the file lets the parent read their pids.
+    The spies sit where the session looks the driver and the trace
+    loader up, so forked workers run them too, and the files let the
+    parent read their pids.  Returns the (builds, loads) log paths.
     """
     import repro.core.measurement as measurement_module
 
-    log = tmp_path / "builds"
+    builds, loads = tmp_path / "builds", tmp_path / "loads"
 
-    def spy(real):
+    def spy(real, log):
         def logged(*args, **kwargs):
             with open(log, "a") as out:
                 out.write(f"{os.getpid()}\n")
@@ -421,9 +426,14 @@ def _log_cube_builds(monkeypatch, tmp_path):
 
     for name in ("partitioned_miss_cube", "partitioned_miss_cube_from_addresses"):
         monkeypatch.setattr(
-            measurement_module, name, spy(getattr(measurement_module, name))
+            measurement_module, name, spy(getattr(measurement_module, name), builds)
         )
-    return log
+    monkeypatch.setattr(
+        SuiteMeasurement,
+        "_load_or_run_trace",
+        spy(SuiteMeasurement._load_or_run_trace, loads),
+    )
+    return builds, loads
 
 
 class _BrokenPoolExecutor(SweepExecutor):

@@ -61,12 +61,13 @@ def clean_fork_state():
     executor_module._FORK_INHERITED.update(saved)
 
 
-def _tiny_measurement(executor=None):
+def _tiny_measurement(executor=None, use_disk_cache=True):
     specs = [benchmark_by_name(name) for name in ("small", "yacc")]
     return SuiteMeasurement(
         specs=specs,
         total_instructions=60_000,
         min_benchmark_instructions=30_000,
+        use_disk_cache=use_disk_cache,
         executor=executor,
     )
 
@@ -173,18 +174,6 @@ class TestShutdownRetirement:
         executor.shutdown()
         assert clean_fork_state == {}
 
-    def test_shutdown_retires_shared_memory_group(self, clean_fork_state):
-        from repro.engine.shm import SHARED_BUNDLES
-
-        executor = SweepExecutor(jobs=2)
-        executor.prime("digest-a", object())
-        SHARED_BUNDLES.export("digest-a", "trace:x", {"x": np.arange(8)})
-        try:
-            executor.shutdown()
-            assert "digest-a" not in SHARED_BUNDLES
-        finally:
-            SHARED_BUNDLES.retire("digest-a")
-
     def test_shutdown_leaves_another_executors_primed_session(
         self, clean_fork_state
     ):
@@ -206,21 +195,6 @@ class TestShutdownRetirement:
         executor.retire_pool()
         assert executor._pool is None
         assert clean_fork_state == {"digest-a": session}
-        executor.shutdown()
-
-    def test_prime_invokes_share_trace_buffers(self, clean_fork_state):
-        class _Session:
-            shared = 0
-
-            def share_trace_buffers(self):
-                self.shared += 1
-
-        session = _Session()
-        executor = SweepExecutor(jobs=2)
-        executor.prime("digest-a", session)
-        assert session.shared == 1
-        executor.prime("digest-a", session)  # reprime no-op: no re-export
-        assert session.shared == 1
         executor.shutdown()
 
 
@@ -287,7 +261,8 @@ class TestBrokenPoolRecovery:
         finally:
             executor.shutdown()
         assert result == [n * n for n in range(8)]
-        executed = sorted(int(line) for line in open(log).read().split())
+        with open(log) as handle:
+            executed = sorted(int(line) for line in handle.read().split())
         assert executed == list(range(8))  # each item ran exactly once
 
     def test_single_crash_recovers_on_retry(self, tmp_path):
@@ -329,15 +304,20 @@ class TestSweepEquivalence:
             measurement.executor.shutdown()
         self._assert_identical(serial_points, parallel)
 
-    def test_spawned_workers_rehydrate_from_disk_store(
-        self, serial_points, monkeypatch, tmp_path
+    @pytest.mark.parametrize(
+        "use_disk_cache", [True, False], ids=["disk", "memory"]
+    )
+    def test_spawned_workers_rebuild_the_session(
+        self, serial_points, monkeypatch, tmp_path, use_disk_cache
     ):
         # Spawned workers cannot inherit the live session, so this pins
-        # the rebuild-from-spec + disk-store rehydration path.
+        # the rebuild from the spec: a disk-backed session rehydrates
+        # from the disk store, a memory-only one re-synthesizes in each
+        # worker.
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         executor = SweepExecutor(jobs=2, start_method="spawn")
-        measurement = _tiny_measurement(executor=executor)
-        measurement.benchmarks  # persist traces for the workers to load
+        measurement = _tiny_measurement(executor, use_disk_cache)
+        measurement.benchmarks  # a disk-backed session persists its traces
         try:
             parallel = _fig12_points(DesignOptimizer(measurement))
         finally:
