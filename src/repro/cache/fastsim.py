@@ -14,9 +14,10 @@ For whole size-axis sweeps, the power-of-two set counts *nest*: the set
 index of a ``2^k``-set cache is the low ``k`` bits of the block index, so
 every swept geometry shares one grouping refined bit by bit.
 :func:`direct_mapped_miss_sweep` exploits this to produce exact miss
-counts for every size in a single pass over the reference stream.  The
-miss cube (:mod:`~repro.cache.misscube`) answers every production query;
-this sweep is the independent algorithm every cube build checks its
+counts for every size in one pass, carrying only each size's misses on
+to the next (a hit is a hit at every larger size).  The miss cube
+(:mod:`~repro.cache.misscube`) answers every production query; this
+sweep, sharing no code with it, is what every cube build checks its
 ``A = 1`` base against.
 """
 
@@ -101,78 +102,35 @@ def direct_mapped_misses(block_sequence: np.ndarray, num_sets: int) -> int:
     return int(direct_mapped_miss_mask(blocks, num_sets).sum())
 
 
-def _stable_split(cur: np.ndarray, level: int) -> np.ndarray:
-    """Stably partition every level-``level`` segment by one index bit.
-
-    ``cur`` holds block indices grouped into contiguous per-set segments
-    (one per ``2**level``-set-cache set), each segment in time order.
-    The segments need no bookkeeping arrays: they are exactly the maximal
-    runs of equal low-``level`` bits.  (Inductively: the coarse argsort
-    makes equal keys adjacent, and a split keeps each child contiguous
-    while adjacent children of *different* parents still differ in their
-    low bits, so runs never merge across segment boundaries.)
-
-    Splitting every segment on bit ``level`` — zeros first, ones after,
-    both in original order — refines the grouping to the next level's
-    sets while preserving time order within each new segment.  All O(n)
-    vector ops, no sort.
-    """
-    n = len(cur)
-    low = cur & ((1 << level) - 1)
-    is_start = np.empty(n, dtype=bool)
-    is_start[0] = True
-    np.not_equal(low[1:], low[:-1], out=is_start[1:])
-    seg_id = np.cumsum(is_start) - 1
-    seg_starts = np.flatnonzero(is_start)
-    bit = (cur >> level) & 1
-    # ones[i] = number of set bits strictly before position i.
-    ones = np.empty(n + 1, dtype=np.int64)
-    ones[0] = 0
-    np.cumsum(bit, out=ones[1:])
-    ones_at_start = ones[seg_starts]
-    seg_ends = np.append(seg_starts[1:], n)
-    ones_total_seg = ones[seg_ends] - ones_at_start
-    zeros_total_seg = (seg_ends - seg_starts) - ones_total_seg
-    start = seg_starts[seg_id]
-    ones_before = ones[:-1] - ones_at_start[seg_id]
-    zeros_before = (np.arange(n, dtype=np.int64) - start) - ones_before
-    new_pos = start + np.where(
-        bit.astype(bool), zeros_total_seg[seg_id] + ones_before, zeros_before
-    )
-    out_cur = np.empty_like(cur)
-    out_cur[new_pos] = cur
-    return out_cur
-
-
 def _sweep_levels(blocks: np.ndarray, levels: Sequence[int]) -> Dict[int, int]:
     """Single-pass miss harvest at every requested ``log2(num_sets)`` level.
 
-    The nesting argument: a ``2^k``-set cache indexes with the low ``k``
-    bits of the block index, so the set partition at level ``k+1`` refines
-    the one at level ``k`` by exactly one bit.  Starting from one stable
-    grouping at the coarsest swept level (level 0, a single set, is the
-    stream itself; deeper levels cost one stable argsort keyed by the low
-    index bits), each refinement is a stable in-segment split that keeps
-    every set's reference substream in time order.  Within such a
-    substream a reference hits iff its immediate predecessor is the
-    *same block* (same set and same tag together are just block
-    equality), so every level's exact miss count falls out of one
-    vectorized adjacent comparison per level.  Segment boundaries need
-    no special casing: adjacent elements in different segments live in
-    different sets, so their blocks differ.
+    Within a set's substream (time order) a reference hits iff its
+    predecessor is the same block, so a level's misses are the *run
+    starts* of its grouped stream.  Level ``k+1``'s grouping refines
+    level ``k``'s by one index bit, and one *global* stable partition on
+    that bit produces it: adjacent elements of different sets already
+    differ in their low ``k`` bits (so they are different blocks), and
+    every refined set stays contiguous and in time order.  A finer set's
+    substream is a subsequence of its coarser set's, so a reference that
+    hits at level ``k`` hits at every finer level, and dropping it gives
+    no other reference a predecessor of another block: only run starts
+    go down the chain, and a level's miss count is its length there.
     """
     wanted = set(levels)
-    lo, hi = min(wanted), max(wanted)
-    if lo == 0:
-        cur = blocks
-    else:
-        cur = blocks[np.argsort(blocks & ((1 << lo) - 1), kind="stable")]
+    hi = max(wanted)
     counts: Dict[int, int] = {}
-    for level in range(lo, hi + 1):
-        if level > lo:
-            cur = _stable_split(cur, level - 1)
+    cur = blocks
+    for level in range(hi + 1):
+        starts = np.empty(len(cur), dtype=bool)
+        starts[0] = True
+        np.not_equal(cur[1:], cur[:-1], out=starts[1:])
+        cur = cur[starts]
         if level in wanted:
-            counts[level] = len(cur) - int(np.count_nonzero(cur[1:] == cur[:-1]))
+            counts[level] = len(cur)
+        if level < hi:
+            ones = ((cur >> level) & 1).astype(bool)
+            cur = np.concatenate((cur[~ones], cur[ones]))
     return counts
 
 
@@ -182,10 +140,11 @@ def direct_mapped_miss_sweep(
     """Exact miss counts for several cache sizes in one pass.
 
     Returns ``{num_sets: misses}``.  All sizes are swept together: one
-    coarse stable grouping plus one O(n) stable bit-split per doubling of
-    the set count, instead of an independent O(n log n) simulation per
-    size.  Results are bit-identical to :func:`direct_mapped_misses` per
-    size (the property-based suite enforces this against both the
+    pass drops the stream's adjacent repeats, then each doubling of the
+    set count is one O(m) stable bit partition of the ``m`` misses of
+    the size below it, instead of an independent O(n log n) simulation
+    per size.  Results are bit-identical to :func:`direct_mapped_misses`
+    per size (the property-based suite enforces this against both the
     per-size path and the step-by-step :class:`~repro.cache.cache.Cache`).
     """
     blocks = np.asarray(block_sequence, dtype=np.int64)

@@ -34,9 +34,11 @@ How the block axis folds into the existing machinery:
 * *Whole-stream run compression.*  An adjacent repeat of the same block
   maps to the same set at *every* set count of that block size and its
   stack distance is exactly 1 everywhere, so it is dropped once, before
-  the radix chain, and added back as a hit at every ``ways >= 1`` per
-  level.  Instruction streams shrink multi-x; the per-level harvest then
-  only compresses the repeats that become adjacent after grouping.
+  the radix chain (about 40 % of an instruction stream), and added back
+  as a hit at every ``ways >= 1`` per level.  The chain goes on
+  compressing: each level drops the repeats its grouping makes
+  adjacent, which stay distance-1 hits at every finer level, and
+  carries only its survivors on.
 
 Exactness is enforced two ways: tests against a dict-LRU oracle and the
 step-by-step :class:`~repro.cache.cache.Cache`, on random streams and on

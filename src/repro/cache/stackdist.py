@@ -10,11 +10,13 @@ answers **every** associativity at once: ``misses(S, A)`` for the whole
 
 The pass itself is vectorized.  Identities that make it possible:
 
-* *Run compression.*  A reference whose in-set predecessor is the same
-  block has stack distance exactly 1 and leaves the LRU stack unchanged
-  (it touches the top).  Dropping such runs before the scan preserves
-  every other distance and typically shrinks real streams by 2-5x per
-  level; the dropped count is added back as hits at every ``ways >= 1``.
+* *Run compression, carried down the chain.*  A reference whose in-set
+  predecessor is the same block has stack distance exactly 1 and leaves
+  the LRU stack unchanged (it touches the top).  Dropping such runs
+  preserves every other distance; the dropped count is added back as
+  hits at every ``ways >= 1``.  A finer set's substream is a subsequence
+  of its coarser set's, so a dropped reference stays a distance-1 hit
+  at every finer level, and only each level's survivors go on.
 * *The scan identity.*  Within one set's substream (in time order,
   positions ``0..m-1``), let ``p_i`` be the position of the previous
   reference to the same block, ``b_i = i - p_i`` the window length, and
@@ -54,11 +56,14 @@ The pass itself is vectorized.  Identities that make it possible:
 Set counts are swept with the PR 3 nesting: the set index of a
 ``2^(k+1)``-set cache refines the ``2^k``-set index by one bit, so the
 grouped substreams are produced by an LSD radix pass — one O(n) stable
-partition per level — with no sort at all.  (A global bit partition keeps
-every set contiguous and in time order; it permutes the *order of sets*
-relative to :func:`~repro.cache.fastsim._stable_split`, which no miss
-count depends on.)  Each level's histogram is taken right after its
-harvest, so nothing per level outlives it.
+partition on one bit per level.  (A global bit partition keeps every set
+contiguous and in time order; no miss count depends on the *order of
+sets*.)  Each element's *link* is the chain position of the previous
+reference to its block (its own, for a first reference).  Compression
+re-points each survivor's link at its block's previous survivor before
+dropping the rest, and the partition moves links with their elements,
+so every link names an element still in the chain.  Each level's
+histogram is taken right after its harvest.
 
 These are the miss cube's internals (:mod:`~repro.cache.misscube` is
 the only caller); property-based tests pin the cube to a dict-LRU oracle
@@ -128,33 +133,22 @@ def _dense_ids_and_prev(blocks: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int
 
 
 def _partition_bit(
-    cur: np.ndarray,
-    idx: np.ndarray,
-    out_cur: np.ndarray,
-    out_idx: np.ndarray,
-    level: int,
-    bit: np.ndarray,
-    ones: np.ndarray,
-    pos: np.ndarray,
-    cols: np.ndarray,
-) -> None:
-    """Stably partition the whole stream by bit ``level`` of ``cur``.
+    cur: np.ndarray, link: np.ndarray, level: int, cols: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Stably partition the chain by bit ``level`` of ``cur``.
 
-    Zeros first, ones after, original order within each half.  Any two
+    Zeros first, ones after, original order within each half (a stable
+    sort of one bit, which numpy runs as an O(n) radix pass).  Any two
     adjacent elements of different sets already differ in their low
     ``level`` bits, so a *global* stable partition keeps every refined
     set contiguous and in time order — no per-segment bookkeeping.
+    Links are chain positions: they move with their elements.  ``cols``
+    is ``0..len(cur) - 1``.
     """
-    np.bitwise_and(np.right_shift(cur, level, out=ones), 1, out=ones)
-    np.not_equal(ones, 0, out=bit)
-    np.cumsum(bit, out=ones)
-    total_ones = int(ones[-1])
-    ones -= bit  # ones strictly before
-    np.subtract(cols, ones, out=pos)
-    np.add(ones, len(cur) - total_ones, out=ones)
-    np.copyto(pos, ones, where=bit)  # destination slot of every element
-    out_cur[pos] = cur
-    out_idx[pos] = idx
+    order = np.argsort((cur & (1 << level)).astype(bool), kind="stable")
+    pos = np.empty_like(link)
+    pos[order] = cols
+    return cur[order], pos[link[order]]
 
 
 def _shifted_counts(
@@ -243,42 +237,42 @@ def _distance_histogram(
     return np.bincount(count, minlength=max_ways + 2)
 
 
-def _level_hits(
-    cur: np.ndarray,
-    idx: np.ndarray,
-    pocc: np.ndarray,
-    gmap: np.ndarray,
-    keep: np.ndarray,
-    cpos: np.ndarray,
-    max_ways: int,
-) -> np.ndarray:
-    """Cumulative hits by ways of one level's grouped stream.
+def _compress(cur: np.ndarray, link: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Drop one level's in-set repeats and re-point links at survivors.
 
-    ``cur``/``idx`` hold the grouped stream (contiguous per-set segments,
-    time order within).  Adjacent equal blocks are in-set repeats of
-    stack distance 1; they are dropped and added back as hits.  For a
-    survivor, the previous occurrence of its block (``pocc``, a time
-    index shared by all levels) maps through ``gmap`` to the compressed
-    position of that occurrence's *run start* — the most recent survivor
-    of the same block — which is exactly its compressed-coordinates
-    previous position.  First references (no previous occurrence) miss
-    at every associativity.
+    ``cur`` is the level's grouped chain (contiguous per-set segments,
+    time order within) and ``link[i]`` the chain position of the
+    previous reference to the same block, or ``i`` for a block's first
+    reference.  Adjacent equal blocks are in-set repeats.  Through
+    ``cpos``, a survivor's link moves to the run start of the reference
+    it named: the block's previous survivor, i.e. its previous position
+    in the compressed chain.  First references always survive and keep
+    linking to themselves.
     """
-    n = len(cur)
+    keep = np.empty(len(cur), dtype=bool)
     keep[0] = True
     np.not_equal(cur[1:], cur[:-1], out=keep[1:])
-    np.cumsum(keep, out=cpos)
-    cpos -= 1  # grouped position -> compressed position of its run start
-    gmap[idx] = cpos
-    prev_time = pocc[idx[keep]]
-    survivors = len(prev_time)
-    queries = np.flatnonzero(prev_time >= 0)
-    prev = gmap[prev_time[queries]]
-    del prev_time
-    hist = _distance_histogram(queries, prev, survivors, max_ways)
+    cpos = np.cumsum(keep, dtype=link.dtype)
+    cpos -= 1  # chain position -> compressed position of its run start
+    return cur[keep], cpos[link[keep]]
+
+
+def _level_hits(
+    link: np.ndarray, cols: np.ndarray, references: int, max_ways: int
+) -> np.ndarray:
+    """Cumulative hits by ways of one level's compressed chain.
+
+    ``cols`` is ``0..len(link) - 1``.  The stream's other
+    ``references - len(link)`` references, dropped at this level or a
+    coarser one, are hits of distance exactly 1; first references
+    (linked to themselves) miss at every associativity.
+    """
+    survivors = len(link)
+    queries = np.flatnonzero(link < cols)
+    hist = _distance_histogram(queries, link[queries], survivors, max_ways)
     hist[max_ways + 1] += survivors - len(queries)
     hits = np.cumsum(hist)[: max_ways + 1]
-    hits[1:] += n - survivors  # dropped in-set repeats: distance exactly 1
+    hits[1:] += references - survivors
     return hits
 
 
@@ -288,9 +282,12 @@ def _stream_hits(
     """Cumulative hits by ways of one stream at every wanted level.
 
     ``wanted`` is a sorted list of ``log2(num_sets)`` levels.  One LSD
-    radix chain visits them all: the stream is stably partitioned one
-    set-index bit at a time, and each wanted level is compressed and
-    scanned in passing.  Returns ``{level: hits}``.
+    radix chain visits them all: each level drops its in-set repeats
+    (:func:`_compress`), is scanned if wanted, and only its survivors
+    are partitioned on the next set-index bit.  A finer set's substream
+    is a subsequence of its coarser set's, so a dropped repeat stays
+    next to its run start, a distance-1 hit, at every finer level.
+    Returns ``{level: hits}``.
     """
     n = len(blocks)
     hi = wanted[-1]
@@ -302,24 +299,18 @@ def _stream_hits(
     compact = distinct << hi <= (1 << 31) - 1 and n <= (1 << 31) - 1
     dtype = np.int32 if compact else np.int64
     cur = key64.astype(dtype, copy=False)
-    idx = np.arange(n, dtype=dtype)
-    out_cur = np.empty(n, dtype=dtype)
-    out_idx = np.empty(n, dtype=dtype)
-    pocc = pocc.astype(dtype, copy=False)
-    gmap = np.empty(n, dtype=dtype)
-    bit = np.empty(n, dtype=bool)
-    ones = np.empty(n, dtype=dtype)
-    pos = np.empty(n, dtype=dtype)
     cols = np.arange(n, dtype=dtype)
+    link = np.where(pocc < 0, cols, pocc).astype(dtype, copy=False)
+    del dense, pocc, key64
     wanted_set = set(wanted)
     hits: Dict[int, np.ndarray] = {}
     for level in range(hi + 1):
+        cur, link = _compress(cur, link)
+        m = len(cur)
         if level in wanted_set:
-            hits[level] = _level_hits(cur, idx, pocc, gmap, bit, ones, max_ways)
+            hits[level] = _level_hits(link, cols[:m], n, max_ways)
         if level < hi:
-            _partition_bit(cur, idx, out_cur, out_idx, level, bit, ones, pos, cols)
-            cur, out_cur = out_cur, cur
-            idx, out_idx = out_idx, idx
+            cur, link = _partition_bit(cur, link, level, cols[:m])
     return hits
 
 

@@ -11,7 +11,7 @@ provides that observability without perturbing any result:
   plus a zero-overhead :class:`NullTracer` used whenever profiling is
   not requested;
 * :mod:`repro.obs.ledger` — :class:`RunLedger`, the machine-readable
-  record of one experiment run (spans, artifact-store counters,
+  record of one experiment run (host, spans, artifact-store counters,
   executor/backend info, scale, seed, per-experiment wall time) written
   as ``metrics.json`` and rendered as ASCII via
   :mod:`repro.utils.tables`.

@@ -1,9 +1,10 @@
 """Machine-readable record of one experiment run.
 
 A :class:`RunLedger` gathers everything observable about a run — the
-resolved scale and seed, the sweep executor's backend and worker count,
-per-experiment wall times, an :class:`~repro.engine.store.StoreStats`
-snapshot, and the tracer's span forest — and serializes it as
+host it ran on, the resolved scale and seed, the sweep executor's
+backend and worker count, per-experiment wall times, an
+:class:`~repro.engine.store.StoreStats` snapshot, and the tracer's span
+forest — and serializes it as
 ``metrics.json`` under the :data:`LEDGER_SCHEMA` schema id.  The same
 data renders as an ASCII summary through :mod:`repro.utils.tables`, so
 ``--profile`` output and the committed ``BENCH_*.json`` trajectory files
@@ -18,14 +19,19 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import platform
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+import numpy as np
+
 from repro.errors import ConfigurationError
+from repro.kernels import kernel_backend
 from repro.obs.tracer import Tracer, render_span_tree
 from repro.utils.tables import render_table
 
-__all__ = ["LEDGER_SCHEMA", "RunLedger", "validate_metrics"]
+__all__ = ["LEDGER_SCHEMA", "RunLedger", "host_facts", "validate_metrics"]
 
 #: Schema identifier embedded in (and required of) every metrics.json.
 LEDGER_SCHEMA = "repro.obs/run-ledger/v1"
@@ -34,11 +40,33 @@ LEDGER_SCHEMA = "repro.obs/run-ledger/v1"
 _REQUIRED_KEYS = ("schema", "run", "executor", "experiments", "store", "spans")
 
 
+def host_facts() -> Dict[str, Any]:
+    """What a run measured on: usable cores, RAM, versions, kernel backend.
+
+    The keys are the names the repo benchmark prints.  Usable cores are
+    this process's CPU affinity, not the machine's core count, so a
+    2-job figure from a 1-core container says so.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    return {
+        "usable_cores": cores,
+        "ram_gb": round(ram / 2**30, 2),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "repro_kernel": kernel_backend(),
+    }
+
+
 class RunLedger:
     """Collects run metadata, per-experiment timings, and store counters."""
 
     def __init__(self, tracer: Optional[Tracer] = None) -> None:
         self.tracer = tracer
+        self.host_info: Dict[str, Any] = host_facts()
         self.run_info: Dict[str, Any] = {}
         self.executor_info: Dict[str, Any] = {}
         self.experiments: List[Dict[str, Any]] = []
@@ -106,6 +134,7 @@ class RunLedger:
         run.setdefault("wall_s", total)
         payload = {
             "schema": LEDGER_SCHEMA,
+            "host": dict(self.host_info),
             "run": run,
             "executor": dict(self.executor_info),
             "experiments": list(self.experiments),
@@ -137,10 +166,11 @@ class RunLedger:
     # -- rendering -------------------------------------------------------------
 
     def render_summary(self) -> str:
-        """ASCII summary: run info, per-experiment walls, store counters."""
+        """ASCII summary: run and host, experiment walls, store counters."""
         sections: List[str] = []
         info = {**self.run_info, **{f"executor.{k}": v for k, v in self.executor_info.items()}}
         if info:
+            info.update({f"host.{k}": v for k, v in self.host_info.items()})
             sections.append(
                 render_table(
                     ["key", "value"],
@@ -204,9 +234,11 @@ def _cell(value: Any) -> Any:
 def validate_metrics(payload: Dict[str, Any]) -> None:
     """Raise :class:`ConfigurationError` unless ``payload`` is a valid ledger.
 
-    Checked: schema id, required top-level keys, experiment entries with
-    ``name``/``wall_s``, span nodes with ``name``/``wall_s`` recursively,
-    and that no float anywhere is non-finite (strict-JSON guarantee).
+    Checked: schema id, required top-level keys, the optional ``host``
+    section (:func:`host_facts`' keys and types, at least one core),
+    experiment entries with ``name``/``wall_s``, span nodes with
+    ``name``/``wall_s`` recursively, and that no float anywhere is
+    non-finite (strict-JSON guarantee).
     """
     if not isinstance(payload, dict):
         raise ConfigurationError("metrics payload must be a JSON object")
@@ -218,11 +250,23 @@ def validate_metrics(payload: Dict[str, Any]) -> None:
             f"unknown metrics schema {payload['schema']!r} "
             f"(expected {LEDGER_SCHEMA!r})"
         )
+    if "host" in payload:
+        _check_host(payload["host"])
     for entry in payload["experiments"]:
         if not isinstance(entry, dict) or "name" not in entry or "wall_s" not in entry:
             raise ConfigurationError(f"malformed experiment entry: {entry!r}")
     _check_spans(payload["spans"])
     _check_finite(payload, path="$")
+
+
+def _check_host(host: Any) -> None:
+    expected = host_facts()
+    if not isinstance(host, dict) or any(
+        type(host.get(key)) is not type(value) for key, value in expected.items()
+    ):
+        raise ConfigurationError(f"malformed host section: {host!r}")
+    if host["usable_cores"] < 1:
+        raise ConfigurationError(f"host.usable_cores must be >= 1: {host!r}")
 
 
 def _check_spans(spans: Any) -> None:

@@ -79,6 +79,35 @@ class TestDirectMappedMisses:
         assert all(a >= b for a, b in zip(misses, misses[1:]))
 
 
+def _loop_stream(seed, alphabet, loops):
+    """``loops`` loops over a few of ``alphabet`` blocks, each block
+    touched 1-8 times in a row per iteration: long repeat runs, and
+    repeats that only become adjacent once a finer set count separates
+    the loop's blocks."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for _ in range(loops):
+        body = rng.integers(0, alphabet, size=int(rng.integers(1, 6)))
+        runs = np.repeat(body, rng.integers(1, 9, size=len(body)))
+        parts.append(np.tile(runs, int(rng.integers(1, 12))))
+    return np.concatenate(parts).tolist()
+
+
+loop_streams = st.builds(
+    _loop_stream,
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    alphabet=st.integers(min_value=2, max_value=64),
+    loops=st.integers(min_value=1, max_value=20),
+)
+
+
+def _reference_cache_misses(blocks, num_sets, block_words=4):
+    oracle = Cache(size_words=num_sets * block_words, block_words=block_words)
+    for block in blocks:
+        oracle.access(block * block_words * 4)
+    return oracle.stats.misses
+
+
 class TestSinglePassSweep:
     """The single-pass multi-geometry sweep vs. the per-size oracles."""
 
@@ -119,12 +148,16 @@ class TestSinglePassSweep:
             assert misses == direct_mapped_misses(blocks, sets)
 
     @given(
-        blocks=st.lists(st.integers(min_value=0, max_value=600), max_size=300),
+        blocks=st.one_of(
+            st.lists(st.integers(min_value=0, max_value=600), max_size=300),
+            loop_streams,
+        ),
         levels=st.sets(st.integers(min_value=0, max_value=10), min_size=1, max_size=5),
     )
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     def test_counts_match_per_size_oracle(self, blocks, levels):
-        """Random streams x random sweeps == the per-size exact path."""
+        """Random and loop-like streams x random sweeps (many of them
+        without the one-set level) == the per-size exact path."""
         stream = np.array(blocks, dtype=np.int64)
         set_counts = [1 << level for level in levels]
         sweep = direct_mapped_miss_sweep(stream, set_counts)
@@ -133,20 +166,32 @@ class TestSinglePassSweep:
         }
 
     @given(
-        blocks=st.lists(st.integers(min_value=0, max_value=255), max_size=200),
+        blocks=st.one_of(
+            st.lists(st.integers(min_value=0, max_value=255), max_size=200),
+            loop_streams,
+        ),
         levels=st.sets(st.integers(min_value=0, max_value=8), min_size=1, max_size=4),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_counts_match_reference_cache(self, blocks, levels):
-        """Random streams x random sweeps == the step-by-step Cache."""
+        """Random and loop-like streams x random sweeps == the
+        step-by-step Cache."""
         stream = np.array(blocks, dtype=np.int64)
-        block_words = 4
         sweep = direct_mapped_miss_sweep(stream, [1 << level for level in levels])
         for sets, misses in sweep.items():
-            oracle = Cache(size_words=sets * block_words, block_words=block_words)
-            for block in blocks:
-                oracle.access(block * block_words * 4)
-            assert misses == oracle.stats.misses
+            assert misses == _reference_cache_misses(blocks, sets), sets
+
+    def test_repeat_adjacent_only_at_a_finer_size(self):
+        # Blocks 0 and 8 share set 0 up to 8 sets and alternate there;
+        # at 16 sets each has a set of its own, so every later reference
+        # repeats its in-set predecessor.  Block 3 splits off at 2 sets.
+        blocks = [0, 0, 8, 3, 0, 8, 8, 3, 0, 8]
+        set_counts = [2, 8, 16, 64]
+        sweep = direct_mapped_miss_sweep(np.array(blocks), set_counts)
+        assert sweep == {2: 7, 8: 7, 16: 3, 64: 3}
+        for sets in set_counts:
+            assert sweep[sets] == direct_mapped_misses(np.array(blocks), sets)
+            assert sweep[sets] == _reference_cache_misses(blocks, sets)
 
     def test_skewed_reuse_large_stream(self):
         rng = np.random.default_rng(23)

@@ -257,3 +257,45 @@ class TestLongWindows:
             assert wide.misses(B, num_sets, 24) == set_associative_misses(
                 stream, num_sets, 24
             ), num_sets
+
+
+class TestSurvivorChain:
+    """Each level carries only its survivors down the radix chain."""
+
+    def test_link_redirected_past_a_dropped_repeat(self):
+        # A = 0 shares set 0 with X = 1 only at one set, with Y = 2 up to
+        # 2 sets, with Z = 4 up to 4 and with W = 8 up to 8.  At 2 sets
+        # the second A becomes an adjacent repeat of the first and is
+        # dropped; the third A linked to it and must now link to the
+        # first.  At 8 sets the third A is dropped in turn, and the
+        # fourth A, linked to it, must follow it to the first A as well.
+        A, X, Y, Z, W = 0, 1, 2, 4, 8
+        stream = np.array([A, X, A, Y, Z, A, W, A, X, Y, A], dtype=np.int64)
+        set_counts = [1 << k for k in range(5)]
+        cube = single_stream_cube(stream, set_counts, 8)
+        for num_sets in set_counts:
+            for way in range(1, 9):
+                assert cube.misses(B, num_sets, way) == set_associative_misses(
+                    stream, num_sets, way
+                ), (num_sets, way)
+
+    def test_chain_shrinks_level_by_level(self, monkeypatch):
+        stream = _loops_with_returns()
+        lengths = []
+        real = stackdist._partition_bit
+
+        def spy(cur, *args):
+            lengths.append(len(cur))
+            return real(cur, *args)
+
+        monkeypatch.setattr(stackdist, "_partition_bit", spy)
+        set_counts = [1 << k for k in range(7)]
+        cube = single_stream_cube(stream, set_counts, 8)
+        deduped = stream[np.r_[True, stream[1:] != stream[:-1]]]
+        assert len(lengths) == len(set_counts) - 1
+        assert all(a >= b for a, b in zip(lengths, lengths[1:])), lengths
+        assert lengths[-1] < len(deduped), lengths
+        for num_sets in (1, 64):
+            assert cube.misses(B, num_sets, 4) == set_associative_misses(
+                stream, num_sets, 4
+            ), num_sets

@@ -7,6 +7,7 @@ import pytest
 from repro.engine.store import ArtifactStore
 from repro.errors import ConfigurationError
 from repro.obs import LEDGER_SCHEMA, RunLedger, Tracer, validate_metrics
+from repro.obs.ledger import host_facts
 
 
 def _populated_ledger():
@@ -140,3 +141,62 @@ class TestPhysicalSection:
         assert "physical (energy / area)" in text
         assert "leakage_scale" in text
         assert "frontier_points" in text
+
+
+class TestHostSection:
+    def test_every_ledger_records_its_host(self, tmp_path):
+        payload = RunLedger.load(_populated_ledger().write(tmp_path / "m.json"))
+        host = payload["host"]
+        assert set(host) == {
+            "usable_cores",
+            "ram_gb",
+            "python",
+            "numpy",
+            "repro_kernel",
+        }
+        assert host["usable_cores"] >= 1
+        assert host["ram_gb"] > 0
+        assert host["repro_kernel"] == "numpy"
+        assert host == host_facts()
+
+    def test_usable_cores_follow_the_affinity_mask(self):
+        import os
+
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no CPU affinity on this platform")
+        assert host_facts()["usable_cores"] == len(os.sched_getaffinity(0))
+
+    def test_ledger_without_host_still_validates(self):
+        # Ledgers written before the section existed (the committed
+        # BENCH_*.json files) carry none.
+        payload = _populated_ledger().to_dict()
+        del payload["host"]
+        validate_metrics(payload)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("usable_cores", 0),
+            ("usable_cores", "2"),
+            ("usable_cores", True),
+            ("ram_gb", None),
+            ("numpy", 2),
+            ("repro_kernel", None),
+        ],
+    )
+    def test_malformed_host_rejected(self, key, value):
+        payload = _populated_ledger().to_dict()
+        payload["host"][key] = value
+        with pytest.raises(ConfigurationError):
+            validate_metrics(payload)
+
+    def test_missing_host_key_rejected(self):
+        payload = _populated_ledger().to_dict()
+        del payload["host"]["python"]
+        with pytest.raises(ConfigurationError):
+            validate_metrics(payload)
+
+    def test_summary_lists_the_host(self):
+        text = _populated_ledger().render_summary()
+        assert "host.usable_cores" in text
+        assert "host.numpy" in text
