@@ -38,7 +38,6 @@ from repro.cache.fastsim import (
 )
 from repro.cache.stackdist import MissPlane
 from repro.cache.misscube import (
-    MISS_CUBE_VERSION,
     MissCube,
     ShiftedStreams,
     capacity_set_counts,
@@ -65,7 +64,6 @@ __all__ = [
     "direct_mapped_miss_sweep",
     "addresses_to_blocks",
     "MissPlane",
-    "MISS_CUBE_VERSION",
     "MissCube",
     "ShiftedStreams",
     "capacity_set_counts",

@@ -44,8 +44,10 @@ Exactness is enforced two ways: tests against a dict-LRU oracle and the
 step-by-step :class:`~repro.cache.cache.Cache`, on random streams and on
 the real suite stream over the whole paper grid; and a fatal cross-check
 of every ``A = 1`` base against the independent :func:`~repro.cache.
-fastsim.direct_mapped_miss_sweep` when a cube artifact is built
-(:meth:`~repro.core.measurement.SuiteMeasurement.icache_miss_cube`).
+fastsim.direct_mapped_miss_sweep` in the chunked driver
+(:mod:`~repro.cache.cubepart`), which every session build goes through
+(:meth:`~repro.core.measurement.SuiteMeasurement.warm_miss_cube`, which
+keeps each block size's :class:`~repro.cache.stackdist.MissPlane`).
 """
 
 from __future__ import annotations
@@ -62,20 +64,12 @@ from repro.errors import ConfigurationError
 from repro.utils.units import is_power_of_two, log2_int
 
 __all__ = [
-    "MISS_CUBE_VERSION",
     "MissCube",
     "ShiftedStreams",
     "miss_cube",
     "miss_cube_from_addresses",
     "capacity_set_counts",
 ]
-
-#: Version of the whole-cube miss artifacts (``imiss_cube`` /
-#: ``dmiss_cube``): exact LRU miss counts for every covered
-#: (block size, set count, ways) geometry from one engine pass.  Bump
-#: when the engine or the cube schema changes behaviour; subsumes the
-#: retired ``MISS_AXIS_VERSION`` and ``MISS_PLANE_VERSION`` schemas.
-MISS_CUBE_VERSION = 1
 
 SetCounts = Union[Sequence[int], Mapping[int, Sequence[int]]]
 

@@ -8,16 +8,20 @@ count, so suite aggregates carry the paper's execution-time weighting),
 and interleaves the per-benchmark streams with a context-switch quantum in
 distinct address spaces.
 
-A full experiment run touches the same streams dozens of times, so every
-derived artifact flows through a content-addressed
-:class:`~repro.engine.store.ArtifactStore`: reference streams, miss
-counts, and branch statistics live in the store's memory tier; execution
-traces and compiled programs — the expensive artifacts of a session — are
-additionally persisted to its disk tier, so a warm start maps both back
+A full experiment run touches the same streams dozens of times, so the
+derived artifacts flow through a content-addressed
+:class:`~repro.engine.store.ArtifactStore`: reference streams and branch
+statistics live in the store's memory tier; execution traces, compiled
+programs and the data-address bundle — the expensive artifacts of a
+session — are persisted to its disk tier, so a warm start maps them back
 without synthesizing a program, and spawned sweep workers rehydrate a
-session the same way (forked ones inherit the parent's).  When the
-session's :class:`~repro.engine.executor.SweepExecutor` is parallel,
-per-benchmark trace synthesis is fanned out across worker processes.
+session the same way (forked ones inherit the parent's).  Miss counts
+live in the session itself: one exact ``(sets x ways)`` plane per
+``(side, slots, block size)``, built by the chunked cube driver
+(:mod:`repro.cache.cubepart`) and read directly by every
+:meth:`SuiteMeasurement.misses` query.  When the session's
+:class:`~repro.engine.executor.SweepExecutor` is parallel, per-benchmark
+trace synthesis is fanned out across worker processes.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,11 +61,8 @@ from repro.cache.geometry import (
     derived_sets,
     geometry_error,
 )
-from repro.cache.misscube import (
-    MISS_CUBE_VERSION,
-    MissCube,
-    capacity_set_counts,
-)
+from repro.cache.misscube import MissCube, capacity_set_counts
+from repro.cache.stackdist import MissPlane
 from repro.trace.executor import ExecutionTrace, TraceExecutor
 from repro.trace.compiled import (
     LOWERING_VERSION,
@@ -75,7 +76,7 @@ from repro.trace.multiprogram import (
     multiprogram_quanta,
 )
 from repro.utils.rng import DEFAULT_SEED
-from repro.utils.units import WORD_BYTES, is_power_of_two, kw_to_words, log2_int
+from repro.utils.units import WORD_BYTES, kw_to_words, log2_int
 from repro.workload import (
     BenchmarkSpec,
     DataReferenceModel,
@@ -86,29 +87,38 @@ from repro.workload import (
 __all__ = [
     "SuiteMeasurement",
     "GENERATOR_VERSION",
-    "MISS_CUBE_VERSION",
 ]
 
 #: Bump to invalidate cached traces when the generator changes behaviour.
 GENERATOR_VERSION = 5
 
-# MISS_CUBE_VERSION (re-exported from repro.cache.misscube) governs the
-# whole-cube miss artifacts ``imiss_cube`` / ``dmiss_cube``; it subsumes
-# the retired per-axis (MISS_AXIS_VERSION) and per-plane
-# (MISS_PLANE_VERSION) schemas.  It is independent of GENERATOR_VERSION
-# so an engine change never invalidates the (far more expensive) cached
-# traces.
-
-#: Largest per-side cache the paper sweeps (KW).  A miss-cube artifact
-#: always covers at least this capacity, so every size of the paper grid
-#: for one stream family is answered by a single cube artifact.
+#: Largest per-side cache the paper sweeps (KW).  A miss plane always
+#: covers at least this capacity, so one plane per block size answers
+#: every size of the paper grid for one stream family.
 _CUBE_MAX_KW = 32
 
-#: Largest associativity the paper studies.  Cubes are always built at
+#: Largest associativity the paper studies.  Planes are always built at
 #: least this deep, so direct-mapped lookups and associativity sweeps
-#: share one artifact.  The depth is not free: the bounded stack-distance
+#: share one plane.  The depth is not free: the bounded stack-distance
 #: scan costs more as ``max_ways`` grows (DESIGN §14).
 _CUBE_MAX_WAYS = 8
+
+
+def _canonical_bounds(
+    blocks: Tuple[int, ...], capacity_words: Optional[int], max_ways: Optional[int]
+) -> Tuple[int, int]:
+    """A miss request's ``(capacity words, ways)``, widened to at least
+    the paper's largest per-side cache and associativity."""
+    return (
+        max(kw_to_words(_CUBE_MAX_KW), blocks[-1], int(capacity_words or 0)),
+        max(int(max_ways or 1), _CUBE_MAX_WAYS),
+    )
+
+
+def _covers(plane: Optional[MissPlane], num_sets: int, ways: int) -> bool:
+    """Whether ``plane`` answers ``num_sets`` sets at ``ways`` ways (and
+    so every smaller geometry: a plane holds every set count from one)."""
+    return plane is not None and num_sets in plane.hits and ways <= plane.max_ways
 
 
 def _as_dtype(array: np.ndarray, dtype) -> np.ndarray:
@@ -221,11 +231,10 @@ class SuiteMeasurement:
         #: the driver's tasks (:mod:`repro.cache.cubepart`) run in this
         #: process at 1 and on a pool of that many workers above.
         self.cube_jobs = 1
-        #: Cube routing hints: ``(side, slots, block_words) -> key params``
-        #: of an already-built cube covering that block size, so later
-        #: single-block requests become store hits on the covering cube
-        #: instead of building a narrower artifact.
-        self._cube_index: Dict[Tuple[str, Optional[int], int], Dict[str, int]] = {}
+        #: Exact miss counts, one plane per ``(side, slots, block_words)``
+        #: (``slots`` None on the D side); :meth:`warm_miss_cube` is the
+        #: only writer.
+        self._planes: Dict[Tuple[str, Optional[int], int], MissPlane] = {}
 
         total_weight = sum(spec.weight for spec in self.specs)
         self._budgets = [
@@ -247,8 +256,8 @@ class SuiteMeasurement:
 
         Every build goes through :mod:`repro.cache.cubepart`; ``jobs > 1``
         maps its tasks on a process executor of that width, ``None`` or 1
-        runs them in this process.  The counts, and so the cached
-        ``imiss_cube``/``dmiss_cube`` artifacts, are the same either way.
+        runs them in this process.  The counts, and so the session's miss
+        planes, are the same either way.
         """
         jobs = int(jobs) if jobs is not None else 1
         if jobs < 1:
@@ -620,66 +629,6 @@ class SuiteMeasurement:
 
     # -- miss counts -------------------------------------------------------------
 
-    def _cube_capacity(
-        self, side: str, blocks: Tuple[int, ...], capacity_words: Optional[int]
-    ) -> int:
-        """Canonical top capacity (words) of a cube artifact.
-
-        A cube always extends to the paper's largest per-side cache, so
-        every geometry of the paper grid for one stream family maps to
-        one shared artifact; larger one-off requests get a wider cube.
-        """
-        capacity = max(
-            kw_to_words(_CUBE_MAX_KW), blocks[-1], int(capacity_words or 0)
-        )
-        if not is_power_of_two(capacity):
-            raise ConfigurationError(
-                f"invalid L1-{side} geometry: cube capacity must be a "
-                f"power of two: {capacity} words"
-            )
-        return capacity
-
-    def _build_cube(self, build: Callable[..., MissCube], *args: Any) -> MissCube:
-        """One cube build by a :mod:`repro.cache.cubepart` form, on a
-        fresh executor of ``cube_jobs`` workers.
-
-        The driver checks every block size's ``A = 1`` base against the
-        independent direct-mapped sweep before the cube comes back, which
-        also pins every cube-backed output to the retired per-axis
-        simulation bit for bit.
-        """
-        executor = SweepExecutor(jobs=self.cube_jobs)
-        executor.tracer = self.tracer
-        try:
-            return build(*args, executor=executor, tracer=self.tracer)
-        finally:
-            executor.shutdown()
-
-    def _register_cube(
-        self,
-        side: str,
-        slots: Optional[int],
-        blocks: Tuple[int, ...],
-        capacity_words: int,
-        max_ways: int,
-    ) -> None:
-        """Remember a built cube as the routing target for its block sizes."""
-        for block_words in blocks:
-            key = (side, slots, block_words)
-            entry = self._cube_index.get(key)
-            if (
-                entry is None
-                or (
-                    capacity_words >= entry["capacity_words"]
-                    and max_ways >= entry["max_ways"]
-                )
-            ):
-                self._cube_index[key] = {
-                    "blocks": blocks,
-                    "capacity_words": capacity_words,
-                    "max_ways": max_ways,
-                }
-
     def icache_miss_cube(
         self,
         slots: int,
@@ -687,53 +636,17 @@ class SuiteMeasurement:
         capacity_words: Optional[int] = None,
         max_ways: Optional[int] = None,
     ) -> MissCube:
-        """L1-I LRU misses over the whole (block x sets x ways) cube.
+        """L1-I LRU misses over a whole (block x sets x ways) cube.
 
-        One content-addressed artifact per (stream family, blocks,
-        capacity, ways) tuple holds exact miss counts for every covered
-        geometry: each block size at every power-of-two set count up to
-        ``capacity_words // block`` and every associativity up to
-        ``max_ways``, produced by the chunked driver
-        (:func:`~repro.cache.cubepart.partitioned_miss_cube`) over the
-        per-block instruction streams.  The bounds are canonicalized (at
-        least the paper's 32 KW capacity and 8 ways), so every
-        :meth:`misses` query on the paper grid resolves to the same
-        artifact.  Every block size's ``A = 1`` base is cross-checked
-        against the independent :func:`~repro.cache.fastsim.
-        direct_mapped_miss_sweep` before the cube is stored.
+        Exact miss counts for each block size at every power-of-two set
+        count up to ``capacity_words // block`` and every associativity
+        up to ``max_ways``, the bounds canonicalized to at least the
+        paper's 32 KW and 8 ways.  The cube is a view of the session's
+        per-block planes (:meth:`warm_miss_cube` builds the missing
+        ones), trimmed to exactly those bounds, so what it holds never
+        depends on what was built before.
         """
-        blocks = checked_block_words(block_words, context="L1-I")
-        capacity = self._cube_capacity("I", blocks, capacity_words)
-        ways = max(int(max_ways or 1), _CUBE_MAX_WAYS)
-        set_counts = capacity_set_counts(blocks, capacity, context="L1-I")
-
-        def build() -> MissCube:
-            self.tracer.count("cache_sweeps")
-            streams = {B: self.istream_blocks(slots, B) for B in blocks}
-            with self.tracer.span(
-                "imiss.cube",
-                slots=slots,
-                blocks=",".join(str(b) for b in blocks),
-                capacity_words=capacity,
-                max_ways=ways,
-            ) as span:
-                span.count("block_sizes", len(blocks))
-                span.count("references", sum(len(s) for s in streams.values()))
-                return self._build_cube(
-                    partitioned_miss_cube, streams, set_counts, ways
-                )
-
-        cube = self.store.get_or_create(
-            "imiss_cube",
-            MISS_CUBE_VERSION,
-            build,
-            slots=slots,
-            blocks=",".join(str(b) for b in blocks),
-            capacity_words=capacity,
-            max_ways=ways,
-        )
-        self._register_cube("I", slots, blocks, capacity, ways)
-        return cube
+        return self._cube_view("I", slots, block_words, capacity_words, max_ways)
 
     def dcache_miss_cube(
         self,
@@ -741,48 +654,34 @@ class SuiteMeasurement:
         capacity_words: Optional[int] = None,
         max_ways: Optional[int] = None,
     ) -> MissCube:
-        """L1-D LRU misses over the whole (block x sets x ways) cube.
+        """L1-D LRU misses over a whole (block x sets x ways) cube; as
+        :meth:`icache_miss_cube`, over the data stream."""
+        return self._cube_view("D", None, block_words, capacity_words, max_ways)
 
-        The data-side cube consumes the single block-independent address
-        bundle (:meth:`dstream_address_bundle`) out-of-core; block-size
-        doubling is one more shift inside the driver
-        (:func:`~repro.cache.cubepart.
-        partitioned_miss_cube_from_addresses`).
-        """
-        blocks = checked_block_words(block_words, context="L1-D")
-        capacity = self._cube_capacity("D", blocks, capacity_words)
-        ways = max(int(max_ways or 1), _CUBE_MAX_WAYS)
-        set_counts = capacity_set_counts(blocks, capacity, context="L1-D")
-
-        def build() -> MissCube:
-            self.tracer.count("cache_sweeps")
-            with self.tracer.span(
-                "dmiss.cube",
-                blocks=",".join(str(b) for b in blocks),
-                capacity_words=capacity,
-                max_ways=ways,
-            ) as span:
-                span.count("block_sizes", len(blocks))
-                addresses = self.dstream_address_bundle()
-                span.count("references", len(blocks) * len(addresses))
-                return self._build_cube(
-                    partitioned_miss_cube_from_addresses,
-                    addresses,
-                    blocks,
-                    set_counts,
-                    ways,
-                )
-
-        cube = self.store.get_or_create(
-            "dmiss_cube",
-            MISS_CUBE_VERSION,
-            build,
-            blocks=",".join(str(b) for b in blocks),
-            capacity_words=capacity,
+    def _cube_view(
+        self,
+        side: str,
+        slots: Optional[int],
+        block_words: Sequence[int],
+        capacity_words: Optional[int],
+        max_ways: Optional[int],
+    ) -> MissCube:
+        blocks = checked_block_words(block_words, context=f"L1-{side}")
+        capacity, ways = _canonical_bounds(blocks, capacity_words, max_ways)
+        self.warm_miss_cube(side, blocks, capacity, slots=slots, max_ways=ways)
+        planes = {B: self._planes[side, slots, B] for B in blocks}
+        return MissCube(
+            references={B: plane.references for B, plane in planes.items()},
             max_ways=ways,
+            hits={
+                B: {
+                    S: curve[: ways + 1]
+                    for S, curve in plane.hits.items()
+                    if S * B <= capacity
+                }
+                for B, plane in planes.items()
+            },
         )
-        self._register_cube("D", None, blocks, capacity, ways)
-        return cube
 
     def misses(
         self,
@@ -798,10 +697,9 @@ class SuiteMeasurement:
         ``slots`` — or ``"D"``, which takes none.  A ``size_kw`` cache of
         ``block_words``-word blocks at ``ways`` ways has ``size / (block
         * ways)`` sets; the geometry is validated (errors name ``L1-I``
-        or ``L1-D``) before any stream is built.  The count comes from
-        the side's miss cube, routed through the session's cube index so
-        that a request an already-built cube covers is a store hit on it
-        rather than a narrower build.
+        or ``L1-D``) before any stream is built.  The count is a read of
+        the side's plane for that block size; a geometry beyond the
+        plane's bounds first rebuilds it (:meth:`warm_miss_cube`).
         """
         if side not in ("I", "D") or (slots is None) != (side == "D"):
             raise ConfigurationError(
@@ -815,19 +713,18 @@ class SuiteMeasurement:
             raise geometry_error(
                 f"{ways} ways do not divide {size_blocks} blocks", context
             )
-        entry = self._covering_cube(
-            side, slots, block_words, size_blocks * block_words, ways
-        )
-        if entry is not None:
-            blocks = entry["blocks"]
-            capacity = entry["capacity_words"]
-            max_ways = entry["max_ways"]
-        else:
-            blocks = (block_words,)
-            capacity = size_blocks * block_words
-            max_ways = ways
-        cube = self._side_cube(side, slots, blocks, capacity, max_ways)
-        return cube.capacity_misses(block_words, size_blocks, ways)
+        num_sets = size_blocks // ways
+        plane = self._planes.get((side, slots, block_words))
+        if not _covers(plane, num_sets, ways):
+            self.warm_miss_cube(
+                side,
+                (block_words,),
+                size_blocks * block_words,
+                slots=slots,
+                max_ways=ways,
+            )
+            plane = self._planes[side, slots, block_words]
+        return plane.misses(num_sets, ways)
 
     def warm_miss_cube(
         self,
@@ -835,52 +732,80 @@ class SuiteMeasurement:
         block_words: Sequence[int],
         capacity_words: int,
         slots: Optional[int] = None,
-    ) -> None:
-        """Build one stream family's cube ahead of a grid's queries.
+        max_ways: Optional[int] = None,
+    ) -> bool:
+        """Build the miss planes one stream family's queries need.
 
-        Skipped when built cubes already cover every block size up to
-        ``capacity_words``: the grid's :meth:`misses` queries then hit
-        those cubes, and a narrower cube under its own artifact key
-        would only repeat their work.
+        A block size's plane holds exact LRU miss counts at every
+        power-of-two set count up to ``capacity_words // block`` and
+        every associativity up to ``max_ways``, the bounds canonicalized
+        to at least the paper's 32 KW and 8 ways, so one plane answers a
+        block size's whole paper grid.  Block sizes whose planes already
+        cover the bounds are skipped; the rest come from one call of the
+        chunked driver (:mod:`repro.cache.cubepart`, on a pool of
+        ``cube_jobs`` workers), at the bounds widened to those of every
+        plane it replaces, so a rebuild never narrows what a block size
+        answers.  The driver checks each block size's ``A = 1`` base
+        against the independent direct-mapped sweep before any plane is
+        kept.  Returns whether anything was built.
         """
-        blocks = tuple(block_words)
-        if all(
-            self._covering_cube(side, slots, B, capacity_words, 1) is not None
-            for B in blocks
-        ):
-            return
-        self._side_cube(side, slots, blocks, capacity_words, None)
-
-    def _covering_cube(
-        self,
-        side: str,
-        slots: Optional[int],
-        block_words: int,
-        capacity_words: int,
-        ways: int,
-    ) -> Optional[Dict[str, int]]:
-        """The index entry of a built cube that answers one block size up
-        to ``capacity_words`` and ``ways``, or None."""
-        entry = self._cube_index.get((side, slots, block_words))
-        if (
-            entry is not None
-            and entry["capacity_words"] >= capacity_words
-            and entry["max_ways"] >= ways
-        ):
-            return entry
-        return None
-
-    def _side_cube(
-        self,
-        side: str,
-        slots: Optional[int],
-        blocks: Sequence[int],
-        capacity_words: Optional[int],
-        max_ways: Optional[int],
-    ) -> MissCube:
-        if side == "I":
-            return self.icache_miss_cube(slots, blocks, capacity_words, max_ways)
-        return self.dcache_miss_cube(blocks, capacity_words, max_ways)
+        context = f"L1-{side}"
+        blocks = checked_block_words(block_words, context=context)
+        capacity, ways = _canonical_bounds(blocks, capacity_words, max_ways)
+        wanted = capacity_set_counts(blocks, capacity, context=context)
+        stale: Dict[int, Optional[MissPlane]] = {}
+        for B in blocks:
+            plane = self._planes.get((side, slots, B))
+            if not _covers(plane, wanted[B][-1], ways):
+                stale[B] = plane
+        if not stale:
+            return False
+        for B, plane in stale.items():
+            if plane is not None:
+                capacity = max(capacity, B * max(plane.hits))
+                ways = max(ways, plane.max_ways)
+        blocks = tuple(stale)
+        set_counts = capacity_set_counts(blocks, capacity, context=context)
+        label = ",".join(str(B) for B in blocks)
+        self.tracer.count("cache_sweeps")
+        executor = SweepExecutor(jobs=self.cube_jobs)
+        executor.tracer = self.tracer
+        driver = dict(executor=executor, tracer=self.tracer)
+        try:
+            if side == "I":
+                streams = {B: self.istream_blocks(slots, B) for B in blocks}
+                with self.tracer.span(
+                    "imiss.cube",
+                    slots=slots,
+                    blocks=label,
+                    capacity_words=capacity,
+                    max_ways=ways,
+                ) as span:
+                    span.count("block_sizes", len(blocks))
+                    span.count(
+                        "references", sum(len(s) for s in streams.values())
+                    )
+                    cube = partitioned_miss_cube(
+                        streams, set_counts, ways, **driver
+                    )
+            else:
+                with self.tracer.span(
+                    "dmiss.cube",
+                    blocks=label,
+                    capacity_words=capacity,
+                    max_ways=ways,
+                ) as span:
+                    span.count("block_sizes", len(blocks))
+                    addresses = self.dstream_address_bundle()
+                    span.count("references", len(blocks) * len(addresses))
+                    cube = partitioned_miss_cube_from_addresses(
+                        addresses, blocks, set_counts, ways, **driver
+                    )
+        finally:
+            executor.shutdown()
+        for B in blocks:
+            self._planes[side, slots, B] = cube.plane(B)
+        return True
 
     # -- reporting ---------------------------------------------------------------
 

@@ -194,16 +194,17 @@ class DesignOptimizer:
             **config_to_params(config),
         )
 
-    def _warm_miss_cubes(self, configs: Sequence[SystemConfig]) -> None:
+    def _warm_miss_cubes(self, configs: Sequence[SystemConfig]) -> bool:
         """One single-pass miss cube per distinct stream family.
 
         A design grid revisits the same instruction/data streams at many
-        (block size, cache size, ways) geometries; building the whole
-        cube up front — every block size of the grid in one engine pass
-        — turns every per-point miss lookup during evaluation into a
-        store hit, and surfaces the engine cost as its own spans instead
-        of hiding it inside the first evaluated point.  A family that
-        cubes built earlier already cover is skipped.
+        (block size, cache size, ways) geometries; building the grid's
+        miss planes up front — every block size of a family in one
+        driver call — turns every per-point miss lookup during
+        evaluation into a plane read, and surfaces the engine cost as
+        its own spans instead of hiding it inside the first evaluated
+        point.  Block sizes that planes built earlier already cover are
+        skipped.  Returns whether anything was built.
         """
         icache_grid: Dict[int, Dict[str, set]] = {}
         dcache_grid: Dict[str, set] = {"blocks": set(), "words": set()}
@@ -215,14 +216,16 @@ class DesignOptimizer:
             side["words"].add(kw_to_words(config.icache_kw))
             dcache_grid["blocks"].add(config.block_words)
             dcache_grid["words"].add(kw_to_words(config.dcache_kw))
+        built = False
         for slots, side in sorted(icache_grid.items()):
-            self.measurement.warm_miss_cube(
+            built |= self.measurement.warm_miss_cube(
                 "I", sorted(side["blocks"]), max(side["words"]), slots=slots
             )
         if dcache_grid["blocks"]:
-            self.measurement.warm_miss_cube(
+            built |= self.measurement.warm_miss_cube(
                 "D", sorted(dcache_grid["blocks"]), max(dcache_grid["words"])
             )
+        return built
 
     def _warm_and_prime(self, configs: Sequence[SystemConfig]):
         """Build the grid's miss cubes here, then prime the pool.
@@ -230,13 +233,10 @@ class DesignOptimizer:
         Workers forked afterwards inherit the cubes instead of each
         building (and discarding) its own.  A pool an earlier sweep
         forked predates anything this warm builds, so it is retired
-        first: the next map forks workers that see the new cubes.
+        first: the next map forks workers that see the new planes.
         Returns the session's spec.
         """
-        store = self.measurement.store
-        misses = store.stats().misses
-        self._warm_miss_cubes(configs)
-        if store.stats().misses != misses:
+        if self._warm_miss_cubes(configs):
             self.executor.retire_pool()
         spec = self.measurement.spec()
         self.executor.prime(spec.digest(), self.measurement)
@@ -303,7 +303,7 @@ class DesignOptimizer:
 
         Misses for the whole grid come from one miss cube per stream
         family, built before evaluation; every per-point miss lookup is
-        then a read of that shared artifact.
+        then a read of the session's planes.
         """
         configs = list(configs)
         with self.tracer.span(

@@ -408,7 +408,7 @@ class SweepScheduler:
         """The measurement session answering one scale's queries.
 
         Built on first use through the registry; a configured disk
-        budget is applied to the session's store so the trace/cube
+        budget is applied to the session's store so the persisted
         artifacts of many tenants' queries respect the same ceiling as
         the service store.
         """

@@ -27,6 +27,50 @@ def cube_digest(cube) -> str:
     return digest.hexdigest()
 
 
+def spy_on_driver(monkeypatch):
+    """Record every cube-driver call a session makes.
+
+    The spies sit where the session looks the driver up; each call
+    appends ``(side, block sizes, capacity words, max ways)`` of the cube
+    it built.  Returns the (growing) list.
+    """
+    import repro.core.measurement as measurement_module
+
+    builds = []
+
+    def spy(real, side):
+        def logged(*args, **kwargs):
+            cube = real(*args, **kwargs)
+            block = cube.block_words[0]
+            capacity = block * max(cube.hits[block])
+            builds.append((side, cube.block_words, capacity, cube.max_ways))
+            return cube
+
+        return logged
+
+    for name, side in (
+        ("partitioned_miss_cube", "I"),
+        ("partitioned_miss_cube_from_addresses", "D"),
+    ):
+        monkeypatch.setattr(
+            measurement_module, name, spy(getattr(measurement_module, name), side)
+        )
+    return builds
+
+
+def twin(session):
+    """A fresh session over ``session``'s store: the same streams (store
+    hits), none of its miss planes."""
+    return SuiteMeasurement(
+        specs=session.specs,
+        total_instructions=session.total_instructions,
+        seed=session.seed,
+        quantum_instructions=session.quantum_instructions,
+        min_benchmark_instructions=session.min_benchmark_instructions,
+        store=session.store,
+    )
+
+
 class TestConstruction:
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
@@ -167,15 +211,19 @@ class TestStreamsAndMisses:
                 addresses_to_blocks(measurement.dstream_address_bundle(), 4), sets
             )
 
-    def test_miss_axis_is_one_artifact_per_stream_block_pair(self, measurement):
+    def test_miss_axis_is_one_artifact_per_stream_block_pair(
+        self, measurement, monkeypatch
+    ):
         # Every paper-grid size for one (stream, block) pair must resolve
-        # to the same whole-cube artifact: after the first lookup, the
-        # remaining sizes are pure store hits (no new build runs).
+        # to the same plane: after the first lookup, the remaining sizes
+        # run no build and look nothing up in the store.
         measurement.misses("I", 4, 1, slots=1)
-        before = measurement.store.stats().misses
+        builds = spy_on_driver(monkeypatch)
+        lookups = measurement.store.stats().lookups
         for size in (2, 4, 8, 16, 32):
             measurement.misses("I", 4, size, slots=1)
-        assert measurement.store.stats().misses == before
+        assert builds == []
+        assert measurement.store.stats().lookups == lookups
 
 
 class TestMissPlanes:
@@ -200,13 +248,17 @@ class TestMissPlanes:
         blocks = measurement.istream_blocks(0, 4)
         assert plane.misses(64, 2) == set_associative_misses(blocks, 64, 2)
 
-    def test_plane_is_one_artifact_per_stream_block_ways(self, measurement):
+    def test_plane_is_one_artifact_per_stream_block_ways(
+        self, measurement, monkeypatch
+    ):
         measurement.misses("D", 4, 1, ways=2)
-        before = measurement.store.stats().misses
+        builds = spy_on_driver(monkeypatch)
+        lookups = measurement.store.stats().lookups
         for size in (1, 2, 4, 8, 16, 32):
             for ways in (1, 2, 4):
                 measurement.misses("D", 4, size, ways=ways)
-        assert measurement.store.stats().misses == before
+        assert builds == []
+        assert measurement.store.stats().lookups == lookups
 
     def test_benchmark_rows_regenerate_table1(self, measurement):
         rows = measurement.benchmark_rows()
@@ -280,18 +332,69 @@ class TestMissCubeGuards:
                 addresses_to_blocks(eager, block),
             )
 
-    def test_cube_is_one_artifact_per_stream_family(self, measurement):
-        # One multi-block cube build must answer every later request at
-        # any of its block sizes, sizes and ways without another store
-        # build (the cube index routes single-block requests to it).
+    def test_cube_is_one_artifact_per_stream_family(
+        self, measurement, monkeypatch
+    ):
+        # One multi-block build must answer every later request at any
+        # of its block sizes, sizes and ways without another driver call,
+        # and a covered miss lookup reads its plane, not the store.
         measurement.dcache_miss_cube((4, 8, 16))
-        before = measurement.store.stats().misses
+        builds = spy_on_driver(monkeypatch)
+        lookups = measurement.store.stats().lookups
         measurement.misses("D", 8, 1)
         measurement.misses("D", 16, 4, ways=4)
         for size in (1, 8, 32):
             for ways in (1, 2, 4, 8):
                 measurement.misses("D", 4, size, ways=ways)
-        assert measurement.store.stats().misses == before
+        assert measurement.store.stats().lookups == lookups
+        measurement.dcache_miss_cube((8,))
+        measurement.dcache_miss_cube((4, 16), capacity_words=1024, max_ways=2)
+        assert builds == []
+
+    def test_wider_requests_build_only_the_missing_block_sizes(
+        self, measurement, monkeypatch
+    ):
+        # Block sizes an earlier request built are not built again, and
+        # what a request returns does not depend on what came before it.
+        session = twin(measurement)
+        session.icache_miss_cube(2, (4,))
+        session.dcache_miss_cube((4,))
+        builds = spy_on_driver(monkeypatch)
+        cubes = {
+            "I": session.icache_miss_cube(2, (4, 8, 16)),
+            "D": session.dcache_miss_cube((4, 8, 16)),
+        }
+        assert builds == [
+            ("I", (8, 16), 32 * 1024, 8),
+            ("D", (8, 16), 32 * 1024, 8),
+        ]
+        fresh = twin(measurement)
+        assert cube_digest(cubes["I"]) == cube_digest(
+            fresh.icache_miss_cube(2, (4, 8, 16))
+        )
+        assert cube_digest(cubes["D"]) == cube_digest(
+            fresh.dcache_miss_cube((4, 8, 16))
+        )
+
+    def test_planes_past_the_canonical_bounds_are_built_once(
+        self, measurement, monkeypatch
+    ):
+        # A rebuild widens a plane to the union of its old bounds and the
+        # request's, so neither bound has to be built again, and the
+        # canonical cube trimmed from it is the pinned one.
+        session = twin(measurement)
+        builds = spy_on_driver(monkeypatch)
+        session.misses("I", 4, 64, slots=0)
+        assert builds == [("I", (4,), 64 * 1024, 8)]
+        session.misses("I", 4, 32, ways=16, slots=0)
+        assert builds[1:] == [("I", (4,), 64 * 1024, 16)]
+        session.misses("I", 4, 64, ways=16, slots=0)
+        cube = session.icache_miss_cube(0, (4,))
+        assert len(builds) == 2
+        # The I digest test_production_cubes_are_pinned pins.
+        assert cube_digest(cube) == (
+            "2a7ddf9e535f59b01a1db247b82630571a008f826313a703674e2d49f89e59ab"
+        )
 
     def test_single_then_multi_block_views_agree(self, measurement):
         lone = measurement.dcache_miss_cube((8,))

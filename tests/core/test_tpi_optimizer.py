@@ -126,38 +126,25 @@ class TestOptimizer:
         best18 = optimizer.optimize_symmetric(SystemConfig(penalty=18))
         assert best18.config.combined_l1_kw >= best6.config.combined_l1_kw
 
-    def test_sweep_prewarms_the_cubes(self, measurement):
-        from repro.core.measurement import MISS_CUBE_VERSION
-
-        optimizer = DesignOptimizer(measurement)
+    def test_sweep_prewarms_the_cubes(self, monkeypatch, tmp_path):
+        # The sweep must build both sides' planes, at the canonical
+        # (paper-grid) capacity and ways: reading either side's cube and
+        # any covered miss count afterwards builds nothing more, and the
+        # miss count reads no store entry.
+        builds, _ = _log_session_work(monkeypatch, tmp_path)
+        session = _small_session(SweepExecutor())
         base = SystemConfig(penalty=10)
-        configs = [
-            dataclasses.replace(base, icache_kw=kw, dcache_kw=kw) for kw in (4, 8)
-        ]
-        optimizer.sweep(configs)
-        # The sweep must have left whole-cube artifacts behind for both
-        # sides, keyed by the canonical (paper-grid) capacity and ways.
-        assert (
-            measurement.store.peek(
-                "dmiss_cube",
-                MISS_CUBE_VERSION,
-                blocks="4",
-                capacity_words=32 * 1024,
-                max_ways=8,
-            )
-            is not None
+        DesignOptimizer(session).sweep(
+            [dataclasses.replace(base, icache_kw=kw, dcache_kw=kw) for kw in (4, 8)]
         )
-        assert (
-            measurement.store.peek(
-                "imiss_cube",
-                MISS_CUBE_VERSION,
-                slots=base.branch_slots,
-                blocks="4",
-                capacity_words=32 * 1024,
-                max_ways=8,
-            )
-            is not None
-        )
+        assert len(builds.read_text().split()) == 2
+        lookups = session.store.stats().lookups
+        session.misses("I", 4, 32, ways=8, slots=base.branch_slots)
+        session.misses("D", 4, 32, ways=8)
+        assert session.store.stats().lookups == lookups
+        session.icache_miss_cube(base.branch_slots, (4,))
+        session.dcache_miss_cube((4,))
+        assert len(builds.read_text().split()) == 2
 
     def test_sweep_reuses_a_cube_that_covers_its_blocks(self):
         # A wider D cube built first (blocks 4/8/16) answers a B = 4
@@ -367,6 +354,32 @@ class TestParallelParity:
         finally:
             executor.shutdown()
         # I cubes at 0 and 2 slots and one D cube, all here.
+        assert log.read_text().split() == [str(os.getpid())] * 3
+
+    def test_a_pool_forked_earlier_sees_a_data_side_rebuild(
+        self, monkeypatch, tmp_path
+    ):
+        # The second sweep needs only a wider D plane (64 KW).  Its build
+        # maps the address bundle back from the store, so no store miss
+        # shows it; the warm reports it, and the pool must be re-forked
+        # so its workers read the new plane rather than each building it.
+        log, _ = _log_session_work(monkeypatch, tmp_path)
+        executor = SweepExecutor(jobs=2)
+        try:
+            optimizer = DesignOptimizer(_small_session(executor))
+            for dcache_kw in (4, 64):
+                optimizer.sweep(
+                    optimizer.asymmetric_grid(
+                        SystemConfig(penalty=10),
+                        icache_sizes_kw=(1, 2, 4),
+                        dcache_sizes_kw=(dcache_kw,),
+                        branch_slots=(0,),
+                        load_slots=(0,),
+                    )
+                )
+        finally:
+            executor.shutdown()
+        # One I plane, then the D plane at 32 KW and at 64 KW, all here.
         assert log.read_text().split() == [str(os.getpid())] * 3
 
     def test_durable_parallel_sweeps_build_cubes_in_the_parent(
