@@ -39,10 +39,12 @@ span sums per kind as ``cube_s`` and ``check_s``.
 into one spill bundle (:class:`~repro.trace.io.StreamingBundleWriter`):
 one segment per block size for per-block streams, one address segment
 shared by every block size (shifted per chunk) for an address stream.
-:func:`partitioned_miss_cube_from_addresses` consumes its addresses in
-O(chunk) memory — an ndarray (typically a memory-mapped bundle from
-:meth:`~repro.engine.store.ArtifactStore.get_or_stream`) or any iterable
-of address chunks.  A task carries only the spill locator and
+Either form consumes each input in O(chunk) memory — an ndarray
+(typically a memory-mapped bundle from :meth:`~repro.engine.store.
+ArtifactStore.get_or_stream`) or any iterable of chunks, such as the
+session's instruction side, generated window by window (:meth:`~repro.
+core.measurement.SuiteMeasurement.istream_chunks`).  A task carries only
+the spill locator and
 memory-maps its segment, so nothing larger than a file locator is
 pickled and any worker — spawned, or forked for an earlier build — sees
 the arrays.
@@ -68,6 +70,7 @@ from typing import (
     Dict,
     Iterable,
     Iterator,
+    List,
     Mapping,
     Optional,
     Sequence,
@@ -321,11 +324,72 @@ def _run_build(
     return cube
 
 
-# -- in-memory form ------------------------------------------------------------
+# -- the two forms --------------------------------------------------------------
+
+#: A build's input stream: an ndarray (a memory map, typically) or any
+#: iterable of chunks.
+Source = Union[np.ndarray, Iterable[np.ndarray]]
+
+
+def _iter_chunks(source: Source) -> Iterator[np.ndarray]:
+    """``source`` as int64 chunks of exactly :data:`CHUNK_REFS`
+    references (the last one shorter), whatever its pieces.
+
+    An ndarray is one piece, sliced, so it is never converted or copied
+    whole; small pieces, such as the quanta of the streamed instruction
+    side, are gathered into whole chunks, so the spill makes one write
+    per chunk.
+    """
+    pending: List[np.ndarray] = []
+    held = 0
+    for piece in [source] if isinstance(source, np.ndarray) else source:
+        piece = np.asarray(piece)
+        while len(piece):
+            take = min(CHUNK_REFS - held, len(piece))
+            pending.append(piece[:take])
+            piece = piece[take:]
+            held += take
+            if held == CHUNK_REFS:
+                yield _joined(pending)
+                pending, held = [], 0
+    if pending:
+        yield _joined(pending)
+
+
+def _joined(pieces: List[np.ndarray]) -> np.ndarray:
+    if len(pieces) == 1:
+        return np.asarray(pieces[0], dtype=np.int64)
+    return np.concatenate(pieces).astype(np.int64, copy=False)
+
+
+def _spill(
+    writer: StreamingBundleWriter,
+    sources: Mapping[str, Source],
+    form: str,
+    tracer,
+) -> Dict[str, int]:
+    """Write each source into its own segment in O(chunk) memory and
+    finalize the bundle; returns each segment's length."""
+    lengths = dict.fromkeys(sources, 0)
+    chunks = 0
+    with tracer.span("cube.spill", form=form) as span:
+        for name, source in sources.items():
+            writer.append(name, np.empty(0, dtype=np.int64))
+            for chunk in _iter_chunks(source):
+                writer.append(name, chunk)
+                lengths[name] += len(chunk)
+                chunks += 1
+                span.count("references", len(chunk))
+                span.count("chunks")
+                if chunks % _BEAT_CHUNKS == 0:
+                    with tracer.span("cube.progress", stage="spill") as beat:
+                        beat.count("references_consumed", sum(lengths.values()))
+    writer.finalize()
+    return lengths
 
 
 def partitioned_miss_cube(
-    streams: Mapping[int, np.ndarray],
+    streams: Mapping[int, Source],
     set_counts: SetCounts,
     max_ways: int,
     *,
@@ -336,43 +400,31 @@ def partitioned_miss_cube(
 
     Bit-identical to the serial engine on the same inputs, and every
     block size's ``A = 1`` base is checked against the independent
-    direct-mapped sweep.  Each stream is spilled to its own segment; the
-    tasks run on ``executor`` (in the parent when it is serial).
+    direct-mapped sweep.  Each block size's stream — an ndarray or any
+    iterable of block chunks, such as the session's streamed instruction
+    side — is spilled to its own segment in O(chunk) memory; the tasks
+    run on ``executor`` (in the parent when it is serial).
     """
     blocks = checked_block_words(list(streams))
     per_block = _checked_set_counts(blocks, set_counts, max_ways)
     executor = executor if executor is not None else SweepExecutor()
     tracer = tracer if tracer is not None else NULL_TRACER
-    references: Dict[int, int] = {}
     with _spill_bundle(shifted=False) as (writer, locator):
-        with tracer.span("cube.spill", form="streams") as span:
-            for B in blocks:
-                stream = np.asarray(streams[B], dtype=np.int64)
-                references[B] = len(stream)
-                writer.append(f"b{B}", stream)
-                span.count("references", len(stream))
-        writer.finalize()
+        lengths = _spill(
+            writer, {f"b{B}": streams[B] for B in blocks}, "streams", tracer
+        )
         return _run_build(
-            locator, per_block, references, int(max_ways), executor, tracer
+            locator,
+            per_block,
+            {B: lengths[f"b{B}"] for B in blocks},
+            int(max_ways),
+            executor,
+            tracer,
         )
 
 
-# -- out-of-core form ----------------------------------------------------------
-
-
-def _iter_address_chunks(
-    addresses: Union[np.ndarray, Iterable[np.ndarray]]
-) -> Iterable[np.ndarray]:
-    if isinstance(addresses, np.ndarray):
-        for start in range(0, len(addresses), CHUNK_REFS):
-            yield addresses[start : start + CHUNK_REFS]
-    else:
-        for chunk in addresses:
-            yield np.asarray(chunk)
-
-
 def partitioned_miss_cube_from_addresses(
-    addresses: Union[np.ndarray, Iterable[np.ndarray]],
+    addresses: Source,
     block_words: Sequence[int],
     set_counts: SetCounts,
     max_ways: int,
@@ -396,19 +448,10 @@ def partitioned_miss_cube_from_addresses(
     per_block = _checked_set_counts(blocks, set_counts, max_ways)
     executor = executor if executor is not None else SweepExecutor()
     tracer = tracer if tracer is not None else NULL_TRACER
-    consumed = 0
     with _spill_bundle(shifted=True) as (writer, locator):
-        with tracer.span("cube.spill", form="addresses") as span:
-            writer.append("addresses", np.empty(0, dtype=np.int64))
-            for index, chunk in enumerate(_iter_address_chunks(addresses), 1):
-                writer.append("addresses", np.asarray(chunk, dtype=np.int64))
-                consumed += len(chunk)
-                span.count("references", len(chunk))
-                span.count("chunks")
-                if index % _BEAT_CHUNKS == 0:
-                    with tracer.span("cube.progress", stage="spill") as beat:
-                        beat.count("references_consumed", consumed)
-        writer.finalize()
+        consumed = _spill(
+            writer, {"addresses": addresses}, "addresses", tracer
+        )["addresses"]
         return _run_build(
             locator,
             per_block,

@@ -8,16 +8,19 @@ count, so suite aggregates carry the paper's execution-time weighting),
 and interleaves the per-benchmark streams with a context-switch quantum in
 distinct address spaces.
 
-A full experiment run touches the same streams dozens of times, so the
-derived artifacts flow through a content-addressed
-:class:`~repro.engine.store.ArtifactStore`: reference streams and branch
-statistics live in the store's memory tier; execution traces, compiled
-programs and the data-address bundle — the expensive artifacts of a
-session — are persisted to its disk tier, so a warm start maps them back
-without synthesizing a program, and spawned sweep workers rehydrate a
-session the same way (forked ones inherit the parent's).  Miss counts
-live in the session itself: one exact ``(sets x ways)`` plane per
-``(side, slots, block size)``, built by the chunked cube driver
+A full experiment run touches the same artifacts dozens of times, so
+they flow through a content-addressed
+:class:`~repro.engine.store.ArtifactStore`: branch statistics live in
+the store's memory tier; execution traces, compiled programs and the
+data-address bundle — the expensive artifacts of a session — are
+persisted to its disk tier, so a warm start maps them back without
+synthesizing a program, and spawned sweep workers rehydrate a session
+the same way (forked ones inherit the parent's).  The instruction
+streams are never stored: a cube build generates its stream window by
+window from the traces, straight into the driver's spill
+(:meth:`SuiteMeasurement.istream_chunks`).  Miss counts live in the
+session itself: one exact ``(sets x ways)`` plane per ``(side, slots,
+block size)``, built by the chunked cube driver
 (:mod:`repro.cache.cubepart`) and read directly by every
 :meth:`SuiteMeasurement.misses` query.  When the session's
 :class:`~repro.engine.executor.SweepExecutor` is parallel, per-benchmark
@@ -27,9 +30,11 @@ trace synthesis is fanned out across worker processes.
 from __future__ import annotations
 
 import hashlib
+import tempfile
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -96,6 +101,12 @@ GENERATOR_VERSION = 5
 #: covers at least this capacity, so one plane per block size answers
 #: every size of the paper grid for one stream family.
 _CUBE_MAX_KW = 32
+
+#: Trace steps (executed basic blocks, about five instructions each)
+#: expanded at a time when the instruction side streams into a cube
+#: build, so a build's expansion holds a few megabytes however long the
+#: trace (a benchmark of a 1M-instruction session fits in one window).
+ISTREAM_WINDOW_STEPS = 1 << 16
 
 #: Largest associativity the paper studies.  Planes are always built at
 #: least this deep, so direct-mapped lookups and associativity sweeps
@@ -558,28 +569,66 @@ class SuiteMeasurement:
 
     # -- reference streams -----------------------------------------------------
 
-    def istream_blocks(self, slots: int, block_words: int) -> np.ndarray:
-        """Multiprogrammed instruction stream at cache-block granularity."""
+    @contextmanager
+    def istream_chunks(
+        self, slots: int, block_words: Sequence[int]
+    ) -> Iterator[Dict[int, Iterator[np.ndarray]]]:
+        """The multiprogrammed instruction stream of each block size, in chunks.
 
-        def build() -> np.ndarray:
+        Yields ``{block words: chunk iterator}``.  Joined, one block
+        size's chunks are its whole stream at cache-block granularity,
+        which this process never holds.  Each benchmark's trace is
+        expanded :data:`ISTREAM_WINDOW_STEPS` steps at a time, once for
+        every block size (:func:`~repro.sched.expand_istream`), and each
+        window's block sequences go to one unlinked scratch file per
+        block size, benchmark after benchmark.  The quanta need every
+        benchmark's length, so the interleave starts only after the last
+        window: each iterator then maps its file and takes the
+        benchmarks' ranges in turn (:func:`~repro.trace.multiprogram.
+        iter_interleaved`).  A file is gone once its iterator is done,
+        and every file once the context exits.
+        """
+        blocks = tuple(block_words)
+        with ExitStack() as stack:
+            scratch = {
+                B: stack.enter_context(tempfile.TemporaryFile(prefix="repro-istream-"))
+                for B in blocks
+            }
+            lengths: Dict[int, List[int]] = {B: [] for B in blocks}
             with self.tracer.span(
-                "istream.expand", slots=slots, block_words=block_words
-            ):
-                shift = log2_int(block_words * WORD_BYTES)
-                sequences = []
+                "istream.expand", slots=slots, blocks=",".join(map(str, blocks))
+            ) as span:
                 for bench in self.benchmarks:
-                    stream = expand_istream(bench.trace, bench.translation(slots))
-                    blocks = stream.cache_block_sequence(block_words * WORD_BYTES)
-                    blocks = blocks + (address_space_offset(bench.index) >> shift)
-                    sequences.append(blocks)
-                quanta = multiprogram_quanta(
-                    [len(s) for s in sequences], self.switches
-                )
-                return interleave_chunks(sequences, quanta)
+                    translation = bench.translation(slots)
+                    offset = address_space_offset(bench.index)
+                    written = dict.fromkeys(blocks, 0)
+                    for start in range(0, bench.trace.steps, ISTREAM_WINDOW_STEPS):
+                        stream = expand_istream(
+                            bench.trace, translation, start, start + ISTREAM_WINDOW_STEPS
+                        )
+                        for B in blocks:
+                            block_bytes = B * WORD_BYTES
+                            sequence = stream.cache_block_sequence(block_bytes)
+                            sequence += offset >> log2_int(block_bytes)
+                            scratch[B].write(sequence)
+                            written[B] += len(sequence)
+                    for B in blocks:
+                        lengths[B].append(written[B])
+                span.count("references", sum(map(sum, lengths.values())))
+            yield {B: self._interleaved(scratch[B], lengths[B]) for B in blocks}
 
-        return self.store.get_or_create(
-            "istream", GENERATOR_VERSION, build, slots=slots, block_words=block_words
-        )
+    def _interleaved(self, scratch, lengths: List[int]) -> Iterator[np.ndarray]:
+        """The benchmarks' ranges, written back to back to ``scratch``,
+        interleaved by the session's quanta; ``scratch`` is closed, and
+        its disk space freed, as soon as the last range is read."""
+        with scratch:
+            scratch.flush()
+            stream = np.memmap(scratch, dtype=np.int64, mode="r")
+            bounds = np.cumsum([0, *lengths])
+            yield from iter_interleaved(
+                [stream[a:b] for a, b in zip(bounds, bounds[1:])],
+                multiprogram_quanta(lengths, self.switches),
+            )
 
     def dstream_address_bundle(self) -> np.ndarray:
         """The multiprogrammed data stream as byte addresses.
@@ -773,21 +822,19 @@ class SuiteMeasurement:
         driver = dict(executor=executor, tracer=self.tracer)
         try:
             if side == "I":
-                streams = {B: self.istream_blocks(slots, B) for B in blocks}
-                with self.tracer.span(
-                    "imiss.cube",
-                    slots=slots,
-                    blocks=label,
-                    capacity_words=capacity,
-                    max_ways=ways,
-                ) as span:
-                    span.count("block_sizes", len(blocks))
-                    span.count(
-                        "references", sum(len(s) for s in streams.values())
-                    )
-                    cube = partitioned_miss_cube(
-                        streams, set_counts, ways, **driver
-                    )
+                with self.istream_chunks(slots, blocks) as streams:
+                    with self.tracer.span(
+                        "imiss.cube",
+                        slots=slots,
+                        blocks=label,
+                        capacity_words=capacity,
+                        max_ways=ways,
+                    ) as span:
+                        span.count("block_sizes", len(blocks))
+                        cube = partitioned_miss_cube(
+                            streams, set_counts, ways, **driver
+                        )
+                        span.count("references", sum(cube.references.values()))
             else:
                 with self.tracer.span(
                     "dmiss.cube",

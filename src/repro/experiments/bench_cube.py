@@ -10,18 +10,21 @@ For each budget this builds the session, streams the multiprogrammed
 data addresses into a disk-backed bundle, and times the whole paper
 block-size study surface — every paper block size (4/8/16 words) at
 every capacity (1-32 KW) and way count (1/2/4/8) — through the
-chunked out-of-core driver (:mod:`repro.cache.cubepart`), asserting it
-bit-identical to the serial engine wherever both run.  Each budget runs in a fresh process
-that reports its own peak RSS; the rows land in a
-:class:`~repro.obs.RunLedger` (written with ``--out``).  ``--scales`` is
-required, so a bare run never starts the 2.4G-instruction row.
+chunked out-of-core driver (:mod:`repro.cache.cubepart`).  It then
+builds the slots-0 instruction-side plane of the same block sizes
+through the session, which streams it from the traces into the driver
+without ever holding it whole.  Both sides are asserted bit-identical
+to the serial engine wherever both run.  Each budget runs in a fresh
+process that reports its own and its workers' peak RSS; the rows land
+in a :class:`~repro.obs.RunLedger` (written with ``--out``).
+``--scales`` is required, so a bare run never starts the
+2.4G-instruction row.
 """
 
 from __future__ import annotations
 
 import argparse
 import multiprocessing
-import resource
 import shutil
 import sys
 import tempfile
@@ -33,13 +36,14 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.cache.cubepart import partitioned_miss_cube_from_addresses
-from repro.cache.misscube import MissCube, miss_cube_from_addresses
+from repro.cache.misscube import MissCube, miss_cube, miss_cube_from_addresses
 from repro.engine.executor import SweepExecutor
 from repro.engine.store import ArtifactStore
 from repro.errors import ConfigurationError
 from repro.experiments.ext_associativity import ASSOCIATIVITIES, CAPACITIES_KW
 from repro.experiments.ext_blocksize import BLOCK_SIZES
 from repro.obs import RunLedger
+from repro.obs.ledger import peak_rss_mb
 from repro.utils.units import kw_to_words
 
 __all__ = ["main", "run_scale_benchmark"]
@@ -62,28 +66,6 @@ DEFAULT_SCALE_AXIS = (
 #: instead: one direct-mapped sweep per block size, run as tasks on the
 #: same worker pool.
 DEFAULT_SERIAL_LIMIT = 400_000_000
-
-
-def _peak_rss_mb() -> float:
-    """Peak resident set of this process or of any child it has waited
-    for (its cube workers), in MB.
-
-    The process's own peak is its address space's high-water mark
-    (``VmHWM``) where Linux reports it: the ``ru_maxrss`` of a process
-    started by fork and exec also covers the memory its parent held when
-    it forked, which would charge the parent's peak to a row measured in
-    a fresh child.
-    """
-    own_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    try:
-        with open("/proc/self/status") as status:
-            for line in status:
-                if line.startswith("VmHWM:"):
-                    own_kb = int(line.split()[1])
-    except OSError:
-        pass
-    children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    return max(own_kb, children) / 1024.0  # Linux reports KB
 
 
 def _grid_set_counts(
@@ -173,22 +155,40 @@ def _scale_row(
     finally:
         executor.shutdown()
 
+    # The slots-0 I plane, built through the session: its stream is
+    # generated from the traces straight into the driver's spill.
+    measurement.attach_cube_jobs(cube_jobs)
+    started = time.perf_counter()
+    icube = measurement.icache_miss_cube(0, blocks)
+    i_build_s = time.perf_counter() - started
+
     identical: Optional[bool] = None
     if serial_cube is not None:
-        identical = _cubes_identical(serial_cube, part_cube)
-        if not identical:
-            raise ConfigurationError(
-                f"the driver's cube disagrees with the serial engine "
-                f"at {total} instructions"
-            )
+        with measurement.istream_chunks(0, blocks) as chunks:
+            streams = {B: np.concatenate(list(c)) for B, c in chunks.items()}
+        serial_icube = miss_cube(
+            streams, {B: icube.set_counts(B) for B in blocks}, icube.max_ways
+        )
+        for side, serial, built in (
+            ("D", serial_cube, part_cube),
+            ("I", serial_icube, icube),
+        ):
+            if not _cubes_identical(serial, built):
+                raise ConfigurationError(
+                    f"the driver's {side} cube disagrees with the serial "
+                    f"engine at {total} instructions"
+                )
+        identical = True
     return {
         "references": len(addresses),
+        "i_references": icube.references[min(blocks)],
         "front_end_s": front_end_s,
         "stream_s": stream_s,
         "serial_s": serial_s,
         "partitioned_s": part_s,
+        "i_build_s": i_build_s,
         "identical": identical,
-        "peak_rss_mb": _peak_rss_mb(),
+        **peak_rss_mb(),
     }
 
 
@@ -209,17 +209,20 @@ def run_scale_benchmark(
     (:meth:`~repro.core.measurement.SuiteMeasurement.
     dstream_address_bundle` — the memory-mapped view is what both
     engines consume: ``stream_s``), then time the whole paper block-size
-    surface through the chunked out-of-core driver.  Budgets up to
-    ``serial_limit`` also run the serial one-shot engine and the two
-    cubes are asserted **bit-identical** (fatal otherwise); above the
-    limit the serial pass is skipped and the driver's build keeps its
-    chunked ``A = 1`` cross-check against the independent direct-mapped
-    sweep (one more task per block size on its pool).
-    Each budget runs in a fresh spawned process whose peak RSS (itself
-    and its cube workers) is recorded, so the ledger shows each
-    budget's own memory rather than the largest earlier one.  The budgets share ``cache_dir``, so only the first one
-    synthesizes the programs.  ``specs`` narrows the suite (default:
-    Table 1).
+    surface through the chunked out-of-core driver.  Then build the
+    slots-0 I plane of the same block sizes through the session
+    (``i_build_s``, the stream streamed from the traces included;
+    ``i_references`` is its longest stream, the smallest block's).
+    Budgets up to ``serial_limit`` also run the serial one-shot engine
+    on both sides and each pair of cubes is asserted **bit-identical**
+    (fatal otherwise); above the limit the serial passes are skipped and
+    each build keeps its chunked ``A = 1`` cross-check against the
+    independent direct-mapped sweep (one more task per block size on
+    its pool).  Each budget runs in a fresh spawned process whose peak
+    RSS and its cube workers' are recorded, so the ledger shows each
+    budget's own memory rather than the largest earlier one.  The
+    budgets share ``cache_dir``, so only the first one synthesizes the
+    programs.  ``specs`` narrows the suite (default: Table 1).
     """
     if repeats < 1:
         raise ConfigurationError(f"repeats must be at least 1, got {repeats}")
@@ -257,8 +260,11 @@ def run_scale_benchmark(
                     round(total / serial_s, 1) if serial_s else None
                 ),
                 "partitioned_instr_per_s": round(total / part_s, 1),
+                "i_references": row["i_references"],
+                "i_build_s": round(row["i_build_s"], 3),
                 "bit_identical_to_serial": identical,
                 "peak_rss_mb": round(row["peak_rss_mb"], 1),
+                "worker_peak_rss_mb": round(row["worker_peak_rss_mb"], 1),
             }
             per_scale.append(entry)
             if serial_s is not None:
@@ -271,8 +277,11 @@ def run_scale_benchmark(
             print(
                 f"[scale {total}] refs={row['references']} "
                 f"front_end={row['front_end_s']:.3f}s stream={row['stream_s']:.3f}s "
-                f"{serial_txt}partitioned={part_s:.3f}s {ident_txt}"
-                f"({total / part_s:,.0f} instr/s, peak_rss={row['peak_rss_mb']:.0f}MB)",
+                f"{serial_txt}partitioned={part_s:.3f}s "
+                f"i_refs={row['i_references']} i_build={row['i_build_s']:.3f}s "
+                f"{ident_txt}({total / part_s:,.0f} instr/s, "
+                f"peak_rss={row['peak_rss_mb']:.0f}MB, "
+                f"worker_peak_rss={row['worker_peak_rss_mb']:.0f}MB)",
                 file=stream,
             )
     finally:
@@ -290,6 +299,7 @@ def run_scale_benchmark(
         full_scale_wall_min=round(full["partitioned_wall_s"] / 60.0, 2),
         full_scale_instr_per_s=full["partitioned_instr_per_s"],
         peak_rss_mb=full["peak_rss_mb"],
+        worker_peak_rss_mb=full["worker_peak_rss_mb"],
         wall_s=sum(e["partitioned_wall_s"] for e in per_scale),
     )
     print(

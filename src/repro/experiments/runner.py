@@ -42,6 +42,7 @@ from repro.engine.session import DEFAULT_REGISTRY, SessionRegistry
 from repro.errors import ConfigurationError
 from repro.jobs import FaultInjector, JobConfig
 from repro.obs import NULL_TRACER, RunLedger, Tracer
+from repro.obs.ledger import peak_rss_mb
 from repro.experiments import (
     ext_associativity,
     ext_blocksize,
@@ -229,6 +230,7 @@ def run_experiments(
     store = getattr(measurement, "store", None)
     if store is not None:
         ledger.snapshot_store(store.stats())
+    ledger.set_run_info(**peak_rss_mb())
     if job_config is not None:
         ledger.set_jobs_info(
             run_dir=str(job_config.run_dir),
@@ -408,6 +410,7 @@ def optimize_main(argv: Optional[List[str]] = None) -> int:
         store = getattr(measurement, "store", None)
         if store is not None:
             ledger.snapshot_store(store.stats())
+        ledger.set_run_info(**peak_rss_mb())
         ledger.write(args.metrics)
         args.metrics.with_suffix(".txt").write_text(
             ledger.render_summary() + "\n"

@@ -21,6 +21,7 @@ import json
 import math
 import os
 import platform
+import resource
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -31,13 +32,22 @@ from repro.kernels import kernel_backend
 from repro.obs.tracer import Tracer, render_span_tree
 from repro.utils.tables import render_table
 
-__all__ = ["LEDGER_SCHEMA", "RunLedger", "host_facts", "validate_metrics"]
+__all__ = [
+    "LEDGER_SCHEMA",
+    "RunLedger",
+    "host_facts",
+    "peak_rss_mb",
+    "validate_metrics",
+]
 
 #: Schema identifier embedded in (and required of) every metrics.json.
 LEDGER_SCHEMA = "repro.obs/run-ledger/v1"
 
 #: Top-level keys every ledger payload must carry.
 _REQUIRED_KEYS = ("schema", "run", "executor", "experiments", "store", "spans")
+
+#: The ``run`` section's memory figures (:func:`peak_rss_mb`).
+_PEAK_KEYS = ("peak_rss_mb", "worker_peak_rss_mb")
 
 
 def host_facts() -> Dict[str, Any]:
@@ -58,6 +68,33 @@ def host_facts() -> Dict[str, Any]:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "repro_kernel": kernel_backend(),
+    }
+
+
+def peak_rss_mb() -> Dict[str, float]:
+    """This process's peak resident set and its largest worker's, in MB.
+
+    The process's own peak is its address space's high-water mark
+    (``VmHWM``) where Linux reports it: the ``ru_maxrss`` of a process
+    started by fork and exec also covers the memory its parent held when
+    it forked, which would charge the parent's peak to a run measured in
+    a fresh child.  The worker figure is the largest ``ru_maxrss`` of the
+    children this process has waited for (its shut-down pools' workers),
+    0 when there were none; a forked worker's peak includes the pages it
+    inherited.
+    """
+    own_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    own_kb = int(line.split()[1])
+    except OSError:
+        pass
+    workers_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    return {  # Linux reports KB
+        "peak_rss_mb": own_kb / 1024.0,
+        "worker_peak_rss_mb": workers_kb / 1024.0,
     }
 
 
@@ -235,8 +272,9 @@ def validate_metrics(payload: Dict[str, Any]) -> None:
     """Raise :class:`ConfigurationError` unless ``payload`` is a valid ledger.
 
     Checked: schema id, required top-level keys, the optional ``host``
-    section (:func:`host_facts`' keys and types, at least one core),
-    experiment entries with ``name``/``wall_s``, span nodes with
+    section (:func:`host_facts`' keys and types, at least one core), the
+    ``run`` section's peak RSS figures where present (non-negative sizes
+    in MB), experiment entries with ``name``/``wall_s``, span nodes with
     ``name``/``wall_s`` recursively, and that no float anywhere is
     non-finite (strict-JSON guarantee).
     """
@@ -252,6 +290,7 @@ def validate_metrics(payload: Dict[str, Any]) -> None:
         )
     if "host" in payload:
         _check_host(payload["host"])
+    _check_peaks(payload["run"])
     for entry in payload["experiments"]:
         if not isinstance(entry, dict) or "name" not in entry or "wall_s" not in entry:
             raise ConfigurationError(f"malformed experiment entry: {entry!r}")
@@ -267,6 +306,15 @@ def _check_host(host: Any) -> None:
         raise ConfigurationError(f"malformed host section: {host!r}")
     if host["usable_cores"] < 1:
         raise ConfigurationError(f"host.usable_cores must be >= 1: {host!r}")
+
+
+def _check_peaks(run: Any) -> None:
+    if not isinstance(run, dict):
+        raise ConfigurationError(f"run section must be an object: {run!r}")
+    for key in _PEAK_KEYS:
+        value = run.get(key, 0.0)
+        if type(value) not in (int, float) or value < 0:
+            raise ConfigurationError(f"run.{key} must be a size in MB: {value!r}")
 
 
 def _check_spans(spans: Any) -> None:

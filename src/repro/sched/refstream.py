@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -74,12 +75,30 @@ class InstructionStream:
         return out_base + offsets
 
 
-def expand_istream(trace: ExecutionTrace, translation: TranslationFile) -> InstructionStream:
-    """Expand an execution trace into the translated instruction stream."""
+def expand_istream(
+    trace: ExecutionTrace,
+    translation: TranslationFile,
+    start: int = 0,
+    stop: Optional[int] = None,
+) -> InstructionStream:
+    """Expand an execution trace into the translated instruction stream.
+
+    ``start`` and ``stop`` expand only the trace steps ``[start, stop)``.
+    A step's runs depend on the step before it (how control left that
+    block), so a window after the first reads the step in front of it;
+    expanding consecutive windows and joining their runs gives the
+    whole trace's stream.
+    """
     compiled = translation.compiled
     if trace.compiled is not compiled and trace.compiled.names != compiled.names:
         raise ScheduleError("trace and translation refer to different programs")
-    ids = trace.block_ids
+    if start < 0:
+        raise ScheduleError(f"window start must be non-negative, got {start}")
+    stop = len(trace.block_ids) if stop is None else min(stop, len(trace.block_ids))
+    # The step in front of the window only supplies its predecessor role.
+    lead = 1 if 0 < start < stop else 0
+    ids = trace.block_ids[start - lead : stop]
+    went_taken = trace.went_taken[start - lead : stop]
     n = len(ids)
     if n == 0:
         return InstructionStream(np.empty(0, np.int64), np.empty(0, np.int64))
@@ -89,7 +108,7 @@ def expand_istream(trace: ExecutionTrace, translation: TranslationFile) -> Instr
     wrong_lengths = np.zeros(n, dtype=np.int64)
     if n > 1:
         prev = ids[:-1]
-        prev_taken = trace.went_taken[:-1] == 1
+        prev_taken = went_taken[:-1] == 1
         # Predicted-taken and taken: the target's first s words were
         # already fetched as replicas in the previous block's run.
         skip_in[1:] = translation.skip_words[prev] * prev_taken
@@ -116,6 +135,7 @@ def expand_istream(trace: ExecutionTrace, translation: TranslationFile) -> Instr
     lengths[0::2] = wrong_lengths
     starts[1::2] = main_starts
     lengths[1::2] = main_lengths
+    starts, lengths = starts[2 * lead :], lengths[2 * lead :]
     keep = lengths > 0
     return InstructionStream(starts[keep], lengths[keep])
 

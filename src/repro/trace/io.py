@@ -169,7 +169,7 @@ class _Segment:
         self.handle.write(_npy_header(dtype, (0,)))
 
     def append(self, chunk: np.ndarray) -> None:
-        self.handle.write(np.ascontiguousarray(chunk).tobytes())
+        self.handle.write(np.ascontiguousarray(chunk).data)
         self.length += len(chunk)
 
     def finalize(self) -> None:

@@ -100,6 +100,26 @@ class TestBranchTargetBuffer:
         assert stats.correct == correct
         assert stats.ctis == 5000
 
+    def test_simulate_carries_state_across_slices(self, monkeypatch):
+        # simulate() converts the stream one slice at a time; over a stream
+        # fifty slices long its stats must be those of per-CTI access().
+        import repro.branchpred.btb as btb_module
+
+        monkeypatch.setattr(btb_module, "SIMULATE_SLICE", 97)
+        rng = np.random.default_rng(11)
+        pcs = rng.choice([0x4000 + 4 * i for i in range(300)], size=5000)
+        taken = rng.random(5000) < 0.6
+        targets = rng.choice([0x8000, 0x8040, 0x9000], size=5000)
+        stats = BranchTargetBuffer(entries=64).simulate(pcs, taken, targets)
+        reference = BranchTargetBuffer(entries=64)
+        hits = correct = 0
+        for pc, was_taken, target in zip(*(a.tolist() for a in (pcs, taken, targets))):
+            hits += reference._tags[(pc >> 2) & 63] == pc
+            correct += reference.access(pc, was_taken, target)
+        assert len(pcs) > 50 * btb_module.SIMULATE_SLICE
+        assert stats == BTBStats(ctis=5000, hits=hits, correct=correct)
+        assert 0 < stats.correct < stats.hits < stats.ctis
+
     def test_simulate_rejects_ragged_input(self):
         with pytest.raises(ConfigurationError):
             BranchTargetBuffer().simulate([1], [True, False], [2])

@@ -142,10 +142,18 @@ class TestPartitionedEqualsSerial:
         set_counts = data.draw(set_count_lists(tuple(sorted(blocks))))
         longest = max(len(stream) for stream in streams.values())
         chunk_refs = data.draw(st.integers(1, longest + 8))
+        piece_refs = data.draw(st.integers(1, longest + 8))
         serial = miss_cube(streams, set_counts, max_ways)
         with chunked(chunk_refs):
             got = partitioned_miss_cube(streams, set_counts, max_ways)
+            # The same streams as iterables of pieces of another length.
+            got_pieces = partitioned_miss_cube(
+                {B: _chunks(stream, piece_refs) for B, stream in streams.items()},
+                set_counts,
+                max_ways,
+            )
         assert_cubes_identical(serial, got)
+        assert_cubes_identical(serial, got_pieces)
 
     @given(
         data=st.data(),
@@ -387,6 +395,23 @@ class TestCrossCheck:
                 partitioned_miss_cube(streams, counts, 4, executor=executor)
         finally:
             executor.shutdown()
+
+
+class TestSpillChunks:
+    @pytest.mark.parametrize("piece_refs", [1, 3, 10, 64, 2000])
+    def test_pieces_are_gathered_into_whole_chunks(self, piece_refs):
+        # However an iterable cuts its stream, the spill writes chunks of
+        # exactly CHUNK_REFS int64 references (the last one shorter), as
+        # it does for an ndarray.
+        rng = np.random.default_rng(22)
+        stream = rng.integers(0, 1 << 10, size=1003).astype(np.int32)
+        with chunked(10):
+            pieces = list(cubepart._iter_chunks(_chunks(stream, piece_refs)))
+            whole = list(cubepart._iter_chunks(stream))
+        for chunks in (pieces, whole):
+            assert [len(c) for c in chunks] == [10] * 100 + [3]
+            assert all(c.dtype == np.int64 for c in chunks)
+            np.testing.assert_array_equal(np.concatenate(chunks), stream)
 
 
 class TestObservability:

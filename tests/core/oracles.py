@@ -42,3 +42,30 @@ def eager_dstream_addresses(session):
         )
     quanta = multiprogram_quanta([len(s) for s in sequences], session.switches)
     return interleave_chunks(sequences, quanta)
+
+
+def eager_istream_blocks(session, slots, block_words):
+    """A session's multiprogrammed instruction stream at ``block_words``
+    granularity, expanded and interleaved in one shot.
+
+    Each benchmark's whole trace is expanded and reduced to cache blocks,
+    and the quanta are interleaved by :func:`~repro.trace.multiprogram.
+    interleave_chunks`, the eager path the streamed ``istream_chunks``
+    replaced; the stream must stay equal to it element for element.
+    """
+    from repro.sched import expand_istream
+    from repro.trace.multiprogram import (
+        address_space_offset,
+        interleave_chunks,
+        multiprogram_quanta,
+    )
+    from repro.utils.units import WORD_BYTES, log2_int
+
+    shift = log2_int(block_words * WORD_BYTES)
+    sequences = []
+    for bench in session.benchmarks:
+        stream = expand_istream(bench.trace, bench.translation(slots))
+        blocks = stream.cache_block_sequence(block_words * WORD_BYTES)
+        sequences.append(blocks + (address_space_offset(bench.index) >> shift))
+    quanta = multiprogram_quanta([len(s) for s in sequences], session.switches)
+    return interleave_chunks(sequences, quanta)

@@ -1,18 +1,22 @@
 """SuiteMeasurement tests (subset session from conftest)."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.cache.fastsim import addresses_to_blocks
 from repro.core import SuiteMeasurement
+from repro.core.measurement import GENERATOR_VERSION
+from repro.engine.store import ArtifactStore
 from repro.errors import ConfigurationError
 from repro.utils.units import kw_to_words
 from repro.workload import benchmark_by_name
 
 from tests.cache.oracles import set_associative_misses
-from tests.core.oracles import eager_dstream_addresses
+from tests.cache.test_cubepart import chunked
+from tests.core.oracles import eager_dstream_addresses, eager_istream_blocks
 
 
 def cube_digest(cube) -> str:
@@ -58,10 +62,11 @@ def spy_on_driver(monkeypatch):
     return builds
 
 
-def twin(session):
-    """A fresh session over ``session``'s store: the same streams (store
-    hits), none of its miss planes."""
-    return SuiteMeasurement(
+def twin(session, **overrides):
+    """A fresh session over ``session``'s store: the same programs and
+    traces (store hits), none of its miss planes.  ``overrides`` change
+    constructor arguments the traces do not depend on."""
+    arguments = dict(
         specs=session.specs,
         total_instructions=session.total_instructions,
         seed=session.seed,
@@ -69,6 +74,7 @@ def twin(session):
         min_benchmark_instructions=session.min_benchmark_instructions,
         store=session.store,
     )
+    return SuiteMeasurement(**{**arguments, **overrides})
 
 
 class TestConstruction:
@@ -131,12 +137,26 @@ class TestAggregates:
 
 class TestStreamsAndMisses:
     def test_istream_covers_all_benchmarks(self, measurement):
-        blocks = measurement.istream_blocks(0, 4)
+        blocks = eager_istream_blocks(measurement, 0, 4)
         spaces = set(np.unique(blocks >> (36 - 4)))
         assert len(spaces) == len(measurement.specs)
 
-    def test_istream_memoized(self, measurement):
-        assert measurement.istream_blocks(0, 4) is measurement.istream_blocks(0, 4)
+    def test_an_i_build_stores_no_stream(self, measurement):
+        # The instruction side streams from the traces into the driver:
+        # a build leaves its plane in the session and nothing in the store.
+        session = twin(measurement)
+        session.benchmarks
+        entries = len(session.store)
+        session.icache_miss_cube(3, (4, 8))
+        assert ("I", 3, 8) in session._planes
+        assert len(session.store) == entries
+        for block in (4, 8):
+            assert (
+                session.store.peek(
+                    "istream", GENERATOR_VERSION, slots=3, block_words=block
+                )
+                is None
+            )
 
     def test_dstream_length_matches_refs(self, measurement):
         addresses = measurement.dstream_address_bundle()
@@ -205,7 +225,7 @@ class TestStreamsAndMisses:
         for size in (1, 4, 16):
             sets = kw_to_words(size) // 4
             assert measurement.misses("I", 4, size, slots=0) == (
-                direct_mapped_misses(measurement.istream_blocks(0, 4), sets)
+                direct_mapped_misses(eager_istream_blocks(measurement, 0, 4), sets)
             )
             assert measurement.misses("D", 4, size) == direct_mapped_misses(
                 addresses_to_blocks(measurement.dstream_address_bundle(), 4), sets
@@ -224,6 +244,65 @@ class TestStreamsAndMisses:
             measurement.misses("I", 4, size, slots=1)
         assert builds == []
         assert measurement.store.stats().lookups == lookups
+
+
+def streamed_in_windows(monkeypatch, steps):
+    """Expand instruction streams ``steps`` trace steps at a time."""
+    import repro.core.measurement as measurement_module
+
+    monkeypatch.setattr(measurement_module, "ISTREAM_WINDOW_STEPS", steps)
+
+
+class TestStreamedIstream:
+    """The instruction side a build streams, against the one-shot oracle."""
+
+    @pytest.mark.parametrize("slots", [0, 1, 2, 3])
+    def test_chunks_equal_the_eager_stream(self, measurement, monkeypatch, slots):
+        # 97-step windows and a 1,000-instruction quantum: every benchmark
+        # crosses dozens of window edges, each carrying its previous
+        # block, and each quantum holds a few windows' worth of blocks.
+        streamed_in_windows(monkeypatch, 97)
+        session = twin(measurement, quantum_instructions=1_000)
+        assert session.switches >= 50
+        assert min(b.trace.steps for b in session.benchmarks) > 50 * 97
+        with session.istream_chunks(slots, (1, 4, 32)) as streams:
+            for block, chunks in streams.items():
+                chunks = list(chunks)
+                assert len(chunks) >= session.switches * len(session.specs)
+                np.testing.assert_array_equal(
+                    np.concatenate(chunks),
+                    eager_istream_blocks(session, slots, block),
+                )
+
+    def test_peak_heap_does_not_grow_with_the_budget(self, monkeypatch, tmp_path):
+        # With small windows and chunks, an I build holds one window's
+        # expansion and one chunk with its carry, never the stream:
+        # doubling the session's budget must not raise its peak.  (A
+        # build from a stream held whole doubles it.)
+        streamed_in_windows(monkeypatch, 512)
+        specs = [benchmark_by_name(name) for name in ("small", "yacc")]
+
+        def build(total):
+            session = SuiteMeasurement(
+                specs=specs,
+                total_instructions=total,
+                min_benchmark_instructions=10_000,
+                store=ArtifactStore(cache_dir=tmp_path),
+            )
+            for bench in session.benchmarks:
+                bench.translation(0)
+            with chunked(4096):
+                tracemalloc.start()
+                try:
+                    session.warm_miss_cube("I", (4,), 0, slots=0)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            return session._planes["I", 0, 4].references, peak
+
+        (short, short_peak), (long, long_peak) = build(60_000), build(120_000)
+        assert long > 1.8 * short > 20 * 4096
+        assert long_peak <= 1.25 * short_peak
 
 
 class TestMissPlanes:
@@ -245,7 +324,7 @@ class TestMissPlanes:
 
     def test_iplane_matches_dict_lru_oracle(self, measurement):
         plane = measurement.icache_miss_cube(0, (4,)).plane(4, 64, 2)
-        blocks = measurement.istream_blocks(0, 4)
+        blocks = eager_istream_blocks(measurement, 0, 4)
         assert plane.misses(64, 2) == set_associative_misses(blocks, 64, 2)
 
     def test_plane_is_one_artifact_per_stream_block_ways(
@@ -316,7 +395,7 @@ class TestMissCubeGuards:
         from repro.cache.fastsim import direct_mapped_miss_sweep
 
         cube = measurement.icache_miss_cube(0, (4,), capacity_words=1024)
-        stream = measurement.istream_blocks(0, 4)
+        stream = eager_istream_blocks(measurement, 0, 4)
         sweep = direct_mapped_miss_sweep(stream, cube.set_counts(4))
         assert cube.axis(4) == sweep
 
@@ -553,7 +632,7 @@ class TestPartitionedCubePath:
             (
                 lambda s: s.icache_miss_cube(1, blocks, 4096, 4),
                 lambda s, counts, ways: miss_cube(
-                    {B: s.istream_blocks(1, B) for B in blocks}, counts, ways
+                    {B: eager_istream_blocks(s, 1, B) for B in blocks}, counts, ways
                 ),
             ),
             (

@@ -79,6 +79,8 @@ class TestObservabilityFlags:
         payload = RunLedger.load(out / "metrics.json")  # schema-validating
         assert [e["name"] for e in payload["experiments"]] == ["table2"]
         assert payload["run"]["scale"] == "quick"
+        assert payload["run"]["peak_rss_mb"] > 0
+        assert payload["run"]["worker_peak_rss_mb"] >= 0
         assert payload["executor"]["backend"] == "serial"
         assert payload["store"]["hit_rate"] >= 0.0
         assert (out / "metrics.txt").read_text().strip()

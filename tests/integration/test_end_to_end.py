@@ -22,6 +22,8 @@ from repro.sched import TranslationFile, expand_istream
 from repro.trace import execute_program
 from repro.workload import benchmark_by_name, synthesize_program
 
+from tests.core.oracles import eager_istream_blocks
+
 
 @pytest.fixture(scope="module")
 def small_session():
@@ -55,7 +57,7 @@ class TestCrossModuleInvariants:
             assert base <= fetches <= base + slots * cti_steps
 
     def test_conflict_free_cache_misses_equal_unique_blocks(self, small_session):
-        blocks = small_session.istream_blocks(0, 4)
+        blocks = eager_istream_blocks(small_session, 0, 4)
         # Remap to dense ids so a power-of-two set count can cover every
         # block without aliasing: misses must then be exactly cold misses.
         _, dense = np.unique(blocks, return_inverse=True)

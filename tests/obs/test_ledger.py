@@ -7,7 +7,7 @@ import pytest
 from repro.engine.store import ArtifactStore
 from repro.errors import ConfigurationError
 from repro.obs import LEDGER_SCHEMA, RunLedger, Tracer, validate_metrics
-from repro.obs.ledger import host_facts
+from repro.obs.ledger import host_facts, peak_rss_mb
 
 
 def _populated_ledger():
@@ -200,3 +200,30 @@ class TestHostSection:
         text = _populated_ledger().render_summary()
         assert "host.usable_cores" in text
         assert "host.numpy" in text
+
+
+class TestPeakRss:
+    def test_a_reaped_worker_is_counted(self):
+        import subprocess
+        import sys
+
+        subprocess.run([sys.executable, "-c", "pass"], check=True)
+        peaks = peak_rss_mb()
+        assert peaks["worker_peak_rss_mb"] > 0
+        assert peaks["peak_rss_mb"] > 0
+
+    def test_ledger_without_peaks_still_validates(self):
+        # Ledgers written before the figures existed carry none.
+        payload = _populated_ledger().to_dict()
+        assert "peak_rss_mb" not in payload["run"]
+        validate_metrics(payload)
+
+    @pytest.mark.parametrize("key", ["peak_rss_mb", "worker_peak_rss_mb"])
+    @pytest.mark.parametrize("value", [-1.0, "12", None, True])
+    def test_malformed_peak_rejected(self, key, value):
+        ledger = _populated_ledger()
+        ledger.set_run_info(**peak_rss_mb())
+        payload = ledger.to_dict()
+        payload["run"][key] = value
+        with pytest.raises(ConfigurationError):
+            validate_metrics(payload)

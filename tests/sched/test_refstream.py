@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import ScheduleError
 from repro.isa.assembler import assemble_block
 from repro.program.basic_block import BasicBlock
 from repro.program.cfg import Procedure, Program
@@ -142,6 +143,60 @@ class TestExpandIstream:
             for b in range(4)
         ]
         assert fetches[0] <= fetches[1] <= fetches[2] <= fetches[3]
+
+    @pytest.mark.parametrize("window", [1, 2, 7, 64])
+    def test_windows_join_into_the_whole_stream(self, window):
+        # Each window reads the step in front of it, so a mispredicted
+        # branch at a window's end still puts its wrong-path run, and a
+        # replicated target its skipped words, in the next window.
+        program = make_program(0.5)
+        trace = TraceExecutor(program, seed=3).run(3000)
+        for slots in range(4):
+            translation = TranslationFile(trace.compiled, slots)
+            whole = expand_istream(trace, translation)
+            parts = [
+                expand_istream(trace, translation, start, start + window)
+                for start in range(0, trace.steps, window)
+            ]
+            np.testing.assert_array_equal(
+                np.concatenate([p.starts for p in parts]), whole.starts
+            )
+            np.testing.assert_array_equal(
+                np.concatenate([p.lengths for p in parts]), whole.lengths
+            )
+
+    def test_wrong_path_run_follows_a_window_edge(self):
+        # A mispredicted forward branch ends each one-step window: its
+        # wrong-path run opens the next window, which reads the branch.
+        blocks = [
+            bb(
+                "cond",
+                "slt $v1, $t0, $t1\nbeq $v1, $zero, past",
+                taken_target="past",
+                fallthrough="mid",
+            ),
+            bb("mid", "addu $t0, $t1, $t2\naddu $t3, $t4, $t5"),
+            bb("past", "nop"),
+        ]
+        blocks[1].fallthrough = "past"
+        program = Program(name="f", procedures=[Procedure(name="p", blocks=blocks)])
+        compiled = CompiledProgram(program)
+        translation = TranslationFile(compiled, 2)
+        trace = manual_trace(compiled, [0, 2, 0, 2], [1, 1, 1, 1])
+        second = expand_istream(trace, translation, 1, 2)
+        assert second.starts.tolist() == [
+            translation.new_addresses[1],
+            translation.new_addresses[2],
+        ]
+        assert second.lengths[0] == 2
+
+    def test_empty_and_invalid_windows(self):
+        trace = TraceExecutor(make_program(0.5), seed=3).run(200)
+        translation = TranslationFile(trace.compiled, 1)
+        assert len(expand_istream(trace, translation, trace.steps).starts) == 0
+        assert len(expand_istream(trace, translation, 5, 5).starts) == 0
+        with pytest.raises(ScheduleError):
+            expand_istream(trace, translation, -1)
 
 
 class TestBranchDelayStats:
