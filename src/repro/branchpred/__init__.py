@@ -8,16 +8,12 @@ scheme of Lee & Smith [LS84].  A CTI loses ``b + 1`` cycles whenever it
 misses the BTB or is mispredicted (the ``+1`` refills the BTB entry).
 """
 
-from repro.branchpred.twobit import TwoBitCounter
 from repro.branchpred.btb import BranchTargetBuffer, BTBStats
-from repro.branchpred.static import static_prediction_is_taken
 from repro.branchpred.streams import CtiStream, cti_stream
 
 __all__ = [
-    "TwoBitCounter",
     "BranchTargetBuffer",
     "BTBStats",
-    "static_prediction_is_taken",
     "CtiStream",
     "cti_stream",
 ]

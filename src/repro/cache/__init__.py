@@ -1,8 +1,5 @@
 """Cache simulation: the reproduction's ``cacheSIM``.
 
-* :class:`~repro.cache.cache.Cache` — a general set-associative cache with
-  pluggable replacement, used by the API, the examples, and as the
-  step-by-step oracle for the vectorized paths' correctness tests;
 * :mod:`~repro.cache.misscube` — the engine behind every miss query: one
   pass over a byte-address stream answers the whole
   (block size x set count x ways) cube as a
@@ -21,14 +18,11 @@
   cross-checks its direct-mapped base against.
 
 :mod:`~repro.cache.refill` models the paper's miss penalties (a 2-cycle
-startup plus the block transfer at the memory system's refill rate), and
-:class:`~repro.cache.hierarchy.CacheHierarchy` composes a split L1 over a
-constant-latency backing store.
+startup plus the block transfer at the memory system's refill rate).
+The step-by-step caches these engines are tested against live under
+``tests/cache/oracles.py``.
 """
 
-from repro.cache.stats import CacheStats
-from repro.cache.replacement import LRU, FIFO, RandomReplacement, ReplacementPolicy
-from repro.cache.cache import Cache
 from repro.cache.refill import RefillModel, PAPER_PENALTIES
 from repro.cache.fastsim import (
     direct_mapped_miss_mask,
@@ -48,15 +42,8 @@ from repro.cache.cubepart import (
     partitioned_miss_cube,
     partitioned_miss_cube_from_addresses,
 )
-from repro.cache.hierarchy import CacheHierarchy
 
 __all__ = [
-    "CacheStats",
-    "ReplacementPolicy",
-    "LRU",
-    "FIFO",
-    "RandomReplacement",
-    "Cache",
     "RefillModel",
     "PAPER_PENALTIES",
     "direct_mapped_miss_mask",
@@ -71,5 +58,4 @@ __all__ = [
     "miss_cube_from_addresses",
     "partitioned_miss_cube",
     "partitioned_miss_cube_from_addresses",
-    "CacheHierarchy",
 ]

@@ -7,8 +7,8 @@ none).  Stable-sorting the reference sequence by set index brings each
 set's references together in time order, after which the comparison is a
 single vectorized pass.  The per-reference mask lets ``ext_l2`` simulate a
 second-level cache on exactly the stream the L1 filters through; its
-equivalence to the step-by-step :class:`~repro.cache.cache.Cache` is
-enforced by property-based tests.
+equivalence to the step-by-step ``Cache`` in ``tests/cache/oracles.py``
+is enforced by property-based tests.
 
 For whole size-axis sweeps, the power-of-two set counts *nest*: the set
 index of a ``2^k``-set cache is the low ``k`` bits of the block index, so
@@ -145,7 +145,8 @@ def direct_mapped_miss_sweep(
     the size below it, instead of an independent O(n log n) simulation
     per size.  Results are bit-identical to :func:`direct_mapped_misses`
     per size (the property-based suite enforces this against both the
-    per-size path and the step-by-step :class:`~repro.cache.cache.Cache`).
+    per-size path and the step-by-step ``Cache`` in
+    ``tests/cache/oracles.py``).
     """
     blocks = np.asarray(block_sequence, dtype=np.int64)
     by_sets = checked_levels(set_counts)

@@ -40,11 +40,11 @@ How the block axis folds into the existing machinery:
   adjacent, which stay distance-1 hits at every finer level, and
   carries only its survivors on.
 
-Exactness is enforced two ways: tests against a dict-LRU oracle and the
-step-by-step :class:`~repro.cache.cache.Cache`, on random streams and on
-the real suite stream over the whole paper grid; and a fatal cross-check
-of every ``A = 1`` base against the independent :func:`~repro.cache.
-fastsim.direct_mapped_miss_sweep` in the chunked driver
+Exactness is enforced two ways: tests against the dict-LRU and the
+step-by-step ``Cache`` oracles in ``tests/cache/oracles.py``, on random
+streams and on the real suite stream over the whole paper grid; and a
+fatal cross-check of every ``A = 1`` base against the independent
+:func:`~repro.cache.fastsim.direct_mapped_miss_sweep` in the chunked driver
 (:mod:`~repro.cache.cubepart`), which every session build goes through
 (:meth:`~repro.core.measurement.SuiteMeasurement.warm_miss_cube`, which
 keeps each block size's :class:`~repro.cache.stackdist.MissPlane`).

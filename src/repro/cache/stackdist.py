@@ -66,8 +66,8 @@ so every link names an element still in the chain.  Each level's
 histogram is taken right after its harvest.
 
 These are the miss cube's internals (:mod:`~repro.cache.misscube` is
-the only caller); property-based tests pin the cube to a dict-LRU oracle
-and the step-by-step :class:`~repro.cache.cache.Cache`, and every cube
+the only caller); property-based tests pin the cube to the dict-LRU and
+step-by-step ``Cache`` oracles in ``tests/cache/oracles.py``, and every cube
 build checks its ``A = 1`` base against the independent
 :func:`~repro.cache.fastsim.direct_mapped_miss_sweep`.
 """

@@ -297,6 +297,13 @@ class SuiteMeasurement:
             use_disk_cache=self._use_disk_cache,
         )
 
+    @cached_property
+    def _session_digest(self) -> str:
+        """``spec().digest()``, hashed once: it keys the store artifacts
+        that depend on the whole session, so sessions sharing one store
+        never read each other's."""
+        return self.spec().digest()
+
     # -- construction --------------------------------------------------------
 
     def _trace_params(self, spec: BenchmarkSpec, budget: int) -> Dict[str, object]:
@@ -529,7 +536,11 @@ class SuiteMeasurement:
             )
 
         return self.store.get_or_create(
-            "branch_stats", GENERATOR_VERSION, aggregate, slots=slots
+            "branch_stats",
+            GENERATOR_VERSION,
+            aggregate,
+            slots=slots,
+            session=self._session_digest,
         )
 
     @cached_property
@@ -672,7 +683,7 @@ class SuiteMeasurement:
             "dstream_addr_bundle",
             GENERATOR_VERSION,
             produce,
-            session=self.spec().digest(),
+            session=self._session_digest,
         )
         return arrays["addresses"]
 

@@ -12,7 +12,8 @@ provides the subset of that ISA the experiments actually depend on:
   filled from the target, Section 3.1);
 * def/use information per instruction, which drives both the delay-slot
   scheduler and the load-use slack (epsilon) measurements;
-* a small two-pass assembler and a disassembler used by tests and examples.
+* a small two-pass assembler that tests build blocks from, and a
+  disassembler that renders ``str(instruction)``.
 """
 
 from repro.isa.registers import Register, REGISTER_COUNT, GP, SP, RA, ZERO

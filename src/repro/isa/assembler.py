@@ -1,7 +1,7 @@
 """A small two-pass assembler for the MIPS-like subset.
 
-This exists for tests, examples, and documentation: it lets behaviour be
-specified with the same code fragments the paper uses, e.g.::
+This exists for tests and documentation: it lets behaviour be specified
+with the same code fragments the paper uses, e.g.::
 
     subu $t5, $t5, $t4
     lw   $t3, 100($t5)
@@ -135,8 +135,9 @@ def assemble(text: str) -> List[Tuple[Optional[str], List[Instruction]]]:
 
     A section starts at each ``label:`` line; instructions before the first
     label form a section with label ``None``.  CTI targets are left symbolic
-    — resolving them to addresses is the job of
-    :class:`repro.program.layout.CodeLayout`.
+    — a block names its taken target, and
+    :class:`~repro.trace.compiled.CompiledProgram` resolves names to block
+    ids and canonical addresses.
     """
     sections: List[Tuple[Optional[str], List[Instruction]]] = []
     current_label: Optional[str] = None

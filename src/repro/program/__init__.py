@@ -1,4 +1,4 @@
-"""Program representation: basic blocks, control-flow graphs, code layout.
+"""Program representation: basic blocks, control-flow graphs, dependences.
 
 The paper's methodology operates on *canonical* object code — code with no
 delay slots at all ("a translation file for an architecture with zero delay
@@ -9,16 +9,12 @@ CTIs").  This package represents that canonical form:
   whose final instruction may be a CTI;
 * a :class:`~repro.program.cfg.ControlFlowGraph` groups blocks into
   procedures with fall-through/taken/call edges;
-* :class:`~repro.program.layout.CodeLayout` assigns instruction addresses —
-  both to the canonical code and to the expanded code the delay-slot
-  scheduler produces;
 * :mod:`~repro.program.dependence` answers the def/use questions that the
   branch and load delay-slot schedulers ask.
 """
 
 from repro.program.basic_block import BasicBlock
 from repro.program.cfg import ControlFlowGraph, Procedure, Program
-from repro.program.layout import CodeLayout
 from repro.program.dependence import (
     cti_hoist_distance,
     flow_dependences,
@@ -30,7 +26,6 @@ __all__ = [
     "ControlFlowGraph",
     "Procedure",
     "Program",
-    "CodeLayout",
     "cti_hoist_distance",
     "flow_dependences",
     "independent_prefix_length",

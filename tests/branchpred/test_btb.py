@@ -6,6 +6,21 @@ import pytest
 from repro.branchpred.btb import BranchTargetBuffer, BTBStats
 from repro.errors import ConfigurationError
 
+#: Outcomes of one CTI (T taken, N not taken; one pc, one target) and
+#: whether each prediction is correct (+) or not (-); the first access
+#: always misses the BTB.
+COUNTER_CASES = {
+    # Saturates at 3: after a run of takens one not-taken still predicts
+    # taken, and a second one flips the prediction.
+    "saturates_high": ("TTTTTTNNN", "-+++++--+"),
+    # Saturates at 0: the mirror case.
+    "saturates_low": ("NNNNNNTTT", "-+++++--+"),
+    # A taken miss allocates the counter at 2 (one not-taken flips it)...
+    "taken_allocates_2": ("TNN", "--+"),
+    # ...and a not-taken miss at 1 (one taken flips it).
+    "not_taken_allocates_1": ("NTT", "--+"),
+}
+
 
 class TestBTBStats:
     def test_rates(self):
@@ -79,6 +94,18 @@ class TestBranchTargetBuffer:
             btb.access(pc, True, target)
         btb.access(pc, False, target)  # loop exit: mispredicted
         assert btb.access(pc, True, target)  # still predicts taken
+
+    @pytest.mark.parametrize(
+        "outcomes, expected", COUNTER_CASES.values(), ids=COUNTER_CASES.keys()
+    )
+    def test_two_bit_counter(self, outcomes, expected):
+        taken = [outcome == "T" for outcome in outcomes]
+        btb = BranchTargetBuffer()
+        correct = [btb.access(0x4000, was_taken, 0x5000) for was_taken in taken]
+        assert "".join("+" if c else "-" for c in correct) == expected
+        n = len(taken)
+        stats = BranchTargetBuffer().simulate([0x4000] * n, taken, [0x5000] * n)
+        assert stats == BTBStats(ctis=n, hits=n - 1, correct=expected.count("+"))
 
     def test_reset(self):
         btb = BranchTargetBuffer()

@@ -1,4 +1,4 @@
-"""Reference implementation the miss cube is tested against.
+"""Reference implementations the miss cube is tested against.
 
 The cube (:mod:`repro.cache.misscube`) answers every miss query from
 Mattson stack distances counted by a bounded backward scan.
@@ -6,15 +6,17 @@ Mattson stack distances counted by a bounded backward scan.
 replaced, kept as the oracle: a per-configuration dict LRU, one
 insertion-ordered dict per set (``pop`` + re-insert is an O(1)
 move-to-back), at roughly a million references per second.
+:class:`Cache` is the plainest model of all: one LRU cache simulated a
+byte address at a time.
 """
 
-from typing import Dict
+from typing import Dict, List
 
 import numpy as np
 
 from repro.cache.fastsim import direct_mapped_misses
 from repro.errors import ConfigurationError
-from repro.utils.units import is_power_of_two
+from repro.utils.units import WORD_BYTES, is_power_of_two, log2_int
 
 #: References materialized per ``tolist`` batch.  Chunking keeps the
 #: Python-object working set bounded (a full ``tolist`` of a
@@ -95,3 +97,44 @@ def set_associative_misses(
                 lru[block] = True
     return misses
 
+
+class Cache:
+    """A set-associative LRU cache, simulated one reference at a time.
+
+    Sizes are in words, as in the paper (``size_words`` and
+    ``block_words`` powers of two).  :meth:`access` takes a byte address;
+    every miss allocates, evicting the set's least recently used block.
+    """
+
+    def __init__(self, size_words: int, block_words: int, associativity: int = 1):
+        self.associativity = associativity
+        self.num_sets = size_words // (block_words * associativity)
+        if not (
+            is_power_of_two(block_words)
+            and is_power_of_two(self.num_sets)
+            and self.num_sets * block_words * associativity == size_words
+        ):
+            raise ConfigurationError(
+                f"no {associativity}-way cache of {size_words} W in "
+                f"{block_words} W blocks"
+            )
+        self._block_shift = log2_int(block_words * WORD_BYTES)
+        # Each set's resident blocks, least recently used first.
+        self._sets: List[List[int]] = [[] for _ in range(self.num_sets)]
+        self.accesses = 0
+        self.misses = 0
+
+    def access(self, address: int) -> bool:
+        """Reference one byte address; True on a hit."""
+        block = address >> self._block_shift
+        resident = self._sets[block & (self.num_sets - 1)]
+        self.accesses += 1
+        if block in resident:
+            resident.remove(block)
+            resident.append(block)
+            return True
+        self.misses += 1
+        if len(resident) == self.associativity:
+            del resident[0]
+        resident.append(block)
+        return False

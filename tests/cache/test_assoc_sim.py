@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import Cache
 from repro.errors import ConfigurationError
 
 from tests.cache import oracles
-from tests.cache.oracles import set_associative_misses
+from tests.cache.oracles import Cache, set_associative_misses
 
 
 class TestSetAssociativeMisses:
@@ -61,7 +60,7 @@ class TestSetAssociativeMisses:
         )
         for block in blocks:
             oracle.access(block * block_words * 4)
-        assert fast == oracle.stats.misses
+        assert fast == oracle.misses
 
     @given(
         blocks=st.lists(st.integers(min_value=0, max_value=63), max_size=150),
@@ -81,7 +80,7 @@ class TestSetAssociativeMisses:
         )
         for block in blocks:
             oracle.access(block * block_words * 4)
-        assert fast == oracle.stats.misses
+        assert fast == oracle.misses
 
     def test_ways_at_least_stream_length_is_cold_misses_only(self):
         blocks = np.array([3, 5, 3, 7, 5], dtype=np.int64)

@@ -1,9 +1,10 @@
-"""General cache model tests."""
+"""The step-by-step oracle cache on hand-worked references."""
 
 import pytest
 
-from repro.cache import FIFO, LRU, Cache, CacheStats, RandomReplacement
 from repro.errors import ConfigurationError
+
+from tests.cache.oracles import Cache
 
 
 class TestGeometry:
@@ -15,9 +16,6 @@ class TestGeometry:
         cache = Cache(size_words=1024, block_words=4)
         assert cache.associativity == 1
         assert cache.num_sets == 256
-
-    def test_size_kw(self):
-        assert Cache(size_words=2048, block_words=4).size_kw == 2.0
 
     def test_rejects_non_power_of_two_size(self):
         with pytest.raises(ConfigurationError):
@@ -41,6 +39,7 @@ class TestAccessBehaviour:
         cache = Cache(size_words=64, block_words=4)
         assert not cache.access(0x1000)
         assert cache.access(0x1000)
+        assert (cache.accesses, cache.misses) == (2, 1)
 
     def test_spatial_locality_within_block(self):
         cache = Cache(size_words=64, block_words=4)
@@ -72,62 +71,3 @@ class TestAccessBehaviour:
         cache.access(c)  # evicts b
         assert cache.access(a)
         assert not cache.access(b)
-
-    def test_fifo_ignores_recency(self):
-        cache = Cache(size_words=32, block_words=4, associativity=2, replacement=FIFO())
-        a, b, c = 0, 16 * 4, 32 * 4
-        cache.access(a)
-        cache.access(b)
-        cache.access(a)  # does not refresh FIFO position
-        cache.access(c)  # evicts a (first in)
-        assert not cache.access(a)
-
-    def test_random_replacement_stays_within_set(self):
-        cache = Cache(
-            size_words=32, block_words=4, associativity=2, replacement=RandomReplacement(seed=1)
-        )
-        for i in range(20):
-            cache.access(i * 16 * 4)
-        assert cache.stats.accesses == 20
-
-    def test_write_allocates(self):
-        cache = Cache(size_words=64, block_words=4)
-        assert not cache.access(0x2000, write=True)
-        assert cache.access(0x2000)
-
-    def test_probe_does_not_touch_state(self):
-        cache = Cache(size_words=64, block_words=4)
-        assert not cache.probe(0x3000)
-        assert cache.stats.accesses == 0
-        cache.access(0x3000)
-        assert cache.probe(0x3000)
-
-    def test_flush(self):
-        cache = Cache(size_words=64, block_words=4)
-        cache.access(0x1000)
-        cache.flush()
-        assert not cache.access(0x1000)
-
-    def test_access_many(self):
-        cache = Cache(size_words=64, block_words=4)
-        stats = cache.access_many([0, 4, 16, 0])
-        assert stats.accesses == 4
-        assert stats.misses == 2
-
-
-class TestCacheStats:
-    def test_rates(self):
-        stats = CacheStats(accesses=100, misses=25)
-        assert stats.miss_rate == pytest.approx(0.25)
-        assert stats.hit_rate == pytest.approx(0.75)
-        assert stats.hits == 75
-
-    def test_empty(self):
-        stats = CacheStats()
-        assert stats.miss_rate == 0.0
-        assert stats.hit_rate == 0.0
-
-    def test_merge(self):
-        merged = CacheStats(10, 2).merge(CacheStats(30, 10))
-        assert merged.accesses == 40
-        assert merged.misses == 12

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import (
-    Cache,
     addresses_to_blocks,
     direct_mapped_miss_sweep,
     direct_mapped_misses,
 )
 from repro.errors import ConfigurationError
+
+from tests.cache.oracles import Cache
 
 
 class TestAddressesToBlocks:
@@ -69,7 +70,7 @@ class TestDirectMappedMisses:
         oracle = Cache(size_words=num_sets * block_words, block_words=block_words)
         for block in blocks:
             oracle.access(block * block_words * 4)
-        assert fast == oracle.stats.misses
+        assert fast == oracle.misses
 
     def test_miss_rate_decreases_with_size(self):
         rng = np.random.default_rng(11)
@@ -105,7 +106,7 @@ def _reference_cache_misses(blocks, num_sets, block_words=4):
     oracle = Cache(size_words=num_sets * block_words, block_words=block_words)
     for block in blocks:
         oracle.access(block * block_words * 4)
-    return oracle.stats.misses
+    return oracle.misses
 
 
 class TestSinglePassSweep:

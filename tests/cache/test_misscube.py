@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import (
-    Cache,
     MissCube,
     ShiftedStreams,
     addresses_to_blocks,
@@ -25,7 +24,7 @@ from repro.cache import (
 from repro.errors import ConfigurationError
 from repro.utils.units import WORD_BYTES
 
-from tests.cache.oracles import set_associative_misses
+from tests.cache.oracles import Cache, set_associative_misses
 
 addresses = st.lists(st.integers(min_value=0, max_value=1023), max_size=300)
 
@@ -83,7 +82,7 @@ class TestCubeEquivalence:
         )
         for addr in addrs:
             oracle.access(addr)  # both consume byte addresses
-        assert cube.misses(block_words, num_sets, assoc) == oracle.stats.misses
+        assert cube.misses(block_words, num_sets, assoc) == oracle.misses
 
     @given(addrs=addresses)
     @settings(max_examples=40, deadline=None)

@@ -1,8 +1,8 @@
-"""Refill model and hierarchy tests."""
+"""Refill model tests."""
 
 import pytest
 
-from repro.cache import Cache, CacheHierarchy, PAPER_PENALTIES, RefillModel
+from repro.cache import PAPER_PENALTIES, RefillModel
 from repro.errors import ConfigurationError
 
 
@@ -37,43 +37,3 @@ class TestRefillModel:
             RefillModel(2, 2).penalty_cycles(0)
         with pytest.raises(ConfigurationError):
             RefillModel.for_penalty(2, 4)
-
-
-class TestCacheHierarchy:
-    def make(self):
-        return CacheHierarchy(
-            icache=Cache(1024, 4, name="L1-I"),
-            dcache=Cache(1024, 4, name="L1-D"),
-            refill=RefillModel(2, 2),
-        )
-
-    def test_split_required(self):
-        shared = Cache(1024, 4)
-        with pytest.raises(ConfigurationError):
-            CacheHierarchy(icache=shared, dcache=shared)
-
-    def test_fetch_stall_on_miss_then_none(self):
-        hierarchy = self.make()
-        assert hierarchy.fetch(0x400000) == hierarchy.miss_penalty_i
-        assert hierarchy.fetch(0x400000) == 0
-
-    def test_load_and_store_use_dcache(self):
-        hierarchy = self.make()
-        assert hierarchy.load(0x1000) > 0
-        assert hierarchy.store(0x1000) == 0  # same block, now resident
-        assert hierarchy.icache.stats.accesses == 0
-
-    def test_stall_cycles_accumulate(self):
-        hierarchy = self.make()
-        hierarchy.fetch(0)
-        hierarchy.load(0x8000)
-        expected = hierarchy.miss_penalty_i + hierarchy.miss_penalty_d
-        assert hierarchy.stall_cycles() == expected
-
-    def test_flush_invalidates_both(self):
-        hierarchy = self.make()
-        hierarchy.fetch(0)
-        hierarchy.load(0)
-        hierarchy.flush()
-        assert hierarchy.fetch(0) > 0
-        assert hierarchy.load(0) > 0

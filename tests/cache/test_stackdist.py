@@ -14,11 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import Cache, MissPlane, direct_mapped_miss_sweep, miss_cube
+from repro.cache import MissPlane, direct_mapped_miss_sweep, miss_cube
 from repro.cache import stackdist
 from repro.errors import ConfigurationError
 
-from tests.cache.oracles import set_associative_misses
+from tests.cache.oracles import Cache, set_associative_misses
 
 
 def _small_alphabet(seed, length, alphabet, skew):
@@ -135,7 +135,7 @@ class TestPlaneEquivalence:
         )
         for block in blocks:
             oracle.access(block * B * 4)
-        assert cube.misses(B, num_sets, assoc) == oracle.stats.misses
+        assert cube.misses(B, num_sets, assoc) == oracle.misses
 
     @given(blocks=streams)
     @settings(max_examples=40, deadline=None)

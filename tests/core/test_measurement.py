@@ -118,6 +118,20 @@ class TestAggregates:
         assert stats.cti_count > 0
         assert 0 < stats.predicted_taken_pct < 100
 
+    def test_branch_stats_are_per_session(self):
+        # Sessions of different lengths over one store each count their
+        # own trace, not whichever session asked first.
+        store = ArtifactStore()
+        for total in (30_000, 60_000):
+            session = SuiteMeasurement(
+                specs=[benchmark_by_name("small")],
+                total_instructions=total,
+                store=store,
+            )
+            stats = session.branch_stats(1)
+            assert stats.instruction_count == session.canonical_instructions
+            assert stats.instruction_count >= total
+
     def test_branch_waste_grows_with_slots(self, measurement):
         cpis = [measurement.branch_stats(b).additional_cpi for b in (1, 2, 3)]
         assert cpis == sorted(cpis)

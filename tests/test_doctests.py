@@ -4,8 +4,6 @@ import doctest
 
 import pytest
 
-import repro.branchpred.static
-import repro.branchpred.twobit
 import repro.cache.refill
 import repro.isa.assembler
 import repro.isa.disassembler
@@ -15,7 +13,6 @@ import repro.core.tpi
 import repro.physical.area
 import repro.physical.energy
 import repro.timing.sram
-import repro.trace.dinero
 import repro.trace.io
 import repro.utils.rng
 import repro.utils.stats
@@ -23,8 +20,6 @@ import repro.utils.units
 import repro.workload.table1
 
 MODULES = [
-    repro.branchpred.static,
-    repro.branchpred.twobit,
     repro.cache.refill,
     repro.isa.assembler,
     repro.isa.disassembler,
@@ -34,7 +29,6 @@ MODULES = [
     repro.physical.area,
     repro.physical.energy,
     repro.timing.sram,
-    repro.trace.dinero,
     repro.trace.io,
     repro.utils.rng,
     repro.utils.stats,

@@ -1,64 +1,37 @@
-"""Program statistics tests."""
+"""Static calibration of a synthesized program, read off its lowering."""
 
+import numpy as np
 import pytest
 
+from repro.trace.compiled import BlockKind, CompiledProgram
 from repro.workload import benchmark_by_name, synthesize_program
-from repro.workload.statistics import analyze_program
 
 
 @pytest.fixture(scope="module")
-def gcc_stats():
-    return analyze_program(synthesize_program(benchmark_by_name("gcc")))
+def gcc():
+    return CompiledProgram(synthesize_program(benchmark_by_name("gcc")))
 
 
 class TestAnalyzeProgram:
-    def test_counts_consistent(self, gcc_stats):
-        assert gcc_stats.static_words == sum(
-            length * count for length, count in gcc_stats.block_length_histogram.items()
-        )
-        assert gcc_stats.block_count == sum(gcc_stats.block_length_histogram.values())
-        assert sum(gcc_stats.category_counts.values()) == gcc_stats.static_words
-
-    def test_mean_block_length(self, gcc_stats):
-        assert gcc_stats.mean_block_length == pytest.approx(
-            gcc_stats.static_words / gcc_stats.block_count
-        )
+    def test_mean_block_length(self, gcc):
         # Static blocks are short (the Table 2 expansion anchors imply ~3-5).
-        assert 1.5 < gcc_stats.mean_block_length < 8.0
+        assert 1.5 < gcc.static_words / len(gcc) < 8.0
 
-    def test_cti_composition(self, gcc_stats):
-        assert gcc_stats.cti_kinds["conditional"] > 0
-        assert gcc_stats.cti_kinds["call"] > 0
-        assert gcc_stats.cti_kinds["return"] > 0
-        assert 0.4 < gcc_stats.conditional_frac < 0.9
-        assert 0.02 < gcc_stats.register_indirect_frac < 0.4
+    def test_cti_composition(self, gcc):
+        kinds = np.bincount(gcc.kinds, minlength=len(BlockKind))
+        assert kinds[BlockKind.CONDITIONAL] > 0
+        assert kinds[BlockKind.CALL] > 0
+        assert kinds[BlockKind.RETURN] > 0
+        ctis = len(gcc) - kinds[BlockKind.FALLTHROUGH]
+        assert 0.4 < kinds[BlockKind.CONDITIONAL] / ctis < 0.9
+        assert 0.02 < gcc.indirect.sum() / ctis < 0.4
 
-    def test_backward_fraction(self, gcc_stats):
-        assert 0.0 < gcc_stats.backward_conditional_frac < 1.0
+    def test_backward_fraction(self, gcc):
+        conditional = np.flatnonzero(gcc.kinds == BlockKind.CONDITIONAL)
+        backward = gcc.taken_ids[conditional] <= conditional
+        assert 0.0 < backward.mean() < 1.0
 
-    def test_summary_text(self, gcc_stats):
-        text = gcc_stats.summary()
-        assert "procedures" in text
-        assert "conditional" in text
-
-    def test_mix_tracks_spec_statically(self, gcc_stats):
+    def test_mix_tracks_spec_statically(self, gcc):
         spec = benchmark_by_name("gcc")
-        loads = gcc_stats.category_counts["load"] / gcc_stats.static_words
+        loads = gcc.load_counts.sum() / gcc.static_words
         assert loads == pytest.approx(spec.load_pct / 100, abs=0.06)
-
-
-class TestInspectCli:
-    def test_list_mode(self, capsys):
-        from repro.workload.inspect import main
-
-        assert main([]) == 0
-        out = capsys.readouterr().out
-        assert "gcc" in out and "matrix500" in out
-
-    def test_inspect_with_trace(self, capsys):
-        from repro.workload.inspect import main
-
-        assert main(["small", "--trace", "5000"]) == 0
-        out = capsys.readouterr().out
-        assert "dynamic" in out
-        assert "CTIs" in out
