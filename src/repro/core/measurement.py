@@ -34,18 +34,15 @@ import tempfile
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.branchpred import BranchTargetBuffer, BTBStats, cti_stream
-from repro.engine.executor import (
-    SweepExecutor,
-    synthesize_trace_arrays,
-    synthesize_trace_to_cache,
-)
+from repro.engine.executor import SweepExecutor
 from repro.engine.session import MeasurementSpec
-from repro.engine.store import ArtifactKey, ArtifactStore
+from repro.engine.store import ArtifactStore
 from repro.errors import ConfigurationError
 from repro.obs.tracer import NULL_TRACER
 from repro.sched import (
@@ -92,6 +89,8 @@ from repro.workload import (
 __all__ = [
     "SuiteMeasurement",
     "GENERATOR_VERSION",
+    "load_or_compile",
+    "load_or_run_trace",
 ]
 
 #: Bump to invalidate cached traces when the generator changes behaviour.
@@ -158,6 +157,100 @@ def _trace_arrays_valid(arrays: Mapping[str, np.ndarray]) -> bool:
         return False
 
 
+def _trace_params(spec: BenchmarkSpec, budget: int, seed: int) -> Dict[str, object]:
+    """Store key parameters of one benchmark's trace bundle."""
+    return dict(bench=spec.name, spec=_spec_digest(spec), budget=budget, seed=seed)
+
+
+def load_or_compile(
+    store: ArtifactStore, spec: BenchmarkSpec, seed: int, tracer=NULL_TRACER
+) -> CompiledProgram:
+    """The benchmark's lowered program, synthesized only on a miss.
+
+    The compiled-program bundle is persisted like a trace, so a warm
+    store maps it back from disk: no synthesis, no lowering, and no
+    instruction lists (a session never needs them).
+    """
+
+    def lower() -> Dict[str, np.ndarray]:
+        with tracer.span("program.synthesize", bench=spec.name) as span:
+            span.count("programs")
+            with tracer.span("program.generate", bench=spec.name) as step:
+                program = synthesize_program(spec, seed=seed)
+                step.count("blocks", sum(len(p.blocks) for p in program.procedures))
+                step.count("instructions", program.static_instruction_count)
+            with tracer.span("program.lower", bench=spec.name) as step:
+                compiled = CompiledProgram(program)
+                step.count("blocks", len(compiled))
+                step.count("instructions", compiled.static_words)
+            return compiled.as_arrays()
+
+    arrays = store.get_or_create(
+        "compiled",
+        LOWERING_VERSION,
+        lower,
+        persist=True,
+        validate=compiled_arrays_valid,
+        bench=spec.name,
+        spec=_spec_digest(spec),
+        seed=seed,
+        generator=GENERATOR_VERSION,
+    )
+    return CompiledProgram.from_arrays(arrays)
+
+
+def load_or_run_trace(
+    store: ArtifactStore,
+    spec: BenchmarkSpec,
+    seed: int,
+    budget: int,
+    compiled: CompiledProgram,
+    tracer=NULL_TRACER,
+) -> ExecutionTrace:
+    """The benchmark's execution trace, walked only on a miss.
+
+    The walk streams chunk by chunk into the store's disk tier, so the
+    whole trace never materializes in this process's heap; the trace's
+    arrays are memory maps of the finished bundle.
+    """
+
+    def stream_trace(writer) -> None:
+        with tracer.span("trace.synthesize", bench=spec.name) as span:
+            executor = TraceExecutor(compiled, seed=seed)
+            instructions = 0
+            restarts = 0
+            for chunk in executor.iter_chunks(budget):
+                writer.append("block_ids", chunk.block_ids)
+                writer.append("went_taken", chunk.went_taken)
+                instructions += int(compiled.lengths[chunk.block_ids].sum())
+                restarts = chunk.restarts
+            writer.append("restarts", np.array([restarts]))
+            span.count("instructions", instructions)
+
+    arrays = store.get_or_stream(
+        "trace",
+        GENERATOR_VERSION,
+        stream_trace,
+        validate=_trace_arrays_valid,
+        **_trace_params(spec, budget, seed),
+    )
+    return ExecutionTrace(
+        compiled=compiled,
+        block_ids=_as_dtype(arrays["block_ids"], np.int32),
+        went_taken=_as_dtype(arrays["went_taken"], np.int8),
+        restarts=int(arrays["restarts"][0]),
+    )
+
+
+def synthesize_trace_to_cache(item: Tuple[Path, BenchmarkSpec, int, int]) -> None:
+    """Worker task: persist one benchmark's compiled program and trace
+    into the disk tier at ``cache_dir``, where the session that fanned
+    the task out maps both back."""
+    cache_dir, spec, seed, budget = item
+    store = ArtifactStore(cache_dir=cache_dir)
+    load_or_run_trace(store, spec, seed, budget, load_or_compile(store, spec, seed))
+
+
 @dataclass
 class _Benchmark:
     """Per-benchmark artifacts of a session."""
@@ -191,10 +284,9 @@ class SuiteMeasurement:
         min_benchmark_instructions: Floor per benchmark, so tiny
             benchmarks (linpack: 4 M of 2556 M) still contribute
             statistically meaningful traces.
-        use_disk_cache: Persist traces to the artifact store's disk tier
-            (ignored when an explicit ``store`` is supplied).
         store: The artifact store holding every derived artifact of this
-            session (default: a fresh store honouring ``use_disk_cache``).
+            session (default: a fresh store over the default disk tier,
+            :func:`repro.trace.io.default_cache_dir`).
         executor: Sweep executor used to fan out per-benchmark trace
             synthesis, and the default executor for optimizers built on
             this session (default: serial).
@@ -212,7 +304,6 @@ class SuiteMeasurement:
         seed: int = DEFAULT_SEED,
         quantum_instructions: int = 25_000,
         min_benchmark_instructions: int = 20_000,
-        use_disk_cache: bool = True,
         store: Optional[ArtifactStore] = None,
         executor: Optional[SweepExecutor] = None,
         tracer=None,
@@ -230,8 +321,7 @@ class SuiteMeasurement:
         self.min_benchmark_instructions = min_benchmark_instructions
         mean_budget = total_instructions / len(self.specs)
         self.switches = max(1, round(mean_budget / quantum_instructions))
-        self._use_disk_cache = use_disk_cache
-        self.store = store if store is not None else ArtifactStore(use_disk=use_disk_cache)
+        self.store = store if store is not None else ArtifactStore()
         self.executor = executor if executor is not None else SweepExecutor()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Durable-run policy (:class:`repro.jobs.JobConfig`); when set,
@@ -294,7 +384,7 @@ class SuiteMeasurement:
             seed=self.seed,
             quantum_instructions=self.quantum_instructions,
             min_benchmark_instructions=self.min_benchmark_instructions,
-            use_disk_cache=self._use_disk_cache,
+            cache_dir=self.store.disk_dir,
         )
 
     @cached_property
@@ -306,103 +396,14 @@ class SuiteMeasurement:
 
     # -- construction --------------------------------------------------------
 
-    def _trace_params(self, spec: BenchmarkSpec, budget: int) -> Dict[str, object]:
-        return dict(
-            bench=spec.name, spec=_spec_digest(spec), budget=budget, seed=self.seed
-        )
-
-    def _trace_key(self, spec: BenchmarkSpec, budget: int) -> ArtifactKey:
-        return ArtifactKey.make(
-            "trace", GENERATOR_VERSION, **self._trace_params(spec, budget)
-        )
-
-    def _compiled_params(self, spec: BenchmarkSpec) -> Dict[str, object]:
-        return dict(
-            bench=spec.name,
-            spec=_spec_digest(spec),
-            seed=self.seed,
-            generator=GENERATOR_VERSION,
-        )
-
-    def _compiled_key(self, spec: BenchmarkSpec) -> ArtifactKey:
-        return ArtifactKey.make(
-            "compiled", LOWERING_VERSION, **self._compiled_params(spec)
-        )
-
-    def _load_or_compile(self, spec: BenchmarkSpec) -> CompiledProgram:
-        """The benchmark's lowered program, synthesized only on a miss.
-
-        The compiled-program bundle is persisted like a trace, so a warm
-        session maps it back from disk: no synthesis, no lowering, and no
-        instruction lists (the session never needs them).
-        """
-
-        def lower() -> Dict[str, np.ndarray]:
-            with self.tracer.span("program.synthesize", bench=spec.name) as span:
-                span.count("programs")
-                with self.tracer.span("program.generate", bench=spec.name) as step:
-                    program = synthesize_program(spec, seed=self.seed)
-                    step.count("blocks", sum(len(p.blocks) for p in program.procedures))
-                    step.count("instructions", program.static_instruction_count)
-                with self.tracer.span("program.lower", bench=spec.name) as step:
-                    compiled = CompiledProgram(program)
-                    step.count("blocks", len(compiled))
-                    step.count("instructions", compiled.static_words)
-                return compiled.as_arrays()
-
-        arrays = self.store.get_or_create(
-            "compiled",
-            LOWERING_VERSION,
-            lower,
-            persist=True,
-            validate=compiled_arrays_valid,
-            **self._compiled_params(spec),
-        )
-        return CompiledProgram.from_arrays(arrays)
-
-    def _load_or_run_trace(
-        self, spec: BenchmarkSpec, budget: int, compiled: CompiledProgram
-    ) -> ExecutionTrace:
-        def stream_trace(writer) -> None:
-            # Streaming synthesis: chunks go straight to the writer (the
-            # disk tier's StreamingBundleWriter, normally), so the whole
-            # trace never materializes in this process's heap.
-            with self.tracer.span("trace.synthesize", bench=spec.name) as span:
-                executor = TraceExecutor(compiled, seed=self.seed)
-                instructions = 0
-                restarts = 0
-                for chunk in executor.iter_chunks(budget):
-                    writer.append("block_ids", chunk.block_ids)
-                    writer.append("went_taken", chunk.went_taken)
-                    instructions += int(compiled.lengths[chunk.block_ids].sum())
-                    restarts = chunk.restarts
-                writer.append("restarts", np.array([restarts]))
-                span.count("instructions", instructions)
-
-        arrays = self.store.get_or_stream(
-            "trace",
-            GENERATOR_VERSION,
-            stream_trace,
-            validate=_trace_arrays_valid,
-            **self._trace_params(spec, budget),
-        )
-        return ExecutionTrace(
-            compiled=compiled,
-            block_ids=_as_dtype(arrays["block_ids"], np.int32),
-            went_taken=_as_dtype(arrays["went_taken"], np.int8),
-            restarts=int(arrays["restarts"][0]),
-        )
-
     def _prefetch_traces(self) -> None:
         """Fan missing trace synthesis out across the sweep executor.
 
-        With the disk tier on, workers write each compiled program and
-        stream each trace straight into the shared cache directory —
-        only key digests cross the process boundary, never the arrays —
-        and the per-benchmark build below turns into memory-mapped disk
-        hits for both.  With the disk tier off, workers fall back to
-        returning (pickled) bundles that the parent stores in memory.
-        Requires the parallel backend and more than one missing
+        Workers write each compiled program and stream each trace into
+        this session's disk tier (:func:`synthesize_trace_to_cache`);
+        only the parameters cross the process boundary, never the
+        arrays, and the per-benchmark build below then maps both bundles
+        back.  Requires the parallel backend and more than one missing
         benchmark to be worth a pool.
         """
         missing = [
@@ -413,7 +414,7 @@ class SuiteMeasurement:
                 GENERATOR_VERSION,
                 persist=True,
                 validate=_trace_arrays_valid,
-                **self._trace_params(spec, budget),
+                **_trace_params(spec, budget, self.seed),
             )
             is None
         ]
@@ -421,41 +422,10 @@ class SuiteMeasurement:
             return
         with self.tracer.span("session.prefetch_traces") as span:
             span.count("missing", len(missing))
-            if self.store.use_disk:
-                cache_dir = self.store.disk_dir
-                self.executor.map(
-                    synthesize_trace_to_cache,
-                    [
-                        (
-                            self._trace_key(spec, budget).digest,
-                            self._compiled_key(spec).digest,
-                            cache_dir,
-                            spec,
-                            budget,
-                            self.seed,
-                        )
-                        for spec, budget in missing
-                    ],
-                )
-                return
-            bundles = self.executor.map(
-                synthesize_trace_arrays,
-                [(spec, budget, self.seed) for spec, budget in missing],
-            )
-        for (spec, budget), (compiled, trace) in zip(missing, bundles):
-            self.store.put(
-                "compiled",
-                LOWERING_VERSION,
-                compiled,
-                persist=self._use_disk_cache,
-                **self._compiled_params(spec),
-            )
-            self.store.put(
-                "trace",
-                GENERATOR_VERSION,
-                trace,
-                persist=self._use_disk_cache,
-                **self._trace_params(spec, budget),
+            cache_dir = self.store.disk_dir
+            self.executor.map(
+                synthesize_trace_to_cache,
+                [(cache_dir, spec, self.seed, budget) for spec, budget in missing],
             )
 
     @property
@@ -468,8 +438,10 @@ class SuiteMeasurement:
                     self._prefetch_traces()
                 built = []
                 for index, (spec, budget) in enumerate(zip(self.specs, self._budgets)):
-                    compiled = self._load_or_compile(spec)
-                    trace = self._load_or_run_trace(spec, budget, compiled)
+                    compiled = load_or_compile(self.store, spec, self.seed, self.tracer)
+                    trace = load_or_run_trace(
+                        self.store, spec, self.seed, budget, compiled, self.tracer
+                    )
                     built.append(
                         _Benchmark(
                             index=index,
@@ -651,10 +623,10 @@ class SuiteMeasurement:
         benchmark's address model is expanded in one shot (chunked
         generation would change its draw order), and the interleave is
         emitted quantum by quantum through :meth:`~repro.engine.store.
-        ArtifactStore.get_or_stream`.  With the disk tier on, the value
-        is a *memory-mapped* view of the finished bundle: the cube driver
-        reads it through the page cache instead of holding a heap copy,
-        and repeat sessions map it straight back without re-expanding.
+        ArtifactStore.get_or_stream`.  The value is a *memory-mapped*
+        view of the finished bundle: the cube driver reads it through the
+        page cache instead of holding a heap copy, and repeat sessions
+        map it straight back without re-expanding.
         """
 
         def produce(writer) -> None:

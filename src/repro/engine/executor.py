@@ -21,10 +21,10 @@ session in one of two ways:
   worker sees every memoized trace, stream and miss count through
   copy-on-write memory and rebuilds none of them;
 * a *spawned* worker cannot see the primed object and rebuilds the
-  session from the spec, once per process (module-level cache).  A
-  disk-backed session maps its traces and compiled programs back from
-  the shared on-disk :class:`~repro.engine.store.ArtifactStore` tier; a
-  memory-only one re-synthesizes them.
+  session from the spec, once per process (module-level cache), over
+  the parent session's own disk tier
+  (:class:`~repro.engine.store.ArtifactStore`), from which it maps the
+  traces and compiled programs back instead of re-synthesizing them.
 
 Both ways produce identical results.
 """
@@ -36,8 +36,6 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.obs.tracer import NULL_TRACER
@@ -347,8 +345,7 @@ def session_for_spec(spec: Any) -> Any:
 
     Resolution order: a fork-inherited live session (free, already
     warm), then this worker's session cache, then a fresh build that
-    rehydrates traces from the disk artifact store (or, for a
-    memory-only session, re-synthesizes them).
+    maps its traces back from the session's disk tier.
     """
     digest = spec.digest()
     session = _FORK_INHERITED.get(digest)
@@ -379,68 +376,3 @@ def evaluate_design_point(item: Tuple[Any, Any, Any, Any]) -> Any:
         measurement, tech=tech, executor=SweepExecutor(jobs=1), phys=phys
     )
     return optimizer.evaluate(config)
-
-
-def synthesize_trace_arrays(
-    item: Tuple[Any, int, int]
-) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
-    """Worker task: synthesize, lower and walk one benchmark, returning
-    its compiled-program bundle and its trace bundle (the persistent
-    artifact representations)."""
-    spec, budget, seed = item
-    from repro.trace.compiled import CompiledProgram
-    from repro.trace.executor import TraceExecutor
-    from repro.workload import synthesize_program
-
-    compiled = CompiledProgram(synthesize_program(spec, seed=seed))
-    trace = TraceExecutor(compiled, seed=seed).run(budget)
-    return compiled.as_arrays(), {
-        "block_ids": trace.block_ids,
-        "went_taken": trace.went_taken,
-        "restarts": np.array([trace.restarts]),
-    }
-
-
-def synthesize_trace_to_cache(item: Tuple[str, str, Any, Any, int, int]) -> str:
-    """Worker task: stream one benchmark's trace into the shared disk cache.
-
-    The program's compiled-program bundle is written under
-    ``compiled_digest`` as well (or mapped, when a valid one is already
-    there), so the parent's session build maps both bundles instead of
-    re-synthesizing the program.  The trace chunks go straight from the
-    executor to a :class:`~repro.trace.io.StreamingBundleWriter` under
-    the trace key, so the worker's peak memory is O(chunk) and nothing
-    but the key digest is pickled back to the parent.
-    """
-    digest, compiled_digest, cache_dir, spec, budget, seed = item
-    from repro.trace.compiled import CompiledProgram, compiled_arrays_valid
-    from repro.trace.executor import TraceExecutor
-    from repro.trace.io import (
-        StreamingBundleWriter,
-        default_cache_dir,
-        load_arrays,
-        save_arrays,
-    )
-    from repro.workload import synthesize_program
-
-    directory = cache_dir if cache_dir is not None else default_cache_dir()
-    arrays = load_arrays(compiled_digest, cache_dir=directory)
-    if arrays is not None and compiled_arrays_valid(arrays):
-        compiled = CompiledProgram.from_arrays(arrays)
-    else:
-        compiled = CompiledProgram(synthesize_program(spec, seed=seed))
-        save_arrays(compiled_digest, compiled.as_arrays(), cache_dir=directory)
-    executor = TraceExecutor(compiled, seed=seed)
-    writer = StreamingBundleWriter(digest, cache_dir=directory)
-    try:
-        restarts = 0
-        for chunk in executor.iter_chunks(budget):
-            writer.append("block_ids", chunk.block_ids)
-            writer.append("went_taken", chunk.went_taken)
-            restarts = chunk.restarts
-        writer.append("restarts", np.array([restarts]))
-        writer.finalize()
-    except BaseException:
-        writer.abort()
-        raise
-    return digest

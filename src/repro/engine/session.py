@@ -5,8 +5,8 @@ Two pieces:
 * :class:`MeasurementSpec` — a small picklable description of a
   :class:`~repro.core.measurement.SuiteMeasurement` from which the
   session can be rebuilt anywhere (most importantly inside spawned sweep
-  workers, which rehydrate a disk-backed session's traces from the
-  shared disk store instead of re-synthesizing them);
+  workers, which map the session's traces back from its disk tier
+  instead of re-synthesizing them);
 * :class:`SessionRegistry` — a per-instance replacement for the old
   module-global session dict in ``repro.experiments.common``.  The CLI
   and long-lived callers share one default registry; tests construct
@@ -19,9 +19,11 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from repro.engine.executor import SweepExecutor, retire_inherited
+from repro.engine.store import ArtifactStore
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -55,15 +57,18 @@ class MeasurementSpec:
     seed: int
     quantum_instructions: int
     min_benchmark_instructions: int
-    use_disk_cache: bool
+    #: The session store's disk-tier directory.  Where a session is
+    #: cached is not part of what it is, so it stays out of the repr and
+    #: so out of :meth:`digest`.
+    cache_dir: Path = field(repr=False, compare=False)
 
     def digest(self) -> str:
         """Stable identity of the session this spec describes."""
         return hashlib.sha256(repr(self).encode()).hexdigest()[:24]
 
     def build(self) -> Any:
-        """Construct the session (rehydrating traces from the disk store,
-        or re-synthesizing them when the session is memory-only)."""
+        """Construct the session over the same disk tier, so its traces
+        and compiled programs map back instead of being re-synthesized."""
         from repro.core.measurement import SuiteMeasurement
 
         return SuiteMeasurement(
@@ -72,7 +77,7 @@ class MeasurementSpec:
             seed=self.seed,
             quantum_instructions=self.quantum_instructions,
             min_benchmark_instructions=self.min_benchmark_instructions,
-            use_disk_cache=self.use_disk_cache,
+            store=ArtifactStore(cache_dir=self.cache_dir),
             executor=SweepExecutor(jobs=1),
         )
 

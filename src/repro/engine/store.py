@@ -10,7 +10,7 @@ store keeps artifacts in two tiers:
 * an in-memory LRU tier holding any Python object, bounded by entry
   count, which replaces the per-object memo dicts the measurement layer
   used to hand-roll;
-* an optional on-disk tier (raw ``.npy`` segment bundles via
+* an on-disk tier (raw ``.npy`` segment bundles via
   :mod:`repro.trace.io`) for artifacts declared *persistent* — array
   bundles whose recomputation is expensive enough to survive process
   boundaries (traces).  Disk hits come back as read-only memory maps, so
@@ -41,7 +41,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.trace.io import (
-    MemoryBundleWriter,
     StreamingBundleWriter,
     bundle_dir,
     cache_key,
@@ -199,8 +198,6 @@ class ArtifactStore:
         cache_dir: Disk-tier base directory (default: :func:`repro.trace.
             io.default_cache_dir`, i.e. ``REPRO_CACHE_DIR`` or a tmpdir).
         memory_entries: LRU capacity of the in-memory tier.
-        use_disk: Master switch for the disk tier; when False, artifacts
-            requested with ``persist=True`` still live in memory only.
         namespace: Optional shard of the disk tier: entries live under
             ``cache_dir/namespace`` so many tenants' artifacts coexist in
             one cache root without colliding, and one tenant's eviction
@@ -218,7 +215,6 @@ class ArtifactStore:
         self,
         cache_dir: Optional[Path] = None,
         memory_entries: int = 1024,
-        use_disk: bool = True,
         namespace: Optional[str] = None,
         max_disk_bytes: Optional[int] = None,
     ) -> None:
@@ -228,7 +224,6 @@ class ArtifactStore:
             raise ConfigurationError("max_disk_bytes must be at least 1")
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.memory_entries = memory_entries
-        self.use_disk = use_disk
         self.namespace = (
             _check_namespace(namespace) if namespace is not None else None
         )
@@ -275,7 +270,7 @@ class ArtifactStore:
         value = self._memory_get(key, count=True)
         if value is not _ABSENT:
             return value
-        if persist and self.use_disk:
+        if persist:
             arrays = self._disk_get(key, validate)
             if arrays is not None:
                 with self._lock:
@@ -305,14 +300,12 @@ class ArtifactStore:
 
         On a miss, ``producer(writer)`` is called with a writer exposing
         ``append(name, chunk)``; the producer emits the bundle in chunks
-        and never holds more than one chunk at a time.  With the disk
-        tier on, chunks stream straight to a
-        :class:`~repro.trace.io.StreamingBundleWriter` (peak memory is
-        O(chunk)) and the value returned — and remembered in the memory
-        tier — is the *memory-mapped* view of the finished bundle, so
-        the fully materialized arrays never exist in this process's heap
-        at all.  With the disk tier off, chunks are concatenated in
-        memory instead; the producer code is identical either way.
+        and never holds more than one chunk at a time.  Chunks stream
+        straight to a :class:`~repro.trace.io.StreamingBundleWriter`
+        (peak memory is O(chunk)) and the value returned — and
+        remembered in the memory tier — is the *memory-mapped* view of
+        the finished bundle, so the fully materialized arrays never
+        exist in this process's heap at all.
 
         Streamed artifacts are always persistent by intent; hits follow
         the same memory → disk order as :meth:`get_or_create`.
@@ -321,37 +314,31 @@ class ArtifactStore:
         value = self._memory_get(key, count=True)
         if value is not _ABSENT:
             return value
-        if self.use_disk:
-            arrays = self._disk_get(key, validate)
-            if arrays is not None:
-                with self._lock:
-                    self._stats.disk_hits += 1
-                self._remember(key, arrays)
-                return arrays
+        arrays = self._disk_get(key, validate)
+        if arrays is not None:
+            with self._lock:
+                self._stats.disk_hits += 1
+            self._remember(key, arrays)
+            return arrays
         with self._lock:
             self._stats.misses += 1
-        if self.use_disk:
-            directory = self.disk_dir
-            writer = StreamingBundleWriter(key.digest, cache_dir=directory)
-            try:
-                producer(writer)
-                writer.finalize()
-            except BaseException:
-                writer.abort()
-                raise
-            with self._lock:
-                self._stats.disk_writes += 1
-            self._account_disk_write(key.digest)
-            arrays = load_arrays(key.digest, cache_dir=directory)
-            if arrays is None:  # pragma: no cover - needs a racing deleter
-                raise ConfigurationError(
-                    f"streamed artifact {key} vanished before it could be "
-                    f"mapped back"
-                )
-        else:
-            memory_writer = MemoryBundleWriter()
-            producer(memory_writer)
-            arrays = memory_writer.bundle()
+        directory = self.disk_dir
+        writer = StreamingBundleWriter(key.digest, cache_dir=directory)
+        try:
+            producer(writer)
+            writer.finalize()
+        except BaseException:
+            writer.abort()
+            raise
+        with self._lock:
+            self._stats.disk_writes += 1
+        self._account_disk_write(key.digest)
+        arrays = load_arrays(key.digest, cache_dir=directory)
+        if arrays is None:  # pragma: no cover - needs a racing deleter
+            raise ConfigurationError(
+                f"streamed artifact {key} vanished before it could be "
+                f"mapped back"
+            )
         if validate is not None and not validate(arrays):
             raise ConfigurationError(
                 f"producer for artifact {key} streamed an invalid bundle"
@@ -393,7 +380,7 @@ class ArtifactStore:
         value = self._memory_get(key, count=False)
         if value is not _ABSENT:
             return value
-        if persist and self.use_disk:
+        if persist:
             arrays = self._disk_get(key, validate)
             if arrays is not None:
                 self._remember(key, arrays)
@@ -406,8 +393,7 @@ class ArtifactStore:
         with self._lock:
             self._memory.pop(key, None)
             self._disk_lru.pop(key.digest, None)
-        if self.use_disk:
-            delete_entry(key.digest, cache_dir=self.disk_dir)
+        delete_entry(key.digest, cache_dir=self.disk_dir)
 
     # -- internals -------------------------------------------------------------
 
@@ -443,7 +429,7 @@ class ArtifactStore:
         return arrays
 
     def _insert(self, key: ArtifactKey, value: Any, persist: bool) -> None:
-        if persist and self.use_disk:
+        if persist:
             if not isinstance(value, Mapping) or not all(
                 isinstance(v, np.ndarray) for v in value.values()
             ):
@@ -481,8 +467,6 @@ class ArtifactStore:
 
     def _touch_disk(self, digest: str) -> None:
         """Mark a disk entry recently used (adopting unknown entries)."""
-        if not self.use_disk:
-            return
         with self._lock:
             if digest in self._disk_lru:
                 self._disk_lru.move_to_end(digest)
@@ -507,7 +491,7 @@ class ArtifactStore:
         artifact must survive its own write even when it alone exceeds
         the budget, or the store would thrash on every lookup.
         """
-        if self.max_disk_bytes is None or not self.use_disk:
+        if self.max_disk_bytes is None:
             return
         while True:
             with self._lock:
@@ -529,8 +513,6 @@ class ArtifactStore:
         before anything it wrote itself.  Returns the number of entries
         adopted, and enforces the budget afterwards.
         """
-        if not self.use_disk:
-            return 0
         directory = self.disk_dir
         if not directory.is_dir():
             return 0

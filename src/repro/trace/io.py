@@ -46,7 +46,6 @@ __all__ = [
     "delete_entry",
     "default_cache_dir",
     "StreamingBundleWriter",
-    "MemoryBundleWriter",
 ]
 
 #: Reserved byte length of every segment's ``.npy`` header.  The header
@@ -263,37 +262,6 @@ class StreamingBundleWriter:
         self._segments.clear()
         shutil.rmtree(self._tmp, ignore_errors=True)
         self._done = True
-
-
-class MemoryBundleWriter:
-    """In-memory stand-in for :class:`StreamingBundleWriter`.
-
-    Used when the disk tier is disabled: chunks are accumulated and
-    concatenated, so the streaming producers work unchanged (peak memory
-    is O(trace) here, but that is exactly what a memory-only cache holds
-    anyway).
-    """
-
-    def __init__(self) -> None:
-        self._chunks: Dict[str, List[np.ndarray]] = {}
-        self._order: List[str] = []
-
-    def append(self, name: str, chunk: np.ndarray) -> None:
-        chunk = np.asarray(chunk)
-        if name not in self._chunks:
-            self._chunks[name] = []
-            self._order.append(name)
-        self._chunks[name].append(chunk)
-
-    def bundle(self) -> Dict[str, np.ndarray]:
-        return {
-            name: (
-                self._chunks[name][0]
-                if len(self._chunks[name]) == 1
-                else np.concatenate(self._chunks[name])
-            )
-            for name in self._order
-        }
 
 
 def save_arrays(

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
@@ -45,6 +45,8 @@ class TestSetAssociativeMisses:
         sets_log2=st.integers(min_value=0, max_value=4),
         assoc_log2=st.integers(min_value=0, max_value=2),
     )
+    # a, b, a, c, a in one 2-way set: LRU misses 3 times, FIFO 4.
+    @example(blocks=[0, 1, 0, 2, 0], sets_log2=0, assoc_log2=1)
     @settings(max_examples=50, deadline=None)
     def test_equivalent_to_reference_cache(self, blocks, sets_log2, assoc_log2):
         num_sets = 1 << sets_log2

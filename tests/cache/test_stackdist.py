@@ -11,7 +11,7 @@ which the short random streams rarely reach.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache import MissPlane, direct_mapped_miss_sweep, miss_cube
@@ -122,6 +122,8 @@ class TestPlaneEquivalence:
         sets_log2=st.integers(min_value=0, max_value=4),
         assoc_log2=st.integers(min_value=0, max_value=2),
     )
+    # a, b, a, c, a in one 2-way set: LRU misses 3 times, FIFO 4.
+    @example(blocks=[0, 1, 0, 2, 0], sets_log2=0, assoc_log2=1)
     @settings(max_examples=40, deadline=None)
     def test_matches_reference_cache(self, blocks, sets_log2, assoc_log2):
         # The reference Cache wants power-of-two total sizes, so the

@@ -590,7 +590,6 @@ class TestPartitionedCubePath:
             specs=[benchmark_by_name(n) for n in ("small", "yacc")],
             total_instructions=120_000,
             min_benchmark_instructions=30_000,
-            use_disk_cache=False,
         )
         if cube_jobs is not None:
             session.attach_cube_jobs(cube_jobs)

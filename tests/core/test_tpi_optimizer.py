@@ -153,7 +153,6 @@ class TestOptimizer:
             specs=[benchmark_by_name("small")],
             total_instructions=60_000,
             min_benchmark_instructions=30_000,
-            use_disk_cache=False,
         )
         session.dcache_miss_cube((4, 8, 16))
         tracer = Tracer()
@@ -284,7 +283,6 @@ class TestParallelParity:
                 specs=specs,
                 total_instructions=60_000,
                 min_benchmark_instructions=30_000,
-                use_disk_cache=False,
                 **kwargs,
             )
 
@@ -329,7 +327,7 @@ class TestParallelParity:
         # One I cube per branch-slot count and one D cube, all here.
         assert builds.read_text().split() == [str(os.getpid())] * 3
         # Each benchmark loaded once, here: the workers use the session
-        # they inherit rather than rebuilding this memory-only one.
+        # they inherit rather than rebuilding it from its spec.
         assert loads.read_text().split() == [str(os.getpid())] * len(session.specs)
 
     def test_a_pool_forked_earlier_sees_cubes_built_later(
@@ -413,7 +411,6 @@ def _small_session(executor):
         specs=[benchmark_by_name("small")],
         total_instructions=60_000,
         min_benchmark_instructions=30_000,
-        use_disk_cache=False,
         executor=executor,
     )
 
@@ -442,9 +439,9 @@ def _log_session_work(monkeypatch, tmp_path):
             measurement_module, name, spy(getattr(measurement_module, name), builds)
         )
     monkeypatch.setattr(
-        SuiteMeasurement,
-        "_load_or_run_trace",
-        spy(SuiteMeasurement._load_or_run_trace, loads),
+        measurement_module,
+        "load_or_run_trace",
+        spy(measurement_module.load_or_run_trace, loads),
     )
     return builds, loads
 
@@ -482,7 +479,6 @@ class TestSerialFallback:
             specs=specs,
             total_instructions=60_000,
             min_benchmark_instructions=30_000,
-            use_disk_cache=False,
             **kwargs,
         )
 

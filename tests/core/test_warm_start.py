@@ -42,6 +42,15 @@ def session_over(cache_dir, specs=SPECS, seed=1992, tracer=None):
     )
 
 
+def compiled_key(cache, spec, seed=1992):
+    """The store key under which a session over ``cache`` keeps the
+    compiled-program bundle of ``spec``."""
+    store = ArtifactStore(cache_dir=cache)
+    measurement_module.load_or_compile(store, spec, seed)
+    (key,) = store._memory
+    return key
+
+
 def cube_digest(cube) -> str:
     digest = hashlib.sha256()
     for block in sorted(cube.hits):
@@ -174,8 +183,7 @@ def test_different_seed_misses_instead_of_colliding(cold, no_synthesis):
 def test_truncated_bundle_fails_validation_and_is_rebuilt(cold, tmp_path):
     cache, expected, _ = cold
     cache = copy_of(cache, tmp_path)
-    probe = session_over(cache)
-    digest = probe._compiled_key(SPECS[1]).digest
+    digest = compiled_key(cache, SPECS[1]).digest
     arrays = {name: np.array(a) for name, a in load_arrays(digest, cache_dir=cache).items()}
     truncated = dict(arrays, load_eps_static=arrays["load_eps_static"][:-1])
     save_arrays(digest, truncated, cache_dir=cache)
@@ -190,10 +198,9 @@ def test_truncated_bundle_fails_validation_and_is_rebuilt(cold, tmp_path):
         assert np.array_equal(rebuilt[name], array), name
 
 
-def test_compiled_key_versions(cold):
+def test_compiled_bundle_key_versions(cold):
     cache, _, _ = cold
-    session = session_over(cache)
-    key = session._compiled_key(SPECS[0])
+    key = compiled_key(cache, SPECS[0])
     assert key.kind == "compiled"
     assert key.version == LOWERING_VERSION
     params = dict(key.params)

@@ -14,6 +14,7 @@ import pytest
 from repro.core import DesignOptimizer, SuiteMeasurement, SystemConfig
 from repro.engine import executor as executor_module
 from repro.engine.executor import SweepExecutor, retire_inherited
+from repro.engine.store import ArtifactStore
 from repro.errors import ConfigurationError
 from repro.obs.tracer import Tracer
 from repro.workload import benchmark_by_name
@@ -61,13 +62,13 @@ def clean_fork_state():
     executor_module._FORK_INHERITED.update(saved)
 
 
-def _tiny_measurement(executor=None, use_disk_cache=True):
+def _tiny_measurement(executor=None, store=None):
     specs = [benchmark_by_name(name) for name in ("small", "yacc")]
     return SuiteMeasurement(
         specs=specs,
         total_instructions=60_000,
         min_benchmark_instructions=30_000,
-        use_disk_cache=use_disk_cache,
+        store=store,
         executor=executor,
     )
 
@@ -304,25 +305,27 @@ class TestSweepEquivalence:
             measurement.executor.shutdown()
         self._assert_identical(serial_points, parallel)
 
-    @pytest.mark.parametrize(
-        "use_disk_cache", [True, False], ids=["disk", "memory"]
-    )
+    @pytest.mark.parametrize("own_dir", [False, True], ids=["disk", "own-dir"])
     def test_spawned_workers_rebuild_the_session(
-        self, serial_points, monkeypatch, tmp_path, use_disk_cache
+        self, serial_points, monkeypatch, tmp_path, own_dir
     ):
         # Spawned workers cannot inherit the live session, so this pins
-        # the rebuild from the spec: a disk-backed session rehydrates
-        # from the disk store, a memory-only one re-synthesizes in each
-        # worker.
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        # the rebuild from the spec, which maps the traces back from the
+        # session's disk tier.  A session over its own directory hands
+        # that directory to the workers: the default one stays empty.
+        default = tmp_path / "default"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(default))
+        store = ArtifactStore(cache_dir=tmp_path / "own") if own_dir else None
         executor = SweepExecutor(jobs=2, start_method="spawn")
-        measurement = _tiny_measurement(executor, use_disk_cache)
-        measurement.benchmarks  # a disk-backed session persists its traces
+        measurement = _tiny_measurement(executor, store)
+        measurement.benchmarks  # persists the traces the workers map
         try:
             parallel = _fig12_points(DesignOptimizer(measurement))
         finally:
             executor.shutdown()
         self._assert_identical(serial_points, parallel)
+        if own_dir:
+            assert not default.exists() or not any(default.iterdir())
 
     def test_parallel_benchmark_synthesis_matches(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "parallel"))
@@ -335,6 +338,10 @@ class TestSweepEquivalence:
             assert np.array_equal(theirs.trace.block_ids, ours.trace.block_ids)
             assert np.array_equal(theirs.trace.went_taken, ours.trace.went_taken)
             assert theirs.trace.restarts == ours.trace.restarts
+            programs = theirs.compiled.as_arrays(), ours.compiled.as_arrays()
+            assert programs[0].keys() == programs[1].keys()
+            for name, array in programs[1].items():
+                assert np.array_equal(programs[0][name], array), name
 
     def test_parallel_cold_start_synthesizes_in_workers_only(
         self, monkeypatch, tmp_path
@@ -355,30 +362,6 @@ class TestSweepEquivalence:
         stats = parallel.store.stats()
         assert stats.misses == 0
         assert stats.disk_hits == 2 * len(benchmarks)
-
-    def test_memory_only_parallel_start_keeps_worker_programs(self):
-        def session(executor=None):
-            return SuiteMeasurement(
-                specs=[benchmark_by_name(name) for name in ("small", "yacc")],
-                total_instructions=60_000,
-                min_benchmark_instructions=30_000,
-                use_disk_cache=False,
-                executor=executor,
-            )
-
-        tracer = Tracer()
-        parallel = session(SweepExecutor(jobs=2))
-        parallel.attach_tracer(tracer)
-        try:
-            benchmarks = parallel.benchmarks
-        finally:
-            parallel.executor.shutdown()
-        assert "program.synthesize" not in _span_names(tracer.roots)
-        for theirs, ours in zip(benchmarks, session().benchmarks):
-            assert theirs.compiled.as_arrays().keys() == ours.compiled.as_arrays().keys()
-            for name, array in ours.compiled.as_arrays().items():
-                assert np.array_equal(theirs.compiled.as_arrays()[name], array)
-            assert np.array_equal(theirs.trace.block_ids, ours.trace.block_ids)
 
 
 def _span_names(spans):

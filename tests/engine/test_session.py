@@ -6,6 +6,7 @@ import pytest
 from repro.core import SuiteMeasurement
 from repro.engine.executor import SweepExecutor
 from repro.engine.session import MeasurementSpec, SessionRegistry
+from repro.engine.store import ArtifactStore
 from repro.errors import ConfigurationError
 from repro.workload import benchmark_by_name
 
@@ -108,6 +109,16 @@ class TestMeasurementSpec:
         rebuilt = original.spec().build()
         assert rebuilt.executor.is_serial  # workers never nest pools
         assert np.array_equal(rebuilt.benchmarks[0].trace.block_ids, trace.block_ids)
+
+    def test_cache_dir_rides_along_outside_the_digest(self, tmp_path):
+        # Where a session is cached is not part of what it is.
+        a, b = (
+            self._measurement(store=ArtifactStore(cache_dir=tmp_path / name)).spec()
+            for name in "ab"
+        )
+        assert (a.cache_dir, b.cache_dir) == (tmp_path / "a", tmp_path / "b")
+        assert a.digest() == b.digest()
+        assert a.build().store.disk_dir == tmp_path / "a"
 
     def test_spec_is_picklable(self):
         import pickle

@@ -32,7 +32,7 @@ class TestArtifactKey:
 
 class TestMemoryTier:
     def test_miss_then_hit_returns_same_object(self):
-        store = ArtifactStore(use_disk=False)
+        store = ArtifactStore()
         calls = []
 
         def factory():
@@ -48,7 +48,7 @@ class TestMemoryTier:
         assert stats.memory_hits == 1
 
     def test_lru_eviction_counts(self):
-        store = ArtifactStore(use_disk=False, memory_entries=2)
+        store = ArtifactStore(memory_entries=2)
         for n in range(4):
             store.get_or_create("thing", 1, lambda n=n: n, n=n)
         assert store.stats().evictions == 2
@@ -58,17 +58,17 @@ class TestMemoryTier:
         assert store.peek("thing", 1, n=0) is None
 
     def test_peek_does_not_count_or_create(self):
-        store = ArtifactStore(use_disk=False)
+        store = ArtifactStore()
         assert store.peek("thing", 1, n=1) is None
         assert store.stats().lookups == 0
 
     def test_put_then_hit(self):
-        store = ArtifactStore(use_disk=False)
+        store = ArtifactStore()
         store.put("thing", 1, "payload", n=1)
         assert store.get_or_create("thing", 1, lambda: "other", n=1) == "payload"
 
     def test_stats_report_mentions_counters(self):
-        store = ArtifactStore(use_disk=False)
+        store = ArtifactStore()
         store.get_or_create("thing", 1, lambda: 1, n=1)
         report = store.stats().report()
         assert "memory hits" in report and "misses" in report
@@ -81,7 +81,7 @@ class TestMemoryTier:
         # Regression: None is a legitimate factory result.  The memory
         # tier used to treat a cached None as absence, re-running the
         # factory (and counting a miss) on every single lookup.
-        store = ArtifactStore(use_disk=False)
+        store = ArtifactStore()
         calls = []
 
         def factory():
@@ -97,7 +97,7 @@ class TestMemoryTier:
         assert stats.memory_hits == 2
 
     def test_cached_none_survives_invalidate(self):
-        store = ArtifactStore(use_disk=False)
+        store = ArtifactStore()
         store.put("thing", 1, None, n=1)
         assert store.get_or_create("thing", 1, lambda: "fresh", n=1) is None
         store.invalidate("thing", 1, n=1)
@@ -211,11 +211,6 @@ class TestDiskTier:
         fresh.get_or_create("trace", 2, factory, persist=True, n=1)
         assert calls, "bumped version must not reuse the stale entry"
 
-    def test_use_disk_false_keeps_memory_only(self, tmp_path):
-        store = ArtifactStore(cache_dir=tmp_path, use_disk=False)
-        store.get_or_create("trace", 1, self._arrays, persist=True, n=1)
-        assert not list(tmp_path.iterdir())
-
     def test_persist_requires_array_mapping(self, tmp_path):
         store = ArtifactStore(cache_dir=tmp_path)
         with pytest.raises(ConfigurationError):
@@ -269,17 +264,6 @@ class TestGetOrStream:
         )
         assert np.array_equal(rehydrated["ids"], np.arange(100))
         assert fresh.stats().disk_hits == 1
-
-    def test_memory_only_store_concatenates(self, tmp_path):
-        store = ArtifactStore(cache_dir=tmp_path, use_disk=False)
-        arrays = store.get_or_stream("trace", 1, self._producer, n=1)
-        assert not isinstance(arrays["ids"], np.memmap)
-        assert np.array_equal(arrays["ids"], np.arange(100))
-        assert not list(tmp_path.iterdir())
-        again = store.get_or_stream(
-            "trace", 1, lambda w: pytest.fail("producer must not run"), n=1
-        )
-        assert again is arrays
 
     def test_streamed_equals_one_shot_bundle(self, tmp_path):
         streamed = ArtifactStore(cache_dir=tmp_path / "a").get_or_stream(

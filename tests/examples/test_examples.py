@@ -1,8 +1,10 @@
 """Smoke tests: every example must run end to end and say something.
 
 Examples are the public face of the library; if an API change breaks
-them, these tests fail before a user does.  (Traces are cached on disk,
-so repeat runs are quick.)
+them, these tests fail before a user does.  (They cache programs and
+traces in the run's private disk tier, ``tests/conftest.py``, so every
+run synthesizes them afresh; examples that share a suite synthesize it
+once.)
 """
 
 import runpy

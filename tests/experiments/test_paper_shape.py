@@ -39,7 +39,7 @@ from repro.experiments import (
 
 @pytest.fixture(scope="module")
 def session():
-    return SuiteMeasurement(total_instructions=400_000, use_disk_cache=False)
+    return SuiteMeasurement(total_instructions=400_000)
 
 
 # -- Tables 1-6 ----------------------------------------------------------------

@@ -31,7 +31,6 @@ def small_session():
         specs=[benchmark_by_name("small"), benchmark_by_name("linpack")],
         total_instructions=80_000,
         min_benchmark_instructions=40_000,
-        use_disk_cache=False,
     )
 
 
@@ -102,7 +101,6 @@ class TestDeterminism:
                 specs=[benchmark_by_name("small")],
                 total_instructions=30_000,
                 min_benchmark_instructions=30_000,
-                use_disk_cache=False,
             )
             model = CpiModel(session)
             config = SystemConfig(icache_kw=2, dcache_kw=2, penalty=10)
@@ -117,7 +115,6 @@ class TestDeterminism:
                 total_instructions=30_000,
                 min_benchmark_instructions=30_000,
                 seed=seed,
-                use_disk_cache=False,
             )
             return CpiModel(session).cpi(
                 SystemConfig(icache_kw=2, dcache_kw=2, penalty=10)

@@ -27,7 +27,6 @@ def _session(executor=None, total=60_000, tracer=None):
         specs=specs,
         total_instructions=total,
         min_benchmark_instructions=30_000,
-        use_disk_cache=False,
         executor=executor,
         tracer=tracer,
     )

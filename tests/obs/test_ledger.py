@@ -18,7 +18,7 @@ def _populated_ledger():
     ledger.set_run_info(scale="quick", seed=20513, total_instructions=400_000)
     ledger.set_executor_info(backend="process", jobs=4, start_method=None)
     ledger.record_experiment("fig12", 12.5)
-    store = ArtifactStore(use_disk=False)
+    store = ArtifactStore()
     store.get_or_create("thing", 1, lambda: 1, n=1)
     store.get_or_create("thing", 1, lambda: 1, n=1)
     ledger.snapshot_store(store.stats())

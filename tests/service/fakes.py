@@ -18,7 +18,7 @@ class StubSession:
     """The slice of SuiteMeasurement the scheduler touches."""
 
     def __init__(self):
-        self.store = ArtifactStore(use_disk=False)
+        self.store = ArtifactStore()
         self.tracer = NULL_TRACER
         self.job_config = None
         self.executor = types.SimpleNamespace(

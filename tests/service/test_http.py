@@ -288,7 +288,7 @@ class TestWaitPath:
         self, tmp_path, fake_sweeps, monkeypatch, caplog
     ):
         scheduler = SweepScheduler(
-            registry=stub_registry(), store=ArtifactStore(use_disk=False), workers=1
+            registry=stub_registry(), store=ArtifactStore(cache_dir=tmp_path), workers=1
         )
         # A short worker join lets stop() return while the gated job
         # still runs, so the job finishes after its waiter's loop closed.

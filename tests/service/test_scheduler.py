@@ -170,7 +170,7 @@ class TestFailure:
         registry = SessionRegistry(scales=TINY)
         registry.set("tiny", StubSession())
         sched = SweepScheduler(
-            registry=registry, store=ArtifactStore(use_disk=False), workers=1
+            registry=registry, store=ArtifactStore(cache_dir=tmp_path), workers=1
         ).start()
         fake_sweeps.gate.set()
         sched.close()
@@ -181,7 +181,7 @@ class TestFailure:
         registry = SessionRegistry(scales=TINY)
         registry.set("tiny", StubSession())
         sched = SweepScheduler(
-            registry=registry, store=ArtifactStore(use_disk=False), workers=1
+            registry=registry, store=ArtifactStore(cache_dir=tmp_path), workers=1
         ).start()
         running = sched.submit(_query([{"icache_kw": 1}]))
         while not fake_sweeps.calls:
@@ -235,13 +235,13 @@ class TestDoneCallbacks:
     PER_THREAD = 20
 
     @staticmethod
-    def _scheduler():
+    def _scheduler(tmp_path):
         return SweepScheduler(
-            registry=stub_registry(), store=ArtifactStore(use_disk=False)
+            registry=stub_registry(), store=ArtifactStore(cache_dir=tmp_path)
         )
 
-    def test_each_callback_runs_exactly_once(self):
-        sched = self._scheduler()
+    def test_each_callback_runs_exactly_once(self, tmp_path):
+        sched = self._scheduler(tmp_path)
         query = _query([{"icache_kw": 1}])
         registrars = 2 * (os.cpu_count() or 1) + 2  # more threads than cores
         tokens = itertools.count()
@@ -300,8 +300,10 @@ class TestDoneCallbacks:
         assert stats["completed"] == self.TRIALS
         assert stats["failed"] == 0
 
-    def test_a_raising_callback_is_logged_and_the_rest_still_run(self, caplog):
-        sched = self._scheduler()
+    def test_a_raising_callback_is_logged_and_the_rest_still_run(
+        self, tmp_path, caplog
+    ):
+        sched = self._scheduler(tmp_path)
         job = SweepJob(id="raises", query=_query([{"icache_kw": 1}]), tenant="public")
         ran = []
 

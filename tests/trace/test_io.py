@@ -11,7 +11,6 @@ import pytest
 
 from repro.errors import TraceError
 from repro.trace.io import (
-    MemoryBundleWriter,
     StreamingBundleWriter,
     bundle_dir,
     cache_key,
@@ -249,15 +248,3 @@ class TestStreamingBundleWriter:
         writer.finalize()
         with pytest.raises(TraceError):
             writer.finalize()
-
-
-class TestMemoryBundleWriter:
-    def test_accumulates_and_concatenates(self):
-        writer = MemoryBundleWriter()
-        writer.append("x", np.arange(3))
-        writer.append("x", np.arange(3, 7))
-        writer.append("y", np.ones(2))
-        bundle = writer.bundle()
-        assert list(bundle) == ["x", "y"]
-        assert bundle["x"].tolist() == [0, 1, 2, 3, 4, 5, 6]
-        assert bundle["y"].tolist() == [1.0, 1.0]
