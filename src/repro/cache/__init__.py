@@ -7,11 +7,12 @@
   (:mod:`~repro.cache.stackdist`) counted by a bounded backward scan at
   every block size and set count;
 * :mod:`~repro.cache.cubepart` — the one driver every session build
-  goes through: runs the same engine over each block size's stream in
-  chunks, with each finest set's most recent blocks carried in front
-  of the next chunk (exact by LRU inclusion), plus a chunked A=1
-  cross-check per block size, as tasks on an executor (worker
-  processes when it is parallel);
+  goes through: runs the same engine over each block size's stream,
+  mapped from the file a :class:`~repro.cache.cubepart.StreamFile`
+  describes, in chunks, with each finest set's most recent blocks
+  carried in front of the next chunk (exact by LRU inclusion), plus a
+  chunked A=1 cross-check per block size, as tasks on an executor
+  (worker processes when it is parallel);
 * :mod:`~repro.cache.fastsim` — an exact, vectorized miss counter for
   direct-mapped caches: the per-reference miss mask an L2 study filters
   through, and the independent single-pass size sweep every cube build
@@ -39,6 +40,7 @@ from repro.cache.misscube import (
     miss_cube_from_addresses,
 )
 from repro.cache.cubepart import (
+    StreamFile,
     partitioned_miss_cube,
     partitioned_miss_cube_from_addresses,
 )
@@ -56,6 +58,7 @@ __all__ = [
     "capacity_set_counts",
     "miss_cube",
     "miss_cube_from_addresses",
+    "StreamFile",
     "partitioned_miss_cube",
     "partitioned_miss_cube_from_addresses",
 ]

@@ -35,36 +35,33 @@ mapped on the build's executor, cubes first, one at a time as workers
 free up; each returns its worker wall seconds, which the ``cube.reduce``
 span sums per kind as ``cube_s`` and ``check_s``.
 
-**Out-of-core, shared not pickled.**  Both forms first write their input
-into one spill bundle (:class:`~repro.trace.io.StreamingBundleWriter`):
-one segment per block size for per-block streams, one address segment
-shared by every block size (shifted per chunk) for an address stream.
-Either form consumes each input in O(chunk) memory — an ndarray
-(typically a memory-mapped bundle from :meth:`~repro.engine.store.
-ArtifactStore.get_or_stream`) or any iterable of chunks, such as the
-session's instruction side, generated window by window (:meth:`~repro.
-core.measurement.SuiteMeasurement.istream_chunks`).  A task carries only
-the spill locator and
-memory-maps its segment, so nothing larger than a file locator is
-pickled and any worker — spawned, or forked for an earlier build — sees
-the arrays.
+**Read where it was written.**  A build's input is a :class:`StreamFile`:
+a small picklable description of one file of int64 references — its
+path, the per-program lengths and the quanta.  Each task maps the file
+itself, takes the programs' ranges quantum by quantum
+(:func:`~repro.trace.multiprogram.iter_interleaved`), gathers the pieces
+into whole chunks and, in the address form, shifts each chunk to its
+block size.  Nothing larger than the description is pickled, any worker
+(spawned, or forked for an earlier build) sees the file, and no stream is
+copied for a build: the session writes each block size's instruction
+stream once, per-benchmark sequences back to back, and hard-links the
+data side's already interleaved address segment (one program, one
+quantum) into the build's scratch directory (:meth:`~repro.core.
+measurement.SuiteMeasurement.warm_miss_cube`).
 
 **Failure containment.**  A worker pool that dies (``BrokenProcessPool``
-twice without progress: the executor's ``ConfigurationError``) degrades
-to the parent running the task list itself under a
-``cube.serial_fallback`` span — same segments, same engine, identical
-counts.
+twice without progress: the executor's :class:`~repro.errors.
+WorkerPoolError`) degrades to the parent running the task list itself
+under a ``cube.serial_fallback`` span — same files, same engine,
+identical counts.  A task's own error, such as a missing input file, is
+no dead pool: it surfaces as raised, and no task runs twice.
 """
 
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
 import time
-import uuid
-from contextlib import contextmanager
-from pathlib import Path
+from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
@@ -75,7 +72,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -90,22 +86,22 @@ from repro.cache.misscube import (
 )
 from repro.cache.stackdist import _dense_ids_and_prev
 from repro.engine.executor import SweepExecutor
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, WorkerPoolError
 from repro.obs.tracer import NULL_TRACER
-from repro.trace.io import StreamingBundleWriter, load_arrays
+from repro.trace.multiprogram import iter_interleaved
 
 __all__ = [
     "CHUNK_REFS",
     "DEFAULT_PARTITIONS",
+    "StreamFile",
     "partitioned_miss_cube",
     "partitioned_miss_cube_from_addresses",
 ]
 
-#: References per chunk, for every task and for the spill pass.  2^20
-#: was the fastest of 2^18, 2^20 and 2^22 on a 40M-instruction data
-#: stream (DESIGN.md §18); it keeps a task's kernel state to a few
-#: hundred megabytes and the carry (at most ``sets × max_ways`` blocks)
-#: small beside a chunk.
+#: References per chunk, for every task.  2^20 was the fastest of 2^18,
+#: 2^20 and 2^22 on a 40M-instruction data stream (DESIGN.md §18); it
+#: keeps a task's kernel state to a few hundred megabytes and the carry
+#: (at most ``sets × max_ways`` blocks) small beside a chunk.
 CHUNK_REFS = 1 << 20
 
 #: Set partitions per build: one, since nothing is split by set.
@@ -114,9 +110,6 @@ DEFAULT_PARTITIONS = 1
 #: Task kinds, in the order a build lists them.
 TASK_KINDS = ("cube", "check")
 
-#: Spill-pass chunks between two ``cube.progress`` heartbeats.
-_BEAT_CHUNKS = 32
-
 #: Test-only fault hook: ``(parent_pid, {(kind, block_words)})``.  A
 #: *forked worker* (pid differs from the recorded parent) asked to run
 #: one of the listed tasks hard-exits, simulating an OOM kill mid-build;
@@ -124,10 +117,49 @@ _BEAT_CHUNKS = 32
 #: exact.  See tests/cache/test_cubepart.py.
 _FAULT_TASKS: Optional[Tuple[int, frozenset]] = None
 
-#: Where a task finds its stream: ``(spill digest, spill directory,
-#: shifted)``, ``shifted`` for one address stream shared by every block
-#: size.
-_Locator = Tuple[str, str, bool]
+
+@dataclass(frozen=True)
+class StreamFile:
+    """Where a build's stream lies: one file of int64 references.
+
+    From byte ``offset`` on, the file holds each program's sequence back
+    to back (``lengths[i]`` references for program ``i``); the stream is
+    their round-robin interleave, ``quanta[i]`` references of program
+    ``i`` at a time.  Iterating yields the stream's pieces in order as
+    views of the mapped file, so the stream is never read whole.
+    """
+
+    path: str
+    lengths: Tuple[int, ...]
+    quanta: Tuple[int, ...]
+    offset: int = 0
+
+    @classmethod
+    def from_npy(cls, path) -> "StreamFile":
+        """A one-dimensional int64 ``.npy`` file as a one-program stream.
+
+        Its length and data offset come from the file's own header.
+        """
+        array = np.load(path, mmap_mode="r")
+        if array.dtype != np.int64 or array.ndim != 1:
+            raise ConfigurationError(
+                f"{path} holds {array.dtype} of shape {array.shape}, "
+                f"not a one-dimensional int64 stream"
+            )
+        return cls(str(path), (len(array),), (max(1, len(array)),), array.offset)
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        total = sum(self.lengths)
+        if total:
+            stream = np.memmap(
+                self.path, dtype=np.int64, mode="r", offset=self.offset, shape=(total,)
+            )
+        else:  # an empty file cannot be mapped
+            stream = np.empty(0, dtype=np.int64)
+        bounds = np.cumsum((0, *self.lengths))
+        return iter_interleaved(
+            [stream[a:b] for a, b in zip(bounds, bounds[1:])], self.quanta
+        )
 
 
 def _maybe_fault(kind: str, block_words: int) -> None:
@@ -203,57 +235,55 @@ def _chunked_counts(
 # -- tasks (module-level for pickling) -----------------------------------------
 
 
-def _task_chunks(
-    locator: _Locator, block_words: int, chunk_refs: int
+def _iter_chunks(
+    pieces: Iterable[np.ndarray], chunk_refs: int
 ) -> Iterator[np.ndarray]:
-    """A task's block stream, memory-mapped from the spill bundle and
-    read ``chunk_refs`` references at a time."""
-    digest, spill_dir, shifted = locator
-    arrays = load_arrays(digest, cache_dir=Path(spill_dir))
-    if arrays is None:
-        raise ConfigurationError(f"cube spill bundle {digest} vanished mid-build")
-    source = arrays["addresses" if shifted else f"b{block_words}"]
-    for start in range(0, len(source), chunk_refs):
-        chunk = source[start : start + chunk_refs]
-        if shifted:
-            yield addresses_to_blocks(chunk, block_words)
-        else:
-            yield np.asarray(chunk, dtype=np.int64)
+    """``pieces`` joined, as int64 chunks of exactly ``chunk_refs``
+    references (the last one shorter).
+
+    A piece at least a chunk long is sliced, never copied whole; small
+    pieces, such as the quanta of a multiprogrammed stream, are gathered
+    into whole chunks.
+    """
+    pending: List[np.ndarray] = []
+    held = 0
+    for piece in pieces:
+        while len(piece):
+            take = min(chunk_refs - held, len(piece))
+            pending.append(piece[:take])
+            piece = piece[take:]
+            held += take
+            if held == chunk_refs:
+                yield _joined(pending)
+                pending, held = [], 0
+    if pending:
+        yield _joined(pending)
+
+
+def _joined(pieces: List[np.ndarray]) -> np.ndarray:
+    if len(pieces) == 1:
+        return np.asarray(pieces[0], dtype=np.int64)
+    return np.concatenate(pieces).astype(np.int64, copy=False)
 
 
 def _run_task(item: Tuple[Any, ...]) -> Tuple[Dict[int, Any], float]:
     """Worker task: one block size's cube or ``A = 1`` check.
 
-    Returns ``(counts, wall seconds)``.
+    Maps the task's stream file and reads it ``chunk_refs`` references at
+    a time, shifting each chunk of an address stream (``shifted``) to
+    the block size.  Returns ``(counts, wall seconds)``.
     """
-    locator, kind, block_words, set_counts, max_ways, chunk_refs = item
+    stream, shifted, kind, block_words, set_counts, max_ways, chunk_refs = item
     started = time.perf_counter()
     _maybe_fault(kind, block_words)
-    counts = _chunked_counts(
-        kind,
-        _task_chunks(locator, block_words, chunk_refs),
-        block_words,
-        set_counts,
-        max_ways,
-    )
+    chunks = _iter_chunks(stream, chunk_refs)
+    if shifted:
+        chunks = (addresses_to_blocks(chunk, block_words) for chunk in chunks)
+    counts = _chunked_counts(kind, chunks, block_words, set_counts, max_ways)
     return counts, time.perf_counter() - started
 
 
-# -- one build: spill, map, check ----------------------------------------------
-
-
-@contextmanager
-def _spill_bundle(shifted: bool) -> Iterator[Tuple[StreamingBundleWriter, _Locator]]:
-    """A fresh spill bundle writer and its locator, in a temporary
-    directory removed on exit."""
-    root = Path(tempfile.mkdtemp(prefix="repro-cubepart-"))
-    digest = f"cubepart-{uuid.uuid4().hex[:16]}"
-    writer = StreamingBundleWriter(digest, cache_dir=root)
-    try:
-        yield writer, (digest, str(root), shifted)
-    finally:
-        writer.abort()  # drops an unfinished bundle; harmless once finalized
-        shutil.rmtree(root, ignore_errors=True)
+# -- one build: map, check ----------------------------------------------------
 
 
 def _checked_set_counts(
@@ -267,11 +297,11 @@ def _checked_set_counts(
 
 
 def _run_build(
-    locator: _Locator,
+    streams: Mapping[int, StreamFile],
+    shifted: bool,
     per_block: Mapping[int, Tuple[int, ...]],
-    references: Mapping[int, int],
     max_ways: int,
-    executor: SweepExecutor,
+    executor: Optional[SweepExecutor],
     tracer,
 ) -> MissCube:
     """Map the task list on the executor, then check every ``A = 1`` base.
@@ -279,9 +309,12 @@ def _run_build(
     One ``chunk_size=1`` map lets idle workers take the next task in
     list order: cube tasks before checks, each by references × set
     counts.  A pool that breaks for good (the executor's
-    ``ConfigurationError``) drops to the parent running the whole list,
-    which produces identical counts by construction.
+    :class:`~repro.errors.WorkerPoolError`) drops to the parent running
+    the whole list, which produces identical counts by construction.
     """
+    executor = executor if executor is not None else SweepExecutor()
+    tracer = tracer if tracer is not None else NULL_TRACER
+    references = {B: sum(streams[B].lengths) for B in per_block}
     tasks = sorted(
         ((kind, B) for kind in TASK_KINDS for B in per_block if per_block[B]),
         key=lambda task: (
@@ -290,7 +323,8 @@ def _run_build(
         ),
     )
     items = [
-        (locator, kind, B, per_block[B], max_ways, CHUNK_REFS) for kind, B in tasks
+        (streams[B], shifted, kind, B, per_block[B], max_ways, CHUNK_REFS)
+        for kind, B in tasks
     ]
     seconds = dict.fromkeys(TASK_KINDS, 0.0)
     with tracer.span(
@@ -303,7 +337,7 @@ def _run_build(
         span.count("fallback_tasks", 0)
         try:
             outcomes = executor.map(_run_task, items, chunk_size=1)
-        except ConfigurationError:
+        except WorkerPoolError:
             span.count("fallback_tasks", len(items))
             with tracer.span("cube.serial_fallback", tasks=len(items)):
                 outcomes = [_run_task(item) for item in items]
@@ -318,7 +352,7 @@ def _run_build(
     axes: Dict[int, Dict[int, int]] = {}
     for (kind, B), (counts, _) in zip(tasks, outcomes):
         (hits if kind == "cube" else axes)[B] = counts
-    cube = MissCube(references=dict(references), max_ways=max_ways, hits=hits)
+    cube = MissCube(references=references, max_ways=max_ways, hits=hits)
     for B, axis in axes.items():
         cube.check_base(B, axis, "cubepart")
     return cube
@@ -326,70 +360,9 @@ def _run_build(
 
 # -- the two forms --------------------------------------------------------------
 
-#: A build's input stream: an ndarray (a memory map, typically) or any
-#: iterable of chunks.
-Source = Union[np.ndarray, Iterable[np.ndarray]]
-
-
-def _iter_chunks(source: Source) -> Iterator[np.ndarray]:
-    """``source`` as int64 chunks of exactly :data:`CHUNK_REFS`
-    references (the last one shorter), whatever its pieces.
-
-    An ndarray is one piece, sliced, so it is never converted or copied
-    whole; small pieces, such as the quanta of the streamed instruction
-    side, are gathered into whole chunks, so the spill makes one write
-    per chunk.
-    """
-    pending: List[np.ndarray] = []
-    held = 0
-    for piece in [source] if isinstance(source, np.ndarray) else source:
-        piece = np.asarray(piece)
-        while len(piece):
-            take = min(CHUNK_REFS - held, len(piece))
-            pending.append(piece[:take])
-            piece = piece[take:]
-            held += take
-            if held == CHUNK_REFS:
-                yield _joined(pending)
-                pending, held = [], 0
-    if pending:
-        yield _joined(pending)
-
-
-def _joined(pieces: List[np.ndarray]) -> np.ndarray:
-    if len(pieces) == 1:
-        return np.asarray(pieces[0], dtype=np.int64)
-    return np.concatenate(pieces).astype(np.int64, copy=False)
-
-
-def _spill(
-    writer: StreamingBundleWriter,
-    sources: Mapping[str, Source],
-    form: str,
-    tracer,
-) -> Dict[str, int]:
-    """Write each source into its own segment in O(chunk) memory and
-    finalize the bundle; returns each segment's length."""
-    lengths = dict.fromkeys(sources, 0)
-    chunks = 0
-    with tracer.span("cube.spill", form=form) as span:
-        for name, source in sources.items():
-            writer.append(name, np.empty(0, dtype=np.int64))
-            for chunk in _iter_chunks(source):
-                writer.append(name, chunk)
-                lengths[name] += len(chunk)
-                chunks += 1
-                span.count("references", len(chunk))
-                span.count("chunks")
-                if chunks % _BEAT_CHUNKS == 0:
-                    with tracer.span("cube.progress", stage="spill") as beat:
-                        beat.count("references_consumed", sum(lengths.values()))
-    writer.finalize()
-    return lengths
-
 
 def partitioned_miss_cube(
-    streams: Mapping[int, Source],
+    streams: Mapping[int, StreamFile],
     set_counts: SetCounts,
     max_ways: int,
     *,
@@ -398,33 +371,19 @@ def partitioned_miss_cube(
 ) -> MissCube:
     """:func:`~repro.cache.misscube.miss_cube` through the chunked driver.
 
-    Bit-identical to the serial engine on the same inputs, and every
+    ``streams`` maps each block size to the file of its block stream.
+    Bit-identical to the serial engine on the same streams, and every
     block size's ``A = 1`` base is checked against the independent
-    direct-mapped sweep.  Each block size's stream — an ndarray or any
-    iterable of block chunks, such as the session's streamed instruction
-    side — is spilled to its own segment in O(chunk) memory; the tasks
-    run on ``executor`` (in the parent when it is serial).
+    direct-mapped sweep.  The tasks run on ``executor`` (in the parent
+    when it is serial), each mapping its block size's file in place.
     """
     blocks = checked_block_words(list(streams))
     per_block = _checked_set_counts(blocks, set_counts, max_ways)
-    executor = executor if executor is not None else SweepExecutor()
-    tracer = tracer if tracer is not None else NULL_TRACER
-    with _spill_bundle(shifted=False) as (writer, locator):
-        lengths = _spill(
-            writer, {f"b{B}": streams[B] for B in blocks}, "streams", tracer
-        )
-        return _run_build(
-            locator,
-            per_block,
-            {B: lengths[f"b{B}"] for B in blocks},
-            int(max_ways),
-            executor,
-            tracer,
-        )
+    return _run_build(streams, False, per_block, int(max_ways), executor, tracer)
 
 
 def partitioned_miss_cube_from_addresses(
-    addresses: Source,
+    addresses: StreamFile,
     block_words: Sequence[int],
     set_counts: SetCounts,
     max_ways: int,
@@ -436,27 +395,12 @@ def partitioned_miss_cube_from_addresses(
 
     Bit-identical to
     :func:`~repro.cache.misscube.miss_cube_from_addresses` on the same
-    stream, with every block size's ``A = 1`` base checked.
-    ``addresses`` may be an ndarray (a memory-mapped bundle from
-    :meth:`~repro.engine.store.ArtifactStore.get_or_stream` works
-    unchanged and is never copied whole) or any iterable of address
-    chunks; the spill pass consumes it in O(chunk) memory into one
-    address segment, which every task memory-maps and shifts to its
-    block size one chunk at a time.
+    stream, with every block size's ``A = 1`` base checked.  Every task
+    maps the one ``addresses`` file (a store segment described by
+    :meth:`StreamFile.from_npy`, typically) and shifts it to its block
+    size one chunk at a time.
     """
     blocks = checked_block_words(block_words)
     per_block = _checked_set_counts(blocks, set_counts, max_ways)
-    executor = executor if executor is not None else SweepExecutor()
-    tracer = tracer if tracer is not None else NULL_TRACER
-    with _spill_bundle(shifted=True) as (writer, locator):
-        consumed = _spill(
-            writer, {"addresses": addresses}, "addresses", tracer
-        )["addresses"]
-        return _run_build(
-            locator,
-            per_block,
-            dict.fromkeys(blocks, consumed),
-            int(max_ways),
-            executor,
-            tracer,
-        )
+    streams = dict.fromkeys(blocks, addresses)
+    return _run_build(streams, True, per_block, int(max_ways), executor, tracer)

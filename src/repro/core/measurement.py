@@ -17,10 +17,11 @@ persisted to its disk tier, so a warm start maps them back without
 synthesizing a program, and spawned sweep workers rehydrate a session
 the same way (forked ones inherit the parent's).  The instruction
 streams are never stored: a cube build generates its stream window by
-window from the traces, straight into the driver's spill
-(:meth:`SuiteMeasurement.istream_chunks`).  Miss counts live in the
-session itself: one exact ``(sets x ways)`` plane per ``(side, slots,
-block size)``, built by the chunked cube driver
+window from the traces into one file per block size, which the driver's
+tasks read in place (:meth:`SuiteMeasurement.istream_chunks`); a data
+build hard-links the address bundle's file instead.  Miss counts live
+in the session itself: one exact ``(sets x ways)`` plane per ``(side,
+slots, block size)``, built by the chunked cube driver
 (:mod:`repro.cache.cubepart`) and read directly by every
 :meth:`SuiteMeasurement.misses` query.  When the session's
 :class:`~repro.engine.executor.SweepExecutor` is parallel, per-benchmark
@@ -30,6 +31,8 @@ trace synthesis is fanned out across worker processes.
 from __future__ import annotations
 
 import hashlib
+import os
+import shutil
 import tempfile
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
@@ -54,6 +57,7 @@ from repro.sched import (
     expand_istream,
 )
 from repro.cache.cubepart import (
+    StreamFile,
     partitioned_miss_cube,
     partitioned_miss_cube_from_addresses,
 )
@@ -74,7 +78,6 @@ from repro.trace.compiled import (
 from repro.trace.multiprogram import (
     address_space_offset,
     interleave_chunks,
-    iter_interleaved,
     multiprogram_quanta,
 )
 from repro.utils.rng import DEFAULT_SEED
@@ -553,34 +556,53 @@ class SuiteMeasurement:
     # -- reference streams -----------------------------------------------------
 
     @contextmanager
+    def _scratch_dir(self) -> Iterator[Path]:
+        """A private directory for stream files, removed on exit.
+
+        It sits in the store's disk tier, beside the bundles, so a store
+        segment can be hard-linked into it and a paper-scale stream lands
+        on the disk that holds the traces.
+        """
+        root = self.store.disk_dir
+        root.mkdir(parents=True, exist_ok=True)
+        directory = Path(tempfile.mkdtemp(prefix=".cube-build-", dir=root))
+        try:
+            yield directory
+        finally:
+            shutil.rmtree(directory, ignore_errors=True)
+
+    def _stream_file(self, path: Path, lengths: Sequence[int]) -> StreamFile:
+        """``path``'s per-benchmark sequences, interleaved by the
+        session's quanta."""
+        quanta = multiprogram_quanta(lengths, self.switches)
+        return StreamFile(str(path), tuple(lengths), tuple(quanta))
+
+    @contextmanager
     def istream_chunks(
         self, slots: int, block_words: Sequence[int]
-    ) -> Iterator[Dict[int, Iterator[np.ndarray]]]:
-        """The multiprogrammed instruction stream of each block size, in chunks.
+    ) -> Iterator[Dict[int, StreamFile]]:
+        """The multiprogrammed instruction stream of each block size, as files.
 
-        Yields ``{block words: chunk iterator}``.  Joined, one block
-        size's chunks are its whole stream at cache-block granularity,
-        which this process never holds.  Each benchmark's trace is
+        Yields ``{block words: StreamFile}``.  Each benchmark's trace is
         expanded :data:`ISTREAM_WINDOW_STEPS` steps at a time, once for
         every block size (:func:`~repro.sched.expand_istream`), and each
-        window's block sequences go to one unlinked scratch file per
-        block size, benchmark after benchmark.  The quanta need every
-        benchmark's length, so the interleave starts only after the last
-        window: each iterator then maps its file and takes the
-        benchmarks' ranges in turn (:func:`~repro.trace.multiprogram.
-        iter_interleaved`).  A file is gone once its iterator is done,
-        and every file once the context exits.
+        window's cache-block sequences are appended to that block size's
+        file in a private scratch directory, benchmark after benchmark.
+        The description adds the benchmarks' lengths and the session's
+        quanta: the cube driver's tasks map the file where it lies, and
+        iterating the description yields the stream's pieces in order
+        (``np.concatenate(list(...))`` is the whole stream, which this
+        process never holds).  The files are removed when the context
+        exits.
         """
         blocks = tuple(block_words)
-        with ExitStack() as stack:
-            scratch = {
-                B: stack.enter_context(tempfile.TemporaryFile(prefix="repro-istream-"))
-                for B in blocks
-            }
+        with self._scratch_dir() as directory:
+            paths = {B: directory / f"b{B}" for B in blocks}
             lengths: Dict[int, List[int]] = {B: [] for B in blocks}
-            with self.tracer.span(
+            with ExitStack() as files, self.tracer.span(
                 "istream.expand", slots=slots, blocks=",".join(map(str, blocks))
             ) as span:
+                out = {B: files.enter_context(open(paths[B], "wb")) for B in blocks}
                 for bench in self.benchmarks:
                     translation = bench.translation(slots)
                     offset = address_space_offset(bench.index)
@@ -593,25 +615,12 @@ class SuiteMeasurement:
                             block_bytes = B * WORD_BYTES
                             sequence = stream.cache_block_sequence(block_bytes)
                             sequence += offset >> log2_int(block_bytes)
-                            scratch[B].write(sequence)
+                            out[B].write(sequence)
                             written[B] += len(sequence)
                     for B in blocks:
                         lengths[B].append(written[B])
                 span.count("references", sum(map(sum, lengths.values())))
-            yield {B: self._interleaved(scratch[B], lengths[B]) for B in blocks}
-
-    def _interleaved(self, scratch, lengths: List[int]) -> Iterator[np.ndarray]:
-        """The benchmarks' ranges, written back to back to ``scratch``,
-        interleaved by the session's quanta; ``scratch`` is closed, and
-        its disk space freed, as soon as the last range is read."""
-        with scratch:
-            scratch.flush()
-            stream = np.memmap(scratch, dtype=np.int64, mode="r")
-            bounds = np.cumsum([0, *lengths])
-            yield from iter_interleaved(
-                [stream[a:b] for a, b in zip(bounds, bounds[1:])],
-                multiprogram_quanta(lengths, self.switches),
-            )
+            yield {B: self._stream_file(paths[B], lengths[B]) for B in blocks}
 
     def dstream_address_bundle(self) -> np.ndarray:
         """The multiprogrammed data stream as byte addresses.
@@ -621,32 +630,34 @@ class SuiteMeasurement:
         addresses_to_blocks`), which commutes with the quantum interleave
         because it is elementwise and length-preserving.  Each
         benchmark's address model is expanded in one shot (chunked
-        generation would change its draw order), and the interleave is
-        emitted quantum by quantum through :meth:`~repro.engine.store.
-        ArtifactStore.get_or_stream`.  The value is a *memory-mapped*
-        view of the finished bundle: the cube driver reads it through the
-        page cache instead of holding a heap copy, and repeat sessions
-        map it straight back without re-expanding.
+        generation would change its draw order) and appended to a scratch
+        file, so one benchmark's sequence is in memory at a time; the
+        interleave is then emitted quantum by quantum from that file
+        through :meth:`~repro.engine.store.ArtifactStore.get_or_stream`.
+        The value is a *memory-mapped* view of the finished bundle, and
+        repeat sessions map it straight back without re-expanding; a cube
+        build hard-links its file instead of copying it.
         """
 
         def produce(writer) -> None:
             with self.tracer.span("dstream.expand", streamed=1):
-                sequences = []
-                for bench in self.benchmarks:
-                    refs = (
-                        bench.trace.category_counts["loads"]
-                        + bench.trace.category_counts["stores"]
-                    )
-                    model = DataReferenceModel(bench.spec, seed=self.seed)
-                    sequences.append(
-                        model.generate(refs) + address_space_offset(bench.index)
-                    )
-                quanta = multiprogram_quanta(
-                    [len(s) for s in sequences], self.switches
-                )
-                writer.append("addresses", np.empty(0, dtype=np.int64))
-                for piece in iter_interleaved(sequences, quanta):
-                    writer.append("addresses", piece)
+                with self._scratch_dir() as directory:
+                    path = directory / "addresses"
+                    lengths = []
+                    with open(path, "wb") as out:
+                        for bench in self.benchmarks:
+                            refs = (
+                                bench.trace.category_counts["loads"]
+                                + bench.trace.category_counts["stores"]
+                            )
+                            model = DataReferenceModel(bench.spec, seed=self.seed)
+                            offset = address_space_offset(bench.index)
+                            sequence = model.generate(refs) + offset
+                            out.write(sequence)
+                            lengths.append(len(sequence))
+                    writer.append("addresses", np.empty(0, dtype=np.int64))
+                    for piece in self._stream_file(path, lengths):
+                        writer.append("addresses", piece)
 
         # Streamed artifacts always persist, so the bundle carries the
         # session identity in its key: sessions at different scales
@@ -658,6 +669,24 @@ class SuiteMeasurement:
             session=self._session_digest,
         )
         return arrays["addresses"]
+
+    def _linked_dstream(self, directory: Path) -> StreamFile:
+        """The data-address segment, hard-linked into ``directory``.
+
+        The link copies nothing, and it keeps the file for the build even
+        if a disk-budget eviction deletes the store entry meanwhile.  An
+        entry evicted earlier, whose deleted file the store's memory tier
+        still maps, is streamed again first.
+        """
+        link = directory / "addresses.npy"
+        try:
+            os.link(self.dstream_address_bundle().filename, link)
+        except FileNotFoundError:
+            self.store.invalidate(
+                "dstream_addr_bundle", GENERATOR_VERSION, session=self._session_digest
+            )
+            os.link(self.dstream_address_bundle().filename, link)
+        return StreamFile.from_npy(link)
 
     # -- miss counts -------------------------------------------------------------
 
@@ -777,9 +806,13 @@ class SuiteMeasurement:
         chunked driver (:mod:`repro.cache.cubepart`, on a pool of
         ``cube_jobs`` workers), at the bounds widened to those of every
         plane it replaces, so a rebuild never narrows what a block size
-        answers.  The driver checks each block size's ``A = 1`` base
-        against the independent direct-mapped sweep before any plane is
-        kept.  Returns whether anything was built.
+        answers.  The driver's tasks read the build's stream files in
+        place, from one private scratch directory of the store's disk
+        tier that the build removes: the instruction side's files
+        (:meth:`istream_chunks`), or a hard link to the data bundle's.
+        The driver checks each block size's ``A = 1`` base against the
+        independent direct-mapped sweep before any plane is kept.
+        Returns whether anything was built.
         """
         context = f"L1-{side}"
         blocks = checked_block_words(block_words, context=context)
@@ -824,10 +857,10 @@ class SuiteMeasurement:
                     blocks=label,
                     capacity_words=capacity,
                     max_ways=ways,
-                ) as span:
+                ) as span, self._scratch_dir() as directory:
                     span.count("block_sizes", len(blocks))
-                    addresses = self.dstream_address_bundle()
-                    span.count("references", len(blocks) * len(addresses))
+                    addresses = self._linked_dstream(directory)
+                    span.count("references", len(blocks) * sum(addresses.lengths))
                     cube = partitioned_miss_cube_from_addresses(
                         addresses, blocks, set_counts, ways, **driver
                     )

@@ -33,7 +33,7 @@ from repro.core.measurement import SuiteMeasurement
 from repro.core.tcpu import system_cycle_time_ns
 from repro.core.tpi import tpi_ns
 from repro.engine.executor import SweepExecutor, evaluate_design_point
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, WorkerPoolError
 from repro.physical.model import PhysicalModel
 from repro.physical.technology import DEFAULT_PHYSICAL, PhysicalTechnology
 from repro.timing.technology import DEFAULT_TECHNOLOGY, Technology
@@ -275,7 +275,7 @@ class DesignOptimizer:
                 evaluate_design_point,
                 [(spec, self.tech, self.phys, config) for config in missing],
             )
-        except ConfigurationError as exc:
+        except WorkerPoolError as exc:
             # The worker pool is persistently broken (repeated worker
             # deaths).  The sweep itself is still computable: fall back
             # to serial in-process evaluation of the missing points,

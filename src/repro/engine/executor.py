@@ -37,7 +37,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, WorkerPoolError
 from repro.obs.tracer import NULL_TRACER
 
 __all__ = ["SweepExecutor", "BACKENDS", "retire_inherited", "teardown_failures"]
@@ -177,9 +177,10 @@ class SweepExecutor:
         returned are *kept*: only the unfinished chunks are re-dispatched
         on a fresh pool, so completed work never re-executes.  Two
         consecutive pool breaks without a single chunk completing in
-        between surface a clean :class:`~repro.errors.
-        ConfigurationError` — the executor itself stays usable either
-        way.
+        between surface a clean :class:`~repro.errors.WorkerPoolError`
+        (a :class:`~repro.errors.ConfigurationError`) — the executor
+        itself stays usable either way.  A task's own exception
+        propagates as raised.
         """
         items = list(items)
         with self.tracer.span(
@@ -219,7 +220,7 @@ class SweepExecutor:
                 span.count("pool_restarts")
                 fruitless_breaks = 0 if progressed else fruitless_breaks + 1
                 if fruitless_breaks >= 2:
-                    raise ConfigurationError(
+                    raise WorkerPoolError(
                         f"sweep worker pool crashed twice while mapping "
                         f"{len(items)} items with jobs={self.jobs} — a worker "
                         f"was killed (out of memory?); retry with fewer jobs "

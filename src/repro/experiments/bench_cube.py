@@ -10,13 +10,14 @@ For each budget this builds the session, streams the multiprogrammed
 data addresses into a disk-backed bundle, and times the whole paper
 block-size study surface — every paper block size (4/8/16 words) at
 every capacity (1-32 KW) and way count (1/2/4/8) — through the
-chunked out-of-core driver (:mod:`repro.cache.cubepart`).  It then
-builds the slots-0 instruction-side plane of the same block sizes
-through the session, which streams it from the traces into the driver
-without ever holding it whole.  Both sides are asserted bit-identical
-to the serial engine wherever both run.  Each budget runs in a fresh
-process that reports its own and its workers' peak RSS; the rows land
-in a :class:`~repro.obs.RunLedger` (written with ``--out``).
+chunked out-of-core driver (:mod:`repro.cache.cubepart`), whose tasks
+map the bundle's address segment in place.  It then builds the slots-0
+instruction-side plane of the same block sizes through the session,
+which writes it from the traces into one file per block size for the
+driver without ever holding it whole.  Both sides are asserted
+bit-identical to the serial engine wherever both run.  Each budget runs
+in a fresh process that reports its own and its workers' peak RSS; the
+rows land in a :class:`~repro.obs.RunLedger` (written with ``--out``).
 ``--scales`` is required, so a bare run never starts the
 2.4G-instruction row.
 """
@@ -35,7 +36,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.cache.cubepart import partitioned_miss_cube_from_addresses
+from repro.cache.cubepart import StreamFile, partitioned_miss_cube_from_addresses
 from repro.cache.misscube import MissCube, miss_cube, miss_cube_from_addresses
 from repro.engine.executor import SweepExecutor
 from repro.engine.store import ArtifactStore
@@ -145,7 +146,7 @@ def _scale_row(
         for _ in range(repeats):
             started = time.perf_counter()
             part_cube = partitioned_miss_cube_from_addresses(
-                addresses,
+                StreamFile.from_npy(addresses.filename),
                 blocks,
                 set_counts,
                 max(ways),
@@ -156,7 +157,7 @@ def _scale_row(
         executor.shutdown()
 
     # The slots-0 I plane, built through the session: its stream is
-    # generated from the traces straight into the driver's spill.
+    # generated from the traces into the files the driver's tasks read.
     measurement.attach_cube_jobs(cube_jobs)
     started = time.perf_counter()
     icube = measurement.icache_miss_cube(0, blocks)
@@ -164,8 +165,8 @@ def _scale_row(
 
     identical: Optional[bool] = None
     if serial_cube is not None:
-        with measurement.istream_chunks(0, blocks) as chunks:
-            streams = {B: np.concatenate(list(c)) for B, c in chunks.items()}
+        with measurement.istream_chunks(0, blocks) as files:
+            streams = {B: np.concatenate(list(f)) for B, f in files.items()}
         serial_icube = miss_cube(
             streams, {B: icube.set_counts(B) for B in blocks}, icube.max_ways
         )

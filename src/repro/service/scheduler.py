@@ -65,7 +65,6 @@ PROGRESS_SPANS = frozenset(
         "optimizer.serial_fallback",
         "imiss.cube",
         "dmiss.cube",
-        "cube.spill",
         "cube.reduce",
         "cube.progress",
         "cube.serial_fallback",

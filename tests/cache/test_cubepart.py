@@ -4,8 +4,11 @@ The driver's only contract is that it is invisible: over any stream,
 any chunk length, any block sizes, ways and set counts, and any worker
 count — including a worker pool that dies mid-build — its cube must be
 *bit-identical* to the unchunked one-shot engine on the same inputs.
+The driver reads files in place, so every test writes its streams to a
+file first (the ``files`` fixture).
 """
 
+import itertools
 import os
 import tracemalloc
 from contextlib import contextmanager
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 
 import repro.cache.cubepart as cubepart
 from repro.cache.cubepart import (
+    StreamFile,
     partitioned_miss_cube,
     partitioned_miss_cube_from_addresses,
 )
@@ -27,8 +31,9 @@ from repro.cache.misscube import (
     miss_cube_from_addresses,
 )
 from repro.engine.executor import SweepExecutor
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, WorkerPoolError
 from repro.obs.tracer import Tracer
+from repro.trace.multiprogram import interleave_chunks
 
 BLOCKS = (4, 8, 16)
 
@@ -56,6 +61,28 @@ def chunked(chunk_refs):
         yield
     finally:
         cubepart.CHUNK_REFS = saved
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """``files(*programs, quanta=None)`` writes the programs back to back
+    into a fresh file and returns its description; by default each
+    program is one quantum, so the stream is their concatenation."""
+    directory = tmp_path_factory.mktemp("streams")
+    names = itertools.count()
+
+    def write(*programs, quanta=None):
+        path = directory / f"s{next(names)}"
+        arrays = [np.asarray(p, dtype=np.int64) for p in programs]
+        with open(path, "wb") as out:
+            for array in arrays:
+                out.write(array.tobytes())
+        lengths = tuple(len(a) for a in arrays)
+        if quanta is None:
+            quanta = tuple(max(1, n) for n in lengths)
+        return StreamFile(str(path), lengths, tuple(quanta))
+
+    return write
 
 
 @pytest.fixture(scope="module")
@@ -113,14 +140,14 @@ class TestPartitionedEqualsSerial:
         max_ways=ways,
     )
     @settings(max_examples=60, deadline=None)
-    def test_out_of_core_any_chunking(self, data, addrs, blocks, max_ways):
+    def test_out_of_core_any_chunking(self, files, data, addrs, blocks, max_ways):
         stream = np.array(addrs, dtype=np.int64)
         set_counts = data.draw(set_count_lists(tuple(sorted(blocks))))
         chunk_refs = data.draw(st.integers(1, len(stream) + 8))
         serial = miss_cube_from_addresses(stream, blocks, set_counts, max_ways)
         with chunked(chunk_refs):
             got = partitioned_miss_cube_from_addresses(
-                stream, blocks, set_counts, max_ways
+                files(stream), blocks, set_counts, max_ways
             )
         assert_cubes_identical(serial, got)
 
@@ -131,7 +158,7 @@ class TestPartitionedEqualsSerial:
         max_ways=ways,
     )
     @settings(max_examples=40, deadline=None)
-    def test_per_block_streams_form(self, data, seed, blocks, max_ways):
+    def test_per_block_streams_form(self, files, data, seed, blocks, max_ways):
         rng = np.random.default_rng(seed)
         streams = {
             B: rng.integers(0, 2048, size=int(rng.integers(0, 300))).astype(
@@ -145,10 +172,18 @@ class TestPartitionedEqualsSerial:
         piece_refs = data.draw(st.integers(1, longest + 8))
         serial = miss_cube(streams, set_counts, max_ways)
         with chunked(chunk_refs):
-            got = partitioned_miss_cube(streams, set_counts, max_ways)
-            # The same streams as iterables of pieces of another length.
+            got = partitioned_miss_cube(
+                {B: files(stream) for B, stream in streams.items()},
+                set_counts,
+                max_ways,
+            )
+            # The same streams as programs of another length, each taken
+            # whole as one quantum: the tasks gather them into chunks.
             got_pieces = partitioned_miss_cube(
-                {B: _chunks(stream, piece_refs) for B, stream in streams.items()},
+                {
+                    B: files(*_chunks(stream, piece_refs))
+                    for B, stream in streams.items()
+                },
                 set_counts,
                 max_ways,
             )
@@ -163,7 +198,7 @@ class TestPartitionedEqualsSerial:
     )
     @settings(max_examples=12, deadline=None)
     def test_both_forms_on_a_two_job_pool(
-        self, pool, data, addrs, blocks, max_ways
+        self, pool, files, data, addrs, blocks, max_ways
     ):
         stream = np.array(addrs, dtype=np.int64)
         set_counts = data.draw(set_count_lists(tuple(sorted(blocks))))
@@ -172,10 +207,13 @@ class TestPartitionedEqualsSerial:
         serial = miss_cube_from_addresses(stream, blocks, set_counts, max_ways)
         with chunked(chunk_refs):
             got = partitioned_miss_cube_from_addresses(
-                stream, blocks, set_counts, max_ways, executor=pool
+                files(stream), blocks, set_counts, max_ways, executor=pool
             )
             got_streams = partitioned_miss_cube(
-                streams, set_counts, max_ways, executor=pool
+                {B: files(stream) for B, stream in streams.items()},
+                set_counts,
+                max_ways,
+                executor=pool,
             )
         assert_cubes_identical(serial, got)
         assert_cubes_identical(serial, got_streams)
@@ -200,20 +238,35 @@ class TestPartitionedEqualsSerial:
         assert got == direct_mapped_miss_sweep(stream, set_counts)
 
     @given(
-        addrs=addresses,
+        seed=st.integers(min_value=0, max_value=2**16),
+        quanta=st.lists(st.integers(1, 40), min_size=1, max_size=5),
         chunk_refs=st.integers(min_value=1, max_value=64),
     )
     @settings(max_examples=25, deadline=None)
-    def test_chunk_iterable_input_matches_array_input(self, addrs, chunk_refs):
-        stream = np.array(addrs, dtype=np.int64)
-        set_counts = capacity_set_counts(BLOCKS, 1024)
-        serial = miss_cube_from_addresses(stream, BLOCKS, set_counts, 4)
-        got = partitioned_miss_cube_from_addresses(
-            _chunks(stream, chunk_refs), BLOCKS, set_counts, 4
+    def test_per_program_file_reads_as_interleave_chunks(
+        self, files, seed, quanta, chunk_refs
+    ):
+        # A file of programs back to back, read by its quanta, is their
+        # round-robin interleave -- piece by piece, and in the cube.
+        rng = np.random.default_rng(seed)
+        programs = [
+            rng.integers(0, 1 << 12, size=int(rng.integers(0, 200)))
+            for _ in quanta
+        ]
+        stream = files(*programs, quanta=quanta)
+        expected = interleave_chunks(programs, quanta)
+        pieces = list(stream)
+        assert all(0 < len(piece) <= max(quanta) for piece in pieces)
+        np.testing.assert_array_equal(
+            np.concatenate(pieces) if pieces else np.empty(0, np.int64), expected
         )
+        set_counts = capacity_set_counts(BLOCKS, 1024)
+        serial = miss_cube_from_addresses(expected, BLOCKS, set_counts, 4)
+        with chunked(chunk_refs):
+            got = partitioned_miss_cube_from_addresses(stream, BLOCKS, set_counts, 4)
         assert_cubes_identical(serial, got)
 
-    def test_full_capacity_grid_over_many_chunks(self):
+    def test_full_capacity_grid_over_many_chunks(self, files):
         # Every level down to one set, over 20 chunks: the carry at the
         # finest level must stay exact at every coarser one.
         rng = np.random.default_rng(3)
@@ -221,23 +274,26 @@ class TestPartitionedEqualsSerial:
         counts = capacity_set_counts(BLOCKS, 8192)
         serial = miss_cube_from_addresses(addrs, BLOCKS, counts, 8)
         with chunked(1000):
-            got = partitioned_miss_cube_from_addresses(addrs, BLOCKS, counts, 8)
+            got = partitioned_miss_cube_from_addresses(
+                files(addrs), BLOCKS, counts, 8
+            )
         assert_cubes_identical(serial, got)
 
-    def test_empty_stream(self):
+    def test_empty_stream(self, files):
         counts = capacity_set_counts(BLOCKS, 256)
         empty = np.empty(0, dtype=np.int64)
         serial = miss_cube_from_addresses(empty, BLOCKS, counts, 4)
         assert_cubes_identical(
-            serial, partitioned_miss_cube_from_addresses(empty, BLOCKS, counts, 4)
+            serial,
+            partitioned_miss_cube_from_addresses(files(empty), BLOCKS, counts, 4),
         )
         assert_cubes_identical(
-            serial, partitioned_miss_cube({B: empty for B in BLOCKS}, counts, 4)
+            serial, partitioned_miss_cube({B: files(empty) for B in BLOCKS}, counts, 4)
         )
 
 
 class TestParallelWorkers:
-    def test_process_pool_reduce_is_identical(self):
+    def test_process_pool_reduce_is_identical(self, files):
         rng = np.random.default_rng(11)
         addrs = rng.integers(0, 1 << 14, size=30000).astype(np.int64)
         counts = capacity_set_counts(BLOCKS, 4096)
@@ -248,10 +304,13 @@ class TestParallelWorkers:
         try:
             with chunked(7000):
                 got = partitioned_miss_cube_from_addresses(
-                    addrs, BLOCKS, counts, 8, executor=executor
+                    files(addrs), BLOCKS, counts, 8, executor=executor
                 )
                 got_mem = partitioned_miss_cube(
-                    streams, [8, 16, 32, 64], 4, executor=executor
+                    {B: files(stream) for B, stream in streams.items()},
+                    [8, 16, 32, 64],
+                    4,
+                    executor=executor,
                 )
         finally:
             executor.shutdown()
@@ -259,7 +318,7 @@ class TestParallelWorkers:
         assert_cubes_identical(serial_mem, got_mem)
 
     def test_broken_pool_mid_reduce_falls_back_to_identical_counts(
-        self, monkeypatch
+        self, monkeypatch, files
     ):
         # The B = 8 cube task hard-exits inside any forked worker (a
         # real BrokenProcessPool, not a mock); the parent must finish
@@ -275,14 +334,14 @@ class TestParallelWorkers:
         tracer = Tracer()
         try:
             got = partitioned_miss_cube_from_addresses(
-                addrs, BLOCKS, counts, 4, executor=executor, tracer=tracer
+                files(addrs), BLOCKS, counts, 4, executor=executor, tracer=tracer
             )
         finally:
             executor.shutdown()
         assert_cubes_identical(serial, got)
         assert "cube.serial_fallback" in span_names(tracer.roots)
 
-    def test_every_task_faulting_still_identical(self, monkeypatch):
+    def test_every_task_faulting_still_identical(self, monkeypatch, files):
         rng = np.random.default_rng(13)
         streams = {B: rng.integers(0, 1024, size=8000) for B in BLOCKS}
         serial = miss_cube(streams, [8, 16, 32], 4)
@@ -296,12 +355,17 @@ class TestParallelWorkers:
         )
         executor = SweepExecutor(jobs=2)
         try:
-            got = partitioned_miss_cube(streams, [8, 16, 32], 4, executor=executor)
+            got = partitioned_miss_cube(
+                {B: files(stream) for B, stream in streams.items()},
+                [8, 16, 32],
+                4,
+                executor=executor,
+            )
         finally:
             executor.shutdown()
         assert_cubes_identical(serial, got)
 
-    def test_stub_executor_that_always_crashes_falls_back(self):
+    def test_stub_executor_that_always_crashes_falls_back(self, files):
         class _DeadExecutor:
             jobs = 4
             backend = "process"
@@ -309,24 +373,24 @@ class TestParallelWorkers:
             is_parallel = True
 
             def map(self, fn, items, chunk_size=None):
-                raise ConfigurationError("sweep worker pool crashed twice")
+                raise WorkerPoolError("sweep worker pool crashed twice")
 
         rng = np.random.default_rng(14)
         addrs = rng.integers(0, 1 << 12, size=9000).astype(np.int64)
         counts = capacity_set_counts(BLOCKS, 1024)
         serial = miss_cube_from_addresses(addrs, BLOCKS, counts, 4)
         got = partitioned_miss_cube_from_addresses(
-            addrs, BLOCKS, counts, 4, executor=_DeadExecutor()
+            files(addrs), BLOCKS, counts, 4, executor=_DeadExecutor()
         )
         assert_cubes_identical(serial, got)
 
     def test_pool_runs_every_task_even_when_an_earlier_build_forked_it(
-        self, monkeypatch
+        self, monkeypatch, files
     ):
         # Every cube task and every A=1 check must run in a worker --
         # also on a pool that an earlier build forked before this
-        # build's spill existed (bench_cube's repeats reuse one executor
-        # that way).
+        # build's input file existed (bench_cube's repeats reuse one
+        # executor that way).
         rng = np.random.default_rng(17)
         addrs = rng.integers(0, 1 << 14, size=20000).astype(np.int64)
         counts = capacity_set_counts(BLOCKS, 4096)
@@ -352,13 +416,17 @@ class TestParallelWorkers:
         try:
             builds = [
                 partitioned_miss_cube_from_addresses(
-                    addrs, BLOCKS, counts, 8, executor=executor, tracer=tracer
+                    files(addrs), BLOCKS, counts, 8, executor=executor, tracer=tracer
                 ),
                 partitioned_miss_cube_from_addresses(
-                    addrs, BLOCKS, counts, 8, executor=executor, tracer=tracer
+                    files(addrs), BLOCKS, counts, 8, executor=executor, tracer=tracer
                 ),
                 partitioned_miss_cube(
-                    streams, counts, 8, executor=executor, tracer=tracer
+                    {B: files(stream) for B, stream in streams.items()},
+                    counts,
+                    8,
+                    executor=executor,
+                    tracer=tracer,
                 ),
             ]
         finally:
@@ -375,7 +443,7 @@ class TestParallelWorkers:
 
 class TestCrossCheck:
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_disagreeing_sweep_is_fatal_in_both_forms(self, monkeypatch, jobs):
+    def test_disagreeing_sweep_is_fatal_in_both_forms(self, monkeypatch, files, jobs):
         monkeypatch.setattr(
             cubepart,
             "direct_mapped_miss_sweep",
@@ -384,12 +452,12 @@ class TestCrossCheck:
         rng = np.random.default_rng(18)
         addrs = rng.integers(0, 1 << 12, size=6000).astype(np.int64)
         counts = capacity_set_counts(BLOCKS, 1024)
-        streams = {B: addresses_to_blocks(addrs, B) for B in BLOCKS}
+        streams = {B: files(addresses_to_blocks(addrs, B)) for B in BLOCKS}
         executor = SweepExecutor(jobs=jobs)
         try:
             with pytest.raises(RuntimeError, match="A=1 base disagrees"):
                 partitioned_miss_cube_from_addresses(
-                    addrs, BLOCKS, counts, 4, executor=executor
+                    files(addrs), BLOCKS, counts, 4, executor=executor
                 )
             with pytest.raises(RuntimeError, match="A=1 base disagrees"):
                 partitioned_miss_cube(streams, counts, 4, executor=executor)
@@ -397,17 +465,74 @@ class TestCrossCheck:
             executor.shutdown()
 
 
+class TestTaskErrors:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_task_error_surfaces_once_without_a_fallback(
+        self, monkeypatch, files, jobs
+    ):
+        # A task that raises a ConfigurationError of its own is not a
+        # dead pool: the build must neither re-run its tasks in the
+        # parent nor report a serial fallback.  The failing task, the
+        # B = 16 check, is the last in the list, so at one job every
+        # task runs before the error.
+        calls = []
+        real = cubepart._chunked_counts
+
+        def failing(kind, chunks, block_words, set_counts, max_ways):
+            calls.append((kind, block_words))  # a worker appends to its own copy
+            if (kind, block_words) == ("check", 16):
+                raise ConfigurationError("the B=16 check failed on its own")
+            return real(kind, chunks, block_words, set_counts, max_ways)
+
+        monkeypatch.setattr(cubepart, "_chunked_counts", failing)
+        rng = np.random.default_rng(19)
+        addrs = rng.integers(0, 1 << 12, size=6000).astype(np.int64)
+        counts = capacity_set_counts(BLOCKS, 1024)
+        executor = SweepExecutor(jobs=jobs)
+        tracer = Tracer()
+        try:
+            with pytest.raises(ConfigurationError, match="on its own") as raised:
+                partitioned_miss_cube_from_addresses(
+                    files(addrs), BLOCKS, counts, 4, executor=executor, tracer=tracer
+                )
+        finally:
+            executor.shutdown()
+        assert not isinstance(raised.value, WorkerPoolError)
+        assert "cube.serial_fallback" not in span_names(tracer.roots)
+        (reduce,) = _spans(tracer.roots, "cube.reduce")
+        assert reduce.counters["fallback_tasks"] == 0
+        if jobs == 1:
+            tasks = [(kind, B) for kind in cubepart.TASK_KINDS for B in BLOCKS]
+            assert sorted(calls) == sorted(tasks)
+            assert calls[-1] == ("check", 16)
+        else:
+            assert calls == []
+
+    def test_a_missing_input_file_is_a_task_error(self, files):
+        stream = files(np.arange(100))
+        os.remove(stream.path)
+        executor = SweepExecutor(jobs=2)
+        tracer = Tracer()
+        try:
+            with pytest.raises(FileNotFoundError):
+                partitioned_miss_cube_from_addresses(
+                    stream, BLOCKS, [4, 8], 2, executor=executor, tracer=tracer
+                )
+        finally:
+            executor.shutdown()
+        assert "cube.serial_fallback" not in span_names(tracer.roots)
+
+
 class TestSpillChunks:
     @pytest.mark.parametrize("piece_refs", [1, 3, 10, 64, 2000])
     def test_pieces_are_gathered_into_whole_chunks(self, piece_refs):
-        # However an iterable cuts its stream, the spill writes chunks of
-        # exactly CHUNK_REFS int64 references (the last one shorter), as
-        # it does for an ndarray.
+        # However a stream is cut into pieces (a program's quanta,
+        # typically), a task reads chunks of exactly the chunk length in
+        # int64 references (the last one shorter), as from one piece.
         rng = np.random.default_rng(22)
         stream = rng.integers(0, 1 << 10, size=1003).astype(np.int32)
-        with chunked(10):
-            pieces = list(cubepart._iter_chunks(_chunks(stream, piece_refs)))
-            whole = list(cubepart._iter_chunks(stream))
+        pieces = list(cubepart._iter_chunks(_chunks(stream, piece_refs), 10))
+        whole = list(cubepart._iter_chunks([stream], 10))
         for chunks in (pieces, whole):
             assert [len(c) for c in chunks] == [10] * 100 + [3]
             assert all(c.dtype == np.int64 for c in chunks)
@@ -415,26 +540,26 @@ class TestSpillChunks:
 
 
 class TestObservability:
-    def test_spill_reduce_and_progress_spans(self):
+    def test_reduce_and_progress_spans_without_a_spill(self, files):
         rng = np.random.default_rng(15)
         addrs = rng.integers(0, 1 << 12, size=5000).astype(np.int64)
         counts = capacity_set_counts(BLOCKS, 1024)
         tracer = Tracer()
         partitioned_miss_cube_from_addresses(
-            addrs, BLOCKS, counts, 4, tracer=tracer
+            files(addrs), BLOCKS, counts, 4, tracer=tracer
         )
         names = span_names(tracer.roots)
-        assert {"cube.spill", "cube.reduce", "cube.progress"} <= names
-        (spill,) = _spans(tracer.roots, "cube.spill")
-        assert spill.counters["references"] == len(addrs)
+        assert {"cube.reduce", "cube.progress"} <= names
+        # The tasks read the input where it lies: no copy pass, no span.
+        assert "cube.spill" not in names
 
-    def test_reduce_attributes_worker_seconds_by_kind(self):
+    def test_reduce_attributes_worker_seconds_by_kind(self, files):
         rng = np.random.default_rng(20)
         addrs = rng.integers(0, 1 << 12, size=5000).astype(np.int64)
         counts = capacity_set_counts(BLOCKS, 1024)
         tracer = Tracer()
         partitioned_miss_cube_from_addresses(
-            addrs, BLOCKS, counts, 4, tracer=tracer
+            files(addrs), BLOCKS, counts, 4, tracer=tracer
         )
         (reduce,) = _spans(tracer.roots, "cube.reduce")
         # One cube task and one A=1 check per block size.
@@ -448,49 +573,33 @@ class TestObservability:
         ]
         assert beat.counters["tasks_reduced"] == 2 * len(BLOCKS)
 
-    def test_progress_counters_accumulate(self):
-        rng = np.random.default_rng(16)
-        addrs = rng.integers(0, 1 << 12, size=4000).astype(np.int64)
-        tracer = Tracer()
-        with chunked(10):
-            partitioned_miss_cube_from_addresses(
-                addrs, BLOCKS, [32, 64], 2, tracer=tracer
-            )
-        beats = _spans(tracer.roots, "cube.progress")
-        consumed = [
-            s.counters["references_consumed"]
-            for s in beats
-            if "references_consumed" in s.counters
-        ]
-        # 400 spill chunks, one heartbeat every _BEAT_CHUNKS of them.
-        every = 10 * cubepart._BEAT_CHUNKS
-        assert sorted(consumed) == list(range(every, len(addrs) + 1, every))
-
 
 class TestValidation:
-    def test_rejects_bad_geometry_before_any_task(self):
+    def test_rejects_bad_geometry_before_any_task(self, files):
+        stream = files(np.arange(4))
         with pytest.raises(ConfigurationError):
-            partitioned_miss_cube({4: np.arange(4)}, [3], 2)
+            partitioned_miss_cube({4: stream}, [3], 2)
         with pytest.raises(ConfigurationError):
-            partitioned_miss_cube_from_addresses(np.arange(4), [4], [4], 0)
+            partitioned_miss_cube_from_addresses(stream, [4], [4], 0)
         with pytest.raises(ConfigurationError):
-            partitioned_miss_cube_from_addresses(np.arange(4), [6], [4], 2)
+            partitioned_miss_cube_from_addresses(stream, [6], [4], 2)
 
 
 class TestMemory:
-    def test_peak_heap_does_not_grow_with_the_chunk_count(self):
+    def test_peak_heap_does_not_grow_with_the_chunk_count(self, files):
         # The same address-form cube over 8 chunks and over 2: each task
         # holds one chunk plus its carry, never the whole stream, so
         # quartering the chunk must not raise the peak -- it lowers it.
         rng = np.random.default_rng(21)
         addrs = rng.integers(0, 1 << 18, size=160_000).astype(np.int64)
         counts = capacity_set_counts(BLOCKS, 4096)
+        stream = files(addrs)
 
         def peak(chunks):
             with chunked(len(addrs) // chunks):
                 tracemalloc.start()
                 try:
-                    partitioned_miss_cube_from_addresses(addrs, BLOCKS, counts, 8)
+                    partitioned_miss_cube_from_addresses(stream, BLOCKS, counts, 8)
                     return tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()

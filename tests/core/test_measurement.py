@@ -1,7 +1,9 @@
 """SuiteMeasurement tests (subset session from conftest)."""
 
 import hashlib
+import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -543,7 +545,7 @@ class TestDiskCache:
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         # Plant a structurally valid but empty bundle under the exact key
-        # the session will derive.
+        # the session will derive (the spec digest included).
         planted = ArtifactStore(cache_dir=tmp_path)
         planted.put(
             "trace",
@@ -554,12 +556,15 @@ class TestDiskCache:
                 "restarts": np.array([0]),
             },
             persist=True,
-            bench="small",
-            budget=30_000,
-            seed=DEFAULT_SEED,
+            **measurement_module._trace_params(
+                benchmark_by_name("small"), 30_000, DEFAULT_SEED
+            ),
         )
-        trace = self._session().benchmarks[0].trace
+        session = self._session()
+        trace = session.benchmarks[0].trace
         assert len(trace.block_ids) > 0
+        # The session read the planted bundle, rejected it and re-walked.
+        assert session.store.stats().invalidations == 1
 
     def test_version_bump_invalidates_stale_entries(self, tmp_path, monkeypatch):
         import repro.core.measurement as measurement_module
@@ -664,3 +669,140 @@ class TestPartitionedCubePath:
                 for B in a.hits:
                     for S in a.hits[B]:
                         assert np.array_equal(a.hits[B][S], other.hits[B][S]), (B, S)
+
+
+class TestBuildReadsInPlace:
+    """A build reads each stream where its producer wrote it: the I side
+    from one file per block size, the D side from a hard link to the
+    store's address segment, both in a scratch directory of the store's
+    disk tier that the build removes."""
+
+    def _session(self, tmp_path):
+        return SuiteMeasurement(
+            specs=[benchmark_by_name(n) for n in ("small", "yacc")],
+            total_instructions=60_000,
+            min_benchmark_instructions=20_000,
+            store=ArtifactStore(cache_dir=tmp_path),
+        )
+
+    @staticmethod
+    def spy_on_tasks(monkeypatch, inspect):
+        """Call ``inspect(stream file, block size)`` ahead of every
+        driver task, while the build's files exist; returns the list of
+        what it returned."""
+        import repro.cache.cubepart as cubepart
+
+        seen = []
+        real = cubepart._run_task
+
+        def logged(item):
+            seen.append(inspect(item[0], item[3]))
+            return real(item)
+
+        monkeypatch.setattr(cubepart, "_run_task", logged)
+        return seen
+
+    @staticmethod
+    def scratch_entries(session):
+        return [
+            p.name
+            for p in session.store.disk_dir.iterdir()
+            if not p.name.endswith(".npy.d")
+        ]
+
+    def test_a_d_build_links_the_store_segment(self, monkeypatch, tmp_path):
+        import repro.engine.store as store_module
+        import repro.trace.io as io_module
+
+        session = self._session(tmp_path)
+        segment = session.dstream_address_bundle().filename  # a warm store
+        writers = []
+
+        class Counting(io_module.StreamingBundleWriter):
+            def __init__(self, *args, **kwargs):
+                writers.append(args)
+                super().__init__(*args, **kwargs)
+
+        for module in (store_module, io_module):
+            monkeypatch.setattr(module, "StreamingBundleWriter", Counting)
+        seen = self.spy_on_tasks(
+            monkeypatch,
+            lambda stream, B: (
+                Path(stream.path).parent,
+                os.path.samefile(stream.path, segment),
+            ),
+        )
+        session.dcache_miss_cube((4, 8))
+        assert writers == []
+        assert len(seen) == 4  # a cube task and a check per block size
+        ((scratch, linked),) = set(seen)
+        assert linked
+        assert scratch.parent == session.store.disk_dir
+        assert scratch.name.startswith(".")  # never taken for a bundle
+
+    def test_an_i_build_writes_each_stream_once(self, monkeypatch, tmp_path):
+        session = self._session(tmp_path)
+        seen = self.spy_on_tasks(
+            monkeypatch, lambda stream, B: (B, os.path.getsize(stream.path))
+        )
+        session.icache_miss_cube(1, (4, 8))
+        sizes = dict(seen)
+        assert set(sizes) == {4, 8}
+        for B, size in sizes.items():
+            assert size == 8 * session._planes["I", 1, B].references
+
+    def test_an_eviction_mid_build_leaves_the_plane_identical(
+        self, monkeypatch, tmp_path
+    ):
+        session = self._session(tmp_path)
+        expected = twin(session).dcache_miss_cube((4, 8))
+        segment = Path(session.dstream_address_bundle().filename)
+
+        def evict(stream, B):
+            session.store.invalidate(
+                "dstream_addr_bundle",
+                GENERATOR_VERSION,
+                session=session._session_digest,
+            )
+            return segment.exists()
+
+        seen = self.spy_on_tasks(monkeypatch, evict)
+        got = session.dcache_miss_cube((4, 8))
+        assert seen == [False] * 4  # every task ran after the eviction
+        assert cube_digest(got) == cube_digest(expected)
+
+    def test_a_segment_evicted_before_the_build_is_streamed_again(
+        self, tmp_path
+    ):
+        # A disk budget deletes the segment while the memory tier still
+        # maps it; the build cannot link a deleted file, so it streams
+        # the bundle again and links that.
+        session = self._session(tmp_path)
+        expected = twin(session).dcache_miss_cube((4,))
+        segment = Path(session.dstream_address_bundle().filename)
+        session.store.max_disk_bytes = 1
+        session.store.put("filler", 1, {"x": np.arange(3)}, persist=True)
+        assert not segment.exists()
+        got = session.dcache_miss_cube((4,))
+        assert cube_digest(got) == cube_digest(expected)
+
+    def test_no_scratch_directory_outlives_a_build(self, monkeypatch, tmp_path):
+        session = self._session(tmp_path)
+        session.icache_miss_cube(0, (4,))
+        session.dcache_miss_cube((4,))  # streams the address bundle too
+        assert self.scratch_entries(session) == []
+
+        import repro.cache.cubepart as cubepart
+
+        from tests.cache.test_cubepart import off_by_one
+
+        monkeypatch.setattr(
+            cubepart,
+            "direct_mapped_miss_sweep",
+            off_by_one(cubepart.direct_mapped_miss_sweep),
+        )
+        with pytest.raises(RuntimeError, match="A=1 base disagrees"):
+            session.icache_miss_cube(2, (4,))
+        with pytest.raises(RuntimeError, match="A=1 base disagrees"):
+            session.dcache_miss_cube((8,))
+        assert self.scratch_entries(session) == []

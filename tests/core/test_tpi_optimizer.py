@@ -19,7 +19,7 @@ from repro.core.optimizer import DesignPoint, point_order_key
 from repro.core.tcpu import side_cycle_times_ns
 from repro.core.tpi import required_tcpu_reduction
 from repro.engine.executor import SweepExecutor
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, WorkerPoolError
 from repro.obs import Tracer
 from repro.workload import benchmark_by_name
 from tests.cache.test_cubepart import span_names
@@ -451,12 +451,16 @@ class _BrokenPoolExecutor(SweepExecutor):
 
     Trace synthesis (also fanned out through the session's executor)
     runs in-process so the session still builds; only the optimizer's
-    sweep dispatch hits the scripted persistent crash.
+    sweep dispatch hits the scripted error: by default the executor's
+    persistent crash, or ``error`` (a task's own failure).
     """
 
-    def __init__(self):
+    def __init__(self, error=None):
         super().__init__(jobs=2)
         self.maps = 0
+        self.error = error or WorkerPoolError(
+            "sweep worker pool crashed twice (scripted)"
+        )
 
     def prime(self, digest, session):
         pass
@@ -466,9 +470,7 @@ class _BrokenPoolExecutor(SweepExecutor):
 
         if fn is evaluate_design_point:
             self.maps += 1
-            raise ConfigurationError(
-                "sweep worker pool crashed twice (scripted)"
-            )
+            raise self.error
         return [fn(item) for item in items]
 
 
@@ -509,3 +511,14 @@ class TestSerialFallback:
         assert span is not None
         assert span.counters["points"] == len(grid_of(fallback_opt))
         assert "crashed" in span.attrs["reason"]
+
+    def test_a_task_error_is_no_pool_crash(self):
+        # A ConfigurationError a design point raises itself surfaces as
+        # raised: the sweep is not re-run in the parent.
+        tracer = Tracer()
+        broken = _BrokenPoolExecutor(ConfigurationError("a point failed"))
+        opt = DesignOptimizer(self._tiny(executor=broken, tracer=tracer))
+        with pytest.raises(ConfigurationError, match="a point failed"):
+            opt.sweep(opt.symmetric_grid(SystemConfig(penalty=10)))
+        assert broken.maps == 1
+        assert self._find_span(tracer.roots, "optimizer.serial_fallback") is None

@@ -15,7 +15,7 @@ from repro.core import DesignOptimizer, SuiteMeasurement, SystemConfig
 from repro.engine import executor as executor_module
 from repro.engine.executor import SweepExecutor, retire_inherited
 from repro.engine.store import ArtifactStore
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, WorkerPoolError
 from repro.obs.tracer import Tracer
 from repro.workload import benchmark_by_name
 
@@ -225,10 +225,11 @@ class TestDefaultChunk:
 class TestBrokenPoolRecovery:
     def test_persistent_crash_raises_configuration_error(self):
         # A worker that always dies must surface a clean library error,
-        # not a raw BrokenProcessPool, after one fresh-pool retry.
+        # not a raw BrokenProcessPool, after one fresh-pool retry: the
+        # ConfigurationError subclass that callers may fall back on.
         executor = SweepExecutor(jobs=2)
         try:
-            with pytest.raises(ConfigurationError, match="worker pool crashed"):
+            with pytest.raises(WorkerPoolError, match="worker pool crashed"):
                 executor.map(_exit_hard, list(range(8)))
         finally:
             executor.shutdown()
