@@ -9,11 +9,12 @@ misses the BTB or is mispredicted (the ``+1`` refills the BTB entry).
 """
 
 from repro.branchpred.btb import BranchTargetBuffer, BTBStats
-from repro.branchpred.streams import CtiStream, cti_stream
+from repro.branchpred.streams import CtiStream, WindowedCtiStream, cti_stream
 
 __all__ = [
     "BranchTargetBuffer",
     "BTBStats",
     "CtiStream",
+    "WindowedCtiStream",
     "cti_stream",
 ]

@@ -71,6 +71,14 @@ class BTBStats:
         """CPI increase given the dynamic CTI fraction (Table 4)."""
         return cti_fraction * (self.cycles_per_cti(delay_cycles) - 1.0)
 
+    def __add__(self, other: "BTBStats") -> "BTBStats":
+        """The outcome over two pieces of one stream, simulated in turn."""
+        return BTBStats(
+            ctis=self.ctis + other.ctis,
+            hits=self.hits + other.hits,
+            correct=self.correct + other.correct,
+        )
+
 
 class BranchTargetBuffer:
     """Direct-mapped BTB with 2-bit counters.
@@ -128,7 +136,10 @@ class BranchTargetBuffer:
     ) -> BTBStats:
         """Run a CTI stream through the BTB and aggregate statistics.
 
-        The arrays are walked :data:`SIMULATE_SLICE` CTIs at a time.
+        The arrays are walked :data:`SIMULATE_SLICE` CTIs at a time.  The
+        buffer keeps its state between calls, so feeding a stream piece
+        by piece and adding the pieces' statistics gives the outcome of
+        one call over the whole stream.
         """
         if not (len(pcs) == len(taken) == len(targets)):
             raise ConfigurationError("pcs, taken, targets must be parallel")

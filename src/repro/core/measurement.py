@@ -42,7 +42,8 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.branchpred import BranchTargetBuffer, BTBStats, cti_stream
+from repro.branchpred import BranchTargetBuffer, BTBStats, WindowedCtiStream
+from repro.branchpred.btb import DEFAULT_ENTRIES
 from repro.engine.executor import SweepExecutor
 from repro.engine.session import MeasurementSpec
 from repro.engine.store import ArtifactStore
@@ -77,7 +78,7 @@ from repro.trace.compiled import (
 )
 from repro.trace.multiprogram import (
     address_space_offset,
-    interleave_chunks,
+    iter_interleaved,
     multiprogram_quanta,
 )
 from repro.utils.rng import DEFAULT_SEED
@@ -109,6 +110,10 @@ _CUBE_MAX_KW = 32
 #: build, so a build's expansion holds a few megabytes however long the
 #: trace (a benchmark of a 1M-instruction session fits in one window).
 ISTREAM_WINDOW_STEPS = 1 << 16
+
+#: Trace steps whose CTIs the BTB simulation extracts at a time, so it
+#: holds a window's and a quantum's CTIs however long the trace.
+CTI_WINDOW_STEPS = 1 << 16
 
 #: Largest associativity the paper studies.  Planes are always built at
 #: least this deep, so direct-mapped lookups and associativity sweeps
@@ -262,12 +267,11 @@ class _Benchmark:
     spec: BenchmarkSpec
     compiled: CompiledProgram
     trace: ExecutionTrace
-    translations: Dict[int, TranslationFile]
 
     def translation(self, slots: int) -> TranslationFile:
-        if slots not in self.translations:
-            self.translations[slots] = TranslationFile(self.compiled, slots)
-        return self.translations[slots]
+        """A fresh ``slots``-delay-slot translation (a few O(blocks)
+        array expressions, so no caller keeps one past its own use)."""
+        return TranslationFile(self.compiled, slots)
 
 
 class SuiteMeasurement:
@@ -445,15 +449,7 @@ class SuiteMeasurement:
                     trace = load_or_run_trace(
                         self.store, spec, self.seed, budget, compiled, self.tracer
                     )
-                    built.append(
-                        _Benchmark(
-                            index=index,
-                            spec=spec,
-                            compiled=compiled,
-                            trace=trace,
-                            translations={},
-                        )
-                    )
+                    built.append(_Benchmark(index, spec, compiled, trace))
                 self._benchmarks = built
         return self._benchmarks
 
@@ -521,18 +517,30 @@ class SuiteMeasurement:
     @cached_property
     def btb_stats(self) -> BTBStats:
         """BTB outcome over the multiprogrammed CTI stream (Table 4)."""
-        streams = [cti_stream(b.trace) for b in self.benchmarks]
-        offset_streams = [
-            stream.with_offset(address_space_offset(i))
-            for i, stream in enumerate(streams)
+        return self.btb_sweep((DEFAULT_ENTRIES,))[DEFAULT_ENTRIES]
+
+    def btb_sweep(self, entries: Sequence[int]) -> Dict[int, BTBStats]:
+        """BTB outcomes at several sizes, from one walk of the CTI stream.
+
+        Each benchmark's CTIs are extracted :data:`CTI_WINDOW_STEPS`
+        trace steps at a time (:class:`~repro.branchpred.WindowedCtiStream`)
+        and interleaved by the session's quanta; every piece goes through
+        one buffer per size in turn.  The walk holds a window's and a
+        quantum's CTIs, never the stream.
+        """
+        buffers = {n: BranchTargetBuffer(n) for n in entries}
+        stats = dict.fromkeys(buffers, BTBStats(ctis=0, hits=0, correct=0))
+        sources = [
+            WindowedCtiStream(
+                b.trace, CTI_WINDOW_STEPS, address_space_offset(b.index)
+            )
+            for b in self.benchmarks
         ]
-        quanta = multiprogram_quanta([len(s) for s in offset_streams], self.switches)
-        pcs = interleave_chunks([s.pcs for s in offset_streams], quanta)
-        taken = interleave_chunks(
-            [s.taken.astype(np.int8) for s in offset_streams], quanta
-        )
-        targets = interleave_chunks([s.targets for s in offset_streams], quanta)
-        return BranchTargetBuffer().simulate(pcs, taken.astype(bool), targets)
+        quanta = multiprogram_quanta([len(s) for s in sources], self.switches)
+        for piece in iter_interleaved(sources, quanta):
+            for n, buffer in buffers.items():
+                stats[n] += buffer.simulate(piece.pcs, piece.taken, piece.targets)
+        return stats
 
     @cached_property
     def load_slack(self) -> LoadSlackAnalysis:

@@ -442,7 +442,3 @@ class DesignOptimizer:
     def optimize_symmetric(self, base: SystemConfig) -> DesignPoint:
         """Optimum over the paper's symmetric (b = l focus) grid."""
         return self.best(self.symmetric_grid(base))
-
-    def optimize_asymmetric(self, base: SystemConfig) -> DesignPoint:
-        """Optimum over the full asymmetric grid."""
-        return self.best(self.asymmetric_grid(base))

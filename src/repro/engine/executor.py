@@ -281,21 +281,23 @@ class SweepExecutor:
             )
         return self._pool
 
-    def _shutdown_pool(self) -> None:
+    def _shutdown_pool(self, wait: bool = False) -> None:
         # getattr: __del__ reaches here even when __init__ raised before
         # the executor finished constructing (no _pool attribute yet).
         pool = getattr(self, "_pool", None)
         if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+            pool.shutdown(wait=wait, cancel_futures=True)
             self._pool = None
 
-    def retire_pool(self) -> None:
+    def retire_pool(self, wait: bool = False) -> None:
         """Shut the worker pool down but keep the primed session.
 
         The next :meth:`map` forks fresh workers, which see everything
-        the parent has built since the retired pool forked.
+        the parent has built since the retired pool forked.  With
+        ``wait``, returns once every worker has exited and been reaped,
+        so the process's ``RUSAGE_CHILDREN`` figures include them.
         """
-        self._shutdown_pool()
+        self._shutdown_pool(wait)
 
     def shutdown(self) -> None:
         """Release worker processes and primed state (stays usable).

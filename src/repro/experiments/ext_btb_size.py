@@ -12,16 +12,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
-from repro.branchpred import BranchTargetBuffer, cti_stream
 from repro.core import SuiteMeasurement
 from repro.experiments.common import ExperimentResult, get_measurement
-from repro.trace.multiprogram import (
-    address_space_offset,
-    interleave_chunks,
-    multiprogram_quanta,
-)
 from repro.utils.tables import render_table
 
 __all__ = ["run", "BTB_SIZES"]
@@ -31,21 +23,9 @@ BTB_SIZES = (64, 256, 1024, 4096)
 
 def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
     measurement = measurement or get_measurement()
-    streams = [
-        cti_stream(bench.trace).with_offset(address_space_offset(bench.index))
-        for bench in measurement.benchmarks
-    ]
-    quanta = multiprogram_quanta([len(s) for s in streams], measurement.switches)
-    pcs = interleave_chunks([s.pcs for s in streams], quanta)
-    taken = interleave_chunks([s.taken.astype(np.int8) for s in streams], quanta)
-    targets = interleave_chunks([s.targets for s in streams], quanta)
-
     rows = []
     data = {}
-    for entries in BTB_SIZES:
-        stats = BranchTargetBuffer(entries=entries).simulate(
-            pcs, taken.astype(bool), targets
-        )
+    for entries, stats in measurement.btb_sweep(BTB_SIZES).items():
         rows.append(
             [
                 entries,

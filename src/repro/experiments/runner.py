@@ -36,7 +36,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.engine.session import DEFAULT_REGISTRY, SessionRegistry
 from repro.errors import ConfigurationError
@@ -121,6 +121,16 @@ EXTENSION_EXPERIMENTS: Dict[str, Callable] = {
     "ext_l2": ext_l2.run,
     "ext_quantum": ext_quantum.run,
 }
+
+
+def _reaped_peaks(measurement: Any) -> Dict[str, float]:
+    """The run's peak RSS figures, taken after the session's sweep pool
+    is shut down and its workers reaped: ``RUSAGE_CHILDREN`` counts only
+    children that have been waited for."""
+    executor = getattr(measurement, "executor", None)
+    if executor is not None:
+        executor.retire_pool(wait=True)
+    return peak_rss_mb()
 
 
 def list_experiments() -> str:
@@ -230,7 +240,7 @@ def run_experiments(
     store = getattr(measurement, "store", None)
     if store is not None:
         ledger.snapshot_store(store.stats())
-    ledger.set_run_info(**peak_rss_mb())
+    ledger.set_run_info(**_reaped_peaks(measurement))
     if job_config is not None:
         ledger.set_jobs_info(
             run_dir=str(job_config.run_dir),
@@ -410,7 +420,7 @@ def optimize_main(argv: Optional[List[str]] = None) -> int:
         store = getattr(measurement, "store", None)
         if store is not None:
             ledger.snapshot_store(store.stats())
-        ledger.set_run_info(**peak_rss_mb())
+        ledger.set_run_info(**_reaped_peaks(measurement))
         ledger.write(args.metrics)
         args.metrics.with_suffix(".txt").write_text(
             ledger.render_summary() + "\n"

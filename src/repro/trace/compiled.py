@@ -14,7 +14,9 @@ static prediction and indirect flag, and each static load's static and
 dynamic epsilon.  :meth:`CompiledProgram.as_arrays` and
 :meth:`CompiledProgram.from_arrays` round-trip it through a flat array
 bundle, which a measurement session persists per program, so a warm start
-neither synthesizes nor re-lowers a program.  Only
+neither synthesizes nor re-lowers a program.  A rebuilt lowering keeps
+the bundle's block names mapped and decodes them only when ``names`` or
+``index`` is first read; no run's hot path reads either.  Only
 :meth:`CompiledProgram.block_instructions` (and the instruction-level
 analyses built on it) needs the original :class:`~repro.program.cfg.Program`.
 """
@@ -326,7 +328,8 @@ class CompiledProgram:
         """Rebuild a lowering from :meth:`as_arrays` output, without the
         program: no synthesis, no instruction lists, no re-lowering.
 
-        Memory-mapped inputs stay zero-copy (and read-only).
+        Memory-mapped inputs stay zero-copy (and read-only), the block
+        names included: they are decoded on first use.
         """
         if not compiled_arrays_valid(arrays):
             raise TraceError("not a complete compiled-program bundle")
@@ -335,11 +338,16 @@ class CompiledProgram:
         self.name = str(arrays["name"][0])
         self.text_base = int(arrays["text_base"][0])
         self.entry_id = int(arrays["entry_id"][0])
-        self.names = arrays["names"].tolist()
+        self._names_array = arrays["names"]
         for name in _ARRAY_DTYPES:
             setattr(self, name, np.asarray(arrays[name]))
         self._init_walk_caches()
         return self
+
+    @cached_property
+    def names(self) -> List[str]:
+        """Block names, decoded from the bundle's array on first read."""
+        return self._names_array.tolist()
 
     @cached_property
     def index(self) -> Dict[str, int]:
@@ -354,7 +362,7 @@ class CompiledProgram:
         return [flat[offsets[i]:offsets[i + 1]] for i in range(len(self))]
 
     def __len__(self) -> int:
-        return len(self.names)
+        return len(self.lengths)
 
     @property
     def static_words(self) -> int:

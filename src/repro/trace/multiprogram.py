@@ -82,7 +82,10 @@ def iter_interleaved(
     concatenating the yielded views reproduces
     ``interleave_chunks(arrays, chunk_sizes)`` bit for bit, while the
     caller — a streaming bundle producer, typically — holds one quantum
-    at a time instead of the whole interleaved stream.
+    at a time instead of the whole interleaved stream.  A source needs
+    only ``len()`` and slicing, and each source's slices are taken front
+    to back without gaps, so a source may produce its elements as they
+    are asked for (:class:`~repro.branchpred.WindowedCtiStream` does).
     """
     _check_interleave_args(arrays, chunk_sizes)
     cursors = [0] * len(arrays)

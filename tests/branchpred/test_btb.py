@@ -187,3 +187,63 @@ class TestCtiStreamIntegration:
         stats = BranchTargetBuffer().simulate(stream.pcs, stream.taken, stream.targets)
         # Neither perfect nor useless (paper's effective wrong rate ~0.22).
         assert 0.05 < stats.wrong_rate < 0.50
+
+
+class TestWindowedCtiStream:
+    """A trace's CTIs read window by window, against the whole stream."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        from repro.trace import execute_program
+        from repro.workload import benchmark_by_name, synthesize_program
+
+        return execute_program(synthesize_program(benchmark_by_name("small")), 20_000)
+
+    @pytest.mark.parametrize("window", [1, 2, 7, 1 << 20])
+    @pytest.mark.parametrize("quantum", [1, 5, 333])
+    def test_slices_concatenate_to_the_whole_stream(self, trace, window, quantum):
+        from repro.branchpred.streams import CtiStream, WindowedCtiStream, cti_stream
+
+        whole = cti_stream(trace).with_offset(1 << 36)
+        windowed = WindowedCtiStream(trace, window, offset=1 << 36)
+        assert len(windowed) == len(whole) > 1000
+        pieces = [
+            windowed[start : start + quantum]
+            for start in range(0, len(windowed), quantum)
+        ]
+        assert all(len(p) == quantum for p in pieces[:-1])
+        joined = CtiStream.concatenate(pieces)
+        for name in ("pcs", "taken", "targets"):
+            np.testing.assert_array_equal(getattr(joined, name), getattr(whole, name))
+
+    def test_step_ranges_concatenate_to_the_whole_stream(self, trace):
+        from repro.branchpred.streams import CtiStream, cti_count, cti_stream
+
+        whole = cti_stream(trace)
+        bounds = [0, 1, 2, 500, 501, trace.steps - 2, trace.steps - 1, trace.steps + 5]
+        joined = CtiStream.concatenate(
+            [cti_stream(trace, a, b) for a, b in zip(bounds, bounds[1:])]
+        )
+        np.testing.assert_array_equal(joined.pcs, whole.pcs)
+        np.testing.assert_array_equal(joined.taken, whole.taken)
+        assert cti_count(trace) == len(whole)
+
+    def test_slices_are_read_in_order(self, trace):
+        from repro.branchpred.streams import WindowedCtiStream
+        from repro.errors import TraceError
+
+        windowed = WindowedCtiStream(trace, 64)
+        windowed[0:10]
+        with pytest.raises(TraceError):
+            windowed[20:30]
+
+    def test_short_traces_have_no_ctis(self, trace):
+        from repro.branchpred.streams import WindowedCtiStream, cti_count, cti_stream
+        from repro.trace.executor import ExecutionTrace
+
+        for steps in (0, 1):
+            short = ExecutionTrace(
+                trace.compiled, trace.block_ids[:steps], trace.went_taken[:steps], 0
+            )
+            assert cti_count(short) == len(cti_stream(short)) == 0
+            assert len(WindowedCtiStream(short, 4)) == 0

@@ -69,3 +69,34 @@ def eager_istream_blocks(session, slots, block_words):
         sequences.append(blocks + (address_space_offset(bench.index) >> shift))
     quanta = multiprogram_quanta([len(s) for s in sequences], session.switches)
     return interleave_chunks(sequences, quanta)
+
+
+def eager_btb_stats(session, entries):
+    """BTB outcomes over a session's whole CTI stream, held in one piece.
+
+    Each benchmark's CTIs are extracted from its whole trace, the three
+    arrays are interleaved by :func:`~repro.trace.multiprogram.
+    interleave_chunks`, and one ``simulate`` call walks them per size:
+    the eager path the windowed ``btb_sweep`` replaced.  Returns
+    ``{entries: BTBStats}``.
+    """
+    from repro.branchpred import BranchTargetBuffer, cti_stream
+    from repro.trace.multiprogram import (
+        address_space_offset,
+        interleave_chunks,
+        multiprogram_quanta,
+    )
+
+    streams = [
+        cti_stream(bench.trace).with_offset(address_space_offset(bench.index))
+        for bench in session.benchmarks
+    ]
+    quanta = multiprogram_quanta([len(s) for s in streams], session.switches)
+    pcs, taken, targets = (
+        interleave_chunks([getattr(s, name) for s in streams], quanta)
+        for name in ("pcs", "taken", "targets")
+    )
+    return {
+        n: BranchTargetBuffer(entries=n).simulate(pcs, taken, targets)
+        for n in entries
+    }

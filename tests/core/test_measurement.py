@@ -18,7 +18,11 @@ from repro.workload import benchmark_by_name
 
 from tests.cache.oracles import set_associative_misses
 from tests.cache.test_cubepart import chunked
-from tests.core.oracles import eager_dstream_addresses, eager_istream_blocks
+from tests.core.oracles import (
+    eager_btb_stats,
+    eager_dstream_addresses,
+    eager_istream_blocks,
+)
 
 
 def cube_digest(cube) -> str:
@@ -319,6 +323,107 @@ class TestStreamedIstream:
         (short, short_peak), (long, long_peak) = build(60_000), build(120_000)
         assert long > 1.8 * short > 20 * 4096
         assert long_peak <= 1.25 * short_peak
+
+
+def btb_in_windows(monkeypatch, steps):
+    """Extract the BTB's CTIs ``steps`` trace steps at a time."""
+    import repro.core.measurement as measurement_module
+
+    monkeypatch.setattr(measurement_module, "CTI_WINDOW_STEPS", steps)
+
+
+class TestStreamedBtb:
+    """The windowed BTB walk, against one simulate() over the whole stream."""
+
+    @pytest.mark.parametrize("steps", [1, 2, 97, 1 << 16])
+    def test_btb_stats_and_ext_btb_size_equal_the_whole_stream(
+        self, monkeypatch, private_cache_dir, steps
+    ):
+        from repro.experiments import ext_btb_size
+
+        # A 1,000-instruction quantum cuts each benchmark into dozens of
+        # quanta, so pieces start and end inside windows (and, at one or
+        # two steps per window, span many windows).
+        btb_in_windows(monkeypatch, steps)
+        session = SuiteMeasurement(
+            specs=[benchmark_by_name(name) for name in ("small", "yacc")],
+            total_instructions=60_000,
+            quantum_instructions=1_000,
+            min_benchmark_instructions=10_000,
+            store=ArtifactStore(cache_dir=private_cache_dir),
+        )
+        assert session.switches >= 25
+        expected = eager_btb_stats(session, ext_btb_size.BTB_SIZES)
+        assert session.btb_stats == expected[256]
+        data = ext_btb_size.run(session).data
+        assert list(data) == list(ext_btb_size.BTB_SIZES)
+        for entries, stats in expected.items():
+            assert data[entries] == {
+                "hit_rate": stats.hit_rate,
+                "wrong_rate": stats.wrong_rate,
+                "cycles_per_cti_2": stats.cycles_per_cti(2),
+            }
+
+    def test_peak_heap_does_not_grow_with_the_budget(self, monkeypatch, tmp_path):
+        # With small windows and a fixed quantum, the walk holds a
+        # window's and a quantum's CTIs, never the stream: doubling the
+        # session's budget must not raise its peak.  (Interleaving whole
+        # per-benchmark streams first grows it about 1.5x.)
+        btb_in_windows(monkeypatch, 512)
+        specs = [benchmark_by_name(name) for name in ("small", "yacc")]
+
+        def walk(total):
+            session = SuiteMeasurement(
+                specs=specs,
+                total_instructions=total,
+                quantum_instructions=2_000,
+                min_benchmark_instructions=10_000,
+                store=ArtifactStore(cache_dir=tmp_path),
+            )
+            session.canonical_instructions  # the per-block counts, up front
+            tracemalloc.start()
+            try:
+                stats = session.btb_stats
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return stats.ctis, peak
+
+        (short, short_peak), (long, long_peak) = walk(120_000), walk(240_000)
+        assert long > 1.8 * short > 40 * 512
+        assert long_peak <= 1.25 * short_peak
+
+
+class TestLeanSession:
+    """Between queries a session holds mapped bundles and small aggregates."""
+
+    #: The conftest subset's block names, decoded, take about 3 MB.
+    RETAINED_BOUND = 1 << 20
+
+    def test_a_warm_session_retains_under_a_megabyte(self, measurement):
+        measurement.dstream_address_bundle()  # the store is warm
+        session = twin(measurement)
+        tracemalloc.start()
+        try:
+            session.benchmarks
+            session.warm_miss_cube("I", (4,), 0, slots=0)
+            session.warm_miss_cube("D", (4,), 0)
+            retained = tracemalloc.get_traced_memory()[0]
+            [bench.compiled.names for bench in session.benchmarks]
+            with_names = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < self.RETAINED_BOUND
+        assert with_names - retained > self.RETAINED_BOUND
+
+    def test_names_decode_on_first_read(self, measurement):
+        compiled = twin(measurement).benchmarks[0].compiled
+        assert "names" not in vars(compiled) and "index" not in vars(compiled)
+        assert len(compiled) == len(compiled.lengths)
+        assert "names" not in vars(compiled)
+        assert compiled.names == measurement.benchmarks[0].compiled.names
+        assert all(type(name) is str for name in compiled.names)
+        assert compiled.index[compiled.names[-1]] == len(compiled) - 1
 
 
 class TestMissPlanes:

@@ -198,6 +198,15 @@ class TestShutdownRetirement:
         assert clean_fork_state == {"digest-a": session}
         executor.shutdown()
 
+    def test_retire_pool_can_wait_until_the_workers_are_reaped(self):
+        executor = SweepExecutor(jobs=2)
+        assert executor.map(_square, list(range(8))) == [n * n for n in range(8)]
+        workers = list(executor._pool._processes.values())
+        executor.retire_pool(wait=True)
+        assert workers and all(w.exitcode is not None for w in workers)
+        assert executor.map(_square, [3, 4]) == [9, 16]
+        executor.shutdown()
+
 
 class TestDefaultChunk:
     def test_chunk_never_exceeds_item_count(self):

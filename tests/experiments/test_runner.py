@@ -3,6 +3,10 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +129,35 @@ class TestObservabilityFlags:
             registry=registry, profile=True,
         )
         assert measurement.tracer is NULL_TRACER
+
+
+class TestWorkerPeak:
+    def test_a_jobs_2_ledger_counts_the_sweep_pool(self, tmp_path):
+        # The sweep pool outlives the sweeps; the runner reaps it before
+        # the ledger reads RUSAGE_CHILDREN, which counts only reaped
+        # workers.  A forked worker's peak includes the pages it
+        # inherited, tens of MB; an unreaped pool left the figure at a
+        # few MB.  Fresh processes, because this one has reaped others,
+        # and a warm store, because a cold run's trace workers are
+        # reaped anyway.
+        import repro
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH")])
+        )
+
+        def runner(*args):
+            subprocess.run(
+                [sys.executable, "-m", "repro.experiments.runner", *args],
+                check=True, env=env, stdout=subprocess.DEVNULL,
+            )
+
+        metrics = tmp_path / "m.json"
+        runner("table2", "--scale", "quick")
+        runner("fig12", "--scale", "quick", "--jobs", "2", "--metrics", str(metrics))
+        run = RunLedger.load(metrics)["run"]
+        assert run["worker_peak_rss_mb"] > 20, run
 
 
 class TestDurableFlags:
