@@ -22,8 +22,9 @@ tasks read in place (:meth:`SuiteMeasurement.istream_chunks`); a data
 build hard-links the address bundle's file instead.  Miss counts live
 in the session itself: one exact ``(sets x ways)`` plane per ``(side,
 slots, block size)``, built by the chunked cube driver
-(:mod:`repro.cache.cubepart`) and read directly by every
-:meth:`SuiteMeasurement.misses` query.  When the session's
+(:mod:`repro.cache.cubepart`), on one worker pool that the session forks
+at its first parallel build and keeps for later ones, and read directly
+by every :meth:`SuiteMeasurement.misses` query.  When the session's
 :class:`~repro.engine.executor.SweepExecutor` is parallel, per-benchmark
 trace synthesis is fanned out across worker processes.
 """
@@ -339,6 +340,10 @@ class SuiteMeasurement:
         #: the driver's tasks (:mod:`repro.cache.cubepart`) run in this
         #: process at 1 and on a pool of that many workers above.
         self.cube_jobs = 1
+        #: The builds' executor (:meth:`_build_executor`): its pool forks
+        #: at the first parallel build and serves every later one until
+        #: :meth:`retire_cube_pool` ends the build phase.
+        self._cube_executor: Optional[SweepExecutor] = None
         #: Exact miss counts, one plane per ``(side, slots, block_words)``
         #: (``slots`` None on the D side); :meth:`warm_miss_cube` is the
         #: only writer.
@@ -363,8 +368,10 @@ class SuiteMeasurement:
         """Run miss-cube builds on a pool of ``jobs`` worker processes.
 
         Every build goes through :mod:`repro.cache.cubepart`; ``jobs > 1``
-        maps its tasks on a process executor of that width, ``None`` or 1
-        runs them in this process.  The counts, and so the session's miss
+        maps its tasks on the session's one build pool of that width,
+        ``None`` or 1 runs them in this process.  A new width retires the
+        current pool (:meth:`retire_cube_pool`), so the next build forks
+        one of the new width.  The counts, and so the session's miss
         planes, are the same either way.
         """
         jobs = int(jobs) if jobs is not None else 1
@@ -372,7 +379,39 @@ class SuiteMeasurement:
             raise ConfigurationError(
                 f"cube jobs must be at least 1, got {jobs}"
             )
+        if jobs != self.cube_jobs:
+            self.retire_cube_pool()
         self.cube_jobs = jobs
+
+    def retire_cube_pool(self) -> None:
+        """End a build phase: shut the build pool down and reap its workers.
+
+        Returns once every worker has exited and been waited for, so
+        ``RUSAGE_CHILDREN`` counts them and no pool forks beside their
+        threads.  The next parallel build forks a fresh pool.
+        """
+        executor, self._cube_executor = self._cube_executor, None
+        if executor is not None:
+            executor.retire_pool(wait=True)
+
+    def _build_executor(self) -> SweepExecutor:
+        """The executor this session's builds map their tasks on.
+
+        Created at the first build and kept: at ``cube_jobs > 1`` its
+        pool forks once and serves every later build, whose tasks are
+        pure functions of their :class:`~repro.cache.cubepart.StreamFile`,
+        so a worker forked for an earlier build needs nothing the parent
+        built since.  One worker pool runs at a time: the session's sweep
+        pool is retired, and its workers reaped, before a build pool
+        forks beside it.
+        """
+        if self._cube_executor is None:
+            self._cube_executor = SweepExecutor(jobs=self.cube_jobs)
+        executor = self._cube_executor
+        if executor.is_parallel:
+            self.executor.retire_pool(wait=True)
+        executor.tracer = self.tracer
+        return executor
 
     def attach_jobs(self, job_config) -> None:
         """Make sweeps over this session durable (None detaches).
@@ -811,13 +850,17 @@ class SuiteMeasurement:
         to at least the paper's 32 KW and 8 ways, so one plane answers a
         block size's whole paper grid.  Block sizes whose planes already
         cover the bounds are skipped; the rest come from one call of the
-        chunked driver (:mod:`repro.cache.cubepart`, on a pool of
-        ``cube_jobs`` workers), at the bounds widened to those of every
-        plane it replaces, so a rebuild never narrows what a block size
-        answers.  The driver's tasks read the build's stream files in
-        place, from one private scratch directory of the store's disk
-        tier that the build removes: the instruction side's files
-        (:meth:`istream_chunks`), or a hard link to the data bundle's.
+        chunked driver (:mod:`repro.cache.cubepart`), at the bounds
+        widened to those of every plane it replaces, so a rebuild never
+        narrows what a block size answers.  At ``cube_jobs > 1`` the
+        tasks run on the session's one build pool: the first parallel
+        build forks it and later builds reuse its workers, until
+        :meth:`retire_cube_pool` ends the build phase (the optimizer does
+        after warming a grid's planes).  The driver's tasks read the
+        build's stream files in place, from one private scratch directory
+        of the store's disk tier that the build removes: the instruction
+        side's files (:meth:`istream_chunks`), or a hard link to the data
+        bundle's.
         The driver checks each block size's ``A = 1`` base against the
         independent direct-mapped sweep before any plane is kept.
         Returns whether anything was built.
@@ -841,39 +884,45 @@ class SuiteMeasurement:
         set_counts = capacity_set_counts(blocks, capacity, context=context)
         label = ",".join(str(B) for B in blocks)
         self.tracer.count("cache_sweeps")
-        executor = SweepExecutor(jobs=self.cube_jobs)
-        executor.tracer = self.tracer
-        driver = dict(executor=executor, tracer=self.tracer)
-        try:
-            if side == "I":
-                with self.istream_chunks(slots, blocks) as streams:
-                    with self.tracer.span(
-                        "imiss.cube",
-                        slots=slots,
-                        blocks=label,
-                        capacity_words=capacity,
-                        max_ways=ways,
-                    ) as span:
-                        span.count("block_sizes", len(blocks))
-                        cube = partitioned_miss_cube(
-                            streams, set_counts, ways, **driver
-                        )
-                        span.count("references", sum(cube.references.values()))
-            else:
+        # The executor is fetched once the stream files exist: writing
+        # them may build the benchmarks, whose trace prefetch forks the
+        # sweep pool that a parallel build retires first.
+        if side == "I":
+            with self.istream_chunks(slots, blocks) as streams:
                 with self.tracer.span(
-                    "dmiss.cube",
+                    "imiss.cube",
+                    slots=slots,
                     blocks=label,
                     capacity_words=capacity,
                     max_ways=ways,
-                ) as span, self._scratch_dir() as directory:
+                ) as span:
                     span.count("block_sizes", len(blocks))
-                    addresses = self._linked_dstream(directory)
-                    span.count("references", len(blocks) * sum(addresses.lengths))
-                    cube = partitioned_miss_cube_from_addresses(
-                        addresses, blocks, set_counts, ways, **driver
+                    cube = partitioned_miss_cube(
+                        streams,
+                        set_counts,
+                        ways,
+                        executor=self._build_executor(),
+                        tracer=self.tracer,
                     )
-        finally:
-            executor.shutdown()
+                    span.count("references", sum(cube.references.values()))
+        else:
+            with self.tracer.span(
+                "dmiss.cube",
+                blocks=label,
+                capacity_words=capacity,
+                max_ways=ways,
+            ) as span, self._scratch_dir() as directory:
+                span.count("block_sizes", len(blocks))
+                addresses = self._linked_dstream(directory)
+                span.count("references", len(blocks) * sum(addresses.lengths))
+                cube = partitioned_miss_cube_from_addresses(
+                    addresses,
+                    blocks,
+                    set_counts,
+                    ways,
+                    executor=self._build_executor(),
+                    tracer=self.tracer,
+                )
         for B in blocks:
             self._planes[side, slots, B] = cube.plane(B)
         return True

@@ -204,7 +204,10 @@ class DesignOptimizer:
         evaluation into a plane read, and surfaces the engine cost as
         its own spans instead of hiding it inside the first evaluated
         point.  Block sizes that planes built earlier already cover are
-        skipped.  Returns whether anything was built.
+        skipped.  The warm ends the session's build phase: the sweep
+        only reads planes (and at ``--jobs > 1`` forks its own pool
+        next), so the build pool is retired and its workers reaped.
+        Returns whether anything was built.
         """
         icache_grid: Dict[int, Dict[str, set]] = {}
         dcache_grid: Dict[str, set] = {"blocks": set(), "words": set()}
@@ -225,6 +228,7 @@ class DesignOptimizer:
             built |= self.measurement.warm_miss_cube(
                 "D", sorted(dcache_grid["blocks"]), max(dcache_grid["words"])
             )
+        self.measurement.retire_cube_pool()
         return built
 
     def _warm_and_prime(self, configs: Sequence[SystemConfig]):
@@ -232,12 +236,12 @@ class DesignOptimizer:
 
         Workers forked afterwards inherit the cubes instead of each
         building (and discarding) its own.  A pool an earlier sweep
-        forked predates anything this warm builds, so it is retired
-        first: the next map forks workers that see the new planes.
-        Returns the session's spec.
+        forked predates anything this warm builds, so it is retired, and
+        its workers reaped, first: the next map forks workers that see
+        the new planes.  Returns the session's spec.
         """
         if self._warm_miss_cubes(configs):
-            self.executor.retire_pool()
+            self.executor.retire_pool(wait=True)
         spec = self.measurement.spec()
         self.executor.prime(spec.digest(), self.measurement)
         return spec

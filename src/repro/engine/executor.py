@@ -180,7 +180,10 @@ class SweepExecutor:
         between surface a clean :class:`~repro.errors.WorkerPoolError`
         (a :class:`~repro.errors.ConfigurationError`) — the executor
         itself stays usable either way.  A task's own exception
-        propagates as raised.
+        propagates as raised.  The ``executor.map`` span counts
+        ``pool_forks`` whenever the map has to fork a pool (its first
+        map, or the first after a retire or a break); a map on a live
+        pool reuses its workers.
         """
         items = list(items)
         with self.tracer.span(
@@ -195,6 +198,8 @@ class SweepExecutor:
             pending = set(range(len(chunks)))
             fruitless_breaks = 0
             while pending:
+                if self._pool is None:
+                    span.count("pool_forks")
                 pool = self._ensure_pool()
                 futures = {}
                 broke = False
@@ -251,9 +256,9 @@ class SweepExecutor:
         grid's miss cubes) first; priming itself builds nothing.
         Spawned workers never see it and rebuild the session from its
         spec.  If the pool already exists (its workers were forked
-        before this state existed) it is retired so the next :meth:`map`
-        re-forks with the session visible.  A no-op for already-primed
-        sessions.
+        before this state existed) it is retired, and its workers
+        reaped, so the next :meth:`map` re-forks with the session
+        visible.  A no-op for already-primed sessions.
 
         Any previously primed session (same digest with a different live
         object, or a different session/scale entirely) is retired first,
@@ -265,7 +270,7 @@ class SweepExecutor:
             return
         retire_inherited()
         _FORK_INHERITED[digest] = session
-        self._shutdown_pool()
+        self._shutdown_pool(wait=True)
 
     # -- pool lifecycle --------------------------------------------------------
 
@@ -361,6 +366,10 @@ def session_for_spec(spec: Any) -> Any:
         # An inherited session carries the parent's parallel executor;
         # a worker must never fan out a nested pool of its own.
         session.executor = SweepExecutor(jobs=1)
+    # Nor a build pool: a plane this worker has to rebuild is built in
+    # the worker.  The parent retired its build pool before the sweep
+    # pool forked, so dropping the inherited build executor stops nothing.
+    session.attach_cube_jobs(1)
     return session
 
 

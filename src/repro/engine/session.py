@@ -83,14 +83,18 @@ class MeasurementSpec:
 
 
 def _retire_session(session: Any) -> None:
-    """Retire a replaced session's fork-inheritable state, if any.
+    """Retire a replaced session's fork-inheritable state and build pool.
 
     Sessions are duck-typed here (tests inject stand-ins), so anything
-    without a ``spec()`` is simply not primeable and needs no cleanup.
+    without a ``spec()`` is simply not primeable and needs no cleanup,
+    and anything without ``retire_cube_pool()`` has no build pool.
     """
     spec = getattr(session, "spec", None)
     if callable(spec):
         retire_inherited(spec().digest())
+    retire_cube_pool = getattr(session, "retire_cube_pool", None)
+    if callable(retire_cube_pool):
+        retire_cube_pool()
 
 
 class SessionRegistry:
@@ -154,7 +158,8 @@ class SessionRegistry:
 
         A session previously registered under the scale is retired from
         the executor's fork-inheritance table so replaced sessions never
-        linger as warm copies for future worker forks.
+        linger as warm copies for future worker forks, and its build
+        pool's workers are reaped.
         """
         previous = self._sessions.get(scale)
         if previous is not None and previous is not session:

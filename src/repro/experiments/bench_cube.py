@@ -154,7 +154,7 @@ def _scale_row(
             )
             part_s = min(part_s, time.perf_counter() - started)
     finally:
-        executor.shutdown()
+        executor.retire_pool(wait=True)
 
     # The slots-0 I plane, built through the session: its stream is
     # generated from the traces into the files the driver's tasks read.
@@ -162,6 +162,7 @@ def _scale_row(
     started = time.perf_counter()
     icube = measurement.icache_miss_cube(0, blocks)
     i_build_s = time.perf_counter() - started
+    measurement.retire_cube_pool()  # reaped, so the row's peak counts them
 
     identical: Optional[bool] = None
     if serial_cube is not None:

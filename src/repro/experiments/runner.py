@@ -125,11 +125,14 @@ EXTENSION_EXPERIMENTS: Dict[str, Callable] = {
 
 def _reaped_peaks(measurement: Any) -> Dict[str, float]:
     """The run's peak RSS figures, taken after the session's sweep pool
-    is shut down and its workers reaped: ``RUSAGE_CHILDREN`` counts only
-    children that have been waited for."""
+    and build pool are shut down and their workers reaped:
+    ``RUSAGE_CHILDREN`` counts only children that have been waited for."""
     executor = getattr(measurement, "executor", None)
     if executor is not None:
         executor.retire_pool(wait=True)
+    retire_cube_pool = getattr(measurement, "retire_cube_pool", None)
+    if callable(retire_cube_pool):
+        retire_cube_pool()
     return peak_rss_mb()
 
 

@@ -267,7 +267,11 @@ class SweepScheduler:
         return self
 
     def close(self, timeout: float = 10.0) -> None:
-        """Stop the workers; queued jobs fail cleanly as 'shutdown'."""
+        """Stop the workers; queued jobs fail cleanly as 'shutdown'.
+
+        Every session's sweep pool is shut down and its build pool
+        retired, its workers reaped.
+        """
         with self._cond:
             self._stop = True
             drained: List[SweepJob] = []
@@ -284,6 +288,7 @@ class SweepScheduler:
             if scale in self.registry:
                 session = self.registry.get(scale)
                 session.executor.shutdown()
+                session.retire_cube_pool()
 
     # -- submission ------------------------------------------------------------
 

@@ -1,16 +1,20 @@
 """SuiteMeasurement tests (subset session from conftest)."""
 
 import hashlib
+import multiprocessing
 import os
 import tracemalloc
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.cache.cubepart as cubepart
 from repro.cache.fastsim import addresses_to_blocks
-from repro.core import SuiteMeasurement
+from repro.core import DesignOptimizer, SuiteMeasurement, SystemConfig
 from repro.core.measurement import GENERATOR_VERSION
+from repro.engine.executor import SweepExecutor
 from repro.engine.store import ArtifactStore
 from repro.errors import ConfigurationError
 from repro.utils.units import kw_to_words
@@ -911,3 +915,148 @@ class TestBuildReadsInPlace:
         with pytest.raises(RuntimeError, match="A=1 base disagrees"):
             session.dcache_miss_cube((8,))
         assert self.scratch_entries(session) == []
+
+
+#: The driver's task function as the module defines it, before any test
+#: patches it.
+RUN_TASK = cubepart._run_task
+
+
+@dataclass(frozen=True)
+class PidLog:
+    """A picklable stand-in for ``cubepart._run_task`` that appends the
+    process id running each task to ``path``, then runs it."""
+
+    path: str
+
+    def __call__(self, item):
+        with open(self.path, "a") as out:
+            out.write(f"{os.getpid()}\n")
+        return RUN_TASK(item)
+
+    def pids(self):
+        return [int(pid) for pid in Path(self.path).read_text().split()]
+
+
+def live_children(baseline=frozenset()):
+    """Process ids of this process's live children not in ``baseline``
+    (pools that other tests left to the garbage collector)."""
+    return {child.pid for child in multiprocessing.active_children()} - baseline
+
+
+class TestBuildPool:
+    """One build pool per session: forked at the first parallel build,
+    reused by later builds, retired (its workers reaped) when a build
+    phase ends."""
+
+    @pytest.fixture
+    def session(self, measurement):
+        # A fresh session over the conftest store: its traces are store
+        # hits and it has no planes, so every build below runs.
+        session = twin(measurement)
+        session.attach_cube_jobs(2)
+        session.benchmarks
+        yield session
+        session.retire_cube_pool()
+
+    @staticmethod
+    def log_tasks(monkeypatch, tmp_path):
+        # Patched before the session's first build: a reused worker keeps
+        # the module state it forked with.
+        log = PidLog(str(tmp_path / "pids"))
+        monkeypatch.setattr(cubepart, "_run_task", log)
+        return log
+
+    @staticmethod
+    def build_all(session):
+        """The four I builds and the D build of the paper's five stream
+        families."""
+        for slots in (0, 1, 2, 3):
+            session.icache_miss_cube(slots, (4,))
+        session.dcache_miss_cube((4, 8))
+
+    def test_every_build_runs_on_one_pool(self, session, monkeypatch, tmp_path):
+        log = self.log_tasks(monkeypatch, tmp_path)
+        self.build_all(session)
+        pids = log.pids()
+        assert len(pids) == 2 * 4 + 2 * 2  # a cube task and a check per block
+        assert len(set(pids)) <= 2
+        assert os.getpid() not in pids
+
+    def test_a_new_width_retires_the_pool(self, session, monkeypatch, tmp_path):
+        log = self.log_tasks(monkeypatch, tmp_path)
+        session.icache_miss_cube(0, (4,))
+        session.dcache_miss_cube((4,))
+        first = set(log.pids())
+        session.attach_cube_jobs(3)
+        assert not first & live_children()  # reaped, not just told to stop
+        session.icache_miss_cube(1, (4,))
+        pids = log.pids()
+        assert len(pids) == 6
+        assert not set(pids[4:]) & first
+
+    def test_a_sweep_ends_the_build_phase(self, session, monkeypatch, tmp_path):
+        baseline = frozenset(live_children())
+        session.icache_miss_cube(0, (4,))
+        assert live_children(baseline)  # the pool outlives a direct build
+        assert session.executor.is_serial
+        optimizer = DesignOptimizer(session)
+        optimizer.sweep(
+            optimizer.symmetric_grid(
+                SystemConfig(penalty=10),
+                slot_pairs=((0, 0), (1, 1)),
+                side_sizes_kw=(1, 2, 4),
+            )
+        )
+        assert live_children(baseline) == set()
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/maps"), reason="needs /proc/<pid>/maps"
+    )
+    def test_no_worker_maps_a_removed_build_directory(
+        self, session, monkeypatch, tmp_path
+    ):
+        # Each build removes its .cube-build-* directory; a reused worker
+        # that kept one of its files mapped would pin a paper-scale
+        # stream's disk space after the build deleted it.
+        log = self.log_tasks(monkeypatch, tmp_path)
+        self.build_all(session)
+        workers = set(log.pids()) & live_children()
+        assert workers  # the pool is still up, waiting for more builds
+        assert not list(session.store.disk_dir.glob(".cube-build-*"))
+        for pid in workers:
+            maps = Path(f"/proc/{pid}/maps").read_text()
+            assert ".cube-build-" not in maps, pid
+
+    def test_one_pool_runs_at_a_time(self, monkeypatch, tmp_path):
+        # A fig12-shaped run at --jobs 2 --cube-jobs 2 over an empty
+        # store forks three kinds of pool: the trace prefetch's, the
+        # builds' and the sweep's.  Each forks only once the previous
+        # one's workers are reaped.
+        from repro.experiments import fig12
+
+        baseline = frozenset(live_children())
+        forks = []
+        ensure_pool = SweepExecutor._ensure_pool
+
+        def spy(executor):
+            if executor._pool is None:
+                forks.append(live_children(baseline))
+            return ensure_pool(executor)
+
+        monkeypatch.setattr(SweepExecutor, "_ensure_pool", spy)
+        session = SuiteMeasurement(
+            specs=[benchmark_by_name(name) for name in ("small", "yacc")],
+            total_instructions=60_000,
+            min_benchmark_instructions=20_000,
+            store=ArtifactStore(cache_dir=tmp_path),
+            executor=SweepExecutor(jobs=2),
+        )
+        session.attach_cube_jobs(2)
+        try:
+            fig12.run(session)
+        finally:
+            session.executor.shutdown()
+            session.retire_cube_pool()
+        assert len(forks) >= 3
+        assert forks == [set()] * len(forks)

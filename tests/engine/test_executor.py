@@ -125,6 +125,20 @@ class TestProcessMap:
         finally:
             executor.shutdown()
 
+    def test_a_map_counts_the_pool_it_forks(self):
+        tracer = Tracer()
+        executor = SweepExecutor(jobs=2)
+        executor.tracer = tracer
+        try:
+            executor.map(_square, [1, 2, 3])
+            executor.map(_square, [4, 5, 6])  # the live pool, reused
+            executor.retire_pool(wait=True)
+            executor.map(_square, [7, 8, 9])
+        finally:
+            executor.shutdown()
+        forks = [span.counters.get("pool_forks", 0) for span in tracer.roots]
+        assert forks == [1, 0, 1]
+
 
 class TestPrimeRetirement:
     def test_priming_new_digest_retires_previous_session(self, clean_fork_state):
@@ -206,6 +220,26 @@ class TestShutdownRetirement:
         assert workers and all(w.exitcode is not None for w in workers)
         assert executor.map(_square, [3, 4]) == [9, 16]
         executor.shutdown()
+
+
+class TestNoNestedPools:
+    def test_an_inherited_session_builds_in_the_worker(
+        self, clean_fork_state, tmp_path
+    ):
+        # A forked sweep worker inherits the parent's session with both
+        # executors' settings; a plane the worker has to rebuild must be
+        # built in the worker, not on a build pool forked inside it.
+        session = _tiny_measurement(
+            SweepExecutor(jobs=2), ArtifactStore(cache_dir=tmp_path)
+        )
+        session.attach_cube_jobs(2)
+        spec = session.spec()
+        executor_module._FORK_INHERITED[spec.digest()] = session
+        inherited = executor_module.session_for_spec(spec)
+        assert inherited is session
+        assert inherited.executor.is_serial
+        assert inherited.cube_jobs == 1
+        assert inherited._build_executor().is_serial
 
 
 class TestDefaultChunk:

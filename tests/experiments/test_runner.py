@@ -131,6 +131,20 @@ class TestObservabilityFlags:
         assert measurement.tracer is NULL_TRACER
 
 
+def _runner(*args):
+    """Run the experiments CLI in a fresh process."""
+    import repro
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    subprocess.run(
+        [sys.executable, "-m", "repro.experiments.runner", *args],
+        check=True, env=env, stdout=subprocess.DEVNULL,
+    )
+
+
 class TestWorkerPeak:
     def test_a_jobs_2_ledger_counts_the_sweep_pool(self, tmp_path):
         # The sweep pool outlives the sweeps; the runner reaps it before
@@ -140,22 +154,21 @@ class TestWorkerPeak:
         # few MB.  Fresh processes, because this one has reaped others,
         # and a warm store, because a cold run's trace workers are
         # reaped anyway.
-        import repro
-
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH")])
-        )
-
-        def runner(*args):
-            subprocess.run(
-                [sys.executable, "-m", "repro.experiments.runner", *args],
-                check=True, env=env, stdout=subprocess.DEVNULL,
-            )
-
         metrics = tmp_path / "m.json"
-        runner("table2", "--scale", "quick")
-        runner("fig12", "--scale", "quick", "--jobs", "2", "--metrics", str(metrics))
+        _runner("table2", "--scale", "quick")
+        _runner("fig12", "--scale", "quick", "--jobs", "2", "--metrics", str(metrics))
+        run = RunLedger.load(metrics)["run"]
+        assert run["worker_peak_rss_mb"] > 20, run
+
+    def test_a_build_only_ledger_counts_the_build_pool(self, tmp_path):
+        # fig3 builds four I planes and sweeps nothing, so no optimizer
+        # ends its build phase: the session's build pool is still up
+        # when the run ends, and the runner reaps it before the ledger.
+        metrics = tmp_path / "m.json"
+        _runner("table2", "--scale", "quick")
+        _runner(
+            "fig3", "--scale", "quick", "--cube-jobs", "2", "--metrics", str(metrics)
+        )
         run = RunLedger.load(metrics)["run"]
         assert run["worker_peak_rss_mb"] > 20, run
 

@@ -32,6 +32,9 @@ class StubSession:
     def attach_jobs(self, job_config):
         self.job_config = job_config
 
+    def retire_cube_pool(self):
+        pass
+
 
 def stub_registry():
     """A registry whose one scale, ``tiny``, is a :class:`StubSession`."""
