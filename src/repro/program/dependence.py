@@ -22,9 +22,9 @@ The hoist and slack scans run over :class:`BlockFacts`: each
 instruction's kind, registers and symbolic address, computed once per
 block, with register sets as bitmasks (bit ``n`` is register ``n``), so a
 dependence test is an integer AND.  The lowering builds one per block and
-asks it for the CTI hoist distance and every load's slack; the
-per-instruction functions below answer single queries through the same
-scans.
+asks it for the CTI hoist distance, every load's slack, the block's
+category counts and its terminator; the per-instruction functions below
+answer single queries through the same scans.
 """
 
 from __future__ import annotations
@@ -50,8 +50,10 @@ __all__ = [
 #: three load delay slots); epsilon values are capped here for histograms.
 EPSILON_CAP = 8
 
+_ALU = OpcodeKind.ALU
 _LOAD = OpcodeKind.LOAD
 _STORE = OpcodeKind.STORE
+_SYSCALL = OpcodeKind.SYSCALL
 #: Instructions no other instruction moves across: CTIs and syscalls.
 _BARRIERS = CTI_KINDS + (OpcodeKind.SYSCALL,)
 #: ``$gp``/``$sp``/``$fp`` (:attr:`Register.is_stable_base`) as a bitmask.
@@ -68,38 +70,70 @@ class BlockFacts:
       as register bitmasks;
     * ``addresses``: the symbolic address ``(base, offset)`` of a memory
       instruction (base -1 when it has none), None for the rest.
+
+    And per block, from the same pass:
+
+    * ``loads`` / ``stores`` / ``ctis`` / ``syscalls``: how many
+      instructions are of each category;
+    * ``links``: whether the last instruction writes the return address
+      (``jal``/``jalr``);
+    * ``last_base``: the number of the last instruction's base register,
+      -1 when it has none (a ``jr``/``jalr``'s target register).
     """
 
-    __slots__ = ("kinds", "defs", "uses", "addresses")
+    __slots__ = (
+        "kinds", "defs", "uses", "addresses",
+        "loads", "stores", "ctis", "syscalls", "links", "last_base",
+    )
 
     def __init__(self, instructions: Sequence[Instruction]) -> None:
         kinds: List[OpcodeKind] = []
         defs: List[int] = []
         uses: List[int] = []
         addresses: List[Optional[Tuple[int, int]]] = []
+        loads = stores = ctis = syscalls = 0
+        links = False
+        base_number = -1
         for inst in instructions:
             info = INFO_BY_VALUE[inst.opcode._value_]
             kind = info.kind
             dest = inst.dest
             base = inst.base
+            links = info.links
+            base_number = -1 if base is None else base.number
             written = 0 if dest is None or dest.number == 0 else 1 << dest.number
-            if info.links:
+            if links:
                 written |= 1 << (RA.number if dest is None else dest.number)
-            read = 0 if base is None else 1 << base.number
+            read = 0 if base is None else 1 << base_number
             for source in inst.sources:
                 read |= 1 << source.number
             kinds.append(kind)
             defs.append(written)
             uses.append(read & ~1)  # reads of $zero are no dependence
-            addresses.append(
-                (-1 if base is None else base.number, inst.offset)
-                if kind is _LOAD or kind is _STORE
-                else None
-            )
+            if kind is _ALU:
+                addresses.append(None)
+            elif kind is _LOAD:
+                loads += 1
+                addresses.append((base_number, inst.offset))
+            elif kind is _STORE:
+                stores += 1
+                addresses.append((base_number, inst.offset))
+            else:
+                addresses.append(None)
+                if kind is _SYSCALL:
+                    syscalls += 1
+                elif kind in CTI_KINDS:
+                    ctis += 1
         self.kinds = kinds
         self.defs = defs
         self.uses = uses
         self.addresses = addresses
+        self.loads = loads
+        self.stores = stores
+        self.ctis = ctis
+        self.syscalls = syscalls
+        self.links = links
+        self.last_base = base_number
 
     def __len__(self) -> int:
         return len(self.kinds)

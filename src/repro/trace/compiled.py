@@ -31,7 +31,6 @@ from typing import Dict, List, Mapping
 import numpy as np
 
 from repro.errors import TraceError
-from repro.isa.instruction import CTI_KINDS
 from repro.isa.opcodes import OpcodeKind
 from repro.isa.registers import RA
 from repro.program.cfg import Program
@@ -157,6 +156,22 @@ def compiled_arrays_valid(arrays: Mapping[str, np.ndarray]) -> bool:
         return False
 
 
+def _block_kind(facts: BlockFacts, indirect_targets: List[str]) -> BlockKind:
+    """A block's :class:`BlockKind`, from its last instruction's facts."""
+    last = facts.kinds[-1] if facts.kinds else None
+    if last is OpcodeKind.BRANCH:
+        return BlockKind.CONDITIONAL
+    if last is OpcodeKind.JUMP:
+        return BlockKind.CALL if facts.links else BlockKind.JUMP
+    if last is OpcodeKind.JUMP_REGISTER:
+        if facts.links:
+            return BlockKind.INDIRECT_CALL
+        if facts.last_base == RA.number and not indirect_targets:
+            return BlockKind.RETURN
+        return BlockKind.COMPUTED_GOTO
+    return BlockKind.FALLTHROUGH
+
+
 class CompiledProgram:
     """Array form of a program, indexed by block id (layout order).
 
@@ -215,11 +230,12 @@ class CompiledProgram:
         for i, block in enumerate(blocks):
             facts = BlockFacts(block.instructions)
             opcode_kinds = facts.kinds
-            for position, opcode_kind in enumerate(opcode_kinds):
-                if opcode_kind is _LOAD:
-                    load_table.append(i)
-                    load_table.extend(facts.load_epsilons(position))
-            kind = self._classify(block)
+            if facts.loads:
+                for position, opcode_kind in enumerate(opcode_kinds):
+                    if opcode_kind is _LOAD:
+                        load_table.append(i)
+                        load_table.extend(facts.load_epsilons(position))
+            kind = _block_kind(facts, block.indirect_targets)
             if kind == BlockKind.FALLTHROUGH or (
                 kind in (BlockKind.JUMP, BlockKind.CALL) and unfillable[i]
             ):
@@ -232,10 +248,10 @@ class CompiledProgram:
                     kind,
                     -1 if block.taken_target is None else index[block.taken_target],
                     -1 if block.fallthrough is None else index[block.fallthrough],
-                    opcode_kinds.count(OpcodeKind.LOAD),
-                    opcode_kinds.count(OpcodeKind.STORE),
-                    sum(opcode_kinds.count(cti) for cti in CTI_KINDS),
-                    opcode_kinds.count(OpcodeKind.SYSCALL),
+                    facts.loads,
+                    facts.stores,
+                    facts.ctis,
+                    facts.syscalls,
                     hoist,
                 )
             )
@@ -294,23 +310,6 @@ class CompiledProgram:
         self.chain_cache: Dict[int, object] = {}
         self.cond_edge_cache: Dict[int, tuple] = {}
         self.indirect_edge_cache: Dict[int, list] = {}
-
-    @staticmethod
-    def _classify(block) -> BlockKind:
-        term = block.terminator
-        if term is None:
-            return BlockKind.FALLTHROUGH
-        if term.is_conditional_branch:
-            return BlockKind.CONDITIONAL
-        if term.is_register_indirect:
-            if term.info.links:
-                return BlockKind.INDIRECT_CALL
-            if term.base == RA and not block.indirect_targets:
-                return BlockKind.RETURN
-            return BlockKind.COMPUTED_GOTO
-        if term.info.links:
-            return BlockKind.CALL
-        return BlockKind.JUMP
 
     # -- the flat bundle ---------------------------------------------------------
 
