@@ -95,12 +95,6 @@ class BranchTargetBuffer:
         self._targets = [0] * entries
         self._counters = [0] * entries
 
-    def reset(self) -> None:
-        """Invalidate all entries."""
-        self._tags = [None] * self.entries
-        self._targets = [0] * self.entries
-        self._counters = [0] * self.entries
-
     def access(self, pc: int, taken: bool, target: int) -> bool:
         """Process one CTI; returns True when the prediction was correct.
 

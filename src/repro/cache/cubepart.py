@@ -58,17 +58,16 @@ later ones until the session retires it (:meth:`~repro.core.measurement.
 SuiteMeasurement.retire_cube_pool`); the counts are the same on a fresh
 pool, a reused one or in the parent.
 
-**Failure containment.**  A worker pool that dies (``BrokenProcessPool``
-twice without progress: the executor's :class:`~repro.errors.
-WorkerPoolError`) degrades to the parent running the task list itself
-under a ``cube.serial_fallback`` span — same files, same engine,
+**Failure containment.**  A worker pool that dies is the executor's to
+outlive: after two breaks without progress, :meth:`~repro.engine.
+executor.SweepExecutor.map` runs the unfinished tasks in the parent
+under an ``executor.serial_fallback`` span — same files, same engine,
 identical counts.  A task's own error, such as a missing input file, is
 no dead pool: it surfaces as raised, and no task runs twice.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import (
@@ -95,7 +94,7 @@ from repro.cache.misscube import (
 )
 from repro.cache.stackdist import _dense_ids_and_prev
 from repro.engine.executor import SweepExecutor
-from repro.errors import ConfigurationError, WorkerPoolError
+from repro.errors import ConfigurationError
 from repro.obs.tracer import NULL_TRACER
 from repro.trace.multiprogram import iter_interleaved
 
@@ -118,13 +117,6 @@ DEFAULT_PARTITIONS = 1
 
 #: Task kinds, in the order a build lists them.
 TASK_KINDS = ("cube", "check")
-
-#: Test-only fault hook: ``(parent_pid, {(kind, block_words)})``.  A
-#: *forked worker* (pid differs from the recorded parent) asked to run
-#: one of the listed tasks hard-exits, simulating an OOM kill mid-build;
-#: the parent itself never faults, so the serial fallback path stays
-#: exact.  See tests/cache/test_cubepart.py.
-_FAULT_TASKS: Optional[Tuple[int, frozenset]] = None
 
 
 @dataclass(frozen=True)
@@ -169,13 +161,6 @@ class StreamFile:
         return iter_interleaved(
             [stream[a:b] for a, b in zip(bounds, bounds[1:])], self.quanta
         )
-
-
-def _maybe_fault(kind: str, block_words: int) -> None:
-    if _FAULT_TASKS is not None:
-        pid, tasks = _FAULT_TASKS
-        if os.getpid() != pid and (kind, block_words) in tasks:
-            os._exit(1)
 
 
 # -- the chunked count -----------------------------------------------------------
@@ -284,7 +269,6 @@ def _run_task(item: Tuple[Any, ...]) -> Tuple[Dict[int, Any], float]:
     """
     stream, shifted, kind, block_words, set_counts, max_ways, chunk_refs = item
     started = time.perf_counter()
-    _maybe_fault(kind, block_words)
     chunks = _iter_chunks(stream, chunk_refs)
     if shifted:
         chunks = (addresses_to_blocks(chunk, block_words) for chunk in chunks)
@@ -317,9 +301,7 @@ def _run_build(
 
     One ``chunk_size=1`` map lets idle workers take the next task in
     list order: cube tasks before checks, each by references × set
-    counts.  A pool that breaks for good (the executor's
-    :class:`~repro.errors.WorkerPoolError`) drops to the parent running
-    the whole list, which produces identical counts by construction.
+    counts.
     """
     executor = executor if executor is not None else SweepExecutor()
     tracer = tracer if tracer is not None else NULL_TRACER
@@ -343,13 +325,7 @@ def _run_build(
         backend=executor.backend,
         jobs=executor.jobs,
     ) as span:
-        span.count("fallback_tasks", 0)
-        try:
-            outcomes = executor.map(_run_task, items, chunk_size=1)
-        except WorkerPoolError:
-            span.count("fallback_tasks", len(items))
-            with tracer.span("cube.serial_fallback", tasks=len(items)):
-                outcomes = [_run_task(item) for item in items]
+        outcomes = executor.map(_run_task, items, chunk_size=1)
         for (kind, _), (_, wall) in zip(tasks, outcomes):
             seconds[kind] += wall
         for kind, wall in seconds.items():

@@ -52,15 +52,3 @@ class RefillModel:
             raise ConfigurationError("block size must be positive")
         transfer = -(-block_words // self.refill_rate_words)  # ceil division
         return int(self.startup_cycles + transfer)
-
-    @classmethod
-    def for_penalty(cls, penalty_cycles: int, block_words: int) -> "RefillModel":
-        """Build the model that yields ``penalty_cycles`` for a block size.
-
-        Used when an experiment specifies the penalty directly (as the
-        paper's figures do) but refill-rate bookkeeping is still wanted.
-        """
-        if penalty_cycles <= 2:
-            raise ConfigurationError("penalty must exceed the 2-cycle startup")
-        rate = block_words / (penalty_cycles - 2)
-        return cls(startup_cycles=2, refill_rate_words=rate)

@@ -41,11 +41,6 @@ class CpiBreakdown:
     def total(self) -> float:
         return self.base + self.icache + self.dcache + self.branch + self.load
 
-    @property
-    def cache_total(self) -> float:
-        """The memory-hierarchy share (Figures 3/8 isolate this)."""
-        return self.icache + self.dcache
-
 
 class CpiModel:
     """Computes CPI breakdowns against one measurement session."""

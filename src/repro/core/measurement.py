@@ -513,11 +513,6 @@ class SuiteMeasurement:
             for b in self.benchmarks
         )
 
-    @cached_property
-    def load_fraction(self) -> float:
-        loads = sum(b.trace.category_counts["loads"] for b in self.benchmarks)
-        return loads / self.canonical_instructions
-
     def code_expansion_pct(self, slots: int) -> float:
         """Suite-average static code growth for ``slots`` (Table 2)."""
         base = sum(b.compiled.static_words for b in self.benchmarks)

@@ -33,7 +33,7 @@ from repro.core.measurement import SuiteMeasurement
 from repro.core.tcpu import system_cycle_time_ns
 from repro.core.tpi import tpi_ns
 from repro.engine.executor import SweepExecutor, evaluate_design_point
-from repro.errors import ConfigurationError, WorkerPoolError
+from repro.errors import ConfigurationError
 from repro.physical.model import PhysicalModel
 from repro.physical.technology import DEFAULT_PHYSICAL, PhysicalTechnology
 from repro.timing.technology import DEFAULT_TECHNOLOGY, Technology
@@ -274,24 +274,10 @@ class DesignOptimizer:
             return False
         self.tracer.count("prefilled", len(missing))
         spec = self._warm_and_prime(missing)
-        try:
-            points = self.executor.map(
-                evaluate_design_point,
-                [(spec, self.tech, self.phys, config) for config in missing],
-            )
-        except WorkerPoolError as exc:
-            # The worker pool is persistently broken (repeated worker
-            # deaths).  The sweep itself is still computable: fall back
-            # to serial in-process evaluation of the missing points,
-            # under a warning span so the degradation is visible in
-            # profiles and the run ledger.
-            with self.tracer.span(
-                "optimizer.serial_fallback", reason=str(exc)
-            ) as span:
-                span.count("points", len(missing))
-                for config in missing:
-                    self.evaluate(config)
-            return True
+        points = self.executor.map(
+            evaluate_design_point,
+            [(spec, self.tech, self.phys, config) for config in missing],
+        )
         for config, point in zip(missing, points):
             store.put(
                 "design_point",

@@ -33,11 +33,12 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.errors import ConfigurationError, WorkerPoolError
+from repro.errors import ConfigurationError
 from repro.obs.tracer import NULL_TRACER
 
 __all__ = ["SweepExecutor", "BACKENDS", "retire_inherited", "teardown_failures"]
@@ -79,6 +80,10 @@ def teardown_failures() -> int:
 #: and memo stores for the life of the process).
 _FORK_INHERITED: Dict[str, Any] = {}
 
+#: The pid of the process that primed :data:`_FORK_INHERITED`.  A process
+#: with another pid that finds a session there inherited it across a fork.
+_PRIMED_PID: Optional[int] = None
+
 
 def retire_inherited(digest: Optional[str] = None) -> None:
     """Drop fork-inheritable session state: one digest, or all of it.
@@ -107,8 +112,6 @@ class SweepExecutor:
             ``backend`` says otherwise.
         backend: ``"serial"`` or ``"process"`` (default: serial for
             ``jobs == 1``, process otherwise).
-        chunk_size: Items per dispatched chunk (default: balanced so each
-            worker receives about four chunks).
         start_method: Optional multiprocessing start method override
             (``"fork"``, ``"spawn"``, ``"forkserver"``), mainly for tests.
     """
@@ -117,7 +120,6 @@ class SweepExecutor:
         self,
         jobs: int = 1,
         backend: Optional[str] = None,
-        chunk_size: Optional[int] = None,
         start_method: Optional[str] = None,
     ) -> None:
         jobs = int(jobs)
@@ -129,14 +131,14 @@ class SweepExecutor:
             raise ConfigurationError(
                 f"unknown sweep backend {backend!r}; choose from {BACKENDS}"
             )
-        if chunk_size is not None and chunk_size < 1:
-            raise ConfigurationError("chunk_size must be at least 1")
         self.jobs = 1 if backend == "serial" else jobs
         self.backend = backend
-        self.chunk_size = chunk_size
         self.tracer = NULL_TRACER
         self._start_method = start_method
         self._pool: Optional[ProcessPoolExecutor] = None
+        #: Item whose worker the next parallel map kills
+        #: (:meth:`inject_worker_exit`).
+        self._exit_at: Optional[int] = None
         #: Digest of the session this executor last primed.
         self._primed: Optional[str] = None
 
@@ -171,19 +173,22 @@ class SweepExecutor:
         """Apply ``fn`` to every item; results are in input order.
 
         On the process backend ``fn`` and every item must be picklable;
-        dispatch is chunked so per-task IPC overhead amortizes.  A worker
+        dispatch is chunked (``chunk_size`` items, by default about four
+        chunks per worker) so per-task IPC overhead amortizes.  A worker
         crash (OOM kill, hard exit) breaks the whole
         :class:`ProcessPoolExecutor`, but chunks whose futures already
         returned are *kept*: only the unfinished chunks are re-dispatched
-        on a fresh pool, so completed work never re-executes.  Two
+        on a fresh pool, so completed work never re-executes.  After two
         consecutive pool breaks without a single chunk completing in
-        between surface a clean :class:`~repro.errors.WorkerPoolError`
-        (a :class:`~repro.errors.ConfigurationError`) — the executor
-        itself stays usable either way.  A task's own exception
+        between, the broken pool is shut down, its workers reaped, and
+        this process runs the unfinished chunks itself, in order, under
+        an ``executor.serial_fallback`` span: every caller gets its
+        results, and the executor stays usable.  A task's own exception
         propagates as raised.  The ``executor.map`` span counts
         ``pool_forks`` whenever the map has to fork a pool (its first
-        map, or the first after a retire or a break); a map on a live
-        pool reuses its workers.
+        map, or the first after a retire or a break), and
+        ``pool_restarts`` per break; a map on a live pool reuses its
+        workers.
         """
         items = list(items)
         with self.tracer.span(
@@ -192,12 +197,14 @@ class SweepExecutor:
             span.count("items", len(items))
             if self.is_serial or len(items) <= 1:
                 return [fn(item) for item in items]
-            chunk = chunk_size or self.chunk_size or self._default_chunk(len(items))
+            chunk = chunk_size or self._default_chunk(len(items))
             chunks = [items[i : i + chunk] for i in range(0, len(items), chunk)]
             results: List[Optional[List[Any]]] = [None] * len(chunks)
             pending = set(range(len(chunks)))
+            exit_at, self._exit_at = self._exit_at, None
+            exit_chunk = None if exit_at is None else exit_at // chunk
             fruitless_breaks = 0
-            while pending:
+            while pending and fruitless_breaks < 2:
                 if self._pool is None:
                     span.count("pool_forks")
                 pool = self._ensure_pool()
@@ -205,9 +212,11 @@ class SweepExecutor:
                 broke = False
                 try:
                     for index in sorted(pending):
-                        futures[index] = pool.submit(_apply_chunk, fn, chunks[index])
+                        task = _exit_worker if index == exit_chunk else _apply_chunk
+                        futures[index] = pool.submit(task, fn, chunks[index])
                 except BrokenProcessPool:
                     broke = True
+                exit_chunk = None
                 progressed = 0
                 for index in sorted(futures):
                     try:
@@ -221,17 +230,37 @@ class SweepExecutor:
                         progressed += 1
                 if not broke:
                     break
-                self._shutdown_pool()
                 span.count("pool_restarts")
                 fruitless_breaks = 0 if progressed else fruitless_breaks + 1
-                if fruitless_breaks >= 2:
-                    raise WorkerPoolError(
-                        f"sweep worker pool crashed twice while mapping "
-                        f"{len(items)} items with jobs={self.jobs} — a worker "
-                        f"was killed (out of memory?); retry with fewer jobs "
-                        f"or --jobs 1"
+                # A pool given up on is reaped before this process takes
+                # over its work, so no dying worker competes for memory.
+                self._shutdown_pool(wait=fruitless_breaks >= 2)
+            if pending:
+                with self.tracer.span(
+                    "executor.serial_fallback",
+                    reason=f"the worker pool (jobs={self.jobs}) broke twice "
+                    f"without finishing a chunk; a worker was killed "
+                    f"(out of memory?)",
+                ) as fallback:
+                    fallback.count(
+                        "items", sum(len(chunks[index]) for index in pending)
                     )
+                    for index in sorted(pending):
+                        results[index] = _apply_chunk(fn, chunks[index])
             return [value for chunk_result in results for value in chunk_result]
+
+    def inject_worker_exit(self, index: int) -> None:
+        """Kill the worker that runs item ``index`` of the next parallel map.
+
+        Fault injection (``--inject-fault worker-exit``): the next
+        process-backend :meth:`map` submits the chunk holding that item
+        through :func:`_exit_worker`, which hard-exits the worker before
+        the chunk runs, as an OOM kill would.  The hook clears itself
+        there, so the re-dispatch runs the chunk normally.  A map that
+        runs in this process (the serial backend, or a single item)
+        never fires it.
+        """
+        self._exit_at = index
 
     def _default_chunk(self, count: int) -> int:
         """About four chunks per worker, clamped to the sweep size.
@@ -265,11 +294,13 @@ class SweepExecutor:
         so the module-global inheritance table never grows beyond the
         one session currently being swept.
         """
+        global _PRIMED_PID
         self._primed = digest
         if _FORK_INHERITED.get(digest) is session:
             return
         retire_inherited()
         _FORK_INHERITED[digest] = session
+        _PRIMED_PID = os.getpid()
         self._shutdown_pool(wait=True)
 
     # -- pool lifecycle --------------------------------------------------------
@@ -348,12 +379,21 @@ def _apply_chunk(fn: Callable[[Any], Any], chunk: List[Any]) -> List[Any]:
     return [fn(item) for item in chunk]
 
 
+def _exit_worker(fn: Callable[[Any], Any], chunk: List[Any]) -> List[Any]:
+    """Worker task for :meth:`SweepExecutor.inject_worker_exit`: the
+    worker dies before the chunk runs."""
+    os._exit(1)
+
+
 def session_for_spec(spec: Any) -> Any:
     """The worker's measurement session for a spec: inherited or rebuilt.
 
     Resolution order: a fork-inherited live session (free, already
-    warm), then this worker's session cache, then a fresh build that
-    maps its traces back from the session's disk tier.
+    warm), then this worker's session cache, then a fresh build (on a
+    serial executor) that maps its traces back from the session's disk
+    tier.  In the process that primed it, the primed session is the
+    parent's own (a dead pool's chunks finishing there), and it keeps
+    its executors.
     """
     digest = spec.digest()
     session = _FORK_INHERITED.get(digest)
@@ -362,14 +402,17 @@ def session_for_spec(spec: Any) -> Any:
         if session is None:
             session = spec.build()
             _WORKER_SESSIONS[digest] = session
-    if session.executor.is_parallel:
-        # An inherited session carries the parent's parallel executor;
-        # a worker must never fan out a nested pool of its own.
-        session.executor = SweepExecutor(jobs=1)
-    # Nor a build pool: a plane this worker has to rebuild is built in
-    # the worker.  The parent retired its build pool before the sweep
-    # pool forked, so dropping the inherited build executor stops nothing.
-    session.attach_cube_jobs(1)
+    elif os.getpid() != _PRIMED_PID:
+        if session.executor.is_parallel:
+            # An inherited session carries the parent's parallel
+            # executor; a worker must never fan out a nested pool of
+            # its own.
+            session.executor = SweepExecutor(jobs=1)
+        # Nor a build pool: a plane this worker has to rebuild is built
+        # in the worker.  The parent retired its build pool before the
+        # sweep pool forked, so dropping the inherited build executor
+        # stops nothing.
+        session.attach_cube_jobs(1)
     return session
 
 

@@ -536,11 +536,6 @@ class ArtifactStore:
         self._enforce_disk_budget()
         return adopted
 
-    def disk_usage(self) -> int:
-        """Tracked disk-tier bytes (entries this store has seen)."""
-        with self._lock:
-            return sum(self._disk_lru.values())
-
     # -- reporting -------------------------------------------------------------
 
     def stats(self) -> StoreStats:
@@ -550,11 +545,6 @@ class ArtifactStore:
             snapshot.entries = len(self._memory)
             snapshot.disk_bytes = sum(self._disk_lru.values())
         return snapshot
-
-    def clear_memory(self) -> None:
-        """Empty the memory tier (the disk tier is untouched)."""
-        with self._lock:
-            self._memory.clear()
 
     def __len__(self) -> int:
         with self._lock:

@@ -10,7 +10,6 @@ from __future__ import annotations
 __all__ = [
     "ReproError",
     "ConfigurationError",
-    "WorkerPoolError",
     "AssemblyError",
     "ScheduleError",
     "TraceError",
@@ -28,15 +27,6 @@ class ConfigurationError(ReproError):
 
     Raised, for example, for non-power-of-two cache sizes, a block size
     larger than the cache, or a pipeline depth outside the supported range.
-    """
-
-
-class WorkerPoolError(ConfigurationError):
-    """A sweep worker pool broke for good: it crashed twice in a row
-    without finishing any work (a worker killed, out of memory, say).
-
-    The one error a caller may answer by running the tasks itself; a
-    task's own error propagates unchanged.
     """
 
 

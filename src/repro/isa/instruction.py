@@ -7,7 +7,7 @@ delay-slot scheduler and the epsilon analysis are built entirely on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import FrozenSet, Optional, Tuple
 
 from repro.isa.opcodes import INFO_BY_VALUE, Opcode, OpcodeKind, OpcodeInfo
@@ -26,9 +26,7 @@ CTI_KINDS = (OpcodeKind.BRANCH, OpcodeKind.JUMP, OpcodeKind.JUMP_REGISTER)
 _LOAD = OpcodeKind.LOAD
 _STORE = OpcodeKind.STORE
 _BRANCH = OpcodeKind.BRANCH
-_JUMP = OpcodeKind.JUMP
 _JUMP_REGISTER = OpcodeKind.JUMP_REGISTER
-_NOP = OpcodeKind.NOP
 
 
 @dataclass(frozen=True)
@@ -71,10 +69,6 @@ class Instruction:
         return _KIND[self.opcode._value_] is _LOAD
 
     @property
-    def is_store(self) -> bool:
-        return _KIND[self.opcode._value_] is _STORE
-
-    @property
     def is_memory(self) -> bool:
         """True for any instruction that issues a data reference."""
         kind = _KIND[self.opcode._value_]
@@ -97,16 +91,6 @@ class Instruction:
         with noops (Section 3.1, step 4 of the insertion procedure).
         """
         return _KIND[self.opcode._value_] is _JUMP_REGISTER
-
-    @property
-    def is_unconditional(self) -> bool:
-        """True for CTIs that always transfer control."""
-        kind = _KIND[self.opcode._value_]
-        return kind is _JUMP or kind is _JUMP_REGISTER
-
-    @property
-    def is_nop(self) -> bool:
-        return _KIND[self.opcode._value_] is _NOP
 
     # -- def/use -------------------------------------------------------------
 
@@ -133,15 +117,6 @@ class Instruction:
             read.add(self.base)
         read.discard(ZERO)
         return frozenset(read)
-
-    @property
-    def address_register(self) -> Optional[Register]:
-        """The base register of a memory access, or None."""
-        return self.base if self.is_memory else None
-
-    def with_target(self, target: Optional[str]) -> "Instruction":
-        """Return a copy with a different CTI target label."""
-        return replace(self, target=target)
 
     def __str__(self) -> str:
         from repro.isa.disassembler import disassemble

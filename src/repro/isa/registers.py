@@ -32,7 +32,6 @@ __all__ = [
     "SAVED_REGISTERS",
     "ARG_REGISTERS",
     "RESULT_REGISTERS",
-    "register_name",
     "parse_register",
 ]
 
@@ -71,15 +70,6 @@ class Register:
         """True for ``$zero``, which always reads as 0 and ignores writes."""
         return self.number == 0
 
-    @property
-    def is_stable_base(self) -> bool:
-        """True for registers that change rarely (``$gp``, ``$sp``, ``$fp``).
-
-        Loads addressed off a stable base register have large address-ready
-        distance ``c`` in the epsilon analysis.
-        """
-        return self.number in (28, 29, 30)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Register({self.number}:{self.name})"
 
@@ -102,15 +92,6 @@ SAVED_REGISTERS = tuple(Register(n) for n in range(16, 24))
 ARG_REGISTERS = tuple(Register(n) for n in range(4, 8))
 #: Function-result registers.
 RESULT_REGISTERS = (Register(2), Register(3))
-
-
-def register_name(number: int) -> str:
-    """Return the assembler name for register ``number``.
-
-    >>> register_name(29)
-    '$sp'
-    """
-    return Register(number).name
 
 
 def parse_register(text: str) -> Register:

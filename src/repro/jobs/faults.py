@@ -13,25 +13,21 @@ Kinds:
   inside shard ``S`` on attempt ``A`` (default 0); exercises the
   runner's retry/backoff path.  The fault is *transient*: it fires only
   on the named attempt, so the retry succeeds.
-* ``worker-exit:S`` — on shard ``S``'s first attempt, the worker
-  process evaluating the shard's first design point hard-exits
-  (``os._exit``) once; exercises the executor's broken-pool chunk
+* ``worker-exit:S[:A]`` — on shard ``S``'s attempt ``A`` (default 0),
+  the worker process evaluating the shard's first design point
+  hard-exits once (:meth:`~repro.engine.executor.SweepExecutor.
+  inject_worker_exit`); exercises the executor's broken-pool chunk
   retry underneath a durable run.  Only meaningful on a parallel
   executor (a no-op when the shard runs serially).
 * ``abort:S`` — raise :class:`InjectedCrash` immediately after shard
   ``S``'s journal commit, simulating the *parent* process dying
   mid-run; the run directory is then resumable.
-
-:func:`truncate_journal_tail` additionally mutilates a journal's final
-bytes, simulating a crash mid-append, for the tail-recovery tests.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.errors import ConfigurationError, ReproError
 
@@ -40,7 +36,6 @@ __all__ = [
     "FaultSpec",
     "InjectedCrash",
     "InjectedFault",
-    "truncate_journal_tail",
 ]
 
 _KINDS = ("task-error", "worker-exit", "abort")
@@ -106,7 +101,8 @@ class FaultInjector:
             )
 
     def wants_worker_exit(self, shard: int, attempt: int) -> bool:
-        return attempt == 0 and self._match("worker-exit", shard) is not None
+        """Whether a worker should die on this shard attempt."""
+        return self._match("worker-exit", shard, attempt) is not None
 
     def after_commit(self, shard: int) -> None:
         """Simulate the parent dying right after a shard commit."""
@@ -115,28 +111,3 @@ class FaultInjector:
                 f"injected crash after committing shard {shard} "
                 f"(resume the run directory to continue)"
             )
-
-
-def worker_exit_evaluate(item: Tuple[Optional[str], Any]) -> Any:
-    """Worker task wrapper: hard-exit once (flag-file guarded), then behave.
-
-    Picklable and module-level so the process backend can ship it; the
-    flag file makes the exit one-shot, so the executor's fresh pool (or
-    its per-chunk retry) completes the work on the next dispatch.
-    """
-    flag, inner = item
-    if flag is not None and not os.path.exists(flag):
-        with open(flag, "w") as handle:
-            handle.write("worker exited here\n")
-        os._exit(17)
-    from repro.engine.executor import evaluate_design_point
-
-    return evaluate_design_point(inner)
-
-
-def truncate_journal_tail(path: Path, drop_bytes: int = 7) -> None:
-    """Chop bytes off a journal's end, simulating a crash mid-append."""
-    path = Path(path)
-    size = path.stat().st_size
-    with open(path, "rb+") as handle:
-        handle.truncate(max(0, size - drop_bytes))

@@ -11,9 +11,9 @@ DesignOptimizer` sweep in a crash-safe protocol:
    ``shard_failed`` after;
 3. a failed shard is retried up to ``max_retries`` times with capped
    exponential backoff whose jitter is *seeded* (the same run always
-   waits the same spans), and the final attempt falls back to serial
-   in-process evaluation so a persistently broken worker pool cannot
-   sink a run;
+   waits the same spans); a worker pool that dies is no shard failure,
+   since the executor's map finishes a dead pool's work in this process
+   (:meth:`~repro.engine.executor.SweepExecutor.map`);
 4. on restart, :meth:`JobRunner.run` replays the journal: completed
    shards feed their points straight into the
    :class:`~repro.engine.store.ArtifactStore` and only unfinished
@@ -42,7 +42,7 @@ from repro.core.config import (
     config_to_params,
 )
 from repro.errors import ConfigurationError
-from repro.jobs.faults import FaultInjector, InjectedCrash, worker_exit_evaluate
+from repro.jobs.faults import FaultInjector, InjectedCrash
 from repro.jobs.journal import JOURNAL_VERSION, RunJournal, prepare_run_dir
 from repro.utils.rng import DEFAULT_SEED, spawn_rng
 
@@ -303,7 +303,7 @@ class JobRunner:
                 ) as shard_span:
                     if faults is not None:
                         faults.before_shard(index, attempt)
-                    points = self._execute_shard(shard, index, attempt, serial=last)
+                    points = self._execute_shard(shard, index, attempt)
                     shard_span.count("points", len(points))
             except InjectedCrash:
                 raise
@@ -343,30 +343,23 @@ class JobRunner:
         shard: List[SystemConfig],
         index: int,
         attempt: int,
-        serial: bool,
     ) -> List[Any]:
         """Evaluate one shard's points (parallel when the executor is)."""
         optimizer = self.optimizer
         executor = optimizer.executor
-        if not serial and executor.is_parallel and len(shard) >= 2:
+        if executor.is_parallel and len(shard) >= 2:
             from repro.engine.executor import evaluate_design_point
 
             measurement = optimizer.measurement
             spec = measurement.spec()
             executor.prime(spec.digest(), measurement)
-            items: List[Any] = [
-                (spec, optimizer.tech, optimizer.phys, config) for config in shard
-            ]
-            fn: Callable[[Any], Any] = evaluate_design_point
             faults = self.config.faults
             if faults is not None and faults.wants_worker_exit(index, attempt):
-                flag = self.config.run_dir / f"fault-worker-exit-{index}"
-                items = [
-                    (str(flag) if position == 0 else None, item)
-                    for position, item in enumerate(items)
-                ]
-                fn = worker_exit_evaluate
-            return executor.map(fn, items)
+                executor.inject_worker_exit(0)
+            return executor.map(
+                evaluate_design_point,
+                [(spec, optimizer.tech, optimizer.phys, config) for config in shard],
+            )
         optimizer._warm_miss_cubes(shard)
         return [optimizer.evaluate(config) for config in shard]
 

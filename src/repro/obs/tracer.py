@@ -121,10 +121,6 @@ class Tracer:
         """Every root span tree as JSON-encodable dicts."""
         return [span.to_dict() for span in self.roots]
 
-    def render(self) -> str:
-        """ASCII tree of every recorded span (the ``--profile`` view)."""
-        return render_span_tree(self.roots)
-
 
 class _NullSpan:
     """Shared do-nothing span: the disabled-tracing fast path."""
@@ -167,9 +163,6 @@ class NullTracer:
 
     def to_list(self) -> List[Dict[str, Any]]:
         return []
-
-    def render(self) -> str:
-        return ""
 
 
 #: The module-wide disabled tracer instrumented code defaults to.

@@ -57,11 +57,6 @@ class PhysicalBreakdown:
         return self.fetch_nj + self.data_nj + self.refill_nj + self.static_nj
 
     @property
-    def dynamic_nj(self) -> float:
-        """The activity-proportional share (everything but static)."""
-        return self.fetch_nj + self.data_nj + self.refill_nj
-
-    @property
     def static_fraction(self) -> float:
         """Leakage share of EPI — the axis the ext_energy study sweeps."""
         return self.static_nj / self.epi_nj

@@ -49,23 +49,6 @@ class ControlFlowGraph:
     def __len__(self) -> int:
         return len(self._blocks)
 
-    @property
-    def block_names(self) -> List[str]:
-        return list(self._blocks)
-
-    def successors(self, name: str) -> List[str]:
-        """Possible static successors of a block (excluding call-stack returns)."""
-        block = self._blocks[name]
-        result = []
-        if block.taken_target is not None:
-            result.append(block.taken_target)
-        result.extend(block.indirect_targets)
-        if block.fallthrough is not None and (
-            block.terminator is None or block.terminator.is_conditional_branch
-        ):
-            result.append(block.fallthrough)
-        return result
-
 
 @dataclass
 class Procedure:
@@ -109,11 +92,9 @@ class Program:
 
     def __post_init__(self) -> None:
         self._block_map: Optional[Dict[str, BasicBlock]] = None
-        self._proc_of: Optional[Dict[str, str]] = None
 
     def _index(self) -> None:
         self._block_map = {}
-        self._proc_of = {}
         for proc in self.procedures:
             for block in proc.blocks:
                 if block.name in self._block_map:
@@ -121,7 +102,6 @@ class Program:
                         f"duplicate block name {block.name!r} across procedures"
                     )
                 self._block_map[block.name] = block
-                self._proc_of[block.name] = proc.name
 
     @property
     def block_map(self) -> Dict[str, BasicBlock]:
@@ -133,18 +113,6 @@ class Program:
 
     def block(self, name: str) -> BasicBlock:
         return self.block_map[name]
-
-    def procedure_of(self, block_name: str) -> str:
-        """Name of the procedure containing ``block_name``."""
-        if self._proc_of is None:
-            self._index()
-        assert self._proc_of is not None
-        return self._proc_of[block_name]
-
-    def invalidate_index(self) -> None:
-        """Drop cached indices after structural mutation (used by schedulers)."""
-        self._block_map = None
-        self._proc_of = None
 
     @property
     def entry(self) -> str:

@@ -56,7 +56,7 @@ _STORE = OpcodeKind.STORE
 _SYSCALL = OpcodeKind.SYSCALL
 #: Instructions no other instruction moves across: CTIs and syscalls.
 _BARRIERS = CTI_KINDS + (OpcodeKind.SYSCALL,)
-#: ``$gp``/``$sp``/``$fp`` (:attr:`Register.is_stable_base`) as a bitmask.
+#: The stable base registers ``$gp``/``$sp``/``$fp`` as a bitmask.
 _STABLE_BASES = (1 << 28) | (1 << 29) | (1 << 30)
 
 

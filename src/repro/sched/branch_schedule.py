@@ -65,10 +65,6 @@ class CtiSchedule:
     def growth(self) -> int:
         return self.s if (self.predicted_taken or self.indirect) else 0
 
-    @property
-    def skip(self) -> int:
-        return self.s if (self.predicted_taken and not self.indirect) else 0
-
 
 def schedule_ctis(compiled: CompiledProgram, slots: int) -> Dict[int, CtiSchedule]:
     """Schedule every terminating CTI for ``slots`` branch delay slots.

@@ -19,7 +19,6 @@ accuracy, wasted (squashed) cycles per CTI, and the resulting CPI increase.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -43,11 +42,6 @@ class InstructionStream:
     def __post_init__(self) -> None:
         if len(self.starts) != len(self.lengths):
             raise ScheduleError("starts and lengths must be parallel arrays")
-
-    @cached_property
-    def total_fetches(self) -> int:
-        """Total instruction fetches, including replicas and wrong paths."""
-        return int(self.lengths.sum())
 
     def cache_block_sequence(self, block_bytes: int) -> np.ndarray:
         """The sequence of cache-block addresses this stream touches.

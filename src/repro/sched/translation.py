@@ -76,7 +76,3 @@ class TranslationFile:
         """Static code growth over canonical code, in percent (Table 2)."""
         base = self.compiled.static_words
         return 100.0 * (self.code_words - base) / base
-
-    def address_of(self, block_name: str) -> int:
-        """Translated start address of a block, by name."""
-        return int(self.new_addresses[self.compiled.index[block_name]])

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import http.client
 import json
-from typing import Any, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Dict, Iterator, Mapping, Optional
 
 from repro.errors import ConfigurationError
 
@@ -139,7 +139,3 @@ class ServiceClient:
                     yield json.loads(line.decode())
         finally:
             connection.close()
-
-    def wait_for_events(self, job_id: str, after: int = 0) -> List[Dict[str, Any]]:
-        """Collect the whole event stream (convenience for tests/benches)."""
-        return list(self.events(job_id, after=after))

@@ -62,12 +62,11 @@ PROGRESS_SPANS = frozenset(
         "jobs.shard",
         "optimizer.sweep",
         "optimizer.frontier",
-        "optimizer.serial_fallback",
+        "executor.serial_fallback",
         "imiss.cube",
         "dmiss.cube",
         "cube.reduce",
         "cube.progress",
-        "cube.serial_fallback",
         "session.build",
         "session.prefetch_traces",
         "trace.synthesize",

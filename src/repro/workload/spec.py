@@ -165,13 +165,3 @@ class BenchmarkSpec:
     def weight(self) -> float:
         """Weight used in the suite's harmonic mean (share of total work)."""
         return self.instructions_millions
-
-    @property
-    def alu_pct(self) -> float:
-        """Percentage of instructions that are neither memory nor CTI."""
-        return 100.0 - self.load_pct - self.store_pct - self.branch_pct
-
-    @property
-    def data_refs_per_instruction(self) -> float:
-        """Data cache references per executed instruction."""
-        return (self.load_pct + self.store_pct) / 100.0

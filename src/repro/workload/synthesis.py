@@ -146,12 +146,6 @@ class DrawStream:
         #: The next raw 64-bit word.
         self.word = chain.from_iterable(_raw_batches(bit_generator, self._tally)).__next__
 
-    @property
-    def consumed(self) -> int:
-        """Raw words drawn since the hand-off."""
-        batch, read = self._tally
-        return read - batch.__length_hint__()
-
     def random(self) -> float:
         """``Generator.random()``."""
         return (self.word() >> 11) * _DOUBLE_SCALE

@@ -107,12 +107,6 @@ class TestBranchTargetBuffer:
         stats = BranchTargetBuffer().simulate([0x4000] * n, taken, [0x5000] * n)
         assert stats == BTBStats(ctis=n, hits=n - 1, correct=expected.count("+"))
 
-    def test_reset(self):
-        btb = BranchTargetBuffer()
-        btb.access(0x4000, True, 0x5000)
-        btb.reset()
-        assert not btb.access(0x4000, True, 0x5000)
-
     def test_simulate_matches_sequential_access(self):
         rng = np.random.default_rng(5)
         pcs = rng.choice([0x4000 + 4 * i for i in range(600)], size=5000)

@@ -1,4 +1,4 @@
-"""The chunked cube driver: bit-identity, the LRU carry, fallback, memory.
+"""The chunked cube driver: bit-identity, the LRU carry, dead pools, memory.
 
 The driver's only contract is that it is invisible: over any stream,
 any chunk length, any block sizes, ways and set counts, and any worker
@@ -31,7 +31,7 @@ from repro.cache.misscube import (
     miss_cube_from_addresses,
 )
 from repro.engine.executor import SweepExecutor
-from repro.errors import ConfigurationError, WorkerPoolError
+from repro.errors import ConfigurationError
 from repro.obs.tracer import Tracer
 from repro.trace.multiprogram import interleave_chunks
 
@@ -126,6 +126,20 @@ def off_by_one(sweep):
         return axis
 
     return wrong
+
+
+def dying_in_workers(monkeypatch, tasks):
+    """Make the listed ``(kind, block_words)`` tasks hard-exit in any
+    forked worker, as an OOM kill would; in this process they run.
+    Workers forked after the patch inherit it."""
+    parent, real = os.getpid(), cubepart._chunked_counts
+
+    def counts(kind, chunks, block_words, set_counts, max_ways):
+        if os.getpid() != parent and (kind, block_words) in tasks:
+            os._exit(1)
+        return real(kind, chunks, block_words, set_counts, max_ways)
+
+    monkeypatch.setattr(cubepart, "_chunked_counts", counts)
 
 
 def _chunks(stream, chunk_refs):
@@ -317,21 +331,17 @@ class TestParallelWorkers:
         assert_cubes_identical(serial, got)
         assert_cubes_identical(serial_mem, got_mem)
 
-    def test_broken_pool_mid_reduce_falls_back_to_identical_counts(
-        self, monkeypatch, files
-    ):
-        # The B = 8 cube task hard-exits inside any forked worker (a
-        # real BrokenProcessPool, not a mock); the parent must finish
-        # the build serially and still return bit-identical counts.
-        rng = np.random.default_rng(12)
+    def test_one_worker_killed_mid_build_is_identical(self, files):
+        # The worker that takes the third task dies once (a real
+        # BrokenProcessPool); the executor re-dispatches the unfinished
+        # tasks on a fresh pool, and the counts stay bit-identical.
+        rng = np.random.default_rng(16)
         addrs = rng.integers(0, 1 << 13, size=12000).astype(np.int64)
         counts = capacity_set_counts(BLOCKS, 2048)
         serial = miss_cube_from_addresses(addrs, BLOCKS, counts, 4)
-        monkeypatch.setattr(
-            cubepart, "_FAULT_TASKS", (os.getpid(), frozenset({("cube", 8)}))
-        )
         executor = SweepExecutor(jobs=2)
-        tracer = Tracer()
+        executor.inject_worker_exit(2)
+        executor.tracer = tracer = Tracer()
         try:
             got = partitioned_miss_cube_from_addresses(
                 files(addrs), BLOCKS, counts, 4, executor=executor, tracer=tracer
@@ -339,50 +349,56 @@ class TestParallelWorkers:
         finally:
             executor.shutdown()
         assert_cubes_identical(serial, got)
-        assert "cube.serial_fallback" in span_names(tracer.roots)
+        (mapped,) = _spans(tracer.roots, "executor.map")
+        assert mapped.counters["pool_restarts"] == 1
+        assert "executor.serial_fallback" not in span_names(tracer.roots)
+
+    def test_broken_pool_mid_reduce_falls_back_to_identical_counts(
+        self, monkeypatch, files
+    ):
+        # The B = 8 cube task hard-exits inside any forked worker (a
+        # real BrokenProcessPool, not a mock); the executor must finish
+        # the build in the parent and still return bit-identical counts.
+        rng = np.random.default_rng(12)
+        addrs = rng.integers(0, 1 << 13, size=12000).astype(np.int64)
+        counts = capacity_set_counts(BLOCKS, 2048)
+        serial = miss_cube_from_addresses(addrs, BLOCKS, counts, 4)
+        dying_in_workers(monkeypatch, {("cube", 8)})
+        executor = SweepExecutor(jobs=2)
+        executor.tracer = tracer = Tracer()
+        try:
+            got = partitioned_miss_cube_from_addresses(
+                files(addrs), BLOCKS, counts, 4, executor=executor, tracer=tracer
+            )
+        finally:
+            executor.shutdown()
+        assert_cubes_identical(serial, got)
+        assert "executor.serial_fallback" in span_names(tracer.roots)
 
     def test_every_task_faulting_still_identical(self, monkeypatch, files):
         rng = np.random.default_rng(13)
         streams = {B: rng.integers(0, 1024, size=8000) for B in BLOCKS}
         serial = miss_cube(streams, [8, 16, 32], 4)
-        monkeypatch.setattr(
-            cubepart,
-            "_FAULT_TASKS",
-            (
-                os.getpid(),
-                frozenset((kind, B) for kind in cubepart.TASK_KINDS for B in BLOCKS),
-            ),
+        # Every worker dies: the pool is dead for good, and the parent
+        # runs the whole task list, each task once.
+        dying_in_workers(
+            monkeypatch, {(kind, B) for kind in cubepart.TASK_KINDS for B in BLOCKS}
         )
         executor = SweepExecutor(jobs=2)
+        executor.tracer = tracer = Tracer()
         try:
             got = partitioned_miss_cube(
                 {B: files(stream) for B, stream in streams.items()},
                 [8, 16, 32],
                 4,
                 executor=executor,
+                tracer=tracer,
             )
         finally:
             executor.shutdown()
         assert_cubes_identical(serial, got)
-
-    def test_stub_executor_that_always_crashes_falls_back(self, files):
-        class _DeadExecutor:
-            jobs = 4
-            backend = "process"
-            is_serial = False
-            is_parallel = True
-
-            def map(self, fn, items, chunk_size=None):
-                raise WorkerPoolError("sweep worker pool crashed twice")
-
-        rng = np.random.default_rng(14)
-        addrs = rng.integers(0, 1 << 12, size=9000).astype(np.int64)
-        counts = capacity_set_counts(BLOCKS, 1024)
-        serial = miss_cube_from_addresses(addrs, BLOCKS, counts, 4)
-        got = partitioned_miss_cube_from_addresses(
-            files(addrs), BLOCKS, counts, 4, executor=_DeadExecutor()
-        )
-        assert_cubes_identical(serial, got)
+        (fallback,) = _spans(tracer.roots, "executor.serial_fallback")
+        assert fallback.counters["items"] == 2 * len(BLOCKS)
 
     def test_pool_runs_every_task_even_when_an_earlier_build_forked_it(
         self, monkeypatch, files
@@ -412,7 +428,7 @@ class TestParallelWorkers:
             spy("sweep", cubepart.direct_mapped_miss_sweep),
         )
         executor = SweepExecutor(jobs=2)
-        tracer = Tracer()
+        executor.tracer = tracer = Tracer()
         try:
             builds = [
                 partitioned_miss_cube_from_addresses(
@@ -436,9 +452,7 @@ class TestParallelWorkers:
         assert in_parent == []
         reduces = _spans(tracer.roots, "cube.reduce")
         assert len(reduces) == 3
-        for span in reduces:
-            assert span.counters["fallback_tasks"] == 0
-        assert "cube.serial_fallback" not in span_names(tracer.roots)
+        assert "executor.serial_fallback" not in span_names(tracer.roots)
 
 
 class TestCrossCheck:
@@ -489,18 +503,16 @@ class TestTaskErrors:
         addrs = rng.integers(0, 1 << 12, size=6000).astype(np.int64)
         counts = capacity_set_counts(BLOCKS, 1024)
         executor = SweepExecutor(jobs=jobs)
-        tracer = Tracer()
+        executor.tracer = tracer = Tracer()
         try:
-            with pytest.raises(ConfigurationError, match="on its own") as raised:
+            with pytest.raises(ConfigurationError, match="on its own"):
                 partitioned_miss_cube_from_addresses(
                     files(addrs), BLOCKS, counts, 4, executor=executor, tracer=tracer
                 )
         finally:
             executor.shutdown()
-        assert not isinstance(raised.value, WorkerPoolError)
-        assert "cube.serial_fallback" not in span_names(tracer.roots)
+        assert "executor.serial_fallback" not in span_names(tracer.roots)
         (reduce,) = _spans(tracer.roots, "cube.reduce")
-        assert reduce.counters["fallback_tasks"] == 0
         if jobs == 1:
             tasks = [(kind, B) for kind in cubepart.TASK_KINDS for B in BLOCKS]
             assert sorted(calls) == sorted(tasks)
@@ -512,7 +524,7 @@ class TestTaskErrors:
         stream = files(np.arange(100))
         os.remove(stream.path)
         executor = SweepExecutor(jobs=2)
-        tracer = Tracer()
+        executor.tracer = tracer = Tracer()
         try:
             with pytest.raises(FileNotFoundError):
                 partitioned_miss_cube_from_addresses(
@@ -520,7 +532,7 @@ class TestTaskErrors:
                 )
         finally:
             executor.shutdown()
-        assert "cube.serial_fallback" not in span_names(tracer.roots)
+        assert "executor.serial_fallback" not in span_names(tracer.roots)
 
 
 class TestSpillChunks:

@@ -23,9 +23,12 @@ class TestRefillModel:
         assert RefillModel(2, 4).penalty_cycles(6) == 2 + 2
 
     def test_for_penalty_roundtrip(self):
+        # A fractional refill rate still rounds the transfer up to whole
+        # cycles: the rate that spreads a block over ``penalty - 2``
+        # cycles gives back exactly that penalty.
         for penalty in PAPER_PENALTIES:
             for block in (4, 8, 16):
-                model = RefillModel.for_penalty(penalty, block)
+                model = RefillModel(2, block / (penalty - 2))
                 assert model.penalty_cycles(block) == penalty
 
     def test_invalid_parameters(self):
@@ -35,5 +38,3 @@ class TestRefillModel:
             RefillModel(2, 0)
         with pytest.raises(ConfigurationError):
             RefillModel(2, 2).penalty_cycles(0)
-        with pytest.raises(ConfigurationError):
-            RefillModel.for_penalty(2, 4)

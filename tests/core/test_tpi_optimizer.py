@@ -18,8 +18,9 @@ from repro.core.frontier import objective_value, pareto_frontier
 from repro.core.optimizer import DesignPoint, point_order_key
 from repro.core.tcpu import side_cycle_times_ns
 from repro.core.tpi import required_tcpu_reduction
-from repro.engine.executor import SweepExecutor
-from repro.errors import ConfigurationError, WorkerPoolError
+from repro.engine import executor as executor_module
+from repro.engine.executor import SweepExecutor, evaluate_design_point
+from repro.errors import ConfigurationError
 from repro.obs import Tracer
 from repro.workload import benchmark_by_name
 from tests.cache.test_cubepart import span_names
@@ -446,28 +447,24 @@ def _log_session_work(monkeypatch, tmp_path):
     return builds, loads
 
 
-class _BrokenPoolExecutor(SweepExecutor):
-    """Parallel-looking executor whose pool dies on design-point sweeps.
+class _TaskErrorExecutor(SweepExecutor):
+    """Parallel-looking executor whose design-point sweeps fail with a
+    task's own ``error``.
 
     Trace synthesis (also fanned out through the session's executor)
     runs in-process so the session still builds; only the optimizer's
-    sweep dispatch hits the scripted error: by default the executor's
-    persistent crash, or ``error`` (a task's own failure).
+    sweep dispatch hits the scripted error.
     """
 
-    def __init__(self, error=None):
+    def __init__(self, error):
         super().__init__(jobs=2)
         self.maps = 0
-        self.error = error or WorkerPoolError(
-            "sweep worker pool crashed twice (scripted)"
-        )
+        self.error = error
 
     def prime(self, digest, session):
         pass
 
     def map(self, fn, items):
-        from repro.engine.executor import evaluate_design_point
-
         if fn is evaluate_design_point:
             self.maps += 1
             raise self.error
@@ -493,32 +490,72 @@ class TestSerialFallback:
                 return found
         return None
 
-    def test_pool_crash_falls_back_to_serial(self):
-        # Regression: a twice-crashed pool used to abort the whole sweep;
-        # now the optimizer finishes serially and flags the degradation.
+    def test_pool_crash_falls_back_to_serial(self, monkeypatch):
+        # A sweep whose pool dies for good (every sweep worker is
+        # killed) still returns the serial sweep's points: the executor
+        # evaluates them in the parent, whose session keeps its own
+        # executor and build pool width for the rest of the run.
         grid_of = lambda opt: opt.symmetric_grid(SystemConfig(penalty=10))
         serial_opt = DesignOptimizer(self._tiny())
         expected = serial_opt.sweep(grid_of(serial_opt))
+        parent, real = os.getpid(), executor_module.session_for_spec
+
+        def dying(spec):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real(spec)
+
+        monkeypatch.setattr(executor_module, "session_for_spec", dying)
         tracer = Tracer()
-        broken = _BrokenPoolExecutor()
-        fallback_opt = DesignOptimizer(self._tiny(executor=broken, tracer=tracer))
-        points = fallback_opt.sweep(grid_of(fallback_opt))
-        assert broken.maps == 1  # the pool was tried, then given up on
+        executor = SweepExecutor(jobs=2)
+        measurement = self._tiny(executor=executor)
+        measurement.attach_tracer(tracer)
+        measurement.attach_cube_jobs(2)
+        fallback_opt = DesignOptimizer(measurement)
+        try:
+            points = fallback_opt.sweep(grid_of(fallback_opt))
+        finally:
+            executor.shutdown()
         assert [(p.config, p.cpi, p.cycle_time_ns) for p in points] == [
             (p.config, p.cpi, p.cycle_time_ns) for p in expected
         ]
-        span = self._find_span(tracer.roots, "optimizer.serial_fallback")
+        span = self._find_span(tracer.roots, "executor.serial_fallback")
         assert span is not None
-        assert span.counters["points"] == len(grid_of(fallback_opt))
-        assert "crashed" in span.attrs["reason"]
+        assert span.counters["items"] == len(grid_of(fallback_opt))
+        assert "broke twice" in span.attrs["reason"]
+        assert measurement.executor is executor
+        assert measurement.cube_jobs == 2
+
+    def test_a_point_evaluated_in_the_parent_keeps_its_session(self):
+        # The dead pool's fallback runs evaluate_design_point in the
+        # parent, where the primed session is the parent's own: it must
+        # not be switched to a serial executor and one build job, as a
+        # forked worker's copy is, or every later sweep and build of the
+        # run would go serial.
+        executor = SweepExecutor(jobs=2)
+        measurement = self._tiny(executor=executor)
+        measurement.attach_cube_jobs(2)
+        optimizer = DesignOptimizer(measurement)
+        spec = measurement.spec()
+        executor.prime(spec.digest(), measurement)
+        config = SystemConfig(penalty=10)
+        try:
+            point = evaluate_design_point(
+                (spec, optimizer.tech, optimizer.phys, config)
+            )
+        finally:
+            executor.shutdown()
+        assert point == optimizer.evaluate(config)
+        assert measurement.executor is executor
+        assert measurement.cube_jobs == 2
 
     def test_a_task_error_is_no_pool_crash(self):
         # A ConfigurationError a design point raises itself surfaces as
         # raised: the sweep is not re-run in the parent.
         tracer = Tracer()
-        broken = _BrokenPoolExecutor(ConfigurationError("a point failed"))
+        broken = _TaskErrorExecutor(ConfigurationError("a point failed"))
         opt = DesignOptimizer(self._tiny(executor=broken, tracer=tracer))
         with pytest.raises(ConfigurationError, match="a point failed"):
             opt.sweep(opt.symmetric_grid(SystemConfig(penalty=10)))
         assert broken.maps == 1
-        assert self._find_span(tracer.roots, "optimizer.serial_fallback") is None
+        assert self._find_span(tracer.roots, "executor.serial_fallback") is None

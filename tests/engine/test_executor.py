@@ -12,12 +12,18 @@ import numpy as np
 import pytest
 
 from repro.core import DesignOptimizer, SuiteMeasurement, SystemConfig
+from repro.core import measurement as measurement_module
 from repro.engine import executor as executor_module
 from repro.engine.executor import SweepExecutor, retire_inherited
 from repro.engine.store import ArtifactStore
-from repro.errors import ConfigurationError, WorkerPoolError
+from repro.errors import ConfigurationError
 from repro.obs.tracer import Tracer
 from repro.workload import benchmark_by_name
+
+
+#: This test process: forked workers inherit the value, so a task can
+#: tell a worker from the parent that finishes a dead pool's chunks.
+_PARENT_PID = os.getpid()
 
 
 def _square(value):
@@ -26,8 +32,37 @@ def _square(value):
 
 
 def _exit_hard(value):
-    """Worker task that dies without cleanup (simulates an OOM kill)."""
-    os._exit(13)
+    """Dies without cleanup in a worker (simulates an OOM kill); the
+    parent, finishing a dead pool's chunks, squares."""
+    if os.getpid() != _PARENT_PID:
+        os._exit(13)
+    return value * value
+
+
+def _log_then_exit_from(item):
+    """Logs ``pid value`` and squares, except that a worker dies on every
+    value from ``first_exit`` on."""
+    log, first_exit, value = item
+    if value >= first_exit and os.getpid() != _PARENT_PID:
+        os._exit(13)
+    with open(log, "a") as handle:
+        handle.write(f"{os.getpid()} {value}\n")
+    return value * value
+
+
+def _log_then_raise_at_three(item):
+    log, value = item
+    with open(log, "a") as handle:
+        handle.write(f"{value}\n")
+    if value == 3:
+        raise ValueError("item 3 failed on its own")
+    return value * value
+
+
+def _inherited_executors(spec):
+    """What a worker's :func:`session_for_spec` leaves the session with."""
+    session = executor_module.session_for_spec(spec)
+    return session.executor.is_serial, session.cube_jobs
 
 
 def _crash_until_flag(item):
@@ -93,8 +128,6 @@ class TestConstruction:
             SweepExecutor(jobs=0)
         with pytest.raises(ConfigurationError):
             SweepExecutor(backend="threads")
-        with pytest.raises(ConfigurationError):
-            SweepExecutor(chunk_size=0)
 
 
 class TestSerialMap:
@@ -117,9 +150,9 @@ class TestProcessMap:
             executor.shutdown()
 
     def test_chunked_dispatch_matches(self):
-        executor = SweepExecutor(jobs=2, chunk_size=3)
+        executor = SweepExecutor(jobs=2)
         try:
-            assert executor.map(_square, list(range(10))) == [
+            assert executor.map(_square, list(range(10)), chunk_size=3) == [
                 n * n for n in range(10)
             ]
         finally:
@@ -229,17 +262,22 @@ class TestNoNestedPools:
         # A forked sweep worker inherits the parent's session with both
         # executors' settings; a plane the worker has to rebuild must be
         # built in the worker, not on a build pool forked inside it.
-        session = _tiny_measurement(
-            SweepExecutor(jobs=2), ArtifactStore(cache_dir=tmp_path)
-        )
+        # The parent, which finishes a dead pool's chunks itself, keeps
+        # its own executors.
+        executor = SweepExecutor(jobs=2)
+        session = _tiny_measurement(executor, ArtifactStore(cache_dir=tmp_path))
         session.attach_cube_jobs(2)
         spec = session.spec()
-        executor_module._FORK_INHERITED[spec.digest()] = session
-        inherited = executor_module.session_for_spec(spec)
-        assert inherited is session
-        assert inherited.executor.is_serial
-        assert inherited.cube_jobs == 1
-        assert inherited._build_executor().is_serial
+        executor.prime(spec.digest(), session)
+        try:
+            in_workers = executor.map(_inherited_executors, [spec, spec])
+        finally:
+            executor.shutdown()
+        assert in_workers == [(True, 1), (True, 1)]
+        executor.prime(spec.digest(), session)
+        assert executor_module.session_for_spec(spec) is session
+        assert session.executor is executor
+        assert session.cube_jobs == 2
 
 
 class TestDefaultChunk:
@@ -266,22 +304,46 @@ class TestDefaultChunk:
 
 
 class TestBrokenPoolRecovery:
-    def test_persistent_crash_raises_configuration_error(self):
-        # A worker that always dies must surface a clean library error,
-        # not a raw BrokenProcessPool, after one fresh-pool retry: the
-        # ConfigurationError subclass that callers may fall back on.
-        executor = SweepExecutor(jobs=2)
+    def _executions(self, log):
+        with open(log) as handle:
+            return [tuple(map(int, line.split())) for line in handle]
+
+    def test_persistent_crash_finishes_in_the_parent(self, tmp_path):
+        # One worker and one-item chunks make the execution order
+        # deterministic: items 0-2 complete in the worker, item 3 kills
+        # it, and so it does on each of two fresh pools; then the parent
+        # runs items 3-7 itself, once each, under one fallback span.
+        log = str(tmp_path / "executions.log")
+        tracer = Tracer()
+        executor = SweepExecutor(jobs=1, backend="process")
+        executor.tracer = tracer
         try:
-            with pytest.raises(WorkerPoolError, match="worker pool crashed"):
-                executor.map(_exit_hard, list(range(8)))
+            result = executor.map(
+                _log_then_exit_from, [(log, 3, n) for n in range(8)], chunk_size=1
+            )
         finally:
             executor.shutdown()
+        assert result == [n * n for n in range(8)]
+        executions = self._executions(log)
+        assert sorted(value for _, value in executions) == list(range(8))
+        in_parent = sorted(value for pid, value in executions if pid == os.getpid())
+        assert in_parent == [3, 4, 5, 6, 7]
+        (span,) = tracer.roots
+        assert span.counters["pool_restarts"] == 3
+        (fallback,) = span.children
+        assert fallback.name == "executor.serial_fallback"
+        assert fallback.counters["items"] == 5
+        assert "broke twice" in fallback.attrs["reason"]
+        assert executor._pool is None
 
     def test_executor_usable_after_pool_crash(self):
+        tracer = Tracer()
         executor = SweepExecutor(jobs=2)
+        executor.tracer = tracer
         try:
-            with pytest.raises(ConfigurationError):
-                executor.map(_exit_hard, list(range(8)))
+            assert executor.map(_exit_hard, list(range(8))) == [
+                n * n for n in range(8)
+            ]
             # Regression: the broken pool used to stay wedged in
             # self._pool, failing every later map() call too.
             assert executor.map(_square, list(range(6))) == [
@@ -289,6 +351,32 @@ class TestBrokenPoolRecovery:
             ]
         finally:
             executor.shutdown()
+        dead, fresh = tracer.roots
+        assert [child.name for child in dead.children] == [
+            "executor.serial_fallback"
+        ]
+        assert dead.children[0].counters["items"] == 8
+        assert fresh.counters["pool_forks"] == 1
+        assert "pool_restarts" not in fresh.counters
+
+    def test_a_task_error_surfaces_once_without_a_fallback(self, tmp_path):
+        log = str(tmp_path / "executions.log")
+        tracer = Tracer()
+        executor = SweepExecutor(jobs=1, backend="process")
+        executor.tracer = tracer
+        try:
+            with pytest.raises(ValueError, match="on its own"):
+                executor.map(
+                    _log_then_raise_at_three,
+                    [(log, n) for n in range(8)],
+                    chunk_size=1,
+                )
+        finally:
+            executor.shutdown()
+        assert [value for (value,) in self._executions(log)].count(3) == 1
+        (span,) = tracer.roots
+        assert span.children == []
+        assert "pool_restarts" not in span.counters
 
     def test_completed_chunks_survive_worker_death(self, tmp_path):
         # Regression: map() used to re-dispatch the *whole* item list
@@ -298,10 +386,12 @@ class TestBrokenPoolRecovery:
         # kills the worker once, 5-7 finish on the fresh pool.
         log = str(tmp_path / "executions.log")
         flag = str(tmp_path / "crashed-once")
-        executor = SweepExecutor(jobs=1, backend="process", chunk_size=1)
+        executor = SweepExecutor(jobs=1, backend="process")
         try:
             result = executor.map(
-                _log_then_crash_at_five, [(log, flag, n) for n in range(8)]
+                _log_then_crash_at_five,
+                [(log, flag, n) for n in range(8)],
+                chunk_size=1,
             )
         finally:
             executor.shutdown()
@@ -321,6 +411,36 @@ class TestBrokenPoolRecovery:
             executor.shutdown()
         assert result == [n * n for n in range(8)]
         assert os.path.exists(flag)
+
+
+class TestInjectedWorkerExit:
+    def test_kills_exactly_one_worker_once(self):
+        tracer = Tracer()
+        executor = SweepExecutor(jobs=2)
+        executor.tracer = tracer
+        executor.inject_worker_exit(5)
+        try:
+            assert executor.map(_square, list(range(8))) == [
+                n * n for n in range(8)
+            ]
+            assert executor.map(_square, list(range(8))) == [
+                n * n for n in range(8)
+            ]
+        finally:
+            executor.shutdown()
+        killed, clean = tracer.roots
+        assert killed.counters["pool_restarts"] == 1
+        assert killed.children == []  # no parent fallback
+        assert "pool_restarts" not in clean.counters  # the hook cleared
+
+    def test_a_serial_map_never_fires_it(self):
+        tracer = Tracer()
+        executor = SweepExecutor()
+        executor.tracer = tracer
+        executor.inject_worker_exit(0)
+        assert executor.map(_square, [1, 2, 3]) == [1, 4, 9]
+        (span,) = tracer.roots
+        assert "pool_restarts" not in span.counters
 
 
 class TestSweepEquivalence:
@@ -371,14 +491,10 @@ class TestSweepEquivalence:
         if own_dir:
             assert not default.exists() or not any(default.iterdir())
 
-    def test_parallel_benchmark_synthesis_matches(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "parallel"))
-        parallel = _tiny_measurement(executor=SweepExecutor(jobs=2))
-        parallel_benchmarks = parallel.benchmarks
-        parallel.executor.shutdown()
+    def _assert_serial_benchmarks(self, benchmarks, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "serial"))
         serial = _tiny_measurement()
-        for theirs, ours in zip(parallel_benchmarks, serial.benchmarks):
+        for theirs, ours in zip(benchmarks, serial.benchmarks):
             assert np.array_equal(theirs.trace.block_ids, ours.trace.block_ids)
             assert np.array_equal(theirs.trace.went_taken, ours.trace.went_taken)
             assert theirs.trace.restarts == ours.trace.restarts
@@ -386,6 +502,36 @@ class TestSweepEquivalence:
             assert programs[0].keys() == programs[1].keys()
             for name, array in programs[1].items():
                 assert np.array_equal(programs[0][name], array), name
+
+    def test_parallel_benchmark_synthesis_matches(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "parallel"))
+        parallel = _tiny_measurement(executor=SweepExecutor(jobs=2))
+        parallel_benchmarks = parallel.benchmarks
+        parallel.executor.shutdown()
+        self._assert_serial_benchmarks(parallel_benchmarks, monkeypatch, tmp_path)
+
+    def test_a_dead_prefetch_pool_still_builds(self, monkeypatch, tmp_path):
+        # Every prefetch worker dies: the executor synthesizes the
+        # traces in the parent, and the session builds what a serial
+        # one does.
+        parent, real = os.getpid(), measurement_module.load_or_compile
+
+        def dying(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(measurement_module, "load_or_compile", dying)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "parallel"))
+        tracer = Tracer()
+        parallel = _tiny_measurement(executor=SweepExecutor(jobs=2))
+        parallel.attach_tracer(tracer)
+        try:
+            benchmarks = parallel.benchmarks
+        finally:
+            parallel.executor.shutdown()
+        assert "executor.serial_fallback" in _span_names(tracer.roots)
+        self._assert_serial_benchmarks(benchmarks, monkeypatch, tmp_path)
 
     def test_parallel_cold_start_synthesizes_in_workers_only(
         self, monkeypatch, tmp_path

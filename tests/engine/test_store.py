@@ -378,7 +378,7 @@ class TestDiskBudget:
         entry_bytes = ArtifactStore(cache_dir=tmp_path / "probe")
         entry_bytes.put("blob", 1, {"x": np.arange(1000, dtype=np.int64)},
                         persist=True, n=0)
-        per_entry = entry_bytes.disk_usage()
+        per_entry = entry_bytes.stats().disk_bytes
         assert per_entry > 0
 
         store = ArtifactStore(
@@ -397,13 +397,13 @@ class TestDiskBudget:
         probe = ArtifactStore(cache_dir=tmp_path / "probe")
         probe.put("blob", 1, {"x": np.arange(1000, dtype=np.int64)},
                   persist=True, n=0)
-        per_entry = probe.disk_usage()
+        per_entry = probe.stats().disk_bytes
 
+        # One memory entry: filling two leaves n=0 on disk only.
         store = ArtifactStore(
-            cache_dir=tmp_path / "real", max_disk_bytes=2 * per_entry
+            cache_dir=tmp_path / "real", memory_entries=1, max_disk_bytes=2 * per_entry
         )
         self._fill(store, 2)
-        store.clear_memory()
         assert store.get_or_create(
             "blob", 1, lambda: pytest.fail("must hit disk"), persist=True, n=0
         ) is not None  # n=0 is now the hottest entry
@@ -429,13 +429,13 @@ class TestDiskBudget:
         reader = ArtifactStore(cache_dir=tmp_path)
         adopted = reader.scan_disk()
         assert adopted == 3
-        assert reader.disk_usage() == writer.disk_usage()
+        assert reader.stats().disk_bytes == writer.stats().disk_bytes
         assert reader.scan_disk() == 0  # idempotent
 
     def test_adopted_strangers_evict_before_own_writes(self, tmp_path):
         writer = ArtifactStore(cache_dir=tmp_path)
         self._fill(writer, 2)
-        per_entry = writer.disk_usage() // 2
+        per_entry = writer.stats().disk_bytes // 2
         budgeted = ArtifactStore(
             cache_dir=tmp_path, max_disk_bytes=2 * per_entry + per_entry // 2
         )
@@ -454,6 +454,6 @@ class TestDiskBudget:
     def test_invalidate_updates_accounting(self, tmp_path):
         store = ArtifactStore(cache_dir=tmp_path, max_disk_bytes=10**9)
         self._fill(store, 2)
-        before = store.disk_usage()
+        before = store.stats().disk_bytes
         store.invalidate("blob", 1, n=0)
-        assert store.disk_usage() < before
+        assert store.stats().disk_bytes < before

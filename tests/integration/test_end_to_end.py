@@ -39,15 +39,15 @@ class TestCrossModuleInvariants:
         program = synthesize_program(benchmark_by_name("small"))
         trace = execute_program(program, 30_000)
         stream = expand_istream(trace, TranslationFile(trace.compiled, 0))
-        assert stream.total_fetches == trace.instruction_count
+        assert stream.lengths.sum() == trace.instruction_count
 
     def test_fetch_count_grows_with_slots_by_at_most_wrongpath_bound(self):
         program = synthesize_program(benchmark_by_name("small"))
         trace = execute_program(program, 30_000)
-        base = expand_istream(trace, TranslationFile(trace.compiled, 0)).total_fetches
+        base = expand_istream(trace, TranslationFile(trace.compiled, 0)).lengths.sum()
         for slots in (1, 2, 3):
             translation = TranslationFile(trace.compiled, slots)
-            fetches = expand_istream(trace, translation).total_fetches
+            fetches = expand_istream(trace, translation).lengths.sum()
             # Every CTI can add at most `slots` extra fetches (replicated,
             # wrong-path, or noop words).
             cti_steps = int(

@@ -4,7 +4,7 @@ import pytest
 
 from repro.isa.assembler import parse_instruction
 from repro.isa.instruction import Instruction, nop
-from repro.isa.opcodes import Opcode
+from repro.isa.opcodes import OpcodeKind
 from repro.isa.registers import RA, ZERO, Register
 
 
@@ -15,33 +15,34 @@ def inst(text):
 class TestCategories:
     def test_alu(self):
         i = inst("addu $t2, $t0, $t1")
-        assert not (i.is_load or i.is_store or i.is_cti or i.is_nop)
+        assert i.kind is OpcodeKind.ALU
+        assert not (i.is_load or i.is_memory or i.is_cti)
 
     def test_load(self):
         i = inst("lw $t0, 4($sp)")
-        assert i.is_load and i.is_memory and not i.is_store
+        assert i.is_load and i.is_memory and i.kind is OpcodeKind.LOAD
 
     def test_store(self):
         i = inst("sw $t0, 4($sp)")
-        assert i.is_store and i.is_memory and not i.is_load
+        assert i.kind is OpcodeKind.STORE and i.is_memory and not i.is_load
 
     def test_conditional_branch(self):
         i = inst("beq $t0, $t1, done")
-        assert i.is_cti and i.is_conditional_branch and not i.is_unconditional
+        assert i.is_cti and i.is_conditional_branch and not i.is_register_indirect
 
     def test_direct_jump(self):
         i = inst("j loop")
-        assert i.is_cti and i.is_unconditional and not i.is_register_indirect
+        assert i.is_cti and i.kind is OpcodeKind.JUMP and not i.is_register_indirect
 
     def test_register_indirect(self):
         i = inst("jr $ra")
-        assert i.is_cti and i.is_register_indirect and i.is_unconditional
+        assert i.is_cti and i.is_register_indirect and not i.is_conditional_branch
 
     def test_jalr_is_register_indirect(self):
         assert inst("jalr $ra, $t9").is_register_indirect
 
     def test_nop(self):
-        assert nop().is_nop
+        assert nop().kind is OpcodeKind.NOP
         assert not nop().is_cti
 
 
@@ -56,7 +57,7 @@ class TestDefUse:
         i = inst("lw $3, 100($5)")
         assert i.defs == frozenset({Register(3)})
         assert i.uses == frozenset({Register(5)})
-        assert i.address_register == Register(5)
+        assert i.base == Register(5)
 
     def test_store_has_no_defs(self):
         i = inst("sw $t0, 0($sp)")
@@ -92,7 +93,7 @@ class TestDefUse:
         assert nop().uses == frozenset()
 
     def test_address_register_none_for_alu(self):
-        assert inst("addu $t0, $t1, $t2").address_register is None
+        assert inst("addu $t0, $t1, $t2").base is None
 
 
 class TestValueSemantics:
@@ -102,11 +103,6 @@ class TestValueSemantics:
 
     def test_hashable(self):
         assert len({inst("nop"), nop()}) == 1
-
-    def test_with_target(self):
-        i = inst("beq $t0, $t1, a").with_target("b")
-        assert i.target == "b"
-        assert i.sources == inst("beq $t0, $t1, a").sources
 
     def test_str_is_disassembly(self):
         assert str(inst("lw $t3, 100($t5)")) == "lw $t3, 100($t5)"

@@ -8,8 +8,8 @@ from repro.jobs.faults import (
     FaultSpec,
     InjectedCrash,
     InjectedFault,
-    truncate_journal_tail,
 )
+from tests.jobs.helpers import truncate_journal_tail
 
 
 class TestFaultSpec:
@@ -46,6 +46,14 @@ class TestInjector:
         assert injector.wants_worker_exit(0, 0)
         assert not injector.wants_worker_exit(0, 1)
         assert not injector.wants_worker_exit(1, 0)
+
+    def test_worker_exit_honours_its_attempt(self):
+        # As task-error does: an explicit attempt fires on that attempt
+        # only, not on the first.
+        injector = FaultInjector.parse(["worker-exit:0:1"])
+        assert not injector.wants_worker_exit(0, 0)
+        assert injector.wants_worker_exit(0, 1)
+        assert not injector.wants_worker_exit(0, 2)
 
 
 def test_truncate_journal_tail(tmp_path):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.jobs.faults import truncate_journal_tail
+from tests.jobs.helpers import truncate_journal_tail
 from repro.jobs.journal import (
     JOURNAL_VERSION,
     RUN_MARKER,

@@ -12,11 +12,12 @@ from repro.core import DesignOptimizer, SuiteMeasurement, SystemConfig
 from repro.engine.executor import SweepExecutor
 from repro.errors import ConfigurationError
 from repro.jobs import FaultInjector, InjectedCrash, JobConfig, RunJournal
-from repro.jobs.faults import FaultSpec, truncate_journal_tail
+from repro.jobs.faults import FaultSpec
 from repro.jobs.runner import DEFAULT_BACKOFF_BASE_S
 from repro.obs import Tracer
 from repro.utils.rng import DEFAULT_SEED, spawn_rng
 from repro.workload import benchmark_by_name
+from tests.jobs.helpers import truncate_journal_tail
 
 SHARD_SIZE = 5  # 24-point fig12 grid -> shards of 5,5,5,5,4
 
@@ -55,6 +56,12 @@ def _journal_path(run_dir):
     journals = sorted((run_dir / "sweeps").glob("sweep-*.jsonl"))
     assert len(journals) == 1
     return journals[0]
+
+
+def _walk(spans):
+    for span in spans:
+        yield span
+        yield from _walk(span.children)
 
 
 def _assert_identical(reference, points):
@@ -280,7 +287,9 @@ class TestParallelExecutor:
             run_dir, faults=FaultInjector([FaultSpec("worker-exit", 0)])
         )
         executor = SweepExecutor(jobs=2)
+        tracer = Tracer()
         measurement = _session(executor=executor)
+        measurement.attach_tracer(tracer)
         measurement.attach_jobs(config)
         optimizer = DesignOptimizer(measurement)
         try:
@@ -288,10 +297,19 @@ class TestParallelExecutor:
         finally:
             executor.shutdown()
         _assert_identical(reference, points)
-        # The scripted hard-exit actually fired (flag file is its proof),
-        # yet no shard needed a journal-level retry: the executor's
-        # per-chunk redispatch absorbed the dead worker.
-        assert (run_dir / "fault-worker-exit-0").exists()
+        # The scripted hard-exit actually fired (shard 0's map restarted
+        # its pool once), yet no shard needed a journal-level retry, nor
+        # the parent's fallback: the executor's per-chunk redispatch
+        # absorbed the dead worker.
+        (shard_span,) = [
+            span
+            for span in _walk(tracer.roots)
+            if span.name == "jobs.shard" and span.attrs["shard"] == 0
+        ]
+        maps = [span for span in _walk([shard_span]) if span.name == "executor.map"]
+        assert [span.counters.get("pool_restarts", 0) for span in maps] == [1]
+        names = {span.name for span in _walk(tracer.roots)}
+        assert "executor.serial_fallback" not in names
         assert config.stats.shard_retries == 0
         assert RunJournal.load(_journal_path(run_dir)).finished
 

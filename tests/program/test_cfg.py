@@ -6,6 +6,7 @@ from repro.errors import ConfigurationError
 from repro.isa.assembler import assemble_block
 from repro.program.basic_block import BasicBlock
 from repro.program.cfg import ControlFlowGraph, Procedure, Program
+from repro.trace import TraceExecutor
 
 
 def bb(name, text="nop", **kwargs):
@@ -37,6 +38,17 @@ def tiny_program():
     return Program(name="tiny", procedures=[main, helper])
 
 
+def walked_successors(blocks, name="a", steps=400):
+    """The blocks the trace executor enters straight after ``name``, over
+    one procedure of ``blocks``."""
+    program = Program(name="walk", procedures=[Procedure(name="main", blocks=blocks)])
+    trace = TraceExecutor(program, seed=1).run(steps)
+    names = {block_id: block for block, block_id in trace.compiled.index.items()}
+    start = trace.compiled.index[name]
+    ids = trace.block_ids
+    return {names[int(b)] for a, b in zip(ids[:-1], ids[1:]) if a == start}
+
+
 class TestControlFlowGraph:
     def test_duplicate_block_rejected(self):
         cfg = ControlFlowGraph([bb("a")])
@@ -46,23 +58,29 @@ class TestControlFlowGraph:
     def test_lookup_and_iteration(self):
         cfg = ControlFlowGraph([bb("a"), bb("b")])
         assert cfg["a"].name == "a"
-        assert cfg.block_names == ["a", "b"]
+        assert [block.name for block in cfg] == ["a", "b"]
         assert len(cfg) == 2
         assert "a" in cfg and "z" not in cfg
 
     def test_successors_conditional(self):
-        cfg = ControlFlowGraph(
-            [bb("a", "beq $t0, $t1, c", taken_target="c", fallthrough="b")]
-        )
-        assert cfg.successors("a") == ["c", "b"]
+        blocks = [
+            bb("a", "beq $t0, $t1, c", taken_target="c", fallthrough="b", taken_bias=0.5),
+            bb("b"),
+            bb("c", "jr $ra"),
+        ]
+        assert walked_successors(blocks) == {"b", "c"}
 
     def test_successors_unconditional_jump_has_no_fallthrough(self):
-        cfg = ControlFlowGraph([bb("a", "j c", taken_target="c", fallthrough="b")])
-        assert cfg.successors("a") == ["c"]
+        blocks = [bb("a", "j c", taken_target="c", fallthrough="b"), bb("b"), bb("c", "jr $ra")]
+        assert walked_successors(blocks) == {"c"}
 
     def test_successors_indirect(self):
-        cfg = ControlFlowGraph([bb("a", "jr $t9", indirect_targets=["x", "y"])])
-        assert cfg.successors("a") == ["x", "y"]
+        blocks = [
+            bb("a", "jr $t9", indirect_targets=["x", "y"]),
+            bb("x", "jr $ra"),
+            bb("y", "jr $ra"),
+        ]
+        assert walked_successors(blocks) == {"x", "y"}
 
 
 class TestProgram:
@@ -72,8 +90,9 @@ class TestProgram:
     def test_block_map_and_procedure_of(self):
         prog = tiny_program()
         assert prog.block("helper.entry").name == "helper.entry"
-        assert prog.procedure_of("main.loop") == "main"
-        assert prog.procedure_of("helper.entry") == "helper"
+        # One namespace over every procedure's blocks.
+        assert prog.block_map["main.loop"] is prog.procedures[0].blocks[1]
+        assert prog.block_map["helper.entry"] is prog.procedures[1].blocks[0]
 
     def test_static_instruction_count(self):
         prog = tiny_program()
@@ -112,7 +131,6 @@ class TestProgram:
     def test_duplicate_blocks_across_procedures_rejected(self):
         prog = tiny_program()
         prog.procedures[1].blocks.append(bb("main.entry"))
-        prog.invalidate_index()
         with pytest.raises(ConfigurationError):
             prog.validate()
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from repro.errors import ScheduleError
 from repro.isa.opcodes import OpcodeKind
-from repro.isa.registers import Register
-from repro.sched.branch_schedule import schedule_ctis
+from repro.isa.registers import FP, GP, SP, Register
+from repro.sched.branch_schedule import CtiSchedule, schedule_ctis
 from repro.sched.load_schedule import EPSILON_CAP, LoadSlackAnalysis
 from repro.trace.compiled import JUMP_UNFILLABLE_FRAC, CompiledProgram
 from repro.utils.units import WORD_BYTES
@@ -32,6 +32,22 @@ TRANSLATION_ARRAYS = (
     "predicted_taken",
     "indirect",
 )
+
+
+#: Registers that change rarely: loads addressed off them have a large
+#: address-ready distance ``c`` in the epsilon analysis.
+STABLE_BASES = frozenset({GP, SP, FP})
+
+
+def skip_words(schedule: CtiSchedule) -> int:
+    """Target words a predicted-taken direct CTI's fetch skips: the
+    ``s`` slots filled from its target path."""
+    return schedule.s if (schedule.predicted_taken and not schedule.indirect) else 0
+
+
+def address_register(instruction) -> Optional[Register]:
+    """The base register of a memory access, or None."""
+    return instruction.base if instruction.is_memory else None
 
 
 def jump_is_unfillable(block_id: int) -> bool:
@@ -54,7 +70,7 @@ def translation_reference(compiled: CompiledProgram, slots: int) -> Dict[str, np
     for block_id, schedule in schedules.items():
         arrays["s_values"][block_id] = schedule.s
         arrays["r_values"][block_id] = schedule.r
-        arrays["skip_words"][block_id] = schedule.skip
+        arrays["skip_words"][block_id] = skip_words(schedule)
         arrays["predicted_taken"][block_id] = schedule.predicted_taken
         arrays["indirect"][block_id] = schedule.indirect
         growth[block_id] = schedule.growth
@@ -193,8 +209,8 @@ def load_epsilons_reference(instructions, position: int) -> Tuple[int, int]:
     # Dynamic view: c is the true distance to the address-register
     # writer.  Stable bases ($gp/$sp/$fp) are written at program or
     # procedure entry, effectively infinitely far away.
-    base = instructions[position].address_register
-    if base is not None and base.is_stable_base:
+    base = address_register(instructions[position])
+    if base in STABLE_BASES:
         c_dynamic = EPSILON_CAP
     else:
         c_dynamic = _distance_to_writer(instructions, position)
@@ -207,7 +223,7 @@ def load_epsilons_reference(instructions, position: int) -> Tuple[int, int]:
 
 def _distance_to_writer(instructions, position: int) -> int:
     """Instructions between the last writer of the base register and the load."""
-    base = instructions[position].address_register
+    base = address_register(instructions[position])
     if base is None:
         return EPSILON_CAP
     for back in range(1, position + 1):

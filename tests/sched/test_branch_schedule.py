@@ -13,6 +13,7 @@ from repro.sched.branch_schedule import (
     schedule_ctis,
 )
 from repro.trace.compiled import CompiledProgram
+from tests.sched.oracles import skip_words
 
 
 def bb(name, text, **kwargs):
@@ -49,17 +50,17 @@ class TestCtiSchedule:
     def test_growth_and_skip_for_predicted_taken(self):
         sched = CtiSchedule(0, r=1, s=2, predicted_taken=True, indirect=False)
         assert sched.growth == 2
-        assert sched.skip == 2
+        assert skip_words(sched) == 2
 
     def test_not_taken_prediction_has_no_growth(self):
         sched = CtiSchedule(0, r=0, s=3, predicted_taken=False, indirect=False)
         assert sched.growth == 0
-        assert sched.skip == 0
+        assert skip_words(sched) == 0
 
     def test_indirect_grows_but_never_skips(self):
         sched = CtiSchedule(0, r=1, s=2, predicted_taken=True, indirect=True)
         assert sched.growth == 2
-        assert sched.skip == 0
+        assert skip_words(sched) == 0
 
 
 class TestScheduleCtis:
@@ -92,7 +93,7 @@ class TestScheduleCtis:
         schedules = schedule_ctis(diamond_program(), 1)
         assert schedules[3].indirect
         assert schedules[3].growth == schedules[3].s
-        assert schedules[3].skip == 0
+        assert skip_words(schedules[3]) == 0
 
     def test_return_r_blocked_by_target_register(self):
         # addu $t9 before jr $ra does not define $ra, so r can be > 0 ...

@@ -48,12 +48,6 @@ def manual_trace(compiled, ids, taken):
 
 
 class TestInstructionStream:
-    def test_total_fetches(self):
-        stream = InstructionStream(
-            np.array([0, 100], dtype=np.int64), np.array([4, 2], dtype=np.int64)
-        )
-        assert stream.total_fetches == 6
-
     def test_cache_block_sequence_single_run(self):
         # 8 instructions at byte 0 with 16-byte blocks -> blocks 0 and 1.
         stream = InstructionStream(np.array([0], dtype=np.int64), np.array([8], dtype=np.int64))
@@ -82,7 +76,7 @@ class TestExpandIstream:
         trace = TraceExecutor(program, seed=3).run(200)
         stream = expand_istream(trace, TranslationFile(compiled, 0))
         expected = compiled.lengths[trace.block_ids].sum()
-        assert stream.total_fetches == expected
+        assert stream.lengths.sum() == expected
 
     def test_predicted_taken_skips_target_words(self):
         program = make_program(0.9)
@@ -139,7 +133,7 @@ class TestExpandIstream:
         trace = TraceExecutor(program, seed=9).run(2000)
         compiled = trace.compiled
         fetches = [
-            expand_istream(trace, TranslationFile(compiled, b)).total_fetches
+            expand_istream(trace, TranslationFile(compiled, b)).lengths.sum()
             for b in range(4)
         ]
         assert fetches[0] <= fetches[1] <= fetches[2] <= fetches[3]

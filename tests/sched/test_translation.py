@@ -68,7 +68,8 @@ class TestTranslationFile:
 
     def test_address_lookup(self, compiled):
         translation = TranslationFile(compiled, 1)
-        assert translation.address_of("entry") == compiled.program.text_base
+        entry = compiled.index["entry"]
+        assert translation.new_addresses[entry] == compiled.program.text_base
 
     def test_negative_slots_rejected(self, compiled):
         with pytest.raises(ScheduleError):

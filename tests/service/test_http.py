@@ -166,7 +166,7 @@ class TestSweeps:
         resp = client.submit(respelled, scale="tiny", tenant="other", wait=True)
         assert resp["cache_hit"] is True
         assert resp["result"]["cache"] is True
-        events = client.wait_for_events(resp["job_id"])
+        events = list(client.events(resp["job_id"]))
         kinds = [e["kind"] for e in events]
         assert kinds == ["memo_hit", "done"]
         assert not any(k == "span" for k in kinds)
@@ -192,7 +192,7 @@ class TestSweeps:
     def test_event_stream_carries_progress(self, server, client):
         grid = {"base": {"penalty": 12}, "axes": {"icache_kw": [1, 2]}}
         resp = client.submit(grid, scale="tiny", wait=True)
-        events = client.wait_for_events(resp["job_id"])
+        events = list(client.events(resp["job_id"]))
         kinds = [e["kind"] for e in events]
         assert kinds[0] == "queued"
         assert kinds[-1] == "done"
@@ -200,7 +200,7 @@ class TestSweeps:
         seqs = [e["seq"] for e in events]
         assert seqs == sorted(seqs)
         # Cursor resumption: re-stream from the middle.
-        tail = client.wait_for_events(resp["job_id"], after=seqs[1])
+        tail = list(client.events(resp["job_id"], after=seqs[1]))
         assert [e["seq"] for e in tail] == seqs[2:]
 
     def test_unknown_job_404(self, server, client):
@@ -208,7 +208,7 @@ class TestSweeps:
             client.job("no-such-job")
         assert excinfo.value.status == 404
         with pytest.raises(ServiceError) as excinfo:
-            client.wait_for_events("no-such-job")
+            list(client.events("no-such-job"))
         assert excinfo.value.status == 404
 
     def test_invalid_grid_400(self, server, client):

@@ -1,19 +1,28 @@
-"""Every module under ``src/repro`` must be reachable from a runtime entry point.
+"""Every module and definition under ``src/repro`` must serve a run, not a test.
 
-The entry points are the experiment runner, the sweep service, the cube
-bench, the modules the repo benchmark wraps (``perfbench/layers.py``) and
-the examples.  The walk reads imports from the source (no module is
+Modules: each must be reachable from a runtime entry point.  The entry
+points are the experiment runner, the sweep service, the cube bench, the
+modules the repo benchmark wraps (``perfbench/layers.py``) and the
+examples.  The walk reads imports from the source (no module is
 executed), including imports inside functions.  A package ``__init__``
 only re-exports, so ``from pkg import Name`` reaches the module that
 defines ``Name``, not every module the package re-exports: a module
 that only a package's re-export list names is dead.
+
+Definitions: each function, method and class must be named by code in
+``src/``, ``perfbench/`` (not its tests) or ``examples/``.  A name, an
+attribute, an imported name or a string constant that is an identifier
+(``getattr(obj, "name")``) counts as a use; an ``__all__`` entry does
+not, and dunders are exempt.  The match is by name only, so a
+same-named attribute anywhere hides a dead method: the test finds
+definitions nothing names, not every one that nothing calls.
 """
 
 import ast
 import functools
 import importlib
 from pathlib import Path
-from typing import Dict, Iterable, List, Set
+from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE_DIR = ROOT / "src" / "repro"
@@ -27,6 +36,17 @@ ENTRY_POINTS = {
 #: Modules kept although no entry point imports them, each with its reason.
 ALLOWED_UNREACHABLE = {
     "repro.isa.assembler": "the text format tests build basic blocks from",
+}
+
+#: Definitions kept although no code outside the tests names them, each
+#: with its reason.
+ALLOWED_UNNAMED = {
+    "repro.service.client.ServiceClient.healthz": (
+        "the client mirrors the served GET /healthz route"
+    ),
+    "repro.service.client.ServiceClient.events": (
+        "the client mirrors the served GET /v1/jobs/<id>/events stream"
+    ),
 }
 
 
@@ -117,3 +137,76 @@ def test_every_module_is_reachable_from_an_entry_point(monkeypatch):
     assert not dead, f"modules no entry point reaches: {dead}"
     stale = sorted(m for m in ALLOWED_UNREACHABLE if m not in MODULES or m in live)
     assert not stale, f"allowlisted but missing or reachable: {stale}"
+
+
+def _definitions(path: Path) -> Iterator[Tuple[str, str]]:
+    """``(qualified name, name)`` of every module-level function and
+    class, and of every class's methods and nested classes."""
+
+    def walk(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield f"{prefix}{node.name}", node.name
+                if isinstance(node, ast.ClassDef):
+                    yield from walk(node.body, f"{prefix}{node.name}.")
+
+    yield from walk(ast.parse(path.read_text()).body, "")
+
+
+def _named(path: Path) -> Set[str]:
+    """Every identifier a file's code names, ``__all__`` entries aside."""
+    tree = ast.parse(path.read_text())
+    exported = set()
+    for statement in ast.walk(tree):
+        if isinstance(statement, ast.Assign):
+            targets = statement.targets
+        elif isinstance(statement, (ast.AugAssign, ast.AnnAssign)):
+            targets = [statement.target]
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            exported |= {id(node) for node in ast.walk(statement.value)}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.isidentifier()
+            and id(node) not in exported
+        ):
+            names.add(node.value)
+    return names
+
+
+def test_every_definition_is_named_outside_the_tests():
+    users = [*PACKAGE_DIR.rglob("*.py"), *(ROOT / "examples").rglob("*.py")]
+    users += [
+        path
+        for path in (ROOT / "perfbench").rglob("*.py")
+        if "tests" not in path.relative_to(ROOT / "perfbench").parts
+    ]
+    named = set().union(*(_named(path) for path in users))
+    defined = {
+        f"{module}.{qualified}": name
+        for module, path in MODULES.items()
+        for qualified, name in _definitions(path)
+        if not (name.startswith("__") and name.endswith("__"))
+    }
+    unnamed = sorted(
+        qualified
+        for qualified, name in defined.items()
+        if name not in named and qualified not in ALLOWED_UNNAMED
+    )
+    assert not unnamed, f"definitions only tests name: {unnamed}"
+    stale = sorted(
+        qualified
+        for qualified in ALLOWED_UNNAMED
+        if qualified not in defined or defined[qualified] in named
+    )
+    assert not stale, f"allowlisted but missing or named: {stale}"
