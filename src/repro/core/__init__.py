@@ -24,14 +24,9 @@ from repro.core.tcpu import system_cycle_time_ns
 from repro.core.tpi import tpi_ns, relative_tpi_change
 from repro.core.frontier import pareto_frontier, scalarized_best, within_budgets
 from repro.core.optimizer import DesignOptimizer, DesignPoint, Selection
-from repro.core.report import (
-    compare_design_points,
-    design_point_report,
-    frontier_report,
-)
+from repro.core.report import design_point_report, frontier_report
 
 __all__ = [
-    "compare_design_points",
     "design_point_report",
     "frontier_report",
     "pareto_frontier",

@@ -2,8 +2,7 @@
 
 Turns one or more evaluated :class:`~repro.core.optimizer.DesignPoint`
 objects into the kind of summary a designer would circulate: the CPI
-decomposition, which loop sets the cycle time, and the TPI deltas between
-candidates.
+decomposition, which loop sets the cycle time, and the Pareto set.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from repro.errors import ConfigurationError
 from repro.timing.technology import DEFAULT_TECHNOLOGY, Technology
 from repro.utils.tables import render_table
 
-__all__ = ["design_point_report", "compare_design_points", "frontier_report"]
+__all__ = ["design_point_report", "frontier_report"]
 
 
 def design_point_report(
@@ -59,32 +58,6 @@ def design_point_report(
         f"TPI: {point.tpi_ns:.2f} ns per instruction",
     ]
     return "\n".join(lines)
-
-
-def compare_design_points(points: Sequence[DesignPoint]) -> str:
-    """Rank candidate designs by TPI, with deltas against the best."""
-    if not points:
-        raise ConfigurationError("nothing to compare")
-    ranked = sorted(points, key=lambda p: p.tpi_ns)
-    best = ranked[0].tpi_ns
-    rows = []
-    for point in ranked:
-        config = point.config
-        rows.append(
-            [
-                f"{config.icache_kw:g}I/{config.dcache_kw:g}D KW",
-                f"b={config.branch_slots} l={config.load_slots}",
-                round(point.cpi, 3),
-                round(point.cycle_time_ns, 2),
-                round(point.tpi_ns, 2),
-                f"{100.0 * (point.tpi_ns - best) / best:+.1f}%",
-            ]
-        )
-    return render_table(
-        ["L1 split", "slots", "CPI", "t_CPU (ns)", "TPI (ns)", "vs best"],
-        rows,
-        title="Design-point comparison (best first)",
-    )
 
 
 def frontier_report(points: Sequence[DesignPoint]) -> str:

@@ -7,17 +7,17 @@ delay-slot scheduler and the epsilon analysis are built entirely on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from typing import FrozenSet, Optional, Tuple
 
 from repro.isa.opcodes import INFO_BY_VALUE, Opcode, OpcodeKind, OpcodeInfo
 from repro.isa.registers import Register, RA, ZERO
 
-__all__ = ["Instruction", "nop", "CTI_KINDS"]
+__all__ = ["Instruction", "nop", "CTI_KINDS", "KIND_BY_VALUE"]
 
-# Each opcode's kind, keyed by mnemonic (``opcode._value_``; see
-# :data:`~repro.isa.opcodes.INFO_BY_VALUE` for why not the enum).
-_KIND = {value: info.kind for value, info in INFO_BY_VALUE.items()}
+#: Each opcode's kind, keyed by mnemonic (``opcode._value_``; see
+#: :data:`~repro.isa.opcodes.INFO_BY_VALUE` for why not the enum).
+KIND_BY_VALUE = {value: info.kind for value, info in INFO_BY_VALUE.items()}
 
 #: The kinds of control-transfer instructions (the paper's CTIs).  A tuple:
 #: membership is identity tests, where a set would hash the enum.
@@ -29,9 +29,11 @@ _BRANCH = OpcodeKind.BRANCH
 _JUMP_REGISTER = OpcodeKind.JUMP_REGISTER
 
 
-@dataclass(frozen=True)
+_FIELDS = ("opcode", "dest", "sources", "imm", "base", "offset", "target")
+
+
 class Instruction:
-    """One machine instruction.
+    """One machine instruction, an immutable value.
 
     Operand roles by format:
 
@@ -43,15 +45,72 @@ class Instruction:
       form the address.
     * Branch: ``sources`` are the compared registers, ``target`` the label.
     * Jump: ``target``; ``jr``/``jalr`` use ``base`` as the target register.
+
+    It behaves as a frozen dataclass would: equal fields make equal,
+    equally hashed instructions, and assigning or deleting a field raises
+    :class:`dataclasses.FrozenInstanceError`.  The fields are slots that
+    ``__init__`` writes through their descriptors, since a synthesized
+    suite builds hundreds of thousands of instructions and a frozen
+    dataclass pays ``object.__setattr__`` and a ``__dict__`` for each.
     """
 
+    __slots__ = _FIELDS
+
     opcode: Opcode
-    dest: Optional[Register] = None
-    sources: Tuple[Register, ...] = ()
-    imm: Optional[int] = None
-    base: Optional[Register] = None
-    offset: int = 0
-    target: Optional[str] = None
+    dest: Optional[Register]
+    sources: Tuple[Register, ...]
+    imm: Optional[int]
+    base: Optional[Register]
+    offset: int
+    target: Optional[str]
+
+    def __init__(
+        self,
+        opcode: Opcode,
+        dest: Optional[Register] = None,
+        sources: Tuple[Register, ...] = (),
+        imm: Optional[int] = None,
+        base: Optional[Register] = None,
+        offset: int = 0,
+        target: Optional[str] = None,
+    ) -> None:
+        _set_opcode(self, opcode)
+        _set_dest(self, dest)
+        _set_sources(self, sources)
+        _set_imm(self, imm)
+        _set_base(self, base)
+        _set_offset(self, offset)
+        _set_target(self, target)
+
+    def _values(self) -> tuple:
+        return (
+            self.opcode, self.dest, self.sources, self.imm, self.base,
+            self.offset, self.target,
+        )
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(_FIELDS, self._values())
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # The default slot-state restore assigns through __setattr__.
+        return (type(self), self._values())
 
     @property
     def info(self) -> OpcodeInfo:
@@ -60,28 +119,28 @@ class Instruction:
 
     @property
     def kind(self) -> OpcodeKind:
-        return _KIND[self.opcode._value_]
+        return KIND_BY_VALUE[self.opcode._value_]
 
     # -- category predicates -------------------------------------------------
 
     @property
     def is_load(self) -> bool:
-        return _KIND[self.opcode._value_] is _LOAD
+        return KIND_BY_VALUE[self.opcode._value_] is _LOAD
 
     @property
     def is_memory(self) -> bool:
         """True for any instruction that issues a data reference."""
-        kind = _KIND[self.opcode._value_]
+        kind = KIND_BY_VALUE[self.opcode._value_]
         return kind is _LOAD or kind is _STORE
 
     @property
     def is_cti(self) -> bool:
         """True for any control-transfer instruction (the paper's CTI)."""
-        return _KIND[self.opcode._value_] in CTI_KINDS
+        return KIND_BY_VALUE[self.opcode._value_] in CTI_KINDS
 
     @property
     def is_conditional_branch(self) -> bool:
-        return _KIND[self.opcode._value_] is _BRANCH
+        return KIND_BY_VALUE[self.opcode._value_] is _BRANCH
 
     @property
     def is_register_indirect(self) -> bool:
@@ -90,7 +149,7 @@ class Instruction:
         Delay slots of these CTIs can only be filled from before the CTI or
         with noops (Section 3.1, step 4 of the insertion procedure).
         """
-        return _KIND[self.opcode._value_] is _JUMP_REGISTER
+        return KIND_BY_VALUE[self.opcode._value_] is _JUMP_REGISTER
 
     # -- def/use -------------------------------------------------------------
 
@@ -122,6 +181,11 @@ class Instruction:
         from repro.isa.disassembler import disassemble
 
         return disassemble(self)
+
+
+_set_opcode, _set_dest, _set_sources, _set_imm, _set_base, _set_offset, _set_target = (
+    getattr(Instruction, name).__set__ for name in _FIELDS
+)
 
 
 def nop() -> Instruction:

@@ -6,9 +6,14 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.errors import ConfigurationError
-from repro.isa.instruction import Instruction
+from repro.isa.instruction import CTI_KINDS, KIND_BY_VALUE, Instruction
+from repro.isa.opcodes import OpcodeKind
 
 __all__ = ["BasicBlock"]
+
+_BRANCH = OpcodeKind.BRANCH
+_JUMP = OpcodeKind.JUMP
+_JUMP_REGISTER = OpcodeKind.JUMP_REGISTER
 
 
 @dataclass
@@ -71,29 +76,29 @@ class BasicBlock:
           fall-through; an unconditional direct jump needs a taken target
           and no fall-through; ``taken_bias`` must be a probability.
         """
-        for inst in self.instructions[:-1]:
-            if inst.is_cti:
+        instructions = self.instructions
+        for inst in instructions[:-1]:
+            if KIND_BY_VALUE[inst.opcode._value_] in CTI_KINDS:
                 raise ConfigurationError(
                     f"block {self.name!r}: CTI {inst} not in terminal position"
                 )
-        term = self.terminator
-        if term is not None:
-            if term.is_conditional_branch:
-                if self.taken_target is None or self.fallthrough is None:
-                    raise ConfigurationError(
-                        f"block {self.name!r}: conditional branch needs both edges"
-                    )
-            elif term.is_register_indirect:
-                if self.taken_target is not None:
-                    raise ConfigurationError(
-                        f"block {self.name!r}: register-indirect jump target "
-                        "must be dynamic (taken_target=None)"
-                    )
-            else:  # direct jump
-                if self.taken_target is None:
-                    raise ConfigurationError(
-                        f"block {self.name!r}: jump needs a taken target"
-                    )
+        last = KIND_BY_VALUE[instructions[-1].opcode._value_] if instructions else None
+        if last is _BRANCH:
+            if self.taken_target is None or self.fallthrough is None:
+                raise ConfigurationError(
+                    f"block {self.name!r}: conditional branch needs both edges"
+                )
+        elif last is _JUMP_REGISTER:
+            if self.taken_target is not None:
+                raise ConfigurationError(
+                    f"block {self.name!r}: register-indirect jump target "
+                    "must be dynamic (taken_target=None)"
+                )
+        elif last is _JUMP:  # direct jump
+            if self.taken_target is None:
+                raise ConfigurationError(
+                    f"block {self.name!r}: jump needs a taken target"
+                )
         if not 0.0 <= self.taken_bias <= 1.0:
             raise ConfigurationError(
                 f"block {self.name!r}: taken_bias {self.taken_bias} not in [0, 1]"

@@ -14,6 +14,7 @@ from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.isa.instruction import Instruction
+from repro.isa.opcodes import INFO_BY_VALUE
 from repro.program.basic_block import BasicBlock
 
 __all__ = ["ControlFlowGraph", "Procedure", "Program"]
@@ -142,33 +143,41 @@ class Program:
         """Validate every block and every edge of the program."""
         block_map = self.block_map
         for proc in self.procedures:
-            for i, block in enumerate(proc.blocks):
+            blocks = proc.blocks
+            for i, block in enumerate(blocks):
                 block.validate()
+                taken_target = block.taken_target
                 for succ in (
-                    [block.taken_target] if block.taken_target else []
-                ) + block.indirect_targets:
+                    [taken_target, *block.indirect_targets]
+                    if taken_target
+                    else block.indirect_targets
+                ):
                     if succ not in block_map:
                         raise ConfigurationError(
                             f"block {block.name!r} targets unknown block {succ!r}"
                         )
-                if block.fallthrough is not None:
-                    if block.fallthrough not in block_map:
+                fallthrough = block.fallthrough
+                if fallthrough is not None:
+                    if fallthrough not in block_map:
                         raise ConfigurationError(
                             f"block {block.name!r} falls through to unknown "
-                            f"block {block.fallthrough!r}"
+                            f"block {fallthrough!r}"
                         )
                     # Fall-through must be the next block in layout order
                     # within the same procedure, except after a call (jal /
                     # jalr), where the fall-through is the return
-                    # continuation and may be anywhere.
-                    term = block.terminator
-                    is_call = term is not None and term.info.links
+                    # continuation and may be anywhere.  Only calls link.
+                    instructions = block.instructions
+                    is_call = (
+                        bool(instructions)
+                        and INFO_BY_VALUE[instructions[-1].opcode._value_].links
+                    )
                     if not is_call:
-                        if i + 1 >= len(proc.blocks) or (
-                            proc.blocks[i + 1].name != block.fallthrough
+                        if i + 1 >= len(blocks) or (
+                            blocks[i + 1].name != fallthrough
                         ):
                             raise ConfigurationError(
                                 f"block {block.name!r} fall-through "
-                                f"{block.fallthrough!r} is not the next block "
+                                f"{fallthrough!r} is not the next block "
                                 "in layout order"
                             )

@@ -155,7 +155,7 @@ class _Chain:
     stack only grows, so the depth guard reduces to one comparison.
 
     The same record also represents a *decision edge* (see
-    :meth:`TraceExecutor._edge_for`): a conditional / computed-goto /
+    :meth:`_EdgeMemo.edge_for`): a conditional / computed-goto /
     indirect-call block resolved to one outcome, prepended to the chain
     that outcome selects.  Decision edges give the interpreter loop its
     speed — one memoized record per (block, outcome) turns each random
@@ -191,42 +191,67 @@ class _Chain:
         self.end_restart = end_restart
 
 
-class TraceExecutor:
-    """Executes a program, drawing control-flow outcomes from block biases.
+#: :class:`BlockKind` values as plain ints, for the memo's comparisons.
+_FALLTHROUGH = int(BlockKind.FALLTHROUGH)
+_JUMP = int(BlockKind.JUMP)
+_CALL = int(BlockKind.CALL)
+_INDIRECT_CALL = int(BlockKind.INDIRECT_CALL)
 
-    Args:
-        program: A validated program (or an already-compiled one).
-        seed: Base seed; mixed with the program name, so each benchmark's
-            control-flow outcomes form an independent reproducible stream.
+
+class _EdgeMemo:
+    """A lowering's chains and decision edges, each built on first use.
+
+    Its methods read the lowering through plain lists, made once per
+    walk, and compare plain ints.  Reading the arrays one element at a
+    time costs several times the walk itself on the memory-mapped bundle
+    a session walks: each numpy scalar compared with a :class:`BlockKind`
+    member first looks for ``BlockKind.__array_ufunc__``, and the lookup
+    fails.  The memo dicts live on the lowering, so every executor over
+    it (whatever its seed) shares them; the lists live as long as one
+    :meth:`TraceExecutor.iter_chunks`.
     """
 
-    def __init__(self, program: Program, seed: int = DEFAULT_SEED) -> None:
-        self.compiled = (
-            program if isinstance(program, CompiledProgram) else CompiledProgram(program)
-        )
-        self._rng = spawn_rng(seed, self.compiled.name, "control")
-        self._uniforms = np.empty(0)
-        self._cursor = 0
-        # Chains and decision edges depend only on the compiled program,
-        # so the memoization lives on it and is shared across executors.
-        self._chains: Dict[int, Optional[_Chain]] = self.compiled.chain_cache
-        self._cond_edges: Dict[int, Tuple[_Chain, _Chain]] = (
-            self.compiled.cond_edge_cache
-        )
-        self._indirect_edges: Dict[int, List[_Chain]] = (
-            self.compiled.indirect_edge_cache
-        )
+    __slots__ = (
+        "lengths",
+        "kinds",
+        "taken_ids",
+        "fall_ids",
+        "offsets",
+        "flat",
+        "entry_id",
+        "chains",
+        "cond_edges",
+        "indirect_edges",
+    )
 
-    # -- chain construction ----------------------------------------------------
+    def __init__(
+        self,
+        compiled: CompiledProgram,
+        lengths: List[int],
+        kinds: List[int],
+        fall_ids: List[int],
+    ) -> None:
+        self.lengths = lengths
+        self.kinds = kinds
+        self.fall_ids = fall_ids
+        self.taken_ids: List[int] = compiled.taken_ids.tolist()
+        self.offsets: List[int] = compiled.indirect_offsets.tolist()
+        self.flat: List[int] = compiled.indirect_flat.tolist()
+        self.entry_id = compiled.entry_id
+        self.chains: Dict[int, Optional[_Chain]] = compiled.chain_cache
+        self.cond_edges: Dict[int, Tuple[_Chain, _Chain]] = compiled.cond_edge_cache
+        self.indirect_edges: Dict[int, List[_Chain]] = compiled.indirect_edge_cache
 
-    def _chain_for(self, block_id: int) -> Optional[_Chain]:
+    def chain_for(self, block_id: int) -> Optional[_Chain]:
         """The deterministic chain starting at ``block_id`` (None if it
         opens with a block that needs a draw or a stack pop)."""
-        chain = self._chains.get(block_id, False)
+        chain = self.chains.get(block_id, False)
         if chain is not False:
             return chain
-        compiled = self.compiled
-        kinds = compiled.kinds
+        lengths = self.lengths
+        kinds = self.kinds
+        taken_ids = self.taken_ids
+        fall_ids = self.fall_ids
         ids: List[int] = []
         takens: List[int] = []
         pushes: List[int] = []
@@ -236,26 +261,25 @@ class TraceExecutor:
         end_restart = False
         while len(ids) < _MAX_CHAIN_BLOCKS:
             kind = kinds[current]
-            if kind == BlockKind.FALLTHROUGH:
-                nxt = int(compiled.fall_ids[current])
+            if kind == _FALLTHROUGH:
+                nxt = fall_ids[current]
                 taken = 0
-            elif kind == BlockKind.JUMP:
-                nxt = int(compiled.taken_ids[current])
+            elif kind == _JUMP:
+                nxt = taken_ids[current]
                 taken = 1
-            elif kind == BlockKind.CALL:
-                nxt = int(compiled.taken_ids[current])
+            elif kind == _CALL:
+                nxt = taken_ids[current]
                 taken = 1
+                pushes.append(fall_ids[current])
             else:
                 next_id = current
                 break
             ids.append(current)
             takens.append(taken)
-            total += int(compiled.lengths[current])
-            if kind == BlockKind.CALL:
-                pushes.append(int(compiled.fall_ids[current]))
+            total += lengths[current]
             if nxt < 0:
                 end_restart = True
-                next_id = compiled.entry_id
+                next_id = self.entry_id
                 break
             next_id = nxt
             current = nxt
@@ -268,14 +292,14 @@ class TraceExecutor:
                 takens=tuple(takens),
                 pushes=tuple(pushes),
                 total_len=total,
-                need_before_last=total - int(compiled.lengths[ids[-1]]),
+                need_before_last=total - lengths[ids[-1]],
                 next_id=next_id,
                 end_restart=end_restart,
             )
-        self._chains[block_id] = built
+        self.chains[block_id] = built
         return built
 
-    def _edge_for(
+    def edge_for(
         self,
         block_id: int,
         target: int,
@@ -291,8 +315,7 @@ class TraceExecutor:
         pushes before jumping — it precedes the chain's own pushes, and
         within the edge the stack still only grows.
         """
-        compiled = self.compiled
-        length = int(compiled.lengths[block_id])
+        length = self.lengths[block_id]
         pushes = () if extra_push is None else (extra_push,)
         if target < 0:
             return _Chain(
@@ -301,10 +324,10 @@ class TraceExecutor:
                 pushes=pushes,
                 total_len=length,
                 need_before_last=0,
-                next_id=compiled.entry_id,
+                next_id=self.entry_id,
                 end_restart=True,
             )
-        chain = self._chain_for(target)
+        chain = self.chain_for(target)
         if chain is None:  # target itself needs a draw or a pop
             return _Chain(
                 ids=(block_id,),
@@ -325,30 +348,46 @@ class TraceExecutor:
             end_restart=chain.end_restart,
         )
 
-    def _cond_pair(self, block_id: int) -> Tuple[_Chain, _Chain]:
+    def cond_pair(self, block_id: int) -> Tuple[_Chain, _Chain]:
         """(fall edge, taken edge) for a conditional block."""
-        compiled = self.compiled
         pair = (
-            self._edge_for(block_id, int(compiled.fall_ids[block_id]), 0),
-            self._edge_for(block_id, int(compiled.taken_ids[block_id]), 1),
+            self.edge_for(block_id, self.fall_ids[block_id], 0),
+            self.edge_for(block_id, self.taken_ids[block_id], 1),
         )
-        self._cond_edges[block_id] = pair
+        self.cond_edges[block_id] = pair
         return pair
 
-    def _indirect_edges_for(self, block_id: int) -> List[_Chain]:
+    def indirect_edges_for(self, block_id: int) -> List[_Chain]:
         """Per-candidate edges for a computed goto / indirect call."""
-        compiled = self.compiled
         extra = (
-            int(compiled.fall_ids[block_id])
-            if compiled.kinds[block_id] == BlockKind.INDIRECT_CALL
+            self.fall_ids[block_id]
+            if self.kinds[block_id] == _INDIRECT_CALL
             else None
         )
         edges = [
-            self._edge_for(block_id, int(target), 1, extra)
-            for target in compiled.indirect_ids[block_id]
+            self.edge_for(block_id, target, 1, extra)
+            for target in self.flat[self.offsets[block_id]:self.offsets[block_id + 1]]
         ]
-        self._indirect_edges[block_id] = edges
+        self.indirect_edges[block_id] = edges
         return edges
+
+
+class TraceExecutor:
+    """Executes a program, drawing control-flow outcomes from block biases.
+
+    Args:
+        program: A validated program (or an already-compiled one).
+        seed: Base seed; mixed with the program name, so each benchmark's
+            control-flow outcomes form an independent reproducible stream.
+    """
+
+    def __init__(self, program: Program, seed: int = DEFAULT_SEED) -> None:
+        self.compiled = (
+            program if isinstance(program, CompiledProgram) else CompiledProgram(program)
+        )
+        self._rng = spawn_rng(seed, self.compiled.name, "control")
+        self._uniforms = np.empty(0)
+        self._cursor = 0
 
     # -- streaming path --------------------------------------------------------
 
@@ -378,9 +417,10 @@ class TraceExecutor:
         fall_ids = compiled.fall_ids.tolist()
         biases = compiled.biases.tolist()
         entry_id = compiled.entry_id
-        chains = self._chains
-        cond_edges = self._cond_edges
-        indirect_edges = self._indirect_edges
+        memo = _EdgeMemo(compiled, lengths, kinds, fall_ids)
+        chains = memo.chains
+        cond_edges = memo.cond_edges
+        indirect_edges = memo.indirect_edges
 
         call_stack: list = []
         restarts = 0
@@ -405,7 +445,7 @@ class TraceExecutor:
                     cursor += 1
                     pair = cond_edges.get(current)
                     if pair is None:
-                        pair = self._cond_pair(current)
+                        pair = memo.cond_pair(current)
                     edge = pair[1] if value < biases[current] else pair[0]
                 elif kind == 4:  # RETURN — dynamic target, single step
                     block_ids.append(current)
@@ -426,12 +466,12 @@ class TraceExecutor:
                     cursor += 1
                     edges = indirect_edges.get(current)
                     if edges is None:
-                        edges = self._indirect_edges_for(current)
+                        edges = memo.indirect_edges_for(current)
                     edge = edges[int(value * len(edges))]
                 else:  # FALLTHROUGH / JUMP / CALL open a deterministic chain
                     edge = chains.get(current)
                     if edge is None:
-                        edge = self._chain_for(current)
+                        edge = memo.chain_for(current)
                 if executed + edge.need_before_last < instruction_budget:
                     # Whole-edge fast path: one extend per decision.
                     block_ids.extend(edge.ids)

@@ -21,7 +21,7 @@ from repro.utils.stats import (
     percentage,
     cumulative_distribution,
 )
-from repro.utils.rng import make_rng, spawn_rng, stable_seed
+from repro.utils.rng import spawn_rng, stable_seed
 from repro.utils.tables import render_table, render_series
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "geometric_mean",
     "percentage",
     "cumulative_distribution",
-    "make_rng",
     "spawn_rng",
     "stable_seed",
     "render_table",

@@ -14,9 +14,7 @@ from typing import Union
 
 import numpy as np
 
-__all__ = ["make_rng", "spawn_rng", "stable_seed"]
-
-SeedLike = Union[int, np.random.Generator, None]
+__all__ = ["spawn_rng", "stable_seed"]
 
 #: Default seed used when the caller does not care about the specific stream.
 DEFAULT_SEED = 19920519  # ISCA 1992 conference date.
@@ -36,19 +34,6 @@ def stable_seed(*parts: Union[str, int]) -> int:
     """
     digest = hashlib.sha256("\x1f".join(str(p) for p in parts).encode()).digest()
     return int.from_bytes(digest[:8], "big") & ((1 << 63) - 1)
-
-
-def make_rng(seed: SeedLike = None) -> np.random.Generator:
-    """Return a numpy Generator from a seed, an existing generator, or None.
-
-    Passing an existing generator returns it unchanged so that callers can
-    thread one generator through a pipeline of helpers.
-    """
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if seed is None:
-        seed = DEFAULT_SEED
-    return np.random.default_rng(seed)
 
 
 def spawn_rng(base_seed: int, *labels: Union[str, int]) -> np.random.Generator:

@@ -25,7 +25,7 @@ words in batches and derives each ``random``, ``integers``, ``poisson``
 and ``geometric`` value in plain Python with numpy's own algorithms, so
 it returns the values a ``numpy.random.Generator`` would, without
 numpy's per-call overhead.  The two ``Generator.choice`` call sites are
-emulated on top of it (:func:`choice_cdf`,
+emulated on top of it (:func:`choice_cdf`, :func:`choice_table` and
 :func:`choice_without_replacement`).
 """
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import accumulate, chain
 from math import exp, floor, inf, log, sqrt
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -292,29 +292,41 @@ def choice_cdf(p: Sequence[float]) -> List[float]:
     return [c / last for c in cdf]
 
 
+def choice_table(weights: Sequence[float]) -> Tuple[List[float], List[float]]:
+    """``p = w / w.sum()`` for ``w = np.array(weights)``, and its
+    :func:`choice_cdf`: what ``rng.choice(len(w), ..., p=p)`` builds
+    before its first draw, for :func:`choice_without_replacement`."""
+    total = pairwise_sum(weights)
+    p = [w / total for w in weights]
+    return p, choice_cdf(p)
+
+
 def choice_without_replacement(
-    stream: DrawStream, weights: Sequence[float], count: int
+    stream: DrawStream, table: Tuple[List[float], List[float]], count: int
 ) -> List[int]:
-    """``rng.choice(n, min(count, n), replace=False, p=w / w.sum())`` for
-    ``w = np.array(weights)`` and positive weights, in plain Python.
+    """``rng.choice(n, min(count, n), replace=False, p=p)`` over the
+    :func:`choice_table` ``(p, cdf)`` of positive weights, in plain Python.
 
     Returns the same indices in the same order and draws the same words
     from ``stream`` that the call would draw from ``rng``.  numpy samples
     in rounds: each draws one uniform per index still missing
     (``rng.random(k)``), zeroes the probabilities of the indices already
     taken, looks the draws up in :func:`choice_cdf` of the rest and keeps
-    each new index at its first occurrence.
+    each new index at its first occurrence.  The first round searches the
+    table's ``cdf``; a later round, which follows a repeated draw, zeroes
+    a copy of ``p``, so the table serves every later call unchanged.
     """
     random = stream.random
-    total = pairwise_sum(weights)
-    p = [w / total for w in weights]
+    p, cdf = table
     size = min(count, len(p))
     found: List[int] = []
     while len(found) < size:
         draws = [random() for _ in range(size - len(found))]
-        for taken in found:
-            p[taken] = 0.0
-        cdf = choice_cdf(p)
+        if found:
+            rest = list(p)
+            for taken in found:
+                rest[taken] = 0.0
+            cdf = choice_cdf(rest)
         found.extend(dict.fromkeys([bisect_right(cdf, u) for u in draws]))
     return found
 
@@ -395,6 +407,8 @@ class _Synthesizer:
         self._use_cdf = list(accumulate(spec.memory.use_distance[:3], initial=0.0))[1:]
         self._n_procs = shape.procedures
         self._proc_names = [f"p{i}" for i in range(self._n_procs)]
+        #: :meth:`_positions`' tables, by ``(early, span, free slots)``.
+        self._position_tables: Dict[tuple, Tuple[List[float], List[float]]] = {}
 
     # -- naming helpers ----------------------------------------------------
 
@@ -409,15 +423,24 @@ class _Synthesizer:
     # -- block body construction ---------------------------------------------
 
     def _positions(self, free: List[int], count: int, length: int, early: bool) -> List[int]:
-        """Sample ``count`` distinct slots, skewed early or late."""
+        """Sample ``count`` distinct slots, skewed early or late.
+
+        The weights depend only on ``(early, span, free)``, and a suite's
+        blocks repeat few of those shapes, so each shape's
+        :func:`choice_table` is built once per synthesizer.
+        """
         if count <= 0 or not free:
             return []
         span = max(1, length - 1)
-        if early:
-            weights = [max(_LOAD_EARLY_WEIGHT - i / span, 0.05) for i in free]
-        else:
-            weights = [max(_STORE_LATE_WEIGHT + i / span, 0.05) for i in free]
-        chosen = choice_without_replacement(self.stream, weights, count)
+        key = (early, span, tuple(free))
+        table = self._position_tables.get(key)
+        if table is None:
+            if early:
+                weights = [max(_LOAD_EARLY_WEIGHT - i / span, 0.05) for i in free]
+            else:
+                weights = [max(_STORE_LATE_WEIGHT + i / span, 0.05) for i in free]
+            table = self._position_tables[key] = choice_table(weights)
+        chosen = choice_without_replacement(self.stream, table, count)
         return sorted(free[c] for c in chosen)
 
     def _body(

@@ -1,12 +1,9 @@
 """Design-report tests."""
 
-import dataclasses
-
 import pytest
 
 from repro.core import CpiModel, DesignOptimizer, SystemConfig
-from repro.core.report import compare_design_points, design_point_report
-from repro.errors import ConfigurationError
+from repro.core.report import design_point_report
 
 
 @pytest.fixture(scope="module")
@@ -42,22 +39,3 @@ class TestDesignPointReport:
         point = optimizer.evaluate(config)
         report = design_point_report(point, model)
         assert f"{point.tpi_ns:.2f} ns per instruction" in report
-
-
-class TestCompareDesignPoints:
-    def test_ranked_by_tpi(self, optimizer):
-        base = SystemConfig(penalty=10)
-        points = [
-            optimizer.evaluate(dataclasses.replace(base, branch_slots=b, load_slots=b))
-            for b in (0, 2)
-        ]
-        text = compare_design_points(points)
-        lines = text.splitlines()
-        # The b=2 point must rank first with a +0.0% delta.
-        first_data_row = lines[3]
-        assert "b=2" in first_data_row
-        assert "+0.0%" in first_data_row
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            compare_design_points([])

@@ -1,10 +1,14 @@
-"""Instruction categories and def/use tests."""
+"""Instruction categories, def/use and value-semantics tests."""
+
+import copy
+import dataclasses
+import pickle
 
 import pytest
 
 from repro.isa.assembler import parse_instruction
 from repro.isa.instruction import Instruction, nop
-from repro.isa.opcodes import OpcodeKind
+from repro.isa.opcodes import Opcode, OpcodeKind
 from repro.isa.registers import RA, ZERO, Register
 
 
@@ -106,3 +110,67 @@ class TestValueSemantics:
 
     def test_str_is_disassembly(self):
         assert str(inst("lw $t3, 100($t5)")) == "lw $t3, 100($t5)"
+
+    #: One instruction with every field set off its default.
+    FULL = dict(
+        opcode=Opcode.LW,
+        dest=Register(8),
+        sources=(Register(9), Register(10)),
+        imm=-7,
+        base=Register(29),
+        offset=12,
+        target="p1.b3",
+    )
+
+    def test_fields_and_defaults(self):
+        full = Instruction(**self.FULL)
+        assert {name: getattr(full, name) for name in self.FULL} == self.FULL
+        bare = Instruction(Opcode.NOP)
+        assert (bare.dest, bare.sources, bare.imm, bare.base, bare.offset, bare.target) == (
+            None, (), None, None, 0, None,
+        )
+        positional = Instruction(*self.FULL.values())
+        assert positional == full
+
+    def test_equal_instances_hash_equal(self):
+        a, b = Instruction(**self.FULL), Instruction(**self.FULL)
+        assert a is not b and a == b and hash(a) == hash(b)
+        for name, other in (("imm", 3), ("offset", 0), ("target", None)):
+            changed = Instruction(**{**self.FULL, name: other})
+            assert changed != a, name
+
+    def test_not_equal_to_a_tuple_of_its_fields(self):
+        full = Instruction(**self.FULL)
+        fields = tuple(self.FULL.values())
+        assert full != fields and fields != full
+        assert not full == fields
+
+    def test_assignment_and_deletion_raise(self):
+        full = Instruction(**self.FULL)
+        for name in (*self.FULL, "extra"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(full, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(full, name)
+        assert Instruction(**self.FULL) == full
+        assert not hasattr(full, "__dict__")
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda i: pickle.loads(pickle.dumps(i))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_are_equal_values(self, clone):
+        for original in (Instruction(**self.FULL), nop(), inst("jalr $t0, $t9")):
+            twin = clone(original)
+            assert type(twin) is Instruction
+            assert twin == original and hash(twin) == hash(original)
+            assert {name: getattr(twin, name) for name in self.FULL} == {
+                name: getattr(original, name) for name in self.FULL
+            }
+
+    def test_repr_names_every_field(self):
+        text = repr(Instruction(**self.FULL))
+        assert text.startswith("Instruction(opcode=")
+        for name, value in self.FULL.items():
+            assert f"{name}={value!r}" in text

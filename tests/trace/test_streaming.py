@@ -5,13 +5,16 @@ production path (:meth:`TraceExecutor.run` / :meth:`iter_chunks`, chain
 walking, any chunk size) produces *exactly* the arrays the original
 block-at-a-time loop (:func:`tests.trace.oracles.run_reference`)
 produces — same block ids, same taken flags, same restart count, same
-RNG consumption.
+RNG consumption — whether it walks an in-memory lowering or, as a
+measurement session does, one mapped back from its bundle.
 """
 
 import numpy as np
 import pytest
 
+from repro.trace.compiled import CompiledProgram
 from repro.trace.executor import DEFAULT_CHUNK_BLOCKS, TraceExecutor
+from repro.trace.io import load_arrays, save_arrays
 from repro.workload import TABLE1_SUITE, synthesize_program
 
 from tests.trace.oracles import run_reference
@@ -61,6 +64,34 @@ class TestRunMatchesReference:
             # Restart counts are cumulative and monotone across chunks.
             restart_series = [c.restarts for c in chunks]
             assert restart_series == sorted(restart_series)
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+class TestMappedBundleWalk:
+    """The session's walk: ``CompiledProgram.from_arrays`` over the
+    read-only memory maps of a persisted lowering, memo empty at first."""
+
+    def test_walk_is_bit_identical(self, name, tmp_path):
+        program = PROGRAMS[name]()
+        ref = run_reference(program, 20_000, seed=23)
+        save_arrays("lowering", CompiledProgram(program).as_arrays(), tmp_path)
+        for chunk_blocks in (1, 7, 127, 1024, DEFAULT_CHUNK_BLOCKS):
+            compiled = CompiledProgram.from_arrays(load_arrays("lowering", tmp_path))
+            assert isinstance(compiled.kinds.base, np.memmap)
+            attributes = set(vars(compiled))
+            for memo in ("empty", "warm"):
+                chunks = list(
+                    TraceExecutor(compiled, seed=23).iter_chunks(20_000, chunk_blocks)
+                )
+                ids = np.concatenate([c.block_ids for c in chunks])
+                taken = np.concatenate([c.went_taken for c in chunks])
+                assert np.array_equal(ids, ref.block_ids), (chunk_blocks, memo)
+                assert np.array_equal(taken, ref.went_taken), (chunk_blocks, memo)
+                assert chunks[-1].restarts == ref.restarts
+            # The walk fills the memo dicts and leaves nothing else on
+            # the lowering (no decoded candidate lists, no array copies).
+            assert set(vars(compiled)) == attributes
+            assert compiled.chain_cache
 
 
 class TestChunkShape:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.utils.rng import make_rng, spawn_rng, stable_seed
+from repro.utils.rng import spawn_rng, stable_seed
 
 
 class TestStableSeed:
@@ -20,22 +20,6 @@ class TestStableSeed:
 
     def test_int_and_str_parts_mix(self):
         assert stable_seed("b", 1) != stable_seed("b1")
-
-
-class TestMakeRng:
-    def test_same_seed_same_stream(self):
-        a = make_rng(7).integers(0, 1 << 30, size=16)
-        b = make_rng(7).integers(0, 1 << 30, size=16)
-        assert np.array_equal(a, b)
-
-    def test_passthrough_generator(self):
-        rng = make_rng(3)
-        assert make_rng(rng) is rng
-
-    def test_default_seed_is_stable(self):
-        a = make_rng().integers(0, 100, size=4)
-        b = make_rng().integers(0, 100, size=4)
-        assert np.array_equal(a, b)
 
 
 class TestSpawnRng:

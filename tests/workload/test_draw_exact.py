@@ -6,6 +6,7 @@ generator's raw PCG64 words and derives ``random``, ``integers``,
 ``poisson`` and ``geometric`` values itself; its two ``Generator.choice``
 call sites are emulated on top of that
 (:func:`~repro.workload.synthesis.choice_cdf`,
+:func:`~repro.workload.synthesis.choice_table`,
 :func:`~repro.workload.synthesis.choice_without_replacement`).  Exact
 means the same values *and* the same position in the generator's stream
 afterwards, so every later draw of the synthesizer is unchanged too; the
@@ -25,7 +26,7 @@ from math import inf, lgamma, nan
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
@@ -39,6 +40,7 @@ from repro.workload.synthesis import (
     DrawStream,
     _Synthesizer,
     choice_cdf,
+    choice_table,
     choice_without_replacement,
     loggam,
     pairwise_sum,
@@ -112,7 +114,7 @@ def numpy_sample(seed: int, weights, count: int):
 def assert_sample_matches(seed: int, weights, count: int) -> None:
     expected, numpy_rng = numpy_sample(seed, weights, count)
     stream, handoff = handed_off(seed)
-    assert choice_without_replacement(stream, weights, count) == expected
+    assert choice_without_replacement(stream, choice_table(weights), count) == expected
     assert_same_position(stream, handoff, numpy_rng)
 
 
@@ -341,6 +343,54 @@ class TestWithoutReplacement:
         # Equal weights make repeated indices (and so extra rounds) likely.
         for seed in range(50):
             assert_sample_matches(seed, [FLOOR] * 40, 40)
+
+    def test_later_rounds_leave_the_table_unchanged(self):
+        table = choice_table([FLOOR] * 40)
+        p, cdf = list(table[0]), list(table[1])
+        for seed in range(20):
+            stream, _ = handed_off(seed)
+            assert len(choice_without_replacement(stream, table, 40)) == 40
+            assert consumed(stream) > 40  # a repeated draw forced a later round
+        assert table == (p, cdf)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=SEEDS,
+        length=st.integers(min_value=8, max_value=40),
+        early=st.booleans(),
+        calls=st.integers(min_value=2, max_value=4),
+        data=st.data(),
+    )
+    def test_a_reused_table_matches_numpy_over_several_rounds(
+        self, seed, length, early, calls, data
+    ):
+        """One block shape drawn ``calls`` times from one synthesizer, so
+        every call after the first reuses its position table.  Drawing
+        every free slot (or more) makes repeated draws near certain, so
+        later rounds, which zero the taken entries, run on the table."""
+        free = sorted(
+            data.draw(st.sets(st.integers(0, length - 1), min_size=8, max_size=length))
+        )
+        count = len(free) + data.draw(st.integers(min_value=0, max_value=2))
+        synthesizer = _Synthesizer(benchmark_by_name("small"), 0)
+        synthesizer.stream, handoff = handed_off(seed)
+        rng = np.random.default_rng(seed)
+        span = max(1, length - 1)
+        ramp = (
+            [_LOAD_EARLY_WEIGHT - i / span for i in free]
+            if early
+            else [_STORE_LATE_WEIGHT + i / span for i in free]
+        )
+        weights = np.maximum(np.array(ramp), FLOOR)
+        for _ in range(calls):
+            got = synthesizer._positions(free, count, length, early)
+            chosen = rng.choice(
+                len(free), size=len(free), replace=False, p=weights / weights.sum()
+            )
+            assert got == sorted(free[int(c)] for c in chosen)
+        assert len(synthesizer._position_tables) == 1
+        assume(consumed(synthesizer.stream) > calls * len(free))  # a later round ran
+        assert_same_position(synthesizer.stream, handoff, rng)
 
     @settings(max_examples=200, deadline=None)
     @given(
