@@ -52,11 +52,11 @@ measurement.SuiteMeasurement.warm_miss_cube`).
 **One pool for many builds.**  A task is a pure function of its item: it
 reads its file and the item's parameters (the chunk length included),
 nothing the parent built after its worker forked, and it keeps no map of
-the file once it returns.  So a session maps every build on one
+the file once it returns.  So a session maps every build on its one
 executor, whose pool forks at the first parallel build and serves the
-later ones until the session retires it (:meth:`~repro.core.measurement.
-SuiteMeasurement.retire_cube_pool`); the counts are the same on a fresh
-pool, a reused one or in the parent.
+later ones until the session retires it (:meth:`~repro.engine.executor.
+SweepExecutor.retire_pool`); the counts are the same on a fresh pool, a
+reused one or in the parent.
 
 **Failure containment.**  A worker pool that dies is the executor's to
 outlive: after two breaks without progress, :meth:`~repro.engine.

@@ -14,19 +14,17 @@ they flow through a content-addressed
 the store's memory tier; execution traces, compiled programs and the
 data-address bundle — the expensive artifacts of a session — are
 persisted to its disk tier, so a warm start maps them back without
-synthesizing a program, and spawned sweep workers rehydrate a session
-the same way (forked ones inherit the parent's).  The instruction
-streams are never stored: a cube build generates its stream window by
-window from the traces into one file per block size, which the driver's
-tasks read in place (:meth:`SuiteMeasurement.istream_chunks`); a data
-build hard-links the address bundle's file instead.  Miss counts live
-in the session itself: one exact ``(sets x ways)`` plane per ``(side,
-slots, block size)``, built by the chunked cube driver
-(:mod:`repro.cache.cubepart`), on one worker pool that the session forks
-at its first parallel build and keeps for later ones, and read directly
-by every :meth:`SuiteMeasurement.misses` query.  When the session's
-:class:`~repro.engine.executor.SweepExecutor` is parallel, per-benchmark
-trace synthesis is fanned out across worker processes.
+synthesizing a program.  The instruction streams are never stored: a
+cube build generates its stream window by window from the traces into
+one file per block size, which the driver's tasks read in place
+(:meth:`SuiteMeasurement.istream_chunks`); a data build hard-links the
+address bundle's file instead.  Miss counts live in the session itself:
+one exact ``(sets x ways)`` plane per ``(side, slots, block size)``,
+built by the chunked cube driver (:mod:`repro.cache.cubepart`) and read
+directly by every :meth:`SuiteMeasurement.misses` query.  The session
+has one :class:`~repro.engine.executor.SweepExecutor`: when it is
+parallel, per-benchmark trace synthesis and the driver's tasks run on
+its worker pool.
 """
 
 from __future__ import annotations
@@ -295,9 +293,9 @@ class SuiteMeasurement:
         store: The artifact store holding every derived artifact of this
             session (default: a fresh store over the default disk tier,
             :func:`repro.trace.io.default_cache_dir`).
-        executor: Sweep executor used to fan out per-benchmark trace
-            synthesis, and the default executor for optimizers built on
-            this session (default: serial).
+        executor: The session's one executor: its worker pool runs the
+            per-benchmark trace synthesis and the cube builds' tasks
+            (default: serial, everything in this process).
         tracer: Observability hook (:mod:`repro.obs`); factory work —
             trace synthesis, stream expansion, miss counting — runs
             inside spans on it.  Defaults to the zero-overhead
@@ -336,14 +334,6 @@ class SuiteMeasurement:
         #: optimizer sweeps over this session journal their shards into
         #: the configured run directory and become resumable.
         self.job_config = None
-        #: Worker count for miss-cube builds (:meth:`attach_cube_jobs`):
-        #: the driver's tasks (:mod:`repro.cache.cubepart`) run in this
-        #: process at 1 and on a pool of that many workers above.
-        self.cube_jobs = 1
-        #: The builds' executor (:meth:`_build_executor`): its pool forks
-        #: at the first parallel build and serves every later one until
-        #: :meth:`retire_cube_pool` ends the build phase.
-        self._cube_executor: Optional[SweepExecutor] = None
         #: Exact miss counts, one plane per ``(side, slots, block_words)``
         #: (``slots`` None on the D side); :meth:`warm_miss_cube` is the
         #: only writer.
@@ -365,53 +355,23 @@ class SuiteMeasurement:
         self.executor.tracer = tracer
 
     def attach_cube_jobs(self, jobs: Optional[int]) -> None:
-        """Run miss-cube builds on a pool of ``jobs`` worker processes.
+        """Size the session's worker pool at ``jobs`` processes.
 
-        Every build goes through :mod:`repro.cache.cubepart`; ``jobs > 1``
-        maps its tasks on the session's one build pool of that width,
-        ``None`` or 1 runs them in this process.  A new width retires the
-        current pool (:meth:`retire_cube_pool`), so the next build forks
-        one of the new width.  The counts, and so the session's miss
-        planes, are the same either way.
+        The pool runs the trace prefetch and every cube build's tasks
+        (:mod:`repro.cache.cubepart`); ``None`` or 1 runs them in this
+        process.  A new width retires the current pool, and reaps its
+        workers, before a new executor of that width (with the same
+        tracer) replaces it.  The counts, and so the session's miss
+        planes, are the same at any width.
         """
         jobs = int(jobs) if jobs is not None else 1
         if jobs < 1:
-            raise ConfigurationError(
-                f"cube jobs must be at least 1, got {jobs}"
-            )
-        if jobs != self.cube_jobs:
-            self.retire_cube_pool()
-        self.cube_jobs = jobs
-
-    def retire_cube_pool(self) -> None:
-        """End a build phase: shut the build pool down and reap its workers.
-
-        Returns once every worker has exited and been waited for, so
-        ``RUSAGE_CHILDREN`` counts them and no pool forks beside their
-        threads.  The next parallel build forks a fresh pool.
-        """
-        executor, self._cube_executor = self._cube_executor, None
-        if executor is not None:
-            executor.retire_pool(wait=True)
-
-    def _build_executor(self) -> SweepExecutor:
-        """The executor this session's builds map their tasks on.
-
-        Created at the first build and kept: at ``cube_jobs > 1`` its
-        pool forks once and serves every later build, whose tasks are
-        pure functions of their :class:`~repro.cache.cubepart.StreamFile`,
-        so a worker forked for an earlier build needs nothing the parent
-        built since.  One worker pool runs at a time: the session's sweep
-        pool is retired, and its workers reaped, before a build pool
-        forks beside it.
-        """
-        if self._cube_executor is None:
-            self._cube_executor = SweepExecutor(jobs=self.cube_jobs)
-        executor = self._cube_executor
-        if executor.is_parallel:
-            self.executor.retire_pool(wait=True)
-        executor.tracer = self.tracer
-        return executor
+            raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
+        if jobs != self.executor.jobs:
+            previous = self.executor
+            previous.retire_pool(wait=True)
+            self.executor = SweepExecutor(jobs=jobs)
+            self.executor.tracer = previous.tracer
 
     def attach_jobs(self, job_config) -> None:
         """Make sweeps over this session durable (None detaches).
@@ -423,14 +383,13 @@ class SuiteMeasurement:
         self.job_config = job_config
 
     def spec(self) -> MeasurementSpec:
-        """A picklable description from which workers rebuild this session."""
+        """This session's identity."""
         return MeasurementSpec(
             specs=tuple(self.specs),
             total_instructions=self.total_instructions,
             seed=self.seed,
             quantum_instructions=self.quantum_instructions,
             min_benchmark_instructions=self.min_benchmark_instructions,
-            cache_dir=self.store.disk_dir,
         )
 
     @cached_property
@@ -443,14 +402,16 @@ class SuiteMeasurement:
     # -- construction --------------------------------------------------------
 
     def _prefetch_traces(self) -> None:
-        """Fan missing trace synthesis out across the sweep executor.
+        """Fan missing trace synthesis out across the session's pool.
 
         Workers write each compiled program and stream each trace into
         this session's disk tier (:func:`synthesize_trace_to_cache`);
         only the parameters cross the process boundary, never the
         arrays, and the per-benchmark build below then maps both bundles
         back.  Requires the parallel backend and more than one missing
-        benchmark to be worth a pool.
+        benchmark to be worth a pool.  Synthesis leaves each worker with
+        a large heap, so the pool is retired, its workers reaped, as
+        soon as the map returns: the builds fork fresh ones.
         """
         missing = [
             (spec, budget)
@@ -473,6 +434,7 @@ class SuiteMeasurement:
                 synthesize_trace_to_cache,
                 [(cache_dir, spec, self.seed, budget) for spec, budget in missing],
             )
+            self.executor.retire_pool(wait=True)
 
     @property
     def benchmarks(self) -> List[_Benchmark]:
@@ -836,7 +798,7 @@ class SuiteMeasurement:
         capacity_words: int,
         slots: Optional[int] = None,
         max_ways: Optional[int] = None,
-    ) -> bool:
+    ) -> None:
         """Build the miss planes one stream family's queries need.
 
         A block size's plane holds exact LRU miss counts at every
@@ -847,18 +809,16 @@ class SuiteMeasurement:
         cover the bounds are skipped; the rest come from one call of the
         chunked driver (:mod:`repro.cache.cubepart`), at the bounds
         widened to those of every plane it replaces, so a rebuild never
-        narrows what a block size answers.  At ``cube_jobs > 1`` the
-        tasks run on the session's one build pool: the first parallel
-        build forks it and later builds reuse its workers, until
-        :meth:`retire_cube_pool` ends the build phase (the optimizer does
-        after warming a grid's planes).  The driver's tasks read the
-        build's stream files in place, from one private scratch directory
-        of the store's disk tier that the build removes: the instruction
-        side's files (:meth:`istream_chunks`), or a hard link to the data
-        bundle's.
+        narrows what a block size answers.  On a parallel executor the
+        tasks run on the session's worker pool: the first parallel build
+        forks it and later builds reuse its workers, until a retire ends
+        the build phase (the optimizer's does after warming a grid's
+        planes).  The driver's tasks read the build's stream files in
+        place, from one private scratch directory of the store's disk
+        tier that the build removes: the instruction side's files
+        (:meth:`istream_chunks`), or a hard link to the data bundle's.
         The driver checks each block size's ``A = 1`` base against the
         independent direct-mapped sweep before any plane is kept.
-        Returns whether anything was built.
         """
         context = f"L1-{side}"
         blocks = checked_block_words(block_words, context=context)
@@ -870,7 +830,7 @@ class SuiteMeasurement:
             if not _covers(plane, wanted[B][-1], ways):
                 stale[B] = plane
         if not stale:
-            return False
+            return
         for B, plane in stale.items():
             if plane is not None:
                 capacity = max(capacity, B * max(plane.hits))
@@ -879,9 +839,6 @@ class SuiteMeasurement:
         set_counts = capacity_set_counts(blocks, capacity, context=context)
         label = ",".join(str(B) for B in blocks)
         self.tracer.count("cache_sweeps")
-        # The executor is fetched once the stream files exist: writing
-        # them may build the benchmarks, whose trace prefetch forks the
-        # sweep pool that a parallel build retires first.
         if side == "I":
             with self.istream_chunks(slots, blocks) as streams:
                 with self.tracer.span(
@@ -896,7 +853,7 @@ class SuiteMeasurement:
                         streams,
                         set_counts,
                         ways,
-                        executor=self._build_executor(),
+                        executor=self.executor,
                         tracer=self.tracer,
                     )
                     span.count("references", sum(cube.references.values()))
@@ -915,12 +872,11 @@ class SuiteMeasurement:
                     blocks,
                     set_counts,
                     ways,
-                    executor=self._build_executor(),
+                    executor=self.executor,
                     tracer=self.tracer,
                 )
         for B in blocks:
             self._planes[side, slots, B] = cube.plane(B)
-        return True
 
     # -- reporting ---------------------------------------------------------------
 

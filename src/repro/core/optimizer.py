@@ -7,13 +7,11 @@ Figures 12 and 13.
 
 Evaluated points are content-addressed artifacts in the session's
 :class:`~repro.engine.store.ArtifactStore`, so re-visiting a
-configuration (the figures sweep overlapping grids) is a cache hit.  On
-a parallel :class:`~repro.engine.executor.SweepExecutor`, :meth:`
-DesignOptimizer.sweep` fans the not-yet-cached points out across worker
-processes in deterministic chunks; workers rehydrate the measurement
-session from its picklable spec plus the disk store (or inherit the live
-session for free on fork platforms).  Results are identical to the
-serial backend, in the same order.
+configuration (the figures sweep overlapping grids) is a cache hit.
+:meth:`DesignOptimizer.sweep` builds the grid's miss planes first (on
+the session's worker pool when it has one); every design point is then
+a few plane reads plus the closed-form timing and physical models,
+evaluated in this process.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from repro.core.frontier import (
 from repro.core.measurement import SuiteMeasurement
 from repro.core.tcpu import system_cycle_time_ns
 from repro.core.tpi import tpi_ns
-from repro.engine.executor import SweepExecutor, evaluate_design_point
 from repro.errors import ConfigurationError
 from repro.physical.model import PhysicalModel
 from repro.physical.technology import DEFAULT_PHYSICAL, PhysicalTechnology
@@ -149,15 +146,13 @@ class DesignOptimizer:
     Args:
         measurement: The session supplying every measured CPI component.
         tech: Technology parameters for the cycle-time model.
-        executor: Sweep backend (default: the session's executor, so a
-            ``--jobs N`` CLI flag propagates here without plumbing).
+        phys: Technology parameters for the energy and area models.
     """
 
     def __init__(
         self,
         measurement: SuiteMeasurement,
         tech: Technology = DEFAULT_TECHNOLOGY,
-        executor: "SweepExecutor | None" = None,
         phys: PhysicalTechnology = DEFAULT_PHYSICAL,
     ) -> None:
         self.measurement = measurement
@@ -165,7 +160,6 @@ class DesignOptimizer:
         self.tech = tech
         self.phys = phys
         self.physical = PhysicalModel(measurement, tech=tech, phys=phys)
-        self.executor = executor if executor is not None else measurement.executor
         self.tracer = measurement.tracer
         self._tech_digest = tech_digest(tech, phys)
         self._scored: "Tuple[Tuple, Tuple[DesignPoint, ...]] | None" = None
@@ -194,7 +188,7 @@ class DesignOptimizer:
             **config_to_params(config),
         )
 
-    def _warm_miss_cubes(self, configs: Sequence[SystemConfig]) -> bool:
+    def _warm_miss_cubes(self, configs: Sequence[SystemConfig]) -> None:
         """One single-pass miss cube per distinct stream family.
 
         A design grid revisits the same instruction/data streams at many
@@ -205,9 +199,8 @@ class DesignOptimizer:
         its own spans instead of hiding it inside the first evaluated
         point.  Block sizes that planes built earlier already cover are
         skipped.  The warm ends the session's build phase: the sweep
-        only reads planes (and at ``--jobs > 1`` forks its own pool
-        next), so the build pool is retired and its workers reaped.
-        Returns whether anything was built.
+        only reads planes, so the session's pool is retired and its
+        workers reaped.
         """
         icache_grid: Dict[int, Dict[str, set]] = {}
         dcache_grid: Dict[str, set] = {"blocks": set(), "words": set()}
@@ -219,74 +212,15 @@ class DesignOptimizer:
             side["words"].add(kw_to_words(config.icache_kw))
             dcache_grid["blocks"].add(config.block_words)
             dcache_grid["words"].add(kw_to_words(config.dcache_kw))
-        built = False
         for slots, side in sorted(icache_grid.items()):
-            built |= self.measurement.warm_miss_cube(
+            self.measurement.warm_miss_cube(
                 "I", sorted(side["blocks"]), max(side["words"]), slots=slots
             )
         if dcache_grid["blocks"]:
-            built |= self.measurement.warm_miss_cube(
+            self.measurement.warm_miss_cube(
                 "D", sorted(dcache_grid["blocks"]), max(dcache_grid["words"])
             )
-        self.measurement.retire_cube_pool()
-        return built
-
-    def _warm_and_prime(self, configs: Sequence[SystemConfig]):
-        """Build the grid's miss cubes here, then prime the pool.
-
-        Workers forked afterwards inherit the cubes instead of each
-        building (and discarding) its own.  A pool an earlier sweep
-        forked predates anything this warm builds, so it is retired, and
-        its workers reaped, first: the next map forks workers that see
-        the new planes.  Returns the session's spec.
-        """
-        if self._warm_miss_cubes(configs):
-            self.executor.retire_pool(wait=True)
-        spec = self.measurement.spec()
-        self.executor.prime(spec.digest(), self.measurement)
-        return spec
-
-    def _prefill_parallel(self, configs: Sequence[SystemConfig]) -> bool:
-        """Evaluate not-yet-cached points on the worker pool.
-
-        Workers return finished :class:`DesignPoint` values which are
-        stored under the same artifact keys the serial path uses, so the
-        ordered assembly afterwards is pure cache hits either way.
-        Returns True when the pool was dispatched.
-        """
-        store = self.measurement.store
-        seen = set()
-        missing = []
-        for config in configs:
-            if config in seen:
-                continue
-            seen.add(config)
-            cached = store.peek(
-                "design_point",
-                DESIGN_POINT_VERSION,
-                tech=self._tech_digest,
-                **config_to_params(config),
-            )
-            if cached is None:
-                missing.append(config)
-        # A pool dispatch only pays off with at least one chunk per worker.
-        if len(missing) < max(2, self.executor.jobs):
-            return False
-        self.tracer.count("prefilled", len(missing))
-        spec = self._warm_and_prime(missing)
-        points = self.executor.map(
-            evaluate_design_point,
-            [(spec, self.tech, self.phys, config) for config in missing],
-        )
-        for config, point in zip(missing, points):
-            store.put(
-                "design_point",
-                DESIGN_POINT_VERSION,
-                point,
-                tech=self._tech_digest,
-                **config_to_params(config),
-            )
-        return True
+        self.measurement.executor.retire_pool(wait=True)
 
     def sweep(self, configs: Iterable[SystemConfig]) -> List[DesignPoint]:
         """Evaluate many configurations (in input order).
@@ -296,21 +230,15 @@ class DesignOptimizer:
         then a read of the session's planes.
         """
         configs = list(configs)
-        with self.tracer.span(
-            "optimizer.sweep", backend=self.executor.backend
-        ) as span:
+        with self.tracer.span("optimizer.sweep") as span:
             span.count("configs", len(configs))
-            job_config = getattr(self.measurement, "job_config", None)
+            job_config = self.measurement.job_config
             if job_config is not None and len(configs) > 1:
                 from repro.jobs.runner import JobRunner
 
                 JobRunner(self, job_config).run(configs)
             else:
-                prefilled = (
-                    self.executor.is_parallel and self._prefill_parallel(configs)
-                )
-                if not prefilled:
-                    self._warm_miss_cubes(configs)
+                self._warm_miss_cubes(configs)
             return [self.evaluate(config) for config in configs]
 
     def symmetric_grid(

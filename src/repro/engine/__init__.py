@@ -7,11 +7,11 @@ layers run on:
   content-addressed :class:`~repro.engine.store.ArtifactStore` for every
   derived artifact of a session, with hit/miss/eviction accounting;
 * :mod:`repro.engine.executor` — a
-  :class:`~repro.engine.executor.SweepExecutor` that fans design-space
-  sweeps and per-benchmark trace synthesis out across worker processes
-  with deterministic result ordering; a forked worker inherits the
-  primed session, a spawned one rebuilds it from its spec;
-* :mod:`repro.engine.session` — explicit
+  :class:`~repro.engine.executor.SweepExecutor`, a session's one worker
+  pool, that fans per-benchmark trace synthesis and miss-cube build
+  tasks out across worker processes with deterministic result ordering;
+* :mod:`repro.engine.session` — a session's identity
+  (:class:`~repro.engine.session.MeasurementSpec`) and explicit
   :class:`~repro.engine.session.SessionRegistry` construction of shared
   measurement sessions, replacing module-global state.
 """

@@ -1,4 +1,4 @@
-"""Parallel sweep execution over design points and benchmark traces.
+"""Parallel execution of a session's trace prefetch and cube builds.
 
 :class:`SweepExecutor` maps a picklable function over a list of items
 with deterministic, input-ordered results, on one of two backends:
@@ -7,26 +7,10 @@ with deterministic, input-ordered results, on one of two backends:
   behaviour every other backend must reproduce exactly);
 * ``process`` — a ``ProcessPoolExecutor`` with chunked dispatch.
 
-Worker-side sessions
---------------------
-
-Sweep workers need a full measurement session to evaluate a design
-point.  Shipping the session itself per task would be prohibitive, so
-each task carries only the session's
-:class:`~repro.engine.session.MeasurementSpec`, and a worker gets the
-session in one of two ways:
-
-* a *forked* worker inherits it: the parent *primes* the executor with
-  its live (already warm) session before the pool is created, so the
-  worker sees every memoized trace, stream and miss count through
-  copy-on-write memory and rebuilds none of them;
-* a *spawned* worker cannot see the primed object and rebuilds the
-  session from the spec, once per process (module-level cache), over
-  the parent session's own disk tier
-  (:class:`~repro.engine.store.ArtifactStore`), from which it maps the
-  traces and compiled programs back instead of re-synthesizing them.
-
-Both ways produce identical results.
+A measurement session owns one executor.  Its tasks are pure functions
+of their items (a benchmark to synthesize into the disk tier, a cube
+task over a stream file), so a worker needs nothing the parent built
+after it forked; design points are evaluated in the parent.
 """
 
 from __future__ import annotations
@@ -36,12 +20,12 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.obs.tracer import NULL_TRACER
 
-__all__ = ["SweepExecutor", "BACKENDS", "retire_inherited", "teardown_failures"]
+__all__ = ["SweepExecutor", "BACKENDS", "teardown_failures"]
 
 BACKENDS = ("serial", "process")
 
@@ -71,41 +55,9 @@ def teardown_failures() -> int:
     """How many pool shutdowns have failed during executor teardown."""
     return _TEARDOWN_FAILURES
 
-#: Live objects forked workers inherit via copy-on-write, keyed by spec
-#: digest.  Populated in the parent by :meth:`SweepExecutor.prime` before
-#: pool creation; empty (and therefore inert) in spawned workers.  At
-#: most one session lives here at a time: priming a new session retires
-#: every previously primed one (workers only ever need the session being
-#: swept *now*, and retired sessions would otherwise leak their traces
-#: and memo stores for the life of the process).
-_FORK_INHERITED: Dict[str, Any] = {}
-
-#: The pid of the process that primed :data:`_FORK_INHERITED`.  A process
-#: with another pid that finds a session there inherited it across a fork.
-_PRIMED_PID: Optional[int] = None
-
-
-def retire_inherited(digest: Optional[str] = None) -> None:
-    """Drop fork-inheritable session state: one digest, or all of it.
-
-    Called by :class:`~repro.engine.session.SessionRegistry` when it
-    swaps or discards a session, and usable directly by tests.  Workers
-    forked earlier keep their copy-on-write snapshot; later forks simply
-    fall back to rebuilding the session from its spec, which is always
-    correct.
-    """
-    if digest is None:
-        _FORK_INHERITED.clear()
-    else:
-        _FORK_INHERITED.pop(digest, None)
-
-#: Sessions a worker process has rebuilt from their specs, so one worker
-#: rehydrates at most once per distinct session.
-_WORKER_SESSIONS: Dict[str, Any] = {}
-
 
 class SweepExecutor:
-    """Order-preserving map over sweep items, serial or multi-process.
+    """Order-preserving map over task items, serial or multi-process.
 
     Args:
         jobs: Worker process count; 1 selects the serial backend unless
@@ -139,8 +91,6 @@ class SweepExecutor:
         #: Item whose worker the next parallel map kills
         #: (:meth:`inject_worker_exit`).
         self._exit_at: Optional[int] = None
-        #: Digest of the session this executor last primed.
-        self._primed: Optional[str] = None
 
     # -- properties ------------------------------------------------------------
 
@@ -234,7 +184,7 @@ class SweepExecutor:
                 fruitless_breaks = 0 if progressed else fruitless_breaks + 1
                 # A pool given up on is reaped before this process takes
                 # over its work, so no dying worker competes for memory.
-                self._shutdown_pool(wait=fruitless_breaks >= 2)
+                self.retire_pool(wait=fruitless_breaks >= 2)
             if pending:
                 with self.tracer.span(
                     "executor.serial_fallback",
@@ -249,7 +199,7 @@ class SweepExecutor:
                         results[index] = _apply_chunk(fn, chunks[index])
             return [value for chunk_result in results for value in chunk_result]
 
-    def inject_worker_exit(self, index: int) -> None:
+    def inject_worker_exit(self, index: Optional[int]) -> None:
         """Kill the worker that runs item ``index`` of the next parallel map.
 
         Fault injection (``--inject-fault worker-exit``): the next
@@ -258,7 +208,7 @@ class SweepExecutor:
         the chunk runs, as an OOM kill would.  The hook clears itself
         there, so the re-dispatch runs the chunk normally.  A map that
         runs in this process (the serial backend, or a single item)
-        never fires it.
+        never fires it; ``None`` disarms a hook that no map fired.
         """
         self._exit_at = index
 
@@ -275,34 +225,6 @@ class SweepExecutor:
             return 1
         return max(1, min(count, -(-count // (self.jobs * 4))))  # ceil
 
-    # -- fork-time state inheritance -------------------------------------------
-
-    def prime(self, digest: str, session: Any) -> None:
-        """Make a live session inheritable by workers forked later.
-
-        Forked workers see the session as it stands when they fork, so
-        the caller builds what they should share (the benchmarks and the
-        grid's miss cubes) first; priming itself builds nothing.
-        Spawned workers never see it and rebuild the session from its
-        spec.  If the pool already exists (its workers were forked
-        before this state existed) it is retired, and its workers
-        reaped, so the next :meth:`map` re-forks with the session
-        visible.  A no-op for already-primed sessions.
-
-        Any previously primed session (same digest with a different live
-        object, or a different session/scale entirely) is retired first,
-        so the module-global inheritance table never grows beyond the
-        one session currently being swept.
-        """
-        global _PRIMED_PID
-        self._primed = digest
-        if _FORK_INHERITED.get(digest) is session:
-            return
-        retire_inherited()
-        _FORK_INHERITED[digest] = session
-        _PRIMED_PID = os.getpid()
-        self._shutdown_pool(wait=True)
-
     # -- pool lifecycle --------------------------------------------------------
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
@@ -317,7 +239,14 @@ class SweepExecutor:
             )
         return self._pool
 
-    def _shutdown_pool(self, wait: bool = False) -> None:
+    def retire_pool(self, wait: bool = False) -> None:
+        """Shut the worker pool down; the executor stays usable.
+
+        The next parallel :meth:`map` forks fresh workers.  With
+        ``wait``, returns once every worker has exited and been reaped,
+        so the process's ``RUSAGE_CHILDREN`` figures include them and no
+        later pool forks beside their exiting threads.
+        """
         # getattr: __del__ reaches here even when __init__ raised before
         # the executor finished constructing (no _pool attribute yet).
         pool = getattr(self, "_pool", None)
@@ -325,43 +254,19 @@ class SweepExecutor:
             pool.shutdown(wait=wait, cancel_futures=True)
             self._pool = None
 
-    def retire_pool(self, wait: bool = False) -> None:
-        """Shut the worker pool down but keep the primed session.
-
-        The next :meth:`map` forks fresh workers, which see everything
-        the parent has built since the retired pool forked.  With
-        ``wait``, returns once every worker has exited and been reaped,
-        so the process's ``RUSAGE_CHILDREN`` figures include them.
-        """
-        self._shutdown_pool(wait)
-
-    def shutdown(self) -> None:
-        """Release worker processes and primed state (stays usable).
-
-        Retiring the session this executor primed matters: the pool is
-        gone, so nothing will ever fork against it again — leaving it
-        pinned would hold the session's trace arrays for the life of
-        the process.  An executor that primed nothing leaves other
-        executors' primed sessions alone.
-        """
-        self._shutdown_pool()
-        if self._primed is not None:
-            retire_inherited(self._primed)
-            self._primed = None
-
     def __del__(self) -> None:
         """Last-resort pool cleanup when an executor is garbage collected.
 
-        ``shutdown()`` is the real API and propagates failures; this
-        safety net only exists for executors dropped without one.  A
-        failure here is narrowed to the errors pool shutdown can
+        :meth:`retire_pool` is the real API and propagates failures;
+        this safety net only exists for executors dropped without one.
+        A failure here is narrowed to the errors pool shutdown can
         actually raise (OS resources, interpreter teardown races) and is
         logged + counted rather than silently swallowed — anything else
         is a genuine bug and is allowed to surface through the
         interpreter's unraisable-exception hook.
         """
         try:
-            self._shutdown_pool()
+            self.retire_pool()
         except (OSError, RuntimeError) as exc:
             _record_teardown_failure(exc)
 
@@ -369,9 +274,7 @@ class SweepExecutor:
 # -- worker-side helpers ---------------------------------------------------
 #
 # These run inside pool workers, so they must be importable at module
-# level and must import the heavier repro layers lazily: this module is
-# imported by repro.core.measurement, and importing core back at module
-# level would be circular.
+# level.
 
 
 def _apply_chunk(fn: Callable[[Any], Any], chunk: List[Any]) -> List[Any]:
@@ -383,51 +286,3 @@ def _exit_worker(fn: Callable[[Any], Any], chunk: List[Any]) -> List[Any]:
     """Worker task for :meth:`SweepExecutor.inject_worker_exit`: the
     worker dies before the chunk runs."""
     os._exit(1)
-
-
-def session_for_spec(spec: Any) -> Any:
-    """The worker's measurement session for a spec: inherited or rebuilt.
-
-    Resolution order: a fork-inherited live session (free, already
-    warm), then this worker's session cache, then a fresh build (on a
-    serial executor) that maps its traces back from the session's disk
-    tier.  In the process that primed it, the primed session is the
-    parent's own (a dead pool's chunks finishing there), and it keeps
-    its executors.
-    """
-    digest = spec.digest()
-    session = _FORK_INHERITED.get(digest)
-    if session is None:
-        session = _WORKER_SESSIONS.get(digest)
-        if session is None:
-            session = spec.build()
-            _WORKER_SESSIONS[digest] = session
-    elif os.getpid() != _PRIMED_PID:
-        if session.executor.is_parallel:
-            # An inherited session carries the parent's parallel
-            # executor; a worker must never fan out a nested pool of
-            # its own.
-            session.executor = SweepExecutor(jobs=1)
-        # Nor a build pool: a plane this worker has to rebuild is built
-        # in the worker.  The parent retired its build pool before the
-        # sweep pool forked, so dropping the inherited build executor
-        # stops nothing.
-        session.attach_cube_jobs(1)
-    return session
-
-
-def evaluate_design_point(item: Tuple[Any, Any, Any, Any]) -> Any:
-    """Worker task: evaluate one ``SystemConfig`` against a session spec.
-
-    The item carries the full pricing context — delay technology *and*
-    physical (energy/area) technology — so a worker's point is
-    bit-identical to the serial path's under any coefficient override.
-    """
-    spec, tech, phys, config = item
-    from repro.core.optimizer import DesignOptimizer
-
-    measurement = session_for_spec(spec)
-    optimizer = DesignOptimizer(
-        measurement, tech=tech, executor=SweepExecutor(jobs=1), phys=phys
-    )
-    return optimizer.evaluate(config)

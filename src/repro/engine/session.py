@@ -2,11 +2,9 @@
 
 Two pieces:
 
-* :class:`MeasurementSpec` — a small picklable description of a
-  :class:`~repro.core.measurement.SuiteMeasurement` from which the
-  session can be rebuilt anywhere (most importantly inside spawned sweep
-  workers, which map the session's traces back from its disk tier
-  instead of re-synthesizing them);
+* :class:`MeasurementSpec` — a session's identity: the small
+  description whose :meth:`~MeasurementSpec.digest` keys the store
+  artifacts and journals that depend on the whole session;
 * :class:`SessionRegistry` — a per-instance replacement for the old
   module-global session dict in ``repro.experiments.common``.  The CLI
   and long-lived callers share one default registry; tests construct
@@ -18,12 +16,10 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from repro.engine.executor import SweepExecutor, retire_inherited
-from repro.engine.store import ArtifactStore
+from repro.engine.executor import SweepExecutor
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -44,12 +40,12 @@ EXPERIMENT_SCALES: Dict[str, int] = {
 
 @dataclass(frozen=True)
 class MeasurementSpec:
-    """Everything needed to rebuild a measurement session elsewhere.
+    """What a measurement session is: its suite, budget, seed and quanta.
 
     The benchmark specs themselves are carried (they are plain dataclass
-    values), so custom suites round-trip, not just the Table 1 names.
-    The rebuilt session always uses a serial executor — workers must
-    never spawn nested pools.
+    values), so custom suites have identities of their own, not just the
+    Table 1 names.  Where a session is cached, and how many workers it
+    runs, are not part of what it is.
     """
 
     specs: Tuple[Any, ...]
@@ -57,44 +53,15 @@ class MeasurementSpec:
     seed: int
     quantum_instructions: int
     min_benchmark_instructions: int
-    #: The session store's disk-tier directory.  Where a session is
-    #: cached is not part of what it is, so it stays out of the repr and
-    #: so out of :meth:`digest`.
-    cache_dir: Path = field(repr=False, compare=False)
 
     def digest(self) -> str:
         """Stable identity of the session this spec describes."""
         return hashlib.sha256(repr(self).encode()).hexdigest()[:24]
 
-    def build(self) -> Any:
-        """Construct the session over the same disk tier, so its traces
-        and compiled programs map back instead of being re-synthesized."""
-        from repro.core.measurement import SuiteMeasurement
-
-        return SuiteMeasurement(
-            specs=list(self.specs),
-            total_instructions=self.total_instructions,
-            seed=self.seed,
-            quantum_instructions=self.quantum_instructions,
-            min_benchmark_instructions=self.min_benchmark_instructions,
-            store=ArtifactStore(cache_dir=self.cache_dir),
-            executor=SweepExecutor(jobs=1),
-        )
-
 
 def _retire_session(session: Any) -> None:
-    """Retire a replaced session's fork-inheritable state and build pool.
-
-    Sessions are duck-typed here (tests inject stand-ins), so anything
-    without a ``spec()`` is simply not primeable and needs no cleanup,
-    and anything without ``retire_cube_pool()`` has no build pool.
-    """
-    spec = getattr(session, "spec", None)
-    if callable(spec):
-        retire_inherited(spec().digest())
-    retire_cube_pool = getattr(session, "retire_cube_pool", None)
-    if callable(retire_cube_pool):
-        retire_cube_pool()
+    """Reap a replaced or dropped session's worker pool."""
+    session.executor.retire_pool(wait=True)
 
 
 class SessionRegistry:
@@ -121,20 +88,15 @@ class SessionRegistry:
             )
         return scale
 
-    def get(
-        self,
-        scale: Optional[str] = None,
-        jobs: Optional[int] = None,
-        cube_jobs: Optional[int] = None,
-    ) -> Any:
+    def get(self, scale: Optional[str] = None, jobs: Optional[int] = None) -> Any:
         """The session for a scale, built on first use (memoized).
 
-        ``jobs`` configures the session's sweep executor; passing a new
-        value to an existing session swaps its executor in place so a CLI
-        flag applies even when the session was built earlier.
-        ``cube_jobs`` sizes the miss-cube builds' worker pool the same
-        way (1 runs them in this process; counts are bit-identical
-        either way).
+        ``jobs`` sizes the session's worker pool, which runs its trace
+        prefetch and its cube builds; passing a new width to an existing
+        session resizes its pool (:meth:`~repro.core.measurement.
+        SuiteMeasurement.attach_cube_jobs` reaps the old pool's workers
+        first), so a CLI flag applies even when the session was built
+        earlier.  Counts are bit-identical at any width.
         """
         scale = self.resolve_scale(scale)
         session = self._sessions.get(scale)
@@ -147,19 +109,14 @@ class SessionRegistry:
             )
             self._sessions[scale] = session
         elif jobs is not None and session.executor.jobs != jobs:
-            session.executor.shutdown()
-            session.executor = SweepExecutor(jobs=jobs)
-        if cube_jobs is not None:
-            session.attach_cube_jobs(cube_jobs)
+            session.attach_cube_jobs(jobs)
         return session
 
     def set(self, scale: str, session: Any) -> None:
         """Inject a prebuilt session (tests; custom suites).
 
-        A session previously registered under the scale is retired from
-        the executor's fork-inheritance table so replaced sessions never
-        linger as warm copies for future worker forks, and its build
-        pool's workers are reaped.
+        A session previously registered under the scale has its worker
+        pool retired, its workers reaped.
         """
         previous = self._sessions.get(scale)
         if previous is not None and previous is not session:
@@ -167,13 +124,13 @@ class SessionRegistry:
         self._sessions[scale] = session
 
     def discard(self, scale: str) -> None:
-        """Forget one scale's session, if present (retiring primed state)."""
+        """Forget one scale's session, if present (reaping its pool)."""
         session = self._sessions.pop(scale, None)
         if session is not None:
             _retire_session(session)
 
     def clear(self) -> None:
-        """Forget every session (retiring their primed state)."""
+        """Forget every session (reaping their pools)."""
         for session in self._sessions.values():
             _retire_session(session)
         self._sessions.clear()

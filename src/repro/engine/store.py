@@ -16,8 +16,8 @@ store keeps artifacts in two tiers:
   boundaries (traces).  Disk hits come back as read-only memory maps, so
   loading a cached trace is zero-copy and many processes mapping the
   same bundle share one set of physical pages.  The disk tier is what
-  lets parallel sweep workers rehydrate a session without
-  re-synthesizing it.
+  lets a session's prefetch workers hand their traces to the parent,
+  and a warm start map them back, without re-synthesizing anything.
 
 Persistent artifacts whose *production* would not fit in memory go
 through :meth:`ArtifactStore.get_or_stream`, which hands the factory a
@@ -355,7 +355,7 @@ class ArtifactStore:
         persist: bool = False,
         **params: Any,
     ) -> ArtifactKey:
-        """Insert an artifact computed elsewhere (e.g. by a sweep worker)."""
+        """Insert an artifact computed elsewhere (e.g. a journaled point)."""
         key = ArtifactKey.make(kind, version, **params)
         self._insert(key, value, persist=persist)
         return key

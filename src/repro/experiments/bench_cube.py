@@ -162,7 +162,7 @@ def _scale_row(
     started = time.perf_counter()
     icube = measurement.icache_miss_cube(0, blocks)
     i_build_s = time.perf_counter() - started
-    measurement.retire_cube_pool()  # reaped, so the row's peak counts them
+    measurement.executor.retire_pool(wait=True)  # reaped: the peak counts them
 
     identical: Optional[bool] = None
     if serial_cube is not None:

@@ -36,16 +36,15 @@ def get_measurement(
     scale: Optional[str] = None,
     jobs: Optional[int] = None,
     registry: Optional[SessionRegistry] = None,
-    cube_jobs: Optional[int] = None,
 ) -> SuiteMeasurement:
     """The shared measurement session for a scale (memoized per registry).
 
     The scale defaults to the ``REPRO_SCALE`` environment variable, then
-    to ``full``; ``jobs`` sizes the session's sweep executor and
-    ``cube_jobs`` its miss-cube builds' worker pool.  Callers needing
-    isolation pass their own registry.
+    to ``full``; ``jobs`` sizes the session's worker pool (trace
+    synthesis and miss-cube builds).  Callers needing isolation pass
+    their own registry.
     """
-    return (registry or DEFAULT_REGISTRY).get(scale, jobs=jobs, cube_jobs=cube_jobs)
+    return (registry or DEFAULT_REGISTRY).get(scale, jobs=jobs)
 
 
 @dataclass

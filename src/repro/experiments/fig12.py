@@ -28,9 +28,9 @@ SLOT_PAIRS = ((0, 0), (1, 1), (2, 2), (3, 3))
 
 def tpi_grid(optimizer: DesignOptimizer, base: SystemConfig):
     """TPI per (b=l, combined size); returns (series, data, best point)."""
-    # Sweep the whole grid up front: this is what fans the evaluations
-    # out on a parallel executor and journals them under a durable run
-    # (--run-dir); the per-point evaluate calls below are store hits.
+    # Sweep the whole grid up front: this builds its planes in one warm
+    # and journals the points under a durable run (--run-dir); the
+    # per-point evaluate calls below are store hits.
     optimizer.sweep(optimizer.symmetric_grid(base, SLOT_PAIRS, PAPER_SIZES_KW))
     series = {}
     data = {}

@@ -6,7 +6,7 @@ Usage::
     repro-experiments table2 fig12       # a subset
     repro-experiments --scale quick      # smaller traces (smoke run)
     repro-experiments --out results/     # also write one .txt per result
-    repro-experiments --jobs 4           # parallel sweeps + trace synthesis
+    repro-experiments --jobs 4           # parallel trace synthesis + cube builds
     repro-experiments --profile          # span tree + store hit rates
     repro-experiments --metrics m.json   # machine-readable run ledger
     repro-experiments --list             # show available experiment names
@@ -21,10 +21,11 @@ with backoff (``--max-retries``), and a run killed mid-sweep resumes
 from its journal with ``--resume`` — producing byte-identical
 ``results/*.txt``.
 
-``--jobs N`` sizes the session's :class:`~repro.engine.executor.
-SweepExecutor`: per-benchmark trace synthesis and design-space sweeps
-are fanned out over N worker processes with results identical to
-``--jobs 1``.  Unknown experiment names raise
+``--jobs N`` sizes the session's one worker pool (its :class:`~repro.
+engine.executor.SweepExecutor`): per-benchmark trace synthesis and the
+miss-cube builds' tasks run on N worker processes, with results
+identical to ``--jobs 1``; design points are evaluated in this process
+either way.  Unknown experiment names raise
 :class:`~repro.errors.ConfigurationError` from :func:`run_experiments`
 (the CLI reports them as an argparse error instead).
 """
@@ -36,8 +37,9 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
+from repro.core.measurement import SuiteMeasurement
 from repro.engine.session import DEFAULT_REGISTRY, SessionRegistry
 from repro.errors import ConfigurationError
 from repro.jobs import FaultInjector, JobConfig
@@ -123,17 +125,22 @@ EXTENSION_EXPERIMENTS: Dict[str, Callable] = {
 }
 
 
-def _reaped_peaks(measurement: Any) -> Dict[str, float]:
-    """The run's peak RSS figures, taken after the session's sweep pool
-    and build pool are shut down and their workers reaped:
-    ``RUSAGE_CHILDREN`` counts only children that have been waited for."""
-    executor = getattr(measurement, "executor", None)
-    if executor is not None:
-        executor.retire_pool(wait=True)
-    retire_cube_pool = getattr(measurement, "retire_cube_pool", None)
-    if callable(retire_cube_pool):
-        retire_cube_pool()
+def _reaped_peaks(measurement: SuiteMeasurement) -> Dict[str, float]:
+    """The run's peak RSS figures, taken after the session's worker pool
+    is shut down and its workers reaped: ``RUSAGE_CHILDREN`` counts only
+    children that have been waited for."""
+    measurement.executor.retire_pool(wait=True)
     return peak_rss_mb()
+
+
+def _record_executor(ledger: RunLedger, measurement: SuiteMeasurement) -> None:
+    """The ledger's ``executor`` section: the session's one pool."""
+    executor = measurement.executor
+    ledger.set_executor_info(
+        backend=executor.backend,
+        jobs=executor.jobs,
+        start_method=executor.start_method,
+    )
 
 
 def list_experiments() -> str:
@@ -155,7 +162,6 @@ def run_experiments(
     profile: bool = False,
     metrics_path: Optional[Path] = None,
     job_config: Optional[JobConfig] = None,
-    cube_jobs: Optional[int] = None,
 ) -> List[ExperimentResult]:
     """Run experiments by name (all paper artifacts by default).
 
@@ -185,33 +191,23 @@ def run_experiments(
         )
     reg = registry if registry is not None else DEFAULT_REGISTRY
     resolved_scale = reg.resolve_scale(scale)
-    measurement = get_measurement(
-        resolved_scale, jobs=jobs, registry=reg, cube_jobs=cube_jobs
-    )
+    measurement = get_measurement(resolved_scale, jobs=jobs, registry=reg)
     observing = profile or metrics_path is not None or out_dir is not None
     tracer = Tracer() if observing else NULL_TRACER
-    previous_tracer = getattr(measurement, "tracer", NULL_TRACER)
-    if callable(getattr(measurement, "attach_tracer", None)):
-        measurement.attach_tracer(tracer)
-    previous_jobs = getattr(measurement, "job_config", None)
+    previous_tracer = measurement.tracer
+    measurement.attach_tracer(tracer)
+    previous_jobs = measurement.job_config
     if job_config is not None:
         job_config.prepare()  # fail fast on a non-resumable run dir
-        if callable(getattr(measurement, "attach_jobs", None)):
-            measurement.attach_jobs(job_config)
+        measurement.attach_jobs(job_config)
     ledger = RunLedger(tracer)
     ledger.set_run_info(
         scale=resolved_scale,
-        seed=getattr(measurement, "seed", None),
-        total_instructions=getattr(measurement, "total_instructions", None),
+        seed=measurement.seed,
+        total_instructions=measurement.total_instructions,
         experiments_requested=list(selected),
     )
-    executor = getattr(measurement, "executor", None)
-    if executor is not None:
-        ledger.set_executor_info(
-            backend=executor.backend,
-            jobs=executor.jobs,
-            start_method=executor.start_method,
-        )
+    _record_executor(ledger, measurement)
     results = []
     try:
         for name in selected:
@@ -234,15 +230,10 @@ def run_experiments(
                 (out_dir / f"{name}.json").write_text(json.dumps(payload, indent=2))
             results.append(result)
     finally:
-        if callable(getattr(measurement, "attach_tracer", None)):
-            measurement.attach_tracer(previous_tracer)
-        if job_config is not None and callable(
-            getattr(measurement, "attach_jobs", None)
-        ):
+        measurement.attach_tracer(previous_tracer)
+        if job_config is not None:
             measurement.attach_jobs(previous_jobs)
-    store = getattr(measurement, "store", None)
-    if store is not None:
-        ledger.snapshot_store(store.stats())
+    ledger.snapshot_store(measurement.store.stats())
     ledger.set_run_info(**_reaped_peaks(measurement))
     if job_config is not None:
         ledger.set_jobs_info(
@@ -328,8 +319,14 @@ def optimize_main(argv: Optional[List[str]] = None) -> int:
         default=None,
         help="trace scale (default: REPRO_SCALE env var or 'full')",
     )
-    parser.add_argument("--jobs", type=int, default=1, metavar="N")
-    parser.add_argument("--cube-jobs", type=int, default=1, metavar="N")
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="N",
+        help="worker processes for trace synthesis and miss-cube builds "
+        "(default: 1)",
+    )
     parser.add_argument(
         "--metrics",
         type=Path,
@@ -340,19 +337,14 @@ def optimize_main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")
-    if args.cube_jobs < 1:
-        parser.error(f"--cube-jobs must be at least 1, got {args.cube_jobs}")
     if args.leakage_scale < 0:
         parser.error("--leakage-scale cannot be negative")
     try:
-        measurement = get_measurement(
-            args.scale, jobs=args.jobs, cube_jobs=args.cube_jobs
-        )
+        measurement = get_measurement(args.scale, jobs=args.jobs)
         observing = args.metrics is not None
         tracer = Tracer() if observing else NULL_TRACER
-        previous_tracer = getattr(measurement, "tracer", NULL_TRACER)
-        if callable(getattr(measurement, "attach_tracer", None)):
-            measurement.attach_tracer(tracer)
+        previous_tracer = measurement.tracer
+        measurement.attach_tracer(tracer)
         try:
             phys = dataclasses.replace(
                 DEFAULT_PHYSICAL, leakage_scale=args.leakage_scale
@@ -371,8 +363,7 @@ def optimize_main(argv: Optional[List[str]] = None) -> int:
                 max_power_w=args.max_power_w,
             )
         finally:
-            if callable(getattr(measurement, "attach_tracer", None)):
-                measurement.attach_tracer(previous_tracer)
+            measurement.attach_tracer(previous_tracer)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -394,13 +385,7 @@ def optimize_main(argv: Optional[List[str]] = None) -> int:
             scale=DEFAULT_REGISTRY.resolve_scale(args.scale),
             command="optimize",
         )
-        executor = getattr(measurement, "executor", None)
-        if executor is not None:
-            ledger.set_executor_info(
-                backend=executor.backend,
-                jobs=executor.jobs,
-                start_method=executor.start_method,
-            )
+        _record_executor(ledger, measurement)
         ledger.set_physical_info(
             objective=args.objective,
             leakage_scale=args.leakage_scale,
@@ -420,9 +405,7 @@ def optimize_main(argv: Optional[List[str]] = None) -> int:
                 else {}
             ),
         )
-        store = getattr(measurement, "store", None)
-        if store is not None:
-            ledger.snapshot_store(store.stats())
+        ledger.snapshot_store(measurement.store.stats())
         ledger.set_run_info(**_reaped_peaks(measurement))
         ledger.write(args.metrics)
         args.metrics.with_suffix(".txt").write_text(
@@ -468,16 +451,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for trace synthesis and design sweeps (default: 1)",
-    )
-    parser.add_argument(
-        "--cube-jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for miss-cube builds: each block size's "
-        "cube and A=1 check run as tasks (counts identical at any N; "
-        "default: 1, in this process)",
+        help="worker processes for trace synthesis and miss-cube builds: "
+        "each block size's cube and A=1 check run as tasks (results "
+        "identical at any N; default: 1, in this process)",
     )
     parser.add_argument(
         "--profile",
@@ -546,8 +522,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if args.jobs < 1:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")
-    if args.cube_jobs < 1:
-        parser.error(f"--cube-jobs must be at least 1, got {args.cube_jobs}")
     available = {**ALL_EXPERIMENTS, **EXTENSION_EXPERIMENTS}
     unknown = [name for name in args.experiments if name not in available]
     if unknown:
@@ -591,7 +565,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             scale=args.scale,
             out_dir=args.out,
             jobs=args.jobs,
-            cube_jobs=args.cube_jobs,
             profile=args.profile,
             metrics_path=args.metrics,
             job_config=job_config,

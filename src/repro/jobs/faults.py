@@ -14,11 +14,13 @@ Kinds:
   runner's retry/backoff path.  The fault is *transient*: it fires only
   on the named attempt, so the retry succeeds.
 * ``worker-exit:S[:A]`` — on shard ``S``'s attempt ``A`` (default 0),
-  the worker process evaluating the shard's first design point
-  hard-exits once (:meth:`~repro.engine.executor.SweepExecutor.
-  inject_worker_exit`); exercises the executor's broken-pool chunk
-  retry underneath a durable run.  Only meaningful on a parallel
-  executor (a no-op when the shard runs serially).
+  the worker running the first task of the first parallel map the
+  shard's plane warm makes hard-exits once (:meth:`~repro.engine.
+  executor.SweepExecutor.inject_worker_exit`): a cube build, or the
+  trace prefetch on a session whose benchmarks are not built yet.
+  Exercises the executor's broken-pool chunk retry underneath a durable
+  run.  A no-op on a serial executor, or when the shard's planes are
+  already built.
 * ``abort:S`` — raise :class:`InjectedCrash` immediately after shard
   ``S``'s journal commit, simulating the *parent* process dying
   mid-run; the run directory is then resumable.

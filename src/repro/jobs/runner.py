@@ -231,16 +231,6 @@ class JobRunner:
                 stats.sweeps_resumed += 1
                 span.count("shards_replayed", len(completed))
             self._replay_completed(completed, span)
-            pending = [
-                config
-                for index, shard in enumerate(shards)
-                if index not in completed
-                for config in shard
-            ]
-            if pending and self.optimizer.executor.is_parallel:
-                # Once, before the first shard forks the pool: workers
-                # then inherit the cubes instead of building their own.
-                self.optimizer._warm_and_prime(pending)
             for index, shard in enumerate(shards):
                 if index in completed:
                     stats.shards_replayed += 1
@@ -344,23 +334,21 @@ class JobRunner:
         index: int,
         attempt: int,
     ) -> List[Any]:
-        """Evaluate one shard's points (parallel when the executor is)."""
-        optimizer = self.optimizer
-        executor = optimizer.executor
-        if executor.is_parallel and len(shard) >= 2:
-            from repro.engine.executor import evaluate_design_point
+        """Warm one shard's planes, then evaluate its points here.
 
-            measurement = optimizer.measurement
-            spec = measurement.spec()
-            executor.prime(spec.digest(), measurement)
-            faults = self.config.faults
-            if faults is not None and faults.wants_worker_exit(index, attempt):
-                executor.inject_worker_exit(0)
-            return executor.map(
-                evaluate_design_point,
-                [(spec, optimizer.tech, optimizer.phys, config) for config in shard],
-            )
-        optimizer._warm_miss_cubes(shard)
+        A scripted worker exit for this attempt is armed on the
+        session's executor for the warm only: the first parallel map the
+        warm makes loses one worker.
+        """
+        optimizer = self.optimizer
+        executor = optimizer.measurement.executor
+        faults = self.config.faults
+        if faults is not None and faults.wants_worker_exit(index, attempt):
+            executor.inject_worker_exit(0)
+        try:
+            optimizer._warm_miss_cubes(shard)
+        finally:
+            executor.inject_worker_exit(None)
         return [optimizer.evaluate(config) for config in shard]
 
     def _backoff_s(self, journal: RunJournal, shard: int, attempt: int) -> float:

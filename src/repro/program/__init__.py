@@ -1,4 +1,4 @@
-"""Program representation: basic blocks, control-flow graphs, dependences.
+"""Program representation: basic blocks, procedures, dependences.
 
 The paper's methodology operates on *canonical* object code — code with no
 delay slots at all ("a translation file for an architecture with zero delay
@@ -7,14 +7,14 @@ CTIs").  This package represents that canonical form:
 
 * a :class:`~repro.program.basic_block.BasicBlock` is straight-line code
   whose final instruction may be a CTI;
-* a :class:`~repro.program.cfg.ControlFlowGraph` groups blocks into
-  procedures with fall-through/taken/call edges;
+* a :class:`~repro.program.cfg.Program` groups blocks into procedures
+  with fall-through/taken/call edges;
 * :mod:`~repro.program.dependence` answers the def/use questions that the
   branch and load delay-slot schedulers ask.
 """
 
 from repro.program.basic_block import BasicBlock
-from repro.program.cfg import ControlFlowGraph, Procedure, Program
+from repro.program.cfg import Procedure, Program
 from repro.program.dependence import (
     cti_hoist_distance,
     flow_dependences,
@@ -23,7 +23,6 @@ from repro.program.dependence import (
 
 __all__ = [
     "BasicBlock",
-    "ControlFlowGraph",
     "Procedure",
     "Program",
     "cti_hoist_distance",

@@ -1,7 +1,7 @@
-"""Control-flow graphs, procedures, and whole programs.
+"""Procedures and whole programs.
 
-A :class:`Program` is a list of :class:`Procedure` objects, each of which is
-a :class:`ControlFlowGraph` of basic blocks in layout order.  Calls are
+A :class:`Program` is a list of :class:`Procedure` objects, each of which
+holds its basic blocks in layout order.  Calls are
 represented structurally: a block terminated by ``jal`` names the callee
 procedure's entry block as its taken target and the return-continuation
 block as its fall-through; the trace executor maintains the call stack.
@@ -10,45 +10,14 @@ block as its fall-through; the trace executor maintains the call stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import INFO_BY_VALUE
 from repro.program.basic_block import BasicBlock
 
-__all__ = ["ControlFlowGraph", "Procedure", "Program"]
-
-
-class ControlFlowGraph:
-    """An ordered collection of basic blocks with resolvable edges.
-
-    Block order is layout order: the fall-through of a block must be the
-    next block in the order, which is how real object code behaves and what
-    the code-layout pass relies on.
-    """
-
-    def __init__(self, blocks: Iterable[BasicBlock] = ()) -> None:
-        self._blocks: Dict[str, BasicBlock] = {}
-        for block in blocks:
-            self.add_block(block)
-
-    def add_block(self, block: BasicBlock) -> None:
-        if block.name in self._blocks:
-            raise ConfigurationError(f"duplicate block name {block.name!r}")
-        self._blocks[block.name] = block
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._blocks
-
-    def __getitem__(self, name: str) -> BasicBlock:
-        return self._blocks[name]
-
-    def __iter__(self) -> Iterator[BasicBlock]:
-        return iter(self._blocks.values())
-
-    def __len__(self) -> int:
-        return len(self._blocks)
+__all__ = ["Procedure", "Program"]
 
 
 @dataclass

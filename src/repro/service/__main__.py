@@ -41,7 +41,8 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes per measurement session (default: 1)",
+        help="worker processes per measurement session, for its trace "
+        "synthesis and miss-cube builds (default: 1)",
     )
     parser.add_argument(
         "--spool-dir",

@@ -193,7 +193,8 @@ class SweepScheduler:
             disables the durability layer (tests mostly).
         max_disk_bytes: Disk budget applied to the service store *and*
             to each scale session's artifact store.
-        session_jobs: ``--jobs`` for the underlying sweep executors.
+        session_jobs: ``--jobs`` for each session's worker pool (trace
+            synthesis and miss-cube builds).
     """
 
     def __init__(
@@ -268,8 +269,7 @@ class SweepScheduler:
     def close(self, timeout: float = 10.0) -> None:
         """Stop the workers; queued jobs fail cleanly as 'shutdown'.
 
-        Every session's sweep pool is shut down and its build pool
-        retired, its workers reaped.
+        Every session's worker pool is retired, its workers reaped.
         """
         with self._cond:
             self._stop = True
@@ -285,9 +285,7 @@ class SweepScheduler:
         self._threads = []
         for scale in list(self.registry.scales):
             if scale in self.registry:
-                session = self.registry.get(scale)
-                session.executor.shutdown()
-                session.retire_cube_pool()
+                self.registry.get(scale).executor.retire_pool(wait=True)
 
     # -- submission ------------------------------------------------------------
 
@@ -444,7 +442,7 @@ class SweepScheduler:
             session = self._session_for(job.query.scale)
             tracer = SpanPublishingTracer(self.bus, job.id, names=PROGRESS_SPANS)
             previous_tracer = session.tracer
-            previous_jobs = getattr(session, "job_config", None)
+            previous_jobs = session.job_config
             session.attach_tracer(tracer)
             job_config = self._job_config(job)
             if job_config is not None:

@@ -184,11 +184,11 @@ class CompiledProgram:
         taken_ids: block id of the taken target (-1 when none/dynamic).
         fall_ids: block id of the fall-through / call continuation (-1 none).
         biases: taken probability for conditional terminators.
-        indirect_ids: candidate target ids for computed gotos / indirect
-            calls (empty list otherwise).
-        indirect_offsets / indirect_flat: the same candidates in CSR form
-            (offsets int64, flat int32) for flat-array consumers such as
-            the compiled trace kernel.
+        indirect_offsets / indirect_flat: candidate target ids for
+            computed gotos / indirect calls in CSR form (offsets int64,
+            flat int32): block ``i``'s candidates are
+            ``indirect_flat[indirect_offsets[i]:indirect_offsets[i + 1]]``
+            (none for other blocks).
         load_counts / store_counts / cti_counts / syscall_counts: static
             per-block instruction category counts.
         hoist_limits: how far each block's CTI can be hoisted
@@ -273,11 +273,8 @@ class CompiledProgram:
                 setattr(self, name, rows[:, column].astype(_ARRAY_DTYPES[name]))
         self.biases = np.array(biases, dtype=np.float64)
         self.entry_id = index[program.entry]
-        self.indirect_ids = indirect_ids
 
-        # CSR form of indirect_ids for flat-array consumers (the compiled
-        # trace kernel): block i's candidates are
-        # indirect_flat[indirect_offsets[i]:indirect_offsets[i + 1]].
+        # The per-block candidate lists, in CSR form.
         counts = np.fromiter(
             (len(t) for t in indirect_ids), dtype=np.int64, count=n
         )
@@ -352,13 +349,6 @@ class CompiledProgram:
     def index(self) -> Dict[str, int]:
         """Block name -> block id."""
         return {name: i for i, name in enumerate(self.names)}
-
-    @cached_property
-    def indirect_ids(self) -> List[List[int]]:
-        """Per-block indirect candidates, decoded from the CSR arrays."""
-        offsets = self.indirect_offsets.tolist()
-        flat = self.indirect_flat.tolist()
-        return [flat[offsets[i]:offsets[i + 1]] for i in range(len(self))]
 
     def __len__(self) -> int:
         return len(self.lengths)

@@ -2,21 +2,17 @@
 
 The paper reports CPI values as the *weighted harmonic mean* over all
 benchmarks, with weights equal to each benchmark's fraction of total
-execution time.  These helpers implement that and a few related means.
+execution time.  These helpers implement that and the related means.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Sequence
 
 __all__ = [
     "weighted_harmonic_mean",
     "weighted_arithmetic_mean",
     "harmonic_mean",
-    "geometric_mean",
-    "percentage",
-    "cumulative_distribution",
 ]
 
 
@@ -68,43 +64,3 @@ def weighted_arithmetic_mean(values: Sequence[float], weights: Sequence[float]) 
     if total_weight <= 0:
         raise ValueError("total weight must be positive")
     return sum(v * w for v, w in zip(values, weights)) / total_weight
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of strictly positive values."""
-    if not values:
-        raise ValueError("cannot average an empty sequence")
-    if any(v <= 0 for v in values):
-        raise ValueError("geometric mean requires strictly positive values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
-def percentage(part: float, whole: float) -> float:
-    """``part`` as a percentage of ``whole``; 0.0 when ``whole`` is zero.
-
-    Returning 0.0 for an empty denominator keeps report code free of special
-    cases for empty traces.
-    """
-    if whole == 0:
-        return 0.0
-    return 100.0 * part / whole
-
-
-def cumulative_distribution(counts: Dict[int, int]) -> List[Tuple[int, float]]:
-    """Turn a histogram ``{value: count}`` into a CDF.
-
-    Returns ``[(value, fraction_at_or_below)]`` sorted by value.  Used to
-    present the load-use slack (epsilon) distributions of Figures 6 and 7.
-
-    >>> cumulative_distribution({0: 1, 3: 3})
-    [(0, 0.25), (3, 1.0)]
-    """
-    total = sum(counts.values())
-    if total == 0:
-        return []
-    result: List[Tuple[int, float]] = []
-    running = 0
-    for value in sorted(counts):
-        running += counts[value]
-        result.append((value, running / total))
-    return result

@@ -18,8 +18,6 @@ __all__ = [
     "WORD_BYTES",
     "kw_to_words",
     "words_to_bytes",
-    "words_to_kw",
-    "bytes_to_words",
     "is_power_of_two",
     "log2_int",
 ]
@@ -34,8 +32,7 @@ def kw_to_words(kilowords: float) -> int:
     Fractional kiloword sizes are fine as long as they denote a whole
     number of words (0.5 KW = 512 W); anything else is rejected rather
     than silently truncated — ``int(0.3 * 1024)`` would yield 307 words,
-    a geometry the caller never asked for and one that round-trips wrong
-    through :func:`words_to_kw`.
+    a geometry the caller never asked for.
 
     >>> kw_to_words(1)
     1024
@@ -53,15 +50,6 @@ def kw_to_words(kilowords: float) -> int:
     return words
 
 
-def words_to_kw(words: int) -> float:
-    """Convert a size in words to kilowords.
-
-    >>> words_to_kw(4096)
-    4.0
-    """
-    return words / 1024.0
-
-
 def words_to_bytes(words: int) -> int:
     """Convert a size in words to bytes (4 bytes per word).
 
@@ -69,17 +57,6 @@ def words_to_bytes(words: int) -> int:
     4096
     """
     return words * WORD_BYTES
-
-
-def bytes_to_words(nbytes: int) -> int:
-    """Convert a size in bytes to whole words.
-
-    Raises :class:`ConfigurationError` if ``nbytes`` is not word-aligned,
-    because a misaligned size almost always indicates a unit mix-up.
-    """
-    if nbytes % WORD_BYTES != 0:
-        raise ConfigurationError(f"{nbytes} bytes is not a whole number of words")
-    return nbytes // WORD_BYTES
 
 
 def is_power_of_two(value: int) -> bool:

@@ -89,7 +89,7 @@ def files(tmp_path_factory):
 def pool():
     executor = SweepExecutor(jobs=2)
     yield executor
-    executor.shutdown()
+    executor.retire_pool(wait=True)
 
 
 def assert_cubes_identical(expected, got):
@@ -327,7 +327,7 @@ class TestParallelWorkers:
                     executor=executor,
                 )
         finally:
-            executor.shutdown()
+            executor.retire_pool(wait=True)
         assert_cubes_identical(serial, got)
         assert_cubes_identical(serial_mem, got_mem)
 
@@ -347,7 +347,7 @@ class TestParallelWorkers:
                 files(addrs), BLOCKS, counts, 4, executor=executor, tracer=tracer
             )
         finally:
-            executor.shutdown()
+            executor.retire_pool(wait=True)
         assert_cubes_identical(serial, got)
         (mapped,) = _spans(tracer.roots, "executor.map")
         assert mapped.counters["pool_restarts"] == 1
@@ -371,7 +371,7 @@ class TestParallelWorkers:
                 files(addrs), BLOCKS, counts, 4, executor=executor, tracer=tracer
             )
         finally:
-            executor.shutdown()
+            executor.retire_pool(wait=True)
         assert_cubes_identical(serial, got)
         assert "executor.serial_fallback" in span_names(tracer.roots)
 
@@ -395,7 +395,7 @@ class TestParallelWorkers:
                 tracer=tracer,
             )
         finally:
-            executor.shutdown()
+            executor.retire_pool(wait=True)
         assert_cubes_identical(serial, got)
         (fallback,) = _spans(tracer.roots, "executor.serial_fallback")
         assert fallback.counters["items"] == 2 * len(BLOCKS)
@@ -446,7 +446,7 @@ class TestParallelWorkers:
                 ),
             ]
         finally:
-            executor.shutdown()
+            executor.retire_pool(wait=True)
         for got in builds:
             assert_cubes_identical(expected, got)
         assert in_parent == []
@@ -476,7 +476,7 @@ class TestCrossCheck:
             with pytest.raises(RuntimeError, match="A=1 base disagrees"):
                 partitioned_miss_cube(streams, counts, 4, executor=executor)
         finally:
-            executor.shutdown()
+            executor.retire_pool(wait=True)
 
 
 class TestTaskErrors:
@@ -510,7 +510,7 @@ class TestTaskErrors:
                     files(addrs), BLOCKS, counts, 4, executor=executor, tracer=tracer
                 )
         finally:
-            executor.shutdown()
+            executor.retire_pool(wait=True)
         assert "executor.serial_fallback" not in span_names(tracer.roots)
         (reduce,) = _spans(tracer.roots, "cube.reduce")
         if jobs == 1:
@@ -531,7 +531,7 @@ class TestTaskErrors:
                     stream, BLOCKS, [4, 8], 2, executor=executor, tracer=tracer
                 )
         finally:
-            executor.shutdown()
+            executor.retire_pool(wait=True)
         assert "executor.serial_fallback" not in span_names(tracer.roots)
 
 

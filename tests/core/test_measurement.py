@@ -17,6 +17,7 @@ from repro.core.measurement import GENERATOR_VERSION
 from repro.engine.executor import SweepExecutor
 from repro.engine.store import ArtifactStore
 from repro.errors import ConfigurationError
+from repro.obs import Tracer
 from repro.utils.units import kw_to_words
 from repro.workload import benchmark_by_name
 
@@ -698,26 +699,29 @@ class TestDiskCache:
 
 
 class TestPartitionedCubePath:
-    """cube_jobs plumbing: bundle identity and bit-identical cubes."""
+    """Pool-width plumbing: bundle identity and bit-identical cubes."""
 
-    def _session(self, cube_jobs=None):
+    def _session(self, jobs=None):
         session = SuiteMeasurement(
             specs=[benchmark_by_name(n) for n in ("small", "yacc")],
             total_instructions=120_000,
             min_benchmark_instructions=30_000,
         )
-        if cube_jobs is not None:
-            session.attach_cube_jobs(cube_jobs)
+        if jobs is not None:
+            session.attach_cube_jobs(jobs)
         return session
 
     def test_attach_cube_jobs_validates(self):
         session = self._session()
+        tracer = Tracer()
+        session.attach_tracer(tracer)
         with pytest.raises(ConfigurationError):
             session.attach_cube_jobs(0)
         session.attach_cube_jobs(None)
-        assert session.cube_jobs == 1
+        assert session.executor.jobs == 1 and session.executor.is_serial
         session.attach_cube_jobs(3)
-        assert session.cube_jobs == 3
+        assert session.executor.jobs == 3 and session.executor.is_parallel
+        assert session.executor.tracer is tracer
 
     def test_address_bundle_matches_eager_stream(self):
         session = self._session()
@@ -725,10 +729,10 @@ class TestPartitionedCubePath:
             session.dstream_address_bundle(), eager_dstream_addresses(session)
         )
 
-    @pytest.mark.parametrize("cube_jobs", [1, 2])
+    @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("side", ["I", "D"])
     def test_disagreeing_sweep_fails_the_build(
-        self, monkeypatch, side, cube_jobs
+        self, monkeypatch, side, jobs
     ):
         # Every build checks its A=1 bases inside the driver's task
         # list: a sweep one miss off is fatal in this process and on a
@@ -742,7 +746,7 @@ class TestPartitionedCubePath:
             "direct_mapped_miss_sweep",
             off_by_one(cubepart.direct_mapped_miss_sweep),
         )
-        session = self._session(cube_jobs=cube_jobs)
+        session = self._session(jobs=jobs)
         with pytest.raises(RuntimeError, match="A=1 base disagrees"):
             if side == "I":
                 session.icache_miss_cube(1, (4, 8), 4096, 4)
@@ -754,7 +758,7 @@ class TestPartitionedCubePath:
         from repro.cache.misscube import miss_cube, miss_cube_from_addresses
 
         serial = self._session()
-        parallel = self._session(cube_jobs=2)
+        parallel = self._session(jobs=2)
         blocks = (4, 8, 16)
         builds = [
             (
@@ -946,9 +950,9 @@ def live_children(baseline=frozenset()):
 
 
 class TestBuildPool:
-    """One build pool per session: forked at the first parallel build,
-    reused by later builds, retired (its workers reaped) when a build
-    phase ends."""
+    """One pool per session: its builds fork it at the first parallel
+    build and reuse it for later builds, until a retire (its workers
+    reaped) ends the build phase."""
 
     @pytest.fixture
     def session(self, measurement):
@@ -958,7 +962,7 @@ class TestBuildPool:
         session.attach_cube_jobs(2)
         session.benchmarks
         yield session
-        session.retire_cube_pool()
+        session.executor.retire_pool(wait=True)
 
     @staticmethod
     def log_tasks(monkeypatch, tmp_path):
@@ -1000,7 +1004,6 @@ class TestBuildPool:
         baseline = frozenset(live_children())
         session.icache_miss_cube(0, (4,))
         assert live_children(baseline)  # the pool outlives a direct build
-        assert session.executor.is_serial
         optimizer = DesignOptimizer(session)
         optimizer.sweep(
             optimizer.symmetric_grid(
@@ -1029,14 +1032,9 @@ class TestBuildPool:
             maps = Path(f"/proc/{pid}/maps").read_text()
             assert ".cube-build-" not in maps, pid
 
-    def test_one_pool_runs_at_a_time(self, monkeypatch, tmp_path):
-        # A fig12-shaped run at --jobs 2 --cube-jobs 2 over an empty
-        # store forks three kinds of pool: the trace prefetch's, the
-        # builds' and the sweep's.  Each forks only once the previous
-        # one's workers are reaped.
-        from repro.experiments import fig12
-
-        baseline = frozenset(live_children())
+    @staticmethod
+    def count_forks(monkeypatch, baseline):
+        """Record, at each pool fork, the live children beside it."""
         forks = []
         ensure_pool = SweepExecutor._ensure_pool
 
@@ -1046,18 +1044,75 @@ class TestBuildPool:
             return ensure_pool(executor)
 
         monkeypatch.setattr(SweepExecutor, "_ensure_pool", spy)
-        session = SuiteMeasurement(
+        return forks
+
+    @staticmethod
+    def cold_session(tmp_path):
+        return SuiteMeasurement(
             specs=[benchmark_by_name(name) for name in ("small", "yacc")],
             total_instructions=60_000,
             min_benchmark_instructions=20_000,
             store=ArtifactStore(cache_dir=tmp_path),
             executor=SweepExecutor(jobs=2),
         )
-        session.attach_cube_jobs(2)
+
+    def test_one_pool_runs_at_a_time(self, monkeypatch, tmp_path):
+        # A fig12-shaped run at --jobs 2 over an empty store forks two
+        # pools: the trace prefetch's and the builds'.  Each forks only
+        # once the previous one's workers are reaped.
+        from repro.experiments import fig12
+
+        baseline = frozenset(live_children())
+        forks = self.count_forks(monkeypatch, baseline)
+        session = self.cold_session(tmp_path)
         try:
             fig12.run(session)
         finally:
-            session.executor.shutdown()
-            session.retire_cube_pool()
-        assert len(forks) >= 3
-        assert forks == [set()] * len(forks)
+            session.executor.retire_pool(wait=True)
+        assert forks == [set(), set()]
+
+    def test_one_pool_per_phase(self, monkeypatch, tmp_path):
+        # A cold 2-job session forks a pool for its trace prefetch and
+        # reaps it before the benchmarks are built; its builds then fork
+        # one more, which every build of the warm reuses until the warm
+        # ends it.
+        baseline = frozenset(live_children())
+        forks = self.count_forks(monkeypatch, baseline)
+        tracer = Tracer()
+        session = self.cold_session(tmp_path)
+        session.attach_tracer(tracer)
+        try:
+            session.benchmarks
+            assert len(forks) == 1
+            assert live_children(baseline) == set()
+            optimizer = DesignOptimizer(session)
+            optimizer.sweep(
+                optimizer.symmetric_grid(
+                    SystemConfig(penalty=10),
+                    slot_pairs=((0, 0), (1, 1)),
+                    side_sizes_kw=(1, 2, 4),
+                )
+            )
+            assert live_children(baseline) == set()
+        finally:
+            session.executor.retire_pool(wait=True)
+        assert len(forks) == 2
+        build_maps = [
+            span
+            for build in tracer.roots[1:]
+            for span in _walk([build])
+            if span.name == "executor.map"
+        ]
+        builds = [
+            span
+            for span in _walk(tracer.roots)
+            if span.name in ("imiss.cube", "dmiss.cube")
+        ]
+        assert len(builds) == 3 and len(build_maps) == 3
+        assert [span.counters.get("pool_forks", 0) for span in build_maps] == [1, 0, 0]
+
+
+def _walk(spans):
+    for span in spans:
+        yield span
+        yield from _walk(span.children)

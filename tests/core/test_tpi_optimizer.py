@@ -18,12 +18,12 @@ from repro.core.frontier import objective_value, pareto_frontier
 from repro.core.optimizer import DesignPoint, point_order_key
 from repro.core.tcpu import side_cycle_times_ns
 from repro.core.tpi import required_tcpu_reduction
-from repro.engine import executor as executor_module
-from repro.engine.executor import SweepExecutor, evaluate_design_point
+import repro.cache.cubepart as cubepart
+from repro.engine.executor import SweepExecutor
 from repro.errors import ConfigurationError
 from repro.obs import Tracer
 from repro.workload import benchmark_by_name
-from tests.cache.test_cubepart import span_names
+from tests.cache.test_cubepart import _spans, dying_in_workers, span_names
 
 
 class TestTpi:
@@ -274,29 +274,28 @@ class TestSharedScoredPass:
         assert list(frontier) == pareto_frontier(fresh)
 
 
+def _tiny(**kwargs):
+    specs = [benchmark_by_name(name) for name in ("small", "yacc")]
+    return SuiteMeasurement(
+        specs=specs,
+        total_instructions=60_000,
+        min_benchmark_instructions=30_000,
+        **kwargs,
+    )
+
+
+def _fingerprint(points):
+    return [(p.config, p.cpi, p.cycle_time_ns, p.epi_nj, p.area_cm2) for p in points]
+
+
 class TestParallelParity:
     def test_jobs_do_not_change_scores(self):
         # --jobs 1 vs --jobs 4 must hand back bit-identical points,
-        # including the physical axes the workers now carry home.
-        def tiny(**kwargs):
-            specs = [benchmark_by_name(name) for name in ("small", "yacc")]
-            return SuiteMeasurement(
-                specs=specs,
-                total_instructions=60_000,
-                min_benchmark_instructions=30_000,
-                **kwargs,
-            )
-
-        def fingerprint(points):
-            return [
-                (p.config, p.cpi, p.cycle_time_ns, p.epi_nj, p.area_cm2)
-                for p in points
-            ]
-
-        serial = DesignOptimizer(tiny())
-        parallel = DesignOptimizer(tiny(executor=SweepExecutor(jobs=4)))
+        # including the physical axes, whichever pool built the planes.
+        serial = DesignOptimizer(_tiny())
+        parallel = DesignOptimizer(_tiny(executor=SweepExecutor(jobs=4)))
         grid = serial.symmetric_grid(SystemConfig(penalty=10))
-        assert fingerprint(serial.sweep(grid)) == fingerprint(
+        assert _fingerprint(serial.sweep(grid)) == _fingerprint(
             parallel.sweep(list(grid))
         )
         assert (
@@ -304,12 +303,35 @@ class TestParallelParity:
             == parallel.select(list(grid), objective="frontier").frontier
         )
 
+    def test_a_sweep_stays_in_the_parent(self):
+        # With its planes built, a 2-job session's sweep maps nothing on
+        # its pool: every point is evaluated here, under the sweep span.
+        session = _tiny(executor=SweepExecutor(jobs=2))
+        try:
+            for slots in range(4):
+                session.icache_miss_cube(slots, (4,))
+            session.dcache_miss_cube((4,))
+            tracer = Tracer()
+            session.attach_tracer(tracer)
+            optimizer = DesignOptimizer(session)
+            grid = optimizer.symmetric_grid(SystemConfig(penalty=10))
+            points = optimizer.sweep(grid)
+        finally:
+            session.executor.retire_pool(wait=True)
+        (sweep,) = _spans(tracer.roots, "optimizer.sweep")
+        assert _spans([sweep], "executor.map") == []
+        assert len(grid) == 24
+        evaluated = sum(span.counters.get("design_points", 0) for span in _spans([sweep]))
+        assert evaluated == 24
+        serial = DesignOptimizer(_tiny())
+        assert _fingerprint(points) == _fingerprint(serial.sweep(grid))
+
     def test_parallel_sweeps_build_each_cube_once_in_the_parent(
         self, monkeypatch, tmp_path
     ):
-        # The cubes must exist before the pool forks: workers then read
-        # them instead of each building its own, and a second sweep of
-        # the same grid (every point cached) builds none.
+        # The driver runs once per stream family, in this process (only
+        # its tasks go to the pool), and a second sweep of the same grid
+        # (every point cached) builds none.
         builds, loads = _log_session_work(monkeypatch, tmp_path)
         executor = SweepExecutor(jobs=2)
         try:
@@ -323,25 +345,23 @@ class TestParallelParity:
             first = optimizer.sweep(grid)
             second = optimizer.sweep(grid)
         finally:
-            executor.shutdown()
+            session.executor.retire_pool(wait=True)
         assert first == second
         # One I cube per branch-slot count and one D cube, all here.
         assert builds.read_text().split() == [str(os.getpid())] * 3
-        # Each benchmark loaded once, here: the workers use the session
-        # they inherit rather than rebuilding it from its spec.
+        # Each benchmark loaded once, here.
         assert loads.read_text().split() == [str(os.getpid())] * len(session.specs)
 
     def test_a_pool_forked_earlier_sees_cubes_built_later(
         self, monkeypatch, tmp_path
     ):
-        # The first sweep forks the pool; the second adds a slot count,
-        # whose I cube is built in the parent after that fork.  The pool
-        # must be re-forked so its workers read the new cube rather than
-        # each building it again.
+        # The second sweep adds a slot count: its I plane is the only new
+        # build, made after the first sweep's warm retired the pool.
         log, _ = _log_session_work(monkeypatch, tmp_path)
         executor = SweepExecutor(jobs=2)
+        session = _small_session(executor)
         try:
-            optimizer = DesignOptimizer(_small_session(executor))
+            optimizer = DesignOptimizer(session)
             for pairs in (((0, 0),), ((0, 0), (2, 2))):
                 optimizer.sweep(
                     optimizer.symmetric_grid(
@@ -351,21 +371,20 @@ class TestParallelParity:
                     )
                 )
         finally:
-            executor.shutdown()
+            session.executor.retire_pool(wait=True)
         # I cubes at 0 and 2 slots and one D cube, all here.
         assert log.read_text().split() == [str(os.getpid())] * 3
 
     def test_a_pool_forked_earlier_sees_a_data_side_rebuild(
         self, monkeypatch, tmp_path
     ):
-        # The second sweep needs only a wider D plane (64 KW).  Its build
-        # maps the address bundle back from the store, so no store miss
-        # shows it; the warm reports it, and the pool must be re-forked
-        # so its workers read the new plane rather than each building it.
+        # The second sweep needs only a wider D plane (64 KW): the one
+        # new build, whose address bundle maps back from the store.
         log, _ = _log_session_work(monkeypatch, tmp_path)
         executor = SweepExecutor(jobs=2)
+        session = _small_session(executor)
         try:
-            optimizer = DesignOptimizer(_small_session(executor))
+            optimizer = DesignOptimizer(session)
             for dcache_kw in (4, 64):
                 optimizer.sweep(
                     optimizer.asymmetric_grid(
@@ -377,21 +396,21 @@ class TestParallelParity:
                     )
                 )
         finally:
-            executor.shutdown()
+            session.executor.retire_pool(wait=True)
         # One I plane, then the D plane at 32 KW and at 64 KW, all here.
         assert log.read_text().split() == [str(os.getpid())] * 3
 
     def test_durable_parallel_sweeps_build_cubes_in_the_parent(
         self, monkeypatch, tmp_path
     ):
-        # A journaled sweep warms the pending grid's cubes once before
-        # its first shard forks the pool.
+        # A journaled sweep's shards warm their own planes: the first
+        # shard of each slot count builds, the rest read.
         from repro.jobs import JobConfig
 
         log, _ = _log_session_work(monkeypatch, tmp_path)
         executor = SweepExecutor(jobs=2)
+        session = _small_session(executor)
         try:
-            session = _small_session(executor)
             session.attach_jobs(JobConfig(run_dir=tmp_path / "run", shard_size=4))
             optimizer = DesignOptimizer(session)
             points = optimizer.sweep(
@@ -402,7 +421,7 @@ class TestParallelParity:
                 )
             )
         finally:
-            executor.shutdown()
+            session.executor.retire_pool(wait=True)
         assert len(points) == 6
         assert log.read_text().split() == [str(os.getpid())] * 3
 
@@ -448,12 +467,12 @@ def _log_session_work(monkeypatch, tmp_path):
 
 
 class _TaskErrorExecutor(SweepExecutor):
-    """Parallel-looking executor whose design-point sweeps fail with a
-    task's own ``error``.
+    """Parallel-looking executor whose cube builds fail with a task's own
+    ``error``.
 
     Trace synthesis (also fanned out through the session's executor)
-    runs in-process so the session still builds; only the optimizer's
-    sweep dispatch hits the scripted error.
+    runs in-process so the session still builds; only the driver's
+    task map hits the scripted error.
     """
 
     def __init__(self, error):
@@ -461,26 +480,14 @@ class _TaskErrorExecutor(SweepExecutor):
         self.maps = 0
         self.error = error
 
-    def prime(self, digest, session):
-        pass
-
-    def map(self, fn, items):
-        if fn is evaluate_design_point:
+    def map(self, fn, items, chunk_size=None):
+        if fn is cubepart._run_task:
             self.maps += 1
             raise self.error
         return [fn(item) for item in items]
 
 
 class TestSerialFallback:
-    def _tiny(self, **kwargs):
-        specs = [benchmark_by_name(name) for name in ("small", "yacc")]
-        return SuiteMeasurement(
-            specs=specs,
-            total_instructions=60_000,
-            min_benchmark_instructions=30_000,
-            **kwargs,
-        )
-
     def _find_span(self, spans, name):
         for span in spans:
             if span.name == name:
@@ -491,71 +498,60 @@ class TestSerialFallback:
         return None
 
     def test_pool_crash_falls_back_to_serial(self, monkeypatch):
-        # A sweep whose pool dies for good (every sweep worker is
-        # killed) still returns the serial sweep's points: the executor
-        # evaluates them in the parent, whose session keeps its own
-        # executor and build pool width for the rest of the run.
+        # A sweep whose build pool dies for good (every task kills its
+        # worker) still returns the serial sweep's points: the executor
+        # runs the builds' tasks in the parent, and the session keeps its
+        # executor for the rest of the run.
         grid_of = lambda opt: opt.symmetric_grid(SystemConfig(penalty=10))
-        serial_opt = DesignOptimizer(self._tiny())
+        serial_opt = DesignOptimizer(_tiny())
         expected = serial_opt.sweep(grid_of(serial_opt))
-        parent, real = os.getpid(), executor_module.session_for_spec
-
-        def dying(spec):
-            if os.getpid() != parent:
-                os._exit(1)
-            return real(spec)
-
-        monkeypatch.setattr(executor_module, "session_for_spec", dying)
+        dying_in_workers(monkeypatch, {(kind, 4) for kind in cubepart.TASK_KINDS})
         tracer = Tracer()
         executor = SweepExecutor(jobs=2)
-        measurement = self._tiny(executor=executor)
+        measurement = _tiny(executor=executor)
+        measurement.benchmarks
         measurement.attach_tracer(tracer)
-        measurement.attach_cube_jobs(2)
         fallback_opt = DesignOptimizer(measurement)
         try:
             points = fallback_opt.sweep(grid_of(fallback_opt))
         finally:
-            executor.shutdown()
+            executor.retire_pool(wait=True)
         assert [(p.config, p.cpi, p.cycle_time_ns) for p in points] == [
             (p.config, p.cpi, p.cycle_time_ns) for p in expected
         ]
         span = self._find_span(tracer.roots, "executor.serial_fallback")
         assert span is not None
-        assert span.counters["items"] == len(grid_of(fallback_opt))
         assert "broke twice" in span.attrs["reason"]
         assert measurement.executor is executor
-        assert measurement.cube_jobs == 2
 
     def test_a_point_evaluated_in_the_parent_keeps_its_session(self):
-        # The dead pool's fallback runs evaluate_design_point in the
-        # parent, where the primed session is the parent's own: it must
-        # not be switched to a serial executor and one build job, as a
-        # forked worker's copy is, or every later sweep and build of the
-        # run would go serial.
+        # Evaluating points in the parent leaves the session's executor
+        # as it was: the sweep's warm retires the pool, not the executor,
+        # so a later build forks a pool of the same width again.
         executor = SweepExecutor(jobs=2)
-        measurement = self._tiny(executor=executor)
-        measurement.attach_cube_jobs(2)
+        measurement = _tiny(executor=executor)
         optimizer = DesignOptimizer(measurement)
-        spec = measurement.spec()
-        executor.prime(spec.digest(), measurement)
         config = SystemConfig(penalty=10)
+        tracer = Tracer()
         try:
-            point = evaluate_design_point(
-                (spec, optimizer.tech, optimizer.phys, config)
-            )
+            (point,) = optimizer.sweep([config])
+            assert measurement.executor is executor and executor.jobs == 2
+            measurement.attach_tracer(tracer)
+            measurement.icache_miss_cube(1, (4,))
         finally:
-            executor.shutdown()
+            executor.retire_pool(wait=True)
         assert point == optimizer.evaluate(config)
-        assert measurement.executor is executor
-        assert measurement.cube_jobs == 2
+        (build,) = _spans(tracer.roots, "imiss.cube")
+        (forked,) = _spans([build], "executor.map")
+        assert forked.counters["pool_forks"] == 1
 
     def test_a_task_error_is_no_pool_crash(self):
-        # A ConfigurationError a design point raises itself surfaces as
-        # raised: the sweep is not re-run in the parent.
+        # A ConfigurationError a build task raises itself surfaces as
+        # raised: the build is not re-run in the parent.
         tracer = Tracer()
-        broken = _TaskErrorExecutor(ConfigurationError("a point failed"))
-        opt = DesignOptimizer(self._tiny(executor=broken, tracer=tracer))
-        with pytest.raises(ConfigurationError, match="a point failed"):
+        broken = _TaskErrorExecutor(ConfigurationError("a task failed"))
+        opt = DesignOptimizer(_tiny(executor=broken, tracer=tracer))
+        with pytest.raises(ConfigurationError, match="a task failed"):
             opt.sweep(opt.symmetric_grid(SystemConfig(penalty=10)))
         assert broken.maps == 1
         assert self._find_span(tracer.roots, "executor.serial_fallback") is None

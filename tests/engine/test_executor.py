@@ -1,8 +1,9 @@
-"""SweepExecutor tests: backends, ordering, and sweep equivalence.
+"""SweepExecutor tests: backends, ordering, and session equivalence.
 
-The process-backend equivalence tests are the contract the tentpole
-refactor rests on: ``serial`` and ``process`` executors must produce
-identical DesignPoint lists (same order, same TPI values) on the
+The process-backend equivalence tests are the contract a session's
+worker pool rests on: a session on a ``serial`` executor and one on a
+``process`` executor must build identical traces and planes, and so
+produce identical DesignPoint lists (same order, same TPI values) on the
 Figure 12 grid.
 """
 
@@ -14,7 +15,7 @@ import pytest
 from repro.core import DesignOptimizer, SuiteMeasurement, SystemConfig
 from repro.core import measurement as measurement_module
 from repro.engine import executor as executor_module
-from repro.engine.executor import SweepExecutor, retire_inherited
+from repro.engine.executor import SweepExecutor
 from repro.engine.store import ArtifactStore
 from repro.errors import ConfigurationError
 from repro.obs.tracer import Tracer
@@ -59,12 +60,6 @@ def _log_then_raise_at_three(item):
     return value * value
 
 
-def _inherited_executors(spec):
-    """What a worker's :func:`session_for_spec` leaves the session with."""
-    session = executor_module.session_for_spec(spec)
-    return session.executor.is_serial, session.cube_jobs
-
-
 def _crash_until_flag(item):
     """Dies until the flag file exists; idempotent across retries."""
     flag, value = item
@@ -85,16 +80,6 @@ def _log_then_crash_at_five(item):
     with open(log, "a") as handle:
         handle.write(f"{value}\n")
     return value * value
-
-
-@pytest.fixture
-def clean_fork_state():
-    """Isolate and restore the module-global fork-inheritance table."""
-    saved = dict(executor_module._FORK_INHERITED)
-    executor_module._FORK_INHERITED.clear()
-    yield executor_module._FORK_INHERITED
-    executor_module._FORK_INHERITED.clear()
-    executor_module._FORK_INHERITED.update(saved)
 
 
 def _tiny_measurement(executor=None, store=None):
@@ -147,7 +132,7 @@ class TestProcessMap:
                 n * n for n in range(20)
             ]
         finally:
-            executor.shutdown()
+            executor.retire_pool(wait=True)
 
     def test_chunked_dispatch_matches(self):
         executor = SweepExecutor(jobs=2)
@@ -156,7 +141,7 @@ class TestProcessMap:
                 n * n for n in range(10)
             ]
         finally:
-            executor.shutdown()
+            executor.retire_pool(wait=True)
 
     def test_a_map_counts_the_pool_it_forks(self):
         tracer = Tracer()
@@ -168,83 +153,12 @@ class TestProcessMap:
             executor.retire_pool(wait=True)
             executor.map(_square, [7, 8, 9])
         finally:
-            executor.shutdown()
+            executor.retire_pool(wait=True)
         forks = [span.counters.get("pool_forks", 0) for span in tracer.roots]
         assert forks == [1, 0, 1]
 
 
-class TestPrimeRetirement:
-    def test_priming_new_digest_retires_previous_session(self, clean_fork_state):
-        # Regression: _FORK_INHERITED grew without bound — priming a new
-        # scale leaked every previously primed warm session forever.
-        executor = SweepExecutor(jobs=2)
-        first, second = object(), object()
-        executor.prime("digest-a", first)
-        executor.prime("digest-b", second)
-        assert clean_fork_state == {"digest-b": second}
-
-    def test_priming_same_digest_replaces_session(self, clean_fork_state):
-        executor = SweepExecutor(jobs=2)
-        old, new = object(), object()
-        executor.prime("digest-a", old)
-        executor.prime("digest-a", new)
-        assert clean_fork_state == {"digest-a": new}
-
-    def test_repriming_same_session_is_noop(self, clean_fork_state):
-        executor = SweepExecutor(jobs=2)
-        session = object()
-        executor.prime("digest-a", session)
-        executor._ensure_pool()
-        executor.prime("digest-a", session)
-        # The no-op must not have retired the (still valid) pool.
-        assert executor._pool is not None
-        executor.shutdown()
-
-    def test_retire_inherited_hook(self, clean_fork_state):
-        executor = SweepExecutor(jobs=2)
-        executor.prime("digest-a", object())
-        retire_inherited("digest-other")  # unknown digest: no-op
-        assert "digest-a" in clean_fork_state
-        retire_inherited("digest-a")
-        assert clean_fork_state == {}
-        executor.prime("digest-b", object())
-        retire_inherited()  # no argument: clear everything
-        assert clean_fork_state == {}
-
-
 class TestShutdownRetirement:
-    def test_shutdown_retires_primed_session(self, clean_fork_state):
-        # Regression: shutdown() released the pool but left the primed
-        # session pinned in _FORK_INHERITED forever — with no pool left
-        # to fork from, the pinned arrays were a pure leak.
-        executor = SweepExecutor(jobs=2)
-        executor.prime("digest-a", object())
-        executor.shutdown()
-        assert clean_fork_state == {}
-
-    def test_shutdown_leaves_another_executors_primed_session(
-        self, clean_fork_state
-    ):
-        # A cube build's own executor primes nothing; shutting it down
-        # must not retire the session a sweep's executor primed.
-        sweeping, building = SweepExecutor(jobs=2), SweepExecutor()
-        session = object()
-        sweeping.prime("digest-a", session)
-        building.shutdown()
-        assert clean_fork_state == {"digest-a": session}
-        sweeping.shutdown()
-        assert clean_fork_state == {}
-
-    def test_retire_pool_keeps_the_primed_session(self, clean_fork_state):
-        executor = SweepExecutor(jobs=2)
-        session = object()
-        executor.prime("digest-a", session)
-        executor._ensure_pool()
-        executor.retire_pool()
-        assert executor._pool is None
-        assert clean_fork_state == {"digest-a": session}
-        executor.shutdown()
-
     def test_retire_pool_can_wait_until_the_workers_are_reaped(self):
         executor = SweepExecutor(jobs=2)
         assert executor.map(_square, list(range(8))) == [n * n for n in range(8)]
@@ -252,32 +166,7 @@ class TestShutdownRetirement:
         executor.retire_pool(wait=True)
         assert workers and all(w.exitcode is not None for w in workers)
         assert executor.map(_square, [3, 4]) == [9, 16]
-        executor.shutdown()
-
-
-class TestNoNestedPools:
-    def test_an_inherited_session_builds_in_the_worker(
-        self, clean_fork_state, tmp_path
-    ):
-        # A forked sweep worker inherits the parent's session with both
-        # executors' settings; a plane the worker has to rebuild must be
-        # built in the worker, not on a build pool forked inside it.
-        # The parent, which finishes a dead pool's chunks itself, keeps
-        # its own executors.
-        executor = SweepExecutor(jobs=2)
-        session = _tiny_measurement(executor, ArtifactStore(cache_dir=tmp_path))
-        session.attach_cube_jobs(2)
-        spec = session.spec()
-        executor.prime(spec.digest(), session)
-        try:
-            in_workers = executor.map(_inherited_executors, [spec, spec])
-        finally:
-            executor.shutdown()
-        assert in_workers == [(True, 1), (True, 1)]
-        executor.prime(spec.digest(), session)
-        assert executor_module.session_for_spec(spec) is session
-        assert session.executor is executor
-        assert session.cube_jobs == 2
+        executor.retire_pool(wait=True)
 
 
 class TestDefaultChunk:
@@ -322,7 +211,7 @@ class TestBrokenPoolRecovery:
                 _log_then_exit_from, [(log, 3, n) for n in range(8)], chunk_size=1
             )
         finally:
-            executor.shutdown()
+            executor.retire_pool(wait=True)
         assert result == [n * n for n in range(8)]
         executions = self._executions(log)
         assert sorted(value for _, value in executions) == list(range(8))
@@ -350,7 +239,7 @@ class TestBrokenPoolRecovery:
                 n * n for n in range(6)
             ]
         finally:
-            executor.shutdown()
+            executor.retire_pool(wait=True)
         dead, fresh = tracer.roots
         assert [child.name for child in dead.children] == [
             "executor.serial_fallback"
@@ -372,7 +261,7 @@ class TestBrokenPoolRecovery:
                     chunk_size=1,
                 )
         finally:
-            executor.shutdown()
+            executor.retire_pool(wait=True)
         assert [value for (value,) in self._executions(log)].count(3) == 1
         (span,) = tracer.roots
         assert span.children == []
@@ -394,7 +283,7 @@ class TestBrokenPoolRecovery:
                 chunk_size=1,
             )
         finally:
-            executor.shutdown()
+            executor.retire_pool(wait=True)
         assert result == [n * n for n in range(8)]
         with open(log) as handle:
             executed = sorted(int(line) for line in handle.read().split())
@@ -408,7 +297,7 @@ class TestBrokenPoolRecovery:
                 _crash_until_flag, [(flag, n) for n in range(8)]
             )
         finally:
-            executor.shutdown()
+            executor.retire_pool(wait=True)
         assert result == [n * n for n in range(8)]
         assert os.path.exists(flag)
 
@@ -427,7 +316,7 @@ class TestInjectedWorkerExit:
                 n * n for n in range(8)
             ]
         finally:
-            executor.shutdown()
+            executor.retire_pool(wait=True)
         killed, clean = tracer.roots
         assert killed.counters["pool_restarts"] == 1
         assert killed.children == []  # no parent fallback
@@ -466,28 +355,39 @@ class TestSweepEquivalence:
         try:
             parallel = _fig12_points(DesignOptimizer(measurement))
         finally:
-            measurement.executor.shutdown()
+            measurement.executor.retire_pool(wait=True)
         self._assert_identical(serial_points, parallel)
 
     @pytest.mark.parametrize("own_dir", [False, True], ids=["disk", "own-dir"])
-    def test_spawned_workers_rebuild_the_session(
-        self, serial_points, monkeypatch, tmp_path, own_dir
-    ):
-        # Spawned workers cannot inherit the live session, so this pins
-        # the rebuild from the spec, which maps the traces back from the
-        # session's disk tier.  A session over its own directory hands
-        # that directory to the workers: the default one stays empty.
+    def test_spawned_workers_rebuild_the_session(self, monkeypatch, tmp_path, own_dir):
+        # Spawned workers see nothing of the parent but their task items:
+        # the prefetch's name the session's disk tier, and the builds'
+        # their stream files in it.  Traces, planes and points match a
+        # serial session's, whether the session sits on the default tier
+        # or on its own directory; in the latter case the default tier
+        # stays empty.
         default = tmp_path / "default"
         monkeypatch.setenv("REPRO_CACHE_DIR", str(default))
-        store = ArtifactStore(cache_dir=tmp_path / "own") if own_dir else None
+        serial = _tiny_measurement(store=ArtifactStore(cache_dir=tmp_path / "serial"))
+        expected = _fig12_points(DesignOptimizer(serial))
         executor = SweepExecutor(jobs=2, start_method="spawn")
-        measurement = _tiny_measurement(executor, store)
-        measurement.benchmarks  # persists the traces the workers map
+        store = ArtifactStore(cache_dir=tmp_path / "own") if own_dir else None
+        spawned = _tiny_measurement(executor, store)
         try:
-            parallel = _fig12_points(DesignOptimizer(measurement))
+            points = _fig12_points(DesignOptimizer(spawned))
         finally:
-            executor.shutdown()
-        self._assert_identical(serial_points, parallel)
+            spawned.executor.retire_pool(wait=True)
+        self._assert_identical(expected, points)
+        for theirs, ours in zip(spawned.benchmarks, serial.benchmarks):
+            assert np.array_equal(theirs.trace.block_ids, ours.trace.block_ids)
+            assert np.array_equal(theirs.trace.went_taken, ours.trace.went_taken)
+        assert spawned._planes.keys() == serial._planes.keys()
+        for key, plane in serial._planes.items():
+            theirs = spawned._planes[key]
+            assert theirs.references == plane.references, key
+            assert theirs.hits.keys() == plane.hits.keys(), key
+            for sets, curve in plane.hits.items():
+                assert np.array_equal(theirs.hits[sets], curve), (key, sets)
         if own_dir:
             assert not default.exists() or not any(default.iterdir())
 
@@ -507,7 +407,7 @@ class TestSweepEquivalence:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "parallel"))
         parallel = _tiny_measurement(executor=SweepExecutor(jobs=2))
         parallel_benchmarks = parallel.benchmarks
-        parallel.executor.shutdown()
+        parallel.executor.retire_pool(wait=True)
         self._assert_serial_benchmarks(parallel_benchmarks, monkeypatch, tmp_path)
 
     def test_a_dead_prefetch_pool_still_builds(self, monkeypatch, tmp_path):
@@ -529,7 +429,7 @@ class TestSweepEquivalence:
         try:
             benchmarks = parallel.benchmarks
         finally:
-            parallel.executor.shutdown()
+            parallel.executor.retire_pool(wait=True)
         assert "executor.serial_fallback" in _span_names(tracer.roots)
         self._assert_serial_benchmarks(benchmarks, monkeypatch, tmp_path)
 
@@ -545,7 +445,7 @@ class TestSweepEquivalence:
         try:
             benchmarks = parallel.benchmarks
         finally:
-            parallel.executor.shutdown()
+            parallel.executor.retire_pool(wait=True)
         names = _span_names(tracer.roots)
         assert "session.prefetch_traces" in names
         assert "program.synthesize" not in names
@@ -574,7 +474,7 @@ class TestTeardownAccounting:
         executor = SweepExecutor(backend="serial")
         monkeypatch.setattr(
             executor,
-            "_shutdown_pool",
+            "retire_pool",
             lambda: (_ for _ in ()).throw(OSError("semaphore wedged")),
             raising=False,
         )
@@ -591,7 +491,7 @@ class TestTeardownAccounting:
         executor = SweepExecutor(backend="serial")
         monkeypatch.setattr(
             executor,
-            "_shutdown_pool",
+            "retire_pool",
             lambda: (_ for _ in ()).throw(RuntimeError("interpreter teardown")),
             raising=False,
         )
@@ -605,7 +505,7 @@ class TestTeardownAccounting:
         executor = SweepExecutor(backend="serial")
         monkeypatch.setattr(
             executor,
-            "_shutdown_pool",
+            "retire_pool",
             lambda: (_ for _ in ()).throw(ValueError("a genuine bug")),
             raising=False,
         )

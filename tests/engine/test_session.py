@@ -1,14 +1,34 @@
 """SessionRegistry and MeasurementSpec tests."""
 
-import numpy as np
+import multiprocessing
+
 import pytest
 
 from repro.core import SuiteMeasurement
 from repro.engine.executor import SweepExecutor
-from repro.engine.session import MeasurementSpec, SessionRegistry
+from repro.engine.session import SessionRegistry
 from repro.engine.store import ArtifactStore
 from repro.errors import ConfigurationError
 from repro.workload import benchmark_by_name
+
+
+def _small(**kwargs):
+    return SuiteMeasurement(
+        specs=[benchmark_by_name("small")],
+        total_instructions=30_000,
+        min_benchmark_instructions=30_000,
+        **kwargs,
+    )
+
+
+def _pool_up(session):
+    """Fork the session's pool; returns its workers' pids."""
+    assert session.executor.map(abs, [-1, -2, -3, -4]) == [1, 2, 3, 4]
+    return {process.pid for process in session.executor._pool._processes.values()}
+
+
+def _alive(pids):
+    return pids & {child.pid for child in multiprocessing.active_children()}
 
 
 class TestSessionRegistry:
@@ -39,9 +59,25 @@ class TestSessionRegistry:
         assert session is measurement
         assert session.executor.jobs == 3
         assert session.executor.is_parallel
-        session.executor.shutdown()
         registry.get("quick", jobs=1)
         assert session.executor.is_serial
+
+    @pytest.mark.parametrize("via", ["attach_cube_jobs", "registry"])
+    def test_resizing_reaps_the_old_pool(self, via):
+        # A new width retires the old pool and waits for its workers, so
+        # no new pool forks beside the old one's exiting workers.
+        session = _small(executor=SweepExecutor(jobs=2))
+        registry = SessionRegistry()
+        registry.set("quick", session)
+        workers = _pool_up(session)
+        assert len(workers) == 2
+        if via == "registry":
+            assert registry.get("quick", jobs=3) is session
+        else:
+            session.attach_cube_jobs(3)
+        assert not _alive(workers)
+        assert session.executor.jobs == 3
+        session.executor.retire_pool(wait=True)
 
     def test_discard_and_clear(self, measurement):
         registry = SessionRegistry()
@@ -57,43 +93,27 @@ class TestSessionRegistry:
         a.set("quick", measurement)
         assert "quick" not in b
 
-    def test_swapping_sessions_retires_primed_fork_state(self, measurement):
-        # Regression: replacing or discarding a session left its primed
-        # copy in the executor's fork-inheritance table forever.
-        from repro.engine import executor as executor_module
-
-        digest = measurement.spec().digest()
-        saved = dict(executor_module._FORK_INHERITED)
-        executor_module._FORK_INHERITED.clear()
-        try:
-            registry = SessionRegistry()
-            registry.set("quick", measurement)
-            executor_module._FORK_INHERITED[digest] = measurement
-            registry.discard("quick")
-            assert digest not in executor_module._FORK_INHERITED
-
-            registry.set("quick", measurement)
-            executor_module._FORK_INHERITED[digest] = measurement
-            registry.set("quick", object())  # replaced by a stand-in
-            assert digest not in executor_module._FORK_INHERITED
-
-            registry.set("full", measurement)
-            executor_module._FORK_INHERITED[digest] = measurement
-            registry.clear()
-            assert executor_module._FORK_INHERITED == {}
-        finally:
-            executor_module._FORK_INHERITED.clear()
-            executor_module._FORK_INHERITED.update(saved)
+    def test_swapping_sessions_reaps_their_pools(self):
+        # Replacing, discarding or clearing a session reaps its pool's
+        # workers.
+        registry = SessionRegistry()
+        sessions = [_small(executor=SweepExecutor(jobs=2)) for _ in range(3)]
+        registry.set("quick", sessions[0])
+        workers = _pool_up(sessions[0])
+        registry.set("quick", sessions[1])  # replaced
+        assert not _alive(workers)
+        workers = _pool_up(sessions[1])
+        registry.discard("quick")
+        assert not _alive(workers)
+        registry.set("full", sessions[2])
+        workers = _pool_up(sessions[2])
+        registry.clear()
+        assert not _alive(workers)
 
 
 class TestMeasurementSpec:
     def _measurement(self, **kwargs):
-        return SuiteMeasurement(
-            specs=[benchmark_by_name("small")],
-            total_instructions=30_000,
-            min_benchmark_instructions=30_000,
-            **kwargs,
-        )
+        return _small(**kwargs)
 
     def test_digest_stable_and_content_sensitive(self):
         a = self._measurement().spec()
@@ -102,23 +122,16 @@ class TestMeasurementSpec:
         assert a.digest() == b.digest()
         assert a.digest() != c.digest()
 
-    def test_build_round_trips(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        original = self._measurement()
-        trace = original.benchmarks[0].trace
-        rebuilt = original.spec().build()
-        assert rebuilt.executor.is_serial  # workers never nest pools
-        assert np.array_equal(rebuilt.benchmarks[0].trace.block_ids, trace.block_ids)
-
-    def test_cache_dir_rides_along_outside_the_digest(self, tmp_path):
-        # Where a session is cached is not part of what it is.
+    def test_cache_dir_is_not_part_of_the_identity(self, tmp_path):
+        # Where a session is cached is not part of what it is, nor is
+        # the width of its pool.
         a, b = (
             self._measurement(store=ArtifactStore(cache_dir=tmp_path / name)).spec()
             for name in "ab"
         )
-        assert (a.cache_dir, b.cache_dir) == (tmp_path / "a", tmp_path / "b")
-        assert a.digest() == b.digest()
-        assert a.build().store.disk_dir == tmp_path / "a"
+        wide = self._measurement(executor=SweepExecutor(jobs=2)).spec()
+        assert a == b == wide
+        assert a.digest() == b.digest() == wide.digest()
 
     def test_spec_is_picklable(self):
         import pickle

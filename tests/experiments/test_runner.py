@@ -147,8 +147,8 @@ def _runner(*args):
 
 class TestWorkerPeak:
     def test_a_jobs_2_ledger_counts_the_sweep_pool(self, tmp_path):
-        # The sweep pool outlives the sweeps; the runner reaps it before
-        # the ledger reads RUSAGE_CHILDREN, which counts only reaped
+        # The pool that builds the sweeps' planes is reaped before the
+        # ledger reads RUSAGE_CHILDREN, which counts only reaped
         # workers.  A forked worker's peak includes the pages it
         # inherited, tens of MB; an unreaped pool left the figure at a
         # few MB.  Fresh processes, because this one has reaped others,
@@ -162,13 +162,11 @@ class TestWorkerPeak:
 
     def test_a_build_only_ledger_counts_the_build_pool(self, tmp_path):
         # fig3 builds four I planes and sweeps nothing, so no optimizer
-        # ends its build phase: the session's build pool is still up
-        # when the run ends, and the runner reaps it before the ledger.
+        # ends its build phase: the session's pool is still up when the
+        # run ends, and the runner reaps it before the ledger.
         metrics = tmp_path / "m.json"
         _runner("table2", "--scale", "quick")
-        _runner(
-            "fig3", "--scale", "quick", "--cube-jobs", "2", "--metrics", str(metrics)
-        )
+        _runner("fig3", "--scale", "quick", "--jobs", "2", "--metrics", str(metrics))
         run = RunLedger.load(metrics)["run"]
         assert run["worker_peak_rss_mb"] > 20, run
 

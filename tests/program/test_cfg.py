@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.isa.assembler import assemble_block
 from repro.program.basic_block import BasicBlock
-from repro.program.cfg import ControlFlowGraph, Procedure, Program
+from repro.program.cfg import Procedure, Program
 from repro.trace import TraceExecutor
 
 
@@ -50,18 +50,6 @@ def walked_successors(blocks, name="a", steps=400):
 
 
 class TestControlFlowGraph:
-    def test_duplicate_block_rejected(self):
-        cfg = ControlFlowGraph([bb("a")])
-        with pytest.raises(ConfigurationError):
-            cfg.add_block(bb("a"))
-
-    def test_lookup_and_iteration(self):
-        cfg = ControlFlowGraph([bb("a"), bb("b")])
-        assert cfg["a"].name == "a"
-        assert [block.name for block in cfg] == ["a", "b"]
-        assert len(cfg) == 2
-        assert "a" in cfg and "z" not in cfg
-
     def test_successors_conditional(self):
         blocks = [
             bb("a", "beq $t0, $t1, c", taken_target="c", fallthrough="b", taken_bias=0.5),

@@ -157,7 +157,8 @@ class TestBundle:
         assert back.text_base == original.text_base and type(back.text_base) is int
         assert back.name == original.name and type(back.name) is str
         assert back.index == original.index
-        assert back.indirect_ids == original.indirect_ids
+        for name in ("indirect_offsets", "indirect_flat"):
+            assert np.array_equal(getattr(back, name), getattr(original, name)), name
         assert np.array_equal(back.canonical_addresses, original.canonical_addresses)
 
     def test_round_trip_in_memory(self, compiled):

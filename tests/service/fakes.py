@@ -22,7 +22,7 @@ class StubSession:
         self.tracer = NULL_TRACER
         self.job_config = None
         self.executor = types.SimpleNamespace(
-            shutdown=lambda: None, tracer=None, jobs=1
+            retire_pool=lambda wait=False: None, tracer=None, jobs=1
         )
 
     def attach_tracer(self, tracer):
@@ -31,9 +31,6 @@ class StubSession:
 
     def attach_jobs(self, job_config):
         self.job_config = job_config
-
-    def retire_cube_pool(self):
-        pass
 
 
 def stub_registry():

@@ -63,9 +63,6 @@ ALLOWED_UNNAMED = {
     "repro.workload.table1.suite_totals": (
         "rebuilds Table 1's published Total row from the transcribed rows"
     ),
-    "repro.program.cfg.ControlFlowGraph": (
-        "part of the program model tests/program pins; no run builds one"
-    ),
     "repro.program.dependence.flow_dependences": (
         "the single-query form of the dependence scans tests/program checks"
     ),
@@ -74,19 +71,6 @@ ALLOWED_UNNAMED = {
     ),
     "repro.utils.stats.harmonic_mean": (
         "the equal-weights reference tests check weighted_harmonic_mean against"
-    ),
-    "repro.utils.stats.geometric_mean": (
-        "tests bound it between the weighted harmonic and arithmetic means; no run calls it"
-    ),
-    "repro.utils.stats.percentage": "a documented stats helper; no run calls it",
-    "repro.utils.stats.cumulative_distribution": (
-        "a documented stats helper (doctest); no run calls it"
-    ),
-    "repro.utils.units.words_to_kw": (
-        "the inverse of kw_to_words; tests round-trip cache sizes through it"
-    ),
-    "repro.utils.units.bytes_to_words": (
-        "the inverse of words_to_bytes; tests round-trip sizes through it"
     ),
 }
 

@@ -51,7 +51,9 @@ def run_reference(program, budget: int, seed: int) -> ExecutionTrace:
     taken_ids = compiled.taken_ids.tolist()
     fall_ids = compiled.fall_ids.tolist()
     biases = compiled.biases.tolist()
-    indirect_ids = compiled.indirect_ids
+    offsets = compiled.indirect_offsets.tolist()
+    flat = compiled.indirect_flat.tolist()
+    indirect_ids = [flat[offsets[i] : offsets[i + 1]] for i in range(len(compiled))]
 
     block_ids = array("i")
     went_taken = array("b")

@@ -1,16 +1,11 @@
 """Statistics helper tests."""
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.utils.stats import (
-    cumulative_distribution,
-    geometric_mean,
     harmonic_mean,
-    percentage,
     weighted_arithmetic_mean,
     weighted_harmonic_mean,
 )
@@ -69,49 +64,3 @@ class TestWeightedHarmonicMean:
 class TestOtherMeans:
     def test_weighted_arithmetic(self):
         assert weighted_arithmetic_mean([1.0, 3.0], [1.0, 3.0]) == pytest.approx(2.5)
-
-    def test_geometric(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_geometric_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-
-    @given(st.lists(positive_floats, min_size=1, max_size=10))
-    def test_geometric_between_harmonic_and_arithmetic(self, values):
-        weights = [1.0] * len(values)
-        hmean = weighted_harmonic_mean(values, weights)
-        gmean = geometric_mean(values)
-        amean = weighted_arithmetic_mean(values, weights)
-        assert hmean - 1e-6 <= gmean <= amean + 1e-6
-
-
-class TestPercentage:
-    def test_basic(self):
-        assert percentage(1, 4) == pytest.approx(25.0)
-
-    def test_zero_denominator(self):
-        assert percentage(5, 0) == 0.0
-
-
-class TestCumulativeDistribution:
-    def test_empty(self):
-        assert cumulative_distribution({}) == []
-
-    def test_sorted_and_normalised(self):
-        cdf = cumulative_distribution({3: 3, 0: 1})
-        assert cdf == [(0, 0.25), (3, 1.0)]
-
-    @given(
-        st.dictionaries(
-            st.integers(min_value=0, max_value=16),
-            st.integers(min_value=1, max_value=100),
-            min_size=1,
-            max_size=10,
-        )
-    )
-    def test_cdf_is_monotone_and_ends_at_one(self, counts):
-        cdf = cumulative_distribution(counts)
-        fractions = [f for _, f in cdf]
-        assert all(a <= b for a, b in zip(fractions, fractions[1:]))
-        assert fractions[-1] == pytest.approx(1.0)
