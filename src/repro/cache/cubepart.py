@@ -299,9 +299,9 @@ def _run_build(
 ) -> MissCube:
     """Map the task list on the executor, then check every ``A = 1`` base.
 
-    One ``chunk_size=1`` map lets idle workers take the next task in
-    list order: cube tasks before checks, each by references × set
-    counts.
+    The executor dispatches each task on its own, so idle workers take
+    the next task in list order: cube tasks before checks, each by
+    references × set counts.
     """
     executor = executor if executor is not None else SweepExecutor()
     tracer = tracer if tracer is not None else NULL_TRACER
@@ -325,7 +325,7 @@ def _run_build(
         backend=executor.backend,
         jobs=executor.jobs,
     ) as span:
-        outcomes = executor.map(_run_task, items, chunk_size=1)
+        outcomes = executor.map(_run_task, items)
         for (kind, _), (_, wall) in zip(tasks, outcomes):
             seconds[kind] += wall
         for kind, wall in seconds.items():

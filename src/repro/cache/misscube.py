@@ -83,8 +83,8 @@ def capacity_set_counts(
 
     For each block size ``B``, every power-of-two set count from 1 to
     ``capacity_words // B`` — i.e. every direct-mapped size up to the
-    capacity, and through :meth:`MissCube.capacity_misses` every
-    ``(size, ways)`` split of those capacities as well.
+    capacity, and every ``(size, ways)`` split of those capacities as
+    well (``size / ways`` sets).
     """
     blocks = checked_block_words(block_words, context=context)
     if not is_power_of_two(capacity_words):
@@ -138,52 +138,18 @@ class MissCube:
         """Set counts covered at one block size."""
         return tuple(sorted(self.hits[self._checked_block(block_words)]))
 
-    def plane(
-        self,
-        block_words: int,
-        max_sets: Optional[int] = None,
-        max_ways: Optional[int] = None,
-    ) -> MissPlane:
-        """One block size's ``(sets × ways)`` plane, optionally trimmed.
-
-        With bounds, the returned plane covers exactly the set counts up
-        to ``max_sets`` and ways up to ``max_ways`` — the same shape the
-        retired per-``B`` plane artifacts had, bit for bit.
-        """
+    def plane(self, block_words: int) -> MissPlane:
+        """One block size's ``(sets × ways)`` plane."""
         block = self._checked_block(block_words)
-        ways = self.max_ways if max_ways is None else int(max_ways)
-        if not 1 <= ways <= self.max_ways:
-            raise ConfigurationError(
-                f"cube covers 1..{self.max_ways} ways, asked for {ways}"
-            )
-        hits = self.hits[block]
-        if max_sets is not None:
-            if max_sets not in hits:
-                raise ConfigurationError(
-                    f"cube does not cover {max_sets} sets at "
-                    f"{block}-word blocks (covered: {list(self.set_counts(block))})"
-                )
-            hits = {s: h for s, h in hits.items() if s <= max_sets}
-        if ways != self.max_ways:
-            hits = {s: h[: ways + 1] for s, h in hits.items()}
         return MissPlane(
-            references=self.references[block], max_ways=ways, hits=hits
+            references=self.references[block],
+            max_ways=self.max_ways,
+            hits=self.hits[block],
         )
-
-    def axis(
-        self, block_words: int, max_sets: Optional[int] = None
-    ) -> Dict[int, int]:
-        """One block size's direct-mapped size axis: ``{num_sets: misses}``."""
-        plane = self.plane(block_words, max_sets=max_sets)
-        return {s: plane.misses(s, 1) for s in plane.set_counts}
 
     def misses(self, block_words: int, num_sets: int, ways: int) -> int:
         """Exact miss count of one ``(B, S, A)`` geometry."""
         return self.plane(block_words).misses(num_sets, ways)
-
-    def capacity_misses(self, block_words: int, size_blocks: int, ways: int) -> int:
-        """Miss count at fixed capacity: ``size_blocks / ways`` sets."""
-        return self.plane(block_words).capacity_misses(size_blocks, ways)
 
     def check_base(
         self, block_words: int, axis: Mapping[int, int], label: str

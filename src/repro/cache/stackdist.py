@@ -80,7 +80,6 @@ from typing import Dict, Mapping, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.utils.units import is_power_of_two
 
 __all__ = ["MissPlane"]
 
@@ -347,17 +346,3 @@ class MissPlane:
                 f"plane covers 1..{self.max_ways} ways, asked for {ways}"
             )
         return self.references - int(self.hits[num_sets][ways])
-
-    def capacity_misses(self, size_blocks: int, ways: int) -> int:
-        """Miss count at fixed capacity: ``size_blocks / ways`` sets."""
-        if ways < 1 or size_blocks % ways != 0:
-            raise ConfigurationError(
-                f"associativity {ways} does not divide {size_blocks} blocks"
-            )
-        num_sets = size_blocks // ways
-        if not is_power_of_two(num_sets):
-            raise ConfigurationError(
-                f"{size_blocks} blocks / {ways} ways is not a "
-                "power-of-two set count"
-            )
-        return self.misses(num_sets, ways)

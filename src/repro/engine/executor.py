@@ -3,14 +3,18 @@
 :class:`SweepExecutor` maps a picklable function over a list of items
 with deterministic, input-ordered results, on one of two backends:
 
-* ``serial`` — a plain in-process loop (the default, and the reference
-  behaviour every other backend must reproduce exactly);
-* ``process`` — a ``ProcessPoolExecutor`` with chunked dispatch.
+* ``serial`` — a plain in-process loop (one job: the reference
+  behaviour the pool must reproduce exactly);
+* ``process`` — a ``ProcessPoolExecutor`` of ``jobs`` workers, each
+  item dispatched on its own.
 
 A measurement session owns one executor.  Its tasks are pure functions
 of their items (a benchmark to synthesize into the disk tier, a cube
 task over a stream file), so a worker needs nothing the parent built
-after it forked; design points are evaluated in the parent.
+after it forked; design points are evaluated in the parent.  Every item
+is heavy (one benchmark's trace synthesis, one cube or check task), so
+per-item dispatch costs nothing measurable and lets an idle worker
+take the next item in list order.
 """
 
 from __future__ import annotations
@@ -25,9 +29,7 @@ from typing import Any, Callable, Iterable, List, Optional
 from repro.errors import ConfigurationError
 from repro.obs.tracer import NULL_TRACER
 
-__all__ = ["SweepExecutor", "BACKENDS", "teardown_failures"]
-
-BACKENDS = ("serial", "process")
+__all__ = ["SweepExecutor", "teardown_failures"]
 
 _LOG = logging.getLogger(__name__)
 
@@ -60,31 +62,16 @@ class SweepExecutor:
     """Order-preserving map over task items, serial or multi-process.
 
     Args:
-        jobs: Worker process count; 1 selects the serial backend unless
-            ``backend`` says otherwise.
-        backend: ``"serial"`` or ``"process"`` (default: serial for
-            ``jobs == 1``, process otherwise).
+        jobs: Worker process count; 1 maps in this process.
         start_method: Optional multiprocessing start method override
             (``"fork"``, ``"spawn"``, ``"forkserver"``), mainly for tests.
     """
 
-    def __init__(
-        self,
-        jobs: int = 1,
-        backend: Optional[str] = None,
-        start_method: Optional[str] = None,
-    ) -> None:
+    def __init__(self, jobs: int = 1, start_method: Optional[str] = None) -> None:
         jobs = int(jobs)
         if jobs < 1:
             raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
-        if backend is None:
-            backend = "serial" if jobs == 1 else "process"
-        if backend not in BACKENDS:
-            raise ConfigurationError(
-                f"unknown sweep backend {backend!r}; choose from {BACKENDS}"
-            )
-        self.jobs = 1 if backend == "serial" else jobs
-        self.backend = backend
+        self.jobs = jobs
         self.tracer = NULL_TRACER
         self._start_method = start_method
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -102,37 +89,37 @@ class SweepExecutor:
         return self._start_method or multiprocessing.get_start_method()
 
     @property
+    def backend(self) -> str:
+        """``"serial"`` for one job, ``"process"`` for more (a fact the
+        spans and the run ledger report)."""
+        return "serial" if self.jobs == 1 else "process"
+
+    @property
     def is_serial(self) -> bool:
-        return self.backend == "serial"
+        return self.jobs == 1
 
     @property
     def is_parallel(self) -> bool:
-        return self.backend == "process"
+        return self.jobs > 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SweepExecutor(jobs={self.jobs}, backend={self.backend!r})"
 
     # -- mapping ---------------------------------------------------------------
 
-    def map(
-        self,
-        fn: Callable[[Any], Any],
-        items: Iterable[Any],
-        chunk_size: Optional[int] = None,
-    ) -> List[Any]:
+    def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> List[Any]:
         """Apply ``fn`` to every item; results are in input order.
 
-        On the process backend ``fn`` and every item must be picklable;
-        dispatch is chunked (``chunk_size`` items, by default about four
-        chunks per worker) so per-task IPC overhead amortizes.  A worker
-        crash (OOM kill, hard exit) breaks the whole
-        :class:`ProcessPoolExecutor`, but chunks whose futures already
-        returned are *kept*: only the unfinished chunks are re-dispatched
-        on a fresh pool, so completed work never re-executes.  After two
-        consecutive pool breaks without a single chunk completing in
-        between, the broken pool is shut down, its workers reaped, and
-        this process runs the unfinished chunks itself, in order, under
-        an ``executor.serial_fallback`` span: every caller gets its
+        On the process backend ``fn`` and every item must be picklable,
+        and each item is dispatched on its own.  A worker crash (OOM
+        kill, hard exit) breaks the whole :class:`ProcessPoolExecutor`,
+        but items whose futures already returned are *kept*: only the
+        unfinished items are re-dispatched on a fresh pool, so completed
+        work never re-executes.  After two consecutive pool breaks
+        without a single item completing in between, the broken pool is
+        shut down, its workers reaped, and this process runs the
+        unfinished items itself, in order, under an
+        ``executor.serial_fallback`` span: every caller gets its
         results, and the executor stays usable.  A task's own exception
         propagates as raised.  The ``executor.map`` span counts
         ``pool_forks`` whenever the map has to fork a pool (its first
@@ -147,12 +134,9 @@ class SweepExecutor:
             span.count("items", len(items))
             if self.is_serial or len(items) <= 1:
                 return [fn(item) for item in items]
-            chunk = chunk_size or self._default_chunk(len(items))
-            chunks = [items[i : i + chunk] for i in range(0, len(items), chunk)]
-            results: List[Optional[List[Any]]] = [None] * len(chunks)
-            pending = set(range(len(chunks)))
+            results: List[Any] = [None] * len(items)
+            pending = set(range(len(items)))
             exit_at, self._exit_at = self._exit_at, None
-            exit_chunk = None if exit_at is None else exit_at // chunk
             fruitless_breaks = 0
             while pending and fruitless_breaks < 2:
                 if self._pool is None:
@@ -162,11 +146,11 @@ class SweepExecutor:
                 broke = False
                 try:
                     for index in sorted(pending):
-                        task = _exit_worker if index == exit_chunk else _apply_chunk
-                        futures[index] = pool.submit(task, fn, chunks[index])
+                        task = _exit_worker if index == exit_at else fn
+                        futures[index] = pool.submit(task, items[index])
                 except BrokenProcessPool:
                     broke = True
-                exit_chunk = None
+                exit_at = None
                 progressed = 0
                 for index in sorted(futures):
                     try:
@@ -189,41 +173,26 @@ class SweepExecutor:
                 with self.tracer.span(
                     "executor.serial_fallback",
                     reason=f"the worker pool (jobs={self.jobs}) broke twice "
-                    f"without finishing a chunk; a worker was killed "
+                    f"without finishing an item; a worker was killed "
                     f"(out of memory?)",
                 ) as fallback:
-                    fallback.count(
-                        "items", sum(len(chunks[index]) for index in pending)
-                    )
+                    fallback.count("items", len(pending))
                     for index in sorted(pending):
-                        results[index] = _apply_chunk(fn, chunks[index])
-            return [value for chunk_result in results for value in chunk_result]
+                        results[index] = fn(items[index])
+            return results
 
     def inject_worker_exit(self, index: Optional[int]) -> None:
         """Kill the worker that runs item ``index`` of the next parallel map.
 
         Fault injection (``--inject-fault worker-exit``): the next
-        process-backend :meth:`map` submits the chunk holding that item
-        through :func:`_exit_worker`, which hard-exits the worker before
-        the chunk runs, as an OOM kill would.  The hook clears itself
-        there, so the re-dispatch runs the chunk normally.  A map that
-        runs in this process (the serial backend, or a single item)
-        never fires it; ``None`` disarms a hook that no map fired.
+        process-backend :meth:`map` submits that item through
+        :func:`_exit_worker`, which hard-exits the worker before the
+        item runs, as an OOM kill would.  The hook clears itself there,
+        so the re-dispatch runs the item normally.  A map that runs in
+        this process (the serial backend, or a single item) never fires
+        it; ``None`` disarms a hook that no map fired.
         """
         self._exit_at = index
-
-    def _default_chunk(self, count: int) -> int:
-        """About four chunks per worker, clamped to the sweep size.
-
-        The clamp matters for tiny sweeps: a chunk larger than the item
-        count would put the whole sweep into a single dispatch and
-        serialize it onto one worker.  With the clamped value every
-        worker can receive at least one chunk whenever there are at
-        least as many items as workers.
-        """
-        if count <= 0:
-            return 1
-        return max(1, min(count, -(-count // (self.jobs * 4))))  # ceil
 
     # -- pool lifecycle --------------------------------------------------------
 
@@ -271,18 +240,12 @@ class SweepExecutor:
             _record_teardown_failure(exc)
 
 
-# -- worker-side helpers ---------------------------------------------------
+# -- worker-side helper ----------------------------------------------------
 #
-# These run inside pool workers, so they must be importable at module
-# level.
+# It runs inside pool workers, so it must be importable at module level.
 
 
-def _apply_chunk(fn: Callable[[Any], Any], chunk: List[Any]) -> List[Any]:
-    """Worker task: one dispatched chunk (module-level for pickling)."""
-    return [fn(item) for item in chunk]
-
-
-def _exit_worker(fn: Callable[[Any], Any], chunk: List[Any]) -> List[Any]:
+def _exit_worker(item: Any) -> Any:
     """Worker task for :meth:`SweepExecutor.inject_worker_exit`: the
-    worker dies before the chunk runs."""
+    worker dies before the item runs."""
     os._exit(1)

@@ -11,15 +11,15 @@ Usage::
     repro-experiments --metrics m.json   # machine-readable run ledger
     repro-experiments --list             # show available experiment names
     repro-experiments --run-dir RUNS/a fig12     # durable (journaled) sweeps
-    repro-experiments --run-dir RUNS/a --resume  # continue a killed run
+    repro-experiments --run-dir RUNS/a --resume  # continue a failed or killed run
     repro-experiments optimize --objective frontier   # Pareto (TPI, EPI, area)
     repro-experiments optimize --objective epi --max-area-cm2 40
 
 ``--run-dir DIR`` makes every design-space sweep durable: the grid is
-split into journaled shards (``--shard-size``), failed shards retry
-with backoff (``--max-retries``), and a run killed mid-sweep resumes
-from its journal with ``--resume`` — producing byte-identical
-``results/*.txt``.
+split into journaled shards of eight points, a shard that fails stops
+the run with its reason (exit 1), and a run that failed or was killed
+mid-sweep resumes from its journal with ``--resume`` — producing
+byte-identical ``results/*.txt``.
 
 ``--jobs N`` sizes the session's one worker pool (its :class:`~repro.
 engine.executor.SweepExecutor`): per-benchmark trace synthesis and the
@@ -239,8 +239,6 @@ def run_experiments(
         ledger.set_jobs_info(
             run_dir=str(job_config.run_dir),
             resume=job_config.resume,
-            max_retries=job_config.max_retries,
-            shard_size=job_config.shard_size,
             **job_config.stats.as_dict(),
         )
     resolved_metrics = metrics_path
@@ -473,30 +471,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=Path,
         default=None,
         metavar="DIR",
-        help="journal design-space sweeps into DIR so a killed run can be "
-        "resumed (see --resume); results are byte-identical either way",
+        help="journal design-space sweeps into DIR so a failed or killed "
+        "run can be resumed (see --resume); results are byte-identical "
+        "either way",
     )
     parser.add_argument(
         "--resume",
         action="store_true",
         help="continue a previous --run-dir run: completed shards are "
-        "replayed from the journal, only unfinished shards execute",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="extra attempts per failed sweep shard, with capped "
-        "exponential backoff (default: 2; requires --run-dir)",
-    )
-    parser.add_argument(
-        "--shard-size",
-        type=int,
-        default=8,
-        metavar="N",
-        help="design points per journaled shard — the checkpoint "
-        "granularity (default: 8; requires --run-dir)",
+        "replayed from the journal, only unfinished shards (a failed one "
+        "included) execute",
     )
     parser.add_argument(
         "--inject-fault",
@@ -535,10 +519,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         ):
             if given:
                 parser.error(f"{flag} requires --run-dir")
-    if args.max_retries < 0:
-        parser.error(f"--max-retries must be at least 0, got {args.max_retries}")
-    if args.shard_size < 1:
-        parser.error(f"--shard-size must be at least 1, got {args.shard_size}")
     job_config = None
     if args.run_dir is not None:
         try:
@@ -550,11 +530,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         except ConfigurationError as exc:
             parser.error(str(exc))
         job_config = JobConfig(
-            run_dir=args.run_dir,
-            resume=args.resume,
-            max_retries=args.max_retries,
-            shard_size=args.shard_size,
-            faults=faults,
+            run_dir=args.run_dir, resume=args.resume, faults=faults
         )
     names = args.experiments or None
     if args.extensions:

@@ -1,17 +1,18 @@
 """Durable, resumable sweep runs (:mod:`repro.jobs`).
 
 A *run* is a sweep whose progress survives the process: the grid is
-split into deterministic shards, every shard's outcome is journaled to
-an append-only checksummed JSONL file in a run directory, failed shards
-are retried with capped exponential backoff, and a restarted run replays
-the journal so only unfinished shards execute — with results guaranteed
-identical to an uninterrupted serial sweep.
+split into deterministic shards of eight points, and every shard's
+outcome is journaled to an append-only checksummed JSONL file in a run
+directory.  A shard that fails stops the run with its reason; resuming
+the run directory is the one retry: it replays the journal so only
+unfinished shards execute, the failed one included — with results
+guaranteed identical to an uninterrupted serial sweep.
 
 Entry points:
 
-* :class:`~repro.jobs.runner.JobConfig` — per-run policy (run directory,
-  resume flag, retry budget, shard size), attached to a measurement
-  session via ``SuiteMeasurement.attach_jobs``;
+* :class:`~repro.jobs.runner.JobConfig` — one durable run (run
+  directory, resume flag, optional fault script), attached to a
+  measurement session via ``SuiteMeasurement.attach_jobs``;
 * :class:`~repro.jobs.runner.JobRunner` — executes one sweep durably
   (``DesignOptimizer.sweep`` routes through it automatically when a
   job config is attached);

@@ -9,16 +9,17 @@ fails the same shard at the same point.
 
 Kinds:
 
-* ``task-error:S[:A]`` — raise a transient :class:`InjectedFault`
-  inside shard ``S`` on attempt ``A`` (default 0); exercises the
-  runner's retry/backoff path.  The fault is *transient*: it fires only
-  on the named attempt, so the retry succeeds.
+* ``task-error:S[:A]`` — raise an :class:`InjectedFault` inside shard
+  ``S`` on attempt ``A`` (default 0): the shard is journaled
+  ``shard_failed`` and the run stops with its reason, as any shard
+  error does.  The fault fires only on the named attempt, so resuming
+  the run directory (the shard's next attempt) completes it.
 * ``worker-exit:S[:A]`` — on shard ``S``'s attempt ``A`` (default 0),
-  the worker running the first task of the first parallel map the
+  the worker running the first item of the first parallel map the
   shard's plane warm makes hard-exits once (:meth:`~repro.engine.
   executor.SweepExecutor.inject_worker_exit`): a cube build, or the
   trace prefetch on a session whose benchmarks are not built yet.
-  Exercises the executor's broken-pool chunk retry underneath a durable
+  Exercises the executor's broken-pool re-dispatch underneath a durable
   run.  A no-op on a serial executor, or when the shard's planes are
   already built.
 * ``abort:S`` — raise :class:`InjectedCrash` immediately after shard
@@ -44,11 +45,13 @@ _KINDS = ("task-error", "worker-exit", "abort")
 
 
 class InjectedFault(ReproError):
-    """A scripted *transient* failure (the runner retries these)."""
+    """A scripted failure of one shard attempt (the run stops; a resume
+    dispatches the shard again)."""
 
 
 class InjectedCrash(ReproError):
-    """A scripted hard crash (the runner never retries these)."""
+    """A scripted hard crash of the parent (never journaled as a shard
+    failure)."""
 
 
 @dataclass(frozen=True)
@@ -96,10 +99,10 @@ class FaultInjector:
         return None
 
     def before_shard(self, shard: int, attempt: int) -> None:
-        """Raise a transient fault if one is scripted for this attempt."""
+        """Raise a fault if one is scripted for this attempt."""
         if self._match("task-error", shard, attempt):
             raise InjectedFault(
-                f"injected transient fault in shard {shard} attempt {attempt}"
+                f"injected fault in shard {shard} attempt {attempt}"
             )
 
     def wants_worker_exit(self, shard: int, attempt: int) -> bool:

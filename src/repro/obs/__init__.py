@@ -21,11 +21,7 @@ decide.  ``results/*.txt`` is byte-identical with instrumentation on or
 off.
 """
 
-from repro.obs.ledger import (
-    LEDGER_SCHEMA,
-    RunLedger,
-    validate_metrics,
-)
+from repro.obs.ledger import LEDGER_SCHEMA, RunLedger
 from repro.obs.tracer import (
     NULL_TRACER,
     NullTracer,
@@ -42,5 +38,4 @@ __all__ = [
     "Span",
     "Tracer",
     "render_span_tree",
-    "validate_metrics",
 ]

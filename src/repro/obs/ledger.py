@@ -18,7 +18,6 @@ back during a run, so writing (or not writing) it can never perturb
 from __future__ import annotations
 
 import json
-import math
 import os
 import platform
 import resource
@@ -27,7 +26,6 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.kernels import kernel_backend
 from repro.obs.tracer import Tracer, render_span_tree
 from repro.utils.tables import render_table
@@ -37,17 +35,10 @@ __all__ = [
     "RunLedger",
     "host_facts",
     "peak_rss_mb",
-    "validate_metrics",
 ]
 
-#: Schema identifier embedded in (and required of) every metrics.json.
+#: Schema identifier embedded in every metrics.json.
 LEDGER_SCHEMA = "repro.obs/run-ledger/v1"
-
-#: Top-level keys every ledger payload must carry.
-_REQUIRED_KEYS = ("schema", "run", "executor", "experiments", "store", "spans")
-
-#: The ``run`` section's memory figures (:func:`peak_rss_mb`).
-_PEAK_KEYS = ("peak_rss_mb", "worker_peak_rss_mb")
 
 
 def host_facts() -> Dict[str, Any]:
@@ -193,13 +184,6 @@ class RunLedger:
         )
         return path
 
-    @staticmethod
-    def load(path: Path) -> Dict[str, Any]:
-        """Read back a metrics.json, validating it against the schema."""
-        payload = json.loads(Path(path).read_text())
-        validate_metrics(payload)
-        return payload
-
     # -- rendering -------------------------------------------------------------
 
     def render_summary(self) -> str:
@@ -266,72 +250,3 @@ def _cell(value: Any) -> Any:
     if value is None or isinstance(value, (str, int, float)):
         return value
     return str(value)
-
-
-def validate_metrics(payload: Dict[str, Any]) -> None:
-    """Raise :class:`ConfigurationError` unless ``payload`` is a valid ledger.
-
-    Checked: schema id, required top-level keys, the optional ``host``
-    section (:func:`host_facts`' keys and types, at least one core), the
-    ``run`` section's peak RSS figures where present (non-negative sizes
-    in MB), experiment entries with ``name``/``wall_s``, span nodes with
-    ``name``/``wall_s`` recursively, and that no float anywhere is
-    non-finite (strict-JSON guarantee).
-    """
-    if not isinstance(payload, dict):
-        raise ConfigurationError("metrics payload must be a JSON object")
-    missing = [key for key in _REQUIRED_KEYS if key not in payload]
-    if missing:
-        raise ConfigurationError(f"metrics payload missing keys: {missing}")
-    if payload["schema"] != LEDGER_SCHEMA:
-        raise ConfigurationError(
-            f"unknown metrics schema {payload['schema']!r} "
-            f"(expected {LEDGER_SCHEMA!r})"
-        )
-    if "host" in payload:
-        _check_host(payload["host"])
-    _check_peaks(payload["run"])
-    for entry in payload["experiments"]:
-        if not isinstance(entry, dict) or "name" not in entry or "wall_s" not in entry:
-            raise ConfigurationError(f"malformed experiment entry: {entry!r}")
-    _check_spans(payload["spans"])
-    _check_finite(payload, path="$")
-
-
-def _check_host(host: Any) -> None:
-    expected = host_facts()
-    if not isinstance(host, dict) or any(
-        type(host.get(key)) is not type(value) for key, value in expected.items()
-    ):
-        raise ConfigurationError(f"malformed host section: {host!r}")
-    if host["usable_cores"] < 1:
-        raise ConfigurationError(f"host.usable_cores must be >= 1: {host!r}")
-
-
-def _check_peaks(run: Any) -> None:
-    if not isinstance(run, dict):
-        raise ConfigurationError(f"run section must be an object: {run!r}")
-    for key in _PEAK_KEYS:
-        value = run.get(key, 0.0)
-        if type(value) not in (int, float) or value < 0:
-            raise ConfigurationError(f"run.{key} must be a size in MB: {value!r}")
-
-
-def _check_spans(spans: Any) -> None:
-    if not isinstance(spans, list):
-        raise ConfigurationError("spans must be a list")
-    for span in spans:
-        if not isinstance(span, dict) or "name" not in span or "wall_s" not in span:
-            raise ConfigurationError(f"malformed span node: {span!r}")
-        _check_spans(span.get("children", []))
-
-
-def _check_finite(value: Any, path: str) -> None:
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigurationError(f"non-finite float at {path}")
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _check_finite(item, f"{path}.{key}")
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _check_finite(item, f"{path}[{i}]")

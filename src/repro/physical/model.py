@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # annotation-only: repro.core imports this module
     from repro.core.measurement import SuiteMeasurement
 
 from repro.errors import ConfigurationError
-from repro.physical.area import cache_area_cm2, system_area_cm2
+from repro.physical.area import system_area_cm2
 from repro.physical.energy import read_energy_nj, refill_energy_nj, static_power_w
 from repro.physical.technology import DEFAULT_PHYSICAL, PhysicalTechnology
 from repro.timing.technology import DEFAULT_TECHNOLOGY, Technology
@@ -41,15 +41,15 @@ __all__ = ["PhysicalBreakdown", "PhysicalModel"]
 
 @dataclass(frozen=True)
 class PhysicalBreakdown:
-    """Energy (per instruction) and area components for one design point."""
+    """Energy (per instruction) components and area of one design point."""
 
     fetch_nj: float
     data_nj: float
     refill_nj: float
     static_nj: float
-    icache_area_cm2: float
-    dcache_area_cm2: float
-    cpu_area_cm2: float
+    #: Total MCM substrate area, cm^2 (:func:`~repro.physical.area.
+    #: system_area_cm2`: pure geometry, TPI-independent).
+    area_cm2: float
 
     @property
     def epi_nj(self) -> float:
@@ -60,11 +60,6 @@ class PhysicalBreakdown:
     def static_fraction(self) -> float:
         """Leakage share of EPI — the axis the ext_energy study sweeps."""
         return self.static_nj / self.epi_nj
-
-    @property
-    def area_cm2(self) -> float:
-        """Total MCM substrate area, cm^2."""
-        return self.icache_area_cm2 + self.dcache_area_cm2 + self.cpu_area_cm2
 
 
 class PhysicalModel:
@@ -85,10 +80,6 @@ class PhysicalModel:
         self.measurement = measurement
         self.tech = tech
         self.phys = phys
-
-    def area_cm2(self, config: SystemConfig) -> float:
-        """System area of a configuration (pure geometry, no session)."""
-        return system_area_cm2(config, tech=self.tech, phys=self.phys)
 
     def breakdown(self, config: SystemConfig, tpi_ns: float) -> PhysicalBreakdown:
         """Full energy + area decomposition for one design point.
@@ -128,15 +119,5 @@ class PhysicalModel:
                 data_nj=data,
                 refill_nj=refill,
                 static_nj=static,
-                icache_area_cm2=cache_area_cm2(
-                    config.icache_kw, tech=self.tech, phys=self.phys
-                ),
-                dcache_area_cm2=cache_area_cm2(
-                    config.dcache_kw, tech=self.tech, phys=self.phys
-                ),
-                cpu_area_cm2=self.phys.cpu_area_cm2,
+                area_cm2=system_area_cm2(config, tech=self.tech, phys=self.phys),
             )
-
-    def epi_nj(self, config: SystemConfig, tpi_ns: float) -> float:
-        """Total energy per instruction for one design point, nJ."""
-        return self.breakdown(config, tpi_ns).epi_nj

@@ -41,9 +41,7 @@ __all__ = [
     "flow_dependences",
     "cti_hoist_distance",
     "independent_prefix_length",
-    "load_epsilons",
     "memory_conflict",
-    "use_distance",
 ]
 
 #: Slack beyond this many cycles never matters (the paper studies at most
@@ -174,7 +172,14 @@ class BlockFacts:
         return count
 
     def use_distance(self, position: int, horizon: int) -> int:
-        """:func:`use_distance` of instruction ``position``."""
+        """Distance from ``position`` to the first consumer of its result.
+
+        Scans forward up to ``horizon`` instructions.  Returns the number
+        of instructions strictly between the producer and its first
+        consumer (the paper's ``d``); returns ``horizon`` when no
+        consumer (or overwrite of the produced register) is found within
+        the window.
+        """
         produced = self.defs[position]
         if not produced:
             return horizon
@@ -208,7 +213,16 @@ class BlockFacts:
         return EPSILON_CAP
 
     def load_epsilons(self, position: int) -> Tuple[int, int]:
-        """:func:`load_epsilons` of instruction ``position``."""
+        """The (static, dynamic) slack ``epsilon = c + d`` of the load at
+        ``position``.
+
+        Static: ``c`` and ``d`` truncated at the block boundary (what
+        within-block compile-time scheduling can use).  Dynamic: ``c`` is
+        the true distance to the address-register writer, where stable
+        bases (``$gp``/``$sp``/``$fp``), written at program or procedure
+        entry, are effectively infinitely far away.  Both are capped at
+        :data:`EPSILON_CAP`.
+        """
         c_static = self.independent_prefix(position)
         d_static = self.use_distance(position, len(self.kinds) - 1 - position)
         c_dynamic = self.writer_distance(position)
@@ -279,29 +293,3 @@ def independent_prefix_length(
     headroom ``c`` available for moving a load earlier.
     """
     return BlockFacts(instructions).independent_prefix(position)
-
-
-def use_distance(
-    instructions: Sequence[Instruction], position: int, horizon: int
-) -> int:
-    """Distance from ``position`` to the first consumer of its result.
-
-    Scans forward up to ``horizon`` instructions.  Returns the number of
-    instructions strictly between the producer and its first consumer (the
-    paper's ``d``); returns ``horizon`` when no consumer (or overwrite of
-    the produced register) is found within the window.
-    """
-    return BlockFacts(instructions).use_distance(position, horizon)
-
-
-def load_epsilons(instructions: Sequence[Instruction], position: int) -> Tuple[int, int]:
-    """The (static, dynamic) slack ``epsilon = c + d`` of one load.
-
-    Static: ``c`` and ``d`` truncated at the block boundary (what
-    within-block compile-time scheduling can use).  Dynamic: ``c`` is the
-    true distance to the address-register writer, where stable bases
-    (``$gp``/``$sp``/``$fp``), written at program or procedure entry, are
-    effectively infinitely far away.  Both are capped at
-    :data:`EPSILON_CAP`.
-    """
-    return BlockFacts(instructions).load_epsilons(position)

@@ -14,7 +14,8 @@ Layering, bottom up:
   bridge that feeds them.
 * :mod:`repro.service.scheduler` — fair round-robin queueing across
   tenants, in-flight coalescing, memoisation against the artifact
-  store, execution through the durable-jobs layer.
+  store, execution through the durable-jobs layer (a query whose shard
+  failed, or whose server died, resumes its journal when re-submitted).
 * :mod:`repro.service.http` — the five HTTP routes, including the
   chunked NDJSON event stream.
 * :mod:`repro.service.client` — the blocking stdlib client the bench

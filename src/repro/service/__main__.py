@@ -49,23 +49,17 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         type=Path,
         default=None,
         metavar="DIR",
-        help="journal every sweep under DIR so killed jobs resume on "
-        "resubmission (default: no durability layer)",
+        help="journal every sweep under DIR so failed or killed jobs "
+        "resume on resubmission (default: no durability layer)",
     )
     parser.add_argument(
         "--max-disk-bytes",
         type=int,
         default=None,
         metavar="BYTES",
-        help="LRU byte budget for the service and session artifact stores "
+        help="LRU byte budget for the service's memo of finished answers; "
+        "each scale's session artifacts are bounded by the scale table "
         "(default: unbounded)",
-    )
-    parser.add_argument(
-        "--shard-size",
-        type=int,
-        default=8,
-        metavar="N",
-        help="design points per journaled shard (default: 8)",
     )
     args = parser.parse_args(argv)
     if args.workers < 1:
@@ -82,7 +76,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         spool_dir=args.spool_dir,
         max_disk_bytes=args.max_disk_bytes,
         session_jobs=args.jobs,
-        shard_size=args.shard_size,
     )
     service = SweepService(scheduler, host=args.host, port=args.port)
 

@@ -5,7 +5,7 @@ One :class:`SweepScheduler` owns
 * a *service store* — an :class:`~repro.engine.store.ArtifactStore`
   holding finished answers under ``service_sweep`` keys (the memo tier:
   an identical query is answered without touching a simulator), with an
-  optional disk byte budget so many tenants' artifacts coexist;
+  optional disk byte budget so many tenants' answers coexist;
 * per-tenant FIFO queues drained round-robin by a small pool of worker
   threads — a tenant hammering the service with a burst cannot starve
   another tenant's single query, because each scheduling turn takes at
@@ -21,8 +21,9 @@ One :class:`SweepScheduler` owns
 Execution itself goes through the durable-jobs layer: each job attaches
 a :class:`~repro.jobs.JobConfig` spooled under the scheduler's spool
 directory and runs the sweep via :class:`~repro.jobs.runner.JobRunner`,
-so a service crash mid-sweep resumes from the journal when the query is
-re-submitted (same digest -> same run directory).
+so a job that failed (a shard error stops it, with its reason) or a
+service that crashed mid-sweep resumes from the journal when the query
+is re-submitted (same digest -> same run directory).
 """
 
 from __future__ import annotations
@@ -191,8 +192,11 @@ class SweepScheduler:
         workers: Worker-thread count (jobs on distinct scales overlap).
         spool_dir: Root for per-job durable run directories; ``None``
             disables the durability layer (tests mostly).
-        max_disk_bytes: Disk budget applied to the service store *and*
-            to each scale session's artifact store.
+        max_disk_bytes: Disk budget of the service store, the memo of
+            many tenants' answers (when the store has none of its own).
+            Each scale session keeps its own unbudgeted store: the
+            session maps its bundles while it answers, and the scale
+            table bounds them.
         session_jobs: ``--jobs`` for each session's worker pool (trace
             synthesis and miss-cube builds).
     """
@@ -205,8 +209,6 @@ class SweepScheduler:
         spool_dir: Optional[Path] = None,
         max_disk_bytes: Optional[int] = None,
         session_jobs: int = 1,
-        shard_size: int = 8,
-        max_retries: int = 1,
         bus: Optional[JobEventBus] = None,
     ) -> None:
         if workers < 1:
@@ -219,10 +221,7 @@ class SweepScheduler:
         )
         self.bus = bus if bus is not None else JobEventBus()
         self.spool_dir = Path(spool_dir) if spool_dir is not None else None
-        self.max_disk_bytes = max_disk_bytes
         self.session_jobs = session_jobs
-        self.shard_size = shard_size
-        self.max_retries = max_retries
         self.jobs: Dict[str, SweepJob] = {}
         self._finished: "OrderedDict[str, None]" = OrderedDict()
         self._inflight: Dict[str, SweepJob] = {}
@@ -405,31 +404,11 @@ class SweepScheduler:
                 lock = self._scale_locks[scale] = threading.Lock()
             return lock
 
-    def _session_for(self, scale: str):
-        """The measurement session answering one scale's queries.
-
-        Built on first use through the registry; a configured disk
-        budget is applied to the session's store so the persisted
-        artifacts of many tenants' queries respect the same ceiling as
-        the service store.
-        """
-        session = self.registry.get(scale, jobs=self.session_jobs)
-        if self.max_disk_bytes is not None and session.store.max_disk_bytes is None:
-            session.store.max_disk_bytes = self.max_disk_bytes
-            session.store.scan_disk()
-        return session
-
     def _job_config(self, job: SweepJob) -> Optional[JobConfig]:
         if self.spool_dir is None:
             return None
         run_dir = self.spool_dir / f"job-{job.query.digest}"
-        resume = (run_dir / RUN_MARKER).exists()
-        return JobConfig(
-            run_dir=run_dir,
-            resume=resume,
-            max_retries=self.max_retries,
-            shard_size=self.shard_size,
-        )
+        return JobConfig(run_dir=run_dir, resume=(run_dir / RUN_MARKER).exists())
 
     def _run_job(self, job: SweepJob) -> None:
         from repro.core.optimizer import DesignOptimizer
@@ -439,7 +418,7 @@ class SweepScheduler:
         self.bus.publish(job.id, "started", digest=job.query.digest)
         scale_lock = self._scale_lock(job.query.scale)
         with scale_lock:
-            session = self._session_for(job.query.scale)
+            session = self.registry.get(job.query.scale, jobs=self.session_jobs)
             tracer = SpanPublishingTracer(self.bus, job.id, names=PROGRESS_SPANS)
             previous_tracer = session.tracer
             previous_jobs = session.job_config

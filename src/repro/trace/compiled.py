@@ -202,7 +202,7 @@ class CompiledProgram:
         load_blocks: block id of every static load, in block and then
             instruction order.
         load_eps_static / load_eps_dynamic: each static load's slack
-            (:func:`~repro.program.dependence.load_epsilons`).
+            (:meth:`~repro.program.dependence.BlockFacts.load_epsilons`).
         program: the lowered :class:`~repro.program.cfg.Program`, or None
             for a program rebuilt by :meth:`from_arrays`.
     """

@@ -115,7 +115,7 @@ class TestCubeEquivalence:
         sweep = direct_mapped_miss_sweep(
             addresses_to_blocks(stream, 8), set_counts
         )
-        assert cube.axis(8) == sweep
+        assert {s: cube.misses(8, s, 1) for s in set_counts} == sweep
 
 
 class TestDegenerateCases:
@@ -198,21 +198,11 @@ class TestCubeValidation:
         with pytest.raises(ConfigurationError, match="does not cover 16-word"):
             cube.misses(16, 1, 1)
         with pytest.raises(ConfigurationError, match="does not cover 8 sets"):
-            cube.plane(4, max_sets=8)
+            cube.misses(4, 8, 1)
         with pytest.raises(ConfigurationError, match="1..2 ways"):
-            cube.plane(4, max_ways=3)
+            cube.misses(4, 1, 3)
         with pytest.raises(ConfigurationError):
             cube.misses(4, 1, 0)
-
-    def test_plane_trimming_shapes(self):
-        cube = _cube([0, 5, 9, 0, 5], blocks=(4,), set_counts=(1, 2, 4))
-        plane = cube.plane(4, max_sets=2, max_ways=2)
-        assert plane.set_counts == (1, 2)
-        assert plane.max_ways == 2
-        assert all(len(h) == 3 for h in plane.hits.values())
-        full = cube.plane(4)
-        assert full.set_counts == (1, 2, 4)
-        assert full.max_ways == 4
 
     def test_block_words_property(self):
         assert _cube([0, 1]).block_words == (4, 8, 16)

@@ -143,9 +143,9 @@ class TestPlaneEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_direct_mapped_column_matches_sweep(self, blocks):
         set_counts = [1, 2, 8, 64]
-        cube = single_stream_cube(blocks, set_counts, 1)
-        assert cube.axis(B) == direct_mapped_miss_sweep(
-            np.array(blocks, dtype=np.int64), set_counts
+        plane = single_stream_cube(blocks, set_counts, 1).plane(B)
+        assert {s: plane.misses(s, 1) for s in set_counts} == (
+            direct_mapped_miss_sweep(np.array(blocks, dtype=np.int64), set_counts)
         )
 
     @given(
@@ -157,20 +157,11 @@ class TestPlaneEquivalence:
         stream = np.array(blocks, dtype=np.int64)
         capacity = 1 << cap_log2
         ways = (1, 2, 4, 8)
-        cube = single_stream_cube(stream, [capacity // w for w in ways], 8)
+        plane = single_stream_cube(stream, [capacity // w for w in ways], 8).plane(B)
         for way in ways:
-            assert cube.capacity_misses(B, capacity, way) == (
+            assert plane.misses(capacity // way, way) == (
                 set_associative_misses(stream, capacity // way, way)
             )
-
-    def test_capacity_validation(self):
-        cube = single_stream_cube([0], [16], 2)
-        with pytest.raises(ConfigurationError):
-            cube.capacity_misses(B, 12, 1)  # 12 sets: not a power of two
-        with pytest.raises(ConfigurationError):
-            cube.capacity_misses(B, 16, 3)  # 3 ways do not divide 16 blocks
-        with pytest.raises(ConfigurationError):
-            cube.capacity_misses(B, 16, 0)
 
 
 class TestMissPlane:
@@ -190,8 +181,9 @@ class TestMissPlane:
                 )
 
     def test_capacity_misses(self):
+        # A fixed capacity of 8 blocks at 2 ways is the plane's 4-set row.
         blocks, plane = self.plane()
-        assert plane.capacity_misses(8, 2) == set_associative_misses(blocks, 4, 2)
+        assert plane.misses(8 // 2, 2) == set_associative_misses(blocks, 4, 2)
 
     def test_uncovered_points_raise(self):
         _, plane = self.plane()
@@ -201,10 +193,6 @@ class TestMissPlane:
             plane.misses(4, 5)
         with pytest.raises(ConfigurationError):
             plane.misses(4, 0)
-        with pytest.raises(ConfigurationError):
-            plane.capacity_misses(4, 3)  # 3 does not divide 4 blocks
-        with pytest.raises(ConfigurationError):
-            plane.capacity_misses(48, 3)  # 16 sets: not covered by the plane
 
 
 def _loops_with_returns(seed=2):

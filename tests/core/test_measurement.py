@@ -238,12 +238,12 @@ class TestStreamsAndMisses:
     def test_miss_sweep_matches_single_size_lookups(self, measurement):
         # The cube's direct-mapped axis is the whole size sweep; every
         # single-size lookup must read the same counts.
-        iaxis = measurement.icache_miss_cube(0, (4,)).axis(4)
-        daxis = measurement.dcache_miss_cube((4,)).axis(4)
+        iplane = measurement.icache_miss_cube(0, (4,)).plane(4)
+        dplane = measurement.dcache_miss_cube((4,)).plane(4)
         for size in (1, 4, 16):
             sets = kw_to_words(size) // 4
-            assert iaxis[sets] == measurement.misses("I", 4, size, slots=0)
-            assert daxis[sets] == measurement.misses("D", 4, size)
+            assert iplane.misses(sets, 1) == measurement.misses("I", 4, size, slots=0)
+            assert dplane.misses(sets, 1) == measurement.misses("D", 4, size)
 
     def test_miss_sweep_matches_per_size_simulation(self, measurement):
         from repro.cache.fastsim import direct_mapped_misses
@@ -434,14 +434,17 @@ class TestLeanSession:
 
 class TestMissPlanes:
     def test_direct_mapped_column_matches_axis(self, measurement):
-        cube = measurement.dcache_miss_cube((4,))
-        plane = cube.plane(4, max_sets=256, max_ways=4)
-        axis = cube.axis(4, max_sets=256)
-        for num_sets in plane.set_counts:
+        from repro.cache.fastsim import direct_mapped_miss_sweep
+
+        plane = measurement.dcache_miss_cube((4,)).plane(4)
+        blocks = addresses_to_blocks(measurement.dstream_address_bundle(), 4)
+        sets = [s for s in plane.set_counts if s <= 256]
+        axis = direct_mapped_miss_sweep(blocks, sets)
+        for num_sets in sets:
             assert plane.misses(num_sets, 1) == axis[num_sets]
 
     def test_plane_matches_dict_lru_oracle(self, measurement):
-        plane = measurement.dcache_miss_cube((4,)).plane(4, 256, 4)
+        plane = measurement.dcache_miss_cube((4,)).plane(4)
         blocks = addresses_to_blocks(measurement.dstream_address_bundle(), 4)
         for num_sets in (1, 16, 256):
             for ways in (2, 4):
@@ -450,7 +453,7 @@ class TestMissPlanes:
                 )
 
     def test_iplane_matches_dict_lru_oracle(self, measurement):
-        plane = measurement.icache_miss_cube(0, (4,)).plane(4, 64, 2)
+        plane = measurement.icache_miss_cube(0, (4,)).plane(4)
         blocks = eager_istream_blocks(measurement, 0, 4)
         assert plane.misses(64, 2) == set_associative_misses(blocks, 64, 2)
 
@@ -524,7 +527,7 @@ class TestMissCubeGuards:
         cube = measurement.icache_miss_cube(0, (4,), capacity_words=1024)
         stream = eager_istream_blocks(measurement, 0, 4)
         sweep = direct_mapped_miss_sweep(stream, cube.set_counts(4))
-        assert cube.axis(4) == sweep
+        assert {s: cube.misses(4, s, 1) for s in cube.set_counts(4)} == sweep
 
     def test_dstream_blocks_is_shift_view_of_addresses(self, measurement):
         # The cube shifts the address bundle per block size; shifting

@@ -406,12 +406,14 @@ class TestParallelParity:
         # A journaled sweep's shards warm their own planes: the first
         # shard of each slot count builds, the rest read.
         from repro.jobs import JobConfig
+        from repro.jobs import runner as runner_module
 
+        monkeypatch.setattr(runner_module, "SHARD_SIZE", 4)
         log, _ = _log_session_work(monkeypatch, tmp_path)
         executor = SweepExecutor(jobs=2)
         session = _small_session(executor)
         try:
-            session.attach_jobs(JobConfig(run_dir=tmp_path / "run", shard_size=4))
+            session.attach_jobs(JobConfig(run_dir=tmp_path / "run"))
             optimizer = DesignOptimizer(session)
             points = optimizer.sweep(
                 optimizer.symmetric_grid(
@@ -480,7 +482,7 @@ class _TaskErrorExecutor(SweepExecutor):
         self.maps = 0
         self.error = error
 
-    def map(self, fn, items, chunk_size=None):
+    def map(self, fn, items):
         if fn is cubepart._run_task:
             self.maps += 1
             raise self.error

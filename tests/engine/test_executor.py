@@ -8,6 +8,7 @@ Figure 12 grid.
 """
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from repro.workload import benchmark_by_name
 
 
 #: This test process: forked workers inherit the value, so a task can
-#: tell a worker from the parent that finishes a dead pool's chunks.
+#: tell a worker from the parent that finishes a dead pool's items.
 _PARENT_PID = os.getpid()
 
 
@@ -34,17 +35,33 @@ def _square(value):
 
 def _exit_hard(value):
     """Dies without cleanup in a worker (simulates an OOM kill); the
-    parent, finishing a dead pool's chunks, squares."""
+    parent, finishing a dead pool's items, squares."""
     if os.getpid() != _PARENT_PID:
         os._exit(13)
     return value * value
 
 
+def _wait_until_logged(log, count):
+    """Hold a worker until ``count`` items are logged, then long enough
+    for their results to reach the parent: a map keeps every result its
+    pool returned before breaking, so the items that complete before a
+    worker dies do not depend on which of two workers runs what."""
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline:
+        if os.path.exists(log):
+            with open(log) as handle:
+                if len(handle.readlines()) >= count:
+                    break
+        time.sleep(0.01)
+    time.sleep(0.2)
+
+
 def _log_then_exit_from(item):
     """Logs ``pid value`` and squares, except that a worker dies on every
-    value from ``first_exit`` on."""
+    value from ``first_exit`` on, once the values below it are logged."""
     log, first_exit, value = item
     if value >= first_exit and os.getpid() != _PARENT_PID:
+        _wait_until_logged(log, first_exit)
         os._exit(13)
     with open(log, "a") as handle:
         handle.write(f"{os.getpid()} {value}\n")
@@ -71,11 +88,13 @@ def _crash_until_flag(item):
 
 
 def _log_then_crash_at_five(item):
-    """Logs each execution; dies (once) on item 5 before logging it."""
+    """Logs each execution; dies (once) on item 5 before logging it, after
+    the other seven items are logged."""
     log, flag, value = item
     if value == 5 and not os.path.exists(flag):
         with open(flag, "w") as handle:
             handle.write("crashed once")
+        _wait_until_logged(log, 7)
         os._exit(1)
     with open(log, "a") as handle:
         handle.write(f"{value}\n")
@@ -101,18 +120,14 @@ def _fig12_points(optimizer):
 class TestConstruction:
     def test_defaults(self):
         assert SweepExecutor().is_serial
+        assert SweepExecutor().backend == "serial"
         assert SweepExecutor(jobs=4).is_parallel
+        assert SweepExecutor(jobs=4).backend == "process"
         assert SweepExecutor(jobs=4).jobs == 4
-
-    def test_explicit_backend(self):
-        assert SweepExecutor(jobs=1, backend="process").is_parallel
-        assert SweepExecutor(jobs=1, backend="serial").is_serial
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
             SweepExecutor(jobs=0)
-        with pytest.raises(ConfigurationError):
-            SweepExecutor(backend="threads")
 
 
 class TestSerialMap:
@@ -130,15 +145,6 @@ class TestProcessMap:
         try:
             assert executor.map(_square, list(range(20))) == [
                 n * n for n in range(20)
-            ]
-        finally:
-            executor.retire_pool(wait=True)
-
-    def test_chunked_dispatch_matches(self):
-        executor = SweepExecutor(jobs=2)
-        try:
-            assert executor.map(_square, list(range(10)), chunk_size=3) == [
-                n * n for n in range(10)
             ]
         finally:
             executor.retire_pool(wait=True)
@@ -169,46 +175,23 @@ class TestShutdownRetirement:
         executor.retire_pool(wait=True)
 
 
-class TestDefaultChunk:
-    def test_chunk_never_exceeds_item_count(self):
-        for jobs in (1, 2, 4, 8):
-            executor = SweepExecutor(jobs=jobs, backend="process")
-            for count in range(1, 65):
-                assert 1 <= executor._default_chunk(count) <= count
-
-    def test_every_worker_can_get_a_chunk(self):
-        # Distribution property: tiny sweeps must still fan out — the
-        # chunking yields at least min(count, jobs) chunks, so no single
-        # worker serializes the whole sweep.
-        for jobs in (1, 2, 3, 4, 8, 16):
-            executor = SweepExecutor(jobs=jobs, backend="process")
-            for count in range(1, 129):
-                chunk = executor._default_chunk(count)
-                n_chunks = -(-count // chunk)
-                assert n_chunks >= min(count, jobs), (count, jobs, chunk)
-
-    def test_degenerate_count_is_safe(self):
-        executor = SweepExecutor(jobs=4, backend="process")
-        assert executor._default_chunk(0) == 1
-
-
 class TestBrokenPoolRecovery:
     def _executions(self, log):
         with open(log) as handle:
             return [tuple(map(int, line.split())) for line in handle]
 
     def test_persistent_crash_finishes_in_the_parent(self, tmp_path):
-        # One worker and one-item chunks make the execution order
-        # deterministic: items 0-2 complete in the worker, item 3 kills
-        # it, and so it does on each of two fresh pools; then the parent
-        # runs items 3-7 itself, once each, under one fallback span.
+        # Items 0-2 complete in the workers before item 3 (or any later
+        # item) kills one, and so every later item does on each of two
+        # fresh pools; then the parent runs items 3-7 itself, once each,
+        # under one fallback span.
         log = str(tmp_path / "executions.log")
         tracer = Tracer()
-        executor = SweepExecutor(jobs=1, backend="process")
+        executor = SweepExecutor(jobs=2)
         executor.tracer = tracer
         try:
             result = executor.map(
-                _log_then_exit_from, [(log, 3, n) for n in range(8)], chunk_size=1
+                _log_then_exit_from, [(log, 3, n) for n in range(8)]
             )
         finally:
             executor.retire_pool(wait=True)
@@ -251,15 +234,11 @@ class TestBrokenPoolRecovery:
     def test_a_task_error_surfaces_once_without_a_fallback(self, tmp_path):
         log = str(tmp_path / "executions.log")
         tracer = Tracer()
-        executor = SweepExecutor(jobs=1, backend="process")
+        executor = SweepExecutor(jobs=2)
         executor.tracer = tracer
         try:
             with pytest.raises(ValueError, match="on its own"):
-                executor.map(
-                    _log_then_raise_at_three,
-                    [(log, n) for n in range(8)],
-                    chunk_size=1,
-                )
+                executor.map(_log_then_raise_at_three, [(log, n) for n in range(8)])
         finally:
             executor.retire_pool(wait=True)
         assert [value for (value,) in self._executions(log)].count(3) == 1
@@ -270,17 +249,14 @@ class TestBrokenPoolRecovery:
     def test_completed_chunks_survive_worker_death(self, tmp_path):
         # Regression: map() used to re-dispatch the *whole* item list
         # after a BrokenProcessPool, re-running work whose futures had
-        # already returned.  One worker and one-item chunks make the
-        # execution order deterministic: items 0-4 complete, item 5
-        # kills the worker once, 5-7 finish on the fresh pool.
+        # already returned.  Every other item completes before item 5
+        # kills its worker once; item 5 alone finishes on the fresh pool.
         log = str(tmp_path / "executions.log")
         flag = str(tmp_path / "crashed-once")
-        executor = SweepExecutor(jobs=1, backend="process")
+        executor = SweepExecutor(jobs=2)
         try:
             result = executor.map(
-                _log_then_crash_at_five,
-                [(log, flag, n) for n in range(8)],
-                chunk_size=1,
+                _log_then_crash_at_five, [(log, flag, n) for n in range(8)]
             )
         finally:
             executor.retire_pool(wait=True)
@@ -467,11 +443,11 @@ class TestTeardownAccounting:
 
     def test_clean_del_records_nothing(self):
         before = executor_module.teardown_failures()
-        SweepExecutor(backend="serial").__del__()
+        SweepExecutor().__del__()
         assert executor_module.teardown_failures() == before
 
     def test_shutdown_failure_is_logged_and_counted(self, monkeypatch, caplog):
-        executor = SweepExecutor(backend="serial")
+        executor = SweepExecutor()
         monkeypatch.setattr(
             executor,
             "retire_pool",
@@ -488,7 +464,7 @@ class TestTeardownAccounting:
         executor.__del__()
 
     def test_runtime_error_also_counted(self, monkeypatch):
-        executor = SweepExecutor(backend="serial")
+        executor = SweepExecutor()
         monkeypatch.setattr(
             executor,
             "retire_pool",
@@ -502,7 +478,7 @@ class TestTeardownAccounting:
 
     def test_unexpected_errors_still_surface(self, monkeypatch):
         """Only shutdown's real failure modes are narrowed; bugs raise."""
-        executor = SweepExecutor(backend="serial")
+        executor = SweepExecutor()
         monkeypatch.setattr(
             executor,
             "retire_pool",

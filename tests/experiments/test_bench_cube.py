@@ -7,8 +7,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.bench_cube import main, run_scale_benchmark
-from repro.obs.ledger import validate_metrics
 from repro.workload import benchmark_by_name
+from tests.obs.schema import load_ledger
 
 
 class TestScaleRows:
@@ -34,7 +34,7 @@ class TestScaleRows:
         assert row["stream_s"] > 0
         assert "synth_wall_s" not in row
         assert row["bit_identical_to_serial"] is True
-        validate_metrics(ledger.load(ledger.write(tmp_path / "bench.json")))
+        load_ledger(ledger.write(tmp_path / "bench.json"))
 
 
 class TestCli:

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from repro.engine.session import SessionRegistry
-from repro.obs import RunLedger
 from repro.experiments.runner import jsonable, list_experiments, main, run_experiments
+from tests.obs.schema import load_ledger
 
 #: Cheap experiments for runner-level tests (no cache/BTB simulation).
 _CHEAP = ["table2", "fig6"]
@@ -80,7 +80,7 @@ class TestObservabilityFlags:
             ["table2"], scale="quick", out_dir=out,
             stream=io.StringIO(), registry=registry,
         )
-        payload = RunLedger.load(out / "metrics.json")  # schema-validating
+        payload = load_ledger(out / "metrics.json")  # schema-validating
         assert [e["name"] for e in payload["experiments"]] == ["table2"]
         assert payload["run"]["scale"] == "quick"
         assert payload["run"]["peak_rss_mb"] > 0
@@ -95,7 +95,7 @@ class TestObservabilityFlags:
             ["table2"], scale="quick", stream=io.StringIO(),
             registry=registry, metrics_path=metrics,
         )
-        payload = RunLedger.load(metrics)
+        payload = load_ledger(metrics)
         assert payload["experiments"][0]["name"] == "table2"
         assert payload["spans"], "traced run must record spans"
         assert payload["spans"][0]["name"] == "table2"
@@ -157,7 +157,7 @@ class TestWorkerPeak:
         metrics = tmp_path / "m.json"
         _runner("table2", "--scale", "quick")
         _runner("fig12", "--scale", "quick", "--jobs", "2", "--metrics", str(metrics))
-        run = RunLedger.load(metrics)["run"]
+        run = load_ledger(metrics)["run"]
         assert run["worker_peak_rss_mb"] > 20, run
 
     def test_a_build_only_ledger_counts_the_build_pool(self, tmp_path):
@@ -167,7 +167,7 @@ class TestWorkerPeak:
         metrics = tmp_path / "m.json"
         _runner("table2", "--scale", "quick")
         _runner("fig3", "--scale", "quick", "--jobs", "2", "--metrics", str(metrics))
-        run = RunLedger.load(metrics)["run"]
+        run = load_ledger(metrics)["run"]
         assert run["worker_peak_rss_mb"] > 20, run
 
 
@@ -176,15 +176,14 @@ class TestDurableFlags:
         from repro.jobs import JobConfig
 
         metrics = tmp_path / "m.json"
-        job_config = JobConfig(run_dir=tmp_path / "run", shard_size=6)
+        job_config = JobConfig(run_dir=tmp_path / "run")
         run_experiments(
             ["fig12"], scale="quick", stream=io.StringIO(),
             registry=registry, metrics_path=metrics, job_config=job_config,
         )
-        payload = RunLedger.load(metrics)
+        payload = load_ledger(metrics)
         jobs = payload["jobs"]
         assert jobs["run_dir"] == str(tmp_path / "run")
-        assert jobs["shard_size"] == 6
         assert jobs["sweeps"] >= 1
         assert jobs["shards_executed"] + jobs["shards_replayed"] >= 1
         # The durable config must not leak into later plain runs.
@@ -196,7 +195,7 @@ class TestDurableFlags:
             ["table2"], scale="quick", stream=io.StringIO(),
             registry=registry, metrics_path=metrics,
         )
-        assert "jobs" not in RunLedger.load(metrics)
+        assert "jobs" not in load_ledger(metrics)
 
     def test_second_run_without_resume_fails_fast(self, registry, tmp_path):
         from repro.errors import ConfigurationError
@@ -242,9 +241,5 @@ class TestCli:
 
     def test_bad_durable_values_rejected(self, tmp_path):
         run_dir = str(tmp_path / "run")
-        with pytest.raises(SystemExit):
-            main(["--run-dir", run_dir, "--max-retries", "-1", "table2"])
-        with pytest.raises(SystemExit):
-            main(["--run-dir", run_dir, "--shard-size", "0", "table2"])
         with pytest.raises(SystemExit):
             main(["--run-dir", run_dir, "--inject-fault", "explode:0", "table2"])

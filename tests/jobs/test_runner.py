@@ -1,10 +1,14 @@
-"""JobRunner tests: durable sweeps, crash/resume determinism, retries.
+"""JobRunner tests: durable sweeps, crash/resume determinism, failures.
 
 The acceptance contract lives here: a sweep interrupted by the fault
 injector, then resumed in a fresh session, must render byte-identical
-results to an uninterrupted serial run, and the journal must show no
-shard dispatched more than ``max_retries + 1`` times.
+results to an uninterrupted serial run.  A shard that fails is
+dispatched once and stops the run with its reason; resuming the run
+directory is the only retry.
 """
+
+import json
+import time
 
 import pytest
 
@@ -12,14 +16,20 @@ from repro.core import DesignOptimizer, SuiteMeasurement, SystemConfig
 from repro.engine.executor import SweepExecutor
 from repro.errors import ConfigurationError
 from repro.jobs import FaultInjector, InjectedCrash, JobConfig, RunJournal
+from repro.jobs import runner as runner_module
 from repro.jobs.faults import FaultSpec
-from repro.jobs.runner import DEFAULT_BACKOFF_BASE_S
+from repro.jobs.journal import _encode
 from repro.obs import Tracer
-from repro.utils.rng import DEFAULT_SEED, spawn_rng
 from repro.workload import benchmark_by_name
 from tests.jobs.helpers import truncate_journal_tail
 
 SHARD_SIZE = 5  # 24-point fig12 grid -> shards of 5,5,5,5,4
+
+
+@pytest.fixture(autouse=True)
+def small_shards(monkeypatch):
+    """Five-point shards, so the 24-point grid makes five of them."""
+    monkeypatch.setattr(runner_module, "SHARD_SIZE", SHARD_SIZE)
 
 
 def _session(executor=None, total=60_000, tracer=None):
@@ -37,15 +47,9 @@ def _grid(optimizer):
     return optimizer.symmetric_grid(SystemConfig(penalty=10))
 
 
-def _job_config(run_dir, **overrides):
-    overrides.setdefault("shard_size", SHARD_SIZE)
-    overrides.setdefault("sleep", lambda s: None)  # no real backoff waits
-    return JobConfig(run_dir=run_dir, **overrides)
-
-
 def _durable_sweep(run_dir, **overrides):
     """One full sweep under a durable run; returns (points, job_config)."""
-    config = _job_config(run_dir, **overrides)
+    config = JobConfig(run_dir=run_dir, **overrides)
     measurement = _session()
     measurement.attach_jobs(config)
     optimizer = DesignOptimizer(measurement)
@@ -106,7 +110,7 @@ class TestDurableSweep:
 
     def test_jobs_spans_recorded(self, tmp_path):
         tracer = Tracer()
-        config = _job_config(tmp_path / "run")
+        config = JobConfig(run_dir=tmp_path / "run")
         measurement = _session(tracer=tracer)
         measurement.attach_jobs(config)
         optimizer = DesignOptimizer(measurement)
@@ -181,7 +185,7 @@ class TestCrashResume:
             )
         # Same grid, different measurement spec: the cached points would
         # be lies, so the journal must refuse rather than mix sessions.
-        config = _job_config(run_dir, resume=True)
+        config = JobConfig(run_dir=run_dir, resume=True)
         measurement = _session(total=90_000)
         measurement.attach_jobs(config)
         optimizer = DesignOptimizer(measurement)
@@ -195,55 +199,96 @@ class TestCrashResume:
 
 
 class TestRetries:
-    def test_transient_fault_is_retried(self, reference, tmp_path):
+    """A failed shard stops the run with its reason; resume is the retry."""
+
+    def _failures(self, run_dir):
+        journal = RunJournal.load(_journal_path(run_dir))
+        failed = [r for r in journal.records if r["type"] == "shard_failed"]
+        return journal, failed
+
+    def test_transient_fault_is_retried(self, reference, tmp_path, monkeypatch):
         run_dir = tmp_path / "run"
         sleeps = []
-        points, config = _durable_sweep(
-            run_dir,
-            faults=FaultInjector([FaultSpec("task-error", 1, 0)]),
-            sleep=sleeps.append,
-        )
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        faults = FaultInjector([FaultSpec("task-error", 1, 0)])
+        with pytest.raises(ConfigurationError, match="shard 1 failed") as raised:
+            _durable_sweep(run_dir, faults=faults)
+        assert "InjectedFault" in str(raised.value)
+        assert "--resume" in str(raised.value)
+        journal, failed = self._failures(run_dir)
+        assert len(failed) == 1
+        assert failed[0]["shard"] == 1 and "InjectedFault" in failed[0]["error"]
+        assert journal.replay()[1] == {0: 1, 1: 1}  # shard 1 dispatched once
+        assert not journal.finished
+        assert sleeps == []
+        # The resume dispatches shard 1 again, as its attempt 1, where
+        # the scripted fault no longer fires.
+        points, config = _durable_sweep(run_dir, resume=True, faults=faults)
         _assert_identical(reference, points)
         assert config.stats.shard_retries == 1
-        journal = RunJournal.load(_journal_path(run_dir))
-        failures = [r for r in journal.records if r["type"] == "shard_failed"]
-        assert len(failures) == 1
-        assert failures[0]["shard"] == 1 and "InjectedFault" in failures[0]["error"]
-        _, dispatched = journal.replay()
-        assert dispatched == {0: 1, 1: 2, 2: 1, 3: 1, 4: 1}
-        # Backoff jitter is seeded: the wait is reproducible exactly.
-        rng = spawn_rng(
-            DEFAULT_SEED, "jobs.backoff", journal.header["grid_digest"], 1, 0
-        )
-        expected = DEFAULT_BACKOFF_BASE_S * (0.5 + 0.5 * float(rng.random()))
-        assert sleeps == [expected]
+        journal, failed = self._failures(run_dir)
+        assert len(failed) == 1
+        assert journal.replay()[1] == {0: 1, 1: 2, 2: 1, 3: 1, 4: 1}
+        assert journal.finished
+        assert sleeps == []
 
     def test_retries_exhausted_raises(self, tmp_path):
+        # A fault on every attempt: each run fails with the shard's
+        # reason after one dispatch, and no run retries it by itself.
+        run_dir = tmp_path / "run"
         faults = FaultInjector(
             [FaultSpec("task-error", 0, attempt) for attempt in range(3)]
         )
-        with pytest.raises(ConfigurationError, match="failed on every attempt"):
-            _durable_sweep(tmp_path / "run", max_retries=2, faults=faults)
-        journal = RunJournal.load(_journal_path(tmp_path / "run"))
-        _, dispatched = journal.replay()
-        assert dispatched[0] == 3  # max_retries + 1, then surrender
+        for attempt in range(3):
+            with pytest.raises(
+                ConfigurationError, match=f"shard 0 failed on attempt {attempt}"
+            ):
+                _durable_sweep(run_dir, resume=attempt > 0, faults=faults)
+            journal, failed = self._failures(run_dir)
+            assert journal.replay()[1] == {0: attempt + 1}
+            assert [r["attempt"] for r in failed] == list(range(attempt + 1))
 
     def test_resume_gets_fresh_retry_budget(self, reference, tmp_path):
         run_dir = tmp_path / "run"
         faults = FaultInjector(
             [FaultSpec("task-error", 0, attempt) for attempt in range(2)]
         )
-        with pytest.raises(ConfigurationError, match="failed on every attempt"):
-            _durable_sweep(run_dir, max_retries=1, faults=faults)
+        for attempt in range(2):
+            with pytest.raises(ConfigurationError, match="shard 0 failed"):
+                _durable_sweep(run_dir, resume=attempt > 0, faults=faults)
         # Attempt numbering continues from the journal (attempts 0-1 are
-        # spent), so the same injector no longer matches — but the resumed
-        # invocation gets its own max_retries + 1 budget.
-        points, config = _durable_sweep(
-            run_dir, resume=True, max_retries=1, faults=faults
-        )
+        # spent), so the same injector no longer matches: each resume
+        # dispatches the failed shard once more.
+        points, config = _durable_sweep(run_dir, resume=True, faults=faults)
         _assert_identical(reference, points)
+        assert config.stats.shard_retries == 1
         _, dispatched = RunJournal.load(_journal_path(run_dir)).replay()
         assert dispatched[0] == 3  # 2 failed dispatches + 1 resumed success
+
+    def test_a_run_dir_with_a_retry_budget_in_its_header_resumes(
+        self, reference, tmp_path, monkeypatch
+    ):
+        # Journals written when runs had a retry budget carry
+        # ``max_retries`` in their header, at the default eight-point
+        # shards; the field is no part of a journal's identity.
+        monkeypatch.setattr(runner_module, "SHARD_SIZE", 8)
+        run_dir = tmp_path / "run"
+        with pytest.raises(InjectedCrash):
+            _durable_sweep(run_dir, faults=FaultInjector([FaultSpec("abort", 1)]))
+        path = _journal_path(run_dir)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        del header["crc"]
+        assert header["shard_size"] == 8 and "max_retries" not in header
+        lines[0] = _encode({**header, "max_retries": 2})
+        path.write_text("\n".join(lines) + "\n")
+        points, config = _durable_sweep(run_dir, resume=True)
+        _assert_identical(reference, points)
+        assert config.stats.shards_replayed == 2
+        assert config.stats.shards_executed == 1
+        journal = RunJournal.load(path)
+        assert journal.header["max_retries"] == 2
+        assert journal.finished
 
 
 class TestFig12Acceptance:
@@ -256,25 +301,22 @@ class TestFig12Acceptance:
         run_dir = tmp_path / "run"
         crashed = _session()
         crashed.attach_jobs(
-            _job_config(run_dir, faults=FaultInjector([FaultSpec("abort", 1)]))
+            JobConfig(run_dir=run_dir, faults=FaultInjector([FaultSpec("abort", 1)]))
         )
         with pytest.raises(InjectedCrash):
             fig12.run(crashed)
         resumed = _session()
-        resumed.attach_jobs(_job_config(run_dir, resume=True))
+        resumed.attach_jobs(JobConfig(run_dir=run_dir, resume=True))
         assert str(fig12.run(resumed)) == baseline
         # fig12 sweeps two grids (static + dynamic loads): each journal
-        # must be finished with every shard within its retry budget.
+        # must be finished with every shard dispatched once.
         journals = sorted((run_dir / "sweeps").glob("sweep-*.jsonl"))
         assert len(journals) == 2
         for path in journals:
             journal = RunJournal.load(path)
             assert journal.finished
             _, dispatched = journal.replay()
-            assert all(
-                count <= journal.header["max_retries"] + 1
-                for count in dispatched.values()
-            )
+            assert set(dispatched.values()) == {1}
 
 
 class TestParallelExecutor:
@@ -283,8 +325,8 @@ class TestParallelExecutor:
     ):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         run_dir = tmp_path / "run"
-        config = _job_config(
-            run_dir, faults=FaultInjector([FaultSpec("worker-exit", 0)])
+        config = JobConfig(
+            run_dir=run_dir, faults=FaultInjector([FaultSpec("worker-exit", 0)])
         )
         executor = SweepExecutor(jobs=2)
         tracer = Tracer()
@@ -300,8 +342,8 @@ class TestParallelExecutor:
         _assert_identical(reference, points)
         # The scripted hard-exit fired in shard 0's cube builds (one of
         # their maps restarted its pool, once in total), yet no shard
-        # needed a journal-level retry, nor the parent's fallback: the
-        # executor's per-chunk redispatch absorbed the dead worker.
+        # failed, nor needed the parent's fallback: the executor's
+        # per-item re-dispatch absorbed the dead worker.
         (shard_span,) = [
             span
             for span in _walk(tracer.roots)
@@ -342,17 +384,3 @@ class TestPointRecords:
         assert rebuilt == point
         assert rebuilt.epi_nj == point.epi_nj
         assert rebuilt.area_cm2 == point.area_cm2
-
-    def test_legacy_records_default_to_zero(self):
-        # Journals written before the physical axes existed still load.
-        from repro.jobs.runner import point_from_record, point_to_record
-
-        record = point_to_record(
-            DesignOptimizer(_session()).evaluate(SystemConfig(penalty=10))
-        )
-        del record["epi_nj"]
-        del record["area_cm2"]
-        legacy = point_from_record(record)
-        assert legacy.epi_nj == 0.0
-        assert legacy.area_cm2 == 0.0
-        assert legacy.cpi == record["cpi"]

@@ -6,8 +6,9 @@ import pytest
 
 from repro.engine.store import ArtifactStore
 from repro.errors import ConfigurationError
-from repro.obs import LEDGER_SCHEMA, RunLedger, Tracer, validate_metrics
+from repro.obs import LEDGER_SCHEMA, RunLedger, Tracer
 from repro.obs.ledger import host_facts, peak_rss_mb
+from tests.obs.schema import load_ledger, validate_metrics
 
 
 def _populated_ledger():
@@ -30,7 +31,7 @@ class TestRoundTrip:
         ledger = _populated_ledger()
         path = tmp_path / "metrics.json"
         ledger.write(path)
-        payload = RunLedger.load(path)
+        payload = load_ledger(path)
         assert payload == ledger.to_dict()
         assert payload["schema"] == LEDGER_SCHEMA
         assert payload["run"]["scale"] == "quick"
@@ -126,7 +127,7 @@ class TestPhysicalSection:
 
     def test_optional_section_round_trips(self, tmp_path):
         ledger = self._ledger()
-        payload = RunLedger.load(ledger.write(tmp_path / "metrics.json"))
+        payload = load_ledger(ledger.write(tmp_path / "metrics.json"))
         assert payload["physical"]["objective"] == "frontier"
         assert payload["physical"]["frontier_points"] == 5
         validate_metrics(payload)
@@ -145,7 +146,7 @@ class TestPhysicalSection:
 
 class TestHostSection:
     def test_every_ledger_records_its_host(self, tmp_path):
-        payload = RunLedger.load(_populated_ledger().write(tmp_path / "m.json"))
+        payload = load_ledger(_populated_ledger().write(tmp_path / "m.json"))
         host = payload["host"]
         assert set(host) == {
             "usable_cores",

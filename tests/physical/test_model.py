@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import SystemConfig
 from repro.errors import ConfigurationError
-from repro.physical import PhysicalModel, PhysicalTechnology
+from repro.physical import PhysicalModel, PhysicalTechnology, system_area_cm2
 from repro.physical.energy import read_energy_nj, refill_energy_nj, static_power_w
 
 
@@ -63,7 +63,7 @@ class TestBreakdown:
         assert model.breakdown(CONFIG, tpi_ns=10.0).area_cm2 == pytest.approx(
             model.breakdown(CONFIG, tpi_ns=5.0).area_cm2
         )
-        assert model.area_cm2(CONFIG) == pytest.approx(
+        assert system_area_cm2(CONFIG) == pytest.approx(
             model.breakdown(CONFIG, tpi_ns=5.0).area_cm2
         )
 

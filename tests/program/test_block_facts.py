@@ -19,9 +19,7 @@ from repro.program.dependence import (
     BlockFacts,
     cti_hoist_distance,
     independent_prefix_length,
-    load_epsilons,
     memory_conflict,
-    use_distance,
 )
 from repro.trace.compiled import BlockKind, CompiledProgram
 from repro.workload import TABLE1_SUITE, synthesize_program
@@ -71,13 +69,14 @@ BLOCKS = st.lists(INSTRUCTIONS, min_size=1, max_size=14)
 )
 def test_scans_match_instruction_oracles(block):
     assert cti_hoist_distance(block) == cti_hoist_distance_reference(block)
+    facts = BlockFacts(block)
     for position in range(len(block)):
-        assert load_epsilons(block, position) == load_epsilons_reference(block, position)
+        assert facts.load_epsilons(position) == load_epsilons_reference(block, position)
         assert independent_prefix_length(block, position) == (
             independent_prefix_length_reference(block, position)
         )
         for horizon in (0, 1, 3, EPSILON_CAP, len(block) - 1 - position):
-            assert use_distance(block, position, horizon) == (
+            assert facts.use_distance(position, horizon) == (
                 use_distance_reference(block, position, horizon)
             )
 

@@ -2,11 +2,11 @@
 
 from repro.isa.assembler import assemble_block
 from repro.program.dependence import (
+    BlockFacts,
     cti_hoist_distance,
     flow_dependences,
     independent_prefix_length,
     memory_conflict,
-    use_distance,
 )
 
 
@@ -127,20 +127,20 @@ class TestIndependentPrefixLength:
 class TestUseDistance:
     def test_immediate_use(self):
         insts = code("lw r3, 100(r5)\naddu r4, r3, r2")
-        assert use_distance(insts, 0, horizon=8) == 0
+        assert BlockFacts(insts).use_distance(0, horizon=8) == 0
 
     def test_one_gap(self):
         insts = code("lw r3, 100(r5)\nnop\naddu r4, r3, r2")
-        assert use_distance(insts, 0, horizon=8) == 1
+        assert BlockFacts(insts).use_distance(0, horizon=8) == 1
 
     def test_no_use_hits_horizon(self):
         insts = code("lw r3, 100(r5)\nnop\nnop")
-        assert use_distance(insts, 0, horizon=8) == 8
+        assert BlockFacts(insts).use_distance(0, horizon=8) == 8
 
     def test_overwrite_kills_result(self):
         insts = code("lw r3, 100(r5)\naddu r3, r2, r2\naddu r4, r3, r2")
-        assert use_distance(insts, 0, horizon=8) == 8
+        assert BlockFacts(insts).use_distance(0, horizon=8) == 8
 
     def test_store_has_no_result(self):
         insts = code("sw $t0, 0($sp)\naddu $t1, $t0, $t0")
-        assert use_distance(insts, 0, horizon=4) == 4
+        assert BlockFacts(insts).use_distance(0, horizon=4) == 4

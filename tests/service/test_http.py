@@ -379,7 +379,10 @@ class TestConcurrentLoad:
                     return
                 states.append(resp["state"])
 
-        with _serving(tmp_path, max_disk_bytes=64 << 10) as service:
+        # The four answers take about 9 KB of memo on disk: a 4 KiB
+        # budget evicts on writes, while the memory tier still serves
+        # every repeat.
+        with _serving(tmp_path, max_disk_bytes=4 << 10) as service:
             threads = [
                 threading.Thread(target=client_loop, args=(index, service.port))
                 for index in range(self.CLIENTS)
@@ -397,8 +400,6 @@ class TestConcurrentLoad:
         assert stats["submitted"] == self.CLIENTS * self.REQUESTS
         memoised = stats["memo_hits"] + stats["coalesced"]
         assert memoised / stats["submitted"] > 0.5
-        evictions = sum(
-            tier["disk_evictions"]
-            for tier in [stats["store"], *stats["sessions"].values()]
-        )
-        assert evictions >= 1
+        assert stats["store"]["disk_evictions"] >= 1
+        # The budget bounds the memo only: the session keeps its bundles.
+        assert [tier["disk_evictions"] for tier in stats["sessions"].values()] == [0]

@@ -227,6 +227,69 @@ class TestDurableRuns:
         finally:
             sched.close()
 
+    def test_a_failed_query_resumes_when_resubmitted(self, tmp_path, monkeypatch):
+        """A shard error fails the job with its reason; re-submitting the
+        query resumes its run directory and dispatches the shard again."""
+        from repro.jobs import RunJournal
+        from repro.jobs.runner import JobRunner
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        real, calls = JobRunner._execute_shard, []
+
+        def failing_once(runner, shard, index, attempt):
+            calls.append(attempt)
+            if len(calls) == 1:
+                raise RuntimeError("cube collapsed")
+            return real(runner, shard, index, attempt)
+
+        monkeypatch.setattr(JobRunner, "_execute_shard", failing_once)
+        sched = SweepScheduler(
+            registry=SessionRegistry(scales=TINY),
+            store=ArtifactStore(cache_dir=tmp_path / "svc", namespace="service"),
+            workers=1,
+            spool_dir=tmp_path / "spool",
+        ).start()
+        try:
+            query = _query([{"icache_kw": 1}, {"icache_kw": 2}])
+            failed = sched.submit(query)
+            assert failed.wait(240), "miniature sweep timed out"
+            assert failed.state == "failed"
+            assert "shard 0 failed" in failed.error
+            assert "cube collapsed" in failed.error
+            retry = sched.submit(query)
+            assert retry is not failed
+            assert retry.wait(240), "miniature sweep timed out"
+            assert retry.state == "done", retry.error
+        finally:
+            sched.close()
+        assert calls == [0, 1]
+        (path,) = (tmp_path / "spool" / f"job-{query.digest}" / "sweeps").iterdir()
+        journal = RunJournal.load(path)
+        assert journal.finished
+        assert journal.replay()[1] == {0: 2}
+
+    def test_a_budget_leaves_the_session_store_alone(self, tmp_path, monkeypatch):
+        """The disk budget bounds the memo store: a cold job's session
+        writes its bundles and maps them without one eviction."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        registry = SessionRegistry(scales=TINY)
+        sched = SweepScheduler(
+            registry=registry,
+            store=ArtifactStore(cache_dir=tmp_path / "svc", namespace="service"),
+            workers=1,
+            max_disk_bytes=1,
+        ).start()
+        try:
+            job = sched.submit(_query([{"icache_kw": 1}, {"icache_kw": 2}]))
+            assert job.wait(240), "miniature sweep timed out"
+            assert job.state == "done", job.error
+        finally:
+            sched.close()
+        stats = registry.get("tiny").store.stats()
+        assert stats.disk_writes > 0
+        assert stats.disk_evictions == 0
+        assert sched.store.max_disk_bytes == 1
+
 
 class TestDoneCallbacks:
     """``SweepJob.add_done_callback`` against a racing ``_finish_job``."""
