@@ -43,11 +43,11 @@ itself, takes the programs' ranges quantum by quantum
 into whole chunks and, in the address form, shifts each chunk to its
 block size.  Nothing larger than the description is pickled, any worker
 (spawned, or forked for an earlier build) sees the file, and no stream is
-copied for a build: the session writes each block size's instruction
-stream once, per-benchmark sequences back to back, and hard-links the
-data side's already interleaved address segment (one program, one
-quantum) into the build's scratch directory (:meth:`~repro.core.
-measurement.SuiteMeasurement.warm_miss_cube`).
+copied for a build: the session writes each stream once into the
+build's scratch directory, per-benchmark sequences back to back — one
+file per block size on the instruction side, one address file for
+every block size on the data side (:meth:`~repro.core.measurement.
+SuiteMeasurement.warm_miss_cube`).
 
 **One pool for many builds.**  A task is a pure function of its item: it
 reads its file and the item's parameters (the chunk length included),
@@ -123,38 +123,21 @@ TASK_KINDS = ("cube", "check")
 class StreamFile:
     """Where a build's stream lies: one file of int64 references.
 
-    From byte ``offset`` on, the file holds each program's sequence back
-    to back (``lengths[i]`` references for program ``i``); the stream is
-    their round-robin interleave, ``quanta[i]`` references of program
-    ``i`` at a time.  Iterating yields the stream's pieces in order as
-    views of the mapped file, so the stream is never read whole.
+    The file holds each program's sequence back to back (``lengths[i]``
+    references for program ``i``); the stream is their round-robin
+    interleave, ``quanta[i]`` references of program ``i`` at a time.
+    Iterating yields the stream's pieces in order as views of the mapped
+    file, so the stream is never read whole.
     """
 
     path: str
     lengths: Tuple[int, ...]
     quanta: Tuple[int, ...]
-    offset: int = 0
-
-    @classmethod
-    def from_npy(cls, path) -> "StreamFile":
-        """A one-dimensional int64 ``.npy`` file as a one-program stream.
-
-        Its length and data offset come from the file's own header.
-        """
-        array = np.load(path, mmap_mode="r")
-        if array.dtype != np.int64 or array.ndim != 1:
-            raise ConfigurationError(
-                f"{path} holds {array.dtype} of shape {array.shape}, "
-                f"not a one-dimensional int64 stream"
-            )
-        return cls(str(path), (len(array),), (max(1, len(array)),), array.offset)
 
     def __iter__(self) -> Iterator[np.ndarray]:
         total = sum(self.lengths)
         if total:
-            stream = np.memmap(
-                self.path, dtype=np.int64, mode="r", offset=self.offset, shape=(total,)
-            )
+            stream = np.memmap(self.path, dtype=np.int64, mode="r", shape=(total,))
         else:  # an empty file cannot be mapped
             stream = np.empty(0, dtype=np.int64)
         bounds = np.cumsum((0, *self.lengths))
@@ -381,9 +364,10 @@ def partitioned_miss_cube_from_addresses(
     Bit-identical to
     :func:`~repro.cache.misscube.miss_cube_from_addresses` on the same
     stream, with every block size's ``A = 1`` base checked.  Every task
-    maps the one ``addresses`` file (a store segment described by
-    :meth:`StreamFile.from_npy`, typically) and shifts it to its block
-    size one chunk at a time.
+    maps the one ``addresses`` file (the session's per-benchmark address
+    sequences, :meth:`~repro.core.measurement.SuiteMeasurement.
+    dstream_chunks`) and shifts it to its block size one chunk at a
+    time.
     """
     blocks = checked_block_words(block_words)
     per_block = _checked_set_counts(blocks, set_counts, max_ways)

@@ -11,17 +11,19 @@ distinct address spaces.
 A full experiment run touches the same artifacts dozens of times, so
 they flow through a content-addressed
 :class:`~repro.engine.store.ArtifactStore`: branch statistics live in
-the store's memory tier; execution traces, compiled programs and the
-data-address bundle — the expensive artifacts of a session — are
-persisted to its disk tier, so a warm start maps them back without
-synthesizing a program.  The instruction streams are never stored: a
-cube build generates its stream window by window from the traces into
-one file per block size, which the driver's tasks read in place
-(:meth:`SuiteMeasurement.istream_chunks`); a data build hard-links the
-address bundle's file instead.  Miss counts live in the session itself:
-one exact ``(sets x ways)`` plane per ``(side, slots, block size)``,
-built by the chunked cube driver (:mod:`repro.cache.cubepart`) and read
-directly by every :meth:`SuiteMeasurement.misses` query.  The session
+the store's memory tier; execution traces and compiled programs — the
+expensive artifacts of a session — are persisted to its disk tier, so a
+warm start maps them back without synthesizing a program.  Reference
+streams are never stored: a cube build writes its stream into a private
+scratch file that the driver's tasks read in place — the instruction
+side window by window from the traces, one file per block size
+(:meth:`SuiteMeasurement.istream_chunks`), the data side from the
+address model, one file for every block size
+(:meth:`SuiteMeasurement.dstream_chunks`).  Miss counts live in the
+session itself: one exact ``(sets x ways)`` plane per ``(side, slots,
+block size)``, built by the chunked cube driver
+(:mod:`repro.cache.cubepart`) and read directly by every
+:meth:`SuiteMeasurement.misses` query.  The session
 has one :class:`~repro.engine.executor.SweepExecutor`: when it is
 parallel, per-benchmark trace synthesis and the driver's tasks run on
 its worker pool.
@@ -30,7 +32,6 @@ its worker pool.
 from __future__ import annotations
 
 import hashlib
-import os
 import shutil
 import tempfile
 from contextlib import ExitStack, contextmanager
@@ -563,9 +564,8 @@ class SuiteMeasurement:
     def _scratch_dir(self) -> Iterator[Path]:
         """A private directory for stream files, removed on exit.
 
-        It sits in the store's disk tier, beside the bundles, so a store
-        segment can be hard-linked into it and a paper-scale stream lands
-        on the disk that holds the traces.
+        It sits in the store's disk tier, beside the bundles, so a
+        paper-scale stream lands on the disk that holds the traces.
         """
         root = self.store.disk_dir
         root.mkdir(parents=True, exist_ok=True)
@@ -626,71 +626,37 @@ class SuiteMeasurement:
                 span.count("references", sum(map(sum, lengths.values())))
             yield {B: self._stream_file(paths[B], lengths[B]) for B in blocks}
 
-    def dstream_address_bundle(self) -> np.ndarray:
-        """The multiprogrammed data stream as byte addresses.
+    @contextmanager
+    def dstream_chunks(self) -> Iterator[StreamFile]:
+        """The multiprogrammed data stream as byte addresses, as a file.
 
-        Block-independent: every block granularity of the data stream is
-        a pure shift view (:func:`~repro.cache.fastsim.
-        addresses_to_blocks`), which commutes with the quantum interleave
-        because it is elementwise and length-preserving.  Each
+        Yields a :class:`~repro.cache.cubepart.StreamFile`.  Each
         benchmark's address model is expanded in one shot (chunked
-        generation would change its draw order) and appended to a scratch
-        file, so one benchmark's sequence is in memory at a time; the
-        interleave is then emitted quantum by quantum from that file
-        through :meth:`~repro.engine.store.ArtifactStore.get_or_stream`.
-        The value is a *memory-mapped* view of the finished bundle, and
-        repeat sessions map it straight back without re-expanding; a cube
-        build hard-links its file instead of copying it.
+        generation would change its draw order), offset into the
+        benchmark's address space and appended to one file in a private
+        scratch directory, benchmark after benchmark, so one benchmark's
+        sequence is in memory at a time.  As with
+        :meth:`istream_chunks`, the description adds the benchmarks'
+        lengths and the session's quanta, and iterating it yields the
+        stream's pieces in order.  The stream is block-independent:
+        every block granularity is a pure shift of each piece
+        (:func:`~repro.cache.fastsim.addresses_to_blocks`), which
+        commutes with the quantum interleave because it is elementwise
+        and length-preserving, so one file serves every block size of a
+        build.  The file is removed when the context exits.
         """
-
-        def produce(writer) -> None:
-            with self.tracer.span("dstream.expand", streamed=1):
-                with self._scratch_dir() as directory:
-                    path = directory / "addresses"
-                    lengths = []
-                    with open(path, "wb") as out:
-                        for bench in self.benchmarks:
-                            refs = (
-                                bench.trace.category_counts["loads"]
-                                + bench.trace.category_counts["stores"]
-                            )
-                            model = DataReferenceModel(bench.spec, seed=self.seed)
-                            offset = address_space_offset(bench.index)
-                            sequence = model.generate(refs) + offset
-                            out.write(sequence)
-                            lengths.append(len(sequence))
-                    writer.append("addresses", np.empty(0, dtype=np.int64))
-                    for piece in self._stream_file(path, lengths):
-                        writer.append("addresses", piece)
-
-        # Streamed artifacts always persist, so the bundle carries the
-        # session identity in its key: sessions at different scales
-        # sharing one disk tier never collide.
-        arrays = self.store.get_or_stream(
-            "dstream_addr_bundle",
-            GENERATOR_VERSION,
-            produce,
-            session=self._session_digest,
-        )
-        return arrays["addresses"]
-
-    def _linked_dstream(self, directory: Path) -> StreamFile:
-        """The data-address segment, hard-linked into ``directory``.
-
-        The link copies nothing, and it keeps the file for the build even
-        if a disk-budget eviction deletes the store entry meanwhile.  An
-        entry evicted earlier, whose deleted file the store's memory tier
-        still maps, is streamed again first.
-        """
-        link = directory / "addresses.npy"
-        try:
-            os.link(self.dstream_address_bundle().filename, link)
-        except FileNotFoundError:
-            self.store.invalidate(
-                "dstream_addr_bundle", GENERATOR_VERSION, session=self._session_digest
-            )
-            os.link(self.dstream_address_bundle().filename, link)
-        return StreamFile.from_npy(link)
+        with self._scratch_dir() as directory:
+            path = directory / "addresses"
+            lengths = []
+            with open(path, "wb") as out, self.tracer.span("dstream.expand") as span:
+                for bench in self.benchmarks:
+                    counts = bench.trace.category_counts
+                    model = DataReferenceModel(bench.spec, seed=self.seed)
+                    sequence = model.generate(counts["loads"] + counts["stores"])
+                    out.write(sequence + address_space_offset(bench.index))
+                    lengths.append(len(sequence))
+                span.count("references", sum(lengths))
+            yield self._stream_file(path, lengths)
 
     # -- miss counts -------------------------------------------------------------
 
@@ -815,10 +781,12 @@ class SuiteMeasurement:
         the build phase (the optimizer's does after warming a grid's
         planes).  The driver's tasks read the build's stream files in
         place, from one private scratch directory of the store's disk
-        tier that the build removes: the instruction side's files
-        (:meth:`istream_chunks`), or a hard link to the data bundle's.
-        The driver checks each block size's ``A = 1`` base against the
-        independent direct-mapped sweep before any plane is kept.
+        tier that the build removes: the instruction side's file per
+        block size (:meth:`istream_chunks`), or the data side's one file
+        (:meth:`dstream_chunks`), which each task shifts to its block
+        size chunk by chunk.  The driver checks each block size's
+        ``A = 1`` base against the independent direct-mapped sweep
+        before any plane is kept.
         """
         context = f"L1-{side}"
         blocks = checked_block_words(block_words, context=context)
@@ -858,23 +826,23 @@ class SuiteMeasurement:
                     )
                     span.count("references", sum(cube.references.values()))
         else:
-            with self.tracer.span(
-                "dmiss.cube",
-                blocks=label,
-                capacity_words=capacity,
-                max_ways=ways,
-            ) as span, self._scratch_dir() as directory:
-                span.count("block_sizes", len(blocks))
-                addresses = self._linked_dstream(directory)
-                span.count("references", len(blocks) * sum(addresses.lengths))
-                cube = partitioned_miss_cube_from_addresses(
-                    addresses,
-                    blocks,
-                    set_counts,
-                    ways,
-                    executor=self.executor,
-                    tracer=self.tracer,
-                )
+            with self.dstream_chunks() as addresses:
+                with self.tracer.span(
+                    "dmiss.cube",
+                    blocks=label,
+                    capacity_words=capacity,
+                    max_ways=ways,
+                ) as span:
+                    span.count("block_sizes", len(blocks))
+                    cube = partitioned_miss_cube_from_addresses(
+                        addresses,
+                        blocks,
+                        set_counts,
+                        ways,
+                        executor=self.executor,
+                        tracer=self.tracer,
+                    )
+                    span.count("references", sum(cube.references.values()))
         for B in blocks:
             self._planes[side, slots, B] = cube.plane(B)
 

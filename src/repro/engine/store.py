@@ -1,11 +1,11 @@
 """Content-addressed two-tier artifact store.
 
-Every derived artifact of a measurement session — execution traces,
-expanded reference streams, miss counts, prediction statistics, evaluated
-design points — is identified by a :class:`ArtifactKey`: a ``kind`` (what
-the artifact is), a ``version`` (bumped when the producing code changes
-behaviour), and the scalar parameters that determine its content.  The
-store keeps artifacts in two tiers:
+Every stored artifact of a measurement session — compiled programs,
+execution traces, prediction statistics, evaluated design points, the
+service's memoised sweeps — is identified by a :class:`ArtifactKey`: a
+``kind`` (what the artifact is), a ``version`` (bumped when the
+producing code changes behaviour), and the scalar parameters that
+determine its content.  The store keeps artifacts in two tiers:
 
 * an in-memory LRU tier holding any Python object, bounded by entry
   count, which replaces the per-object memo dicts the measurement layer
@@ -386,14 +386,6 @@ class ArtifactStore:
                 self._remember(key, arrays)
                 return arrays
         return None
-
-    def invalidate(self, kind: str, version: int, **params: Any) -> None:
-        """Drop one artifact from both tiers."""
-        key = ArtifactKey.make(kind, version, **params)
-        with self._lock:
-            self._memory.pop(key, None)
-            self._disk_lru.pop(key.digest, None)
-        delete_entry(key.digest, cache_dir=self.disk_dir)
 
     # -- internals -------------------------------------------------------------
 

@@ -6,12 +6,12 @@ Usage::
     python -m repro.experiments.bench_cube --scales paper --cube-jobs 2 \
         --out BENCH.json
 
-For each budget this builds the session, streams the multiprogrammed
-data addresses into a disk-backed bundle, and times the whole paper
+For each budget this builds the session, writes the multiprogrammed
+data addresses into one scratch file, and times the whole paper
 block-size study surface — every paper block size (4/8/16 words) at
 every capacity (1-32 KW) and way count (1/2/4/8) — through the
 chunked out-of-core driver (:mod:`repro.cache.cubepart`), whose tasks
-map the bundle's address segment in place.  It then builds the slots-0
+map that file in place.  It then builds the slots-0
 instruction-side plane of the same block sizes through the session,
 which writes it from the traces into one file per block size for the
 driver without ever holding it whole.  Both sides are asserted
@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.cache.cubepart import StreamFile, partitioned_miss_cube_from_addresses
+from repro.cache.cubepart import partitioned_miss_cube_from_addresses
 from repro.cache.misscube import MissCube, miss_cube, miss_cube_from_addresses
 from repro.engine.executor import SweepExecutor
 from repro.engine.store import ArtifactStore
@@ -125,36 +125,34 @@ def _scale_row(
     )
     measurement.benchmarks  # the session build: programs and their traces
     front_end_s = time.perf_counter() - started
-    started = time.perf_counter()
-    addresses = measurement.dstream_address_bundle()
-    stream_s = time.perf_counter() - started
 
     serial_s: Optional[float] = None
     serial_cube: Optional[MissCube] = None
-    if total <= serial_limit:
-        serial_s = float("inf")
-        for _ in range(repeats):
-            started = time.perf_counter()
-            serial_cube = miss_cube_from_addresses(
-                addresses, blocks, set_counts, max(ways)
-            )
-            serial_s = min(serial_s, time.perf_counter() - started)
-
     executor = SweepExecutor(jobs=cube_jobs)
     part_s = float("inf")
-    try:
-        for _ in range(repeats):
-            started = time.perf_counter()
-            part_cube = partitioned_miss_cube_from_addresses(
-                StreamFile.from_npy(addresses.filename),
-                blocks,
-                set_counts,
-                max(ways),
-                executor=executor,
-            )
-            part_s = min(part_s, time.perf_counter() - started)
-    finally:
-        executor.retire_pool(wait=True)
+    started = time.perf_counter()
+    with measurement.dstream_chunks() as addresses:
+        stream_s = time.perf_counter() - started
+        references = sum(addresses.lengths)
+        if total <= serial_limit:
+            whole = np.concatenate(list(addresses))
+            serial_s = float("inf")
+            for _ in range(repeats):
+                started = time.perf_counter()
+                serial_cube = miss_cube_from_addresses(
+                    whole, blocks, set_counts, max(ways)
+                )
+                serial_s = min(serial_s, time.perf_counter() - started)
+            del whole  # not inherited by the driver's forked workers
+        try:
+            for _ in range(repeats):
+                started = time.perf_counter()
+                part_cube = partitioned_miss_cube_from_addresses(
+                    addresses, blocks, set_counts, max(ways), executor=executor
+                )
+                part_s = min(part_s, time.perf_counter() - started)
+        finally:
+            executor.retire_pool(wait=True)
 
     # The slots-0 I plane, built through the session: its stream is
     # generated from the traces into the files the driver's tasks read.
@@ -182,7 +180,7 @@ def _scale_row(
                 )
         identical = True
     return {
-        "references": len(addresses),
+        "references": references,
         "i_references": icube.references[min(blocks)],
         "front_end_s": front_end_s,
         "stream_s": stream_s,
@@ -206,12 +204,12 @@ def run_scale_benchmark(
     """The paper-surface cube along a scale axis, up to full Table 1 size.
 
     For each instruction budget: build the session (synthesize or map
-    the programs and walk their traces: ``front_end_s``), then stream the
-    multiprogrammed data stream into a disk-backed bundle
-    (:meth:`~repro.core.measurement.SuiteMeasurement.
-    dstream_address_bundle` — the memory-mapped view is what both
-    engines consume: ``stream_s``), then time the whole paper block-size
-    surface through the chunked out-of-core driver.  Then build the
+    the programs and walk their traces: ``front_end_s``), then write the
+    multiprogrammed data stream into one scratch file
+    (:meth:`~repro.core.measurement.SuiteMeasurement.dstream_chunks`:
+    ``stream_s``), then time the whole paper block-size surface through
+    the chunked out-of-core driver, whose tasks map that file; the
+    serial engine gets the file's pieces joined.  Then build the
     slots-0 I plane of the same block sizes through the session
     (``i_build_s``, the stream streamed from the traces included;
     ``i_references`` is its longest stream, the smallest block's).

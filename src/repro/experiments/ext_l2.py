@@ -48,9 +48,10 @@ def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
     measurement = measurement or get_measurement()
     rows = []
     data = {}
-    blocks = addresses_to_blocks(
-        measurement.dstream_address_bundle(), DEFAULT_BLOCK_WORDS
-    )
+    with measurement.dstream_chunks() as addresses:
+        blocks = addresses_to_blocks(
+            np.concatenate(list(addresses)), DEFAULT_BLOCK_WORDS
+        )
     for l1_kw in (1, 8, 32):
         l1_sets = kw_to_words(l1_kw) // DEFAULT_BLOCK_WORDS
         miss_mask = direct_mapped_miss_mask(blocks, l1_sets)

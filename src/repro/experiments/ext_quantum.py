@@ -3,9 +3,11 @@
 The paper's traces are *multiprogrammed*, and the quantum (how many
 instructions each process runs between switches) controls how much
 inter-process cache interference the L1 sees.  This ablation rebuilds the
-interleaving at several quanta (the expensive per-benchmark traces are
-reused from the cache) and reports the L1 miss CPI at an 8 KW split —
-documenting a methodological sensitivity the paper does not expose.
+interleaving at several quanta and reports the L1 miss CPI at an 8 KW
+split — documenting a methodological sensitivity the paper does not
+expose.  Each quantum's session runs on the given session's store,
+worker pool and tracer, so the expensive per-benchmark traces are
+reused and its cube builds show up in the run's spans.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
             total_instructions=measurement.total_instructions,
             seed=measurement.seed,
             quantum_instructions=quantum,
+            store=measurement.store,
+            executor=measurement.executor,
+            tracer=measurement.tracer,
         )
         model = CpiModel(session)
         icache = model.icache_cpi(config)

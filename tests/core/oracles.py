@@ -22,8 +22,9 @@ def eager_dstream_addresses(session):
 
     Each benchmark's address model is expanded whole and the quanta are
     interleaved by :func:`~repro.trace.multiprogram.interleave_chunks`,
-    the eager path the streamed ``dstream_address_bundle`` replaced; the
-    bundle must stay equal to it element for element.
+    the eager path the streamed ``dstream_chunks`` replaced; the pieces
+    of its stream file, joined, must stay equal to it element for
+    element.
     """
     from repro.trace.multiprogram import (
         address_space_offset,

@@ -185,8 +185,10 @@ class TestStreamsAndMisses:
             )
 
     def test_dstream_length_matches_refs(self, measurement):
-        addresses = measurement.dstream_address_bundle()
-        assert len(addresses) == measurement.data_reference_count
+        assert (
+            len(eager_dstream_addresses(measurement))
+            == measurement.data_reference_count
+        )
 
     def test_icache_misses_decrease_with_size(self, measurement):
         misses = [measurement.misses("I", 4, s, slots=0) for s in (1, 4, 16)]
@@ -254,7 +256,7 @@ class TestStreamsAndMisses:
                 direct_mapped_misses(eager_istream_blocks(measurement, 0, 4), sets)
             )
             assert measurement.misses("D", 4, size) == direct_mapped_misses(
-                addresses_to_blocks(measurement.dstream_address_bundle(), 4), sets
+                addresses_to_blocks(eager_dstream_addresses(measurement), 4), sets
             )
 
     def test_miss_axis_is_one_artifact_per_stream_block_pair(
@@ -407,7 +409,7 @@ class TestLeanSession:
     RETAINED_BOUND = 1 << 20
 
     def test_a_warm_session_retains_under_a_megabyte(self, measurement):
-        measurement.dstream_address_bundle()  # the store is warm
+        measurement.benchmarks  # the store is warm
         session = twin(measurement)
         tracemalloc.start()
         try:
@@ -437,7 +439,7 @@ class TestMissPlanes:
         from repro.cache.fastsim import direct_mapped_miss_sweep
 
         plane = measurement.dcache_miss_cube((4,)).plane(4)
-        blocks = addresses_to_blocks(measurement.dstream_address_bundle(), 4)
+        blocks = addresses_to_blocks(eager_dstream_addresses(measurement), 4)
         sets = [s for s in plane.set_counts if s <= 256]
         axis = direct_mapped_miss_sweep(blocks, sets)
         for num_sets in sets:
@@ -445,7 +447,7 @@ class TestMissPlanes:
 
     def test_plane_matches_dict_lru_oracle(self, measurement):
         plane = measurement.dcache_miss_cube((4,)).plane(4)
-        blocks = addresses_to_blocks(measurement.dstream_address_bundle(), 4)
+        blocks = addresses_to_blocks(eager_dstream_addresses(measurement), 4)
         for num_sets in (1, 16, 256):
             for ways in (2, 4):
                 assert plane.misses(num_sets, ways) == set_associative_misses(
@@ -492,7 +494,7 @@ class TestMissCubeGuards:
         from repro.experiments.ext_blocksize import BLOCK_SIZES
 
         measurement.dcache_miss_cube(BLOCK_SIZES)
-        addresses = measurement.dstream_address_bundle()
+        addresses = eager_dstream_addresses(measurement)
         checked = 0
         for block in BLOCK_SIZES:
             stream = addresses_to_blocks(addresses, block)
@@ -530,16 +532,18 @@ class TestMissCubeGuards:
         assert {s: cube.misses(4, s, 1) for s in cube.set_counts(4)} == sweep
 
     def test_dstream_blocks_is_shift_view_of_addresses(self, measurement):
-        # The cube shifts the address bundle per block size; shifting
-        # commutes with the interleave, so that is the eagerly
-        # interleaved address stream at block granularity.
-        bundle = measurement.dstream_address_bundle()
+        # A D build's tasks shift the address stream to each block size
+        # piece by piece; shifting commutes with the interleave, so that
+        # is the eagerly interleaved address stream at block granularity.
         eager = eager_dstream_addresses(measurement)
-        for block in (4, 16):
-            np.testing.assert_array_equal(
-                addresses_to_blocks(bundle, block),
-                addresses_to_blocks(eager, block),
-            )
+        with measurement.dstream_chunks() as addresses:
+            for block in (4, 16):
+                np.testing.assert_array_equal(
+                    np.concatenate(
+                        [addresses_to_blocks(piece, block) for piece in addresses]
+                    ),
+                    addresses_to_blocks(eager, block),
+                )
 
     def test_cube_is_one_artifact_per_stream_family(
         self, measurement, monkeypatch
@@ -728,9 +732,10 @@ class TestPartitionedCubePath:
 
     def test_address_bundle_matches_eager_stream(self):
         session = self._session()
-        assert np.array_equal(
-            session.dstream_address_bundle(), eager_dstream_addresses(session)
-        )
+        with session.dstream_chunks() as addresses:
+            assert np.array_equal(
+                np.concatenate(list(addresses)), eager_dstream_addresses(session)
+            )
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("side", ["I", "D"])
@@ -773,7 +778,7 @@ class TestPartitionedCubePath:
             (
                 lambda s: s.dcache_miss_cube(blocks, 4096, 4),
                 lambda s, counts, ways: miss_cube_from_addresses(
-                    s.dstream_address_bundle(), blocks, counts, ways
+                    eager_dstream_addresses(s), blocks, counts, ways
                 ),
             ),
         ]
@@ -790,9 +795,9 @@ class TestPartitionedCubePath:
 
 class TestBuildReadsInPlace:
     """A build reads each stream where its producer wrote it: the I side
-    from one file per block size, the D side from a hard link to the
-    store's address segment, both in a scratch directory of the store's
-    disk tier that the build removes."""
+    from one file per block size, the D side from one address file for
+    every block size, both in a scratch directory of the store's disk
+    tier that the build removes."""
 
     def _session(self, tmp_path):
         return SuiteMeasurement(
@@ -827,35 +832,25 @@ class TestBuildReadsInPlace:
             if not p.name.endswith(".npy.d")
         ]
 
-    def test_a_d_build_links_the_store_segment(self, monkeypatch, tmp_path):
-        import repro.engine.store as store_module
-        import repro.trace.io as io_module
-
+    def test_a_d_build_writes_its_stream_once(self, monkeypatch, tmp_path):
+        # Every task of a D build maps the one address file its build
+        # wrote, and the store keeps no copy of the stream in either tier.
         session = self._session(tmp_path)
-        segment = session.dstream_address_bundle().filename  # a warm store
-        writers = []
-
-        class Counting(io_module.StreamingBundleWriter):
-            def __init__(self, *args, **kwargs):
-                writers.append(args)
-                super().__init__(*args, **kwargs)
-
-        for module in (store_module, io_module):
-            monkeypatch.setattr(module, "StreamingBundleWriter", Counting)
+        session.benchmarks
+        entries = len(session.store)
+        bundles = sorted(tmp_path.glob("*.npy.d"))
         seen = self.spy_on_tasks(
             monkeypatch,
-            lambda stream, B: (
-                Path(stream.path).parent,
-                os.path.samefile(stream.path, segment),
-            ),
+            lambda stream, B: (Path(stream.path), os.path.getsize(stream.path)),
         )
         session.dcache_miss_cube((4, 8))
-        assert writers == []
         assert len(seen) == 4  # a cube task and a check per block size
-        ((scratch, linked),) = set(seen)
-        assert linked
-        assert scratch.parent == session.store.disk_dir
-        assert scratch.name.startswith(".")  # never taken for a bundle
+        ((path, size),) = set(seen)
+        assert path.parent.parent == session.store.disk_dir
+        assert path.parent.name.startswith(".cube-build-")
+        assert size == 8 * session.data_reference_count
+        assert len(session.store) == entries
+        assert sorted(tmp_path.glob("*.npy.d")) == bundles
 
     def test_an_i_build_writes_each_stream_once(self, monkeypatch, tmp_path):
         session = self._session(tmp_path)
@@ -868,45 +863,10 @@ class TestBuildReadsInPlace:
         for B, size in sizes.items():
             assert size == 8 * session._planes["I", 1, B].references
 
-    def test_an_eviction_mid_build_leaves_the_plane_identical(
-        self, monkeypatch, tmp_path
-    ):
-        session = self._session(tmp_path)
-        expected = twin(session).dcache_miss_cube((4, 8))
-        segment = Path(session.dstream_address_bundle().filename)
-
-        def evict(stream, B):
-            session.store.invalidate(
-                "dstream_addr_bundle",
-                GENERATOR_VERSION,
-                session=session._session_digest,
-            )
-            return segment.exists()
-
-        seen = self.spy_on_tasks(monkeypatch, evict)
-        got = session.dcache_miss_cube((4, 8))
-        assert seen == [False] * 4  # every task ran after the eviction
-        assert cube_digest(got) == cube_digest(expected)
-
-    def test_a_segment_evicted_before_the_build_is_streamed_again(
-        self, tmp_path
-    ):
-        # A disk budget deletes the segment while the memory tier still
-        # maps it; the build cannot link a deleted file, so it streams
-        # the bundle again and links that.
-        session = self._session(tmp_path)
-        expected = twin(session).dcache_miss_cube((4,))
-        segment = Path(session.dstream_address_bundle().filename)
-        session.store.max_disk_bytes = 1
-        session.store.put("filler", 1, {"x": np.arange(3)}, persist=True)
-        assert not segment.exists()
-        got = session.dcache_miss_cube((4,))
-        assert cube_digest(got) == cube_digest(expected)
-
     def test_no_scratch_directory_outlives_a_build(self, monkeypatch, tmp_path):
         session = self._session(tmp_path)
         session.icache_miss_cube(0, (4,))
-        session.dcache_miss_cube((4,))  # streams the address bundle too
+        session.dcache_miss_cube((4,))
         assert self.scratch_entries(session) == []
 
         import repro.cache.cubepart as cubepart

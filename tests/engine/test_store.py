@@ -96,13 +96,6 @@ class TestMemoryTier:
         assert stats.misses == 1
         assert stats.memory_hits == 2
 
-    def test_cached_none_survives_invalidate(self):
-        store = ArtifactStore()
-        store.put("thing", 1, None, n=1)
-        assert store.get_or_create("thing", 1, lambda: "fresh", n=1) is None
-        store.invalidate("thing", 1, n=1)
-        assert store.get_or_create("thing", 1, lambda: "fresh", n=1) == "fresh"
-
 
 def _disk_entries(tmp_path):
     """Cache entries on disk (one ``.npy.d`` bundle directory each)."""
@@ -215,13 +208,6 @@ class TestDiskTier:
         store = ArtifactStore(cache_dir=tmp_path)
         with pytest.raises(ConfigurationError):
             store.put("trace", 1, "not arrays", persist=True, n=1)
-
-    def test_invalidate_removes_both_tiers(self, tmp_path):
-        store = ArtifactStore(cache_dir=tmp_path)
-        store.get_or_create("trace", 1, self._arrays, persist=True, n=1)
-        store.invalidate("trace", 1, n=1)
-        assert store.peek("trace", 1, n=1) is None
-        assert not _disk_entries(tmp_path)
 
     def test_factory_output_failing_validate_is_an_error(self, tmp_path):
         store = ArtifactStore(cache_dir=tmp_path)
@@ -450,10 +436,3 @@ class TestDiskBudget:
     def test_invalid_budget_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
             ArtifactStore(cache_dir=tmp_path, max_disk_bytes=0)
-
-    def test_invalidate_updates_accounting(self, tmp_path):
-        store = ArtifactStore(cache_dir=tmp_path, max_disk_bytes=10**9)
-        self._fill(store, 2)
-        before = store.stats().disk_bytes
-        store.invalidate("blob", 1, n=0)
-        assert store.stats().disk_bytes < before

@@ -100,6 +100,24 @@ class TestObservabilityFlags:
         assert payload["spans"], "traced run must record spans"
         assert payload["spans"][0]["name"] == "table2"
 
+    def test_ext_quantum_builds_on_the_run_session(self, registry, tmp_path):
+        # Each quantum's session shares the run session's store, pool and
+        # tracer, so its cube builds are spans of the experiment.
+        metrics = tmp_path / "m.json"
+        run_experiments(
+            ["ext_quantum"], scale="quick", stream=io.StringIO(),
+            registry=registry, metrics_path=metrics,
+        )
+
+        def names(spans):
+            for span in spans:
+                yield span["name"]
+                yield from names(span.get("children", []))
+
+        (experiment,) = load_ledger(metrics)["spans"]
+        assert experiment["name"] == "ext_quantum"
+        assert {"imiss.cube", "dmiss.cube"} <= set(names([experiment]))
+
     def test_profile_prints_span_tree_and_hit_rates(self, registry):
         stream = io.StringIO()
         run_experiments(
