@@ -37,7 +37,6 @@ from repro.core import (
     PenaltyMode,
     SuiteMeasurement,
     SystemConfig,
-    relative_tpi_change,
     system_cycle_time_ns,
     tpi_ns,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "PenaltyMode",
     "SuiteMeasurement",
     "SystemConfig",
-    "relative_tpi_change",
     "system_cycle_time_ns",
     "tpi_ns",
     "ReproError",

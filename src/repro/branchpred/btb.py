@@ -17,7 +17,7 @@ the full branch delay plus one refill cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -94,33 +94,6 @@ class BranchTargetBuffer:
         self._tags = [None] * entries  # type: list
         self._targets = [0] * entries
         self._counters = [0] * entries
-
-    def access(self, pc: int, taken: bool, target: int) -> bool:
-        """Process one CTI; returns True when the prediction was correct.
-
-        Correct means: BTB hit, direction predicted right, and (when
-        predicted taken) the stored target matches the actual target.
-        """
-        index = (pc >> 2) & (self.entries - 1)
-        hit = self._tags[index] == pc
-        if hit:
-            predicted_taken = self._counters[index] >= 2
-            correct = predicted_taken == taken and (
-                not predicted_taken or self._targets[index] == target
-            )
-            # 2-bit counter update plus target refresh on taken execution.
-            if taken:
-                if self._counters[index] < 3:
-                    self._counters[index] += 1
-                self._targets[index] = target
-            elif self._counters[index] > 0:
-                self._counters[index] -= 1
-            return correct
-        # Miss: allocate, weakly biased toward the observed outcome.
-        self._tags[index] = pc
-        self._targets[index] = target
-        self._counters[index] = 2 if taken else 1
-        return False
 
     def simulate(
         self,

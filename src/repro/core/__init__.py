@@ -21,8 +21,8 @@ from repro.core.config import SystemConfig, BranchScheme, LoadScheme, PenaltyMod
 from repro.core.measurement import SuiteMeasurement
 from repro.core.cpi_model import CpiBreakdown, CpiModel
 from repro.core.tcpu import system_cycle_time_ns
-from repro.core.tpi import tpi_ns, relative_tpi_change
-from repro.core.frontier import pareto_frontier, scalarized_best, within_budgets
+from repro.core.tpi import tpi_ns
+from repro.core.frontier import pareto_frontier, within_budgets
 from repro.core.optimizer import DesignOptimizer, DesignPoint, Selection
 from repro.core.report import design_point_report, frontier_report
 
@@ -30,7 +30,6 @@ __all__ = [
     "design_point_report",
     "frontier_report",
     "pareto_frontier",
-    "scalarized_best",
     "within_budgets",
     "Selection",
     "SystemConfig",
@@ -42,7 +41,6 @@ __all__ = [
     "CpiModel",
     "system_cycle_time_ns",
     "tpi_ns",
-    "relative_tpi_change",
     "DesignOptimizer",
     "DesignPoint",
 ]

@@ -7,9 +7,6 @@ over already-scored :class:`~repro.core.optimizer.DesignPoint` values:
 * :func:`dominates` / :func:`pareto_frontier` — the exact non-dominated
   set, in deterministic :func:`~repro.core.optimizer.point_order_key`
   order;
-* :func:`scalarized_best` — weighted-scalarization selection (any
-  strictly positive weighting's winner is guaranteed to lie on the
-  frontier);
 * :func:`within_budgets` — budget-constrained filtering (``area <= A``,
   ``power <= P``), the Yavits/Morad/Ginosar resource-allocation mode;
 * :func:`objective_value` — the scalar each named objective minimizes
@@ -22,7 +19,7 @@ and parallel sweeps all report the same answer.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -30,7 +27,6 @@ __all__ = [
     "OBJECTIVES",
     "dominates",
     "pareto_frontier",
-    "scalarized_best",
     "within_budgets",
     "objective_value",
 ]
@@ -93,52 +89,6 @@ def pareto_frontier(points: Sequence) -> List:
             continue
         frontier.append(candidate)
     return sorted(frontier, key=point_order_key)
-
-
-def scalarized_best(points: Sequence, weights: Mapping[str, float]):
-    """The minimizer of a positively-weighted sum of normalized objectives.
-
-    ``weights`` maps ``tpi`` / ``epi`` / ``area`` to strictly positive
-    coefficients; each objective is normalized by its minimum over the
-    set (so the weights express *relative regret*, not raw unit
-    trade-offs).  With strictly positive weights any dominator would
-    have a strictly smaller sum, so the winner is always a member of
-    :func:`pareto_frontier` — ties broken by
-    :func:`~repro.core.optimizer.point_order_key`.
-    """
-    from repro.core.optimizer import point_order_key
-
-    if not points:
-        raise ConfigurationError("cannot scalarize an empty point set")
-    unknown = sorted(set(weights) - {"tpi", "epi", "area"})
-    if unknown:
-        raise ConfigurationError(
-            f"unknown scalarization weight(s) {unknown}; valid: "
-            f"['area', 'epi', 'tpi']"
-        )
-    resolved = {
-        name: float(weights.get(name, 1.0)) for name in ("tpi", "epi", "area")
-    }
-    if any(value <= 0 for value in resolved.values()):
-        raise ConfigurationError(
-            "scalarization weights must be strictly positive (a zero weight "
-            "would let dominated points win; drop the axis instead)"
-        )
-    floors = [
-        min(values) for values in zip(*(_objectives(point) for point in points))
-    ]
-    if any(floor <= 0 for floor in floors):
-        raise ConfigurationError("objectives must be positive to normalize")
-
-    def score(point) -> float:
-        tpi, epi, area = _objectives(point)
-        return (
-            resolved["tpi"] * tpi / floors[0]
-            + resolved["epi"] * epi / floors[1]
-            + resolved["area"] * area / floors[2]
-        )
-
-    return min(points, key=lambda point: (score(point), point_order_key(point)))
 
 
 def within_budgets(

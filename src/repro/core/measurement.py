@@ -394,7 +394,7 @@ class SuiteMeasurement:
         )
 
     @cached_property
-    def _session_digest(self) -> str:
+    def session_digest(self) -> str:
         """``spec().digest()``, hashed once: it keys the store artifacts
         that depend on the whole session, so sessions sharing one store
         never read each other's."""
@@ -508,7 +508,7 @@ class SuiteMeasurement:
             GENERATOR_VERSION,
             aggregate,
             slots=slots,
-            session=self._session_digest,
+            session=self.session_digest,
         )
 
     @cached_property

@@ -6,8 +6,10 @@ and schemes — and returns the optimum, reproducing the search behind
 Figures 12 and 13.
 
 Evaluated points are content-addressed artifacts in the session's
-:class:`~repro.engine.store.ArtifactStore`, so re-visiting a
-configuration (the figures sweep overlapping grids) is a cache hit.
+:class:`~repro.engine.store.ArtifactStore`, keyed by the technology, the
+session and the configuration, so re-visiting a configuration (the
+figures sweep overlapping grids) is a cache hit and sessions sharing a
+store never read each other's points.
 :meth:`DesignOptimizer.sweep` builds the grid's miss planes first (on
 the session's worker pool when it has one); every design point is then
 a few plane reads plus the closed-form timing and physical models,
@@ -21,12 +23,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.config import SystemConfig, config_to_params
 from repro.core.cpi_model import CpiModel
-from repro.core.frontier import (
-    objective_value,
-    pareto_frontier,
-    scalarized_best,
-    within_budgets,
-)
+from repro.core.frontier import objective_value, pareto_frontier, within_budgets
 from repro.core.measurement import SuiteMeasurement
 from repro.core.tcpu import system_cycle_time_ns
 from repro.core.tpi import tpi_ns
@@ -178,14 +175,28 @@ class DesignOptimizer:
             area_cm2=breakdown.area_cm2,
         )
 
+    def _point_key(self, config: SystemConfig) -> Dict[str, object]:
+        """A design point's store key: technology, session and config."""
+        return dict(
+            tech=self._tech_digest,
+            session=self.measurement.session_digest,
+            **config_to_params(config),
+        )
+
     def evaluate(self, config: SystemConfig) -> DesignPoint:
         """TPI of a single design point (CPI x system cycle time)."""
         return self.measurement.store.get_or_create(
             "design_point",
             DESIGN_POINT_VERSION,
             lambda: self._evaluate_uncached(config),
-            tech=self._tech_digest,
-            **config_to_params(config),
+            **self._point_key(config),
+        )
+
+    def store_point(self, point: DesignPoint) -> None:
+        """Store a point evaluated earlier (a replayed journal record)
+        where :meth:`evaluate` finds it."""
+        self.measurement.store.put(
+            "design_point", DESIGN_POINT_VERSION, point, **self._point_key(point.config)
         )
 
     def _warm_miss_cubes(self, configs: Sequence[SystemConfig]) -> None:
@@ -297,18 +308,16 @@ class DesignOptimizer:
         self,
         configs: Iterable[SystemConfig],
         objective: str = "tpi",
-        weights: "Dict[str, float] | None" = None,
         max_area_cm2: "float | None" = None,
         max_power_w: "float | None" = None,
     ) -> Selection:
         """Score a design space once and select against ``objective``.
 
         ``objective`` is one of ``tpi`` / ``epi`` / ``edp`` (scalar
-        minimization), ``frontier`` (the whole Pareto set; ``best`` is
-        None), or ``weighted`` with a ``weights`` mapping over
-        ``tpi`` / ``epi`` / ``area``.  Budgets filter the eligible set
-        before any selection; an empty feasible set is an error for
-        scalar objectives and an empty frontier otherwise.
+        minimization) or ``frontier`` (the whole Pareto set; ``best`` is
+        None).  Budgets filter the eligible set before any selection; an
+        empty feasible set is an error for scalar objectives and an
+        empty frontier otherwise.
         """
         points = self._scored_sweep(list(configs))
         if not points:
@@ -329,8 +338,6 @@ class DesignOptimizer:
             span.count("frontier", len(frontier))
         if objective == "frontier":
             best = None
-        elif objective == "weighted":
-            best = scalarized_best(eligible, weights or {})
         else:
             best = min(
                 eligible,

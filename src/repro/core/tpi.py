@@ -1,16 +1,17 @@
-"""TPI — the paper's performance metric (equations 1 and 7).
+"""TPI — the paper's performance metric (equation 1).
 
 ``TPI = CPI x t_CPU`` (time per instruction, ns).  Equation 7 gives the
 incremental view: a change helps iff the relative decrease in ``t_CPU``
-exceeds the relative increase in CPI — the quantity Figure 11 plots to
-show how much cycle-time improvement each extra delay slot must buy.
+exceeds the relative increase in CPI.  :func:`required_tcpu_reduction`
+is its exact break-even, which Figure 11 plots to show how much
+cycle-time improvement each extra delay slot must buy.
 """
 
 from __future__ import annotations
 
 from repro.errors import ConfigurationError
 
-__all__ = ["tpi_ns", "relative_tpi_change", "required_tcpu_reduction"]
+__all__ = ["tpi_ns", "required_tcpu_reduction"]
 
 
 def tpi_ns(cpi: float, cycle_time_ns: float) -> float:
@@ -22,17 +23,6 @@ def tpi_ns(cpi: float, cycle_time_ns: float) -> float:
     if cpi <= 0 or cycle_time_ns <= 0:
         raise ConfigurationError("CPI and cycle time must be positive")
     return cpi * cycle_time_ns
-
-
-def relative_tpi_change(
-    cpi_before: float, cpi_after: float, tcpu_before: float, tcpu_after: float
-) -> float:
-    """Equation 7 (first order): dTPI/TPI = dCPI/CPI + dt_CPU/t_CPU."""
-    if min(cpi_before, cpi_after, tcpu_before, tcpu_after) <= 0:
-        raise ConfigurationError("all inputs must be positive")
-    return (cpi_after - cpi_before) / cpi_before + (
-        tcpu_after - tcpu_before
-    ) / tcpu_before
 
 
 def required_tcpu_reduction(cpi_before: float, cpi_after: float) -> float:

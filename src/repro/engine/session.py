@@ -60,11 +60,6 @@ class MeasurementSpec:
         return hashlib.sha256(repr(self).encode()).hexdigest()[:24]
 
 
-def _retire_session(session: Any) -> None:
-    """Reap a replaced or dropped session's worker pool."""
-    session.executor.retire_pool(wait=True)
-
-
 class SessionRegistry:
     """Named measurement sessions, one per experiment scale.
 
@@ -121,20 +116,8 @@ class SessionRegistry:
         """
         previous = self._sessions.get(scale)
         if previous is not None and previous is not session:
-            _retire_session(previous)
+            previous.executor.retire_pool(wait=True)
         self._sessions[scale] = session
-
-    def discard(self, scale: str) -> None:
-        """Forget one scale's session, if present (reaping its pool)."""
-        session = self._sessions.pop(scale, None)
-        if session is not None:
-            _retire_session(session)
-
-    def clear(self) -> None:
-        """Forget every session (reaping their pools)."""
-        for session in self._sessions.values():
-            _retire_session(session)
-        self._sessions.clear()
 
     def __contains__(self, scale: str) -> bool:
         return scale in self._sessions
@@ -143,7 +126,6 @@ class SessionRegistry:
         return len(self._sessions)
 
 
-#: The registry the CLI and ``repro.experiments.common.get_measurement``
-#: share by default.  Library code takes a ``registry`` argument instead
-#: of reaching for this directly.
+#: The registry the CLI uses by default.  Library code takes a
+#: ``registry`` argument instead of reaching for this directly.
 DEFAULT_REGISTRY = SessionRegistry()

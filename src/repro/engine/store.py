@@ -161,19 +161,6 @@ class StoreStats:
         payload["hit_rate"] = self.hit_rate
         return payload
 
-    def report(self) -> str:
-        return (
-            f"artifact store: {self.entries} entries in memory, "
-            f"{self.memory_hits} memory hits, {self.disk_hits} disk hits, "
-            f"{self.misses} misses, {self.evictions} evictions, "
-            f"{self.disk_writes} disk writes, "
-            f"{self.disk_evictions} disk evictions, "
-            f"{self.invalidations} invalidations "
-            f"(hit rate {100.0 * self.hit_rate:.1f}%)"
-        )
-
-    __str__ = report
-
 
 def _check_namespace(namespace: str) -> str:
     """A namespace must be a safe single path component."""

@@ -10,7 +10,6 @@ from __future__ import annotations
 __all__ = [
     "ReproError",
     "ConfigurationError",
-    "AssemblyError",
     "ScheduleError",
     "TraceError",
     "TimingError",
@@ -28,10 +27,6 @@ class ConfigurationError(ReproError):
     Raised, for example, for non-power-of-two cache sizes, a block size
     larger than the cache, or a pipeline depth outside the supported range.
     """
-
-
-class AssemblyError(ReproError):
-    """Assembly-language text could not be parsed into instructions."""
 
 
 class ScheduleError(ReproError):

@@ -7,10 +7,6 @@ paper's tables and figures report — plus a raw-data dict for programmatic
 use and for the paper-shape tests.
 """
 
-from repro.experiments.common import (
-    ExperimentResult,
-    get_measurement,
-    EXPERIMENT_SCALES,
-)
+from repro.experiments.common import ExperimentResult, EXPERIMENT_SCALES
 
-__all__ = ["ExperimentResult", "get_measurement", "EXPERIMENT_SCALES"]
+__all__ = ["ExperimentResult", "EXPERIMENT_SCALES"]

@@ -1,23 +1,18 @@
-"""Shared experiment infrastructure: sessions, result type, constants.
+"""Shared experiment infrastructure: the result type and constants.
 
-Session construction lives in :class:`repro.engine.session.
-SessionRegistry`; this module keeps only a thin :func:`get_measurement`
-wrapper over the default registry so experiment modules stay one import
-away from a session, while tests and embedders can construct isolated
-registries of their own.
+Every experiment's ``run(measurement)`` is handed its session; the
+runner gets it from :class:`repro.engine.session.SessionRegistry`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.core import SuiteMeasurement
-from repro.engine.session import DEFAULT_REGISTRY, EXPERIMENT_SCALES, SessionRegistry
+from repro.engine.session import EXPERIMENT_SCALES
 
 __all__ = [
     "ExperimentResult",
-    "get_measurement",
     "EXPERIMENT_SCALES",
     "PAPER_SIZES_KW",
     "DEFAULT_BLOCK_WORDS",
@@ -30,21 +25,6 @@ PAPER_SIZES_KW = (1, 2, 4, 8, 16, 32)
 DEFAULT_BLOCK_WORDS = 4
 #: The headline refill penalty (``p_L1 = 10`` cycles).
 DEFAULT_PENALTY = 10
-
-
-def get_measurement(
-    scale: Optional[str] = None,
-    jobs: Optional[int] = None,
-    registry: Optional[SessionRegistry] = None,
-) -> SuiteMeasurement:
-    """The shared measurement session for a scale (memoized per registry).
-
-    The scale defaults to the ``REPRO_SCALE`` environment variable, then
-    to ``full``; ``jobs`` sizes the session's worker pool (trace
-    synthesis and miss-cube builds).  Callers needing isolation pass
-    their own registry.
-    """
-    return (registry or DEFAULT_REGISTRY).get(scale, jobs=jobs)
 
 
 @dataclass

@@ -23,14 +23,11 @@ the same crossover at every size.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core import CpiModel, SuiteMeasurement, SystemConfig
 from repro.experiments.common import (
     DEFAULT_BLOCK_WORDS,
     DEFAULT_PENALTY,
     ExperimentResult,
-    get_measurement,
 )
 from repro.timing.cycle_time import cycle_time_ns
 from repro.utils.tables import render_table
@@ -42,8 +39,7 @@ CAPACITIES_KW = (1, 2, 4, 8, 16, 32)
 DCACHE_KW = 8  # headline capacity for the Section 6 table
 
 
-def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
-    measurement = measurement or get_measurement()
+def run(measurement: SuiteMeasurement) -> ExperimentResult:
     model = CpiModel(measurement)
     misses = {
         (size_kw, ways): measurement.misses(
@@ -186,7 +182,3 @@ def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
             "associativity's miss-rate gain should win more at depth 2-3."
         ),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run())

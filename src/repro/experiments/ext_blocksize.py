@@ -11,11 +11,9 @@ through the refill model — and reports the winner.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
-
 from repro.cache.refill import RefillModel
 from repro.core import CpiModel, SuiteMeasurement, SystemConfig
-from repro.experiments.common import ExperimentResult, get_measurement
+from repro.experiments.common import ExperimentResult
 from repro.utils.tables import render_table
 
 __all__ = ["run", "REFILL_RATES", "BLOCK_SIZES"]
@@ -24,8 +22,7 @@ REFILL_RATES = (4, 2, 1)  # words per cycle
 BLOCK_SIZES = (4, 8, 16)  # words
 
 
-def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
-    measurement = measurement or get_measurement()
+def run(measurement: SuiteMeasurement) -> ExperimentResult:
     model = CpiModel(measurement)
     base = SystemConfig(icache_kw=8, dcache_kw=8, branch_slots=2, load_slots=2)
     # One engine pass per side answers every block size of the study at
@@ -66,7 +63,3 @@ def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
             "per startup), slower refill favours smaller ones."
         ),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run())

@@ -10,10 +10,8 @@ give at two delay cycles.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core import SuiteMeasurement
-from repro.experiments.common import ExperimentResult, get_measurement
+from repro.experiments.common import ExperimentResult
 from repro.utils.tables import render_table
 
 __all__ = ["run", "BTB_SIZES"]
@@ -21,8 +19,7 @@ __all__ = ["run", "BTB_SIZES"]
 BTB_SIZES = (64, 256, 1024, 4096)
 
 
-def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
-    measurement = measurement or get_measurement()
+def run(measurement: SuiteMeasurement) -> ExperimentResult:
     rows = []
     data = {}
     for entries, stats in measurement.btb_sweep(BTB_SIZES).items():
@@ -54,7 +51,3 @@ def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
             "the 3.5 ns floor; larger BTBs would predict better but slower."
         ),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run())

@@ -21,15 +21,12 @@ gap between the two optima is purely leakage-driven.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional
-
 from repro.core import SuiteMeasurement, SystemConfig
 from repro.core.optimizer import DesignOptimizer, point_order_key
 from repro.experiments.common import (
     DEFAULT_BLOCK_WORDS,
     DEFAULT_PENALTY,
     ExperimentResult,
-    get_measurement,
 )
 from repro.physical import DEFAULT_PHYSICAL
 from repro.utils.tables import render_table
@@ -49,8 +46,7 @@ def _geometry(point) -> str:
     )
 
 
-def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
-    measurement = measurement or get_measurement()
+def run(measurement: SuiteMeasurement) -> ExperimentResult:
     base = SystemConfig(
         block_words=DEFAULT_BLOCK_WORDS, penalty=DEFAULT_PENALTY
     )
@@ -126,7 +122,3 @@ def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
             "— the Bai/Kim/Mudge leakage effect on the MCM chip-count axis."
         ),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run())

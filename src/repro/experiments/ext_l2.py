@@ -16,8 +16,6 @@ shows where it starts to bend.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.cache.fastsim import (
@@ -29,7 +27,6 @@ from repro.core import SuiteMeasurement
 from repro.experiments.common import (
     DEFAULT_BLOCK_WORDS,
     ExperimentResult,
-    get_measurement,
 )
 from repro.utils.tables import render_table
 from repro.utils.units import kw_to_words
@@ -44,8 +41,7 @@ L2_HIT_CYCLES = 10
 MEMORY_CYCLES = 60
 
 
-def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
-    measurement = measurement or get_measurement()
+def run(measurement: SuiteMeasurement) -> ExperimentResult:
     rows = []
     data = {}
     with measurement.dstream_chunks() as addresses:
@@ -104,7 +100,3 @@ def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
             "more locality for the L2 to lose)."
         ),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run())

@@ -5,21 +5,20 @@ instructions each process runs between switches) controls how much
 inter-process cache interference the L1 sees.  This ablation rebuilds the
 interleaving at several quanta and reports the L1 miss CPI at an 8 KW
 split — documenting a methodological sensitivity the paper does not
-expose.  Each quantum's session runs on the given session's store,
-worker pool and tracer, so the expensive per-benchmark traces are
-reused and its cube builds show up in the run's spans.
+expose.  At the given session's own quantum the study reads that
+session, whose planes fig3 and fig5 build in a full run.  Each other
+quantum's session runs on the given session's store, worker pool and
+tracer, so the expensive per-benchmark traces are reused and its cube
+builds show up in the run's spans.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.core import CpiModel, SuiteMeasurement, SystemConfig
 from repro.experiments.common import (
     DEFAULT_BLOCK_WORDS,
     DEFAULT_PENALTY,
     ExperimentResult,
-    get_measurement,
 )
 from repro.utils.tables import render_table
 
@@ -28,8 +27,7 @@ __all__ = ["run", "QUANTA"]
 QUANTA = (5_000, 25_000, 100_000)
 
 
-def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
-    measurement = measurement or get_measurement()
+def run(measurement: SuiteMeasurement) -> ExperimentResult:
     rows = []
     data = {}
     config = SystemConfig(
@@ -41,15 +39,19 @@ def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
         penalty=DEFAULT_PENALTY,
     )
     for quantum in QUANTA:
-        session = SuiteMeasurement(
-            specs=measurement.specs,
-            total_instructions=measurement.total_instructions,
-            seed=measurement.seed,
-            quantum_instructions=quantum,
-            store=measurement.store,
-            executor=measurement.executor,
-            tracer=measurement.tracer,
-        )
+        if quantum == measurement.quantum_instructions:
+            session = measurement
+        else:
+            session = SuiteMeasurement(
+                specs=measurement.specs,
+                total_instructions=measurement.total_instructions,
+                seed=measurement.seed,
+                quantum_instructions=quantum,
+                min_benchmark_instructions=measurement.min_benchmark_instructions,
+                store=measurement.store,
+                executor=measurement.executor,
+                tracer=measurement.tracer,
+            )
         model = CpiModel(session)
         icache = model.icache_cpi(config)
         dcache = model.dcache_cpi(config)
@@ -76,7 +78,3 @@ def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
             "the headline experiments use a 25 k-instruction quantum."
         ),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run())

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core import SuiteMeasurement
 from repro.experiments.common import ExperimentResult, PAPER_SIZES_KW
 from repro.timing import DEFAULT_TECHNOLOGY, Floorplan, chips_for_cache, mcm_delay_ns
@@ -13,7 +11,7 @@ from repro.utils.tables import render_table
 __all__ = ["run"]
 
 
-def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
+def run(measurement: SuiteMeasurement) -> ExperimentResult:
     tech = DEFAULT_TECHNOLOGY
     rows = []
     data = {}
@@ -60,7 +58,3 @@ def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
             "in n (eq. 6)."
         ),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run())

@@ -9,14 +9,11 @@ cycle-time reduction, and that the requirement grows with cache size
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core import CpiModel, SuiteMeasurement
 from repro.core.tpi import required_tcpu_reduction
 from repro.experiments.common import (
     ExperimentResult,
     PAPER_SIZES_KW,
-    get_measurement,
 )
 from repro.experiments.fig8 import data_side_cpi
 from repro.utils.tables import render_series
@@ -24,8 +21,7 @@ from repro.utils.tables import render_series
 __all__ = ["run"]
 
 
-def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
-    measurement = measurement or get_measurement()
+def run(measurement: SuiteMeasurement) -> ExperimentResult:
     model = CpiModel(measurement)
     series = {}
     data = {}
@@ -54,7 +50,3 @@ def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
             "CPI is already low."
         ),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run())

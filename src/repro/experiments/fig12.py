@@ -9,15 +9,12 @@ unless it stretches the cycle time more than ~10 %.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
-
 from repro.core import DesignOptimizer, SuiteMeasurement, SystemConfig
 from repro.core.config import LoadScheme
 from repro.experiments.common import (
     DEFAULT_BLOCK_WORDS,
     ExperimentResult,
     PAPER_SIZES_KW,
-    get_measurement,
 )
 from repro.utils.tables import render_series
 
@@ -47,8 +44,7 @@ def tpi_grid(optimizer: DesignOptimizer, base: SystemConfig):
     return series, data, best
 
 
-def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
-    measurement = measurement or get_measurement()
+def run(measurement: SuiteMeasurement) -> ExperimentResult:
     optimizer = DesignOptimizer(measurement)
     base = SystemConfig(penalty=10, block_words=DEFAULT_BLOCK_WORDS)
     series, data, best = tpi_grid(optimizer, base)
@@ -101,7 +97,3 @@ def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
             "dynamic loads reach 6.2 ns (unless they cost >10 % t_CPU)."
         ),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run())

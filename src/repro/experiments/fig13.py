@@ -10,14 +10,11 @@ cost less CPI than load slots.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core import DesignOptimizer, SuiteMeasurement, SystemConfig
 from repro.experiments.common import (
     DEFAULT_BLOCK_WORDS,
     ExperimentResult,
     PAPER_SIZES_KW,
-    get_measurement,
 )
 from repro.experiments.fig12 import tpi_grid
 from repro.utils.tables import render_series
@@ -25,8 +22,7 @@ from repro.utils.tables import render_series
 __all__ = ["run"]
 
 
-def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
-    measurement = measurement or get_measurement()
+def run(measurement: SuiteMeasurement) -> ExperimentResult:
     optimizer = DesignOptimizer(measurement)
     base = SystemConfig(penalty=6, block_words=DEFAULT_BLOCK_WORDS)
     series, data, best = tpi_grid(optimizer, base)
@@ -79,7 +75,3 @@ def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
             "32 KW-I / 8 KW-D reaches 6.5 ns."
         ),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run())

@@ -7,23 +7,19 @@ b-curves is the extra miss cost of the replicated/padded code.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core import CpiModel, SuiteMeasurement, SystemConfig
 from repro.experiments.common import (
     DEFAULT_BLOCK_WORDS,
     DEFAULT_PENALTY,
     ExperimentResult,
     PAPER_SIZES_KW,
-    get_measurement,
 )
 from repro.utils.tables import render_series
 
 __all__ = ["run"]
 
 
-def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
-    measurement = measurement or get_measurement()
+def run(measurement: SuiteMeasurement) -> ExperimentResult:
     model = CpiModel(measurement)
     series = {}
     data = {}
@@ -56,7 +52,3 @@ def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
             "p=10-18; at 32 KW only 0.004-0.014 per slot."
         ),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run())

@@ -8,15 +8,12 @@ slot, because the miss-CPI saved exceeds the delay-CPI added.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core import CpiModel, SuiteMeasurement, SystemConfig
 from repro.experiments.common import (
     DEFAULT_BLOCK_WORDS,
     DEFAULT_PENALTY,
     ExperimentResult,
     PAPER_SIZES_KW,
-    get_measurement,
 )
 from repro.utils.tables import render_series
 
@@ -35,8 +32,7 @@ def instruction_side_cpi(model: CpiModel, size_kw: float, slots: int) -> float:
     return 1.0 + model.icache_cpi(config) + model.branch_cpi(config)
 
 
-def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
-    measurement = measurement or get_measurement()
+def run(measurement: SuiteMeasurement) -> ExperimentResult:
     model = CpiModel(measurement)
     series = {}
     data = {}
@@ -60,7 +56,3 @@ def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
             "throughout 1-16 KW (slot cost 0.03-0.15 < size gain 0.05-0.2)."
         ),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run())

@@ -9,14 +9,11 @@ time); we use the equivalent 35 ns memory latency.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core import CpiModel, SuiteMeasurement, SystemConfig
 from repro.core.config import PenaltyMode
 from repro.experiments.common import (
     DEFAULT_BLOCK_WORDS,
     ExperimentResult,
-    get_measurement,
 )
 from repro.utils.tables import render_series
 
@@ -28,8 +25,7 @@ MEMORY_LATENCY_NS = 35.0
 _SIZES_KW = (1, 4, 16)
 
 
-def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
-    measurement = measurement or get_measurement()
+def run(measurement: SuiteMeasurement) -> ExperimentResult:
     model = CpiModel(measurement)
     series = {}
     data = {}
@@ -62,7 +58,3 @@ def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
             "miss); smaller caches are affected more."
         ),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run())

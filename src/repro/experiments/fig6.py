@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core import SuiteMeasurement
-from repro.experiments.common import ExperimentResult, get_measurement
+from repro.experiments.common import ExperimentResult
 from repro.sched.load_schedule import EPSILON_CAP
 from repro.utils.tables import render_table
 
@@ -24,8 +22,7 @@ def histogram_rows(histogram):
     return rows
 
 
-def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
-    measurement = measurement or get_measurement()
+def run(measurement: SuiteMeasurement) -> ExperimentResult:
     slack = measurement.load_slack
     text = render_table(
         ["epsilon", "dynamic loads", "%"],
@@ -43,7 +40,3 @@ def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
         },
         paper_notes="Paper: over 80 % of loads have epsilon >= 3.",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run())

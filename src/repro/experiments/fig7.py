@@ -2,18 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core import SuiteMeasurement
-from repro.experiments.common import ExperimentResult, get_measurement
+from repro.experiments.common import ExperimentResult
 from repro.experiments.fig6 import histogram_rows
 from repro.utils.tables import render_table
 
 __all__ = ["run"]
 
 
-def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
-    measurement = measurement or get_measurement()
+def run(measurement: SuiteMeasurement) -> ExperimentResult:
     slack = measurement.load_slack
     text = render_table(
         ["epsilon", "dynamic loads", "%"],
@@ -35,7 +32,3 @@ def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
             "suggests is dynamically possible)."
         ),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run())

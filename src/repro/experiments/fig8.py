@@ -6,15 +6,12 @@ scheduling), at B = 4 W and p = 10 cycles.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core import CpiModel, SuiteMeasurement, SystemConfig
 from repro.experiments.common import (
     DEFAULT_BLOCK_WORDS,
     DEFAULT_PENALTY,
     ExperimentResult,
     PAPER_SIZES_KW,
-    get_measurement,
 )
 from repro.utils.tables import render_series
 
@@ -35,8 +32,7 @@ def data_side_cpi(
     return 1.0 + model.dcache_cpi(config) + model.load_cpi(config)
 
 
-def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
-    measurement = measurement or get_measurement()
+def run(measurement: SuiteMeasurement) -> ExperimentResult:
     model = CpiModel(measurement)
     series = {}
     data = {}
@@ -60,7 +56,3 @@ def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
             "as l grows; miss CPI falls steadily with size."
         ),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run())

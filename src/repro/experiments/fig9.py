@@ -6,14 +6,11 @@ higher penalties steepen the size dependence.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.cache.refill import PAPER_PENALTIES
 from repro.core import CpiModel, SuiteMeasurement
 from repro.experiments.common import (
     ExperimentResult,
     PAPER_SIZES_KW,
-    get_measurement,
 )
 from repro.experiments.fig8 import data_side_cpi
 from repro.utils.tables import render_series
@@ -21,8 +18,7 @@ from repro.utils.tables import render_series
 __all__ = ["run"]
 
 
-def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
-    measurement = measurement or get_measurement()
+def run(measurement: SuiteMeasurement) -> ExperimentResult:
     model = CpiModel(measurement)
     series = {}
     data = {}
@@ -49,7 +45,3 @@ def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
             "curves share the l=2 load-delay offset."
         ),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run())

@@ -70,11 +70,7 @@ from repro.experiments import (
     table5,
     table6,
 )
-from repro.experiments.common import (
-    EXPERIMENT_SCALES,
-    ExperimentResult,
-    get_measurement,
-)
+from repro.experiments.common import EXPERIMENT_SCALES, ExperimentResult
 
 __all__ = [
     "ALL_EXPERIMENTS",
@@ -191,7 +187,7 @@ def run_experiments(
         )
     reg = registry if registry is not None else DEFAULT_REGISTRY
     resolved_scale = reg.resolve_scale(scale)
-    measurement = get_measurement(resolved_scale, jobs=jobs, registry=reg)
+    measurement = reg.get(resolved_scale, jobs=jobs)
     observing = profile or metrics_path is not None or out_dir is not None
     tracer = Tracer() if observing else NULL_TRACER
     previous_tracer = measurement.tracer
@@ -200,7 +196,7 @@ def run_experiments(
     if job_config is not None:
         job_config.prepare()  # fail fast on a non-resumable run dir
         measurement.attach_jobs(job_config)
-    ledger = RunLedger(tracer)
+    ledger = RunLedger(tracer if observing else None)
     ledger.set_run_info(
         scale=resolved_scale,
         seed=measurement.seed,
@@ -338,7 +334,7 @@ def optimize_main(argv: Optional[List[str]] = None) -> int:
     if args.leakage_scale < 0:
         parser.error("--leakage-scale cannot be negative")
     try:
-        measurement = get_measurement(args.scale, jobs=args.jobs)
+        measurement = DEFAULT_REGISTRY.get(args.scale, jobs=args.jobs)
         observing = args.metrics is not None
         tracer = Tracer() if observing else NULL_TRACER
         previous_tracer = measurement.tracer

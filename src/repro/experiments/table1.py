@@ -2,19 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core import SuiteMeasurement
-from repro.experiments.common import ExperimentResult, get_measurement
+from repro.experiments.common import ExperimentResult
 from repro.utils.tables import render_table
 from repro.workload import benchmark_by_name
 
 __all__ = ["run"]
 
 
-def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
+def run(measurement: SuiteMeasurement) -> ExperimentResult:
     """Measured instruction mixes next to the published Table 1 values."""
-    measurement = measurement or get_measurement()
     rows = []
     for row in measurement.benchmark_rows():
         spec = benchmark_by_name(str(row["name"]))
@@ -59,7 +56,3 @@ def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
             "2.4 G instructions (we trace a weighted sample)."
         ),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run())

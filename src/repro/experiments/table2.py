@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core import SuiteMeasurement
-from repro.experiments.common import ExperimentResult, get_measurement
+from repro.experiments.common import ExperimentResult
 from repro.utils.tables import render_table
 
 __all__ = ["run", "PAPER_EXPANSION_PCT"]
@@ -14,8 +12,7 @@ __all__ = ["run", "PAPER_EXPANSION_PCT"]
 PAPER_EXPANSION_PCT = {1: 6.0, 2: 14.0, 3: 23.0}
 
 
-def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
-    measurement = measurement or get_measurement()
+def run(measurement: SuiteMeasurement) -> ExperimentResult:
     expansions = {slots: measurement.code_expansion_pct(slots) for slots in (1, 2, 3)}
     rows = [
         [slots, expansions[slots], PAPER_EXPANSION_PCT[slots]]
@@ -34,7 +31,3 @@ def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
         data={"expansion_pct": expansions},
         paper_notes="Paper: 6 / 14 / 23 % for 1 / 2 / 3 slots.",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run())

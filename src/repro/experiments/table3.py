@@ -2,17 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core import SuiteMeasurement
-from repro.experiments.common import ExperimentResult, get_measurement
+from repro.experiments.common import ExperimentResult
 from repro.utils.tables import render_table
 
 __all__ = ["run"]
 
 
-def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
-    measurement = measurement or get_measurement()
+def run(measurement: SuiteMeasurement) -> ExperimentResult:
     rows = []
     data = {}
     for slots in (1, 2, 3):
@@ -59,7 +56,3 @@ def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
             "~8.7 % (0.087) instead of the worst-case 39 %."
         ),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run())

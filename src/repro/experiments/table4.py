@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core import SuiteMeasurement
-from repro.experiments.common import ExperimentResult, get_measurement
+from repro.experiments.common import ExperimentResult
 from repro.utils.tables import render_table
 
 __all__ = ["run", "PAPER_BTB"]
@@ -14,8 +12,7 @@ __all__ = ["run", "PAPER_BTB"]
 PAPER_BTB = {1: (1.44, 0.057), 2: (1.65, 0.082), 3: (1.85, 0.110)}
 
 
-def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
-    measurement = measurement or get_measurement()
+def run(measurement: SuiteMeasurement) -> ExperimentResult:
     stats = measurement.btb_stats
     cti_fraction = measurement.cti_fraction
     rows = []
@@ -46,7 +43,3 @@ def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
         data=data,
         paper_notes="Paper: 1.44 / 1.65 / 1.85 cycles per CTI; CPI 0.057 / 0.082 / 0.110.",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run())

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core import SuiteMeasurement
-from repro.experiments.common import ExperimentResult, get_measurement
+from repro.experiments.common import ExperimentResult
 from repro.utils.tables import render_table
 
 __all__ = ["run", "PAPER_LOAD_DELAYS"]
@@ -19,8 +17,7 @@ PAPER_LOAD_DELAYS = {
 }
 
 
-def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
-    measurement = measurement or get_measurement()
+def run(measurement: SuiteMeasurement) -> ExperimentResult:
     slack = measurement.load_slack
     rows = []
     data = {}
@@ -75,7 +72,3 @@ def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
             "(0.21/0.62/1.21 vs 0.04/0.19/0.39 cycles per load)."
         ),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run())

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core import SuiteMeasurement
 from repro.experiments.common import ExperimentResult, PAPER_SIZES_KW
 from repro.timing.cycle_time import PAPER_DEPTHS, cycle_time_table
@@ -12,7 +10,7 @@ from repro.utils.tables import render_table
 __all__ = ["run"]
 
 
-def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
+def run(measurement: SuiteMeasurement) -> ExperimentResult:
     """Regenerate the cycle-time grid (no traces needed: pure timing)."""
     table = cycle_time_table(PAPER_SIZES_KW, PAPER_DEPTHS)
     rows = []
@@ -44,7 +42,3 @@ def run(measurement: Optional[SuiteMeasurement] = None) -> ExperimentResult:
             "critical for all but the largest caches."
         ),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run())

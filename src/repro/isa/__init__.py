@@ -9,18 +9,19 @@ provides the subset of that ISA the experiments actually depend on:
 * instruction categories — ALU, load, store, and control-transfer
   instructions (CTIs), with CTIs subdivided into conditional branches,
   direct jumps, and register-indirect jumps (whose delay slots can never be
-  filled from the target, Section 3.1);
-* def/use information per instruction, which drives both the delay-slot
-  scheduler and the load-use slack (epsilon) measurements;
-* a small two-pass assembler that tests build blocks from, and a
-  disassembler that renders ``str(instruction)``.
+  filled from the target, Section 3.1), read from the opcode table;
+* the :class:`Instruction` value the synthesizer builds blocks from.  Its
+  register operands feed the lowering's dependence scans
+  (:class:`~repro.program.dependence.BlockFacts`), which drive both the
+  delay-slot scheduler and the load-use slack (epsilon) measurements.
+
+The text assembler and disassembler tests build blocks from live under
+``tests/isa``.
 """
 
 from repro.isa.registers import Register, REGISTER_COUNT, GP, SP, RA, ZERO
-from repro.isa.opcodes import Opcode, OpcodeKind, OPCODE_TABLE, opcode_info
-from repro.isa.instruction import Instruction, nop
-from repro.isa.assembler import assemble, assemble_block
-from repro.isa.disassembler import disassemble, disassemble_program
+from repro.isa.opcodes import Opcode, OpcodeKind, OPCODE_TABLE
+from repro.isa.instruction import Instruction
 
 __all__ = [
     "Register",
@@ -32,11 +33,5 @@ __all__ = [
     "Opcode",
     "OpcodeKind",
     "OPCODE_TABLE",
-    "opcode_info",
     "Instruction",
-    "nop",
-    "assemble",
-    "assemble_block",
-    "disassemble",
-    "disassemble_program",
 ]

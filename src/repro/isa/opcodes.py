@@ -5,7 +5,10 @@ its category (:class:`OpcodeKind`), its operand format, and whether it is a
 conditional branch, an unconditional jump, or a register-indirect jump.  The
 cache and scheduling experiments never interpret instruction *semantics*
 beyond register def/use and memory access, so no execution behaviour is
-encoded here.
+encoded here.  Hot paths look an opcode's properties up by its mnemonic:
+
+>>> INFO_BY_VALUE[Opcode.LW._value_].kind
+<OpcodeKind.LOAD: 'load'>
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ __all__ = [
     "OpcodeInfo",
     "OPCODE_TABLE",
     "INFO_BY_VALUE",
-    "opcode_info",
 ]
 
 
@@ -197,8 +199,6 @@ OPCODE_TABLE: Dict[Opcode, OpcodeInfo] = {
     ]
 }
 
-_BY_MNEMONIC: Dict[str, Opcode] = {op.value: op for op in Opcode}
-
 #: :data:`OPCODE_TABLE` keyed by mnemonic, for lookups on hot paths with
 #: ``opcode._value_``: an :class:`Opcode` key runs ``Enum.__hash__`` (Python
 #: code) on every lookup and ``Enum.value`` is a Python-level descriptor,
@@ -206,20 +206,3 @@ _BY_MNEMONIC: Dict[str, Opcode] = {op.value: op for op in Opcode}
 INFO_BY_VALUE: Dict[str, OpcodeInfo] = {
     op.value: info for op, info in OPCODE_TABLE.items()
 }
-
-
-def opcode_info(opcode: Opcode) -> OpcodeInfo:
-    """Look up the static properties of ``opcode``."""
-    return OPCODE_TABLE[opcode]
-
-
-def parse_opcode(mnemonic: str) -> Opcode:
-    """Parse a mnemonic string into an :class:`Opcode`.
-
-    >>> parse_opcode("addu") is Opcode.ADDU
-    True
-    """
-    try:
-        return _BY_MNEMONIC[mnemonic.strip().lower()]
-    except KeyError:
-        raise ValueError(f"unknown opcode mnemonic: {mnemonic!r}") from None

@@ -32,7 +32,6 @@ __all__ = [
     "SAVED_REGISTERS",
     "ARG_REGISTERS",
     "RESULT_REGISTERS",
-    "parse_register",
 ]
 
 #: Number of general purpose registers in the MIPS ISA.
@@ -52,6 +51,11 @@ class Register:
 
     Registers are value objects: two ``Register(4)`` instances compare and
     hash equal, so they can be used in def/use sets.
+
+    >>> Register(29) == SP
+    True
+    >>> str(SP)
+    '$sp'
     """
 
     number: int
@@ -64,11 +68,6 @@ class Register:
     def name(self) -> str:
         """The conventional assembler name, e.g. ``$t0``."""
         return "$" + _NAMES[self.number]
-
-    @property
-    def is_zero(self) -> bool:
-        """True for ``$zero``, which always reads as 0 and ignores writes."""
-        return self.number == 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Register({self.number}:{self.name})"
@@ -92,28 +91,3 @@ SAVED_REGISTERS = tuple(Register(n) for n in range(16, 24))
 ARG_REGISTERS = tuple(Register(n) for n in range(4, 8))
 #: Function-result registers.
 RESULT_REGISTERS = (Register(2), Register(3))
-
-
-def parse_register(text: str) -> Register:
-    """Parse a register name such as ``$t0``, ``$4``, or ``r4``.
-
-    Accepts the conventional names, ``$N`` numeric form, and the bare ``rN``
-    form the paper's code fragments use.
-
-    >>> parse_register("$sp").number
-    29
-    >>> parse_register("r3").number
-    3
-    """
-    original = text
-    text = text.strip().lower()
-    if text.startswith("$"):
-        text = text[1:]
-    elif text.startswith("r") and text[1:].isdigit():
-        text = text[1:]
-    if text.isdigit():
-        return Register(int(text))
-    try:
-        return Register(_NAMES.index(text))
-    except ValueError:
-        raise ValueError(f"unknown register name: {original!r}") from None

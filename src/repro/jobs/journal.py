@@ -185,12 +185,6 @@ class RunJournal:
     # -- replay ----------------------------------------------------------------
 
     @property
-    def header(self) -> Optional[Dict[str, Any]]:
-        if self.records and self.records[0].get("type") == "run_header":
-            return self.records[0]
-        return None
-
-    @property
     def finished(self) -> bool:
         return any(r.get("type") == "run_completed" for r in self.records)
 

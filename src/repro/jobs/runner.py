@@ -225,20 +225,10 @@ class JobRunner:
     def _replay_completed(
         self, completed: Dict[int, List[Dict[str, Any]]], span: Any
     ) -> None:
-        from repro.core.optimizer import DESIGN_POINT_VERSION
-
-        store = self.optimizer.measurement.store
         replayed = 0
         for records in completed.values():
             for record in records:
-                point = point_from_record(record)
-                store.put(
-                    "design_point",
-                    DESIGN_POINT_VERSION,
-                    point,
-                    tech=self.optimizer._tech_digest,
-                    **config_to_params(point.config),
-                )
+                self.optimizer.store_point(point_from_record(record))
                 replayed += 1
         if replayed:
             span.count("points_replayed", replayed)

@@ -93,10 +93,6 @@ class Tracer:
         if self._stack:
             self._stack[-1].count(counter, n)
 
-    @property
-    def current(self) -> Optional[Span]:
-        return self._stack[-1] if self._stack else None
-
     # -- internals (called by Span enter/exit) ---------------------------------
 
     def _push(self, span: Span) -> None:
@@ -141,11 +137,11 @@ _NULL_SPAN = _NullSpan()
 
 
 class NullTracer:
-    """API-compatible no-op tracer (the default everywhere).
+    """No-op tracer for instrumented code (the default everywhere).
 
     ``span()`` hands back one shared, stateless span object, so code
     instrumented against a disabled tracer allocates nothing and records
-    nothing.
+    nothing.  A run ledger takes a recording :class:`Tracer` or none.
     """
 
     enabled = False
@@ -156,13 +152,6 @@ class NullTracer:
 
     def count(self, counter: str, n: int = 1) -> None:
         pass
-
-    @property
-    def current(self) -> None:
-        return None
-
-    def to_list(self) -> List[Dict[str, Any]]:
-        return []
 
 
 #: The module-wide disabled tracer instrumented code defaults to.

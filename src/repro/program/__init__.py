@@ -10,22 +10,18 @@ CTIs").  This package represents that canonical form:
 * a :class:`~repro.program.cfg.Program` groups blocks into procedures
   with fall-through/taken/call edges;
 * :mod:`~repro.program.dependence` answers the def/use questions that the
-  branch and load delay-slot schedulers ask.
+  branch and load delay-slot schedulers ask, from one
+  :class:`~repro.program.dependence.BlockFacts` scan per block.
 """
 
 from repro.program.basic_block import BasicBlock
 from repro.program.cfg import Procedure, Program
-from repro.program.dependence import (
-    cti_hoist_distance,
-    flow_dependences,
-    independent_prefix_length,
-)
+from repro.program.dependence import BlockFacts, cti_hoist_distance
 
 __all__ = [
     "BasicBlock",
+    "BlockFacts",
     "Procedure",
     "Program",
     "cti_hoist_distance",
-    "flow_dependences",
-    "independent_prefix_length",
 ]

@@ -58,13 +58,6 @@ class BasicBlock:
             return self.instructions[-1]
         return None
 
-    @property
-    def body(self) -> List[Instruction]:
-        """Instructions excluding the terminating CTI."""
-        if self.terminator is not None:
-            return self.instructions[:-1]
-        return list(self.instructions)
-
     def __len__(self) -> int:
         return len(self.instructions)
 
@@ -80,7 +73,7 @@ class BasicBlock:
         for inst in instructions[:-1]:
             if KIND_BY_VALUE[inst.opcode._value_] in CTI_KINDS:
                 raise ConfigurationError(
-                    f"block {self.name!r}: CTI {inst} not in terminal position"
+                    f"block {self.name!r}: CTI {inst.opcode.value} not in terminal position"
                 )
         last = KIND_BY_VALUE[instructions[-1].opcode._value_] if instructions else None
         if last is _BRANCH:

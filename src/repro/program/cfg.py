@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
 from repro.errors import ConfigurationError
-from repro.isa.instruction import Instruction
 from repro.isa.opcodes import INFO_BY_VALUE
 from repro.program.basic_block import BasicBlock
 
@@ -100,13 +99,6 @@ class Program:
     def static_instruction_count(self) -> int:
         """Static size of the canonical code, in instructions (= words)."""
         return sum(p.instruction_count for p in self.procedures)
-
-    def ctis(self) -> Iterator[Instruction]:
-        """All terminating CTIs in layout order."""
-        for block in self.blocks():
-            term = block.terminator
-            if term is not None:
-                yield term
 
     def validate(self) -> None:
         """Validate every block and every edge of the program."""

@@ -23,26 +23,19 @@ instruction's kind, registers and symbolic address, computed once per
 block, with register sets as bitmasks (bit ``n`` is register ``n``), so a
 dependence test is an integer AND.  The lowering builds one per block and
 asks it for the CTI hoist distance, every load's slack, the block's
-category counts and its terminator; the per-instruction functions below
-answer single queries through the same scans.
+category counts and its terminator; the branch scheduler asks
+:func:`cti_hoist_distance` through the same scan.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.isa.instruction import CTI_KINDS, Instruction
 from repro.isa.opcodes import INFO_BY_VALUE, OpcodeKind
-from repro.isa.registers import RA, Register
+from repro.isa.registers import RA
 
-__all__ = [
-    "BlockFacts",
-    "EPSILON_CAP",
-    "flow_dependences",
-    "cti_hoist_distance",
-    "independent_prefix_length",
-    "memory_conflict",
-]
+__all__ = ["BlockFacts", "EPSILON_CAP", "cti_hoist_distance"]
 
 #: Slack beyond this many cycles never matters (the paper studies at most
 #: three load delay slots); epsilon values are capped here for histograms.
@@ -64,8 +57,9 @@ class BlockFacts:
     Parallel lists, one entry per instruction:
 
     * ``kinds``: its :class:`~repro.isa.opcodes.OpcodeKind`;
-    * ``defs`` / ``uses``: :attr:`Instruction.defs` / :attr:`Instruction.uses`
-      as register bitmasks;
+    * ``defs`` / ``uses``: the registers it writes (its destination, or
+      ``$ra`` for a linking jump without one; never ``$zero``) and reads
+      (its sources and base; never ``$zero``), as register bitmasks;
     * ``addresses``: the symbolic address ``(base, offset)`` of a memory
       instruction (base -1 when it has none), None for the rest.
 
@@ -137,7 +131,12 @@ class BlockFacts:
         return len(self.kinds)
 
     def conflict(self, i: int, j: int) -> bool:
-        """:func:`memory_conflict` of instructions ``i`` and ``j``."""
+        """True if instructions ``i`` and ``j`` may touch the same word.
+
+        With perfect disambiguation, accesses conflict only when both are
+        memory operations, at least one is a store, and the symbolic
+        addresses (base register + offset) are identical.
+        """
         address = self.addresses[i]
         return (
             address is not None
@@ -160,7 +159,12 @@ class BlockFacts:
         return distance
 
     def independent_prefix(self, position: int) -> int:
-        """:func:`independent_prefix_length` of instruction ``position``."""
+        """Instructions immediately before ``position`` it does not depend on.
+
+        The maximal run, up to a barrier, of instructions that write no
+        register ``position`` reads and have no memory conflict with it:
+        the within-block scheduling headroom ``c`` of a load.
+        """
         kinds = self.kinds
         defs = self.defs
         needed = self.uses[position]
@@ -233,40 +237,6 @@ class BlockFacts:
         )
 
 
-def memory_conflict(a: Instruction, b: Instruction) -> bool:
-    """True if two memory instructions may touch the same word.
-
-    With perfect disambiguation, accesses conflict only when both are memory
-    operations, at least one is a store, and the symbolic addresses (base
-    register + offset) are identical.
-    """
-    return BlockFacts((a, b)).conflict(0, 1)
-
-
-def flow_dependences(instructions: Sequence[Instruction]) -> List[Tuple[int, int]]:
-    """Return all (producer, consumer) index pairs with a true dependence.
-
-    A pair (i, j), i < j, is reported when instruction j reads a register
-    that instruction i is the most recent writer of, or when i and j have a
-    memory conflict.
-    """
-    deps: List[Tuple[int, int]] = []
-    last_writer: Dict[Register, int] = {}
-    memory_ops: List[int] = []
-    for j, inst in enumerate(instructions):
-        for reg in inst.uses:
-            if reg in last_writer:
-                deps.append((last_writer[reg], j))
-        if inst.is_memory:
-            for i in memory_ops:
-                if memory_conflict(instructions[i], inst):
-                    deps.append((i, j))
-            memory_ops.append(j)
-        for reg in inst.defs:
-            last_writer[reg] = j
-    return sorted(set(deps))
-
-
 def cti_hoist_distance(instructions: Sequence[Instruction]) -> int:
     """How many predecessors the terminating CTI can be hoisted over.
 
@@ -280,16 +250,3 @@ def cti_hoist_distance(instructions: Sequence[Instruction]) -> int:
     Returns 0 when the block does not end in a CTI.
     """
     return BlockFacts(instructions).hoist_distance()
-
-
-def independent_prefix_length(
-    instructions: Sequence[Instruction], position: int
-) -> int:
-    """Number of instructions before ``position`` independent of it.
-
-    Counts the maximal run of instructions immediately preceding
-    ``instructions[position]`` that the instruction at ``position`` does not
-    depend on (registers or memory).  This is the within-block scheduling
-    headroom ``c`` available for moving a load earlier.
-    """
-    return BlockFacts(instructions).independent_prefix(position)

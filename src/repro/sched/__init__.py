@@ -17,7 +17,7 @@ code simulate architectures with ``b`` branch delay slots:
   analysis of Section 3.2 behind Figures 6/7 and Table 5.
 """
 
-from repro.sched.branch_schedule import CtiSchedule, schedule_ctis, code_expansion_pct
+from repro.sched.branch_schedule import CtiSchedule, schedule_ctis
 from repro.sched.translation import TranslationFile
 from repro.sched.refstream import (
     InstructionStream,
@@ -30,7 +30,6 @@ from repro.sched.load_schedule import LoadSlackAnalysis, analyze_load_slack, EPS
 __all__ = [
     "CtiSchedule",
     "schedule_ctis",
-    "code_expansion_pct",
     "TranslationFile",
     "InstructionStream",
     "expand_istream",

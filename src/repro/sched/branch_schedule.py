@@ -13,6 +13,8 @@ For an architecture with ``b`` branch delay slots, each CTI gets:
    predicted-not-taken CTIs they hold the sequential instructions already
    in place (no growth); for register-indirect jumps they hold noops
    (growth ``s``, and nothing can be skipped at the target) — step 4.
+   :class:`~repro.sched.translation.TranslationFile` lays the grown code
+   out and reports its size.
 
 :func:`schedule_ctis` runs the procedure block by block over the
 instruction lists and returns one :class:`CtiSchedule` per CTI.  It is the
@@ -25,7 +27,7 @@ limit, prediction, indirect flag), and is tested against this function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from repro.errors import ScheduleError
 from repro.program.dependence import cti_hoist_distance
 from repro.trace.compiled import BlockKind, CompiledProgram, unfillable_jumps
 
-__all__ = ["CtiSchedule", "schedule_ctis", "code_expansion_pct", "fill_statistics"]
+__all__ = ["CtiSchedule", "schedule_ctis", "fill_statistics"]
 
 
 @dataclass(frozen=True)
@@ -48,11 +50,6 @@ class CtiSchedule:
             and all direct jumps/calls; also True for register-indirect
             CTIs, which always transfer control).
         indirect: Register-indirect CTI — its ``s`` slots are noops.
-        growth: Words of static code growth for this block (``s`` for
-            predicted-taken and indirect CTIs, else 0).
-        skip: Instructions of the target block already executed in the
-            delay slots (``s`` for predicted-taken direct CTIs, else 0);
-            the trace expander adds this to the target's start address.
     """
 
     block_id: int
@@ -60,10 +57,6 @@ class CtiSchedule:
     s: int
     predicted_taken: bool
     indirect: bool
-
-    @property
-    def growth(self) -> int:
-        return self.s if (self.predicted_taken or self.indirect) else 0
 
 
 def schedule_ctis(compiled: CompiledProgram, slots: int) -> Dict[int, CtiSchedule]:
@@ -128,15 +121,6 @@ def _predicted_taken(compiled: CompiledProgram, block_id: int) -> bool:
     target = compiled.taken_ids[block_id]
     # Backward edge: target at or before this block in layout order.
     return bool(target >= 0 and target <= block_id)
-
-
-def code_expansion_pct(
-    compiled: CompiledProgram, schedules: Dict[int, CtiSchedule]
-) -> float:
-    """Static code growth in percent (Table 2's right column)."""
-    base = compiled.static_words
-    grown = base + sum(s.growth for s in schedules.values())
-    return 100.0 * (grown - base) / base
 
 
 def fill_statistics(schedules: Dict[int, CtiSchedule], slots: int) -> Dict[str, float]:

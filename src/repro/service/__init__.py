@@ -9,9 +9,11 @@ answers.
 Layering, bottom up:
 
 * :mod:`repro.service.protocol` — query parsing and canonicalization;
-  the digest contract that makes memoisation sound.
-* :mod:`repro.service.events` — per-job progress buffers and the tracer
-  bridge that feeds them.
+  the digest contract that makes memoisation sound (it names the
+  generator and lowering versions, so a memoised answer is never one an
+  older generator computed).
+* :mod:`repro.service.events` — per-job progress buffers, which the
+  events route polls, and the tracer bridge that feeds them.
 * :mod:`repro.service.scheduler` — fair round-robin queueing across
   tenants, in-flight coalescing, memoisation against the artifact
   store, execution through the durable-jobs layer (a query whose shard

@@ -3,9 +3,9 @@
 The scheduler publishes lifecycle events (queued, started, finished) and
 a :class:`SpanPublishingTracer` mirrors the observability layer's span
 exits (shard completions, miss-cube builds, trace synthesis) into the
-same per-job buffers.  HTTP handlers consume them through
-:meth:`JobEventBus.stream`, a blocking generator the async server drives
-from a worker thread.
+same per-job buffers.  The HTTP events route polls
+:meth:`JobEventBus.snapshot` from the event loop and stops once
+:meth:`JobEventBus.closed` holds and every buffered event is sent.
 
 Buffers are bounded: a job that emits more events than a client consumes
 drops its *oldest* events (counted, and visible as a gap in ``seq``), so
@@ -17,8 +17,7 @@ enters the bus goes through :func:`repro.utils.jsonio.jsonable`.
 from __future__ import annotations
 
 import threading
-import time
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.obs.tracer import Span, Tracer
 from repro.utils.jsonio import jsonable
@@ -27,14 +26,13 @@ __all__ = ["JobEventBus", "SpanPublishingTracer"]
 
 
 class JobEventBus:
-    """Thread-safe, bounded, per-job event buffers with blocking streams."""
+    """Thread-safe, bounded, per-job event buffers."""
 
     def __init__(self, max_buffered: int = 2048) -> None:
         if max_buffered < 1:
             raise ValueError("max_buffered must be at least 1")
         self.max_buffered = max_buffered
         self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
         self._events: Dict[str, List[Dict[str, Any]]] = {}
         self._seq: Dict[str, int] = {}
         self._dropped: Dict[str, int] = {}
@@ -43,8 +41,8 @@ class JobEventBus:
     # -- producing -------------------------------------------------------------
 
     def publish(self, job_id: str, kind: str, **data: Any) -> Dict[str, Any]:
-        """Append one event to a job's buffer and wake every subscriber."""
-        with self._cond:
+        """Append one event to a job's buffer."""
+        with self._lock:
             seq = self._seq.get(job_id, 0) + 1
             self._seq[job_id] = seq
             event = {"seq": seq, "kind": kind, **jsonable(data)}
@@ -54,28 +52,25 @@ class JobEventBus:
                 dropped = len(buffer) - self.max_buffered
                 del buffer[:dropped]
                 self._dropped[job_id] = self._dropped.get(job_id, 0) + dropped
-            self._cond.notify_all()
             return event
 
     def close(self, job_id: str) -> None:
-        """Mark a job's stream finished; streams drain and then stop."""
-        with self._cond:
+        """Mark a job's events finished; a reader drains them and stops."""
+        with self._lock:
             self._closed[job_id] = True
-            self._cond.notify_all()
 
     def forget(self, job_id: str) -> None:
         """Drop a job's buffer entirely (retired jobs).
 
-        The closed flag is kept (a single bool) so a subscriber that
-        wakes after the buffer vanishes still sees a finished stream
-        instead of waiting for events that can never come.
+        The closed flag is kept (a single bool) so a reader that polls
+        after the buffer vanishes still sees a finished stream instead of
+        waiting for events that can never come.
         """
-        with self._cond:
+        with self._lock:
             self._events.pop(job_id, None)
             self._seq.pop(job_id, None)
             self._dropped.pop(job_id, None)
             self._closed[job_id] = True
-            self._cond.notify_all()
 
     # -- consuming -------------------------------------------------------------
 
@@ -92,45 +87,6 @@ class JobEventBus:
     def closed(self, job_id: str) -> bool:
         with self._lock:
             return self._closed.get(job_id, False)
-
-    def stream(
-        self,
-        job_id: str,
-        after: int = 0,
-        deadline_s: Optional[float] = None,
-        poll_s: float = 0.5,
-    ) -> Iterator[Dict[str, Any]]:
-        """Yield a job's events with ``seq > after`` until it closes.
-
-        Blocking — the HTTP layer drives this from a thread.  Returns
-        (rather than raising) at ``deadline_s`` so an abandoned stream
-        can never pin a thread forever.
-        """
-        started = time.monotonic()
-        cursor = after
-        while True:
-            with self._cond:
-                pending = [
-                    event
-                    for event in self._events.get(job_id, ())
-                    if event["seq"] > cursor
-                ]
-                if not pending:
-                    if self._closed.get(job_id, False):
-                        return
-                    remaining = poll_s
-                    if deadline_s is not None:
-                        remaining = min(
-                            remaining, deadline_s - (time.monotonic() - started)
-                        )
-                        if remaining <= 0:
-                            return
-                    self._cond.wait(timeout=remaining)
-            for event in pending:
-                cursor = event["seq"]
-                yield event
-            if deadline_s is not None and time.monotonic() - started >= deadline_s:
-                return
 
 
 class SpanPublishingTracer(Tracer):

@@ -14,8 +14,11 @@ the whole service, so canonicalization is the contract here:
   ``{"base": ..., "axes": ...}`` cross-product form, all canonicalize to
   one grid;
 * the digest covers the resolved scale, the objective, the canonical
-  grid, the technology digest, and the relevant artifact versions — the
-  same inputs that make two sweeps byte-identical.
+  grid, the technology digest, and the relevant artifact versions —
+  the service's, the design point's, and the generator's and lowering's
+  that key the ``trace`` and ``compiled`` artifacts — the same inputs
+  that make two sweeps byte-identical, so a restarted service never
+  serves an answer an older generator computed.
 
 The tenant is deliberately *not* part of the digest: memoisation is
 shared, so one tenant's finished sweep answers every tenant's identical
@@ -38,10 +41,12 @@ from repro.core.config import (
     config_to_params,
 )
 from repro.core.frontier import objective_value, pareto_frontier, within_budgets
+from repro.core.measurement import GENERATOR_VERSION
 from repro.core.optimizer import DESIGN_POINT_VERSION, point_order_key, tech_digest
 from repro.errors import ConfigurationError
 from repro.physical.technology import DEFAULT_PHYSICAL
 from repro.timing.technology import DEFAULT_TECHNOLOGY
+from repro.trace.compiled import LOWERING_VERSION
 from repro.utils.jsonio import jsonable
 
 __all__ = [
@@ -248,6 +253,8 @@ class SweepQuery:
         payload = {
             "service_version": SERVICE_SWEEP_VERSION,
             "design_point_version": DESIGN_POINT_VERSION,
+            "generator_version": GENERATOR_VERSION,
+            "lowering_version": LOWERING_VERSION,
             "tech": _TECH_DIGEST,
             "scale": self.scale,
             "objective": self.objective,

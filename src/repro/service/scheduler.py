@@ -126,9 +126,6 @@ class SweepJob:
         default_factory=threading.Lock, init=False, repr=False, compare=False
     )
 
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        return self.done.wait(timeout)
-
     def add_done_callback(self, fn: Callable[["SweepJob"], None]) -> None:
         """Call ``fn(job)`` once the job finishes, or now if it has.
 

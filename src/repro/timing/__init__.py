@@ -22,7 +22,7 @@ cache-access loop spread over ``d_L1 + 1`` pipeline stages.
 from repro.timing.technology import Technology, DEFAULT_TECHNOLOGY
 from repro.timing.floorplan import Floorplan
 from repro.timing.mcm import mcm_delay_ns, k1_coefficient
-from repro.timing.sram import chips_for_cache, sram_access_ns, cache_access_time_ns
+from repro.timing.sram import chips_for_cache, cache_access_time_ns
 from repro.timing.circuit import SynchronousCircuit, Latch, Path
 from repro.timing.analyzer import TimingAnalyzer
 from repro.timing.datapath import build_cpu_datapath
@@ -35,7 +35,6 @@ __all__ = [
     "mcm_delay_ns",
     "k1_coefficient",
     "chips_for_cache",
-    "sram_access_ns",
     "cache_access_time_ns",
     "SynchronousCircuit",
     "Latch",

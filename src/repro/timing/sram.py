@@ -16,7 +16,7 @@ from repro.timing.mcm import k1_coefficient
 from repro.timing.technology import DEFAULT_TECHNOLOGY, Technology
 from repro.utils.units import words_to_bytes, kw_to_words
 
-__all__ = ["chips_for_cache", "sram_access_ns", "cache_access_time_ns"]
+__all__ = ["chips_for_cache", "cache_access_time_ns"]
 
 _TAG_CHIP_RATIO = 8  # one tag chip per this many data chips
 
@@ -35,11 +35,6 @@ def chips_for_cache(size_kw: float, tech: Technology = DEFAULT_TECHNOLOGY) -> in
     )
     tag_chips = math.ceil(data_chips / _TAG_CHIP_RATIO)
     return data_chips + tag_chips
-
-
-def sram_access_ns(tech: Technology = DEFAULT_TECHNOLOGY) -> float:
-    """On-chip SRAM array access time (t_SRAM of equation 3)."""
-    return tech.sram_access_ns
 
 
 def cache_access_time_ns(

@@ -15,8 +15,8 @@ dynamic epsilon.  :meth:`CompiledProgram.as_arrays` and
 :meth:`CompiledProgram.from_arrays` round-trip it through a flat array
 bundle, which a measurement session persists per program, so a warm start
 neither synthesizes nor re-lowers a program.  A rebuilt lowering keeps
-the bundle's block names mapped and decodes them only when ``names`` or
-``index`` is first read; no run's hot path reads either.  Only
+the bundle's block names mapped and decodes them only when ``names`` is
+first read; no run's hot path reads it.  Only
 :meth:`CompiledProgram.block_instructions` (and the instruction-level
 analyses built on it) needs the original :class:`~repro.program.cfg.Program`.
 """
@@ -214,9 +214,8 @@ class CompiledProgram:
             raise TraceError(f"program {program.name!r} has no blocks")
         self.name: str = program.name
         self.text_base: int = int(program.text_base)
-        self.index: Dict[str, int] = {b.name: i for i, b in enumerate(blocks)}
         self.names: List[str] = [b.name for b in blocks]
-        index = self.index
+        index = {name: i for i, name in enumerate(self.names)}
         n = len(blocks)
         unfillable = unfillable_jumps(np.arange(n)).tolist()
         # Each block's integer facts go into one flat typed buffer, row by
@@ -344,11 +343,6 @@ class CompiledProgram:
     def names(self) -> List[str]:
         """Block names, decoded from the bundle's array on first read."""
         return self._names_array.tolist()
-
-    @cached_property
-    def index(self) -> Dict[str, int]:
-        """Block name -> block id."""
-        return {name: i for i, name in enumerate(self.names)}
 
     def __len__(self) -> int:
         return len(self.lengths)

@@ -16,7 +16,7 @@ total work, matching the paper's execution-time weighting.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence
 
 import numpy as np
 
@@ -28,11 +28,6 @@ __all__ = [
     "iter_interleaved",
     "address_space_offset",
 ]
-
-#: Default context-switch quantum in instructions (a few milliseconds of
-#: early-1990s CPU time, matching multiprogrammed-trace studies).
-DEFAULT_QUANTUM_INSTRUCTIONS = 10_000
-
 
 def multiprogram_quanta(
     element_counts: Sequence[int], switches: int

@@ -1,4 +1,4 @@
-"""Shared utilities: units, statistics, RNG handling, and table rendering.
+"""Shared utilities: units, RNG handling, JSON rendering and tables.
 
 These helpers are deliberately small and dependency-free so that every other
 subpackage can use them without import cycles.
@@ -11,11 +11,6 @@ from repro.utils.units import (
     is_power_of_two,
     log2_int,
 )
-from repro.utils.stats import (
-    weighted_harmonic_mean,
-    weighted_arithmetic_mean,
-    harmonic_mean,
-)
 from repro.utils.rng import spawn_rng, stable_seed
 from repro.utils.tables import render_table, render_series
 
@@ -25,9 +20,6 @@ __all__ = [
     "words_to_bytes",
     "is_power_of_two",
     "log2_int",
-    "weighted_harmonic_mean",
-    "weighted_arithmetic_mean",
-    "harmonic_mean",
     "spawn_rng",
     "stable_seed",
     "render_table",

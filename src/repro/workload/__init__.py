@@ -22,7 +22,7 @@ the generator's knobs.
 """
 
 from repro.workload.spec import BenchmarkSpec, Category, SynthesisShape, MemoryShape
-from repro.workload.table1 import TABLE1_SUITE, benchmark_by_name, suite_totals
+from repro.workload.table1 import TABLE1_SUITE, benchmark_by_name
 from repro.workload.synthesis import synthesize_program
 from repro.workload.memory import DataReferenceModel
 
@@ -33,7 +33,6 @@ __all__ = [
     "MemoryShape",
     "TABLE1_SUITE",
     "benchmark_by_name",
-    "suite_totals",
     "synthesize_program",
     "DataReferenceModel",
 ]

@@ -18,10 +18,9 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.errors import WorkloadError
-from repro.utils.stats import weighted_arithmetic_mean
 from repro.workload.spec import BenchmarkSpec, Category, MemoryShape, SynthesisShape
 
-__all__ = ["TABLE1_SUITE", "benchmark_by_name", "suite_totals"]
+__all__ = ["TABLE1_SUITE", "benchmark_by_name"]
 
 
 # Roughly half the executed blocks end in a CTI (if/else arms, join blocks
@@ -150,20 +149,3 @@ def benchmark_by_name(name: str) -> BenchmarkSpec:
         raise WorkloadError(
             f"unknown benchmark {name!r}; suite: {sorted(_BY_NAME)}"
         ) from None
-
-
-def suite_totals() -> Dict[str, float]:
-    """Suite-level aggregates, matching Table 1's Total row.
-
-    Percentages are weighted by instruction count, as the paper's totals
-    are.  The paper reports 2414.9 M instructions, 24.7 % loads, 8.7 %
-    stores, 13 % branches, and 69915 syscalls.
-    """
-    weights = [s.instructions_millions for s in TABLE1_SUITE]
-    return {
-        "instructions_millions": sum(weights),
-        "load_pct": weighted_arithmetic_mean([s.load_pct for s in TABLE1_SUITE], weights),
-        "store_pct": weighted_arithmetic_mean([s.store_pct for s in TABLE1_SUITE], weights),
-        "branch_pct": weighted_arithmetic_mean([s.branch_pct for s in TABLE1_SUITE], weights),
-        "syscalls": sum(s.syscalls for s in TABLE1_SUITE),
-    }

@@ -5,6 +5,7 @@ import pytest
 
 from repro.branchpred.btb import BranchTargetBuffer, BTBStats
 from repro.errors import ConfigurationError
+from tests.branchpred.oracles import access
 
 #: Outcomes of one CTI (T taken, N not taken; one pc, one target) and
 #: whether each prediction is correct (+) or not (-); the first access
@@ -58,42 +59,42 @@ class TestBranchTargetBuffer:
 
     def test_first_access_is_wrong(self):
         btb = BranchTargetBuffer()
-        assert not btb.access(0x400000, True, 0x400100)
+        assert not access(btb, 0x400000, True, 0x400100)
 
     def test_learns_taken_branch(self):
         btb = BranchTargetBuffer()
-        btb.access(0x400000, True, 0x400100)
-        assert btb.access(0x400000, True, 0x400100)
+        access(btb, 0x400000, True, 0x400100)
+        assert access(btb, 0x400000, True, 0x400100)
 
     def test_target_change_counts_wrong(self):
         # Returns change target per call site: a hit with the wrong stored
         # target is not a correct prediction.
         btb = BranchTargetBuffer()
-        btb.access(0x400000, True, 0x400100)
-        assert not btb.access(0x400000, True, 0x400200)
+        access(btb, 0x400000, True, 0x400100)
+        assert not access(btb, 0x400000, True, 0x400200)
         # After the update, the new target predicts correctly.
-        assert btb.access(0x400000, True, 0x400200)
+        assert access(btb, 0x400000, True, 0x400200)
 
     def test_not_taken_branch_learned(self):
         btb = BranchTargetBuffer()
-        btb.access(0x400000, False, 0x400100)  # miss, allocates counter=1
-        assert btb.access(0x400000, False, 0x400100)  # predicts not-taken
+        access(btb, 0x400000, False, 0x400100)  # miss, allocates counter=1
+        assert access(btb, 0x400000, False, 0x400100)  # predicts not-taken
 
     def test_conflict_eviction(self):
         btb = BranchTargetBuffer(entries=4)
         a, b = 0x1000, 0x1000 + 4 * 4  # same index in a 4-entry BTB
-        btb.access(a, True, 0x2000)
-        btb.access(b, True, 0x3000)  # evicts a
-        assert not btb.access(a, True, 0x2000)
+        access(btb, a, True, 0x2000)
+        access(btb, b, True, 0x3000)  # evicts a
+        assert not access(btb, a, True, 0x2000)
 
     def test_hysteresis_on_loop_exit(self):
         btb = BranchTargetBuffer()
         pc, target = 0x4000, 0x5000
-        btb.access(pc, True, target)
+        access(btb, pc, True, target)
         for _ in range(5):
-            btb.access(pc, True, target)
-        btb.access(pc, False, target)  # loop exit: mispredicted
-        assert btb.access(pc, True, target)  # still predicts taken
+            access(btb, pc, True, target)
+        access(btb, pc, False, target)  # loop exit: mispredicted
+        assert access(btb, pc, True, target)  # still predicts taken
 
     @pytest.mark.parametrize(
         "outcomes, expected", COUNTER_CASES.values(), ids=COUNTER_CASES.keys()
@@ -101,7 +102,7 @@ class TestBranchTargetBuffer:
     def test_two_bit_counter(self, outcomes, expected):
         taken = [outcome == "T" for outcome in outcomes]
         btb = BranchTargetBuffer()
-        correct = [btb.access(0x4000, was_taken, 0x5000) for was_taken in taken]
+        correct = [access(btb, 0x4000, was_taken, 0x5000) for was_taken in taken]
         assert "".join("+" if c else "-" for c in correct) == expected
         n = len(taken)
         stats = BranchTargetBuffer().simulate([0x4000] * n, taken, [0x5000] * n)
@@ -115,7 +116,7 @@ class TestBranchTargetBuffer:
         stats = BranchTargetBuffer(entries=256).simulate(pcs, taken, targets)
         reference = BranchTargetBuffer(entries=256)
         correct = sum(
-            reference.access(int(p), bool(t), int(g))
+            access(reference, int(p), bool(t), int(g))
             for p, t, g in zip(pcs, taken, targets)
         )
         assert stats.correct == correct
@@ -123,7 +124,7 @@ class TestBranchTargetBuffer:
 
     def test_simulate_carries_state_across_slices(self, monkeypatch):
         # simulate() converts the stream one slice at a time; over a stream
-        # fifty slices long its stats must be those of per-CTI access().
+        # fifty slices long its stats must be those of per-CTI access.
         import repro.branchpred.btb as btb_module
 
         monkeypatch.setattr(btb_module, "SIMULATE_SLICE", 97)
@@ -136,7 +137,7 @@ class TestBranchTargetBuffer:
         hits = correct = 0
         for pc, was_taken, target in zip(*(a.tolist() for a in (pcs, taken, targets))):
             hits += reference._tags[(pc >> 2) & 63] == pc
-            correct += reference.access(pc, was_taken, target)
+            correct += access(reference, pc, was_taken, target)
         assert len(pcs) > 50 * btb_module.SIMULATE_SLICE
         assert stats == BTBStats(ctis=5000, hits=hits, correct=correct)
         assert 0 < stats.correct < stats.hits < stats.ctis

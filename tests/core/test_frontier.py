@@ -1,10 +1,9 @@
-"""Pareto frontier, scalarization, and budgets — property-tested.
+"""Pareto frontier and budgets — property-tested.
 
 The frontier implementation is a sorted scan; the oracle here is the
 definition itself: an O(n^2) all-pairs dominance check over random point
-clouds.  Scalarization and budget selection are checked against their
-own definitional oracles (every positively-weighted winner lies on the
-frontier; the budget pick equals the best of the filtered set).
+clouds.  Budget selection is checked against its definitional oracle
+(the budget pick equals the best of the filtered set).
 """
 
 import pytest
@@ -16,7 +15,6 @@ from repro.core.frontier import (
     dominates,
     objective_value,
     pareto_frontier,
-    scalarized_best,
     within_budgets,
 )
 from repro.core.optimizer import DesignPoint, point_order_key
@@ -106,37 +104,6 @@ class TestParetoFrontier:
 
     def test_empty_set_has_empty_frontier(self):
         assert pareto_frontier([]) == []
-
-
-class TestScalarizedBest:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        _CLOUDS,
-        st.tuples(
-            st.floats(min_value=0.1, max_value=10.0),
-            st.floats(min_value=0.1, max_value=10.0),
-            st.floats(min_value=0.1, max_value=10.0),
-        ),
-    )
-    def test_winner_always_on_the_frontier(self, cloud, raw_weights):
-        weights = dict(zip(("tpi", "epi", "area"), raw_weights))
-        winner = scalarized_best(cloud, weights)
-        frontier_keys = {point_order_key(p) for p in pareto_frontier(cloud)}
-        assert point_order_key(winner) in frontier_keys
-
-    def test_rejects_nonpositive_weights(self):
-        cloud = [DesignPoint(SystemConfig(), cpi=1.0, cycle_time_ns=1.0, epi_nj=1.0, area_cm2=1.0)]
-        with pytest.raises(ConfigurationError):
-            scalarized_best(cloud, {"tpi": 0.0})
-        with pytest.raises(ConfigurationError):
-            scalarized_best(cloud, {"epi": -1.0})
-
-    def test_rejects_unknown_weights_and_empty_sets(self):
-        cloud = [DesignPoint(SystemConfig(), cpi=1.0, cycle_time_ns=1.0, epi_nj=1.0, area_cm2=1.0)]
-        with pytest.raises(ConfigurationError):
-            scalarized_best(cloud, {"cost": 1.0})
-        with pytest.raises(ConfigurationError):
-            scalarized_best([], {})
 
 
 class TestWithinBudgets:

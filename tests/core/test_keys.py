@@ -13,7 +13,7 @@ from repro.core.config import (
     config_to_params,
 )
 from repro.core.optimizer import DESIGN_POINT_VERSION, DesignOptimizer, tech_digest
-from repro.engine.store import ArtifactKey
+from repro.engine.store import ArtifactKey, ArtifactStore
 from repro.physical.technology import DEFAULT_PHYSICAL
 from repro.service import protocol
 from repro.timing.technology import DEFAULT_TECHNOLOGY
@@ -32,7 +32,9 @@ PINNED_CONFIG = SystemConfig(
     branch_scheme=BranchScheme.BTB,
     load_scheme=LoadScheme.DYNAMIC,
 )
-PINNED_DESIGN_POINT_DIGEST = "fdb439fa62bf71d36e47a878"
+#: A session digest (``MeasurementSpec.digest()``) for the pinned key.
+PINNED_SESSION = "0123456789abcdef01234567"
+PINNED_DESIGN_POINT_DIGEST = "2d1b5c7ecfdfe6e947c4ffd3"
 
 # Sizes and penalties come as ints and floats: 4 and 4.0 render (and so
 # hash) differently, so the renderer must keep each value's type.
@@ -88,6 +90,29 @@ def test_design_point_key_is_pinned():
         "design_point",
         DESIGN_POINT_VERSION,
         tech=tech_digest(DEFAULT_TECHNOLOGY, DEFAULT_PHYSICAL),
+        session=PINNED_SESSION,
         **config_to_params(PINNED_CONFIG),
     )
     assert key.digest == PINNED_DESIGN_POINT_DIGEST
+
+
+def test_design_points_are_keyed_by_their_session(tmp_path):
+    # Two sessions sharing one store ask for the same configuration:
+    # each gets the CPI of its own traces, not the first one's point.
+    from repro.core import CpiModel, SuiteMeasurement
+    from repro.workload import benchmark_by_name
+
+    store = ArtifactStore(cache_dir=tmp_path)
+    specs = [benchmark_by_name(name) for name in ("gcc", "matrix500")]
+    config = SystemConfig(icache_kw=2, dcache_kw=2, branch_slots=1, load_slots=1)
+    cpis = []
+    for instructions in (60_000, 120_000):
+        session = SuiteMeasurement(
+            specs=specs, total_instructions=instructions, store=store
+        )
+        point = DesignOptimizer(session).evaluate(config)
+        assert point.cpi == CpiModel(session).cpi(
+            config, cycle_time_ns=point.cycle_time_ns
+        )
+        cpis.append(point.cpi)
+    assert cpis[0] != cpis[1]

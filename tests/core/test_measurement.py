@@ -426,12 +426,12 @@ class TestLeanSession:
 
     def test_names_decode_on_first_read(self, measurement):
         compiled = twin(measurement).benchmarks[0].compiled
-        assert "names" not in vars(compiled) and "index" not in vars(compiled)
+        assert "names" not in vars(compiled)
         assert len(compiled) == len(compiled.lengths)
         assert "names" not in vars(compiled)
         assert compiled.names == measurement.benchmarks[0].compiled.names
         assert all(type(name) is str for name in compiled.names)
-        assert compiled.index[compiled.names[-1]] == len(compiled) - 1
+        assert len(compiled.names) == len(compiled)
 
 
 class TestMissPlanes:

@@ -9,7 +9,6 @@ from repro.core import (
     DesignOptimizer,
     SuiteMeasurement,
     SystemConfig,
-    relative_tpi_change,
     system_cycle_time_ns,
     tpi_ns,
 )
@@ -33,10 +32,6 @@ class TestTpi:
     def test_rejects_nonpositive(self):
         with pytest.raises(ConfigurationError):
             tpi_ns(0, 3.5)
-
-    def test_equation_seven_first_order(self):
-        change = relative_tpi_change(2.0, 2.1, 4.0, 3.8)
-        assert change == pytest.approx(0.05 - 0.05)
 
     def test_required_reduction(self):
         # A 10 % CPI increase needs ~9.1 % cycle-time reduction.

@@ -79,36 +79,20 @@ class TestSessionRegistry:
         assert session.executor.jobs == 3
         session.executor.retire_pool(wait=True)
 
-    def test_discard_and_clear(self, measurement):
-        registry = SessionRegistry()
-        registry.set("quick", measurement)
-        registry.discard("quick")
-        assert "quick" not in registry
-        registry.set("quick", measurement)
-        registry.clear()
-        assert len(registry) == 0
-
     def test_registries_are_isolated(self, measurement):
         a, b = SessionRegistry(), SessionRegistry()
         a.set("quick", measurement)
         assert "quick" not in b
 
     def test_swapping_sessions_reaps_their_pools(self):
-        # Replacing, discarding or clearing a session reaps its pool's
-        # workers.
+        # Replacing a session reaps its pool's workers.
         registry = SessionRegistry()
-        sessions = [_small(executor=SweepExecutor(jobs=2)) for _ in range(3)]
+        sessions = [_small(executor=SweepExecutor(jobs=2)) for _ in range(2)]
         registry.set("quick", sessions[0])
         workers = _pool_up(sessions[0])
-        registry.set("quick", sessions[1])  # replaced
+        registry.set("quick", sessions[1])
         assert not _alive(workers)
-        workers = _pool_up(sessions[1])
-        registry.discard("quick")
-        assert not _alive(workers)
-        registry.set("full", sessions[2])
-        workers = _pool_up(sessions[2])
-        registry.clear()
-        assert not _alive(workers)
+        assert registry.get("quick") is sessions[1]
 
 
 class TestMeasurementSpec:

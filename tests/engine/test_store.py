@@ -67,12 +67,6 @@ class TestMemoryTier:
         store.put("thing", 1, "payload", n=1)
         assert store.get_or_create("thing", 1, lambda: "other", n=1) == "payload"
 
-    def test_stats_report_mentions_counters(self):
-        store = ArtifactStore()
-        store.get_or_create("thing", 1, lambda: 1, n=1)
-        report = store.stats().report()
-        assert "memory hits" in report and "misses" in report
-
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ConfigurationError):
             ArtifactStore(memory_entries=0)
@@ -320,10 +314,6 @@ class TestStoreStatsEdges:
         decoded = json.loads(encoded)
         assert decoded["hit_rate"] == 0.0
         assert {"hits", "lookups", "hit_rate", "disk_bytes"} <= set(decoded)
-
-    def test_report_mentions_disk_budget_counters(self, tmp_path):
-        store = ArtifactStore(cache_dir=tmp_path)
-        assert "disk evictions" in store.stats().report()
 
 
 class TestNamespaces:

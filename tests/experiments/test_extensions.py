@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.experiments import ext_associativity, ext_blocksize, ext_btb_size
+from repro.core import CpiModel, SystemConfig
+from repro.experiments import ext_associativity, ext_blocksize, ext_btb_size, ext_quantum
+from tests.core.test_measurement import spy_on_driver
 
 
 class TestAssociativityExtension:
@@ -120,3 +122,25 @@ class TestEnergyExtension:
             for s in (0.25, 1.0, 4.0)
         ]
         assert 0.0 < shares[0] < shares[-1] < 1.0
+
+
+class TestQuantumExtension:
+    def test_the_run_quantum_reads_the_session(self, measurement, monkeypatch):
+        # The session's planes at the study's geometry exist (fig3 and
+        # fig5 build them in a full run), so only the other quanta build:
+        # one I and one D plane each.
+        config = SystemConfig(
+            icache_kw=8, dcache_kw=8, block_words=4, branch_slots=2, load_slots=2
+        )
+        model = CpiModel(measurement)
+        model.icache_cpi(config)
+        model.dcache_cpi(config)
+        builds = spy_on_driver(monkeypatch)
+        result = ext_quantum.run(measurement)
+        assert measurement.quantum_instructions in ext_quantum.QUANTA
+        others = len(ext_quantum.QUANTA) - 1
+        assert [side for side, *_ in builds].count("I") == others
+        assert [side for side, *_ in builds].count("D") == others
+        row = result.data[measurement.quantum_instructions]
+        assert row["icache_cpi"] == model.icache_cpi(config)
+        assert row["dcache_cpi"] == model.dcache_cpi(config)

@@ -1,7 +1,7 @@
 """A small two-pass assembler for the MIPS-like subset.
 
-This exists for tests and documentation: it lets behaviour be specified
-with the same code fragments the paper uses, e.g.::
+Tests build blocks and programs from text with it, in the same code
+fragments the paper uses, e.g.::
 
     subu $t5, $t5, $t4
     lw   $t3, 100($t5)
@@ -17,14 +17,65 @@ from __future__ import annotations
 import re
 from typing import List, Optional, Tuple
 
-from repro.errors import AssemblyError
+from repro.errors import ReproError
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import Opcode, OperandFormat, opcode_info, parse_opcode
-from repro.isa.registers import Register, parse_register
+from repro.isa.opcodes import OPCODE_TABLE, Opcode, OpcodeKind, OperandFormat
+from repro.isa.registers import REGISTER_COUNT, Register
 
-__all__ = ["assemble", "assemble_block", "parse_instruction"]
+__all__ = [
+    "AssemblyError",
+    "assemble",
+    "assemble_block",
+    "parse_instruction",
+    "parse_opcode",
+    "parse_register",
+]
+
+
+class AssemblyError(ReproError):
+    """Assembly-language text could not be parsed into instructions."""
+
 
 _MEM_OPERAND = re.compile(r"^(-?\w+)\s*\(\s*(\$?\w+)\s*\)$")
+_BY_MNEMONIC = {op.value: op for op in Opcode}
+_BY_NAME = {Register(n).name[1:]: Register(n) for n in range(REGISTER_COUNT)}
+
+
+def parse_register(text: str) -> Register:
+    """Parse a register name such as ``$t0``, ``$4``, or ``r4``.
+
+    Accepts the conventional names, ``$N`` numeric form, and the bare ``rN``
+    form the paper's code fragments use.
+
+    >>> parse_register("$sp").number
+    29
+    >>> parse_register("r3").number
+    3
+    """
+    original = text
+    text = text.strip().lower()
+    if text.startswith("$"):
+        text = text[1:]
+    elif text.startswith("r") and text[1:].isdigit():
+        text = text[1:]
+    if text.isdigit():
+        return Register(int(text))
+    try:
+        return _BY_NAME[text]
+    except KeyError:
+        raise ValueError(f"unknown register name: {original!r}") from None
+
+
+def parse_opcode(mnemonic: str) -> Opcode:
+    """Parse a mnemonic string into an :class:`Opcode`.
+
+    >>> parse_opcode("addu") is Opcode.ADDU
+    True
+    """
+    try:
+        return _BY_MNEMONIC[mnemonic.strip().lower()]
+    except KeyError:
+        raise ValueError(f"unknown opcode mnemonic: {mnemonic!r}") from None
 
 
 def _parse_imm(text: str) -> int:
@@ -60,7 +111,7 @@ def parse_instruction(line: str) -> Instruction:
         raise AssemblyError(str(exc)) from None
     operand_text = parts[1] if len(parts) > 1 else ""
     operands = [p.strip() for p in operand_text.split(",")] if operand_text else []
-    fmt = opcode_info(opcode).fmt
+    fmt = OPCODE_TABLE[opcode].fmt
     return _build(opcode, fmt, operands, line)
 
 
@@ -88,7 +139,7 @@ def _build(
         if not match:
             raise AssemblyError(f"invalid memory operand {ops[1]!r} in {line!r}")
         offset, base = _parse_imm(match.group(1)), _reg(match.group(2))
-        if opcode_info(opcode).kind.value == "load":
+        if OPCODE_TABLE[opcode].kind is OpcodeKind.LOAD:
             return Instruction(opcode, dest=_reg(ops[0]), base=base, offset=offset)
         return Instruction(opcode, sources=(_reg(ops[0]),), base=base, offset=offset)
     if fmt is OperandFormat.BRANCH_TWO:

@@ -1,4 +1,4 @@
-"""Disassembler: the inverse of :mod:`repro.isa.assembler`.
+"""Disassembler: the inverse of :mod:`tests.isa.assembler`.
 
 Round-tripping (``assemble(disassemble(x)) == x``) is covered by
 property-based tests; it keeps the two sides honest.
@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Tuple
 
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import OperandFormat
+from repro.isa.opcodes import OpcodeKind, OperandFormat
 
 __all__ = ["disassemble", "disassemble_program"]
 
@@ -17,7 +17,7 @@ __all__ = ["disassemble", "disassemble_program"]
 def disassemble(inst: Instruction) -> str:
     """Render one instruction as assembly text.
 
-    >>> from repro.isa.assembler import parse_instruction
+    >>> from tests.isa.assembler import parse_instruction
     >>> disassemble(parse_instruction("lw $t3, 100($t5)"))
     'lw $t3, 100($t5)'
     """
@@ -30,7 +30,7 @@ def disassemble(inst: Instruction) -> str:
     if fmt is OperandFormat.ONE_REG_IMM:
         return f"{name} {inst.dest}, {inst.imm}"
     if fmt is OperandFormat.MEM:
-        reg = inst.dest if inst.is_load else inst.sources[0]
+        reg = inst.dest if inst.info.kind is OpcodeKind.LOAD else inst.sources[0]
         return f"{name} {reg}, {inst.offset}({inst.base})"
     if fmt is OperandFormat.BRANCH_TWO:
         return f"{name} {inst.sources[0]}, {inst.sources[1]}, {inst.target}"

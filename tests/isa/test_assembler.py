@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import AssemblyError
-from repro.isa.assembler import assemble, assemble_block, parse_instruction
-from repro.isa.disassembler import disassemble, disassemble_program
 from repro.isa.opcodes import OPCODE_TABLE, Opcode, OperandFormat
 from repro.isa.registers import Register
+from tests.isa.assembler import AssemblyError, assemble, assemble_block, parse_instruction
+from tests.isa.disassembler import disassemble, disassemble_program
 
 
 class TestParseInstruction:

@@ -4,16 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.isa.registers import (
-    GP,
-    RA,
-    REGISTER_COUNT,
-    SP,
-    ZERO,
-    Register,
-    parse_register,
-)
+from repro.isa.registers import GP, RA, REGISTER_COUNT, SP, ZERO, Register
 from repro.program.dependence import _STABLE_BASES
+from tests.isa.assembler import parse_register
 
 
 class TestRegister:
@@ -37,10 +30,6 @@ class TestRegister:
         assert GP.name == "$gp"
         assert SP.name == "$sp"
         assert RA.name == "$ra"
-
-    def test_zero_flag(self):
-        assert ZERO.is_zero
-        assert not Register(1).is_zero
 
     def test_stable_base_registers(self):
         # $gp/$sp/$fp rarely change; they anchor the epsilon analysis.

@@ -287,7 +287,7 @@ class TestRetries:
         assert config.stats.shards_replayed == 2
         assert config.stats.shards_executed == 1
         journal = RunJournal.load(path)
-        assert journal.header["max_retries"] == 2
+        assert journal.records[0]["max_retries"] == 2
         assert journal.finished
 
 

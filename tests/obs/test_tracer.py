@@ -7,6 +7,10 @@ import pytest
 from repro.obs import NULL_TRACER, NullTracer, Span, Tracer, render_span_tree
 
 
+def _innermost(tracer):
+    """The span the tracer's next span nests under (None at top level)."""
+    return tracer._stack[-1] if tracer._stack else None
+
 class TestSpanNesting:
     def test_children_attach_to_enclosing_span(self):
         tracer = Tracer()
@@ -31,20 +35,20 @@ class TestSpanNesting:
 
     def test_current_tracks_stack(self):
         tracer = Tracer()
-        assert tracer.current is None
+        assert _innermost(tracer) is None
         with tracer.span("outer") as outer:
-            assert tracer.current is outer
+            assert _innermost(tracer) is outer
             with tracer.span("inner") as inner:
-                assert tracer.current is inner
-            assert tracer.current is outer
-        assert tracer.current is None
+                assert _innermost(tracer) is inner
+            assert _innermost(tracer) is outer
+        assert _innermost(tracer) is None
 
     def test_exception_still_pops_and_times(self):
         tracer = Tracer()
         with pytest.raises(RuntimeError):
             with tracer.span("broken"):
                 raise RuntimeError("boom")
-        assert tracer.current is None
+        assert _innermost(tracer) is None
         assert tracer.roots[0].wall_s >= 0.0
 
     def test_double_exit_leaves_ancestors_open(self):
@@ -55,10 +59,10 @@ class TestSpanNesting:
             with tracer.span("inner") as inner:
                 pass
             inner.__exit__(None, None, None)  # mismatched second exit
-            assert tracer.current is outer
+            assert _innermost(tracer) is outer
             with tracer.span("late") as late:
-                assert tracer.current is late
-        assert tracer.current is None
+                assert _innermost(tracer) is late
+        assert _innermost(tracer) is None
         assert [s.name for s in tracer.roots] == ["outer"]
         assert [s.name for s in outer.children] == ["inner", "late"]
 
@@ -67,7 +71,7 @@ class TestSpanNesting:
         stray = tracer.span("stray")  # created but never entered
         with tracer.span("outer") as outer:
             stray.__exit__(None, None, None)
-            assert tracer.current is outer
+            assert _innermost(tracer) is outer
         assert [s.name for s in tracer.roots] == ["outer"]
 
 
@@ -144,15 +148,14 @@ class TestNullTracer:
     def test_noop_span_supports_full_api(self):
         with NULL_TRACER.span("work") as span:
             span.count("items", 10)
-        assert NULL_TRACER.to_list() == []
-        assert NULL_TRACER.current is None
+        assert NULL_TRACER.roots == []
         NULL_TRACER.count("ignored")
 
     def test_separate_instances_also_record_nothing(self):
         tracer = NullTracer()
         with tracer.span("x"):
             pass
-        assert tracer.to_list() == []
+        assert tracer.roots == []
 
     def test_real_tracer_enabled_flag(self):
         assert Tracer().enabled

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.isa.assembler import assemble_block
 from repro.program.basic_block import BasicBlock
+from tests.isa.assembler import assemble_block
 
 
 def block(text, **kwargs):
@@ -14,14 +14,12 @@ def block(text, **kwargs):
 class TestTerminator:
     def test_cti_terminator(self):
         b = block("addu $t0, $t1, $t2\nbeq $t0, $zero, out", taken_target="out", fallthrough="next")
-        assert b.terminator is not None
+        assert b.terminator is b.instructions[-1]
         assert b.terminator.is_conditional_branch
-        assert len(b.body) == 1
 
     def test_fallthrough_only_block(self):
         b = block("addu $t0, $t1, $t2")
         assert b.terminator is None
-        assert len(b.body) == 1
 
     def test_empty_block(self):
         b = BasicBlock(name="empty")

@@ -14,20 +14,17 @@ from hypothesis import strategies as st
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import SP, Register
-from repro.program.dependence import (
-    EPSILON_CAP,
-    BlockFacts,
-    cti_hoist_distance,
-    independent_prefix_length,
-    memory_conflict,
-)
+from repro.program.dependence import EPSILON_CAP, BlockFacts, cti_hoist_distance
 from repro.trace.compiled import BlockKind, CompiledProgram
 from repro.workload import TABLE1_SUITE, synthesize_program
+from tests.isa.defuse import defs, is_load, uses
 from tests.sched.oracles import (
     cti_hoist_distance_reference,
+    independent_prefix_length,
     independent_prefix_length_reference,
     jump_is_unfillable,
     load_epsilons_reference,
+    memory_conflict,
     memory_conflict_reference,
     use_distance_reference,
 )
@@ -96,8 +93,8 @@ def test_facts_are_bitmasks_of_def_use_sets():
     ]
     facts = BlockFacts(block)
     for i, inst in enumerate(block):
-        assert facts.defs[i] == sum(1 << r.number for r in inst.defs)
-        assert facts.uses[i] == sum(1 << r.number for r in inst.uses)
+        assert facts.defs[i] == sum(1 << r.number for r in defs(inst))
+        assert facts.uses[i] == sum(1 << r.number for r in uses(inst))
     assert facts.addresses == [None, None, None, (29, 4)]
 
 
@@ -119,7 +116,7 @@ def test_lowering_matches_oracles_on_table1(name):
         epsilons.extend(
             load_epsilons_reference(instructions, position)
             for position, inst in enumerate(instructions)
-            if inst.is_load
+            if is_load(inst)
         )
     assert [BlockFacts(b.instructions).hoist_distance() for b in program.blocks()] == hoists
     assert compiled.hoist_limits.tolist() == limits

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.isa.assembler import assemble_block
 from repro.program.basic_block import BasicBlock
 from repro.program.cfg import Procedure, Program
 from repro.trace import TraceExecutor
+from tests.isa.assembler import assemble_block
 
 
 def bb(name, text="nop", **kwargs):
@@ -43,8 +43,8 @@ def walked_successors(blocks, name="a", steps=400):
     one procedure of ``blocks``."""
     program = Program(name="walk", procedures=[Procedure(name="main", blocks=blocks)])
     trace = TraceExecutor(program, seed=1).run(steps)
-    names = {block_id: block for block, block_id in trace.compiled.index.items()}
-    start = trace.compiled.index[name]
+    names = dict(enumerate(trace.compiled.names))
+    start = trace.compiled.names.index(name)
     ids = trace.block_ids
     return {names[int(b)] for a, b in zip(ids[:-1], ids[1:]) if a == start}
 
@@ -85,11 +85,6 @@ class TestProgram:
     def test_static_instruction_count(self):
         prog = tiny_program()
         assert prog.static_instruction_count == sum(len(b) for b in prog.blocks())
-
-    def test_ctis_iterates_terminators(self):
-        prog = tiny_program()
-        ctis = list(prog.ctis())
-        assert len(ctis) == 4  # jal, bne, jr, jr
 
     def test_validate_accepts_good_program(self):
         tiny_program().validate()

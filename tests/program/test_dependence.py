@@ -1,9 +1,8 @@
 """Dependence analysis tests, anchored on the paper's code fragments."""
 
-from repro.isa.assembler import assemble_block
-from repro.program.dependence import (
-    BlockFacts,
-    cti_hoist_distance,
+from repro.program.dependence import BlockFacts, cti_hoist_distance
+from tests.isa.assembler import assemble_block
+from tests.sched.oracles import (
     flow_dependences,
     independent_prefix_length,
     memory_conflict,

@@ -6,21 +6,27 @@ CompiledProgram`), and the lowering runs its dependence scans over
 register bitmasks (:class:`~repro.program.dependence.BlockFacts`).  These
 are the per-block and per-instruction loops those replaced, kept verbatim
 as oracles: they walk instruction lists and ask each instruction for its
-``defs``/``uses`` sets, so the program-level ones need a
-``CompiledProgram`` built from its program.
+``defs``/``uses`` sets (:mod:`tests.isa.defuse`), so the program-level
+ones need a ``CompiledProgram`` built from its program.  The
+single-query dependence functions (:func:`memory_conflict`,
+:func:`independent_prefix_length`, :func:`flow_dependences`) ask
+``BlockFacts`` one question at a time.
 """
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.errors import ScheduleError
 from repro.isa.opcodes import OpcodeKind
+from repro.isa.instruction import Instruction
 from repro.isa.registers import FP, GP, SP, Register
+from repro.program.dependence import BlockFacts
 from repro.sched.branch_schedule import CtiSchedule, schedule_ctis
 from repro.sched.load_schedule import EPSILON_CAP, LoadSlackAnalysis
 from repro.trace.compiled import JUMP_UNFILLABLE_FRAC, CompiledProgram
 from repro.utils.units import WORD_BYTES
+from tests.isa.defuse import defs, is_load, is_memory, kind, uses
 
 #: The seven per-block arrays of a translation file.
 TRANSLATION_ARRAYS = (
@@ -39,6 +45,12 @@ TRANSLATION_ARRAYS = (
 STABLE_BASES = frozenset({GP, SP, FP})
 
 
+def growth_words(schedule: CtiSchedule) -> int:
+    """Static code growth of a CTI's block: its ``s`` slots for a
+    predicted-taken or register-indirect CTI, else 0."""
+    return schedule.s if (schedule.predicted_taken or schedule.indirect) else 0
+
+
 def skip_words(schedule: CtiSchedule) -> int:
     """Target words a predicted-taken direct CTI's fetch skips: the
     ``s`` slots filled from its target path."""
@@ -47,7 +59,7 @@ def skip_words(schedule: CtiSchedule) -> int:
 
 def address_register(instruction) -> Optional[Register]:
     """The base register of a memory access, or None."""
-    return instruction.base if instruction.is_memory else None
+    return instruction.base if is_memory(instruction) else None
 
 
 def jump_is_unfillable(block_id: int) -> bool:
@@ -73,7 +85,7 @@ def translation_reference(compiled: CompiledProgram, slots: int) -> Dict[str, np
         arrays["skip_words"][block_id] = skip_words(schedule)
         arrays["predicted_taken"][block_id] = schedule.predicted_taken
         arrays["indirect"][block_id] = schedule.indirect
-        growth[block_id] = schedule.growth
+        growth[block_id] = growth_words(schedule)
     arrays["new_lengths"] = compiled.lengths + growth
     starts = np.concatenate(([0], np.cumsum(arrays["new_lengths"])[:-1]))
     arrays["new_addresses"] = (
@@ -103,7 +115,7 @@ def load_slack_reference(
         instructions = compiled.block_instructions(block_id)
         total_instructions += weight * len(instructions)
         for position, inst in enumerate(instructions):
-            if not inst.is_load:
+            if not is_load(inst):
                 continue
             total_loads += weight
 
@@ -142,9 +154,9 @@ def suite_load_slack_reference(compiled_programs, block_counts, loads, instructi
 
 def memory_conflict_reference(a, b) -> bool:
     """Both memory operations, not both loads, same (base, offset)."""
-    if not (a.is_memory and b.is_memory):
+    if not (is_memory(a) and is_memory(b)):
         return False
-    if a.is_load and b.is_load:
+    if is_load(a) and is_load(b):
         return False
     return a.base == b.base and a.offset == b.offset
 
@@ -154,12 +166,12 @@ def cti_hoist_distance_reference(instructions) -> int:
     if not instructions or not instructions[-1].is_cti:
         return 0
     cti = instructions[-1]
-    needed: Set[Register] = set(cti.uses)
+    needed: Set[Register] = set(uses(cti))
     distance = 0
     for inst in reversed(instructions[:-1]):
-        if inst.is_cti or inst.kind is OpcodeKind.SYSCALL:
+        if inst.is_cti or kind(inst) is OpcodeKind.SYSCALL:
             break
-        if inst.defs & needed:
+        if defs(inst) & needed:
             break
         distance += 1
     return distance
@@ -168,12 +180,12 @@ def cti_hoist_distance_reference(instructions) -> int:
 def independent_prefix_length_reference(instructions, position: int) -> int:
     """Instructions immediately before ``position`` that it does not depend on."""
     target = instructions[position]
-    needed: Set[Register] = set(target.uses)
+    needed: Set[Register] = set(uses(target))
     count = 0
     for inst in reversed(instructions[:position]):
-        if inst.is_cti or inst.kind is OpcodeKind.SYSCALL:
+        if inst.is_cti or kind(inst) is OpcodeKind.SYSCALL:
             break
-        if inst.defs & needed:
+        if defs(inst) & needed:
             break
         if memory_conflict_reference(inst, target):
             break
@@ -183,7 +195,7 @@ def independent_prefix_length_reference(instructions, position: int) -> int:
 
 def use_distance_reference(instructions, position: int, horizon: int) -> int:
     """Instructions strictly between ``position`` and its first consumer."""
-    produced = instructions[position].defs
+    produced = defs(instructions[position])
     if not produced:
         return horizon
     for ahead in range(1, horizon + 1):
@@ -191,9 +203,9 @@ def use_distance_reference(instructions, position: int, horizon: int) -> int:
         if index >= len(instructions):
             return horizon
         inst = instructions[index]
-        if inst.uses & produced:
+        if uses(inst) & produced:
             return ahead - 1
-        if inst.defs & produced:
+        if defs(inst) & produced:
             # Result dead before use within the window: no consumer.
             return horizon
     return horizon
@@ -227,6 +239,41 @@ def _distance_to_writer(instructions, position: int) -> int:
     if base is None:
         return EPSILON_CAP
     for back in range(1, position + 1):
-        if base in instructions[position - back].defs:
+        if base in defs(instructions[position - back]):
             return back - 1
     return EPSILON_CAP  # written in an earlier block (or never): far away
+
+
+def memory_conflict(a: Instruction, b: Instruction) -> bool:
+    """True if two memory instructions may touch the same word."""
+    return BlockFacts((a, b)).conflict(0, 1)
+
+
+def independent_prefix_length(instructions: Sequence[Instruction], position: int) -> int:
+    """Instructions before ``position`` that it does not depend on (the
+    within-block scheduling headroom ``c`` of a load)."""
+    return BlockFacts(instructions).independent_prefix(position)
+
+
+def flow_dependences(instructions: Sequence[Instruction]) -> List[Tuple[int, int]]:
+    """Every (producer, consumer) index pair with a true dependence.
+
+    A pair (i, j), i < j, is reported when instruction j reads a register
+    that instruction i is the most recent writer of, or when i and j have a
+    memory conflict.
+    """
+    deps: List[Tuple[int, int]] = []
+    last_writer: Dict[Register, int] = {}
+    memory_ops: List[int] = []
+    for j, inst in enumerate(instructions):
+        for reg in uses(inst):
+            if reg in last_writer:
+                deps.append((last_writer[reg], j))
+        if is_memory(inst):
+            for i in memory_ops:
+                if memory_conflict(instructions[i], inst):
+                    deps.append((i, j))
+            memory_ops.append(j)
+        for reg in defs(inst):
+            last_writer[reg] = j
+    return sorted(set(deps))

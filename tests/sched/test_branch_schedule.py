@@ -3,17 +3,13 @@
 import pytest
 
 from repro.errors import ScheduleError
-from repro.isa.assembler import assemble_block
 from repro.program.basic_block import BasicBlock
 from repro.program.cfg import Procedure, Program
-from repro.sched.branch_schedule import (
-    CtiSchedule,
-    code_expansion_pct,
-    fill_statistics,
-    schedule_ctis,
-)
+from repro.sched.branch_schedule import CtiSchedule, fill_statistics, schedule_ctis
+from repro.sched.translation import TranslationFile
 from repro.trace.compiled import CompiledProgram
-from tests.sched.oracles import skip_words
+from tests.isa.assembler import assemble_block
+from tests.sched.oracles import growth_words, skip_words
 
 
 def bb(name, text, **kwargs):
@@ -49,17 +45,17 @@ def diamond_program():
 class TestCtiSchedule:
     def test_growth_and_skip_for_predicted_taken(self):
         sched = CtiSchedule(0, r=1, s=2, predicted_taken=True, indirect=False)
-        assert sched.growth == 2
+        assert growth_words(sched) == 2
         assert skip_words(sched) == 2
 
     def test_not_taken_prediction_has_no_growth(self):
         sched = CtiSchedule(0, r=0, s=3, predicted_taken=False, indirect=False)
-        assert sched.growth == 0
+        assert growth_words(sched) == 0
         assert skip_words(sched) == 0
 
     def test_indirect_grows_but_never_skips(self):
         sched = CtiSchedule(0, r=1, s=2, predicted_taken=True, indirect=True)
-        assert sched.growth == 2
+        assert growth_words(sched) == 2
         assert skip_words(sched) == 0
 
 
@@ -70,7 +66,7 @@ class TestScheduleCtis:
 
     def test_zero_slots_identity(self):
         schedules = schedule_ctis(diamond_program(), 0)
-        assert all(s.r == 0 and s.s == 0 and s.growth == 0 for s in schedules.values())
+        assert all(s.r == 0 and s.s == 0 and growth_words(s) == 0 for s in schedules.values())
         # All CTI blocks present, fallthrough block absent.
         assert set(schedules) == {0, 1, 3}
 
@@ -92,7 +88,7 @@ class TestScheduleCtis:
     def test_register_indirect_marked(self):
         schedules = schedule_ctis(diamond_program(), 1)
         assert schedules[3].indirect
-        assert schedules[3].growth == schedules[3].s
+        assert growth_words(schedules[3]) == schedules[3].s
         assert skip_words(schedules[3]) == 0
 
     def test_return_r_blocked_by_target_register(self):
@@ -110,15 +106,13 @@ class TestAggregates:
     def test_code_expansion_only_from_taken_predictions(self):
         compiled = diamond_program()
         schedules = schedule_ctis(compiled, 2)
-        expected_growth = sum(s.growth for s in schedules.values())
-        pct = code_expansion_pct(compiled, schedules)
+        expected_growth = sum(growth_words(s) for s in schedules.values())
+        pct = TranslationFile(compiled, 2).expansion_pct
         assert pct == pytest.approx(100.0 * expected_growth / compiled.static_words)
 
     def test_expansion_monotonic_in_slots(self):
         compiled = diamond_program()
-        pcts = [
-            code_expansion_pct(compiled, schedule_ctis(compiled, b)) for b in (0, 1, 2, 3)
-        ]
+        pcts = [TranslationFile(compiled, b).expansion_pct for b in (0, 1, 2, 3)]
         assert pcts[0] == 0.0
         assert pcts == sorted(pcts)
 

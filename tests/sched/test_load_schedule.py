@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ScheduleError
-from repro.isa.assembler import assemble_block
 from repro.program.basic_block import BasicBlock
 from repro.program.cfg import Procedure, Program
 from repro.sched.load_schedule import (
@@ -13,6 +12,7 @@ from repro.sched.load_schedule import (
     analyze_load_slack,
 )
 from repro.trace.compiled import CompiledProgram
+from tests.isa.assembler import assemble_block
 
 
 def compiled_from(text_blocks):

@@ -156,7 +156,6 @@ class TestBundle:
         assert back.entry_id == original.entry_id and type(back.entry_id) is int
         assert back.text_base == original.text_base and type(back.text_base) is int
         assert back.name == original.name and type(back.name) is str
-        assert back.index == original.index
         for name in ("indirect_offsets", "indirect_flat"):
             assert np.array_equal(getattr(back, name), getattr(original, name)), name
         assert np.array_equal(back.canonical_addresses, original.canonical_addresses)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ScheduleError
-from repro.isa.assembler import assemble_block
 from repro.program.basic_block import BasicBlock
 from repro.program.cfg import Procedure, Program
 from repro.sched.refstream import (
@@ -15,6 +14,7 @@ from repro.sched.refstream import (
 from repro.sched.translation import TranslationFile
 from repro.trace.compiled import CompiledProgram
 from repro.trace.executor import ExecutionTrace, TraceExecutor
+from tests.isa.assembler import assemble_block
 
 
 def bb(name, text, **kwargs):

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.errors import ScheduleError
-from repro.isa.assembler import assemble_block
 from repro.program.basic_block import BasicBlock
 from repro.program.cfg import Procedure, Program
 from repro.sched.translation import TranslationFile
 from repro.trace.compiled import CompiledProgram
+from tests.isa.assembler import assemble_block
 
 
 def bb(name, text, **kwargs):
@@ -68,7 +68,7 @@ class TestTranslationFile:
 
     def test_address_lookup(self, compiled):
         translation = TranslationFile(compiled, 1)
-        entry = compiled.index["entry"]
+        entry = compiled.names.index("entry")
         assert translation.new_addresses[entry] == compiled.program.text_base
 
     def test_negative_slots_rejected(self, compiled):

@@ -1,7 +1,5 @@
 """JobEventBus and the tracer bridge feeding per-job progress streams."""
 
-import threading
-
 import pytest
 
 from repro.obs.tracer import Tracer
@@ -45,51 +43,14 @@ class TestJobEventBus:
         with pytest.raises(ValueError):
             JobEventBus(max_buffered=0)
 
-    def test_stream_drains_then_stops_on_close(self):
-        bus = JobEventBus()
-        bus.publish("j", "queued")
-        bus.publish("j", "done")
-        bus.close("j")
-        kinds = [e["kind"] for e in bus.stream("j")]
-        assert kinds == ["queued", "done"]
-
-    def test_stream_sees_events_published_while_blocked(self):
-        bus = JobEventBus()
-        seen = []
-
-        def subscribe():
-            for event in bus.stream("j", deadline_s=10.0):
-                seen.append(event["kind"])
-
-        thread = threading.Thread(target=subscribe)
-        thread.start()
-        bus.publish("j", "started")
-        bus.publish("j", "done")
-        bus.close("j")
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert seen == ["started", "done"]
-
-    def test_stream_deadline_returns(self):
-        bus = JobEventBus()
-        assert list(bus.stream("j", deadline_s=0.05, poll_s=0.01)) == []
-
-    def test_stream_after_cursor_skips_consumed(self):
-        bus = JobEventBus()
-        bus.publish("j", "a")
-        bus.publish("j", "b")
-        bus.close("j")
-        assert [e["kind"] for e in bus.stream("j", after=1)] == ["b"]
-
     def test_forget_keeps_the_closed_flag(self):
         bus = JobEventBus()
         bus.publish("j", "done")
         bus.close("j")
         bus.forget("j")
+        # A late reader sees a finished, empty stream instead of hanging.
         assert bus.snapshot("j") == []
         assert bus.closed("j")
-        # A late subscriber terminates immediately instead of hanging.
-        assert list(bus.stream("j")) == []
 
 
 class TestSpanPublishingTracer:

@@ -318,7 +318,7 @@ class TestWaitPath:
             assert not job.done.is_set()
         finally:
             fake_sweeps.gate.set()
-        assert job.wait(30)
+        assert job.done.wait(30)
         for worker in [*workers, waiter]:
             worker.join(timeout=30)
             assert not worker.is_alive()

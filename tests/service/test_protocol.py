@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import BranchScheme, LoadScheme, PenaltyMode, SystemConfig
 from repro.errors import ConfigurationError
+from repro.service import protocol
 from repro.service.protocol import (
     MAX_GRID_POINTS,
     SweepQuery,
@@ -329,7 +330,8 @@ def test_digest_is_stable_across_processes():
 
 
 def test_digest_is_pinned_and_computed_once():
-    """A digest recorded with the ``dataclasses.asdict`` renderer."""
+    """A digest recorded with the ``dataclasses.asdict`` renderer, its
+    payload carrying generator version 5 and lowering version 1."""
     query = parse_query(
         {
             "grid": {
@@ -345,5 +347,21 @@ def test_digest_is_pinned_and_computed_once():
             "max_area_cm2": 40,
         }
     )
-    assert query.digest == "f7783113b79c026c0b511f2c"
+    assert query.digest == "75d2e429d5f8a11c8f72fd0b"
     assert vars(query)["digest"] is query.digest  # cached on the instance
+
+
+@pytest.mark.parametrize("constant", ["GENERATOR_VERSION", "LOWERING_VERSION"])
+def test_digest_names_the_code_that_computes_the_answer(monkeypatch, constant):
+    # The trace and compiled artifacts are keyed by these versions; a
+    # memoised answer must be too, or a service restarted over the same
+    # cache after a generator change would serve the old generator's.
+    import repro.core.measurement
+    import repro.trace.compiled
+
+    assert protocol.GENERATOR_VERSION == repro.core.measurement.GENERATOR_VERSION
+    assert protocol.LOWERING_VERSION == repro.trace.compiled.LOWERING_VERSION
+    spelled = {"grid": [{"icache_kw": 2}], "scale": "quick"}
+    before = parse_query(spelled).digest
+    monkeypatch.setattr(protocol, constant, getattr(protocol, constant) + 1)
+    assert parse_query(spelled).digest != before

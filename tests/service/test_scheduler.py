@@ -55,14 +55,14 @@ class TestMemoisation:
         fake_sweeps.gate.set()
         q1 = _query([{"icache_kw": 1}, {"icache_kw": 2}])
         job1 = scheduler.submit(q1)
-        assert job1.wait(30) and job1.state == "done"
+        assert job1.done.wait(30) and job1.state == "done"
         assert len(fake_sweeps.calls) == 1
 
         # A different spelling of the same grid, from another tenant.
         q2 = _query([{"icache_kw": 2.0}, {"icache_kw": 1.0}], tenant="other")
         assert q2.digest == q1.digest
         job2 = scheduler.submit(q2)
-        assert job2.wait(30) and job2.state == "done"
+        assert job2.done.wait(30) and job2.state == "done"
         assert job2.cache_hit and job2.result["cache"] is True
         # Zero simulation on the repeat: no new optimizer call, and the
         # memo job's event stream has no execution spans at all.
@@ -80,7 +80,7 @@ class TestMemoisation:
         ]
         for grid in spellings:
             job = scheduler.submit(_query(grid))
-            assert job.wait(30) and job.state == "done"
+            assert job.done.wait(30) and job.state == "done"
         assert len(fake_sweeps.calls) == 1
         assert scheduler.store.stats().entries == 1
 
@@ -88,7 +88,7 @@ class TestMemoisation:
         fake_sweeps.gate.set()
         query = _query([{"dcache_kw": 2}])
         job = scheduler.submit(query)
-        assert job.wait(30) and job.state == "done"
+        assert job.done.wait(30) and job.state == "done"
 
         registry = SessionRegistry(scales=TINY)
         registry.set("tiny", StubSession())
@@ -99,7 +99,7 @@ class TestMemoisation:
         ).start()
         try:
             rerun = fresh.submit(query)
-            assert rerun.wait(30) and rerun.cache_hit
+            assert rerun.done.wait(30) and rerun.cache_hit
             assert len(fake_sweeps.calls) == 1  # still just the first sweep
         finally:
             fresh.close()
@@ -119,7 +119,7 @@ class TestCoalescing:
         assert second is first and third is first
         assert first.coalesced == 2
         fake_sweeps.gate.set()
-        assert first.wait(30) and first.state == "done"
+        assert first.done.wait(30) and first.state == "done"
         assert len(fake_sweeps.calls) == 1
         assert scheduler.stats()["coalesced"] == 2
 
@@ -136,7 +136,7 @@ class TestFairness:
         scheduler.submit(_query(grid(4), tenant="alpha"))
         scheduler.submit(_query(grid(8), tenant="beta"))
         fake_sweeps.gate.set()
-        assert first.wait(30)
+        assert first.done.wait(30)
         deadline = time.monotonic() + 30
         while len(fake_sweeps.calls) < 4 and time.monotonic() < deadline:
             time.sleep(0.01)
@@ -157,7 +157,7 @@ class TestFailure:
 
         monkeypatch.setattr(optimizer_module, "DesignOptimizer", _Exploding)
         job = scheduler.submit(_query([{"icache_kw": 1}]))
-        assert job.wait(30)
+        assert job.done.wait(30)
         assert job.state == "failed"
         assert "cube collapsed" in job.error
         assert scheduler.bus.closed(job.id)
@@ -193,9 +193,9 @@ class TestFailure:
         fake_sweeps.gate.set()
         closer.join(timeout=30)
         assert not closer.is_alive()
-        assert queued.wait(5) and queued.state == "failed"
+        assert queued.done.wait(5) and queued.state == "failed"
         assert "shut down" in queued.error
-        assert running.wait(5) and running.state == "done"
+        assert running.done.wait(5) and running.state == "done"
 
 
 class TestDurableRuns:
@@ -212,7 +212,7 @@ class TestDurableRuns:
         try:
             query = _query([{"icache_kw": 1}, {"icache_kw": 2}])
             job = sched.submit(query)
-            assert job.wait(240), "miniature sweep timed out"
+            assert job.done.wait(240), "miniature sweep timed out"
             assert job.state == "done", job.error
             run_dir = tmp_path / "spool" / f"job-{query.digest}"
             assert (run_dir / "RUN.json").exists()
@@ -252,13 +252,13 @@ class TestDurableRuns:
         try:
             query = _query([{"icache_kw": 1}, {"icache_kw": 2}])
             failed = sched.submit(query)
-            assert failed.wait(240), "miniature sweep timed out"
+            assert failed.done.wait(240), "miniature sweep timed out"
             assert failed.state == "failed"
             assert "shard 0 failed" in failed.error
             assert "cube collapsed" in failed.error
             retry = sched.submit(query)
             assert retry is not failed
-            assert retry.wait(240), "miniature sweep timed out"
+            assert retry.done.wait(240), "miniature sweep timed out"
             assert retry.state == "done", retry.error
         finally:
             sched.close()
@@ -281,7 +281,7 @@ class TestDurableRuns:
         ).start()
         try:
             job = sched.submit(_query([{"icache_kw": 1}, {"icache_kw": 2}]))
-            assert job.wait(240), "miniature sweep timed out"
+            assert job.done.wait(240), "miniature sweep timed out"
             assert job.state == "done", job.error
         finally:
             sched.close()

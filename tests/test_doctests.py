@@ -1,12 +1,11 @@
-"""Run the library's doctests: examples in docstrings must stay true."""
+"""Run the doctests: examples in docstrings must stay true, the library's
+and those of the text assembler and disassembler tests build from."""
 
 import doctest
 
 import pytest
 
 import repro.cache.refill
-import repro.isa.assembler
-import repro.isa.disassembler
 import repro.isa.opcodes
 import repro.isa.registers
 import repro.core.tpi
@@ -15,14 +14,13 @@ import repro.physical.energy
 import repro.timing.sram
 import repro.trace.io
 import repro.utils.rng
-import repro.utils.stats
 import repro.utils.units
 import repro.workload.table1
+import tests.isa.assembler
+import tests.isa.disassembler
 
 MODULES = [
     repro.cache.refill,
-    repro.isa.assembler,
-    repro.isa.disassembler,
     repro.isa.opcodes,
     repro.isa.registers,
     repro.core.tpi,
@@ -31,9 +29,10 @@ MODULES = [
     repro.timing.sram,
     repro.trace.io,
     repro.utils.rng,
-    repro.utils.stats,
     repro.utils.units,
     repro.workload.table1,
+    tests.isa.assembler,
+    tests.isa.disassembler,
 ]
 
 

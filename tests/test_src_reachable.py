@@ -35,9 +35,7 @@ ENTRY_POINTS = {
 }
 
 #: Modules kept although no entry point imports them, each with its reason.
-ALLOWED_UNREACHABLE = {
-    "repro.isa.assembler": "the text format tests build basic blocks from",
-}
+ALLOWED_UNREACHABLE: Dict[str, str] = {}
 
 #: Definitions kept although no code outside the tests names them, each
 #: with its reason.
@@ -47,30 +45,6 @@ ALLOWED_UNNAMED = {
     ),
     "repro.service.client.ServiceClient.events": (
         "the client mirrors the served GET /v1/jobs/<id>/events stream"
-    ),
-    "repro.isa.assembler.assemble": "the text format tests build programs from",
-    "repro.isa.assembler.assemble_block": "the text format tests build basic blocks from",
-    "repro.isa.disassembler.disassemble_program": (
-        "the assembler's inverse over a listing; tests round-trip programs through it"
-    ),
-    "repro.isa.instruction.Instruction.is_register_indirect": (
-        "one of the instruction's category predicates; block validation reads "
-        "the kind table instead"
-    ),
-    "repro.core.tpi.relative_tpi_change": (
-        "the paper's Equation 7, checked beside Equation 1; no experiment prints it"
-    ),
-    "repro.workload.table1.suite_totals": (
-        "rebuilds Table 1's published Total row from the transcribed rows"
-    ),
-    "repro.program.dependence.flow_dependences": (
-        "the single-query form of the dependence scans tests/program checks"
-    ),
-    "repro.program.dependence.independent_prefix_length": (
-        "the single-query oracle tests/program checks BlockFacts' load scan against"
-    ),
-    "repro.utils.stats.harmonic_mean": (
-        "the equal-weights reference tests check weighted_harmonic_mean against"
     ),
 }
 

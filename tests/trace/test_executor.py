@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import TraceError
-from repro.isa.assembler import assemble_block
 from repro.program.basic_block import BasicBlock
 from repro.program.cfg import Procedure, Program
 from repro.trace import BlockKind, CompiledProgram, TraceExecutor, execute_program
+from tests.isa.assembler import assemble_block
 
 
 def bb(name, text, **kwargs):

@@ -58,7 +58,7 @@ class TestStructure:
 
     def test_has_conditional_jump_and_indirect_ctis(self, programs):
         program = programs["gcc"]
-        kinds = {inst.kind for inst in program.ctis()}
+        kinds = {block.terminator.info.kind for block in program.blocks() if block.terminator}
         assert OpcodeKind.BRANCH in kinds
         assert OpcodeKind.JUMP in kinds
         assert OpcodeKind.JUMP_REGISTER in kinds
