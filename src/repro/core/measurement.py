@@ -176,8 +176,9 @@ def load_or_compile(
     """The benchmark's lowered program, synthesized only on a miss.
 
     The compiled-program bundle is persisted like a trace, so a warm
-    store maps it back from disk: no synthesis, no lowering, and no
-    instruction lists (a session never needs them).
+    store maps it back from disk: no synthesis and no lowering.  A cold
+    one synthesizes the program's columns and lowers them; it builds no
+    instruction, block or procedure object.
     """
 
     def lower() -> Dict[str, np.ndarray]:
@@ -185,7 +186,7 @@ def load_or_compile(
             span.count("programs")
             with tracer.span("program.generate", bench=spec.name) as step:
                 program = synthesize_program(spec, seed=seed)
-                step.count("blocks", sum(len(p.blocks) for p in program.procedures))
+                step.count("blocks", len(program.columns))
                 step.count("instructions", program.static_instruction_count)
             with tracer.span("program.lower", bench=spec.name) as step:
                 compiled = CompiledProgram(program)

@@ -10,10 +10,11 @@ provides the subset of that ISA the experiments actually depend on:
   instructions (CTIs), with CTIs subdivided into conditional branches,
   direct jumps, and register-indirect jumps (whose delay slots can never be
   filled from the target, Section 3.1), read from the opcode table;
-* the :class:`Instruction` value the synthesizer builds blocks from.  Its
-  register operands feed the lowering's dependence scans
-  (:class:`~repro.program.dependence.BlockFacts`), which drive both the
-  delay-slot scheduler and the load-use slack (epsilon) measurements.
+* the :class:`Instruction` value: the read view of one row of a
+  program's columns (:class:`~repro.program.columns.ProgramColumns`).
+  The lowering's dependence scans read the register fields of those rows
+  (:mod:`repro.program.dependence`), which drive both the delay-slot
+  scheduler and the load-use slack (epsilon) measurements.
 
 The text assembler and disassembler tests build blocks from live under
 ``tests/isa``.

@@ -1,9 +1,12 @@
 """The :class:`Instruction` value object.
 
 An instruction records its opcode, register operands, immediate, and (for
-CTIs) a symbolic target label.  The lowering reads its registers into
-per-block bitmasks (:class:`~repro.program.dependence.BlockFacts`), and the
-delay-slot scheduler and the epsilon analysis are built on those.
+CTIs) a symbolic target label.  It is the read view of one row of a
+program's columns (:class:`~repro.program.columns.ProgramColumns`): the
+synthesizer writes rows, not instructions, and a block decodes its
+instructions only when they are read.  Hand-built programs (tests,
+examples) are written as instructions and reach the same columns through
+one adapter.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ KIND_BY_VALUE = {value: info.kind for value, info in INFO_BY_VALUE.items()}
 #: The kinds of control-transfer instructions (the paper's CTIs).  A tuple:
 #: membership is identity tests, where a set would hash the enum.
 CTI_KINDS = (OpcodeKind.BRANCH, OpcodeKind.JUMP, OpcodeKind.JUMP_REGISTER)
-
-_BRANCH = OpcodeKind.BRANCH
 
 
 _FIELDS = ("opcode", "dest", "sources", "imm", "base", "offset", "target")
@@ -121,10 +122,6 @@ class Instruction:
     def is_cti(self) -> bool:
         """True for any control-transfer instruction (the paper's CTI)."""
         return KIND_BY_VALUE[self.opcode._value_] in CTI_KINDS
-
-    @property
-    def is_conditional_branch(self) -> bool:
-        return KIND_BY_VALUE[self.opcode._value_] is _BRANCH
 
 
 _set_opcode, _set_dest, _set_sources, _set_imm, _set_base, _set_offset, _set_target = (

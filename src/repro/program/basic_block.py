@@ -5,15 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.errors import ConfigurationError
-from repro.isa.instruction import CTI_KINDS, KIND_BY_VALUE, Instruction
-from repro.isa.opcodes import OpcodeKind
+from repro.isa.instruction import Instruction
 
 __all__ = ["BasicBlock"]
-
-_BRANCH = OpcodeKind.BRANCH
-_JUMP = OpcodeKind.JUMP
-_JUMP_REGISTER = OpcodeKind.JUMP_REGISTER
 
 
 @dataclass
@@ -66,33 +60,15 @@ class BasicBlock:
 
         * only the final instruction may be a CTI;
         * a conditional terminator needs both a taken target and a
-          fall-through; an unconditional direct jump needs a taken target
-          and no fall-through; ``taken_bias`` must be a probability.
+          fall-through; an unconditional direct jump needs a taken target;
+          a register-indirect jump has no taken target; ``taken_bias``
+          must be a probability.
+
+        These are the block-local checks of
+        :meth:`~repro.program.columns.ProgramColumns.validate`, run on
+        this block's columns.
         """
-        instructions = self.instructions
-        for inst in instructions[:-1]:
-            if KIND_BY_VALUE[inst.opcode._value_] in CTI_KINDS:
-                raise ConfigurationError(
-                    f"block {self.name!r}: CTI {inst.opcode.value} not in terminal position"
-                )
-        last = KIND_BY_VALUE[instructions[-1].opcode._value_] if instructions else None
-        if last is _BRANCH:
-            if self.taken_target is None or self.fallthrough is None:
-                raise ConfigurationError(
-                    f"block {self.name!r}: conditional branch needs both edges"
-                )
-        elif last is _JUMP_REGISTER:
-            if self.taken_target is not None:
-                raise ConfigurationError(
-                    f"block {self.name!r}: register-indirect jump target "
-                    "must be dynamic (taken_target=None)"
-                )
-        elif last is _JUMP:  # direct jump
-            if self.taken_target is None:
-                raise ConfigurationError(
-                    f"block {self.name!r}: jump needs a taken target"
-                )
-        if not 0.0 <= self.taken_bias <= 1.0:
-            raise ConfigurationError(
-                f"block {self.name!r}: taken_bias {self.taken_bias} not in [0, 1]"
-            )
+        from repro.program.cfg import Procedure
+        from repro.program.columns import ProgramColumns
+
+        ProgramColumns.from_procedures([Procedure(name="", blocks=[self])]).validate_blocks()

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
 from repro.errors import ConfigurationError
-from repro.isa.opcodes import INFO_BY_VALUE
 from repro.program.basic_block import BasicBlock
+from repro.program.columns import ProgramColumns
 
 __all__ = ["Procedure", "Program"]
 
@@ -45,9 +45,15 @@ class Procedure:
         return iter(self.blocks)
 
 
-@dataclass
 class Program:
     """A whole program: procedures plus a global block namespace.
+
+    A hand-built program holds its :class:`Procedure` objects; the
+    lowering reads them through :attr:`columns`.  A synthesized one is
+    made by :meth:`from_columns` and holds only its columns: its
+    procedures and blocks are read views, decoded when first read, whose
+    instructions are decoded when a block's ``instructions`` is first
+    read.
 
     Attributes:
         name: Program (benchmark) name.
@@ -55,12 +61,48 @@ class Program:
         text_base: Byte address at which the canonical code is laid out.
     """
 
-    name: str
-    procedures: List[Procedure] = field(default_factory=list)
-    text_base: int = 0x0040_0000  # conventional MIPS text segment base
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        name: str,
+        procedures: Optional[List[Procedure]] = None,
+        text_base: int = 0x0040_0000,  # conventional MIPS text segment base
+    ) -> None:
+        self.name = name
+        self._procedures: Optional[List[Procedure]] = (
+            [] if procedures is None else procedures
+        )
+        self.text_base = text_base
+        self._columns: Optional[ProgramColumns] = None
         self._block_map: Optional[Dict[str, BasicBlock]] = None
+
+    @classmethod
+    def from_columns(cls, name: str, columns: ProgramColumns) -> "Program":
+        """A program whose instructions and blocks are ``columns``."""
+        program = cls(name)
+        program._procedures = None
+        program._columns = columns
+        return program
+
+    @property
+    def procedures(self) -> List[Procedure]:
+        if self._procedures is None:
+            assert self._columns is not None
+            self._procedures = [
+                Procedure(name=name, blocks=blocks)
+                for name, blocks in self._columns.decode()
+            ]
+        return self._procedures
+
+    @property
+    def columns(self) -> ProgramColumns:
+        """The program's instruction rows and block table.
+
+        A hand-built program's objects may change, so their columns are
+        extracted on every read.
+        """
+        if self._columns is None:
+            return ProgramColumns.from_procedures(self.procedures)
+        return self._columns
 
     def _index(self) -> None:
         self._block_map = {}
@@ -98,47 +140,11 @@ class Program:
     @property
     def static_instruction_count(self) -> int:
         """Static size of the canonical code, in instructions (= words)."""
+        if self._columns is not None:
+            return self._columns.instruction_count
         return sum(p.instruction_count for p in self.procedures)
 
     def validate(self) -> None:
-        """Validate every block and every edge of the program."""
-        block_map = self.block_map
-        for proc in self.procedures:
-            blocks = proc.blocks
-            for i, block in enumerate(blocks):
-                block.validate()
-                taken_target = block.taken_target
-                for succ in (
-                    [taken_target, *block.indirect_targets]
-                    if taken_target
-                    else block.indirect_targets
-                ):
-                    if succ not in block_map:
-                        raise ConfigurationError(
-                            f"block {block.name!r} targets unknown block {succ!r}"
-                        )
-                fallthrough = block.fallthrough
-                if fallthrough is not None:
-                    if fallthrough not in block_map:
-                        raise ConfigurationError(
-                            f"block {block.name!r} falls through to unknown "
-                            f"block {fallthrough!r}"
-                        )
-                    # Fall-through must be the next block in layout order
-                    # within the same procedure, except after a call (jal /
-                    # jalr), where the fall-through is the return
-                    # continuation and may be anywhere.  Only calls link.
-                    instructions = block.instructions
-                    is_call = (
-                        bool(instructions)
-                        and INFO_BY_VALUE[instructions[-1].opcode._value_].links
-                    )
-                    if not is_call:
-                        if i + 1 >= len(blocks) or (
-                            blocks[i + 1].name != fallthrough
-                        ):
-                            raise ConfigurationError(
-                                f"block {block.name!r} fall-through "
-                                f"{fallthrough!r} is not the next block "
-                                "in layout order"
-                            )
+        """Validate every block and every edge of the program
+        (:meth:`~repro.program.columns.ProgramColumns.validate`)."""
+        self.columns.validate()

@@ -1,4 +1,4 @@
-"""Within-block data-dependence analysis.
+"""Within-block data-dependence analysis, over a program's columns.
 
 Both delay-slot schedulers ask the same kinds of questions:
 
@@ -18,235 +18,166 @@ assumed disjoint.  Output dependences through registers are ignored for the
 CTI hoist (the CTI writes at most the link register) and respected where
 they matter in the load analysis.
 
-The hoist and slack scans run over :class:`BlockFacts`: each
-instruction's kind, registers and symbolic address, computed once per
-block, with register sets as bitmasks (bit ``n`` is register ``n``), so a
-dependence test is an integer AND.  The lowering builds one per block and
-asks it for the CTI hoist distance, every load's slack, the block's
-category counts and its terminator; the branch scheduler asks
-:func:`cti_hoist_distance` through the same scan.
+Every answer is computed for a whole program at once from its
+:class:`~repro.program.columns.ProgramColumns`: each instruction's
+registers become bitmasks (bit ``n`` is register ``n``,
+:func:`register_masks`), so a dependence test is an integer AND over
+arrays.  The CTI hoist is a segmented maximum over blocker positions
+(:func:`hoist_distances`); each load's slack looks at most
+:data:`EPSILON_CAP` instructions back and ahead, so it is that many
+shifted compares in each direction (:func:`load_epsilons`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Tuple
 
-from repro.isa.instruction import CTI_KINDS, Instruction
-from repro.isa.opcodes import INFO_BY_VALUE, OpcodeKind
+import numpy as np
+
 from repro.isa.registers import RA
+from repro.program.columns import (
+    IS_BARRIER,
+    IS_CTI,
+    KIND_OF,
+    LINKS,
+    LOAD,
+    STORE,
+    ProgramColumns,
+)
 
-__all__ = ["BlockFacts", "EPSILON_CAP", "cti_hoist_distance"]
+__all__ = ["EPSILON_CAP", "hoist_distances", "load_epsilons", "register_masks"]
 
 #: Slack beyond this many cycles never matters (the paper studies at most
 #: three load delay slots); epsilon values are capped here for histograms.
 EPSILON_CAP = 8
 
-_ALU = OpcodeKind.ALU
-_LOAD = OpcodeKind.LOAD
-_STORE = OpcodeKind.STORE
-_SYSCALL = OpcodeKind.SYSCALL
-#: Instructions no other instruction moves across: CTIs and syscalls.
-_BARRIERS = CTI_KINDS + (OpcodeKind.SYSCALL,)
 #: The stable base registers ``$gp``/``$sp``/``$fp`` as a bitmask.
 _STABLE_BASES = (1 << 28) | (1 << 29) | (1 << 30)
 
 
-class BlockFacts:
-    """The dependence facts of a block's instructions, computed once.
+def _bits(registers: np.ndarray) -> np.ndarray:
+    """``1 << register`` per row, 0 where there is no register."""
+    return np.where(registers >= 0, np.left_shift(1, np.maximum(registers, 0)), 0)
 
-    Parallel lists, one entry per instruction:
 
-    * ``kinds``: its :class:`~repro.isa.opcodes.OpcodeKind`;
-    * ``defs`` / ``uses``: the registers it writes (its destination, or
-      ``$ra`` for a linking jump without one; never ``$zero``) and reads
-      (its sources and base; never ``$zero``), as register bitmasks;
-    * ``addresses``: the symbolic address ``(base, offset)`` of a memory
-      instruction (base -1 when it has none), None for the rest.
+def register_masks(columns: ProgramColumns) -> Tuple[np.ndarray, np.ndarray]:
+    """Each instruction's ``(defs, uses)`` as int64 register bitmasks.
 
-    And per block, from the same pass:
-
-    * ``loads`` / ``stores`` / ``ctis`` / ``syscalls``: how many
-      instructions are of each category;
-    * ``links``: whether the last instruction writes the return address
-      (``jal``/``jalr``);
-    * ``last_base``: the number of the last instruction's base register,
-      -1 when it has none (a ``jr``/``jalr``'s target register).
+    An instruction writes its destination (never ``$zero``) and, if it
+    links, its destination or else ``$ra``; it reads its sources and its
+    base, and a read of ``$zero`` is no dependence.
     """
-
-    __slots__ = (
-        "kinds", "defs", "uses", "addresses",
-        "loads", "stores", "ctis", "syscalls", "links", "last_base",
-    )
-
-    def __init__(self, instructions: Sequence[Instruction]) -> None:
-        kinds: List[OpcodeKind] = []
-        defs: List[int] = []
-        uses: List[int] = []
-        addresses: List[Optional[Tuple[int, int]]] = []
-        loads = stores = ctis = syscalls = 0
-        links = False
-        base_number = -1
-        for inst in instructions:
-            info = INFO_BY_VALUE[inst.opcode._value_]
-            kind = info.kind
-            dest = inst.dest
-            base = inst.base
-            links = info.links
-            base_number = -1 if base is None else base.number
-            written = 0 if dest is None or dest.number == 0 else 1 << dest.number
-            if links:
-                written |= 1 << (RA.number if dest is None else dest.number)
-            read = 0 if base is None else 1 << base_number
-            for source in inst.sources:
-                read |= 1 << source.number
-            kinds.append(kind)
-            defs.append(written)
-            uses.append(read & ~1)  # reads of $zero are no dependence
-            if kind is _ALU:
-                addresses.append(None)
-            elif kind is _LOAD:
-                loads += 1
-                addresses.append((base_number, inst.offset))
-            elif kind is _STORE:
-                stores += 1
-                addresses.append((base_number, inst.offset))
-            else:
-                addresses.append(None)
-                if kind is _SYSCALL:
-                    syscalls += 1
-                elif kind in CTI_KINDS:
-                    ctis += 1
-        self.kinds = kinds
-        self.defs = defs
-        self.uses = uses
-        self.addresses = addresses
-        self.loads = loads
-        self.stores = stores
-        self.ctis = ctis
-        self.syscalls = syscalls
-        self.links = links
-        self.last_base = base_number
-
-    def __len__(self) -> int:
-        return len(self.kinds)
-
-    def conflict(self, i: int, j: int) -> bool:
-        """True if instructions ``i`` and ``j`` may touch the same word.
-
-        With perfect disambiguation, accesses conflict only when both are
-        memory operations, at least one is a store, and the symbolic
-        addresses (base register + offset) are identical.
-        """
-        address = self.addresses[i]
-        return (
-            address is not None
-            and address == self.addresses[j]
-            and not (self.kinds[i] is _LOAD and self.kinds[j] is _LOAD)
-        )
-
-    def hoist_distance(self) -> int:
-        """:func:`cti_hoist_distance` of the block."""
-        kinds = self.kinds
-        if not kinds or kinds[-1] not in CTI_KINDS:
-            return 0
-        needed = self.uses[-1]
-        defs = self.defs
-        distance = 0
-        for i in range(len(kinds) - 2, -1, -1):
-            if kinds[i] in _BARRIERS or defs[i] & needed:
-                break
-            distance += 1
-        return distance
-
-    def independent_prefix(self, position: int) -> int:
-        """Instructions immediately before ``position`` it does not depend on.
-
-        The maximal run, up to a barrier, of instructions that write no
-        register ``position`` reads and have no memory conflict with it:
-        the within-block scheduling headroom ``c`` of a load.
-        """
-        kinds = self.kinds
-        defs = self.defs
-        needed = self.uses[position]
-        count = 0
-        for i in range(position - 1, -1, -1):
-            if kinds[i] in _BARRIERS or defs[i] & needed or self.conflict(i, position):
-                break
-            count += 1
-        return count
-
-    def use_distance(self, position: int, horizon: int) -> int:
-        """Distance from ``position`` to the first consumer of its result.
-
-        Scans forward up to ``horizon`` instructions.  Returns the number
-        of instructions strictly between the producer and its first
-        consumer (the paper's ``d``); returns ``horizon`` when no
-        consumer (or overwrite of the produced register) is found within
-        the window.
-        """
-        produced = self.defs[position]
-        if not produced:
-            return horizon
-        defs = self.defs
-        uses = self.uses
-        for index in range(position + 1, min(position + horizon, len(defs) - 1) + 1):
-            if uses[index] & produced:
-                return index - position - 1
-            if defs[index] & produced:
-                # Result dead before use within the window: no consumer.
-                return horizon
-        return horizon
-
-    def writer_distance(self, position: int) -> int:
-        """Instructions between the last writer of a load's base register
-        and the load: the dynamic ``c``.
-
-        :data:`EPSILON_CAP` when the base is a stable register
-        (``$gp``/``$sp``/``$fp``, written at program or procedure entry) or
-        is written in an earlier block (or never): far away, as far as load
-        slack is concerned.
-        """
-        address = self.addresses[position]
-        if address is None or address[0] < 0 or _STABLE_BASES >> address[0] & 1:
-            return EPSILON_CAP
-        base = 1 << address[0]
-        defs = self.defs
-        for back in range(1, position + 1):
-            if defs[position - back] & base:
-                return back - 1
-        return EPSILON_CAP
-
-    def load_epsilons(self, position: int) -> Tuple[int, int]:
-        """The (static, dynamic) slack ``epsilon = c + d`` of the load at
-        ``position``.
-
-        Static: ``c`` and ``d`` truncated at the block boundary (what
-        within-block compile-time scheduling can use).  Dynamic: ``c`` is
-        the true distance to the address-register writer, where stable
-        bases (``$gp``/``$sp``/``$fp``), written at program or procedure
-        entry, are effectively infinitely far away.  Both are capped at
-        :data:`EPSILON_CAP`.
-        """
-        c_static = self.independent_prefix(position)
-        d_static = self.use_distance(position, len(self.kinds) - 1 - position)
-        c_dynamic = self.writer_distance(position)
-        d_dynamic = self.use_distance(position, EPSILON_CAP)
-        return (
-            min(EPSILON_CAP, c_static + d_static),
-            min(EPSILON_CAP, c_dynamic + d_dynamic),
-        )
+    opcodes, dests, source0, source1, bases = columns.rows[:5]
+    defs = np.where(dests > 0, _bits(dests), 0)
+    links = LINKS[opcodes]
+    defs[links] |= np.left_shift(1, np.where(dests >= 0, dests, RA.number)[links])
+    uses = (_bits(source0) | _bits(source1) | _bits(bases)) & ~1
+    return defs, uses
 
 
-def cti_hoist_distance(instructions: Sequence[Instruction]) -> int:
-    """How many predecessors the terminating CTI can be hoisted over.
+def hoist_distances(
+    columns: ProgramColumns, defs: np.ndarray, uses: np.ndarray
+) -> np.ndarray:
+    """How many predecessors each block's terminating CTI can be hoisted over.
 
-    This is the paper's ``r``: the number of instructions immediately before
-    the CTI that (a) do not define a register the CTI reads and (b) are safe
-    to execute in a delay slot — i.e. are not CTIs or syscalls themselves.
-    Only the CTI moves; the other instructions keep their relative order
-    (Section 3.1, step 2: "No attempt is made to rearrange the ordering of
-    any other instructions").
-
-    Returns 0 when the block does not end in a CTI.
+    This is the paper's ``r``: the number of instructions immediately
+    before the CTI that (a) do not define a register the CTI reads and
+    (b) are safe to execute in a delay slot — i.e. are not CTIs or
+    syscalls themselves.  Only the CTI moves; the other instructions keep
+    their relative order (Section 3.1, step 2: "No attempt is made to
+    rearrange the ordering of any other instructions").  0 for a block
+    that does not end in a CTI.
     """
-    return BlockFacts(instructions).hoist_distance()
+    starts = columns.starts
+    lengths = np.diff(starts)
+    kinds = KIND_OF[columns.rows[0]]
+    hoist = np.zeros(len(lengths), dtype=np.int64)
+    if not len(kinds):
+        return hoist
+    last = np.maximum(starts[1:] - 1, 0)
+    block_of_row = np.repeat(np.arange(len(lengths)), lengths)
+    # A blocker is a barrier or a writer of a register the block's last
+    # instruction reads; the run before the CTI ends at the last blocker.
+    blocker = IS_BARRIER[kinds] | (defs & uses[last][block_of_row] != 0)
+    latest = np.maximum.accumulate(np.where(blocker, np.arange(len(kinds)), -1))
+    movable = (lengths > 1) & IS_CTI[kinds[last]]
+    before = last[movable] - 1
+    hoist[movable] = before - np.maximum(latest[before], starts[:-1][movable] - 1)
+    return hoist
+
+
+def load_epsilons(
+    columns: ProgramColumns, defs: np.ndarray, uses: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every load's row and its (static, dynamic) slack ``epsilon = c + d``.
+
+    ``c`` counts the instructions before the load that could fill its
+    delay slots, ``d`` those between it and the first consumer of its
+    result (when a later instruction overwrites the result first, or
+    none reads it, ``d`` runs to the end of the window).
+
+    Static: ``c`` is the run, up to a barrier, of instructions that write
+    no register the load reads and store to no identical symbolic address,
+    and ``d`` is truncated at the block end (what within-block
+    compile-time scheduling can use).  Dynamic: ``c`` is the distance to
+    the last writer of the load's base register, where stable bases
+    (``$gp``/``$sp``/``$fp``, written at program or procedure entry),
+    bases written in an earlier block and loads without a base are far
+    away; ``d`` looks :data:`EPSILON_CAP` instructions ahead.  Both sums
+    are capped at :data:`EPSILON_CAP`.
+    """
+    opcodes, _, _, _, bases, offsets = columns.rows[:6]
+    kinds = KIND_OF[opcodes]
+    lengths = np.diff(columns.starts)
+    loads = np.flatnonzero(kinds == LOAD)
+    block = np.repeat(np.arange(len(lengths)), lengths)[loads]
+    first = columns.starts[block]
+    last = columns.starts[block + 1] - 1
+    load_base = bases[loads]
+    load_offset = offsets[loads]
+    needed = uses[loads]
+    produced = defs[loads]
+    base_bit = _bits(load_base)
+    far_base = (load_base < 0) | (base_bit & _STABLE_BASES != 0)
+
+    c_static = np.zeros(len(loads), dtype=np.int64)
+    c_dynamic = np.full(len(loads), EPSILON_CAP, dtype=np.int64)
+    open_static = np.ones(len(loads), dtype=np.bool_)
+    open_dynamic = ~far_base
+    d_static = np.minimum(last - loads, EPSILON_CAP)
+    d_dynamic = np.full(len(loads), EPSILON_CAP, dtype=np.int64)
+    open_ahead = produced != 0
+    for k in range(1, EPSILON_CAP + 1):
+        # k instructions back: a writer of the base ends the dynamic c,
+        # and a barrier, a writer of any register read or a conflicting
+        # store ends the static run.
+        row = loads - k
+        inside = row >= first
+        row = np.where(inside, row, 0)
+        written = defs[row]
+        open_static &= (
+            inside
+            & ~IS_BARRIER[kinds[row]]
+            & (written & needed == 0)
+            & ~(
+                (kinds[row] == STORE)
+                & (bases[row] == load_base)
+                & (offsets[row] == load_offset)
+            )
+        )
+        c_static += open_static
+        found = open_dynamic & inside & (written & base_bit != 0)
+        c_dynamic[found] = k - 1
+        open_dynamic &= inside & ~found
+        # k instructions ahead: the first reader of the result sets d; an
+        # overwrite first leaves d at the window's end.
+        row = loads + k
+        inside = row <= last
+        row = np.where(inside, row, 0)
+        read = open_ahead & inside & (uses[row] & produced != 0)
+        d_static[read] = k - 1
+        d_dynamic[read] = k - 1
+        open_ahead &= inside & ~read & (defs[row] & produced == 0)
+    eps_static = np.minimum(c_static + d_static, EPSILON_CAP)
+    eps_dynamic = np.minimum(c_dynamic + d_dynamic, EPSILON_CAP)
+    return loads, eps_static, eps_dynamic

@@ -16,12 +16,12 @@ For an architecture with ``b`` branch delay slots, each CTI gets:
    :class:`~repro.sched.translation.TranslationFile` lays the grown code
    out and reports its size.
 
-:func:`schedule_ctis` runs the procedure block by block over the
-instruction lists and returns one :class:`CtiSchedule` per CTI.  It is the
-reference definition: :class:`~repro.sched.translation.TranslationFile`
-computes the same split for every slot count from the slot-independent
-facts :class:`~repro.trace.compiled.CompiledProgram` lowers once (hoist
-limit, prediction, indirect flag), and is tested against this function.
+:func:`schedule_ctis` returns one :class:`CtiSchedule` per CTI, read from
+the slot-independent facts :class:`~repro.trace.compiled.CompiledProgram`
+lowers once (hoist limit, prediction, indirect flag), so it works on any
+lowering; :class:`~repro.sched.translation.TranslationFile` holds the same
+split as arrays.  Both are tested against the instruction-level procedure
+in ``tests/sched/oracles.py``.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from typing import Dict
 import numpy as np
 
 from repro.errors import ScheduleError
-from repro.program.dependence import cti_hoist_distance
-from repro.trace.compiled import BlockKind, CompiledProgram, unfillable_jumps
+from repro.trace.compiled import BlockKind, CompiledProgram
 
 __all__ = ["CtiSchedule", "schedule_ctis", "fill_statistics"]
 
@@ -63,64 +62,26 @@ def schedule_ctis(compiled: CompiledProgram, slots: int) -> Dict[int, CtiSchedul
     """Schedule every terminating CTI for ``slots`` branch delay slots.
 
     Returns a mapping from block id to its schedule; blocks without a
-    terminating CTI are absent.  Needs the instruction lists (a
-    :class:`~repro.trace.compiled.CompiledProgram` built from its
-    program).
+    terminating CTI are absent.  Works on any lowering, one rebuilt from
+    its bundle included: ``r`` is ``min(slots, hoist_limit)``, and the
+    hoist limits already hold step 1's unfillable jumps.
     """
     if slots < 0:
         raise ScheduleError(f"number of delay slots must be >= 0, got {slots}")
+    hoist_limits = compiled.hoist_limits.tolist()
+    predicted_taken = compiled.predicted_taken.tolist()
+    indirect = compiled.indirect.tolist()
     schedules: Dict[int, CtiSchedule] = {}
-    if slots == 0:
-        # Zero-slot architecture: the canonical code *is* the translation.
-        for block_id, kind in enumerate(compiled.kinds):
-            if kind != BlockKind.FALLTHROUGH:
-                schedules[block_id] = CtiSchedule(
-                    block_id,
-                    r=0,
-                    s=0,
-                    predicted_taken=_predicted_taken(compiled, block_id),
-                    indirect=_is_indirect(compiled, block_id),
-                )
-        return schedules
-
-    # Step 1: a calibrated share of direct jumps/calls cannot fill their
-    # first slot from before (see repro.trace.compiled.JUMP_UNFILLABLE_FRAC).
-    unfillable = unfillable_jumps(np.arange(len(compiled)))
-    for block_id, kind in enumerate(compiled.kinds):
-        if kind == BlockKind.FALLTHROUGH:
-            continue
-        if kind in (BlockKind.JUMP, BlockKind.CALL) and unfillable[block_id]:
-            hoist = 0
-        else:
-            instructions = compiled.block_instructions(block_id)
-            hoist = cti_hoist_distance(instructions)
-        r = min(slots, hoist)
+    for block_id in np.flatnonzero(compiled.kinds != BlockKind.FALLTHROUGH).tolist():
+        r = min(slots, hoist_limits[block_id])
         schedules[block_id] = CtiSchedule(
             block_id,
             r=r,
             s=slots - r,
-            predicted_taken=_predicted_taken(compiled, block_id),
-            indirect=_is_indirect(compiled, block_id),
+            predicted_taken=predicted_taken[block_id],
+            indirect=indirect[block_id],
         )
     return schedules
-
-
-def _is_indirect(compiled: CompiledProgram, block_id: int) -> bool:
-    return compiled.kinds[block_id] in (
-        BlockKind.RETURN,
-        BlockKind.COMPUTED_GOTO,
-        BlockKind.INDIRECT_CALL,
-    )
-
-
-def _predicted_taken(compiled: CompiledProgram, block_id: int) -> bool:
-    """Step 3: backward branches and unconditional CTIs predicted taken."""
-    kind = compiled.kinds[block_id]
-    if kind != BlockKind.CONDITIONAL:
-        return True  # jumps, calls, returns, computed gotos always transfer
-    target = compiled.taken_ids[block_id]
-    # Backward edge: target at or before this block in layout order.
-    return bool(target >= 0 and target <= block_id)
 
 
 def fill_statistics(schedules: Dict[int, CtiSchedule], slots: int) -> Dict[str, float]:

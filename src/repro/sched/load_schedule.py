@@ -18,7 +18,7 @@ The analysis here is static per load site — using the same dependence
 queries as the scheduler — and weighted by each block's dynamic execution
 count, which is exactly how a trace-driven measurement aggregates.  Each
 static load's two epsilons are lowered once per program
-(:meth:`~repro.program.dependence.BlockFacts.load_epsilons`, stored on
+(:func:`~repro.program.dependence.load_epsilons`, stored on
 :class:`~repro.trace.compiled.CompiledProgram`), so weighting them by a
 trace is two bincounts.
 """

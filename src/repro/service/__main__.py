@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import signal
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -81,13 +82,21 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
 
     async def run() -> None:
         await service.start()
+        # SIGTERM, and SIGINT even where it was inherited as ignored (a
+        # background job of a non-interactive shell), end the wait; stop()
+        # then closes the server, joins the scheduler threads and reaps
+        # every session's pool, and the process exits 0.
+        stopping = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(signum, stopping.set)
         print(
             f"serving sweeps on http://{service.host}:{service.port} "
             f"(workers={args.workers}, jobs={args.jobs})",
             flush=True,
         )
         try:
-            await service.serve_forever()
+            await stopping.wait()
         finally:
             await service.stop()
 

@@ -122,13 +122,6 @@ class SweepService:
             break
         return self
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
-
     async def stop(self) -> None:
         if self._server is not None:
             self._server.close()

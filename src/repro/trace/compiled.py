@@ -7,34 +7,51 @@ position in layout order), which the executor's inner loop, the
 vectorized reference-stream expansion, the delay-slot translation and the
 load-slack analysis all consume directly.
 
-The lowering is the complete runtime form of a benchmark.  Besides the
-control-flow arrays it carries every fact of the delay-slot schedulers
-that does not depend on the number of slots: each CTI's hoist limit,
-static prediction and indirect flag, and each static load's static and
-dynamic epsilon.  :meth:`CompiledProgram.as_arrays` and
+The lowering is the paper's post-processor.  It reads the program's
+columns (:class:`~repro.program.columns.ProgramColumns`, one row per
+instruction), checks every block and edge invariant, and derives every
+block fact in a few array passes: category counts by ``bincount``, the
+terminator kind from each block's last row, each CTI's hoist limit as a
+segmented maximum over blocker positions, and both epsilons of every
+load from at most :data:`~repro.program.dependence.EPSILON_CAP` shifted
+compares in each direction (:mod:`repro.program.dependence`).  No
+instruction object is built or visited.
+
+Besides the control-flow arrays the lowering carries every fact of the
+delay-slot schedulers that does not depend on the number of slots: each
+CTI's hoist limit, static prediction and indirect flag, and each static
+load's static and dynamic epsilon.  :meth:`CompiledProgram.as_arrays` and
 :meth:`CompiledProgram.from_arrays` round-trip it through a flat array
 bundle, which a measurement session persists per program, so a warm start
 neither synthesizes nor re-lowers a program.  A rebuilt lowering keeps
 the bundle's block names mapped and decodes them only when ``names`` is
-first read; no run's hot path reads it.  Only
-:meth:`CompiledProgram.block_instructions` (and the instruction-level
-analyses built on it) needs the original :class:`~repro.program.cfg.Program`.
+first read; no run's hot path reads it.
 """
 
 from __future__ import annotations
 
 import enum
-from array import array
 from functools import cached_property
 from typing import Dict, List, Mapping
 
 import numpy as np
 
-from repro.errors import TraceError
-from repro.isa.opcodes import OpcodeKind
+from repro.errors import ConfigurationError, TraceError
 from repro.isa.registers import RA
 from repro.program.cfg import Program
-from repro.program.dependence import BlockFacts
+from repro.program.columns import (
+    BRANCH,
+    IS_CTI,
+    JUMP,
+    JUMP_REGISTER,
+    KIND_OF,
+    LINKS,
+    LOAD,
+    NO_REGISTER,
+    STORE,
+    SYSCALL,
+)
+from repro.program.dependence import hoist_distances, load_epsilons, register_masks
 
 __all__ = [
     "BlockKind",
@@ -110,16 +127,6 @@ _ARRAY_DTYPES: Dict[str, np.dtype] = {
     )
 }
 
-#: The integer arrays the lowering loop fills: one row per block, one
-#: per static load.
-_BLOCK_COLUMNS = (
-    "lengths", "kinds", "taken_ids", "fall_ids", "load_counts",
-    "store_counts", "cti_counts", "syscall_counts", "hoist_limits",
-)
-_LOAD_COLUMNS = ("load_blocks", "load_eps_static", "load_eps_dynamic")
-
-_LOAD = OpcodeKind.LOAD
-
 #: Arrays with one entry per block (the rest are CSR/per-load/scalars).
 _PER_BLOCK = (
     "lengths", "kinds", "taken_ids", "fall_ids", "biases", "load_counts",
@@ -156,22 +163,6 @@ def compiled_arrays_valid(arrays: Mapping[str, np.ndarray]) -> bool:
         return False
 
 
-def _block_kind(facts: BlockFacts, indirect_targets: List[str]) -> BlockKind:
-    """A block's :class:`BlockKind`, from its last instruction's facts."""
-    last = facts.kinds[-1] if facts.kinds else None
-    if last is OpcodeKind.BRANCH:
-        return BlockKind.CONDITIONAL
-    if last is OpcodeKind.JUMP:
-        return BlockKind.CALL if facts.links else BlockKind.JUMP
-    if last is OpcodeKind.JUMP_REGISTER:
-        if facts.links:
-            return BlockKind.INDIRECT_CALL
-        if facts.last_base == RA.number and not indirect_targets:
-            return BlockKind.RETURN
-        return BlockKind.COMPUTED_GOTO
-    return BlockKind.FALLTHROUGH
-
-
 class CompiledProgram:
     """Array form of a program, indexed by block id (layout order).
 
@@ -192,7 +183,7 @@ class CompiledProgram:
         load_counts / store_counts / cti_counts / syscall_counts: static
             per-block instruction category counts.
         hoist_limits: how far each block's CTI can be hoisted
-            (:func:`~repro.program.dependence.cti_hoist_distance`), or 0
+            (:func:`~repro.program.dependence.hoist_distances`), or 0
             for blocks without a CTI and for step 1's unfillable direct
             jumps/calls; a CTI's ``r`` at ``b`` slots is
             ``min(b, hoist_limit)``.
@@ -202,88 +193,83 @@ class CompiledProgram:
         load_blocks: block id of every static load, in block and then
             instruction order.
         load_eps_static / load_eps_dynamic: each static load's slack
-            (:meth:`~repro.program.dependence.BlockFacts.load_epsilons`).
-        program: the lowered :class:`~repro.program.cfg.Program`, or None
-            for a program rebuilt by :meth:`from_arrays`.
+            (:func:`~repro.program.dependence.load_epsilons`).
     """
 
     def __init__(self, program: Program) -> None:
-        self.program = program
-        blocks = list(program.blocks())
-        if not blocks:
+        columns = program.columns
+        n = len(columns)
+        if not n:
             raise TraceError(f"program {program.name!r} has no blocks")
+        edges = columns.validate()
+        if columns.procedure_starts[1] == 0:
+            raise ConfigurationError(
+                f"procedure {columns.procedure_names[0]!r} has no blocks"
+            )
         self.name: str = program.name
         self.text_base: int = int(program.text_base)
-        self.names: List[str] = [b.name for b in blocks]
-        index = {name: i for i, name in enumerate(self.names)}
-        n = len(blocks)
-        unfillable = unfillable_jumps(np.arange(n)).tolist()
-        # Each block's integer facts go into one flat typed buffer, row by
-        # row in _BLOCK_COLUMNS order (no Python object per value), its
-        # bias into another, and each static load's (block, static epsilon,
-        # dynamic epsilon) into a third; the columns become arrays once.
-        block_table = array("q")
-        biases = array("d")
-        load_table = array("q")
-        indirect_ids: List[List[int]] = []
-        for i, block in enumerate(blocks):
-            facts = BlockFacts(block.instructions)
-            opcode_kinds = facts.kinds
-            if facts.loads:
-                for position, opcode_kind in enumerate(opcode_kinds):
-                    if opcode_kind is _LOAD:
-                        load_table.append(i)
-                        load_table.extend(facts.load_epsilons(position))
-            kind = _block_kind(facts, block.indirect_targets)
-            if kind == BlockKind.FALLTHROUGH or (
-                kind in (BlockKind.JUMP, BlockKind.CALL) and unfillable[i]
-            ):
-                hoist = 0
-            else:
-                hoist = facts.hoist_distance()
-            block_table.extend(
-                (
-                    len(opcode_kinds),
-                    kind,
-                    -1 if block.taken_target is None else index[block.taken_target],
-                    -1 if block.fallthrough is None else index[block.fallthrough],
-                    facts.loads,
-                    facts.stores,
-                    facts.ctis,
-                    facts.syscalls,
-                    hoist,
-                )
+        self.names: List[str] = columns.names
+        self.entry_id = 0  # the entry procedure's first block
+
+        opcodes, _, _, _, bases = columns.rows[:5]
+        row_kinds = KIND_OF[opcodes]
+        lengths = np.diff(columns.starts)
+        block_of_row = np.repeat(np.arange(n), lengths)
+        self.lengths = lengths.astype(np.int32)
+        for name, kind in (
+            ("load_counts", LOAD),
+            ("store_counts", STORE),
+            ("syscall_counts", SYSCALL),
+        ):
+            counts = np.bincount(block_of_row[row_kinds == kind], minlength=n)
+            setattr(self, name, counts.astype(np.int32))
+        self.cti_counts = np.bincount(
+            block_of_row[IS_CTI[row_kinds]], minlength=n
+        ).astype(np.int32)
+
+        # The terminator kind, from each block's last row.
+        last_kind = columns.last_row(row_kinds, -1)
+        links = columns.last_row(LINKS[opcodes], False)
+        no_targets = np.diff(edges.indirect_offsets) == 0
+        returns = (columns.last_row(bases, NO_REGISTER) == RA.number) & no_targets
+        kinds = np.full(n, BlockKind.FALLTHROUGH, dtype=np.int8)
+        kinds[last_kind == BRANCH] = BlockKind.CONDITIONAL
+        jump = last_kind == JUMP
+        kinds[jump] = np.where(links[jump], BlockKind.CALL, BlockKind.JUMP)
+        register = last_kind == JUMP_REGISTER
+        kinds[register] = np.where(
+            links[register],
+            BlockKind.INDIRECT_CALL,
+            np.where(returns[register], BlockKind.RETURN, BlockKind.COMPUTED_GOTO),
+        )
+        self.kinds = kinds
+        targetless = no_targets & np.isin(
+            kinds, (BlockKind.COMPUTED_GOTO, BlockKind.INDIRECT_CALL)
+        )
+        if targetless.any():
+            raise TraceError(
+                f"block {self.names[int(np.argmax(targetless))]!r}: register-indirect "
+                "CTI needs indirect_targets (or $ra for a return)"
             )
-            biases.append(block.taken_bias)
-            targets = [index[t] for t in block.indirect_targets]
-            if (
-                kind in (BlockKind.COMPUTED_GOTO, BlockKind.INDIRECT_CALL)
-                and not targets
-            ):
-                raise TraceError(
-                    f"block {block.name!r}: register-indirect CTI needs "
-                    "indirect_targets (or $ra for a return)"
-                )
-            indirect_ids.append(targets)
 
-        for names, table in ((_BLOCK_COLUMNS, block_table), (_LOAD_COLUMNS, load_table)):
-            rows = np.frombuffer(table, dtype=np.int64).reshape(-1, len(names))
-            for column, name in enumerate(names):
-                setattr(self, name, rows[:, column].astype(_ARRAY_DTYPES[name]))
-        self.biases = np.array(biases, dtype=np.float64)
-        self.entry_id = index[program.entry]
+        self.taken_ids = edges.taken_ids.astype(np.int32)
+        self.fall_ids = edges.fall_ids.astype(np.int32)
+        self.biases = np.array(columns.biases, dtype=np.float64)
+        self.indirect_offsets = edges.indirect_offsets
+        self.indirect_flat = edges.indirect_flat
 
-        # The per-block candidate lists, in CSR form.
-        counts = np.fromiter(
-            (len(t) for t in indirect_ids), dtype=np.int64, count=n
+        defs, uses = register_masks(columns)
+        # Step 1's unfillable direct jumps/calls fill no slot from before.
+        masked = (kinds == BlockKind.FALLTHROUGH) | (
+            np.isin(kinds, (BlockKind.JUMP, BlockKind.CALL)) & unfillable_jumps(np.arange(n))
         )
-        self.indirect_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.indirect_offsets[1:])
-        self.indirect_flat = np.fromiter(
-            (t for targets in indirect_ids for t in targets),
-            dtype=np.int32,
-            count=int(self.indirect_offsets[-1]),
-        )
+        self.hoist_limits = np.where(
+            masked, 0, hoist_distances(columns, defs, uses)
+        ).astype(np.int32)
+        loads, eps_static, eps_dynamic = load_epsilons(columns, defs, uses)
+        self.load_blocks = block_of_row[loads].astype(np.int32)
+        self.load_eps_static = eps_static.astype(np.int8)
+        self.load_eps_dynamic = eps_dynamic.astype(np.int8)
 
         # Step 3: backward conditionals (target at or before the branch in
         # layout order) and every unconditional CTI are predicted taken.
@@ -320,8 +306,8 @@ class CompiledProgram:
 
     @classmethod
     def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "CompiledProgram":
-        """Rebuild a lowering from :meth:`as_arrays` output, without the
-        program: no synthesis, no instruction lists, no re-lowering.
+        """Rebuild a lowering from :meth:`as_arrays` output: no synthesis,
+        no re-lowering.
 
         Memory-mapped inputs stay zero-copy (and read-only), the block
         names included: they are decoded on first use.
@@ -329,7 +315,6 @@ class CompiledProgram:
         if not compiled_arrays_valid(arrays):
             raise TraceError("not a complete compiled-program bundle")
         self = cls.__new__(cls)
-        self.program = None
         self.name = str(arrays["name"][0])
         self.text_base = int(arrays["text_base"][0])
         self.entry_id = int(arrays["entry_id"][0])
@@ -361,16 +346,3 @@ class CompiledProgram:
                 self.text_base + starts * 4
             ).astype(np.int64)
         return self._canonical_addresses
-
-    def block_instructions(self, block_id: int):
-        """The instruction list of a block (for analyses, not hot paths).
-
-        Needs the program: a lowering rebuilt by :meth:`from_arrays`
-        carries no instructions.
-        """
-        if self.program is None:
-            raise TraceError(
-                f"program {self.name!r} was loaded from its lowered arrays; "
-                "instruction lists need CompiledProgram(program)"
-            )
-        return self.program.block(self.names[block_id]).instructions

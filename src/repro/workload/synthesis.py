@@ -8,6 +8,15 @@ if/else diamonds, call sites, and computed-goto switches; each basic block's
 body is filled with an instruction mix that matches the published Table 1
 percentages.
 
+The generator writes the program's columns
+(:class:`~repro.program.columns.ProgramColumns`), not instruction
+objects: each instruction is one row of integers (opcode code, register
+numbers, offset, immediate) appended to a flat table, each block records
+its row range, and only a terminator carries its target label.  The
+program's procedures, blocks and instructions are read views decoded on
+first read; the session's path (synthesis, then the lowering) builds
+none of them.
+
 Register discipline (which makes the dependence analysis meaningful):
 
 * ``$t0``–``$t7`` hold load results, assigned round-robin;
@@ -31,6 +40,7 @@ emulated on top of it (:func:`choice_cdf`, :func:`choice_table` and
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from itertools import accumulate, chain
 from math import exp, floor, inf, log, sqrt
@@ -39,11 +49,16 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
-from repro.isa.registers import GP, RA, SP, ZERO, Register
-from repro.program.basic_block import BasicBlock
-from repro.program.cfg import Procedure, Program
+from repro.isa.registers import GP, RA, SP, ZERO
+from repro.program.cfg import Program
+from repro.program.columns import (
+    NO_IMM,
+    NO_REGISTER,
+    OPCODE_CODES,
+    ROW_FIELDS,
+    ProgramColumns,
+)
 from repro.utils.rng import DEFAULT_SEED, spawn_rng
 from repro.workload.spec import BenchmarkSpec, Category
 
@@ -331,21 +346,54 @@ def choice_without_replacement(
     return found
 
 
-# Register pools (see module docstring).
-_LOAD_DESTS = [Register(n) for n in range(8, 16)]  # $t0-$t7
-_COMPUTED_BASES = [Register(n) for n in range(16, 20)]  # $s0-$s3
-_SCRATCH = [Register(n) for n in (24, 25, 4, 5, 6, 7, 2)]  # $t8,$t9,$a0-$a3,$v0
-_CONDITION = Register(3)  # $v1
+# Register pools (see module docstring), as register numbers.
+_LOAD_DESTS = list(range(8, 16))  # $t0-$t7
+_COMPUTED_BASES = list(range(16, 20))  # $s0-$s3
+_SCRATCH = [24, 25, 4, 5, 6, 7, 2]  # $t8,$t9,$a0-$a3,$v0
+_CONDITION = 3  # $v1
+_T9 = 25  # the jump register of computed gotos and indirect calls
 _N_LOAD_DESTS = len(_LOAD_DESTS)
 _N_COMPUTED_BASES = len(_COMPUTED_BASES)
 _N_SCRATCH = len(_SCRATCH)
+_GP, _SP, _RA, _ZERO = GP.number, SP.number, RA.number, ZERO.number
+_NONE = NO_REGISTER
 
-_ALU_OPS = [Opcode.ADDU, Opcode.SUBU, Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.SLTU]
-_FP_OPS = [Opcode.ADD_S, Opcode.MUL_S, Opcode.ADD_D, Opcode.MUL_D]
+# Opcodes by their row codes.
+_ADDU, _SLT, _ADDIU, _LW, _SW, _BEQ, _BNE, _J, _JAL, _JR, _JALR, _SYSCALL_OP = (
+    OPCODE_CODES[op]
+    for op in (
+        Opcode.ADDU, Opcode.SLT, Opcode.ADDIU, Opcode.LW, Opcode.SW, Opcode.BEQ,
+        Opcode.BNE, Opcode.J, Opcode.JAL, Opcode.JR, Opcode.JALR, Opcode.SYSCALL,
+    )
+)
+_ALU_OPS = [
+    OPCODE_CODES[op]
+    for op in (Opcode.ADDU, Opcode.SUBU, Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.SLTU)
+]
+_FP_OPS = [OPCODE_CODES[op] for op in (Opcode.ADD_S, Opcode.MUL_S, Opcode.ADD_D, Opcode.MUL_D)]
 _N_ALU_OPS = len(_ALU_OPS)
 _N_FP_OPS = len(_FP_OPS)
 #: Load and store offsets are word multiples below this many words.
 _OFFSET_WORDS = 2048
+#: The terminators after which a block keeps its fall-through edge: none
+#: (None), a conditional branch and a call.
+_FALLS_THROUGH = frozenset((None, _BEQ, _BNE, _JAL, _JALR))
+# Fixed rows (opcode, dest, source0, source1, base, offset, imm).
+_ROW_WIDTH = len(ROW_FIELDS)
+_SYSCALL_ROW = (_SYSCALL_OP, _NONE, _NONE, _NONE, _NONE, 0, NO_IMM)
+_JUMP_ROW = (_J, _NONE, _NONE, _NONE, _NONE, 0, NO_IMM)  # j label
+_CALL_ROW = (_JAL, _NONE, _NONE, _NONE, _NONE, 0, NO_IMM)  # jal label
+_RETURN_ROW = (_JR, _NONE, _NONE, _NONE, _RA, 0, NO_IMM)  # jr $ra
+_SWITCH_ROW = (_JR, _NONE, _NONE, _NONE, _T9, 0, NO_IMM)  # jr $t9
+_INDIRECT_CALL_ROW = (_JALR, _RA, _NONE, _NONE, _T9, 0, NO_IMM)  # jalr $ra, $t9
+_PROLOGUE_ROWS = (
+    _ADDIU, _SP, _SP, _NONE, _NONE, 0, -32,  # addiu $sp, $sp, -32
+    _SW, _NONE, _RA, _NONE, _SP, 28, NO_IMM,  # sw $ra, 28($sp)
+)
+_EPILOGUE_ROWS = (
+    _LW, _RA, _NONE, _NONE, _SP, 28, NO_IMM,  # lw $ra, 28($sp)
+    _ADDIU, _SP, _SP, _NONE, _NONE, 0, 32,  # addiu $sp, $sp, 32
+)
 
 # What each slot of a block body holds (see _Synthesizer._body).
 _FILLER, _LOAD, _STORE, _CONSUMER, _BASE_DEF, _COMPARE, _SYSCALL = range(7)
@@ -379,12 +427,60 @@ _CONSTRUCT_CDF = choice_cdf(
 )
 
 
+class _Block:
+    """A block under construction: its rows' range in the synthesizer's
+    row table, its terminator's opcode code (None for a block that ends
+    in a body instruction) and label, and its edges."""
+
+    __slots__ = (
+        "name", "start", "stop", "terminator", "label", "taken_target",
+        "fallthrough", "taken_bias", "backward", "indirect_targets",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        start: int,
+        stop: int,
+        terminator: Optional[int] = None,
+        label: Optional[str] = None,
+        taken_target: Optional[str] = None,
+        taken_bias: float = 0.5,
+        backward: bool = False,
+        indirect_targets: Sequence[str] = (),
+    ) -> None:
+        self.name = name
+        self.start = start
+        self.stop = stop
+        self.terminator = terminator
+        self.label = label
+        self.taken_target = taken_target
+        self.fallthrough: Optional[str] = None
+        self.taken_bias = taken_bias
+        self.backward = backward
+        self.indirect_targets = indirect_targets
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+
+#: A terminating instruction's row and its target label.
+_Terminator = Tuple[Tuple[int, ...], Optional[str]]
+
+
 class _Synthesizer:
-    """Stateful generator for a single benchmark program."""
+    """Stateful generator for a single benchmark program.
+
+    Every instruction is a row of :data:`~repro.program.columns.ROW_FIELDS`
+    integers appended to one flat typed buffer (no Python object per
+    value), in the order the blocks are built; :meth:`build` puts the
+    rows in layout order.
+    """
 
     def __init__(self, spec: BenchmarkSpec, seed: int) -> None:
         self.spec = spec
         self.rng = spawn_rng(seed, spec.name, "code")
+        self._rows = array("q")
         #: Every draw after :meth:`build`'s ``lognormal`` (set there).
         self.stream: Optional[DrawStream] = None
         self._block_counter = 0
@@ -445,8 +541,8 @@ class _Synthesizer:
 
     def _body(
         self, length: int, compare_distance: Optional[int], in_loop: bool = False
-    ) -> List[Instruction]:
-        """Build ``length`` body instructions.
+    ) -> int:
+        """Append ``length`` body instructions; return the first one's row.
 
         Category counts per block are fixed up front (error-diffused from
         the Table 1 mix), then assigned to slots: loads early, stores late,
@@ -455,7 +551,7 @@ class _Synthesizer:
         everywhere else.  Syscalls are placed in loop bodies only — loops
         dominate execution, so the *dynamic* syscall rate then tracks
         Table 1's Syscalls column.  Once every slot has its role, one pass
-        emits the instructions in slot order.
+        appends the rows in slot order.
         """
         random = self.stream.random
         integers = self.stream.integers
@@ -498,7 +594,7 @@ class _Synthesizer:
         use0, use1, use2 = self._use_cdf
         consumers: Dict[int, int] = {}  # slot -> load slot it consumes
         # Load slot -> its computed base, and base-def slot -> the same.
-        bases: Dict[int, Register] = {}
+        bases: Dict[int, int] = {}
         for slot in load_slots:
             if random() >= stable_base_frac:
                 for writer in (slot - 1, slot - 2, slot - 3):
@@ -523,75 +619,76 @@ class _Synthesizer:
 
         is_float = self._is_float
         temp = self._temp_cursor
-        load_dests: Dict[int, Register] = {}  # load slot -> its destination
-        instructions: List[Instruction] = []
-        append = instructions.append
+        load_dests: Dict[int, int] = {}  # load slot -> its destination
+        first = len(self._rows) // _ROW_WIDTH
+        extend = self._rows.extend
         for slot, role in enumerate(roles):
             if role == _FILLER:
                 if is_float and random() < 0.30:
                     opcode = _FP_OPS[integers(0, _N_FP_OPS)]
                 else:
                     opcode = _ALU_OPS[integers(0, _N_ALU_OPS)]
-                append(
-                    Instruction(
+                extend(
+                    (
                         opcode,
                         _SCRATCH[integers(0, _N_SCRATCH)],
-                        (_SCRATCH[integers(0, _N_SCRATCH)], _SCRATCH[integers(0, _N_SCRATCH)]),
+                        _SCRATCH[integers(0, _N_SCRATCH)],
+                        _SCRATCH[integers(0, _N_SCRATCH)],
+                        _NONE, 0, NO_IMM,
                     )
                 )
             elif role == _LOAD:
                 base = bases.get(slot)
                 if base is None:
-                    base = GP if random() < 0.5 else SP
+                    base = _GP if random() < 0.5 else _SP
                 dest = load_dests[slot] = _LOAD_DESTS[temp % _N_LOAD_DESTS]
                 temp += 1
-                append(
-                    Instruction(
-                        Opcode.LW, dest, base=base, offset=integers(0, _OFFSET_WORDS) * 4
-                    )
+                extend(
+                    (_LW, dest, _NONE, _NONE, base, integers(0, _OFFSET_WORDS) * 4, NO_IMM)
                 )
             elif role == _STORE:
                 if temp and random() < 0.5:
                     source = _LOAD_DESTS[(temp - 1) % _N_LOAD_DESTS]
                 else:
                     source = _SCRATCH[integers(0, _N_SCRATCH)]
-                base = GP if random() < 0.4 else SP
-                append(
-                    Instruction(
-                        Opcode.SW,
-                        sources=(source,),
-                        base=base,
-                        offset=integers(0, _OFFSET_WORDS) * 4,
-                    )
+                base = _GP if random() < 0.4 else _SP
+                extend(
+                    (_SW, _NONE, source, _NONE, base, integers(0, _OFFSET_WORDS) * 4, NO_IMM)
                 )
             elif role == _CONSUMER:
-                append(
-                    Instruction(
-                        Opcode.ADDU,
+                extend(
+                    (
+                        _ADDU,
                         _SCRATCH[integers(0, _N_SCRATCH)],
-                        (load_dests[consumers[slot]], _SCRATCH[integers(0, _N_SCRATCH)]),
+                        load_dests[consumers[slot]],
+                        _SCRATCH[integers(0, _N_SCRATCH)],
+                        _NONE, 0, NO_IMM,
                     )
                 )
             elif role == _BASE_DEF:
-                append(
-                    Instruction(
-                        Opcode.ADDU,
+                extend(
+                    (
+                        _ADDU,
                         bases[slot],
-                        (_SCRATCH[integers(0, _N_SCRATCH)], _SCRATCH[integers(0, _N_SCRATCH)]),
+                        _SCRATCH[integers(0, _N_SCRATCH)],
+                        _SCRATCH[integers(0, _N_SCRATCH)],
+                        _NONE, 0, NO_IMM,
                     )
                 )
             elif role == _COMPARE:
-                append(
-                    Instruction(
-                        Opcode.SLT,
+                extend(
+                    (
+                        _SLT,
                         _CONDITION,
-                        (_SCRATCH[integers(0, _N_SCRATCH)], _SCRATCH[integers(0, _N_SCRATCH)]),
+                        _SCRATCH[integers(0, _N_SCRATCH)],
+                        _SCRATCH[integers(0, _N_SCRATCH)],
+                        _NONE, 0, NO_IMM,
                     )
                 )
             else:
-                append(Instruction(Opcode.SYSCALL))
+                extend(_SYSCALL_ROW)
         self._temp_cursor = temp
-        return instructions
+        return first
 
     def _block_length(self, in_loop: bool) -> int:
         mean = self.spec.shape.loop_body_mean if in_loop else self.spec.shape.cold_body_mean
@@ -604,28 +701,43 @@ class _Synthesizer:
 
     # -- constructs ----------------------------------------------------------
 
+    def _close(
+        self,
+        name: str,
+        first: int,
+        terminator: Optional[_Terminator] = None,
+        **block_attrs,
+    ) -> _Block:
+        """The block of the rows from ``first`` on, after appending its
+        ``terminator``."""
+        if terminator is None:
+            code = label = None
+        else:
+            row, label = terminator
+            self._rows.extend(row)
+            code = row[0]
+        return _Block(
+            name, first, len(self._rows) // _ROW_WIDTH, code, label, **block_attrs
+        )
+
     def _make_block(
         self,
         proc_index: int,
         in_loop: bool,
-        terminator: Optional[Instruction] = None,
+        terminator: Optional[_Terminator] = None,
         compare: bool = False,
         **block_attrs,
-    ) -> BasicBlock:
+    ) -> _Block:
         body_length = self._block_length(in_loop)
         compare_distance = self._compare_distance(body_length) if compare else None
-        instructions = self._body(body_length, compare_distance, in_loop)
-        if terminator is not None:
-            instructions = instructions + [terminator]
-        return BasicBlock(
-            name=self._new_block_name(proc_index),
-            instructions=instructions,
-            **block_attrs,
+        first = self._body(body_length, compare_distance, in_loop)
+        return self._close(
+            self._new_block_name(proc_index), first, terminator, **block_attrs
         )
 
-    def _branch(self, target: str) -> Instruction:
-        opcode = Opcode.BNE if self.stream.random() < 0.5 else Opcode.BEQ
-        return Instruction(opcode, sources=(_CONDITION, ZERO), target=target)
+    def _branch(self, target: str) -> _Terminator:
+        opcode = _BNE if self.stream.random() < 0.5 else _BEQ
+        return (opcode, _NONE, _CONDITION, _ZERO, _NONE, 0, NO_IMM), target
 
     def _constructs(
         self,
@@ -633,7 +745,7 @@ class _Synthesizer:
         budget: int,
         depth: int,
         in_loop: bool,
-        blocks: List[BasicBlock],
+        blocks: List[_Block],
     ) -> int:
         """Append constructs to ``blocks`` until ``budget`` words are used."""
         used = 0
@@ -668,7 +780,7 @@ class _Synthesizer:
         proc_index: int,
         budget: int,
         depth: int,
-        blocks: List[BasicBlock],
+        blocks: List[_Block],
         bias: Optional[float] = None,
     ) -> int:
         """A do-while loop: body constructs followed by a backward latch."""
@@ -695,7 +807,7 @@ class _Synthesizer:
         blocks.append(latch)
         return used + len(latch)
 
-    def _diamond(self, proc_index: int, in_loop: bool, blocks: List[BasicBlock]) -> int:
+    def _diamond(self, proc_index: int, in_loop: bool, blocks: List[_Block]) -> int:
         """if/else: condition block, then-arm (ends ``j``), else-arm, join."""
         # Names must exist before the blocks, because the condition block
         # branches forward to the else-arm and the then-arm jumps to the join.
@@ -705,31 +817,31 @@ class _Synthesizer:
         join_name = self._new_block_name(proc_index)
 
         cond_len = self._block_length(in_loop)
-        cond = BasicBlock(
-            name=cond_name,
-            instructions=self._body(cond_len, self._compare_distance(cond_len), in_loop)
-            + [self._branch(else_name)],
+        first = self._body(cond_len, self._compare_distance(cond_len), in_loop)
+        cond = self._close(
+            cond_name,
+            first,
+            self._branch(else_name),
             taken_target=else_name,
             taken_bias=self.spec.shape.forward_bias,
             backward=False,
         )
-        then_block = BasicBlock(
-            name=then_name,
-            instructions=self._body(self._block_length(in_loop), None, in_loop)
-            + [Instruction(Opcode.J, target=join_name)],
-            taken_target=join_name,
+        first = self._body(self._block_length(in_loop), None, in_loop)
+        then_block = self._close(
+            then_name, first, (_JUMP_ROW, join_name), taken_target=join_name
         )
-        else_block = BasicBlock(
-            name=else_name, instructions=self._body(self._block_length(in_loop), None, in_loop)
+        else_block = self._close(
+            else_name, self._body(self._block_length(in_loop), None, in_loop)
         )
-        join_block = BasicBlock(
-            name=join_name, instructions=self._body(max(1, self._block_length(in_loop) // 2), None, in_loop)
+        join_block = self._close(
+            join_name,
+            self._body(max(1, self._block_length(in_loop) // 2), None, in_loop),
         )
         blocks.extend([cond, then_block, else_block, join_block])
         return sum(len(b) for b in (cond, then_block, else_block, join_block))
 
-    def _guarded(self, proc_index: int, in_loop: bool, call_block: BasicBlock,
-                 blocks: List[BasicBlock]) -> int:
+    def _guarded(self, proc_index: int, in_loop: bool, call_block: _Block,
+                 blocks: List[_Block]) -> int:
         """Wrap a call block in a skip-branch guard.
 
         Unguarded calls inside loops make the call tree's branching factor
@@ -739,38 +851,39 @@ class _Synthesizer:
         driver-loop iteration then walks a call tree tens of procedures
         deep — a kiloword-scale instruction footprint re-referenced once
         per iteration, which is what gives the L1-I miss-rate-versus-size
-        curves of Figure 3 their shape.
+        curves of Figure 3 their shape.  The call block's rows were
+        appended before the guard's; :meth:`build` lays them out in block
+        order.
         """
         skip_bias = 0.92 if in_loop else 0.30
         continue_name = self._new_block_name(proc_index)
         guard_len = self._block_length(in_loop)
-        guard = BasicBlock(
-            name=self._new_block_name(proc_index),
-            instructions=self._body(guard_len, self._compare_distance(guard_len), in_loop)
-            + [self._branch(continue_name)],
+        guard_name = self._new_block_name(proc_index)
+        first = self._body(guard_len, self._compare_distance(guard_len), in_loop)
+        guard = self._close(
+            guard_name,
+            first,
+            self._branch(continue_name),
             taken_target=continue_name,
             taken_bias=skip_bias,
             backward=False,
         )
-        call_block.fallthrough = continue_name
-        continuation = BasicBlock(
-            name=continue_name, instructions=self._body(1, None, in_loop)
-        )
+        continuation = self._close(continue_name, self._body(1, None, in_loop))
         blocks.extend([guard, call_block, continuation])
         return len(guard) + len(call_block) + len(continuation)
 
-    def _call(self, proc_index: int, in_loop: bool, blocks: List[BasicBlock]) -> int:
+    def _call(self, proc_index: int, in_loop: bool, blocks: List[_Block]) -> int:
         callee = self._choose_callee(proc_index)
         self._call_sites_left -= 1
         call_block = self._make_block(
             proc_index,
             in_loop,
-            terminator=Instruction(Opcode.JAL, target=self._entry_of(callee)),
+            terminator=(_CALL_ROW, self._entry_of(callee)),
             taken_target=self._entry_of(callee),
         )
         return self._guarded(proc_index, in_loop, call_block, blocks)
 
-    def _indirect_call(self, proc_index: int, in_loop: bool, blocks: List[BasicBlock]) -> int:
+    def _indirect_call(self, proc_index: int, in_loop: bool, blocks: List[_Block]) -> int:
         """A ``jalr`` call through a function pointer (2-4 candidates)."""
         count = self.stream.integers(2, 5)
         callees = sorted(
@@ -780,9 +893,7 @@ class _Synthesizer:
         call_block = self._make_block(
             proc_index,
             in_loop,
-            terminator=Instruction(
-                Opcode.JALR, dest=RA, base=Register(25)  # $t9, MIPS call convention
-            ),
+            terminator=(_INDIRECT_CALL_ROW, None),
             indirect_targets=[self._entry_of(c) for c in callees],
         )
         return self._guarded(proc_index, in_loop, call_block, blocks)
@@ -795,78 +906,78 @@ class _Synthesizer:
         hop = 1 + self.stream.geometric(0.35)
         return min(self._n_procs - 1, proc_index + hop)
 
-    def _switch(self, proc_index: int, in_loop: bool, blocks: List[BasicBlock]) -> int:
+    def _switch(self, proc_index: int, in_loop: bool, blocks: List[_Block]) -> int:
         """A computed goto (``jr $t9``) over 2-4 case blocks."""
         case_count = self.stream.integers(2, 5)
         case_names = [self._new_block_name(proc_index) for _ in range(case_count)]
         join_name = self._new_block_name(proc_index)
 
         dispatch_len = self._block_length(in_loop)
-        dispatch_body = self._body(max(1, dispatch_len - 1), None, in_loop)
+        first = self._body(max(1, dispatch_len - 1), None, in_loop)
         # The jump register is computed right before the jr, so its delay
         # slots cannot be filled from before (matching real jump tables).
-        dispatch_body.append(
-            Instruction(
-                Opcode.ADDU,
-                dest=Register(25),
-                sources=(
-                    _SCRATCH[self.stream.integers(0, _N_SCRATCH)],
-                    _SCRATCH[self.stream.integers(0, _N_SCRATCH)],
-                ),
+        self._rows.extend(
+            (
+                _ADDU,
+                _T9,
+                _SCRATCH[self.stream.integers(0, _N_SCRATCH)],
+                _SCRATCH[self.stream.integers(0, _N_SCRATCH)],
+                _NONE, 0, NO_IMM,
             )
         )
-        dispatch = BasicBlock(
-            name=self._new_block_name(proc_index),
-            instructions=dispatch_body + [Instruction(Opcode.JR, base=Register(25))],
+        dispatch = self._close(
+            self._new_block_name(proc_index),
+            first,
+            (_SWITCH_ROW, None),
             indirect_targets=case_names,
         )
         cases = []
         for i, case_name in enumerate(case_names):
-            body = self._body(self._block_length(in_loop), None, in_loop)
+            first = self._body(self._block_length(in_loop), None, in_loop)
             if i < case_count - 1:
-                body.append(Instruction(Opcode.J, target=join_name))
                 cases.append(
-                    BasicBlock(name=case_name, instructions=body, taken_target=join_name)
+                    self._close(
+                        case_name, first, (_JUMP_ROW, join_name), taken_target=join_name
+                    )
                 )
             else:
-                cases.append(BasicBlock(name=case_name, instructions=body))
-        join = BasicBlock(name=join_name, instructions=self._body(1, None, in_loop))
+                cases.append(self._close(case_name, first))
+        join = self._close(join_name, self._body(1, None, in_loop))
         blocks.extend([dispatch] + cases + [join])
         return sum(len(b) for b in [dispatch] + cases + [join])
 
     # -- procedures ----------------------------------------------------------
 
-    def _procedure(self, proc_index: int, budget: int) -> Procedure:
+    def _procedure(self, proc_index: int, budget: int) -> List[_Block]:
+        """The procedure's blocks in layout order."""
         # At most a couple of call sites per procedure, each behind a skip
         # guard: keeps the dynamic call tree's branching factor near one.
         self._call_sites_left = self.stream.integers(1, 4)
-        blocks: List[BasicBlock] = []
-        prologue = BasicBlock(
-            name=self._entry_of(proc_index),
-            instructions=[
-                Instruction(Opcode.ADDIU, dest=SP, sources=(SP,), imm=-32),
-                Instruction(Opcode.SW, sources=(RA,), base=SP, offset=28),
-            ],
-        )
-        blocks.append(prologue)
+        first = len(self._rows) // _ROW_WIDTH
+        self._rows.extend(_PROLOGUE_ROWS)
+        prologue = self._close(self._entry_of(proc_index), first)
+        blocks = [prologue]
         body_budget = max(4, budget - len(prologue) - 4)
         if proc_index == 0:
             self._main_driver(blocks, body_budget)
         else:
             self._constructs(proc_index, body_budget, 0, False, blocks)
-        epilogue = BasicBlock(
-            name=self._new_block_name(proc_index),
-            instructions=[
-                Instruction(Opcode.LW, dest=RA, base=SP, offset=28),
-                Instruction(Opcode.ADDIU, dest=SP, sources=(SP,), imm=32),
-                Instruction(Opcode.JR, base=RA),
-            ],
+        first = len(self._rows) // _ROW_WIDTH
+        self._rows.extend(_EPILOGUE_ROWS)
+        blocks.append(
+            self._close(self._new_block_name(proc_index), first, (_RETURN_ROW, None))
         )
-        blocks.append(epilogue)
-        self._fix_fallthroughs(blocks)
-        return Procedure(name=self._proc_names[proc_index], blocks=blocks)
+        # Each block falls through to the next where required; the last
+        # block of a procedure falls through nowhere.
+        for current, following in zip(blocks, blocks[1:]):
+            if current.terminator in _FALLS_THROUGH:
+                current.fallthrough = following.name
+            else:
+                current.fallthrough = None
+        blocks[-1].fallthrough = None
+        return blocks
 
-    def _main_driver(self, blocks: List[BasicBlock], budget: int) -> None:
+    def _main_driver(self, blocks: List[_Block], budget: int) -> None:
         """The entry procedure: a long-running loop over spread-out calls.
 
         Real ``main`` functions are driver loops; making the entry loop
@@ -882,7 +993,7 @@ class _Synthesizer:
             block = self._make_block(
                 0,
                 in_loop=True,
-                terminator=Instruction(Opcode.JAL, target=self._entry_of(callee)),
+                terminator=(_CALL_ROW, self._entry_of(callee)),
                 taken_target=self._entry_of(callee),
             )
             blocks.append(block)
@@ -900,19 +1011,6 @@ class _Synthesizer:
         )
         blocks.append(latch)
 
-    @staticmethod
-    def _fix_fallthroughs(blocks: Sequence[BasicBlock]) -> None:
-        """Set each block's fall-through to the next block where required."""
-        for current, following in zip(blocks, blocks[1:]):
-            term = current.terminator
-            if term is None or term.is_conditional_branch or term.info.links:
-                current.fallthrough = following.name
-            else:
-                current.fallthrough = None
-        last = blocks[-1]
-        if last.terminator is None or last.terminator.is_conditional_branch:
-            last.fallthrough = None  # end of procedure; executor restarts
-
     def build(self) -> Program:
         target_words = int(self.spec.shape.static_code_kw * 1024)
         raw = self.rng.lognormal(mean=0.0, sigma=0.8, size=self._n_procs)
@@ -921,18 +1019,31 @@ class _Synthesizer:
         procedures = [
             self._procedure(i, int(budgets[i])) for i in range(self._n_procs)
         ]
-        program = Program(name=self.spec.name, procedures=procedures)
-        self._trim_dangling_fallthroughs(program)
-        program.validate()
-        return program
-
-    @staticmethod
-    def _trim_dangling_fallthroughs(program: Program) -> None:
-        """Last block of each procedure may not fall through anywhere."""
-        for proc in program.procedures:
-            final = proc.blocks[-1]
-            if final.fallthrough is not None:
-                final.fallthrough = None
+        blocks = [block for procedure in procedures for block in procedure]
+        n = len(blocks)
+        firsts = np.fromiter((b.start for b in blocks), dtype=np.int64, count=n)
+        lengths = np.fromiter((len(b) for b in blocks), dtype=np.int64, count=n)
+        starts = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(lengths, out=starts[1:])
+        # Rows were appended in build order; gather them in layout order.
+        order = np.repeat(firsts - starts[:-1], lengths) + np.arange(starts[-1])
+        table = np.frombuffer(self._rows, dtype=np.int64).reshape(-1, _ROW_WIDTH)
+        procedure_starts = np.zeros(len(procedures) + 1, dtype=np.int64)
+        np.cumsum([len(p) for p in procedures], out=procedure_starts[1:])
+        columns = ProgramColumns(
+            table.T[:, order],
+            starts,
+            [b.name for b in blocks],
+            [b.taken_target for b in blocks],
+            [b.fallthrough for b in blocks],
+            [b.taken_bias for b in blocks],
+            [b.backward for b in blocks],
+            [b.indirect_targets for b in blocks],
+            [b.label for b in blocks],
+            self._proc_names,
+            procedure_starts,
+        )
+        return Program.from_columns(self.spec.name, columns)
 
 
 def synthesize_program(spec: BenchmarkSpec, seed: int = DEFAULT_SEED) -> Program:
@@ -946,7 +1057,8 @@ def synthesize_program(spec: BenchmarkSpec, seed: int = DEFAULT_SEED) -> Program
         seed: Base seed; the benchmark name is mixed in automatically.
 
     Returns:
-        A validated :class:`~repro.program.cfg.Program`.
+        A :class:`~repro.program.cfg.Program` over its columns (the
+        lowering validates them).
     """
     if spec.shape.procedures < 2:
         raise WorkloadError(f"{spec.name}: need at least two procedures")

@@ -156,7 +156,6 @@ def test_warm_session_is_identical_without_synthesis(cold, no_synthesis):
     session = session_over(cache, tracer=tracer)
     assert outputs(session) == expected
     assert not spans_named(tracer, "program.synthesize")
-    assert all(bench.compiled.program is None for bench in session.benchmarks)
     stats = session.store.stats()
     assert stats.disk_hits >= 2 * len(SPECS)  # a program and a trace each
 

@@ -1,9 +1,9 @@
 """Instruction-level categories and def/use sets.
 
-The runtime reads an instruction's kind from the opcode table and its
-registers into per-block bitmasks (:class:`~repro.program.dependence.
-BlockFacts`); these per-instruction forms are what the tests and the
-instruction-level oracles (``tests/sched/oracles.py``) ask instead.
+The runtime reads a program's columns: each row's kind from the opcode
+table and its registers into bitmasks (:mod:`repro.program.dependence`);
+these per-instruction forms are what the tests and the instruction-level
+oracles (``tests/sched/oracles.py``) ask instead.
 """
 
 from typing import FrozenSet
@@ -19,6 +19,10 @@ def kind(inst: Instruction) -> OpcodeKind:
 
 def is_load(inst: Instruction) -> bool:
     return kind(inst) is OpcodeKind.LOAD
+
+
+def is_conditional_branch(inst: Instruction) -> bool:
+    return kind(inst) is OpcodeKind.BRANCH
 
 
 def is_memory(inst: Instruction) -> bool:

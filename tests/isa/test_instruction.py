@@ -10,7 +10,16 @@ from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode, OpcodeKind
 from repro.isa.registers import RA, Register
 from tests.isa.assembler import parse_instruction
-from tests.isa.defuse import defs, is_load, is_memory, is_register_indirect, kind, nop, uses
+from tests.isa.defuse import (
+    defs,
+    is_conditional_branch,
+    is_load,
+    is_memory,
+    is_register_indirect,
+    kind,
+    nop,
+    uses,
+)
 
 
 def inst(text):
@@ -33,7 +42,7 @@ class TestCategories:
 
     def test_conditional_branch(self):
         i = inst("beq $t0, $t1, done")
-        assert i.is_cti and i.is_conditional_branch and not is_register_indirect(i)
+        assert i.is_cti and is_conditional_branch(i) and not is_register_indirect(i)
 
     def test_direct_jump(self):
         i = inst("j loop")
@@ -41,7 +50,7 @@ class TestCategories:
 
     def test_register_indirect(self):
         i = inst("jr $ra")
-        assert i.is_cti and is_register_indirect(i) and not i.is_conditional_branch
+        assert i.is_cti and is_register_indirect(i) and not is_conditional_branch(i)
 
     def test_jalr_is_register_indirect(self):
         assert is_register_indirect(inst("jalr $ra, $t9"))

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.program.basic_block import BasicBlock
 from tests.isa.assembler import assemble_block
+from tests.isa.defuse import is_conditional_branch
 
 
 def block(text, **kwargs):
@@ -15,7 +16,7 @@ class TestTerminator:
     def test_cti_terminator(self):
         b = block("addu $t0, $t1, $t2\nbeq $t0, $zero, out", taken_target="out", fallthrough="next")
         assert b.terminator is b.instructions[-1]
-        assert b.terminator.is_conditional_branch
+        assert is_conditional_branch(b.terminator)
 
     def test_fallthrough_only_block(self):
         b = block("addu $t0, $t1, $t2")

@@ -1,9 +1,10 @@
-"""The bitmask dependence scans against their per-instruction oracles.
+"""The per-block bitmask scans, and the lowering, against the
+per-instruction oracles.
 
-:class:`~repro.program.dependence.BlockFacts` answers the CTI hoist
+:class:`tests.program.oracles.BlockFacts` answers the CTI hoist
 distance and every load's slack from register bitmasks computed once per
-block; the lowering and the per-instruction functions of
-:mod:`repro.program.dependence` all run on it.  The oracles in
+block; it is the oracle of the vectorized lowering
+(``tests/program/test_columns.py``).  The oracles in
 :mod:`tests.sched.oracles` are the frozenset walks it replaced.
 """
 
@@ -14,10 +15,11 @@ from hypothesis import strategies as st
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import SP, Register
-from repro.program.dependence import EPSILON_CAP, BlockFacts, cti_hoist_distance
+from repro.program.dependence import EPSILON_CAP
 from repro.trace.compiled import BlockKind, CompiledProgram
 from repro.workload import TABLE1_SUITE, synthesize_program
 from tests.isa.defuse import defs, is_load, uses
+from tests.program.oracles import BlockFacts, cti_hoist_distance
 from tests.sched.oracles import (
     cti_hoist_distance_reference,
     independent_prefix_length,

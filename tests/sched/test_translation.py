@@ -69,7 +69,7 @@ class TestTranslationFile:
     def test_address_lookup(self, compiled):
         translation = TranslationFile(compiled, 1)
         entry = compiled.names.index("entry")
-        assert translation.new_addresses[entry] == compiled.program.text_base
+        assert translation.new_addresses[entry] == compiled.text_base
 
     def test_negative_slots_rejected(self, compiled):
         with pytest.raises(ScheduleError):

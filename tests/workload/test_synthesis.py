@@ -11,6 +11,7 @@ import pytest
 from repro.isa.opcodes import OpcodeKind
 from repro.trace import execute_program
 from repro.workload import TABLE1_SUITE, benchmark_by_name, synthesize_program
+from tests.isa.defuse import is_conditional_branch
 
 SAMPLE = ["gcc", "matrix500", "yacc", "loops", "small"]
 
@@ -70,7 +71,7 @@ class TestStructure:
         order = {block.name: i for i, block in enumerate(blocks)}
         for i, block in enumerate(blocks):
             term = block.terminator
-            if term is None or not term.is_conditional_branch:
+            if term is None or not is_conditional_branch(term):
                 continue
             assert block.backward == (order[block.taken_target] <= i)
 
